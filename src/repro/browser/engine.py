@@ -55,6 +55,7 @@ from ..html.tokenizer import (
 )
 from ..netsim.topology import Topology
 from ..sim import Simulator
+from ..span import Span, SpanBuffer
 
 if TYPE_CHECKING:  # typing-only imports; avoids a cycle through repro.replay
     from ..replay.certs import CertificateAuthority
@@ -128,7 +129,9 @@ class _Fetch:
         self.rtype = rtype
         self.stream_id: Optional[int] = None
         self.conn_key: Optional[str] = None
-        self.body = bytearray()
+        #: The body by reference: bytes are counted as they arrive and
+        #: read only where content matters (HTML, CSS, JS).
+        self.body = SpanBuffer()
         self.discovered_at = 0.0
         self.requested_at: Optional[float] = None
         self.response_start: Optional[float] = None
@@ -307,7 +310,7 @@ class PageLoad:
         if cached_body is not None:
             fetch.from_cache = True
             fetch.requested_at = self.sim.now
-            fetch.body.extend(cached_body)
+            fetch.body.append(Span(cached_body))
             if self._tracer is not None:
                 self._tracer.cache_hit(url, len(cached_body))
                 self._tracer.resource_requested(url, False)
@@ -402,7 +405,7 @@ class PageLoad:
                 self._preload_hint(hint, "early_hints")
 
         def on_data(chunk: bytes) -> None:
-            fetch.body.extend(chunk)
+            fetch.body.append(Span(chunk))
             if fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
                 self._on_html_bytes(chunk)
 
@@ -552,17 +555,18 @@ class PageLoad:
         initiator = "hint" if source == "link_header" else source
         self.fetch(url, rtype, initiator=initiator)
 
-    def _on_data(self, entry: _ConnectionEntry, stream_id: int, data: bytes) -> None:
+    def _on_data(self, entry: _ConnectionEntry, stream_id: int, data: Span) -> None:
         fetch = entry.stream_fetch.get(stream_id)
         if fetch is None or fetch.cancelled:
             return
-        fetch.body.extend(data)
+        fetch.body.append(data)
         if fetch.pushed:
-            self.timeline.pushed_bytes += len(data)
+            size = data.stop - data.start
+            self.timeline.pushed_bytes += size
             if self._tracer is not None:
-                self._tracer.push_data(fetch.url, len(data), not fetch.adopted)
+                self._tracer.push_data(fetch.url, size, not fetch.adopted)
         if fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
-            self._on_html_bytes(data)
+            self._on_html_bytes(data.tobytes())
 
     def _on_stream_end(self, entry: _ConnectionEntry, stream_id: int) -> None:
         fetch = entry.stream_fetch.get(stream_id)
@@ -651,7 +655,7 @@ class PageLoad:
                 fetch.url, len(fetch.body), fetch.pushed, fetch.from_cache
             )
         if not fetch.from_cache:
-            self.cache.store(fetch.url, bytes(fetch.body))
+            self.cache.store(fetch.url, fetch.body.tobytes())
         self._record_resource(fetch)
         self._release_delayable(fetch)
 
@@ -664,7 +668,7 @@ class PageLoad:
         elif fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
             self._html_complete = True
             if fetch.from_cache:
-                self._on_html_bytes(bytes(fetch.body))
+                self._on_html_bytes(fetch.body.tobytes())
             self._advance_parser()
         self._check_onload()
 
@@ -850,7 +854,7 @@ class PageLoad:
 
     def _execute_script(self, fetch: _Fetch, resume_parser: bool = False) -> None:
         fetch.executed = True
-        source = bytes(fetch.body).decode("utf-8", errors="replace")
+        source = fetch.body.tobytes().decode("utf-8", errors="replace")
 
         def done() -> None:
             for url in scan_js(source):
@@ -878,7 +882,7 @@ class PageLoad:
     # CSS pipeline
     # ------------------------------------------------------------------
     def _on_css_loaded(self, fetch: _Fetch) -> None:
-        source = bytes(fetch.body).decode("utf-8", errors="replace")
+        source = fetch.body.tobytes().decode("utf-8", errors="replace")
         parse_cost = max(fetch.exec_ms, scan_exec_hint(source))
 
         def parsed() -> None:

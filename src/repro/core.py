@@ -28,6 +28,8 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from .errors import ConfigError
+
 _VALID = ("fast", "python", "compiled")
 
 #: Process-wide override; ``None`` defers to the environment.
@@ -36,7 +38,12 @@ _mode_override: Optional[str] = None
 
 def _env_mode() -> str:
     mode = os.environ.get("REPRO_CORE", "fast").strip().lower()
-    return mode if mode in _VALID else "fast"
+    if mode not in _VALID:
+        raise ConfigError(
+            f"REPRO_CORE={os.environ['REPRO_CORE']!r} is not a simulation core; "
+            f"choose one of {', '.join(_VALID)}"
+        )
+    return mode
 
 
 def core_mode() -> str:

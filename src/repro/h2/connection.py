@@ -1,9 +1,12 @@
 """HTTP/2 connection logic over the simulated TCP byte stream.
 
 One :class:`H2Connection` object implements one endpoint (client or
-server) of an HTTP/2 connection.  Real frame bytes — HPACK-compressed
-headers, DATA chunks, PUSH_PROMISEs — flow through the TCP model, so
-every protocol overhead is charged against the simulated links.
+server) of an HTTP/2 connection.  Control frames — HPACK-compressed
+headers, PUSH_PROMISEs, SETTINGS, WINDOW_UPDATEs — flow through the TCP
+model as real bytes; a DATA frame is written as one transport *record*
+of 9 + payload octets whose payload is a :class:`~repro.span.Span` of
+the response body, so every protocol overhead is charged against the
+simulated links while no body byte is copied on the way.
 
 Send-side design (mirrors h2o): control frames (HEADERS, PUSH_PROMISE,
 SETTINGS, WINDOW_UPDATE, RST_STREAM, PING, GOAWAY) are queued and
@@ -36,7 +39,6 @@ from .frames import (
     DataFrame,
     Frame,
     FrameReader,
-    _pack_header,
     GoAwayFrame,
     HeadersFrame,
     PingFrame,
@@ -46,10 +48,12 @@ from .frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
+    _pack_header,
 )
 from .hpack import HpackDecoder, HpackEncoder
 from .priority import PriorityTree
 from .settings import Settings
+from ..span import Span
 from .stream import H2Stream
 
 Header = Tuple[str, str]
@@ -60,7 +64,6 @@ _FRAME_HEADER = 9
 _CLOSED = StreamState.CLOSED
 _HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
 
-_DATA_TYPE = int(FrameType.DATA)
 _END_STREAM_RAW = int(Flag.END_STREAM)
 _WINDOW_UPDATE_TYPE = int(FrameType.WINDOW_UPDATE)
 
@@ -88,6 +91,9 @@ class DataScheduler:
 class H2Connection:
     """One endpoint of an HTTP/2 connection."""
 
+    #: Octets a DATA frame occupies on the wire beyond its payload.
+    _DATA_OVERHEAD = _FRAME_HEADER
+
     def __init__(
         self,
         endpoint: TcpEndpoint,
@@ -102,6 +108,7 @@ class H2Connection:
         self.role = role
         self._endpoint = endpoint
         endpoint.on_data = self._on_tcp_data
+        endpoint.on_record = self._on_data_record
         endpoint.on_writable = self._pump
 
         #: Optional event tracer (``repro.trace``).  ``None`` keeps the
@@ -140,7 +147,9 @@ class H2Connection:
         self.on_request: Optional[Callable[[int, List[Header], PriorityData], None]] = None
         self.on_response: Optional[Callable[[int, List[Header]], None]] = None
         self.on_informational: Optional[Callable[[int, List[Header]], None]] = None
-        self.on_data: Optional[Callable[[int, bytes], None]] = None
+        #: Receives ``(stream_id, span)`` per DATA frame: the payload by
+        #: reference, ``len(span)`` octets of it.
+        self.on_data: Optional[Callable[[int, Span], None]] = None
         self.on_stream_end: Optional[Callable[[int], None]] = None
         self.on_push_promise: Optional[Callable[[int, int, List[Header]], None]] = None
         self.on_reset: Optional[Callable[[int, ErrorCode], None]] = None
@@ -433,6 +442,7 @@ class H2Connection:
         priority_tree = self.priority_tree
         max_frame = self.remote_settings.max_frame_size
         chunk_size = self._chunk_size
+        overhead = self._DATA_OVERHEAD
         # The ready list is reused across loop iterations: between two
         # DATA frames only the *selected* stream's readiness can change
         # (its queue/window were consumed) unless a scheduler hook fired
@@ -443,7 +453,7 @@ class H2Connection:
         ready: Optional[List[int]] = None
         while True:
             space = half._max_buffer - half._buffered
-            if space <= _FRAME_HEADER:
+            if space <= overhead:
                 return
             # TCP_NOTSENT_LOWAT-style pacing: stop queueing DATA once
             # the unsent socket backlog covers two congestion windows.
@@ -472,30 +482,24 @@ class H2Connection:
             available = conn_window._window
             budget = min(
                 chunk_size,
-                space - _FRAME_HEADER,
+                space - overhead,
                 max_frame,
                 available if available > 0 else 0,
             )
-            size = min(stream.sendable_bytes(), budget)
-            data, end = stream.take_body(size)
-            if not data and not end:
+            span, end = stream.take_body(min(stream.sendable_bytes(), budget))
+            sent = span.stop - span.start
+            if not sent and not end:
                 # Stream was ready only for a pause boundary; try others.
                 return
-            sent = len(data)
-            stream.send_window.consume(sent)
-            conn_window.consume(sent)
-            # Equivalent to DataFrame(...).serialize() for an unpadded
-            # frame, without building the frame object.
-            half.enqueue(
-                _pack_header(
-                    sent, _DATA_TYPE, _END_STREAM_RAW if end else 0, stream_id
-                )
-                + data
-            )
+            # FlowControlWindow.consume, inlined: ``sent`` was capped by
+            # both windows two statements up.
+            stream.send_window._window -= sent
+            conn_window._window -= sent
+            self._emit_data(stream_id, span, end)
             self.frames_sent += 1
             if self._tracer is not None:
                 self._tracer.frame_sent(
-                    self._trace_name, "DATA", stream_id, sent + _FRAME_HEADER
+                    self._trace_name, "DATA", stream_id, sent + overhead
                 )
             scheduler.on_data_sent(self, stream_id, sent, end)
             if self.on_data_frame_sent is not None:
@@ -520,50 +524,56 @@ class H2Connection:
                 elif not stream.wants_to_send():
                     ready.remove(stream_id)
 
+    def _emit_data(self, stream_id: int, span: Span, end: bool) -> None:
+        """Write one DATA frame: a record charged header + payload, which
+        the peer's ``_on_data_record`` receives when its last octet does."""
+        self._endpoint._out.enqueue_record(
+            _FRAME_HEADER + span.stop - span.start,
+            (stream_id, span, _END_STREAM_RAW if end else 0),
+        )
+
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
     def _on_tcp_data(self, data: bytes) -> None:
+        """In-order control-plane bytes (and any DATA a peer sent as bytes)."""
         tracer = self._tracer
-        if tracer is not None:
-            # Traced path: materialize frames so the tracer sees every
-            # frame (DATA included) with its wire size.
-            for frame in self._reader.feed(data):
-                self.frames_received += 1
+        for frame in self._reader.feed(data):
+            self.frames_received += 1
+            if tracer is not None:
                 tracer.frame_received(
                     self._trace_name, frame.TYPE.name, frame.stream_id, frame.wire_size
                 )
-                self._dispatch(frame)
-            self._pump()
-            return
-        self._reader.feed_dispatch(data, self._on_frame, self._fast_data)
+            self._dispatch(frame)
         # _pump is a no-op without queued control bytes or candidate
         # streams; skipping it saves the call chain per received segment.
         if self._control_queue or self._send_candidates:
             self._pump()
 
-    def _on_frame(self, frame: Frame) -> None:
-        """Non-DATA dispatch target for the fused receive path."""
+    def _on_data_record(self, record: Tuple[int, Span, int]) -> None:
+        """One DATA frame written by the peer's ``_emit_data`` arrived."""
+        stream_id, span, raw_flags = record
         self.frames_received += 1
-        self._dispatch(frame)
+        if self._tracer is not None:
+            self._tracer.frame_received(
+                self._trace_name, "DATA", stream_id, _FRAME_HEADER + span.stop - span.start
+            )
+        self._fast_data(stream_id, span, raw_flags)
+        if self._control_queue or self._send_candidates:
+            self._pump()
 
-    def _fast_data(self, stream_id: int, data: bytes, raw_flags: int) -> None:
-        """Unpadded-DATA dispatch target for the fused receive path.
-
-        Behaviourally identical to ``_dispatch(DataFrame(...))`` +
-        ``_handle_data`` with the frame object, flag decoding, and
-        window bookkeeping inlined.
-        """
-        self.frames_received += 1
+    def _fast_data(self, stream_id: int, data: Span, raw_flags: int) -> None:
+        """Account one DATA payload against the receive windows and hand
+        it to the application; END_STREAM closes the remote side."""
         stream = self.streams.get(stream_id)
         if stream is None or stream.state is _CLOSED:
             return  # data for a reset stream was already in flight
-        size = len(data)
+        size = data.stop - data.start
         end = raw_flags & _END_STREAM_RAW
         stream.bytes_received += size
         # Inlined ReceiveWindow.on_data for the stream window: always
         # account the bytes; emit credit once half the window is spent
-        # (suppressed when the stream just ended, as _handle_data does).
+        # (suppressed when the stream just ended).
         recv_window = stream.recv_window
         consumed = recv_window._consumed_since_update + size
         if consumed * 2 > recv_window._capacity:
@@ -585,25 +595,26 @@ class H2Connection:
             self._end_remote(stream)
 
     def _queue_window_update(self, stream_id: int, increment: int) -> None:
-        """``_queue_frame(WindowUpdateFrame(...))`` without the object.
-
-        Only called from the untraced fast path, so no tracer hook.
-        """
+        """``_queue_frame(WindowUpdateFrame(...))`` without the object."""
         self._control_queue.append(
             _pack_header(4, _WINDOW_UPDATE_TYPE, 0, stream_id)
             + _pack_increment(increment & 0x7FFFFFFF)
         )
         self.frames_sent += 1
+        if self._tracer is not None:
+            self._tracer.frame_sent(
+                self._trace_name, "WINDOW_UPDATE", stream_id, _FRAME_HEADER + 4
+            )
 
     def _dispatch(self, frame: Frame) -> None:
         if self._header_fragments is not None and not isinstance(frame, ContinuationFrame):
             raise ProtocolError("expected CONTINUATION frame")
-        # Ladder ordered by receive frequency on the fused path (DATA
-        # short-circuits through _fast_data, so WINDOW_UPDATE dominates).
+        # Ladder ordered by receive frequency (DATA arrives as records,
+        # not through here, so WINDOW_UPDATE dominates).
         if isinstance(frame, WindowUpdateFrame):
             self._handle_window_update(frame)
         elif isinstance(frame, DataFrame):
-            self._handle_data(frame)
+            self._fast_data(frame.stream_id, Span(frame.data), frame.flags._value_)
         elif isinstance(frame, HeadersFrame):
             self._handle_headers(frame)
         elif isinstance(frame, ContinuationFrame):
@@ -700,28 +711,6 @@ class H2Connection:
                 self.on_response(stream_id, headers)
             if end_stream:
                 self._end_remote(stream)
-
-    def _handle_data(self, frame: DataFrame) -> None:
-        stream_id = frame.stream_id
-        stream = self.streams.get(stream_id)
-        if stream is None or stream.state is _CLOSED:
-            return  # data for a reset stream was already in flight
-        data = frame.data
-        size = len(data)
-        end = frame.end_stream
-        stream.bytes_received += size
-        increment = stream.recv_window.on_data(size)
-        if increment > 0 and not end:
-            self._queue_frame(
-                WindowUpdateFrame(stream_id=stream_id, increment=increment)
-            )
-        conn_increment = self._conn_recv_window.on_data(size)
-        if conn_increment > 0:
-            self._queue_frame(WindowUpdateFrame(stream_id=0, increment=conn_increment))
-        if data and self.on_data is not None:
-            self.on_data(stream_id, data)
-        if end:
-            self._end_remote(stream)
 
     def _end_remote(self, stream: H2Stream) -> None:
         stream.close_remote()

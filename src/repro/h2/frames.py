@@ -3,17 +3,20 @@
 Every frame type defined by the RFC is implemented with a wire-accurate
 binary layout: the 9-octet frame header (24-bit length, 8-bit type,
 8-bit flags, 31-bit stream id with reserved bit) followed by the
-type-specific payload.  The testbed ships real frame bytes through the
-TCP model, so frame overheads (headers, PUSH_PROMISE promises, padding)
-are charged against the simulated links exactly as they would be on the
-wire.
+type-specific payload.  The testbed ships real control-frame bytes
+(HEADERS, PUSH_PROMISE, SETTINGS, WINDOW_UPDATE, ...) through the TCP
+model, and charges a DATA frame its real 9 + payload octets while the
+payload itself travels by reference (``repro.h2.connection``), so every
+frame overhead is charged against the simulated links exactly as it
+would be on the wire.  :class:`DataFrame` remains the byte-exact DATA
+codec for peers that do send DATA as bytes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple, Type, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..errors import ProtocolError
 from .constants import (
@@ -32,7 +35,6 @@ _HEADER_STRUCT = struct.Struct(">IBI")  # (length << 8 | type), flags, stream id
 _RAW_ACK = Flag.ACK._value_
 _RAW_PADDED = Flag.PADDED._value_
 _RAW_PRIORITY = Flag.PRIORITY._value_
-_RAW_DATA_TYPE = int(FrameType.DATA)
 
 
 def _pack_header(length: int, frame_type: int, flags: int, stream_id: int) -> bytes:
@@ -117,20 +119,6 @@ class DataFrame(Frame):
         if self.pad_length > 0:
             return int(self.flags | Flag.PADDED)
         return int(self.flags)
-
-    def serialize(self) -> bytes:
-        if self.pad_length > 0:
-            data = self.data
-            body = bytes([self.pad_length]) + data + b"\x00" * self.pad_length
-            return _pack_header(
-                len(body), int(self.TYPE), self._effective_flags(), self.stream_id
-            ) + body
-        # Hot path: DATA frames dominate the wire; one concat, no
-        # intermediate payload() dispatch.
-        data = self.data
-        return _pack_header(
-            len(data), int(self.TYPE), int(self.flags), self.stream_id
-        ) + data
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "DataFrame":
@@ -512,131 +500,54 @@ class FrameReader:
     """Incremental frame parser fed by a TCP byte stream."""
 
     def __init__(self, expect_preface: bool = False):
-        self._buffer = bytearray()
+        #: The incomplete tail of the stream; empty between frames.
+        self._buffer = b""
         self._expect_preface = expect_preface
 
     def feed(self, data: bytes) -> List[Frame]:
         """Append bytes; return every complete frame now available.
 
-        Frames are parsed in place at increasing offsets and the buffer
-        trimmed once at the end — the obvious loop over ``parse_frame``
-        re-copies the whole buffer per frame, which is quadratic when a
-        TCP segment completes several frames at once.  When nothing is
-        buffered the loop parses straight out of ``data`` and only the
-        unconsumed tail (if any) is copied into the buffer.
+        Frames are parsed in place at increasing offsets and only the
+        unconsumed tail (if any) is kept — the obvious loop over
+        ``parse_frame`` re-copies the whole buffer per frame, which is
+        quadratic when a TCP segment completes several frames at once.
         """
-        buf = self._buffer
         frames: List[Frame] = []
-        if buf or self._expect_preface:
-            buf.extend(data)
-            if self._expect_preface:
-                from .constants import CONNECTION_PREFACE
-
-                if len(buf) < len(CONNECTION_PREFACE):
-                    return frames
-                if bytes(buf[: len(CONNECTION_PREFACE)]) != CONNECTION_PREFACE:
-                    raise ProtocolError("invalid connection preface")
-                del buf[: len(CONNECTION_PREFACE)]
-                self._expect_preface = False
-            src: Union[bytes, bytearray] = buf
-            view: Optional[memoryview] = memoryview(buf)
-        else:
-            src = data
-            view = None
-        n = len(src)
+        if self._buffer:
+            data = self._buffer + data
+            self._buffer = b""
         offset = 0
+        if self._expect_preface:
+            from .constants import CONNECTION_PREFACE
+
+            if len(data) < len(CONNECTION_PREFACE):
+                self._buffer = data
+                return frames
+            if not data.startswith(CONNECTION_PREFACE):
+                raise ProtocolError("invalid connection preface")
+            offset = len(CONNECTION_PREFACE)
+            self._expect_preface = False
+        n = len(data)
         unpack_from = _HEADER_STRUCT.unpack_from
-        parsers = _PARSERS
-        flag_cache = _FLAG_CACHE
-        try:
-            while n - offset >= FRAME_HEADER_SIZE:
-                length_type, flags, stream_id = unpack_from(src, offset)
-                total = FRAME_HEADER_SIZE + (length_type >> 8)
-                if n - offset < total:
-                    break
-                parser = parsers.get(length_type & 0xFF)
-                if parser is not None:  # §4.1: skip unknown types
-                    start = offset + FRAME_HEADER_SIZE
-                    end = offset + total
-                    body = src[start:end] if view is None else bytes(view[start:end])
-                    flag = flag_cache.get(flags)
-                    if flag is None:
-                        flag = flag_cache[flags] = Flag(flags)
-                    frames.append(parser.parse(flag, stream_id & 0x7FFFFFFF, body))
-                offset += total
-        finally:
-            if view is not None:
-                view.release()
-        if view is not None:
-            if offset:
-                del buf[:offset]
-        elif offset < n:
-            buf.extend(data if offset == 0 else memoryview(data)[offset:])
+        while n - offset >= FRAME_HEADER_SIZE:
+            length_type, flags, stream_id = unpack_from(data, offset)
+            end = offset + FRAME_HEADER_SIZE + (length_type >> 8)
+            if end > n:
+                break
+            parser = _PARSERS.get(length_type & 0xFF)
+            if parser is not None:  # §4.1: skip unknown types
+                flag = _FLAG_CACHE.get(flags)
+                if flag is None:
+                    flag = _FLAG_CACHE[flags] = Flag(flags)
+                frames.append(
+                    parser.parse(
+                        flag, stream_id & 0x7FFFFFFF, data[offset + FRAME_HEADER_SIZE : end]
+                    )
+                )
+            offset = end
+        if offset < n:
+            self._buffer = data[offset:] if offset else data
         return frames
-
-    def feed_dispatch(self, data, on_frame, on_data) -> None:
-        """Parse and dispatch frames inline, in exact wire order.
-
-        The fused receive path: unpadded DATA frames — the overwhelming
-        majority of received frames during a transfer — are handed to
-        ``on_data(stream_id, body, raw_flags)`` without constructing a
-        :class:`DataFrame`; every other complete frame is parsed as in
-        :meth:`feed` and handed to ``on_frame(frame)``.  Dispatching
-        inline (rather than returning a list) preserves the relative
-        order of DATA and non-DATA frames, which :meth:`feed` guarantees
-        and the connection logic depends on (HEADERS before their DATA).
-        """
-        buf = self._buffer
-        if buf or self._expect_preface:
-            buf.extend(data)
-            if self._expect_preface:
-                from .constants import CONNECTION_PREFACE
-
-                if len(buf) < len(CONNECTION_PREFACE):
-                    return
-                if bytes(buf[: len(CONNECTION_PREFACE)]) != CONNECTION_PREFACE:
-                    raise ProtocolError("invalid connection preface")
-                del buf[: len(CONNECTION_PREFACE)]
-                self._expect_preface = False
-            src: Union[bytes, bytearray] = buf
-            view: Optional[memoryview] = memoryview(buf)
-        else:
-            src = data
-            view = None
-        n = len(src)
-        offset = 0
-        unpack_from = _HEADER_STRUCT.unpack_from
-        parsers = _PARSERS
-        flag_cache = _FLAG_CACHE
-        try:
-            while n - offset >= FRAME_HEADER_SIZE:
-                length_type, flags, stream_id = unpack_from(src, offset)
-                total = FRAME_HEADER_SIZE + (length_type >> 8)
-                if n - offset < total:
-                    break
-                start = offset + FRAME_HEADER_SIZE
-                end = offset + total
-                frame_type = length_type & 0xFF
-                if frame_type == _RAW_DATA_TYPE and not flags & _RAW_PADDED:
-                    body = src[start:end] if view is None else bytes(view[start:end])
-                    on_data(stream_id & 0x7FFFFFFF, body, flags)
-                else:
-                    parser = parsers.get(frame_type)
-                    if parser is not None:  # §4.1: skip unknown types
-                        body = src[start:end] if view is None else bytes(view[start:end])
-                        flag = flag_cache.get(flags)
-                        if flag is None:
-                            flag = flag_cache[flags] = Flag(flags)
-                        on_frame(parser.parse(flag, stream_id & 0x7FFFFFFF, body))
-                offset += total
-        finally:
-            if view is not None:
-                view.release()
-        if view is not None:
-            if offset:
-                del buf[:offset]
-        elif offset < n:
-            buf.extend(data if offset == 0 else memoryview(data)[offset:])
 
     @property
     def buffered_bytes(self) -> int:

@@ -1,23 +1,24 @@
 """Per-stream state (RFC 7540 §5.1).
 
 Each :class:`H2Stream` tracks the RFC lifecycle plus the send-side
-machinery the connection's pump needs: a queue of body bytes, an
-optional *pause point* (used by the interleaving scheduler to stop the
-HTML stream at a byte offset), and flow-control windows.
+machinery the connection's pump needs: the body and a cursor into it,
+an optional *pause point* (used by the interleaving scheduler to stop
+the HTML stream at a byte offset), and flow-control windows.  The body
+is never cut up: :meth:`H2Stream.take_body` hands the pump a
+:class:`~repro.span.Span` of it and advances the cursor.
 
 Hot-path note: the connection pump calls :meth:`wants_to_send` and
 :meth:`sendable_bytes` for every candidate stream on every DATA-frame
-iteration, so the class uses ``__slots__``, a ``deque`` body queue with
-``memoryview`` splitting (no ``list.pop(0)``, no copy on partial
-takes), and keeps those two methods free of property indirection.
+iteration, so the class uses ``__slots__`` and keeps those two methods
+free of property indirection.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..errors import StreamError
+from ..span import Span
 from .constants import ErrorCode, StreamState
 from .flow_control import FlowControlWindow, ReceiveWindow
 
@@ -39,7 +40,8 @@ class H2Stream:
         "recv_window",
         "request_headers",
         "response_headers",
-        "_send_queue",
+        "_body",
+        "_cursor",
         "_queued_bytes",
         "_end_after_queue",
         "bytes_sent",
@@ -61,8 +63,10 @@ class H2Stream:
         self.request_headers: Optional[List[Header]] = None
         self.response_headers: Optional[List[Header]] = None
 
-        # --- send-side body queue ---
-        self._send_queue: Deque[Union[bytes, memoryview]] = deque()
+        # --- send-side body: ``_body[_cursor:_cursor + _queued_bytes]``
+        # is what the pump has not taken yet ---
+        self._body = b""
+        self._cursor = 0
         self._queued_bytes = 0
         self._end_after_queue = False
         #: Bytes of the body already handed to the connection pump.
@@ -137,7 +141,8 @@ class H2Stream:
         was_closed = self.state is _CLOSED
         self.state = StreamState.CLOSED
         self.reset_code = code
-        self._send_queue.clear()
+        self._body = b""
+        self._cursor = 0
         self._queued_bytes = 0
         if self.tracer is not None and not was_closed:
             self.tracer.stream_reset(self.trace_conn, self.stream_id, code.name)
@@ -154,14 +159,20 @@ class H2Stream:
         self.state = target
 
     # ------------------------------------------------------------------
-    # send-side body queue
+    # send-side body
     # ------------------------------------------------------------------
     def queue_body(self, data: bytes, end_stream: bool) -> None:
         if self._end_after_queue:
             raise StreamError("body already finished", self.stream_id)
         if data:
-            self._send_queue.append(data)
-            self._queued_bytes += len(data)
+            if self._queued_bytes:
+                # A further write behind an undrained one: the only
+                # place body bytes are copied, and no server here does it.
+                cursor = self._cursor
+                data = self._body[cursor : cursor + self._queued_bytes] + data
+            self._body = data
+            self._cursor = 0
+            self._queued_bytes = len(data)
         if end_stream:
             self._end_after_queue = True
 
@@ -204,28 +215,13 @@ class H2Stream:
     def _local_end_sent(self) -> bool:
         return self.state in (StreamState.HALF_CLOSED_LOCAL, StreamState.CLOSED)
 
-    def take_body(self, size: int) -> Tuple[bytes, bool]:
-        """Dequeue up to ``size`` bytes; returns (chunk, end_stream)."""
-        queue = self._send_queue
-        chunks: List[Union[bytes, memoryview]] = []
-        remaining = size
-        while remaining > 0 and queue:
-            head = queue[0]
-            if len(head) <= remaining:
-                chunks.append(head)
-                remaining -= len(head)
-                queue.popleft()
-            else:
-                if not isinstance(head, memoryview):
-                    head = memoryview(head)
-                chunks.append(head[:remaining])
-                queue[0] = head[remaining:]
-                remaining = 0
-        if len(chunks) == 1 and type(chunks[0]) is bytes:
-            data = chunks[0]
-        else:
-            data = b"".join(chunks)
-        self._queued_bytes -= len(data)
-        self.bytes_sent += len(data)
+    def take_body(self, size: int) -> Tuple[Span, bool]:
+        """Take up to ``size`` bytes; returns (span of the body, end_stream)."""
+        if size > self._queued_bytes:
+            size = self._queued_bytes
+        cursor = self._cursor
+        self._cursor = stop = cursor + size
+        self._queued_bytes -= size
+        self.bytes_sent += size
         end = self._end_after_queue and self._queued_bytes == 0
-        return data, end
+        return Span(self._body, cursor, stop), end

@@ -29,10 +29,8 @@ from ..h2.connection import (
     H2Connection,
     _END_STREAM_RAW,
 )
-from ..h2.constants import StreamState
 from ..netsim.quic import QuicEndpoint
-
-_CLOSED = StreamState.CLOSED
+from ..span import Span
 
 
 class H2OverQuicConnection(H2Connection):
@@ -42,88 +40,26 @@ class H2OverQuicConnection(H2Connection):
         #: (data, fin) frames that arrived before their stream existed
         #: (control-plane loss delaying a PUSH_PROMISE behind body
         #: bytes of the promised stream).
-        self._early_frames: Dict[int, List[Tuple[bytes, bool]]] = {}
+        self._early_frames: Dict[int, List[Tuple[Span, bool]]] = {}
         super().__init__(endpoint, role, **kwargs)
         endpoint.on_stream_data = self._on_quic_stream_data
 
     # ------------------------------------------------------------------
     # send path: bodies bypass H2 DATA framing
     # ------------------------------------------------------------------
-    def _flush_data(self) -> None:
-        # Mirrors H2Connection._flush_data with the emission retargeted
-        # at the per-stream QUIC plane: no 9-byte DATA header on the
-        # wire, END_STREAM becomes the stream fin.  Scheduler, pacing,
-        # and flow-control bookkeeping are identical by construction so
-        # both transports make the same scheduling decisions.
-        if not self._send_candidates:
-            return
-        half = self._endpoint._out
-        streams = self.streams
-        conn_window = self._conn_send_window
-        scheduler = self.scheduler
-        priority_tree = self.priority_tree
-        max_frame = self.remote_settings.max_frame_size
-        chunk_size = self._chunk_size
-        ready = None
-        while True:
-            space = half._max_buffer - half._buffered
-            if space <= 0:
-                return
-            if half._buffered >= 2.0 * half._cc.cwnd:
-                return
-            if ready is None:
-                ready = self._ready_streams()
-            if not ready:
-                return
-            if len(ready) == 1 and ready[0] in priority_tree:
-                stream_id = ready[0]
-            else:
-                stream_id = scheduler.select(self, ready)
-            if stream_id is None:
-                return
-            stream = streams[stream_id]
-            available = conn_window._window
-            budget = min(
-                chunk_size,
-                space,
-                max_frame,
-                available if available > 0 else 0,
-            )
-            size = min(stream.sendable_bytes(), budget)
-            data, end = stream.take_body(size)
-            if not data and not end:
-                return
-            sent = len(data)
-            stream.send_window.consume(sent)
-            conn_window.consume(sent)
-            half.enqueue_stream(stream_id, data, bool(end))
-            self.frames_sent += 1
-            if self._tracer is not None:
-                self._tracer.frame_sent(self._trace_name, "DATA", stream_id, sent)
-            scheduler.on_data_sent(self, stream_id, sent, end)
-            if self.on_data_frame_sent is not None:
-                self.on_data_frame_sent(stream_id, sent, end)
-                ready = None
-            if end:
-                self._send_candidates.discard(stream_id)
-                stream.close_local()
-                if stream.state is _CLOSED:
-                    priority_tree.remove(stream_id)
-                ready = None
-            elif stream._queued_bytes == 0:
-                self._send_candidates.discard(stream_id)
-                if ready is not None:
-                    ready.remove(stream_id)
-            elif ready is not None:
-                if conn_window._window <= 0:
-                    ready = None
-                elif not stream.wants_to_send():
-                    ready.remove(stream_id)
+    # Scheduler, pacing and flow-control bookkeeping are the inherited
+    # ``_flush_data``, so both transports make the same scheduling
+    # decisions; only the emission differs: no 9-byte DATA header on
+    # the wire, END_STREAM becomes the stream fin.
+    _DATA_OVERHEAD = 0
+
+    def _emit_data(self, stream_id: int, span: Span, end: bool) -> None:
+        self._endpoint._out.enqueue_stream(stream_id, span, end)
 
     # ------------------------------------------------------------------
     # receive path: per-stream payloads feed the DATA machinery
     # ------------------------------------------------------------------
-    def _on_quic_stream_data(self, stream_id: int, data: bytes, fin: bool) -> None:
+    def _on_quic_stream_data(self, stream_id: int, data: Span, fin: bool) -> None:
         if stream_id not in self.streams:
             # Body bytes outran the control-plane frame that opens this
             # stream (possible only when stream 0 suffered a loss);
@@ -132,6 +68,7 @@ class H2OverQuicConnection(H2Connection):
             return
         if self._tracer is not None:
             self._tracer.frame_received(self._trace_name, "DATA", stream_id, len(data))
+        self.frames_received += 1
         self._fast_data(stream_id, data, _END_STREAM_RAW if fin else 0)
         if self._control_queue or self._send_candidates:
             self._pump()

@@ -28,6 +28,12 @@ sender-side Bernoulli loss, and the shared-link impairment pipeline
 to TCP segments).  Per-packet wire overhead is charged at the TCP
 figure so bandwidth-bound comparisons are apples to apples.
 
+Payloads travel by reference, as in the TCP model: every write is a
+:class:`~repro.span.Span`, a packet carries the sub-span it covers, and
+packetization, retransmission and per-stream reassembly are arithmetic
+on offsets.  The control stream's spans are read back into ``bytes``
+on delivery; resource streams hand their spans to the application.
+
 Handshake accounting (1-RTT, or 0-RTT resumption) lives in
 :mod:`repro.netsim.handshake`; the topology applies it before the
 connection object exists, exactly as for TCP.
@@ -41,6 +47,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from ..errors import NetworkError
 from ..sim import Simulator
+from ..span import Span
 from .conditions import NetworkConditions
 from .congestion import make_congestion_control
 from .link import SharedLink
@@ -50,6 +57,7 @@ from .tcp import (
     DELAYED_ACK_SEGMENTS,
     DELAYED_ACK_TIMEOUT_MS,
     HEADER_OVERHEAD,
+    _HalfConnection,
 )
 
 #: Packets whose number trails the largest acknowledged by this many
@@ -68,9 +76,10 @@ class QuicEndpoint:
     Mirrors :class:`~repro.netsim.tcp.TcpEndpoint` — ``send`` writes
     the ordered control stream (stream 0) and ``on_data`` receives it,
     so byte-stream consumers work unchanged — and adds the stream
-    plane: ``send_stream`` writes one resource stream and
-    ``on_stream_data`` receives per-stream payloads the moment they
-    are contiguous within their stream.
+    plane: ``send_stream`` writes one resource stream (``bytes`` or a
+    :class:`~repro.span.Span`) and ``on_stream_data`` receives
+    per-stream payloads, as spans, the moment they are contiguous
+    within their stream.
     """
 
     def __init__(self, half_out: "_QuicHalf", half_in: "_QuicHalf", name: str):
@@ -78,7 +87,7 @@ class QuicEndpoint:
         self._in = half_in
         self.name = name
         self.on_data: Optional[Callable[[bytes], None]] = None
-        self.on_stream_data: Optional[Callable[[int, bytes, bool], None]] = None
+        self.on_stream_data: Optional[Callable[[int, Span, bool], None]] = None
         self.on_writable: Optional[Callable[[], None]] = None
         half_out.endpoint = self
         half_in.receiver_endpoint = self
@@ -87,7 +96,7 @@ class QuicEndpoint:
         """Buffer control-stream bytes; returns the count accepted."""
         return self._out.enqueue(data)
 
-    def send_stream(self, stream_id: int, data: bytes, fin: bool = False) -> int:
+    def send_stream(self, stream_id: int, data, fin: bool = False) -> int:
         """Buffer bytes for one resource stream (``fin`` closes it)."""
         return self._out.enqueue_stream(stream_id, data, fin)
 
@@ -146,7 +155,7 @@ class _QuicHalf:
         self.receiver_endpoint: Optional[QuicEndpoint] = None
 
         # --- sender state ---
-        #: FIFO of pending stream writes: [stream_id, payload, fin].
+        #: FIFO of pending stream writes: [stream_id, span, fin].
         #: FIFO across streams keeps the HTTP/2 scheduler in charge of
         #: interleaving, exactly as it is over TCP's single stream.
         self._buffer: Deque[list] = deque()
@@ -158,13 +167,12 @@ class _QuicHalf:
         self._largest_acked = -1
         #: Per-stream next send offset.
         self._send_offsets: Dict[int, int] = {}
-        #: pn -> [stream_id, offset, payload, fin, timer, sent_at].
+        #: pn -> [stream_id, offset, span, fin, timer, sent_at, size].
         self._in_flight: Dict[int, list] = {}
         self._flight_bytes = 0
         self._rto_lane = sim.timer_lane()
-        self._was_full = False
         self.bytes_enqueued = 0
-        # RFC 6298 estimator, shared verbatim with the TCP model; with
+        # RFC 6298 estimator, shared with the TCP model (_sample_rtt); with
         # unique packet numbers every ACKed packet is a valid sample.
         self._srtt: float = 0.0
         self._rttvar: float = 0.0
@@ -174,7 +182,7 @@ class _QuicHalf:
         #: Every packet number <= floor has been received.
         self._rcv_floor = -1
         self._rcv_above: set = set()
-        #: stream_id -> [next_offset, {offset: (payload, fin)}].
+        #: stream_id -> [next_offset, {offset: (span, fin)}].
         self._streams: Dict[int, list] = {}
         self.bytes_delivered = 0
         self._packets_since_ack = 0
@@ -196,21 +204,20 @@ class _QuicHalf:
         """Write control-stream bytes (partial accept on a full buffer)."""
         return self.enqueue_stream(CONTROL_STREAM, data, False)
 
-    def enqueue_stream(self, stream_id: int, data: bytes, fin: bool) -> int:
-        size = len(data)
+    def enqueue_stream(self, stream_id: int, data, fin: bool) -> int:
+        span = Span(data) if data.__class__ is not Span else data
+        size = span.stop - span.start
         space = self._max_buffer - self._buffered
         accepted = size if size < space else (space if space > 0 else 0)
         if accepted > 0 or (fin and accepted == size):
             # A fin with no remaining payload still needs a record: an
             # empty frame carries the stream-closing flag on the wire.
-            self._buffer.append(
-                [stream_id, data if accepted == size else data[:accepted], fin and accepted == size]
-            )
+            if accepted < size:
+                span = Span(span.source, span.start, span.start + accepted)
+            self._buffer.append([stream_id, span, fin and accepted == size])
             self._buffered += accepted
             self.bytes_enqueued += accepted
             self._pump()
-        if accepted < size:
-            self._was_full = True
         return accepted
 
     def _pump(self) -> None:
@@ -220,64 +227,53 @@ class _QuicHalf:
         buffer = self._buffer
         while buffer:
             head = buffer[0]
-            payload = head[1]
-            if len(payload) > 0 and self._flight_bytes >= cc.cwnd:
+            span = head[1]
+            size = span.stop - span.start
+            if size > 0 and self._flight_bytes >= cc.cwnd:
                 return
-            if len(payload) > mss:
-                if not isinstance(payload, memoryview):
-                    payload = memoryview(payload)
-                chunk = bytes(payload[:mss])
-                head[1] = payload[mss:]
+            if size > mss:
+                cut = span.start + mss
+                head[1] = Span(span.source, cut, span.stop)
+                span = Span(span.source, span.start, cut)
+                size = mss
                 fin = False  # the fin travels with the remainder
             else:
                 buffer.popleft()
-                chunk = bytes(payload) if isinstance(payload, memoryview) else payload
                 fin = head[2]
             stream_id = head[0]
             offset = self._send_offsets.get(stream_id, 0)
-            self._send_offsets[stream_id] = offset + len(chunk)
-            self._buffered -= len(chunk)
-            self._transmit(stream_id, offset, chunk, fin, retransmission=False)
+            self._send_offsets[stream_id] = offset + size
+            self._buffered -= size
+            self._transmit(stream_id, offset, span, fin, size)
 
-    def _transmit(
-        self, stream_id: int, offset: int, payload: bytes, fin: bool, retransmission: bool
-    ) -> None:
+    def _transmit(self, stream_id: int, offset: int, span: Span, fin: bool, size: int) -> None:
         pn = self._next_pn
         self._next_pn = pn + 1
         timer = self._rto_lane.schedule(self._rto, self._on_timeout, pn)
-        self._in_flight[pn] = [stream_id, offset, payload, fin, timer, self._sim.now]
-        self._flight_bytes += len(payload)
+        self._in_flight[pn] = [stream_id, offset, span, fin, timer, self._sim.now, size]
+        self._flight_bytes += size
         if self._conditions.loss_rate > 0 and self._rng.random() < self._conditions.loss_rate:
             # Lost on the wire; the PTO (or packet-threshold detection
             # triggered by later packets) recovers the frame.
             return
-        size = len(payload) + HEADER_OVERHEAD
         self._data_link.transmit(
-            size, self._on_packet_arrival, pn, (stream_id, offset, payload, fin)
+            size + HEADER_OVERHEAD, self._on_packet_arrival, pn, (stream_id, offset, span, fin)
         )
 
-    def _sample_rtt(self, rtt: float) -> None:
-        """RFC 6298 smoothed RTT / RTO update (see ``tcp._sample_rtt``)."""
-        if self._srtt == 0.0:
-            self._srtt = rtt
-            self._rttvar = rtt / 2.0
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self._rto = min(max(self._srtt + max(4.0 * self._rttvar, 10.0), 200.0), 60_000.0)
+    _sample_rtt = _HalfConnection._sample_rtt
 
     def _retransmit(self, entry: list, kind: str, pn: int) -> None:
         """Re-send one lost frame in a fresh packet (new packet number)."""
-        stream_id, offset, payload, fin, _timer, _sent_at = entry
+        stream_id, offset, span, fin, _timer, _sent_at, size = entry
         if self._tracer is not None:
             self._tracer.retransmit(self.name, pn, kind)
-        self._transmit(stream_id, offset, payload, fin, retransmission=True)
+        self._transmit(stream_id, offset, span, fin, size)
 
     def _on_timeout(self, pn: int) -> None:
         entry = self._in_flight.pop(pn, None)
         if entry is None:
             return
-        self._flight_bytes -= len(entry[2])
+        self._flight_bytes -= entry[6]
         self._cc.on_timeout(self._sim.now)
         self._rto = min(self._rto * 2.0, 60_000.0)  # exponential backoff
         if self._tracer is not None:
@@ -299,10 +295,10 @@ class _QuicHalf:
         ]
         now = self._sim.now
         for pn in acked_pns:
-            _sid, _offset, payload, _fin, timer, sent_at = in_flight.pop(pn)
+            _sid, _offset, _span, _fin, timer, sent_at, size = in_flight.pop(pn)
             timer.cancel()
-            self._flight_bytes -= len(payload)
-            newly_acked += len(payload)
+            self._flight_bytes -= size
+            newly_acked += size
             self._sample_rtt(now - sent_at)
         # Packet-threshold loss detection (RFC 9002): anything still in
         # flight that the ACK skipped by >= PACKET_THRESHOLD is lost.
@@ -322,7 +318,7 @@ class _QuicHalf:
             for pn in lost_pns:
                 entry = in_flight.pop(pn)
                 entry[4].cancel()
-                self._flight_bytes -= len(entry[2])
+                self._flight_bytes -= entry[6]
                 self._retransmit(entry, "fast", pn)
         elif newly_acked > 0 and self._tracer is not None:
             self._cc.trace_sample(
@@ -330,7 +326,6 @@ class _QuicHalf:
             )
         self._pump()
         if self._buffered < self._max_buffer:
-            self._was_full = False
             if self.endpoint is not None and self.endpoint.on_writable is not None:
                 self.endpoint.on_writable()
 
@@ -364,7 +359,7 @@ class _QuicHalf:
             self._ack_timer.start(DELAYED_ACK_TIMEOUT_MS)
 
     def _deliver_frame(self, frame: tuple) -> None:
-        stream_id, offset, payload, fin = frame
+        stream_id, offset, span, fin = frame
         state = self._streams.get(stream_id)
         if state is None:
             state = [0, {}]
@@ -374,34 +369,35 @@ class _QuicHalf:
             # A hole earlier in *this* stream; buffer until it fills.
             # Other streams keep delivering — the HoL-blocking contrast
             # with TCP's single sequence space.
-            pending[offset] = (payload, fin)
+            pending[offset] = (span, fin)
             return
         if offset < next_offset or (offset in pending):
             return  # spuriously retransmitted frame, already have it
-        self._deliver(stream_id, payload, fin)
-        next_offset = offset + len(payload)
+        self._deliver(stream_id, span, fin)
+        next_offset = offset + span.stop - span.start
         recovered = 0
         while next_offset in pending:
-            chunk, chunk_fin = pending.pop(next_offset)
-            self._deliver(stream_id, chunk, chunk_fin)
-            recovered += len(chunk)
-            next_offset += len(chunk)
+            span, fin = pending.pop(next_offset)
+            self._deliver(stream_id, span, fin)
+            recovered += span.stop - span.start
+            next_offset += span.stop - span.start
         state[0] = next_offset
         if recovered > 0 and self._tracer is not None:
             # This frame filled a gap that had later bytes parked
             # behind it: a stream-level loss recovery.
             self._tracer.quic_stream_recovered(self.name, stream_id, recovered)
 
-    def _deliver(self, stream_id: int, payload: bytes, fin: bool) -> None:
-        self.bytes_delivered += len(payload)
+    def _deliver(self, stream_id: int, span: Span, fin: bool) -> None:
+        size = span.stop - span.start
+        self.bytes_delivered += size
         receiver = self.receiver_endpoint
         if receiver is None:
             return
         if stream_id == CONTROL_STREAM:
-            if payload and receiver.on_data is not None:
-                receiver.on_data(payload)
+            if size and receiver.on_data is not None:
+                receiver.on_data(span.tobytes())
         elif receiver.on_stream_data is not None:
-            receiver.on_stream_data(stream_id, payload, fin)
+            receiver.on_stream_data(stream_id, span, fin)
 
     def _send_ack_now(self) -> None:
         self._ack_timer.cancel()

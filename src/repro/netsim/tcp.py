@@ -1,4 +1,4 @@
-"""A byte-stream TCP model.
+"""A byte-stream TCP model that moves lengths, not bytes.
 
 The model captures the TCP dynamics the paper's findings depend on:
 
@@ -25,13 +25,26 @@ classified explicitly (see ``_on_ack``).
 It is deliberately not a full TCP: no SACK, no Nagle, no window
 scaling negotiation.  The replay testbed runs loss-free, where this
 model is exact up to those omissions.
+
+**What is on the wire.**  A segment is ``(seq, length)``.  What was
+written stays in one ordered *write log* owned by the half-connection,
+which holds both ends of its direction: segmentation, loss,
+retransmission, reordering and reassembly are integer arithmetic on
+sequence numbers, and the receiver reads the log as its in-order point
+advances.  Impairments act on whole packets, never inside one, so this
+is exact: the receiver sees the same bytes at the same instants as if
+every segment had carried its slice of the stream.  A write is either
+``bytes`` (delivered as they arrive, segment by segment) or a *record*:
+an opaque object occupying ``size`` bytes of the stream, handed over
+once its last byte is in order — how HTTP/2 sends a DATA frame whose
+payload is a :class:`repro.span.Span` of a recorded body.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim import EventHandle, Simulator
@@ -64,6 +77,7 @@ class TcpEndpoint:
 
     Attributes:
         on_data: callback invoked with in-order received bytes.
+        on_record: callback invoked with each received record.
         on_writable: callback invoked when send-buffer space frees after
             having been full.  Consumers should write until ``send``
             accepts less than offered.
@@ -74,6 +88,7 @@ class TcpEndpoint:
         self._in = half_in
         self.name = name
         self.on_data: Optional[Callable[[bytes], None]] = None
+        self.on_record: Optional[Callable[[object], None]] = None
         self.on_writable: Optional[Callable[[], None]] = None
         half_out.endpoint = self
         half_in.receiver_endpoint = self
@@ -86,6 +101,15 @@ class TcpEndpoint:
         ``on_writable``).
         """
         return self._out.enqueue(data)
+
+    def send_record(self, size: int, record: object) -> bool:
+        """Buffer ``record`` as one atomic write of ``size`` wire bytes.
+
+        All or nothing: returns False (wait for ``on_writable``) unless
+        the whole record fits the send buffer.  The peer's ``on_record``
+        receives the object once all ``size`` bytes are in order.
+        """
+        return self._out.enqueue_record(size, record)
 
     @property
     def send_buffer_space(self) -> int:
@@ -154,7 +178,7 @@ class _HalfConnection:
         self.receiver_endpoint: Optional[TcpEndpoint] = None
 
         # --- sender state ---
-        self._buffer: Deque[Union[bytes, memoryview]] = deque()
+        #: Bytes accepted by ``enqueue`` and not yet segmented.
         self._buffered = 0
         self._max_buffer = DEFAULT_SEND_BUFFER
         self._next_seq = 0            # next byte sequence to assign
@@ -163,10 +187,8 @@ class _HalfConnection:
         # Congestion control policy (Reno reproduces the historical
         # inline window arithmetic bit for bit; see netsim.congestion).
         self._cc = make_congestion_control(conditions.congestion_control, conditions.mss)
-        #: seq -> (payload, rto handle, send time, was retransmitted,
-        #: end seq) — the end is precomputed so the per-ACK scan does
-        #: not call ``len`` on every in-flight payload.
-        self._in_flight: Dict[int, Tuple[bytes, EventHandle, float, bool, int]] = {}
+        #: seq -> (rto handle, send time, was retransmitted, end seq).
+        self._in_flight: Dict[int, Tuple[EventHandle, float, bool, int]] = {}
         #: While no retransmission has occurred, ``_in_flight`` insertion
         #: order equals sequence order, so the per-ACK scan can stop at
         #: the first unacked entry instead of filtering the whole dict.
@@ -178,7 +200,6 @@ class _HalfConnection:
         #: class, so arming/cancelling bypasses the main event heap on
         #: the fastcore (the oracle shim schedules on its heap).
         self._rto_lane = sim.timer_lane()
-        self._was_full = False
         self.bytes_enqueued = 0
         # RFC 6298 adaptive retransmission timeout.  A fixed RTO melts
         # down when many connections share the uplink: ACK queueing
@@ -191,9 +212,15 @@ class _HalfConnection:
         # hole; recover without waiting out the RTO.
         self._dup_acks = 0
 
+        # --- the stream itself ---
+        #: Ordered write log, ``(end offset, payload)`` per write: appended
+        #: by the sender, consumed by the receiver as ``_rcv_next`` passes.
+        self._log: Deque[Tuple[int, object]] = deque()
+
         # --- receiver state ---
         self._rcv_next = 0
-        self._reorder: Dict[int, bytes] = {}
+        #: Out-of-order segments waiting for the hole to fill: seq -> length.
+        self._reorder: Dict[int, int] = {}
         self.bytes_delivered = 0
         self._segments_since_ack = 0
         self._ack_timer = sim.timer_lane().timer(self._send_ack_now)
@@ -215,13 +242,26 @@ class _HalfConnection:
         space = self._max_buffer - self._buffered
         accepted = size if size < space else (space if space > 0 else 0)
         if accepted > 0:
-            self._buffer.append(data if accepted == size else data[:accepted])
-            self._buffered += accepted
+            if accepted < size:
+                data = data[:accepted]
+            if data.__class__ is not bytes:
+                data = bytes(data)  # anything else in the log is a record
             self.bytes_enqueued += accepted
+            self._log.append((self.bytes_enqueued, data))
+            self._buffered += accepted
             self._pump()
-        if accepted < size:
-            self._was_full = True
         return accepted
+
+    def enqueue_record(self, size: int, record: object) -> bool:
+        if size <= 0:
+            raise NetworkError("a record occupies at least one byte of the stream")
+        if size > self._max_buffer - self._buffered:
+            return False
+        self.bytes_enqueued += size
+        self._log.append((self.bytes_enqueued, record))
+        self._buffered += size
+        self._pump()
+        return True
 
     def _flight_size(self) -> int:
         return self._next_seq - self._snd_una
@@ -232,55 +272,44 @@ class _HalfConnection:
         mss = self._mss
         while self._buffered > 0 and self._next_seq - self._snd_una < cc.cwnd:
             buffered = self._buffered
-            payload = self._take(mss if mss < buffered else buffered)
+            length = mss if mss < buffered else buffered
+            self._buffered = buffered - length
             seq = self._next_seq
-            self._next_seq = seq + len(payload)
-            self._transmit(seq, payload, retransmission=False)
+            self._next_seq = seq + length
+            self._transmit(seq, length, retransmission=False)
 
-    def _take(self, size: int) -> bytes:
-        """Dequeue ``size`` bytes; memoryview splits avoid copying the
-        tail of a large write on every MSS-sized segmentation step."""
-        buffer = self._buffer
-        chunks: List[Union[bytes, memoryview]] = []
-        remaining = size
-        while remaining > 0:
-            head = buffer[0]
-            if len(head) <= remaining:
-                chunks.append(head)
-                remaining -= len(head)
-                buffer.popleft()
-            else:
-                if not isinstance(head, memoryview):
-                    head = memoryview(head)
-                chunks.append(head[:remaining])
-                buffer[0] = head[remaining:]
-                remaining = 0
-        self._buffered -= size
-        if len(chunks) == 1 and type(chunks[0]) is bytes:
-            return chunks[0]
-        return b"".join(chunks)
-
-    def _transmit(self, seq: int, payload: bytes, retransmission: bool) -> None:
+    def _transmit(self, seq: int, length: int, retransmission: bool) -> None:
         rto = self._rto_lane.schedule(self._rto, self._on_timeout, seq)
-        self._in_flight[seq] = (payload, rto, self._sim.now, retransmission, seq + len(payload))
+        self._in_flight[seq] = (rto, self._sim.now, retransmission, seq + length)
         if retransmission:
             self._ordered = False
         if self._conditions.loss_rate > 0 and self._rng.random() < self._conditions.loss_rate:
             # The segment is lost on the wire; the RTO timer recovers it.
             return
-        size = len(payload) + HEADER_OVERHEAD
-        self._data_link.transmit(size, self._on_segment_arrival, seq, payload)
+        self._data_link.transmit(
+            length + HEADER_OVERHEAD, self._on_segment_arrival, seq, length
+        )
 
     def _sample_rtt(self, rtt: float) -> None:
         """RFC 6298 smoothed RTT / RTO update (Karn's rule applied by
         the caller: retransmitted segments are never sampled)."""
-        if self._srtt == 0.0:
-            self._srtt = rtt
-            self._rttvar = rtt / 2.0
+        srtt = self._srtt
+        if srtt == 0.0:
+            srtt = rtt
+            rttvar = rtt / 2.0
         else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self._rto = min(max(self._srtt + max(4.0 * self._rttvar, 10.0), 200.0), 60_000.0)
+            deviation = srtt - rtt
+            if deviation < 0.0:
+                deviation = -deviation
+            rttvar = 0.75 * self._rttvar + 0.25 * deviation
+            srtt = 0.875 * srtt + 0.125 * rtt
+        self._srtt = srtt
+        self._rttvar = rttvar
+        # min(max(srtt + max(4 * rttvar, 10), 200), 60 000), spelled as
+        # comparisons: this runs once per acknowledged segment.
+        margin = 4.0 * rttvar
+        rto = srtt + (margin if margin > 10.0 else 10.0)
+        self._rto = 200.0 if rto < 200.0 else (rto if rto < 60_000.0 else 60_000.0)
 
     def _fast_retransmit(self) -> None:
         """Resend the segment at the left edge; shrink the window."""
@@ -289,7 +318,7 @@ class _HalfConnection:
             # The hole was already repaired (an RTO fired first, or its
             # ACK is still in flight on a reordered return path).
             return
-        payload, timer, _sent_at, _retx, _end = entry
+        timer, _sent_at, _retx, end = entry
         timer.cancel()
         self._cc.on_fast_retransmit(self._sim.now)
         if self._tracer is not None:
@@ -297,12 +326,12 @@ class _HalfConnection:
             self._cc.trace_sample(
                 self._tracer, self.name, "fast_retransmit", self._rto, self._flight_size()
             )
-        self._transmit(self._snd_una, payload, retransmission=True)
+        self._transmit(self._snd_una, end - self._snd_una, retransmission=True)
 
     def _on_timeout(self, seq: int) -> None:
         if seq not in self._in_flight:
             return
-        payload, _old_timer, _sent_at, _retx, _end = self._in_flight.pop(seq)
+        _old_timer, _sent_at, _retx, end = self._in_flight.pop(seq)
         self._cc.on_timeout(self._sim.now)
         self._rto = min(self._rto * 2.0, 60_000.0)  # exponential backoff
         if self._tracer is not None:
@@ -310,7 +339,7 @@ class _HalfConnection:
             self._cc.trace_sample(
                 self._tracer, self.name, "timeout", self._rto, self._flight_size()
             )
-        self._transmit(seq, payload, retransmission=True)
+        self._transmit(seq, end - seq, retransmission=True)
 
     def _on_ack(self, ack: int) -> None:
         if ack < self._snd_una:
@@ -333,28 +362,28 @@ class _HalfConnection:
         newly_acked = ack - self._snd_una
         self._snd_una = ack
         in_flight = self._in_flight
+        now = self._sim.now
         if self._ordered:
             # Loss-free steady state: insertion order == seq order, so
             # the acked entries are a prefix — stop at the first entry
             # past the ACK instead of filtering the whole flight.
-            now = self._sim.now
             acked_seqs = []
             for seq, entry in in_flight.items():
-                if entry[4] > ack:
+                if entry[3] > ack:
                     break
                 acked_seqs.append(seq)
-                entry[1].cancel()
-                if not entry[3]:
-                    self._sample_rtt(now - entry[2])
+                entry[0].cancel()
+                if not entry[2]:
+                    self._sample_rtt(now - entry[1])
             for seq in acked_seqs:
                 del in_flight[seq]
         else:
-            for seq in [s for s, entry in in_flight.items() if entry[4] <= ack]:
-                _payload, timer, sent_at, retransmitted, _end = in_flight.pop(seq)
+            for seq in [s for s, entry in in_flight.items() if entry[3] <= ack]:
+                timer, sent_at, retransmitted, _end = in_flight.pop(seq)
                 timer.cancel()
                 if not retransmitted:
-                    self._sample_rtt(self._sim.now - sent_at)
-        self._cc.on_ack(newly_acked, self._sim.now)
+                    self._sample_rtt(now - sent_at)
+        self._cc.on_ack(newly_acked, now)
         if self._tracer is not None:
             self._cc.trace_sample(
                 self._tracer, self.name, "ack", self._rto, self._flight_size()
@@ -363,20 +392,19 @@ class _HalfConnection:
         # Level-triggered writability (like EPOLLOUT): whenever an ACK
         # frees buffer space, give the application a chance to write.
         if self._buffered < self._max_buffer:
-            self._was_full = False
             if self.endpoint is not None and self.endpoint.on_writable is not None:
                 self.endpoint.on_writable()
 
     # ------------------------------------------------------------------
     # receiver side (runs at the *other* host; links already added delay)
     # ------------------------------------------------------------------
-    def _on_segment_arrival(self, seq: int, payload: bytes) -> None:
+    def _on_segment_arrival(self, seq: int, length: int) -> None:
         if seq == self._rcv_next:
-            self._deliver(payload)
+            self._deliver(length)
             while self._rcv_next in self._reorder:
                 self._deliver(self._reorder.pop(self._rcv_next))
         elif seq > self._rcv_next:
-            self._reorder[seq] = payload
+            self._reorder[seq] = length
             # RFC 5681: an out-of-order segment triggers an immediate
             # duplicate ACK so the sender can fast-retransmit.
             self._send_ack_now()
@@ -388,11 +416,38 @@ class _HalfConnection:
         elif not self._ack_timer.armed:
             self._ack_timer.start(DELAYED_ACK_TIMEOUT_MS)
 
-    def _deliver(self, payload: bytes) -> None:
-        self._rcv_next += len(payload)
-        self.bytes_delivered += len(payload)
-        if self.receiver_endpoint is not None and self.receiver_endpoint.on_data is not None:
-            self.receiver_endpoint.on_data(payload)
+    def _deliver(self, length: int) -> None:
+        """Advance the in-order point over one segment and hand the
+        receiver what that brings: the newly in-order part of ``bytes``
+        writes, and every record whose last byte has now arrived (one
+        ``on_data`` per run of bytes between records, in stream order).
+        """
+        old = self._rcv_next
+        self._rcv_next = new = old + length
+        self.bytes_delivered += length
+        receiver = self.receiver_endpoint
+        log = self._log
+        data = None
+        while True:
+            end, payload = log[0]
+            if payload.__class__ is bytes:
+                first = end - len(payload)
+                piece = payload[old - first if old > first else 0 : new - first]
+                data = piece if data is None else data + piece
+            elif end <= new:
+                if data is not None:
+                    if receiver.on_data is not None:
+                        receiver.on_data(data)
+                    data = None
+                if receiver.on_record is not None:
+                    receiver.on_record(payload)
+            if end > new:
+                break
+            log.popleft()
+            if end == new:
+                break
+        if data is not None and receiver.on_data is not None:
+            receiver.on_data(data)
 
     def _send_ack_now(self) -> None:
         self._ack_timer.cancel()

@@ -136,25 +136,23 @@ class Simulator:
     #: State copied verbatim (through the fork memo) by
     #: :meth:`snapshot`; everything deterministic lives here — the
     #: calendar queue reaches the whole model graph via its callbacks.
-    _SNAPSHOT_ATTRS = ("_queue", "_seq", "_now", "_events_processed", "_live_events")
+    _SNAPSHOT_ATTRS = ("_queue", "_seq", "now", "_events_processed", "_live_events")
     #: Transient state reset to a known value on each fork.
     _SNAPSHOT_RESET = (("_running", False), ("_stopped", False))
 
     def __init__(self):
         self._queue: List[list] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in milliseconds.  A plain attribute (the
+        #: per-packet paths read it thousands of times per load); only
+        #: ``run`` assigns it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._events_processed = 0
         #: Count of queued, non-cancelled events, maintained on
         #: schedule/cancel/pop so ``pending_events`` is O(1).
         self._live_events = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -176,7 +174,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         self._seq += 1
-        event = [self._now + delay, priority, self._seq, callback, False, False]
+        event = [self.now + delay, priority, self._seq, callback, False, False]
         heappush(self._queue, event)
         self._live_events += 1
         return EventHandle(event, self)
@@ -188,7 +186,7 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        return self.schedule(when - self._now, callback, priority)
+        return self.schedule(when - self.now, callback, priority)
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current instant (after queued work)."""
@@ -211,7 +209,7 @@ class Simulator:
 
     def schedule_call_at(self, when: float, callback: Callable, arg1=_NO_ARG, arg2=_NO_ARG) -> None:
         """Absolute-time :meth:`schedule_call`."""
-        self.schedule_call(when - self._now, callback, arg1, arg2)
+        self.schedule_call(when - self.now, callback, arg1, arg2)
 
     def timer_lane(self) -> _HeapTimerLane:
         """Allocate a timer lane (heap-backed on the oracle)."""
@@ -260,12 +258,12 @@ class Simulator:
                     continue
                 event_time = event[0]
                 if until is not None and event_time > until:
-                    self._now = until
+                    self.now = until
                     break
                 heappop(queue)
                 event[5] = True
                 self._live_events -= 1
-                self._now = event_time
+                self.now = event_time
                 self._events_processed += 1
                 if self._events_processed > max_events:
                     raise SimulationError(
@@ -273,11 +271,11 @@ class Simulator:
                     )
                 event[3]()
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events (for tests/diagnostics).

@@ -76,7 +76,7 @@ class TimerLane:
         sim = self._sim
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        when = sim._now + delay
+        when = sim.now + delay
         seq = sim._seq + 1
         sim._seq = seq
         event = [when, DEFAULT_PRIORITY, seq, callback, False, False, arg1, arg2]
@@ -111,9 +111,9 @@ class TimerLane:
         falls back to the heap per event.
         """
         sim = self._sim
-        if when < sim._now:
+        if when < sim.now:
             raise SimulationError(
-                f"cannot schedule event in the past (delay={when - sim._now})"
+                f"cannot schedule event in the past (delay={when - sim.now})"
             )
         seq = sim._seq + 1
         sim._seq = seq
@@ -160,7 +160,7 @@ class FastSimulator:
         "_queue",
         "_lanes",
         "_seq",
-        "_now",
+        "now",
         "_events_processed",
         "_live_events",
     )
@@ -178,7 +178,10 @@ class FastSimulator:
         self._lane_best: Optional[list] = None
         self._lane_best_dq: Optional[deque] = None
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in milliseconds.  A plain attribute (the
+        #: per-packet paths read it thousands of times per load); only
+        #: ``run`` assigns it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._events_processed = 0
@@ -187,11 +190,6 @@ class FastSimulator:
     # ------------------------------------------------------------------
     # oracle-compatible public surface
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of events executed so far (for diagnostics)."""
@@ -208,7 +206,7 @@ class FastSimulator:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         seq = self._seq + 1
         self._seq = seq
-        event = [self._now + delay, priority, seq, callback, False, False, _NO_ARG, _NO_ARG]
+        event = [self.now + delay, priority, seq, callback, False, False, _NO_ARG, _NO_ARG]
         heappush(self._queue, event)
         self._live_events += 1
         return EventHandle(event, self)
@@ -220,7 +218,7 @@ class FastSimulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        return self.schedule(when - self._now, callback, priority)
+        return self.schedule(when - self.now, callback, priority)
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current instant (after queued work)."""
@@ -238,13 +236,13 @@ class FastSimulator:
         self._seq = seq
         heappush(
             self._queue,
-            [self._now + delay, DEFAULT_PRIORITY, seq, callback, False, False, arg1, arg2],
+            [self.now + delay, DEFAULT_PRIORITY, seq, callback, False, False, arg1, arg2],
         )
         self._live_events += 1
 
     def schedule_call_at(self, when: float, callback: Callable, arg1=_NO_ARG, arg2=_NO_ARG) -> None:
         """Absolute-time :meth:`schedule_call`."""
-        self.schedule_call(when - self._now, callback, arg1, arg2)
+        self.schedule_call(when - self.now, callback, arg1, arg2)
 
     def timer_lane(self) -> TimerLane:
         """Allocate a dedicated monotonic timer lane."""
@@ -312,8 +310,8 @@ class FastSimulator:
                         if dq:
                             break
                     else:
-                        if until is not None and until > self._now:
-                            self._now = until
+                        if until is not None and until > self.now:
+                            self.now = until
                         break
                 if self._stopped:
                     break
@@ -356,24 +354,24 @@ class FastSimulator:
                     event = lane_best
                     event_time = event[0]
                     if until is not None and event_time > until:
-                        self._now = until
-                        return self._now
+                        self.now = until
+                        return self.now
                     self._lane_best_dq.popleft()
                     self._lane_best = None
                 else:
                     if best is None:
-                        if until is not None and until > self._now:
-                            self._now = until
-                        return self._now
+                        if until is not None and until > self.now:
+                            self.now = until
+                        return self.now
                     event = best
                     event_time = event[0]
                     if until is not None and event_time > until:
-                        self._now = until
-                        return self._now
+                        self.now = until
+                        return self.now
                     heappop(queue)
                 event[5] = True
                 self._live_events -= 1
-                self._now = event_time
+                self.now = event_time
                 processed = self._events_processed + 1
                 self._events_processed = processed
                 if processed > max_events:
@@ -397,4 +395,4 @@ class FastSimulator:
             # same results.
             self._lane_best = None
             self._lane_best_dq = None
-        return self._now
+        return self.now

@@ -24,14 +24,13 @@ module's :func:`fork_copy` addresses:
   (``_NO_ARG``, the browser's inline-fetch sentinel) must keep their
   identity across the copy; plain ``object()`` instances and
   registered sentinels pass through unchanged.
-* **Not everything copies.**  ``memoryview`` slices (zero-copy send
-  queues) are frozen to equivalent ``bytes``-backed views; RNGs are
-  cloned via ``getstate``; enums, compiled patterns, structs, and
-  modules stay shared.
+* **Not everything copies.**  RNGs are cloned via ``getstate``; enums,
+  compiled patterns, structs, and modules stay shared.
 
 Classes may declare ``_fork_atomic = True`` to mark their instances
 read-only-during-replay; such objects (the record database, built
-sites, network conditions, certificates) are shared between forks
+sites, network conditions, certificates, and the ``Span`` windows
+through which response bodies travel by reference) are shared between forks
 instead of copied — both a correctness statement and the reason a
 fork costs a small fraction of building the world from scratch.
 """
@@ -173,15 +172,6 @@ def _copy_bytearray(obj: bytearray, memo: dict) -> bytearray:
     return new
 
 
-def _copy_memoryview(obj: memoryview, memo: dict) -> memoryview:
-    # Send queues hold zero-copy slices of immutable response bodies;
-    # freezing the slice to its own bytes is content-identical and
-    # detaches the fork from the original buffer.
-    new = memoryview(bytes(obj))
-    memo[id(obj)] = new
-    return new
-
-
 def _copy_method(obj: types.MethodType, memo: dict) -> types.MethodType:
     new = types.MethodType(obj.__func__, fork_copy(obj.__self__, memo))
     return memo.setdefault(id(obj), new)
@@ -254,7 +244,6 @@ _DISPATCH: Dict[type, Callable[[Any, dict], Any]] = {
     frozenset: _copy_frozenset,
     deque: _copy_deque,
     bytearray: _copy_bytearray,
-    memoryview: _copy_memoryview,
     types.MethodType: _copy_method,
     types.CellType: _copy_cell,
     types.FunctionType: _copy_function,

@@ -56,7 +56,7 @@ def test_request_response_round_trip():
 
     server.on_request = on_request
     body = []
-    client.on_data = lambda sid, data: body.append(data)
+    client.on_data = lambda sid, data: body.append(data.tobytes())
     client.on_stream_end = lambda sid: log.append(("end", sid))
     client.on_response = lambda sid, headers: log.append(
         ("response", sid, dict(headers)[":status"])

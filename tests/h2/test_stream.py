@@ -48,12 +48,15 @@ class TestSendQueue:
     def test_queue_and_take(self):
         stream = make_stream()
         stream.open_local()
-        stream.queue_body(b"hello world", end_stream=True)
-        data, end = stream.take_body(5)
-        assert data == b"hello"
+        body = b"hello world"
+        stream.queue_body(body, end_stream=True)
+        span, end = stream.take_body(5)
+        assert span.source is body  # a window onto the body, not a copy
+        assert span.tobytes() == b"hello"
         assert not end
-        data, end = stream.take_body(100)
-        assert data == b" world"
+        span, end = stream.take_body(100)
+        assert (span.start, span.stop) == (5, 11)
+        assert span.tobytes() == b" world"
         assert end
 
     def test_queue_after_end_rejected(self):
@@ -88,8 +91,19 @@ class TestSendQueue:
         stream.open_local()
         stream.queue_body(b"", end_stream=True)
         assert stream.wants_to_send()
-        data, end = stream.take_body(0)
-        assert data == b"" and end
+        span, end = stream.take_body(0)
+        assert len(span) == 0 and end
+
+    def test_second_write_queues_behind_the_cursor(self):
+        stream = make_stream()
+        stream.open_local()
+        stream.queue_body(b"abcdef", end_stream=False)
+        stream.take_body(2)
+        stream.queue_body(b"ghi", end_stream=True)
+        assert stream.queued_bytes == 7
+        span, end = stream.take_body(100)
+        assert span.tobytes() == b"cdefghi" and end
+        assert stream.bytes_sent == 9
 
     def test_bytes_sent_accounting(self):
         stream = make_stream()

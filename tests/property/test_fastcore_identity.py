@@ -10,9 +10,9 @@ stops, horizon-bounded runs — and require the execution traces to be
 *exactly* equal (float equality, not approximate: the cores perform the
 same arithmetic or they are wrong).
 
-The frame fast path gets the same treatment: ``FrameReader.feed`` and
-``FrameReader.feed_dispatch`` must surface identical frame sequences
-for any wire bytes under any segmentation.
+The frame parser gets the same treatment: ``FrameReader.feed`` must
+surface, under any segmentation of the wire bytes, exactly the frames
+the one-at-a-time ``parse_frame`` reference reads from the whole wire.
 """
 
 import os
@@ -26,6 +26,7 @@ from repro.h2.frames import (
     DataFrame,
     FrameReader,
     HeadersFrame,
+    parse_frame,
     PingFrame,
     RstStreamFrame,
     SettingsFrame,
@@ -255,7 +256,7 @@ def test_no_arg_sentinel_not_leaked_to_callbacks():
 
 
 # ----------------------------------------------------------------------
-# frame fast path: feed vs feed_dispatch
+# frame parser: incremental feed vs the parse_frame reference
 # ----------------------------------------------------------------------
 def _frame_strategy():
     payload = st.binary(min_size=0, max_size=64)
@@ -294,42 +295,27 @@ def _frame_strategy():
     chunk_seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_feed_dispatch_matches_feed(frames, chunk_seed):
+def test_feed_matches_parse_frame_under_any_chunking(frames, chunk_seed):
     import random
 
     wire = b"".join(frame.serialize() for frame in frames)
+    expected = []
+    rest = wire
+    while rest:
+        frame, consumed = parse_frame(rest)
+        expected.append(frame)
+        rest = rest[consumed:]
+
     rng = random.Random(chunk_seed)
-    chunks = []
+    reader = FrameReader()
+    got = []
     offset = 0
     while offset < len(wire):
         size = rng.randint(1, 17)
-        chunks.append(wire[offset : offset + size])
+        got += reader.feed(wire[offset : offset + size])
         offset += size
-
-    reference = FrameReader()
-    expected = []
-    for chunk in chunks:
-        for frame in reference.feed(chunk):
-            if isinstance(frame, DataFrame):
-                expected.append(("data", frame.stream_id, frame.data, frame.end_stream))
-            else:
-                expected.append(("frame", type(frame).__name__, frame.stream_id))
-
-    reader = FrameReader()
-    got = []
-
-    def on_frame(frame):
-        if isinstance(frame, DataFrame):
-            got.append(("data", frame.stream_id, frame.data, frame.end_stream))
-        else:
-            got.append(("frame", type(frame).__name__, frame.stream_id))
-
-    def on_data(stream_id, data, raw_flags):
-        got.append(("data", stream_id, bytes(data), bool(raw_flags & 0x1)))
-
-    for chunk in chunks:
-        reader.feed_dispatch(chunk, on_frame, on_data)
     assert got == expected
+    assert reader.buffered_bytes == 0
 
 
 # ----------------------------------------------------------------------
@@ -385,3 +371,14 @@ def test_repro_core_env_selects_simulator_class():
             os.environ.pop("REPRO_CORE", None)
         else:
             os.environ["REPRO_CORE"] = saved
+
+
+def test_invalid_repro_core_env_raises_config_error(monkeypatch):
+    import pytest
+
+    from repro.errors import ConfigError
+    from repro.sim import new_simulator
+
+    monkeypatch.setenv("REPRO_CORE", "pyhton")
+    with pytest.raises(ConfigError, match="'pyhton'.*fast, python, compiled"):
+        new_simulator()
