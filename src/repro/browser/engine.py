@@ -566,7 +566,7 @@ class PageLoad:
             if self._tracer is not None:
                 self._tracer.push_data(fetch.url, size, not fetch.adopted)
         if fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
-            self._on_html_bytes(data.tobytes())
+            self._on_html_bytes(data)
 
     def _on_stream_end(self, entry: _ConnectionEntry, stream_id: int) -> None:
         fetch = entry.stream_fetch.get(stream_id)
@@ -690,7 +690,9 @@ class PageLoad:
     # ------------------------------------------------------------------
     # HTML tokenization (preload scanning) and discovery
     # ------------------------------------------------------------------
-    def _on_html_bytes(self, data: bytes) -> None:
+    def _on_html_bytes(self, data) -> None:
+        """``data``: the next ``bytes`` of the document, or the next span
+        of it (then the tokenizer reads the document's token table)."""
         for token in self._tokenizer.feed(data):
             self._tokens.append(token)
             self._discover(token)

@@ -11,13 +11,22 @@ The scanners for CSS (``url(...)`` references: fonts, background
 images) and JS (``loadResource("...")`` calls) make hidden resources
 discoverable only after their parent resource loads or executes, the
 effect the push-order guidelines in the paper worry about (§3).
+
+A document that arrives *by reference* — as :class:`~repro.span.Span`
+windows onto one recorded ``bytes`` — is not scanned again on every
+load: :func:`document_tokens` tokenizes the source once, and the
+tokenizer releases each token when the bytes received reach its
+``offset``, which is exactly when the incremental scan would emit it.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
+
+from ..span import Span
 
 _TAG_RE = re.compile(rb"<(/?)([a-zA-Z][a-zA-Z0-9]*)((?:\s+[^<>]*?)?)(/?)>", re.DOTALL)
 _ATTR_RE = re.compile(rb'([a-zA-Z][a-zA-Z0-9_-]*)\s*=\s*"([^"]*)"')
@@ -26,21 +35,25 @@ _JS_LOAD_RE = re.compile(r"loadResource\(\s*['\"]([^'\"]+)['\"]\s*\)")
 _EXEC_HINT_RE = re.compile(r"/\*\s*exec:(\d+(?:\.\d+)?)\s*\*/")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Token:
-    """Base token; ``offset`` is the byte index just past the token."""
+    """Base token; ``offset`` is the byte index just past the token.
+
+    Tokens are immutable: one document's tokens are shared by every
+    load of it (:func:`document_tokens`).
+    """
 
     offset: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class StylesheetToken(Token):
     url: str = ""
     exec_ms: float = 0.0
     media_print: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptToken(Token):
     """External (``url`` set) or inline (``content`` set) script."""
 
@@ -52,14 +65,14 @@ class ScriptToken(Token):
     is_defer: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageToken(Token):
     url: str = ""
     visual_weight: float = 0.0
     above_fold: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class FontToken(Token):
     """``<link rel="preload" as="font">`` reference."""
 
@@ -68,7 +81,7 @@ class FontToken(Token):
     above_fold: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreloadToken(Token):
     """Generic ``<link rel="preload">`` announcement (non-font ``as``).
 
@@ -81,19 +94,19 @@ class PreloadToken(Token):
     as_type: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TextToken(Token):
     """A paragraph of page text contributing visual weight when parsed."""
 
     visual_weight: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadEndToken(Token):
     """Emitted at ``</head>``; render can start once CSSOM is ready."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DocumentEndToken(Token):
     """Emitted at ``</html>``."""
 
@@ -115,27 +128,60 @@ class HtmlTokenizer:
     def __init__(self):
         self._buffer = bytearray()
         self._scan_pos = 0
-        self.tokens: List[Token] = []
+        #: While every feed has been the next span of one source: that
+        #: source, its token table, and how many tokens were released.
+        self._source: Optional[bytes] = None
+        self._table: Tuple[Token, ...] = ()
+        self._released = 0
+        self.bytes_seen = 0
 
-    def feed(self, data: bytes) -> List[Token]:
-        """Append bytes and return all newly completed tokens."""
-        self._buffer.extend(data)
+    def feed(self, data: Union[bytes, Span]) -> List[Token]:
+        """Append bytes and return all newly completed tokens.
+
+        ``data`` is ``bytes``, or the next :class:`~repro.span.Span` of
+        a document arriving by reference, which is looked up in the
+        document's token table instead of being scanned.
+        """
+        if data.__class__ is Span:
+            if data.start == self.bytes_seen:
+                if self._source is data.source:
+                    return self._release(data.stop)
+                if self._source is None and not self.bytes_seen:
+                    self._source = data.source
+                    self._table = document_tokens(data.source)
+                    return self._release(data.stop)
+            data = data.tobytes()
+        return self._scan(data)
+
+    def _release(self, seen: int) -> List[Token]:
+        self.bytes_seen = seen
+        table = self._table
+        first = index = self._released
+        while index < len(table) and table[index].offset <= seen:
+            index += 1
+        self._released = index
+        return list(table[first:index])
+
+    def _scan(self, data: bytes) -> List[Token]:
+        if self._source is not None:
+            # The by-reference prefix ends here: resume the scan behind
+            # the last token the table released.
+            self._buffer += self._source[: self.bytes_seen]
+            if self._released:
+                self._scan_pos = self._table[self._released - 1].offset
+            self._source = None
+        self._buffer += data
+        self.bytes_seen = len(self._buffer)
+        buffer = bytes(self._buffer)
         new_tokens: List[Token] = []
         while True:
-            token = self._next_token()
+            token = self._next_token(buffer)
             if token is None:
-                break
-            self.tokens.append(token)
+                return new_tokens
             new_tokens.append(token)
-        return new_tokens
-
-    @property
-    def bytes_seen(self) -> int:
-        return len(self._buffer)
 
     # ------------------------------------------------------------------
-    def _next_token(self) -> Optional[Token]:
-        buffer = bytes(self._buffer)
+    def _next_token(self, buffer: bytes) -> Optional[Token]:
         while True:
             start = buffer.find(b"<", self._scan_pos)
             if start == -1:
@@ -230,6 +276,17 @@ class HtmlTokenizer:
 
 #: Sentinel: a tag was recognized but its bytes have not all arrived.
 _INCOMPLETE = object()
+
+
+@functools.lru_cache(maxsize=64)
+def document_tokens(source: bytes) -> Tuple[Token, ...]:
+    """Every token of the complete document ``source``, in order.
+
+    Memoised per document (a replayed site is loaded many times; the
+    cache is bounded, so a long population run keeps only its most
+    recent documents).
+    """
+    return tuple(HtmlTokenizer().feed(source))
 
 
 def scan_css(text: str) -> List[str]:

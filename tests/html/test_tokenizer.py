@@ -141,3 +141,80 @@ def test_scan_js():
 def test_scan_exec_hint():
     assert scan_exec_hint("/* exec:12.5 */ .a{}") == 12.5
     assert scan_exec_hint(".a{}") == 0.0
+
+
+# ----------------------------------------------------------------------
+# by-reference documents: the token table against the incremental scan
+# ----------------------------------------------------------------------
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.html.tokenizer import document_tokens  # noqa: E402
+from repro.span import Span  # noqa: E402
+
+#: Constructs the scan treats specially: comments and stray ``<`` that
+#: wait for a ``>``, tags inside ``<p>``, unterminated elements.
+_FRAGMENTS = [
+    b"<!-- a > b -->",
+    b"<!DOCTYPE html>",
+    b"1 < 2 and 3 > 2 ",
+    b"<",
+    b"plain text ",
+    b'<img src="https://x.example/i.png" data-vw="3">',
+    b'<p data-vw="1.5">text <img src="https://x.example/in-p.png"> more</p>',
+    b'<link rel="stylesheet" href="https://x.example/s.css">',
+    b'<link rel="preload" as="image" href="https://x.example/pre.png">',
+    b'<script src="https://x.example/s.js" defer></script>',
+    b"<script>if (a < b) { loadResource('https://x.example/h.js'); }</script>",
+    b"</head>",
+    b"<p>never closed",
+    b"<script>never closed",
+    b"</html>",
+    b"<div class='x'>",
+]
+
+_documents = st.one_of(
+    st.just(SAMPLE),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(b"".join),
+)
+
+
+def _chunked(data, cuts):
+    bounds = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+    return list(zip(bounds, bounds[1:]))
+
+
+@given(document=_documents, cuts=st.lists(st.integers(0, 700), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_token_table_releases_what_the_scan_emits_chunk_by_chunk(document, cuts):
+    scanning, by_reference = HtmlTokenizer(), HtmlTokenizer()
+    for start, stop in _chunked(document, cuts):
+        expected = scanning.feed(document[start:stop])
+        assert by_reference.feed(Span(document, start, stop)) == expected
+        assert by_reference.bytes_seen == scanning.bytes_seen == stop
+
+
+@given(
+    document=_documents,
+    cuts=st.lists(st.integers(0, 700), max_size=12),
+    switch=st.integers(0, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_scan_resumes_where_the_by_reference_prefix_ends(document, cuts, switch):
+    scanning, mixed = HtmlTokenizer(), HtmlTokenizer()
+    for index, (start, stop) in enumerate(_chunked(document, cuts)):
+        chunk = document[start:stop]
+        data = Span(document, start, stop) if index < switch else chunk
+        assert mixed.feed(data) == scanning.feed(chunk)
+
+
+def test_document_tokens_are_shared_and_immutable():
+    import dataclasses
+
+    import pytest
+
+    tokens = document_tokens(SAMPLE)
+    assert document_tokens(bytes(bytearray(SAMPLE))) is tokens  # keyed by content
+    assert list(tokens) == tokenize()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tokens[0].offset = 0
