@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Union
 
 from ..errors import BrowserError
 from ..h2.connection import H2Connection
@@ -690,7 +690,7 @@ class PageLoad:
     # ------------------------------------------------------------------
     # HTML tokenization (preload scanning) and discovery
     # ------------------------------------------------------------------
-    def _on_html_bytes(self, data) -> None:
+    def _on_html_bytes(self, data: Union[bytes, Span]) -> None:
         """``data``: the next ``bytes`` of the document, or the next span
         of it (then the tokenizer reads the document's token table)."""
         for token in self._tokenizer.feed(data):

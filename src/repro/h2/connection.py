@@ -18,7 +18,6 @@ paper's Interleaving Push is implemented (see ``repro.server``).
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -29,7 +28,6 @@ from .constants import (
     DEFAULT_WEIGHT,
     ErrorCode,
     Flag,
-    FrameType,
     SettingCode,
     StreamState,
 )
@@ -48,7 +46,6 @@ from .frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    _pack_header,
 )
 from .hpack import HpackDecoder, HpackEncoder
 from .priority import PriorityTree
@@ -65,10 +62,6 @@ _CLOSED = StreamState.CLOSED
 _HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
 
 _END_STREAM_RAW = int(Flag.END_STREAM)
-_WINDOW_UPDATE_TYPE = int(FrameType.WINDOW_UPDATE)
-
-# Precompiled 4-octet WINDOW_UPDATE payload packer.
-_pack_increment = struct.Struct(">I").pack
 
 
 class DataScheduler:
@@ -556,7 +549,7 @@ class H2Connection:
         self.frames_received += 1
         if self._tracer is not None:
             self._tracer.frame_received(
-                self._trace_name, "DATA", stream_id, _FRAME_HEADER + span.stop - span.start
+                self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + len(span)
             )
         self._fast_data(stream_id, span, raw_flags)
         if self._control_queue or self._send_candidates:
@@ -579,32 +572,20 @@ class H2Connection:
         if consumed * 2 > recv_window._capacity:
             recv_window._consumed_since_update = 0
             if not end:
-                self._queue_window_update(stream_id, consumed)
+                self._queue_frame(WindowUpdateFrame(stream_id=stream_id, increment=consumed))
         else:
             recv_window._consumed_since_update = consumed
         conn_window = self._conn_recv_window
         conn_consumed = conn_window._consumed_since_update + size
         if conn_consumed * 2 > conn_window._capacity:
             conn_window._consumed_since_update = 0
-            self._queue_window_update(0, conn_consumed)
+            self._queue_frame(WindowUpdateFrame(stream_id=0, increment=conn_consumed))
         else:
             conn_window._consumed_since_update = conn_consumed
         if size and self.on_data is not None:
             self.on_data(stream_id, data)
         if end:
             self._end_remote(stream)
-
-    def _queue_window_update(self, stream_id: int, increment: int) -> None:
-        """``_queue_frame(WindowUpdateFrame(...))`` without the object."""
-        self._control_queue.append(
-            _pack_header(4, _WINDOW_UPDATE_TYPE, 0, stream_id)
-            + _pack_increment(increment & 0x7FFFFFFF)
-        )
-        self.frames_sent += 1
-        if self._tracer is not None:
-            self._tracer.frame_sent(
-                self._trace_name, "WINDOW_UPDATE", stream_id, _FRAME_HEADER + 4
-            )
 
     def _dispatch(self, frame: Frame) -> None:
         if self._header_fragments is not None and not isinstance(frame, ContinuationFrame):

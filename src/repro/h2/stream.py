@@ -180,10 +180,6 @@ class H2Stream:
     def queued_bytes(self) -> int:
         return self._queued_bytes
 
-    @property
-    def body_finished_queueing(self) -> bool:
-        return self._end_after_queue
-
     def sendable_bytes(self) -> int:
         """Bytes the pump may emit now: queue, window, and pause cap."""
         window = self.send_window._window
@@ -211,9 +207,6 @@ class H2Stream:
         return self._end_after_queue and not (
             state is _HALF_CLOSED_LOCAL or state is _CLOSED
         )
-
-    def _local_end_sent(self) -> bool:
-        return self.state in (StreamState.HALF_CLOSED_LOCAL, StreamState.CLOSED)
 
     def take_body(self, size: int) -> Tuple[Span, bool]:
         """Take up to ``size`` bytes; returns (span of the body, end_stream)."""

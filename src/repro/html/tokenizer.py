@@ -143,13 +143,11 @@ class HtmlTokenizer:
         document's token table instead of being scanned.
         """
         if data.__class__ is Span:
-            if data.start == self.bytes_seen:
-                if self._source is data.source:
-                    return self._release(data.stop)
-                if self._source is None and not self.bytes_seen:
-                    self._source = data.source
-                    self._table = document_tokens(data.source)
-                    return self._release(data.stop)
+            if not self.bytes_seen:
+                self._source = data.source
+                self._table = document_tokens(data.source)
+            if self._source is data.source and data.start == self.bytes_seen:
+                return self._release(data.stop)
             data = data.tobytes()
         return self._scan(data)
 

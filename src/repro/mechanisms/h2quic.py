@@ -66,12 +66,7 @@ class H2OverQuicConnection(H2Connection):
             # park them until the PUSH_PROMISE / HEADERS arrive.
             self._early_frames.setdefault(stream_id, []).append((data, fin))
             return
-        if self._tracer is not None:
-            self._tracer.frame_received(self._trace_name, "DATA", stream_id, len(data))
-        self.frames_received += 1
-        self._fast_data(stream_id, data, _END_STREAM_RAW if fin else 0)
-        if self._control_queue or self._send_candidates:
-            self._pump()
+        self._on_data_record((stream_id, data, _END_STREAM_RAW if fin else 0))
 
     def _drain_early_frames(self, stream_id: int) -> None:
         frames = self._early_frames.pop(stream_id, None)

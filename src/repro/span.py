@@ -38,9 +38,6 @@ class Span:
 
     __bytes__ = tobytes
 
-    def __repr__(self) -> str:
-        return f"Span(<{len(self.source)} B>, {self.start}, {self.stop})"
-
 
 class SpanBuffer:
     """A body received as spans, in order.
