@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Union
 
 from ..errors import NetworkError
 from ..sim import Simulator
@@ -96,7 +96,7 @@ class QuicEndpoint:
         """Buffer control-stream bytes; returns the count accepted."""
         return self._out.enqueue(data)
 
-    def send_stream(self, stream_id: int, data, fin: bool = False) -> int:
+    def send_stream(self, stream_id: int, data: Union[bytes, Span], fin: bool = False) -> int:
         """Buffer bytes for one resource stream (``fin`` closes it)."""
         return self._out.enqueue_stream(stream_id, data, fin)
 
@@ -204,7 +204,7 @@ class _QuicHalf:
         """Write control-stream bytes (partial accept on a full buffer)."""
         return self.enqueue_stream(CONTROL_STREAM, data, False)
 
-    def enqueue_stream(self, stream_id: int, data, fin: bool) -> int:
+    def enqueue_stream(self, stream_id: int, data: Union[bytes, Span], fin: bool) -> int:
         span = Span(data) if data.__class__ is not Span else data
         size = span.stop - span.start
         space = self._max_buffer - self._buffered

@@ -271,7 +271,14 @@ class Simulator:
                     )
                 event[3]()
             else:
-                if until is not None and until > self.now:
+                # A stopped or paused run leaves the clock at its last
+                # event; whether cancelled events still linger in the
+                # queue (the breaks above) must not decide that.
+                paused = self._stopped or (
+                    stop_after_events is not None
+                    and self._events_processed >= stop_after_events
+                )
+                if not paused and until is not None and until > self.now:
                     self.now = until
         finally:
             self._running = False

@@ -301,10 +301,17 @@ class FastSimulator:
         no_arg = _NO_ARG
         try:
             while True:
-                # Mirror the oracle's `while queue: ... else:` shape:
-                # emptiness (tombstones included) is checked before the
-                # stop flag, so a stop() that raced a drained queue
-                # still advances the clock to `until`.
+                # As in the oracle, a stopped or paused run leaves the
+                # clock at its last event: these checks come before the
+                # emptiness test because tombstones are peeled earlier
+                # here than on the oracle's single heap.
+                if self._stopped:
+                    break
+                if (
+                    stop_after_events is not None
+                    and self._events_processed >= stop_after_events
+                ):
+                    break
                 if not queue:
                     for dq in lanes:
                         if dq:
@@ -313,13 +320,6 @@ class FastSimulator:
                         if until is not None and until > self.now:
                             self.now = until
                         break
-                if self._stopped:
-                    break
-                if (
-                    stop_after_events is not None
-                    and self._events_processed >= stop_after_events
-                ):
-                    break
                 # Heap head, tombstones peeled.
                 while queue:
                     head = queue[0]

@@ -36,6 +36,8 @@ class Span:
         """The content; the source object itself when the window covers it."""
         return self.source[self.start : self.stop]
 
+    #: ``bytes(span)`` keeps working for ``on_stream_data`` consumers
+    #: written when QUIC stream payloads were ``bytes``.
     __bytes__ = tobytes
 
 
