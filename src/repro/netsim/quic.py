@@ -33,6 +33,7 @@ Payloads travel by reference, as in the TCP model: every write is a
 packetization, retransmission and per-stream reassembly are arithmetic
 on offsets.  The control stream's spans are read back into ``bytes``
 on delivery; resource streams hand their spans to the application.
+An ACK names a prefix of the receiver's arrival order (DESIGN §8).
 
 Handshake accounting (1-RTT, or 0-RTT resumption) lives in
 :mod:`repro.netsim.handshake`; the topology applies it before the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from ..errors import NetworkError
 from ..sim import Simulator
@@ -165,9 +166,12 @@ class _QuicHalf:
         self._cc = make_congestion_control(conditions.congestion_control, conditions.mss)
         self._next_pn = 0
         self._largest_acked = -1
+        #: How much of the receiver's arrival order earlier ACKs covered.
+        self._acked_count = 0
         #: Per-stream next send offset.
         self._send_offsets: Dict[int, int] = {}
-        #: pn -> [stream_id, offset, span, fin, timer, sent_at, size].
+        #: pn -> [stream_id, offset, span, fin, timer, sent_at, size]; every
+        #: transmission takes a fresh number, so this is in pn order.
         self._in_flight: Dict[int, list] = {}
         self._flight_bytes = 0
         self._rto_lane = sim.timer_lane()
@@ -179,9 +183,11 @@ class _QuicHalf:
         self._rto = 1_000.0
 
         # --- receiver state ---
-        #: Every packet number <= floor has been received.
-        self._rcv_floor = -1
-        self._rcv_above: set = set()
+        #: Packet numbers received, and the same in arrival order: an ACK
+        #: acknowledges a prefix of that order (both sides live here).
+        self._received: set = set()
+        self._rcv_order: List[int] = []
+        self._rcv_largest = -1
         #: stream_id -> [next_offset, {offset: (span, fin)}].
         self._streams: Dict[int, list] = {}
         self.bytes_delivered = 0
@@ -282,29 +288,34 @@ class _QuicHalf:
             )
         self._retransmit(entry, "rto", pn)
 
-    def _on_ack_arrival(self, floor: int, above: tuple) -> None:
-        """Process one cumulative-plus-ranges ACK at the sender."""
+    def _on_ack_arrival(self, count: int, largest: int) -> None:
+        """Process one ACK at the sender: the receiver had ``count``
+        packets when it sent it, ``largest`` the highest number among
+        them.  Costs the packets it newly acknowledges, not the history."""
         in_flight = self._in_flight
-        above_set = set(above)
-        largest = floor if not above else max(floor, above[-1])
         if largest > self._largest_acked:
             self._largest_acked = largest
         newly_acked = 0
-        acked_pns = [
-            pn for pn in in_flight if pn <= floor or pn in above_set
-        ]
         now = self._sim.now
-        for pn in acked_pns:
-            _sid, _offset, _span, _fin, timer, sent_at, size = in_flight.pop(pn)
-            timer.cancel()
-            self._flight_bytes -= size
-            newly_acked += size
-            self._sample_rtt(now - sent_at)
+        if count > self._acked_count:
+            fresh = self._rcv_order[self._acked_count : count]
+            self._acked_count = count
+            fresh.sort()
+            for pn in fresh:
+                entry = in_flight.pop(pn, None)
+                if entry is None:
+                    continue  # its PTO fired first; the frame went out again
+                entry[4].cancel()
+                self._flight_bytes -= entry[6]
+                newly_acked += entry[6]
+                self._sample_rtt(now - entry[5])
         # Packet-threshold loss detection (RFC 9002): anything still in
         # flight that the ACK skipped by >= PACKET_THRESHOLD is lost.
-        lost_pns = [
-            pn for pn in in_flight if pn + PACKET_THRESHOLD <= self._largest_acked
-        ]
+        lost_pns = []
+        for pn in in_flight:
+            if pn + PACKET_THRESHOLD > self._largest_acked:
+                break
+            lost_pns.append(pn)
         if newly_acked > 0:
             self._cc.on_ack(newly_acked, now)
         if lost_pns:
@@ -333,19 +344,15 @@ class _QuicHalf:
     # receiver side (runs at the *other* host; links already added delay)
     # ------------------------------------------------------------------
     def _on_packet_arrival(self, pn: int, frame: tuple) -> None:
-        duplicate = pn <= self._rcv_floor or pn in self._rcv_above
-        gap_before = bool(self._rcv_above)
+        received = self._received
+        duplicate = pn in received
         if not duplicate:
-            if pn == self._rcv_floor + 1:
-                self._rcv_floor = pn
-                above = self._rcv_above
-                while self._rcv_floor + 1 in above:
-                    self._rcv_floor += 1
-                    above.discard(self._rcv_floor)
-            else:
-                self._rcv_above.add(pn)
+            received.add(pn)
+            self._rcv_order.append(pn)
+            if pn > self._rcv_largest:
+                self._rcv_largest = pn
             self._deliver_frame(frame)
-        if self._rcv_above or (duplicate and not gap_before):
+        if duplicate or len(received) <= self._rcv_largest:
             # A hole in the packet-number space (or a spurious
             # duplicate): ACK immediately so loss detection at the
             # sender sees the skip without waiting out the ACK delay —
@@ -403,7 +410,7 @@ class _QuicHalf:
         self._ack_timer.cancel()
         self._packets_since_ack = 0
         self._ack_link.transmit(
-            ACK_SIZE, self._on_ack_arrival, self._rcv_floor, tuple(sorted(self._rcv_above))
+            ACK_SIZE, self._on_ack_arrival, len(self._rcv_order), self._rcv_largest
         )
 
 

@@ -10,7 +10,9 @@ ones, deliver twice — and however a full send buffer chops the writes:
   ``send_record``, each record once, when its last byte is in order;
 * QUIC delivers the control stream's bytes in order and, per resource
   stream, spans whose content concatenates to the source, fin once;
-* ``bytes_delivered`` equals the bytes enqueued.
+* ``bytes_delivered`` equals the bytes enqueued;
+* a QUIC ACK that names a prefix of the receiver's arrival order acts
+  exactly as one that spells out floor and ranges.
 """
 
 import random
@@ -19,8 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.conditions import DSL_TESTBED
-from repro.netsim.quic import QuicConnection
-from repro.netsim.tcp import TcpConnection
+from repro.netsim.quic import PACKET_THRESHOLD, QuicConnection, QuicEndpoint, _QuicHalf
+from repro.netsim.tcp import (
+    ACK_SIZE,
+    DELAYED_ACK_SEGMENTS,
+    DELAYED_ACK_TIMEOUT_MS,
+    TcpConnection,
+)
 from repro.sim import Simulator
 from repro.span import Span
 
@@ -139,17 +146,17 @@ def test_tcp_delivers_the_senders_items_in_order(writes, rates, link_seed):
     assert conn.server.all_sent_delivered
 
 
-@given(
-    writes=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(1, 20_000)), min_size=1, max_size=20
-    ),
-    rates=chaos,
-    link_seed=st.integers(0, 2**20),
+quic_writes = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 20_000)), min_size=1, max_size=20
 )
-@settings(max_examples=120, deadline=None)
-def test_quic_streams_reassemble_their_source(writes, rates, link_seed):
-    """Stream 0 is the control stream (``send``); 1-3 carry spans."""
-    sim, conn = _connect(QuicConnection, link_seed, rates)
+
+
+def _drive_quic(conn_cls, writes, rates, link_seed):
+    """Write ``writes`` (stream 0 is the control stream, 1-3 carry
+    spans) through chaos links; check the delivery contract and return
+    every delivery with its simulated time, the finish time, the event
+    count and where the sender's RTT estimator and window ended up."""
+    sim, conn = _connect(conn_cls, link_seed, rates)
     cursors = {}
     plan = []
     for sid, size in writes:
@@ -162,13 +169,19 @@ def test_quic_streams_reassemble_their_source(writes, rates, link_seed):
     control = []
     streams = {}
     fins = {}
+    deliveries = []
+
+    def on_data(data):
+        control.append(data)
+        deliveries.append((sim.now, 0, len(data)))
 
     def on_stream_data(sid, span, fin):
         assert span.source is SOURCE
         streams.setdefault(sid, []).append(span.tobytes())
         fins[sid] = fins.get(sid, 0) + bool(fin)
+        deliveries.append((sim.now, sid, span.start, span.stop, fin))
 
-    conn.client.on_data = control.append
+    conn.client.on_data = on_data
     conn.client.on_stream_data = on_stream_data
     state = {"index": 0, "offset": 0}
 
@@ -198,3 +211,99 @@ def test_quic_streams_reassemble_their_source(writes, rates, link_seed):
         assert fins.get(sid, 0) == (1 if sid in cursors else 0)
     assert conn.server.bytes_sent == conn.client.bytes_received == sum(cursors.values())
     assert conn.server.all_sent_delivered
+    sender = conn._s2c
+    estimator = (sender._srtt, sender._rttvar, sender._rto, sender._cc.cwnd)
+    return deliveries, sim.now, sim.events_processed, estimator
+
+
+@given(writes=quic_writes, rates=chaos, link_seed=st.integers(0, 2**20))
+@settings(max_examples=120, deadline=None)
+def test_quic_streams_reassemble_their_source(writes, rates, link_seed):
+    _drive_quic(QuicConnection, writes, rates, link_seed)
+
+
+class _RangesAckHalf(_QuicHalf):
+    """Oracle: the ACK spelled out as RFC 9000 does — a cumulative floor
+    plus every number received above it, matched against the whole
+    flight on arrival.  ``_QuicHalf`` sends how many packets the
+    receiver has instead and reads them off the arrival order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._floor = -1
+        self._above = set()
+
+    def _on_packet_arrival(self, pn, frame):
+        duplicate = pn <= self._floor or pn in self._above
+        gap_before = bool(self._above)
+        if not duplicate:
+            if pn == self._floor + 1:
+                self._floor = pn
+                while self._floor + 1 in self._above:
+                    self._floor += 1
+                    self._above.discard(self._floor)
+            else:
+                self._above.add(pn)
+            self._deliver_frame(frame)
+        if self._above or (duplicate and not gap_before):
+            self._send_ack_now()
+            return
+        self._packets_since_ack += 1
+        if self._packets_since_ack >= DELAYED_ACK_SEGMENTS:
+            self._send_ack_now()
+        elif not self._ack_timer.armed:
+            self._ack_timer.start(DELAYED_ACK_TIMEOUT_MS)
+
+    def _send_ack_now(self):
+        self._ack_timer.cancel()
+        self._packets_since_ack = 0
+        self._ack_link.transmit(
+            ACK_SIZE, self._on_ranges_ack, self._floor, tuple(sorted(self._above))
+        )
+
+    def _on_ranges_ack(self, floor, above):
+        in_flight = self._in_flight
+        ranges = set(above)
+        largest = max(floor, above[-1]) if above else floor
+        if largest > self._largest_acked:
+            self._largest_acked = largest
+        newly_acked = 0
+        now = self._sim.now
+        for pn in [pn for pn in in_flight if pn <= floor or pn in ranges]:
+            _sid, _offset, _span, _fin, timer, sent_at, size = in_flight.pop(pn)
+            timer.cancel()
+            self._flight_bytes -= size
+            newly_acked += size
+            self._sample_rtt(now - sent_at)
+        lost = [pn for pn in in_flight if pn + PACKET_THRESHOLD <= self._largest_acked]
+        if newly_acked > 0:
+            self._cc.on_ack(newly_acked, now)
+        if lost:
+            self._cc.on_fast_retransmit(now)
+            for pn in lost:
+                entry = in_flight.pop(pn)
+                entry[4].cancel()
+                self._flight_bytes -= entry[6]
+                self._retransmit(entry, "fast", pn)
+        self._pump()
+        if self._buffered < self._max_buffer and self.endpoint.on_writable is not None:
+            self.endpoint.on_writable()
+
+
+class _RangesAckConnection(QuicConnection):
+    def __init__(self, sim, downlink, uplink, conditions, rng):
+        self._c2s = _RangesAckHalf(sim, uplink, downlink, conditions, rng, "quic:c2s")
+        self._s2c = _RangesAckHalf(sim, downlink, uplink, conditions, rng, "quic:s2c")
+        self.client = QuicEndpoint(self._c2s, self._s2c, "quic:client")
+        self.server = QuicEndpoint(self._s2c, self._c2s, "quic:server")
+
+
+@given(writes=quic_writes, rates=chaos, link_seed=st.integers(0, 2**20))
+@settings(max_examples=120, deadline=None)
+def test_quic_ack_by_count_is_the_ack_by_ranges(writes, rates, link_seed):
+    """Same deliveries at the same instants, same event count, same
+    floats in the RTT estimator: lost, late, overtaking and duplicated
+    ACKs included."""
+    assert _drive_quic(QuicConnection, writes, rates, link_seed) == _drive_quic(
+        _RangesAckConnection, writes, rates, link_seed
+    )
