@@ -6,7 +6,9 @@ Runs two tiers of benchmarks and records the results in
 trajectory behind:
 
 * **protocol micros** — HPACK round trips, frame parsing, Huffman
-  coding; fixed iteration counts, pure wall-clock.
+  coding; fixed iteration counts, pure wall-clock.  ``--check`` fails
+  if the hpack round trip regresses past the recorded baseline by more
+  than measurement noise.
 * **end-to-end replay** — a fig-3-shaped grid (small synthetic corpus,
   no-push baseline vs push-all in computed order, serial, cache off),
   timed as a whole.  Alongside the wall time the harness collects
@@ -14,49 +16,24 @@ trajectory behind:
   on the wire, bytes on both links, and a PLT checksum) from every
   replay: optimizations must leave these byte-for-byte identical, so a
   counter drift flags a semantics change even when the tests pass.
-* **fastcore vs oracle** — the same fig-3-shaped grid run once per
-  simulation core (pure-Python oracle, fastcore, and the compiled
-  fastcore when the ``[fast]`` extra is installed).  Each timing
-  sample runs in a *fresh subprocess* (the hidden ``--fastcore-probe``
-  entry point), with the cores interleaved round-robin so allocator
-  and freelist warm-up lands on every core equally — two cores timed
-  back-to-back in one warmed process share so much interpreter state
-  that the recorded ratio collapses toward 1.0x.  ``--check`` fails
-  if the cores disagree on any determinism counter or if the hpack
-  round-trip micro regresses past the recorded baseline by more than
-  measurement noise.
-* **fork-point replay** — the snapshot/fork subsystem, measured two
-  ways.  The *sim fan-out* benchmark runs a long strategy-invariant
-  event schedule once and forks K divergent continuations from the
-  snapshot, against K straight re-runs of the whole schedule — the
-  K-way prefix-reuse shape of candidate search.  The *paired grid*
-  benchmark runs a CRN-paired candidate grid through ``run_single``
-  with forking off and on; on page-load grids HTTP/2 commits the
-  strategy within a few events of the response, so the honest
-  end-to-end delta is small — the benchmark's job is to pin the
-  bit-identity contract (``identical_outputs``) and the prefix-cache
-  hit accounting, both enforced by ``--check``.
 * **tracing overhead** — the same fig-3-shaped grid with the trace
   subsystem disabled (every hook pays one attribute check) and with a
   live tracer per replay.  ``--check`` fails if the off-mode wall
   exceeds the replay section's by more than measurement noise, or if
   either pass drifts any determinism counter.
 * **grid throughput** — the same fig-3-shaped grid submitted through
-  the experiment engine under each executor: serial, the legacy
-  per-cell ``ProcessPoolExecutor`` fan-out, and the warm worker pool,
-  plus a warm rerun that measures the in-process LRU tier.  Every
-  executor must produce fingerprint-identical results
+  the experiment engine under each executor: serial and the warm
+  worker pool, plus a warm rerun that measures the in-process LRU
+  tier.  Every executor must produce fingerprint-identical results
   (``identical_outputs``), which ``--check`` enforces alongside the
   determinism counters.
 * **closed-loop optimizer** — one pinned push-policy search cell
   (one Table-1 site, clean + lossy DSL, successive halving against the
   CRN-paired baseline).  Records the arm-runs scheduled vs exhaustive
-  (evaluations saved by pruning), the prefix-cache hit rate across
-  sibling candidates, and the content-addressed ``table_sha``.
-  ``--check`` fails if pruning saves nothing, if the hit rate falls
-  below the floor, if the halving winner is not the full-budget
-  exhaustive argmin, or if the table sha drifts from the recorded
-  baseline.
+  (evaluations saved by pruning) and the content-addressed
+  ``table_sha``.  ``--check`` fails if pruning saves nothing, if the
+  halving winner is not the full-budget exhaustive argmin, or if the
+  table sha drifts from the recorded baseline.
 * **population streaming** — a one-cohort population study at 1x and
   10x load counts, recording loads/sec and the tracemalloc peak at
   both scales (plus ``ru_maxrss`` for context).  The study streams
@@ -97,7 +74,6 @@ from repro.h2.hpack.huffman import huffman_decode, huffman_encode  # noqa: E402
 from repro.experiments.engine import (  # noqa: E402
     ExperimentEngine,
     Grid,
-    LegacyParallelExecutor,
     SerialExecutor,
     WarmPoolExecutor,
     fingerprint,
@@ -138,6 +114,11 @@ HUFFMAN_SAMPLE = (
 # ----------------------------------------------------------------------
 # protocol micros
 # ----------------------------------------------------------------------
+#: The hpack round-trip micro may not regress past the recorded
+#: baseline by more than timing noise under ``--check``.
+HPACK_NOISE_FACTOR = 1.15
+
+
 def _time_loop(fn, iterations: int) -> float:
     start = time.perf_counter()
     for _ in range(iterations):
@@ -268,268 +249,6 @@ def run_replay_benchmark(repetitions: int) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# fastcore vs oracle (same frozen grid, explicit core selection)
-# ----------------------------------------------------------------------
-#: The hpack round-trip micro may not regress past the recorded
-#: baseline by more than timing noise under ``--check``.
-HPACK_NOISE_FACTOR = 1.15
-
-
-def _fastcore_probe(mode: str) -> int:
-    """Hidden subprocess entry point: one timed grid pass on one core.
-
-    Runs in a process of its own so every sample starts from the same
-    cold interpreter — no shared freelists, no warmed allocator, no
-    import-order luck.  Prints a single JSON line for the parent.
-    """
-    from repro.core import set_core_mode
-
-    set_core_mode(mode)
-    counters = Counters()
-    start = time.perf_counter()
-    run_replay_grid(counters)
-    wall = time.perf_counter() - start
-    print(json.dumps({"wall_s": wall, "counters": counters.to_json()}))
-    return 0
-
-
-def run_fastcore_benchmark(repetitions: int) -> Dict[str, object]:
-    """Time the frozen grid under each simulation core, A/B style.
-
-    The pure-Python oracle and the fastcore must produce bit-identical
-    determinism counters — that equivalence is the contract that lets
-    the fastcore replace the oracle at all.  The compiled fastcore is
-    timed too when the mypyc extension is installed (``[fast]`` extra);
-    its absence is recorded, never an error.
-
-    Methodology (PR 7): every sample is a fresh ``--fastcore-probe``
-    subprocess, and the cores are interleaved round-robin — core A,
-    core B, core A, ... — so drift (thermal, page cache, host load)
-    hits all cores alike.  The previous back-to-back in-process timing
-    reported ~1.003x because the second core inherited the first
-    core's warmed interpreter state.
-    """
-    import subprocess
-
-    from repro.core import compiled_available
-
-    modes = ["python", "fast"]
-    if compiled_available():
-        modes.append("compiled")
-    rounds = max(2, repetitions)
-    walls: Dict[str, List[float]] = {mode: [] for mode in modes}
-    counters: Dict[str, object] = {}
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    for _ in range(rounds):
-        for mode in modes:
-            probe = subprocess.run(
-                [sys.executable, __file__, "--fastcore-probe", mode],
-                check=True,
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            payload = json.loads(probe.stdout.strip().splitlines()[-1])
-            walls[mode].append(payload["wall_s"])
-            # Counters are repetition-invariant; keep the last sample.
-            counters[mode] = payload["counters"]
-    best = {mode: min(walls[mode]) for mode in modes}
-    identical = all(counters[mode] == counters["python"] for mode in modes)
-    return {
-        "wall_s": best,
-        "wall_all_s": walls,
-        "rounds": rounds,
-        "methodology": "interleaved fresh-process A/B (one subprocess per sample)",
-        "counters": counters,
-        "identical_counters": identical,
-        "speedup_fast_vs_python": round(best["python"] / best["fast"], 3),
-        "compiled_available": compiled_available(),
-    }
-
-
-# ----------------------------------------------------------------------
-# fork-point replay (snapshot/fork prefix reuse, CRN paired)
-# ----------------------------------------------------------------------
-#: Sim fan-out geometry: a strategy-invariant warmup of this many
-#: events is either re-simulated per candidate (straight) or executed
-#: once and forked (snapshot).  Frozen so walls stay comparable.
-FORK_WARMUP_EVENTS = 40_000
-FORK_SUFFIX_EVENTS = 1_500
-FORK_CANDIDATES = 8
-#: Paired-grid geometry: candidates share each run's seeds (CRN), so
-#: every run_index leases one cached prefix and forks K ways.
-FORK_GRID_RUNS = 3
-
-
-def _fork_fanout_world(sim):
-    """A deterministic self-driving schedule with cancellation churn.
-
-    Closure state (the ``state`` dict) and pending handles both live in
-    the snapshot, so the fork path exercises exactly what the replay
-    testbed relies on: callbacks, cancelled events, and closures all
-    resume bit-identically.
-    """
-    state = {"ticks": 0, "acc": 0.0, "pending": []}
-
-    def noop():
-        state["acc"] = round(state["acc"] + 1e-6, 9)
-
-    def tick():
-        state["ticks"] += 1
-        state["acc"] = round(state["acc"] + (sim.now % 7.3) * 1e-3, 9)
-        sim.schedule(0.5 + (state["ticks"] % 7) * 0.25, tick)
-        state["pending"].append(sim.schedule(2.0, noop))
-        if len(state["pending"]) > 4:
-            state["pending"].pop(0).cancel()
-
-    sim.schedule(0.0, tick)
-    return state
-
-
-def _fork_divergence(sim, state, candidate: int) -> None:
-    """Inject candidate-specific work at the fork boundary."""
-
-    def bump():
-        state["acc"] = round(state["acc"] + 1e-3 * (candidate + 1), 9)
-
-    sim.schedule(0.13 * (candidate + 1), bump)
-
-
-def _fork_outcome(sim, state) -> tuple:
-    return (sim.now, sim.events_processed, state["ticks"], state["acc"])
-
-
-def run_fork_benchmark(repetitions: int) -> Dict[str, object]:
-    """Fork-point replay: K-way prefix fan-out and the CRN paired grid.
-
-    * ``sim_fanout`` — the shape the snapshot layer is built for: a
-      long strategy-invariant schedule executed once and forked into K
-      divergent continuations, versus K straight re-runs of warmup +
-      continuation.  Outcomes must match tuple-for-tuple.
-    * ``paired_grid`` — a CRN candidate grid (baseline + K push-list
-      variants, run-major) through ``run_single`` with forking off and
-      on.  Page loads diverge a handful of events into the response
-      (HTTP/2 commits the strategy in the first response flight), so
-      the end-to-end delta is structurally small; what this benchmark
-      pins is the bit-identity of forked results and the prefix-cache
-      hit accounting, both of which ``--check`` enforces.
-    """
-    from repro.core import set_fork_mode
-    from repro.experiments.runner import (
-        prefix_cache_clear,
-        prefix_cache_stats,
-        run_single,
-    )
-    from repro.population.cohorts import QUICK_PROFILE
-    from repro.replay.recorder import record_site
-    from repro.sim import new_simulator
-    from repro.strategies.simple import PushFirstNStrategy
-
-    # --- sim-level K-way fan-out ------------------------------------
-    def fanout_straight() -> List[tuple]:
-        outcomes = []
-        for candidate in range(FORK_CANDIDATES):
-            sim = new_simulator()
-            state = _fork_fanout_world(sim)
-            sim.run(stop_after_events=FORK_WARMUP_EVENTS)
-            _fork_divergence(sim, state, candidate)
-            sim.run(stop_after_events=FORK_WARMUP_EVENTS + FORK_SUFFIX_EVENTS)
-            outcomes.append(_fork_outcome(sim, state))
-        return outcomes
-
-    def fanout_forked() -> List[tuple]:
-        sim = new_simulator()
-        state = _fork_fanout_world(sim)
-        sim.run(stop_after_events=FORK_WARMUP_EVENTS)
-        snapshot = sim.snapshot(roots={"state": state}, freeze=True)
-        outcomes = []
-        for candidate in range(FORK_CANDIDATES):
-            forked, roots = snapshot.fork()
-            _fork_divergence(forked, roots["state"], candidate)
-            forked.run(
-                stop_after_events=FORK_WARMUP_EVENTS + FORK_SUFFIX_EVENTS
-            )
-            outcomes.append(_fork_outcome(forked, roots["state"]))
-        return outcomes
-
-    def best_of(fn) -> tuple:
-        walls, outcomes = [], None
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            outcomes = fn()
-            walls.append(time.perf_counter() - start)
-        return min(walls), outcomes
-
-    straight_wall, straight_outcomes = best_of(fanout_straight)
-    forked_wall, forked_outcomes = best_of(fanout_forked)
-    fanout = {
-        "warmup_events": FORK_WARMUP_EVENTS,
-        "suffix_events": FORK_SUFFIX_EVENTS,
-        "candidates": FORK_CANDIDATES,
-        "wall_s": {"straight": straight_wall, "forked": forked_wall},
-        "speedup_forked_vs_straight": round(straight_wall / forked_wall, 3),
-        "identical_outputs": straight_outcomes == forked_outcomes,
-    }
-
-    # --- CRN paired candidate grid ----------------------------------
-    site = generate_corpus(QUICK_PROFILE, 1, seed=GRID_SEED)[0]
-    built = build_site(site.spec)
-    db = record_site(built)
-    candidates = [None] + [
-        PushFirstNStrategy(n) for n in range(1, FORK_CANDIDATES)
-    ]
-
-    def sweep() -> List[str]:
-        prints = []
-        # Run-major: all candidates of one run_index back-to-back, the
-        # order in which the prefix cache can serve every candidate of
-        # a (seed, conditions) pair from one lease.
-        for run_index in range(FORK_GRID_RUNS):
-            for strategy in candidates:
-                result = run_single(
-                    site.spec, strategy, run_index, built=built, db=db
-                )
-                prints.append(fingerprint(result))
-        return prints
-
-    def timed_sweep(forking: bool) -> tuple:
-        set_fork_mode(forking)
-        try:
-            walls, prints, stats = [], None, None
-            for _ in range(repetitions):
-                prefix_cache_clear()
-                start = time.perf_counter()
-                prints = sweep()
-                walls.append(time.perf_counter() - start)
-                stats = prefix_cache_stats()
-            return min(walls), prints, stats
-        finally:
-            set_fork_mode(None)
-            prefix_cache_clear()
-
-    grid_straight_wall, grid_straight_prints, _ = timed_sweep(False)
-    grid_forked_wall, grid_forked_prints, stats = timed_sweep(True)
-    paired_grid = {
-        "candidates": len(candidates),
-        "runs": FORK_GRID_RUNS,
-        "wall_s": {"straight": grid_straight_wall, "forked": grid_forked_wall},
-        "speedup_forked_vs_straight": round(
-            grid_straight_wall / grid_forked_wall, 3
-        ),
-        "identical_outputs": grid_straight_prints == grid_forked_prints,
-        "prefix_cache": stats,
-    }
-    return {
-        "sim_fanout": fanout,
-        "paired_grid": paired_grid,
-        "speedup_fork_vs_straight": fanout["speedup_forked_vs_straight"],
-        "identical_outputs": (
-            fanout["identical_outputs"] and paired_grid["identical_outputs"]
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
 # tracing overhead (off-mode cost + on-mode determinism, fig-3-shaped)
 # ----------------------------------------------------------------------
 #: Off-mode tracing runs the byte-identical workload of the replay
@@ -621,7 +340,6 @@ def run_grid_benchmark(repetitions: int) -> Dict[str, object]:
         return min(walls), prints
 
     serial_wall, serial_prints = timed(SerialExecutor())
-    legacy_wall, legacy_prints = timed(LegacyParallelExecutor(GRID_BENCH_WORKERS))
     # The pool persists across repetitions — exactly how experiment
     # drivers hold it across grids — so reps after the first measure the
     # warm steady state.
@@ -644,13 +362,7 @@ def run_grid_benchmark(repetitions: int) -> Dict[str, object]:
         rerun = engine.run(grid)
         lru_wall = time.perf_counter() - start
         lru_prints = [fingerprint(result) for result in rerun]
-    identical = (
-        serial_prints
-        == legacy_prints
-        == warm_prints
-        == warm_auto_prints
-        == lru_prints
-    )
+    identical = serial_prints == warm_prints == warm_auto_prints == lru_prints
     best_warm = min(warm_wall, warm_auto_wall)
     return {
         "cpus": os.cpu_count() or 1,
@@ -661,14 +373,12 @@ def run_grid_benchmark(repetitions: int) -> Dict[str, object]:
         },
         "wall_s": {
             "serial": serial_wall,
-            "legacy_parallel": legacy_wall,
             "warm_pool": warm_wall,
             "warm_auto": warm_auto_wall,
             "warm_lru_rerun": lru_wall,
         },
-        "speedup_warm_vs_legacy": round(legacy_wall / best_warm, 3),
         "speedup_warm_vs_serial": round(serial_wall / best_warm, 3),
-        "speedup_lru_vs_legacy": round(legacy_wall / lru_wall, 3),
+        "speedup_lru_vs_serial": round(serial_wall / lru_wall, 3),
         "identical_outputs": identical,
     }
 
@@ -753,20 +463,15 @@ def run_population_benchmark() -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # closed-loop optimizer
 # ----------------------------------------------------------------------
-#: Sibling candidates share CRN seeds, so most of their leases must
-#: fork a resident prefix instead of capturing a fresh one.
-OPTIMIZER_PREFIX_HIT_FLOOR = 0.5
-
-
 def run_optimizer_benchmark() -> Dict[str, object]:
     """One pinned search cell: halving race + exhaustive reference.
 
     The halving run records the search-cost accounting (arm-runs
-    scheduled vs exhaustive, prefix-cache reuse).  A second run with a
-    single full-budget rung and ``eta=1`` — no pruning of any kind —
-    is the exhaustive reference: both searches are deterministic, so
-    the halving winner must select the exact same policy per cell, or
-    pruning changed a decision it claims only to accelerate.
+    scheduled vs exhaustive).  A second run with a single full-budget
+    rung and ``eta=1`` — no pruning of any kind — is the exhaustive
+    reference: both searches are deterministic, so the halving winner
+    must select the exact same policy per cell, or pruning changed a
+    decision it claims only to accelerate.
     """
     import dataclasses
 
@@ -804,9 +509,6 @@ def run_optimizer_benchmark() -> Dict[str, object]:
         "exhaustive_evaluations": result.stats["exhaustive"],
         "evaluations_saved": result.stats["saved"],
         "saved_pct": round(result.stats["saved_pct"], 2),
-        "prefix_hits": result.stats["prefix_hits"],
-        "prefix_misses": result.stats["prefix_misses"],
-        "prefix_hit_rate": round(result.stats["prefix_hit_rate"], 3),
         "table_sha": result.table.sha(),
         "winners": {
             f"{entry.site}/{entry.condition}": entry.source
@@ -828,8 +530,6 @@ def build_section(repetitions: int) -> Dict[str, object]:
             if value < micros[name]:
                 micros[name] = value
     replay = run_replay_benchmark(repetitions)
-    fastcore = run_fastcore_benchmark(repetitions)
-    fork = run_fork_benchmark(repetitions)
     trace = run_trace_benchmark(repetitions)
     grid = run_grid_benchmark(repetitions)
     population = run_population_benchmark()
@@ -839,8 +539,6 @@ def build_section(repetitions: int) -> Dict[str, object]:
         "python": platform.python_version(),
         "micros": micros,
         "replay": replay,
-        "fastcore": fastcore,
-        "fork": fork,
         "trace": trace,
         "grid": grid,
         "population": population,
@@ -869,15 +567,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT, help="result JSON path"
     )
-    parser.add_argument(
-        "--fastcore-probe",
-        metavar="MODE",
-        default=None,
-        help=argparse.SUPPRESS,  # subprocess entry point, not a user flag
-    )
     args = parser.parse_args(argv)
-    if args.fastcore_probe:
-        return _fastcore_probe(args.fastcore_probe)
 
     repetitions = 1 if args.quick else 3
     section = build_section(repetitions)
@@ -910,24 +600,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             baseline["replay"]["counters"] == current["replay"]["counters"]
         )
         speedup["counters_match"] = counters_match
-        # The grid section compares executors within one run (the legacy
-        # executor *is* the pre-PR baseline), so it needs no baseline
-        # section to report a speedup.
+        # The grid section compares executors within one run, so it
+        # needs no baseline section to report a speedup.
         if "grid" in current:
-            speedup["grid_warm_vs_legacy"] = current["grid"][
-                "speedup_warm_vs_legacy"
-            ]
-        # The fastcore section compares cores within one run (the
-        # oracle *is* the pre-PR engine), mirroring the grid section.
-        if "fastcore" in current:
-            speedup["fastcore_vs_oracle"] = current["fastcore"][
-                "speedup_fast_vs_python"
-            ]
-        # Likewise the fork section compares straight vs forked within
-        # one run (straight execution *is* the pre-PR behavior).
-        if "fork" in current:
-            speedup["fork_vs_straight"] = current["fork"][
-                "speedup_fork_vs_straight"
+            speedup["grid_warm_vs_serial"] = current["grid"][
+                "speedup_warm_vs_serial"
             ]
         document["speedup"] = speedup
         print(f"replay speedup vs baseline: {speedup['replay']}x")
@@ -945,36 +622,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, value in grid["wall_s"].items():
         print(f"{label} grid {name}: {value:.3f} s")
     print(
-        f"{label} grid warm vs legacy: {grid['speedup_warm_vs_legacy']}x "
+        f"{label} grid warm vs serial: {grid['speedup_warm_vs_serial']}x "
         f"(cpus={grid['cpus']}, identical_outputs={grid['identical_outputs']})"
-    )
-    fastcore = section["fastcore"]
-    for name, value in fastcore["wall_s"].items():
-        print(f"{label} fastcore {name}: {value:.3f} s")
-    print(
-        f"{label} fastcore vs oracle: {fastcore['speedup_fast_vs_python']}x "
-        f"(identical_counters={fastcore['identical_counters']}, "
-        f"compiled_available={fastcore['compiled_available']}, "
-        f"rounds={fastcore['rounds']}, interleaved fresh-process A/B)"
-    )
-    fork = section["fork"]
-    fanout = fork["sim_fanout"]
-    paired = fork["paired_grid"]
-    print(
-        f"{label} fork fan-out ({fanout['candidates']} candidates x "
-        f"{fanout['warmup_events']} warmup events): "
-        f"{fanout['wall_s']['straight']:.3f} / "
-        f"{fanout['wall_s']['forked']:.3f} s = "
-        f"{fanout['speedup_forked_vs_straight']}x "
-        f"(identical_outputs={fanout['identical_outputs']})"
-    )
-    print(
-        f"{label} fork paired grid: {paired['wall_s']['straight']:.3f} / "
-        f"{paired['wall_s']['forked']:.3f} s = "
-        f"{paired['speedup_forked_vs_straight']}x "
-        f"(identical_outputs={paired['identical_outputs']}, "
-        f"prefix hits={paired['prefix_cache']['hits']}/"
-        f"{paired['prefix_cache']['forks']} forks)"
     )
     trace = section["trace"]
     print(
@@ -985,8 +634,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"{label} optimizer: {optimizer['evaluations']} arm-runs vs "
         f"{optimizer['exhaustive_evaluations']} exhaustive "
-        f"({optimizer['saved_pct']}% saved), prefix hit rate "
-        f"{optimizer['prefix_hit_rate']}, "
+        f"({optimizer['saved_pct']}% saved), "
         f"argmin match={optimizer['matches_exhaustive_argmin']}, "
         f"table_sha={optimizer['table_sha'][:12]}"
     )
@@ -1018,28 +666,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"tracing-off wall {trace['wall_off_s']:.3f}s exceeds the "
                 f"noise bound {bound:.3f}s — disabled hooks are too expensive"
             )
-        if not fastcore["identical_counters"]:
-            failures.append(
-                "fastcore and oracle disagreed on the determinism counters"
-            )
-        if fastcore["counters"]["python"] != replay_counters:
-            failures.append(
-                "explicit-oracle pass drifted from the replay section counters"
-            )
-        if not fanout["identical_outputs"]:
-            failures.append(
-                "forked sim fan-out diverged from the straight re-runs"
-            )
-        if not paired["identical_outputs"]:
-            failures.append(
-                "forked paired-grid results are not bit-identical to the "
-                "straight runs"
-            )
-        if paired["prefix_cache"]["hits"] <= 0:
-            failures.append(
-                "the forked paired grid produced no prefix-cache hits — "
-                "CRN candidates are not sharing their prefix"
-            )
         if baseline:
             base_hpack = baseline["micros"].get("hpack_round_trip_2k_s")
             cur_hpack = section["micros"]["hpack_round_trip_2k_s"]
@@ -1053,13 +679,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures.append(
                 "successive halving scheduled no fewer arm-runs than "
                 "exhaustive evaluation — pruning is not engaging"
-            )
-        if optimizer["prefix_hit_rate"] < OPTIMIZER_PREFIX_HIT_FLOOR:
-            failures.append(
-                f"optimizer prefix-cache hit rate "
-                f"{optimizer['prefix_hit_rate']} fell below the "
-                f"{OPTIMIZER_PREFIX_HIT_FLOOR} floor — sibling candidates "
-                "are not sharing replay prefixes"
             )
         if not optimizer["matches_exhaustive_argmin"]:
             failures.append(

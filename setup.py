@@ -1,28 +1,7 @@
 """Legacy shim so `pip install -e .` works without the `wheel` package.
 
 All real metadata lives in pyproject.toml.
-
-When mypyc is importable (installed via the ``[fast]`` extra, or
-already present in the environment) and compilation is not explicitly
-disabled with ``REPRO_NO_MYPYC=1``, the batch-steppable simulation core
-``repro.sim.fastcore`` is compiled to a C extension.  The build never
-*requires* a compiler: any failure to import mypyc falls back to the
-pure-Python fastcore, which is behaviourally identical (the compiled
-build is selected at runtime with ``REPRO_CORE=compiled`` or
-``--core compiled`` and merely runs faster).
 """
-import os
-
 from setuptools import setup
 
-ext_modules = []
-if not os.environ.get("REPRO_NO_MYPYC"):
-    try:
-        from mypyc.build import mypycify
-
-        ext_modules = mypycify(["src/repro/sim/fastcore.py"])
-    except ImportError:
-        # mypyc absent: install the pure-Python fastcore only.
-        pass
-
-setup(ext_modules=ext_modules)
+setup()

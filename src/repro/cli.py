@@ -15,7 +15,7 @@ Every command prints the same rows/series the corresponding paper
 artefact reports.  Measurement commands run on the experiment engine:
 ``--jobs N`` (alias ``--workers N``) fans cells *and their repeats* out
 across a warm persistent worker pool (``--chunk RUNS`` pins the work
-unit size, ``--no-warm`` selects the legacy one-task-per-cell pool),
+unit size),
 ``--cache DIR`` (or ``$REPRO_CACHE_DIR``) reuses finished cells across
 invocations, ``--force`` ignores cached entries, and ``--report``
 prints the engine's per-grid timing/cache summary to stderr.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -98,7 +97,6 @@ def _engine_from_args(args):
 
     from .experiments.engine import (
         ExperimentEngine,
-        LegacyParallelExecutor,
         ParallelExecutor,
         ResultCache,
         SerialExecutor,
@@ -107,12 +105,7 @@ def _engine_from_args(args):
 
     jobs = getattr(args, "jobs", 1)
     if jobs and jobs > 1:
-        if getattr(args, "no_warm", False):
-            executor = LegacyParallelExecutor(jobs)
-        else:
-            executor = ParallelExecutor(
-                jobs, chunk_runs=getattr(args, "chunk", None)
-            )
+        executor = ParallelExecutor(jobs, chunk_runs=getattr(args, "chunk", None))
     else:
         executor = SerialExecutor()
     cache = None
@@ -140,11 +133,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--chunk", type=int, default=None, metavar="RUNS",
         help="max runs per scheduled work unit (default: auto-sized per grid)",
-    )
-    group.add_argument(
-        "--no-warm", action="store_true",
-        help="use the legacy one-task-per-cell process pool instead of "
-        "the warm worker pool",
     )
     group.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -461,12 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="HTTP/2 Server Push replay testbed (CoNEXT'18 reproduction)",
     )
-    parser.add_argument(
-        "--core", choices=["fast", "python", "compiled"], default=None,
-        help="simulation core: 'fast' batch-steppable engine (default), "
-        "'python' pure-Python oracle, 'compiled' mypyc build of the "
-        "fastcore (requires the [fast] extra); overrides $REPRO_CORE",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("sites", help="list bundled website models").set_defaults(
@@ -525,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig8.add_argument(
         "--fingerprints", metavar="PATH", default=None,
         help="also write per-cell result fingerprints as JSON to PATH "
-        "(the CI cross-core identity check)",
+        "(diff two runs with it)",
     )
     _add_engine_options(fig8)
     fig8.set_defaults(func=cmd_fig8)
@@ -634,13 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.core is not None:
-        from .core import set_core_mode
-
-        set_core_mode(args.core)
-        # Engine worker processes import a fresh interpreter and read
-        # the environment, so export the choice for them too.
-        os.environ["REPRO_CORE"] = args.core
     try:
         return args.func(args)
     except ConfigError as exc:

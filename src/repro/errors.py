@@ -21,15 +21,6 @@ class SimulationError(ReproError):
     """
 
 
-class SnapshotError(SimulationError):
-    """A simulation world could not be snapshotted or forked.
-
-    Examples: snapshotting a simulator from inside its own run loop, or
-    forking a world that contains an object the fork copier cannot
-    reconstruct (see :mod:`repro.sim.snapshot`).
-    """
-
-
 class NetworkError(ReproError):
     """A network-substrate invariant was violated.
 

@@ -17,7 +17,6 @@ from .cell import Cell, Grid
 from .core import ExperimentEngine
 from .executors import (
     Executor,
-    LegacyParallelExecutor,
     ParallelExecutor,
     SerialExecutor,
     WarmPoolExecutor,
@@ -35,7 +34,6 @@ __all__ = [
     "Executor",
     "ExperimentEngine",
     "Grid",
-    "LegacyParallelExecutor",
     "MemoryResultCache",
     "ParallelExecutor",
     "ProgressReport",

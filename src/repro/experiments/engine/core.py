@@ -110,10 +110,7 @@ class ExperimentEngine:
 
         Same-spec cells share one built site and record database via
         the serial executor's site memo (``executors._memoized_site``),
-        so repeated ``run_cell`` calls — and the CRN-paired arms inside
-        one grid — also share their fork-point prefix cache entries
-        (``experiments.runner.PrefixCache`` validates by built-site
-        identity).
+        so repeated ``run_cell`` calls do not rebuild the site.
         """
         return self.run(Grid(name=cell.describe(), cells=[cell]))[0]
 

@@ -12,8 +12,6 @@
   the largest chunks first so stragglers cannot serialize the tail.
   Results are reassembled in run order, so they are bit-identical to
   :class:`SerialExecutor` regardless of scheduling.
-* :class:`LegacyParallelExecutor` is the pre-warm-pool
-  ``ProcessPoolExecutor`` fan-out, kept as the benchmark baseline.
 
 All executors expose ``run(cells, on_result)``: ``on_result(index,
 result, wall_ms)`` fires as each cell finishes (in completion order for
@@ -45,7 +43,6 @@ import multiprocessing
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from multiprocessing import connection
 from pathlib import Path
@@ -75,9 +72,7 @@ _CHUNKS_PER_WORKER = 4
 #: (``_run_warm_serial``/``_worker_main``).  Both are read-only during
 #: replay, ``_site_key`` is a content fingerprint of the spec, and
 #: ``build_site``/``record_site`` are deterministic, so the memo is
-#: invisible in every result.  Sharing the *object* (not just the
-#: bytes) is also what lets the prefix cache recognise paired cells
-#: (``PrefixCache`` validates entries by ``built`` identity).
+#: invisible in every result.
 _SITE_MEMO_MAX = 8
 _site_memo: "OrderedDict[str, Tuple[BuiltSite, object]]" = OrderedDict()
 
@@ -95,7 +90,7 @@ def _memoized_site(cell: Cell) -> Tuple[BuiltSite, object]:
 
 
 def execute_cell(cell: Cell) -> CellResult:
-    """Run one cell to completion (also the legacy worker entry point).
+    """Run one cell to completion.
 
     The cell's reducer folds each run as it finishes — for ``summary``
     cells no full :class:`PageLoadResult` outlives its own replay.
@@ -154,47 +149,6 @@ class SerialExecutor(Executor):
             if on_result is not None:
                 on_result(index, result, wall_ms)
         return results
-
-
-class LegacyParallelExecutor(Executor):
-    """Pre-warm-pool fan-out: one ``ProcessPoolExecutor`` task per cell.
-
-    Pickles each whole cell per submission and rebuilds all per-site
-    state in every worker.  Kept verbatim as the baseline the warm pool
-    is benchmarked against (``BENCH_replay.json`` ``grid`` section).
-    """
-
-    name = "legacy-parallel"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers or os.cpu_count() or 1
-
-    def run(
-        self,
-        cells: Sequence[Cell],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[CellResult]:
-        if not cells:
-            return []
-        if len(cells) == 1 or self.max_workers == 1:
-            # Pool startup costs more than one cell; degrade gracefully.
-            return SerialExecutor().run(cells, on_result)
-        results: List[Optional[CellResult]] = [None] * len(cells)
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {
-                pool.submit(_timed_execute, cell): index
-                for index, cell in enumerate(cells)
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    result, wall_ms = future.result()
-                    results[index] = result
-                    if on_result is not None:
-                        on_result(index, result, wall_ms)
-        return results  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------

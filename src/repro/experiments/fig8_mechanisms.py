@@ -168,8 +168,8 @@ class Fig8Result:
         return lossy / clean
 
     def cell_fingerprints(self) -> Dict[str, str]:
-        """``transport/loss/mechanism`` -> result fingerprint, for the
-        cross-core identity check in CI."""
+        """``transport/loss/mechanism`` -> result fingerprint, for
+        diffing two sweeps cell by cell."""
         return {
             f"{row.transport}/{row.loss_rate:g}/{row.mechanism}": row.cell_fingerprint
             for row in self.rows

@@ -17,14 +17,11 @@ and cache no longer assume a materialized run list.
 
 from __future__ import annotations
 
-import os
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 from ..browser.cache import BrowserCache
-from ..core import fork_enabled
 from ..html.builder import BuiltSite, build_site
 from ..html.spec import WebsiteSpec
 from ..netsim.conditions import (
@@ -40,110 +37,6 @@ from .seeds import condition_seed, impairment_seed, load_seed
 
 #: The paper's repetition count per site and setting.
 PAPER_RUNS = 31
-
-
-class _PrefixEntry:
-    __slots__ = ("built", "conditions", "db", "prefix")
-
-    def __init__(self, built, conditions, db, prefix):
-        self.built = built
-        self.conditions = conditions
-        self.db = db
-        self.prefix = prefix
-
-
-class PrefixCache:
-    """LRU of captured replay prefixes, keyed by the run identity.
-
-    Fork-point replay (see :class:`repro.replay.testbed.ReplayPrefix`
-    and DESIGN §14) executes the mechanism-invariant prefix of a load —
-    handshake, SETTINGS, main-document request — once, then forks it
-    for every strategy sharing that prefix.  The cache key is the part
-    of a run's identity the prefix depends on: the load seed, the
-    impairment seed, and the client's ``SETTINGS_ENABLE_PUSH`` profile
-    (the one strategy property visible *before* the fork point).  The
-    built site and conditions are validated by identity/equality on
-    lookup rather than keyed — the reuse patterns that matter (CRN
-    strategy pairs, candidate grids) iterate strategies adjacently
-    within one site × condition, so a small LRU captures them while
-    keeping resident world copies bounded (``REPRO_FORK_PREFIXES``,
-    default 6; the population driver additionally clears per batch).
-
-    Every lease is bit-identical to a straight run by construction, so
-    hits and misses are observable only in wall-clock time.
-    """
-
-    def __init__(self, maxsize: Optional[int] = None):
-        if maxsize is None:
-            try:
-                maxsize = int(os.environ.get("REPRO_FORK_PREFIXES", "6"))
-            except ValueError:
-                maxsize = 6
-        self.maxsize = max(1, maxsize)
-        self._entries: "OrderedDict[tuple, _PrefixEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.forks = 0
-
-    def lease(
-        self,
-        built: BuiltSite,
-        conditions: NetworkConditions,
-        db,
-        seed: int,
-        imp_seed: Optional[int],
-        push_enabled: bool,
-    ):
-        """The prefix for one run identity, capturing it on a miss."""
-        key = (seed, imp_seed, push_enabled)
-        entry = self._entries.get(key)
-        if (
-            entry is not None
-            and entry.built is built
-            and entry.conditions == conditions
-            and (db is None or entry.db is db)
-        ):
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry.prefix
-        self.misses += 1
-        testbed = ReplayTestbed(
-            built=built, conditions=conditions, strategy=None, db=db
-        )
-        prefix = testbed.prefix(
-            seed=seed, impairment_seed=imp_seed, push_enabled=push_enabled
-        )
-        self._entries[key] = _PrefixEntry(built, conditions, testbed.db, prefix)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return prefix
-
-    def clear(self) -> None:
-        """Drop every resident prefix world (stats are kept)."""
-        self._entries.clear()
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "forks": self.forks,
-            "resident": len(self._entries),
-        }
-
-
-#: Process-wide prefix cache used by :func:`run_single`.
-_PREFIX_CACHE = PrefixCache()
-
-
-def prefix_cache_clear() -> None:
-    """Release every resident prefix world (e.g. between batches)."""
-    _PREFIX_CACHE.clear()
-
-
-def prefix_cache_stats() -> dict:
-    """Hit/miss/fork counters of the process-wide prefix cache."""
-    return _PREFIX_CACHE.stats()
 
 
 @dataclass
@@ -245,24 +138,6 @@ def run_single(
     built = built or build_site(spec)
     run_rng = random.Random(condition_seed(seed_base, run_index))
     network = sampler.sample(run_rng)
-    if trace is None and cache_factory is None and fork_enabled():
-        # Fork-point replay: CRN-paired arms and candidate grids share
-        # everything up to the first strategy-divergent event, so lease
-        # the prefix and fork it — bit-identical to the straight path
-        # below (the fork-identity suite and CI diff the two).  Traced
-        # and warm-cache runs take the straight path: traces span the
-        # whole load and the browser cache changes the prefix itself.
-        push_enabled = strategy is None or strategy.client_push_enabled
-        prefix = _PREFIX_CACHE.lease(
-            built,
-            network,
-            db,
-            load_seed(seed_base, run_index),
-            impairment_seed(seed_base, run_index),
-            push_enabled,
-        )
-        _PREFIX_CACHE.forks += 1
-        return prefix.fork(strategy)
     testbed = ReplayTestbed(built=built, conditions=network, strategy=strategy, db=db)
     cache = cache_factory() if cache_factory is not None else None
     tracer = None

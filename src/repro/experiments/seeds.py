@@ -74,10 +74,7 @@ def candidate_seed(site: str, policy_fingerprint: str, run: int) -> int:
       ``policy_fingerprint`` is deliberately NOT mixed in.  Every arm
       of a race — the ``none`` baseline included — draws identical
       network/jitter/loss streams at the same run index, so per-run
-      paired differences isolate the policy.  The same invariance makes
-      the K sibling candidates of one run hash to one
-      ``PrefixCache`` lease ``(load_seed, impairment_seed,
-      push_enabled)`` and fork a shared replay prefix.
+      paired differences isolate the policy.
     * **Rung-geometry independence** — the seed does not depend on how
       many runs a rung asks for, so promoting a survivor from 2 to 5
       runs only adds new single-run cells; the first two stay

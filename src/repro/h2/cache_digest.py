@@ -19,6 +19,7 @@ Used by the testbed's cache-digest ablation: with digests enabled, the
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import math
 from typing import Iterable, List
@@ -171,10 +172,13 @@ class CacheDigest:
 
     @classmethod
     def from_header_value(cls, value: str) -> "CacheDigest":
+        """Parse the header form; every malformed input raises
+        :class:`ProtocolError` (bad base64 here, a truncated bit stream
+        in :meth:`decode`) and nothing else is caught."""
         padding = "=" * (-len(value) % 4)
         try:
             raw = base64.urlsafe_b64decode(value + padding)
-        except Exception as exc:
+        except (binascii.Error, ValueError) as exc:
             raise ProtocolError(f"malformed cache-digest header: {exc}") from exc
         return cls.decode(raw)
 

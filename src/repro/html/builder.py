@@ -31,11 +31,6 @@ _LOREM = (
 class BuiltSite:
     """The rendered website: every body keyed by URL."""
 
-    #: Read-only once built: forked replay worlds share one instance
-    #: (see repro.sim.snapshot) exactly as the warm pool's site memo
-    #: shares it across runs.
-    _fork_atomic = True
-
     spec: WebsiteSpec
     html: bytes
     html_url: str

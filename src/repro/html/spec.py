@@ -69,10 +69,6 @@ class ResourceSpec:
 class WebsiteSpec:
     """A complete website: the base document plus its resources."""
 
-    #: Specs are read-only during replay; forked worlds share them
-    #: (see repro.sim.snapshot).
-    _fork_atomic = True
-
     name: str
     primary_domain: str
     html_size: int = 30_000

@@ -81,10 +81,6 @@ class NetworkConditions:
             previously visited origins as 0-RTT session resumptions.
     """
 
-    #: Immutable config; forked replay worlds share it
-    #: (see repro.sim.snapshot).
-    _fork_atomic = True
-
     rtt_ms: float = 50.0
     downlink_bytes_per_ms: float = mbit_per_s(16)
     uplink_bytes_per_ms: float = mbit_per_s(1)

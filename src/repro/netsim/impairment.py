@@ -140,10 +140,6 @@ class ImpairmentConfig:
     two cells differing only in impairments cache separately.
     """
 
-    #: Immutable config; forked replay worlds share it
-    #: (see repro.sim.snapshot).
-    _fork_atomic = True
-
     loss: Optional[LossModel] = None
     jitter: Optional[JitterSpec] = None
     reorder: Optional[ReorderSpec] = None

@@ -197,8 +197,7 @@ class _HalfConnection:
         self._ordered = True
         #: Dedicated timer lanes: RTO deadlines (now + rto) and delayed
         #: ACK deadlines (now + 5ms) are each near-monotone within their
-        #: class, so arming/cancelling bypasses the main event heap on
-        #: the fastcore (the oracle shim schedules on its heap).
+        #: class, so arming/cancelling bypasses the main event heap.
         self._rto_lane = sim.timer_lane()
         self.bytes_enqueued = 0
         # RFC 6298 adaptive retransmission timeout.  A fixed RTO melts

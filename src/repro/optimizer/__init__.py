@@ -10,8 +10,7 @@ package searches that space per site × network condition:
 - :mod:`~repro.optimizer.racer` — CRN-paired successive halving (and a
   successive-elimination bandit) over an abstract arm evaluator;
 - :mod:`~repro.optimizer.evaluators` — the engine-backed evaluators
-  (run-granular CRN cells with prefix forking; the historical A/B lab
-  cell geometry);
+  (run-granular CRN cells; the historical A/B lab cell geometry);
 - :mod:`~repro.optimizer.table` — the content-addressed ``PolicyTable``
   artifact;
 - :mod:`~repro.optimizer.report` — the oracle-gap report;

@@ -10,13 +10,10 @@ protocol:
     importance: all arms of one run are CRN-paired with the baseline;
     promoting a survivor to more runs only *adds* cells (earlier runs
     stay cache-addressed under their existing keys, whatever the rung
-    geometry); and the K sibling candidates of one run share a single
-    :class:`~repro.experiments.runner.PrefixCache` lease, so they fork
-    one captured replay prefix instead of replaying K handshakes.  To
-    keep that sharing effective, cells are scheduled **run-major**
-    with arms grouped by (site variant, push-enabled) — the prefix
-    cache validates by built-site identity, so interleaving variants
-    would thrash it.
+    geometry).  Cells are scheduled **run-major** with arms grouped by
+    site variant, so same-spec arms sit next to each other and the
+    serial executor's small site memo builds each variant once per run
+    instead of thrashing.
 
 :class:`GridCellEvaluator` (the A/B lab mode)
     One multi-run cell per arm at a fixed seed base — exactly the grid
@@ -32,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..experiments.engine import ExperimentEngine, Grid
 from ..experiments.engine.fingerprint import fingerprint
-from ..experiments.runner import CellResult, prefix_cache_stats
+from ..experiments.runner import CellResult
 from ..experiments.seeds import candidate_seed
 from ..html.spec import WebsiteSpec
 from ..netsim.conditions import ConditionSampler, FixedConditions, NetworkConditions
@@ -66,21 +63,16 @@ class GridRunEvaluator(ArmEvaluator):
         self._points: Dict[str, List[RunPoint]] = {name: [] for name in arms}
         self._pushed: Dict[str, int] = {}
         self._evaluations = 0
-        self.prefix_hits = 0
-        self.prefix_misses = 0
         # Policy fingerprints (per-arm identity handed to candidate_seed)
-        # and the prefix-sharing group: arms with the same built site and
-        # client push profile can lease one prefix per run.
+        # and the site-variant group that keeps same-spec arms adjacent.
         self._fps = {
             name: fingerprint({"spec": spec, "strategy": strategy})
             for name, (spec, strategy) in self.arms.items()
         }
-        groups: Dict[tuple, int] = {}
+        groups: Dict[str, int] = {}
         self._group: Dict[str, int] = {}
-        for name, (spec, strategy) in self.arms.items():
-            push_enabled = strategy is None or strategy.client_push_enabled
-            key = (fingerprint(spec), push_enabled)
-            self._group[name] = groups.setdefault(key, len(groups))
+        for name, (spec, _strategy) in self.arms.items():
+            self._group[name] = groups.setdefault(fingerprint(spec), len(groups))
 
     # ------------------------------------------------------------------
     def ensure(self, requests: Dict[str, int]) -> None:
@@ -108,11 +100,7 @@ class GridRunEvaluator(ArmEvaluator):
                 slots.append((name, run))
         if not slots:
             return
-        before = prefix_cache_stats()
         results = self.engine.run(grid)
-        after = prefix_cache_stats()
-        self.prefix_hits += after["hits"] - before["hits"]
-        self.prefix_misses += after["misses"] - before["misses"]
         self._evaluations += len(slots)
         for (name, run), result in zip(slots, results):
             points = self._points[name]
@@ -134,10 +122,6 @@ class GridRunEvaluator(ArmEvaluator):
 
     def pushed_bytes(self, name: str) -> int:
         return self._pushed.get(name, 0)
-
-    def prefix_stats(self) -> Dict[str, int]:
-        """Prefix-cache activity attributable to this evaluator's grids."""
-        return {"hits": self.prefix_hits, "misses": self.prefix_misses}
 
 
 class GridCellEvaluator(ArmEvaluator):

@@ -6,8 +6,7 @@ Per site × network condition:
    population (the §5 anchors, their neighbors, random restarts);
 2. the :class:`~repro.optimizer.racer.Racer` races it against the
    ``none`` baseline over a :class:`~repro.optimizer.evaluators.
-   GridRunEvaluator` — CRN-paired single-run cells, sibling candidates
-   forking shared replay prefixes;
+   GridRunEvaluator` — CRN-paired single-run cells;
 3. the race winner and every anchor are re-measured at the full run
    budget (mostly cache hits — the racer already paid for survivor
    runs), and the better of winner-vs-anchors becomes the table entry.
@@ -20,7 +19,7 @@ Everything downstream of the config is deterministic: populations are
 seeded, seeds derive from (site, run), and the engine's cells are
 content-addressed — so ``run_optimize`` with one config reproduces the
 same :class:`~repro.optimizer.table.PolicyTable` bit for bit
-(``table_sha`` and all), which is what the CI cross-core diff checks.
+(``table_sha`` and all), which the pinned golden optimizer cell checks.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ class OptimizeConfig:
 class OptimizeResult:
     table: PolicyTable
     report: OracleGapReport
-    #: Search-cost accounting: arm-runs scheduled vs exhaustive, and
-    #: fork-point prefix reuse across sibling candidates.
+    #: Search-cost accounting: arm-runs scheduled vs exhaustive.
     stats: Dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -122,10 +120,7 @@ class OptimizeResult:
             "search cost: "
             f"{self.stats.get('evaluations', 0):.0f} arm-runs scheduled vs "
             f"{self.stats.get('exhaustive', 0):.0f} exhaustive "
-            f"({saved:.0f} saved, {self.stats.get('saved_pct', 0.0):.1f}%); "
-            f"prefix cache {self.stats.get('prefix_hits', 0):.0f} hits / "
-            f"{self.stats.get('prefix_misses', 0):.0f} misses "
-            f"(hit rate {self.stats.get('prefix_hit_rate', 0.0):.2f})"
+            f"({saved:.0f} saved, {self.stats.get('saved_pct', 0.0):.1f}%)"
         )
         return "\n".join(lines)
 
@@ -173,8 +168,6 @@ def run_optimize(
         "evaluations": 0,
         "race_evaluations": 0,
         "exhaustive": 0,
-        "prefix_hits": 0,
-        "prefix_misses": 0,
     }
 
     candidate_config = CandidateConfig(
@@ -204,16 +197,12 @@ def run_optimize(
 
     scheduled = totals["evaluations"]
     exhaustive = totals["exhaustive"]
-    leases = totals["prefix_hits"] + totals["prefix_misses"]
     stats = {
         "evaluations": scheduled,
         "race_evaluations": totals["race_evaluations"],
         "exhaustive": exhaustive,
         "saved": exhaustive - scheduled,
         "saved_pct": (exhaustive - scheduled) / exhaustive * 100.0 if exhaustive else 0.0,
-        "prefix_hits": totals["prefix_hits"],
-        "prefix_misses": totals["prefix_misses"],
-        "prefix_hit_rate": totals["prefix_hits"] / leases if leases else 0.0,
     }
     return OptimizeResult(table=table, report=report, stats=stats)
 
@@ -297,7 +286,5 @@ def _search_cell(
         "evaluations": evaluator.evaluations,
         "race_evaluations": race_evaluations,
         "exhaustive": outcome.exhaustive_evaluations,
-        "prefix_hits": evaluator.prefix_hits,
-        "prefix_misses": evaluator.prefix_misses,
     }
     return entry, row, cost

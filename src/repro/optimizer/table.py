@@ -4,7 +4,7 @@ The optimizer's output is a deployable JSON document, content-addressed
 the same way the golden records are: the ``table_sha`` field is the
 SHA-256 of the canonical (sorted-keys) JSON of the meta block and the
 entry list, so two optimizer runs agree iff their tables are
-bit-identical — the CI cross-core job diffs exactly this.
+bit-identical.
 
 Each entry records the winning :class:`~repro.optimizer.space.
 PushPolicy` for one site × condition with its measured effect — paired

@@ -32,7 +32,6 @@ from typing import List, Optional
 
 from ..errors import ConfigError
 from ..experiments.engine import ExperimentEngine, Grid
-from ..experiments.runner import prefix_cache_clear
 from ..experiments.seeds import population_seed_base
 from .cohorts import Cohort, default_cohorts, quick_cohorts
 from .report import CohortAccumulator, PopulationResult
@@ -116,14 +115,9 @@ def run_population(
             # frees only when the cycle collector runs.  Collect at the
             # batch boundary to make the O(batch) memory bound
             # deterministic instead of dependent on allocation-count GC
-            # heuristics — the fastcore allocates far fewer objects per
-            # replay, which otherwise *delays* automatic collections
-            # and lets several batches of cycles pile up.  Dropping the
-            # prefix cache first releases each cached snapshot world
-            # (event queue, connections, page graph) into that same
-            # collection — paired arms within the next batch rebuild
-            # their prefixes anyway since every load draws fresh seeds.
-            prefix_cache_clear()
+            # heuristics — a replay allocates few enough objects that
+            # automatic collections come late and would let several
+            # batches of cycles pile up.
             gc.collect()
         result.cohorts.append(accumulator)
     return result

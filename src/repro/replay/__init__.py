@@ -4,15 +4,13 @@ from .certs import Certificate, CertificateAuthority
 from .matcher import RequestMatcher
 from .recorddb import RecordDatabase, ResponseRecord
 from .recorder import record_site, record_spec
-from .testbed import ForkGate, PageLoadResult, ReplayPrefix, ReplayTestbed, replay_site
+from .testbed import PageLoadResult, ReplayTestbed, replay_site
 
 __all__ = [
     "Certificate",
     "CertificateAuthority",
-    "ForkGate",
     "PageLoadResult",
     "RecordDatabase",
-    "ReplayPrefix",
     "ReplayTestbed",
     "RequestMatcher",
     "ResponseRecord",

@@ -21,9 +21,6 @@ from ..errors import ReplayError
 class Certificate:
     """A served certificate: subject plus SAN set."""
 
-    #: Immutable; forked replay worlds share certificates.
-    _fork_atomic = True
-
     subject: str
     sans: frozenset = field(default_factory=frozenset)
 

@@ -25,10 +25,6 @@ Header = Tuple[str, str]
 class ResponseRecord:
     """One recorded HTTP exchange."""
 
-    #: Records are read-only during replay; forked worlds share them
-    #: (see repro.sim.snapshot).
-    _fork_atomic = True
-
     url: str
     status: int = 200
     headers: List[Header] = field(default_factory=list)
@@ -88,11 +84,6 @@ class ResponseRecord:
 
 class RecordDatabase:
     """All recorded exchanges of one browsing session."""
-
-    #: Populated at record time, read-only at replay time; forked
-    #: worlds share one instance (the warm pool's db memo relies on
-    #: the same property).
-    _fork_atomic = True
 
     def __init__(self):
         self._records: Dict[Tuple[str, str], ResponseRecord] = {}

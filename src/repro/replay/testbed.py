@@ -159,34 +159,6 @@ class ReplayTestbed:
         impairment_seed: Optional[int],
         tracer,
     ) -> PageLoadResult:
-        topology, farm, page = self._build_world(
-            sim, cache, seed, impairment_seed, tracer, self.strategy
-        )
-        page.start()
-        sim.run(until=timeout_ms)
-        return self._finish(
-            sim, topology, farm, page, timeout_ms, probe, self._strategy_name()
-        )
-
-    def _build_world(
-        self,
-        sim: Simulator,
-        cache: Optional[BrowserCache],
-        seed: int,
-        impairment_seed: Optional[int],
-        tracer,
-        strategy: Optional[PushStrategy],
-        enable_push: Optional[bool] = None,
-    ):
-        """Wire topology, server farm, and browser for one load.
-
-        ``strategy`` is what the servers consult (``self.strategy`` on
-        the straight path, ``None`` for a strategy-agnostic prefix).
-        ``enable_push`` overrides the client's SETTINGS push profile;
-        ``None`` derives it from ``strategy`` exactly as before —
-        :meth:`prefix` passes it explicitly because the profile is part
-        of the wire bytes *before* the fork point.
-        """
         rng = random.Random(seed)
         spec = self.built.spec
         if self.protocol == "h1" and self.conditions.transport != "tcp":
@@ -224,7 +196,7 @@ class ReplayTestbed:
                     H1ReplayServer(
                         ip=ip,
                         matcher=RequestMatcher(self.db),
-                        strategy=strategy,
+                        strategy=self.strategy,
                         tracer=tracer,
                     )
                 )
@@ -235,7 +207,7 @@ class ReplayTestbed:
                         ip=ip,
                         matcher=RequestMatcher(self.db),
                         certificate=cert,
-                        strategy=strategy,
+                        strategy=self.strategy,
                         server_delay_ms=self.conditions.server_delay_ms,
                         tracer=tracer,
                     )
@@ -246,9 +218,7 @@ class ReplayTestbed:
             import dataclasses
 
             config = dataclasses.replace(config, protocol="h1", enable_push=False)
-        if enable_push is None:
-            enable_push = strategy is None or strategy.client_push_enabled
-        if not enable_push:
+        if self.strategy is not None and not self.strategy.client_push_enabled:
             import dataclasses
 
             config = dataclasses.replace(config, enable_push=False)
@@ -263,31 +233,19 @@ class ReplayTestbed:
             rng=random.Random(seed + 7919),
             tracer=tracer,
         )
-        return topology, farm, page
-
-    def _finish(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        farm: ServerFarm,
-        page: PageLoad,
-        timeout_ms: float,
-        probe: Optional[Callable[["ReplayProbe"], None]],
-        strategy_name: str,
-    ) -> PageLoadResult:
-        """Shared result-assembly tail of straight and forked runs."""
-        spec = self.built.spec
+        page.start()
+        sim.run(until=timeout_ms)
         if not page.finished:
             raise ConfigError(
                 f"page load of {spec.name} did not finish within {timeout_ms} ms "
-                f"(strategy={strategy_name})"
+                f"(strategy={self._strategy_name()})"
             )
         if probe is not None:
             probe(ReplayProbe(sim=sim, topology=topology, farm=farm, page=page))
         timeline = page.timeline
         return PageLoadResult(
             site=spec.name,
-            strategy=strategy_name,
+            strategy=self._strategy_name(),
             plt_ms=timeline.plt_ms,
             speed_index_ms=speed_index_of(timeline),
             timeline=timeline,
@@ -300,212 +258,6 @@ class ReplayTestbed:
 
     def _strategy_name(self) -> str:
         return self.strategy.name if self.strategy is not None else "no_push"
-
-    # ------------------------------------------------------------------
-    def prefix(
-        self,
-        cache: Optional[BrowserCache] = None,
-        seed: int = 0,
-        timeout_ms: float = 300_000.0,
-        impairment_seed: Optional[int] = None,
-        push_enabled: bool = True,
-        tracer=None,
-    ) -> "ReplayPrefix":
-        """Execute the mechanism-invariant prefix once; fork it K ways.
-
-        Runs handshake → SETTINGS → main-document request up to the
-        **fork point** — the instant the main request reaches the
-        authoritative server, i.e. just before the first event that can
-        depend on the push strategy (103 hints, PUSH_PROMISE, and
-        response DATA all happen after it) — then snapshots the whole
-        world.  Each :meth:`ReplayPrefix.fork` resumes an independent
-        copy under its own strategy and is bit-identical to a straight
-        :meth:`run` with that strategy (same seed, same conditions).
-
-        ``push_enabled`` is the one strategy property that is *not*
-        prefix-invariant: the client advertises ``SETTINGS_ENABLE_PUSH``
-        during the handshake, so a prefix only serves strategies whose
-        ``client_push_enabled`` matches (``None``/no-push baseline
-        counts as enabled=True — it never flips the setting).
-        """
-        if self.protocol != "h2":
-            raise ConfigError(
-                f"fork-point replay requires the h2 testbed, got "
-                f"protocol={self.protocol!r}"
-            )
-        # Phase 1 — discovery.  Run a throwaway world with the gate
-        # armed; the gate trips inside the event that delivers the
-        # main-document request to the authoritative server, telling us
-        # that event's ordinal.  The world itself is discarded: tripping
-        # mid-event perturbs the rest of that event's callback (e.g. the
-        # ACK that would have piggybacked on the response), so it cannot
-        # be snapshotted directly.
-        scout = new_simulator()
-        _topology, farm, page = self._build_world(
-            scout, cache, seed, impairment_seed, None, None,
-            enable_push=push_enabled,
-        )
-        gate = ForkGate(self.built.html_url)
-        for server in farm:
-            server.fork_gate = gate
-        page.start()
-        scout.run(until=timeout_ms)
-        if not gate.fired:
-            raise ConfigError(
-                f"fork point never reached: the main-document request for "
-                f"{self.built.html_url} did not arrive within {timeout_ms} ms"
-            )
-        # The tripping event was already counted when its callback ran,
-        # so "everything strictly before it" is events_processed - 1.
-        boundary = scout.events_processed - 1
-
-        # Phase 2 — capture.  A fresh, identically-seeded world run to
-        # the boundary stops *before* dispatching the delivery event,
-        # i.e. at an event boundary a straight run also passes through,
-        # in exactly the same state.  No gate is armed: each fork simply
-        # resumes the loop and the delivery event dispatches with that
-        # fork's strategy installed.
-        sim = new_simulator()
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
-        if tracer is not None:
-            tracer.attach(sim)
-            tracer.meta.setdefault("site", self.built.spec.name)
-            tracer.meta.setdefault("seed", seed)
-            tracer.activate()
-        try:
-            topology, farm, page = self._build_world(
-                sim, cache, seed, impairment_seed, tracer, None,
-                enable_push=push_enabled,
-            )
-            page.start()
-            sim.run(until=timeout_ms, stop_after_events=boundary)
-        finally:
-            if tracer is not None:
-                tracer.deactivate()
-        # freeze=False: the prefix world is abandoned after this call
-        # (only forks of it ever run again), which saves one full-world
-        # copy per prefix.
-        snapshot = sim.snapshot(
-            roots={
-                "topology": topology,
-                "farm": farm,
-                "page": page,
-                "tracer": tracer,
-            },
-            freeze=False,
-        )
-        return ReplayPrefix(
-            testbed=self,
-            snapshot=snapshot,
-            push_enabled=push_enabled,
-            seed=seed,
-            timeout_ms=timeout_ms,
-        )
-
-
-class ForkGate:
-    """Detects the fork point during the discovery pass.
-
-    Armed on every server of a scout world; the server checks it at the
-    very top of ``_on_request``, so the gate fires inside the first
-    event whose processing could depend on the push strategy — the
-    delivery of the main-document request.  The scout world is
-    discarded afterwards; only the event ordinal the gate observed is
-    kept (see :meth:`ReplayTestbed.prefix`).
-
-    The gate matches on the URL rather than consulting the request
-    matcher so the scout's early return does minimal work.
-    """
-
-    __slots__ = ("main_url", "fired")
-
-    def __init__(self, main_url: str):
-        self.main_url = main_url
-        self.fired = False
-
-    def trip(self, server) -> None:
-        self.fired = True
-        server.sim.stop()
-
-
-class ReplayPrefix:
-    """A captured shared prefix; each :meth:`fork` is one full load.
-
-    Obtained from :meth:`ReplayTestbed.prefix`.  Forks are independent:
-    they may run in any order and each is bit-identical to a straight
-    ``ReplayTestbed(..., strategy=s).run(...)`` with the prefix's seed
-    and conditions.
-    """
-
-    __slots__ = ("testbed", "snapshot", "push_enabled", "seed", "timeout_ms")
-
-    def __init__(self, testbed, snapshot, push_enabled, seed, timeout_ms):
-        self.testbed = testbed
-        self.snapshot = snapshot
-        self.push_enabled = push_enabled
-        self.seed = seed
-        self.timeout_ms = timeout_ms
-
-    @property
-    def forks(self) -> int:
-        """Number of forks materialized from this prefix so far."""
-        return self.snapshot.forks
-
-    def fork(
-        self,
-        strategy: Optional[PushStrategy] = None,
-        probe: Optional[Callable[["ReplayProbe"], None]] = None,
-        return_tracer: bool = False,
-    ):
-        """Resume one copy of the prefix under ``strategy`` to completion.
-
-        Returns the :class:`PageLoadResult`; with ``return_tracer=True``
-        returns ``(result, tracer)`` where ``tracer`` is this fork's
-        private clone of the prefix tracer (it holds the prefix events
-        plus this fork's suffix — byte-identical to a straight traced
-        run).
-        """
-        expected = True if strategy is None else strategy.client_push_enabled
-        if expected != self.push_enabled:
-            raise ConfigError(
-                f"prefix was captured with push_enabled={self.push_enabled} "
-                f"but strategy {strategy.name!r} requires "
-                f"client_push_enabled={expected}; capture a matching prefix"
-            )
-        sim, roots = self.snapshot.fork()
-        topology = roots["topology"]
-        farm = roots["farm"]
-        page = roots["page"]
-        tracer = roots["tracer"]
-        strategy_name = strategy.name if strategy is not None else "no_push"
-        for server in farm:
-            server.strategy = strategy
-        if tracer is not None:
-            # A straight traced run inserts meta keys in (site,
-            # strategy, seed) order; the prefix could not know the
-            # strategy, so splice it in ahead of "seed" to keep qlog
-            # exports byte-identical.
-            meta = {}
-            for key, value in tracer.meta.items():
-                if key == "seed" and "strategy" not in meta:
-                    meta["strategy"] = strategy_name
-                meta[key] = value
-            meta.setdefault("strategy", strategy_name)
-            tracer.meta.clear()
-            tracer.meta.update(meta)
-            tracer.activate()
-        try:
-            sim.run(until=self.timeout_ms)
-        finally:
-            if tracer is not None:
-                tracer.deactivate()
-        result = self.testbed._finish(
-            sim, topology, farm, page, self.timeout_ms, probe, strategy_name
-        )
-        if return_tracer:
-            return result, tracer
-        return result
 
 
 def replay_site(

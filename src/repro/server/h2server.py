@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..browser.priorities import weight_for
+from ..errors import ProtocolError
 from ..h2.connection import H2Connection
 from ..h2.constants import ErrorCode
 from ..h2.frames import PriorityData
@@ -54,10 +55,6 @@ class ReplayServer:
         self.server_delay_ms = server_delay_ms
         self.chunk_size = chunk_size
         self.connections: List[H2Connection] = []
-        #: Armed by the fork-point testbed (a
-        #: :class:`repro.replay.testbed.ForkGate`); ``None`` on every
-        #: straight run and on every fork.
-        self.fork_gate = None
         #: Wire-level accounting for the paper's "pushed KB" numbers.
         self.pushed_bytes = 0
         self.push_streams_opened = 0
@@ -92,17 +89,6 @@ class ReplayServer:
 
     # ------------------------------------------------------------------
     def _on_request(self, conn: H2Connection, stream_id: int, headers: List[Header]) -> None:
-        gate = self.fork_gate
-        if (
-            gate is not None
-            and not gate.fired
-            and _request_url(headers) == gate.main_url
-        ):
-            # Fork point: everything before this event is
-            # strategy-invariant; everything from here on may depend on
-            # the strategy.  Only armed on discovery-pass scout worlds.
-            gate.trip(self)
-            return
         url = _request_url(headers)
         record = self.matcher.match(url)
         digest = self._parse_cache_digest(headers)
@@ -137,14 +123,18 @@ class ReplayServer:
     @staticmethod
     def _parse_cache_digest(headers: List[Header]):
         """Decode a cache-digest request header, if the client sent one
-        (draft-ietf-httpbis-cache-digest, the paper's §2.1 citation)."""
+        (draft-ietf-httpbis-cache-digest, the paper's §2.1 citation).
+
+        A malformed header is served as "no digest"; anything but
+        :class:`ProtocolError` is a model bug and propagates.
+        """
         from ..h2.cache_digest import CacheDigest
 
         for name, value in headers:
             if name.lower() == "cache-digest":
                 try:
                     return CacheDigest.from_header_value(value)
-                except Exception:
+                except ProtocolError:
                     return None
         return None
 

@@ -3,44 +3,24 @@
 All timing in the testbed derives from one simulator instance so that
 repeated runs of the same configuration are identical — the property
 the paper's replay testbed exists to provide.
-
-Two interchangeable engines implement the same contract (see
-:mod:`repro.core`): the heap-based :class:`Simulator` oracle and the
-batch-steppable :class:`~repro.sim.fastcore.FastSimulator`.  Model code
-should obtain its engine from :func:`new_simulator` so the choice stays
-a deployment knob rather than a code path.
 """
 
-from .events import DEFAULT_PRIORITY, EventHandle, LaneTimer, Simulator
-from .fastcore import FastSimulator, TimerLane
-from .snapshot import SimSnapshot, SnapshotError, fork_copy
+from .events import DEFAULT_PRIORITY, EventHandle, LaneTimer, Simulator, TimerLane
 from .timers import PeriodicTimer, Timer
 
 
-def new_simulator():
-    """Build a simulator honouring the active core mode.
-
-    Returns a :class:`FastSimulator` under ``REPRO_CORE=fast`` (the
-    default) or ``compiled``, and the heap oracle :class:`Simulator`
-    under ``REPRO_CORE=python``.  Both are bit-identical in every
-    observable; see :mod:`repro.core`.
-    """
-    from ..core import use_fastcore
-
-    return FastSimulator() if use_fastcore() else Simulator()
+def new_simulator() -> Simulator:
+    """Build the simulator one replay runs on."""
+    return Simulator()
 
 
 __all__ = [
     "DEFAULT_PRIORITY",
     "EventHandle",
-    "FastSimulator",
     "LaneTimer",
     "PeriodicTimer",
-    "SimSnapshot",
     "Simulator",
-    "SnapshotError",
     "Timer",
     "TimerLane",
-    "fork_copy",
     "new_simulator",
 ]

@@ -20,10 +20,6 @@ class Span:
 
     __slots__ = ("source", "start", "stop")
 
-    #: Spans are never mutated, so forked worlds share them
-    #: (see repro.sim.snapshot).
-    _fork_atomic = True
-
     def __init__(self, source: bytes, start: int = 0, stop: Optional[int] = None):
         self.source = source
         self.start = start

@@ -62,6 +62,43 @@ def test_malformed_header_rejected():
         CacheDigest.from_header_value("%%%not-base64%%%")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param("A", id="one-char"),  # no base64 quantum has that length
+        pytest.param("a=b", id="mid-padding"),
+        pytest.param("caf\u00e9", id="non-ascii"),
+        pytest.param("", id="empty"),  # decodes; the 10-bit N/P preamble is missing
+        pytest.param("AAAA", id="open-unary"),  # preamble present, unary run never ends
+    ],
+)
+def test_every_malformed_header_is_a_protocol_error(value):
+    with pytest.raises(ProtocolError):
+        CacheDigest.from_header_value(value)
+
+
+def test_server_serves_malformed_digest_as_no_digest():
+    from repro.server.h2server import ReplayServer
+
+    assert ReplayServer._parse_cache_digest([("cache-digest", "AAAA")]) is None
+    good = CacheDigest.from_urls(URLS).to_header_value()
+    parsed = ReplayServer._parse_cache_digest([("Cache-Digest", good)])
+    assert all(parsed.contains(url) for url in URLS)
+
+
+def test_server_does_not_swallow_a_bug_in_digest_handling(monkeypatch):
+    """Only ``ProtocolError`` means "malformed"; a model bug propagates
+    instead of silently serving as "no digest"."""
+    from repro.server.h2server import ReplayServer
+
+    def broken(cls, data):
+        raise AttributeError("model bug")
+
+    monkeypatch.setattr(CacheDigest, "decode", classmethod(broken))
+    with pytest.raises(AttributeError, match="model bug"):
+        ReplayServer._parse_cache_digest([("cache-digest", "AAAA")])
+
+
 def test_deterministic_encoding():
     a = CacheDigest.from_urls(URLS).encode()
     b = CacheDigest.from_urls(list(URLS)).encode()

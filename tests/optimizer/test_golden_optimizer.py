@@ -2,8 +2,7 @@
 
 The whole search — population generation, CRN seeds, racing, pruning,
 promotion — must be bit-reproducible, because the policy table is a
-content-addressed artifact (CI diffs `table_sha` across simulation
-cores).  This guard runs one tiny search cell over a corpus-generated
+content-addressed artifact.  This guard runs one tiny search cell over a corpus-generated
 site and compares the **entire table JSON** (policies, fingerprints,
 measured deltas, sha) against a checked-in golden record.
 

@@ -53,14 +53,6 @@ def test_halving_is_cheaper_than_exhaustive(tiny_result):
     assert result.stats["race_evaluations"] <= result.stats["evaluations"]
 
 
-def test_sibling_candidates_share_replay_prefixes(tiny_result):
-    """CRN seeds are policy-independent, so candidate loads of one run
-    fork a shared prefix instead of replaying the handshake each."""
-    _, result = tiny_result
-    assert result.stats["prefix_hits"] > result.stats["prefix_misses"]
-    assert result.stats["prefix_hit_rate"] > 0.5
-
-
 def test_table_is_bit_reproducible(tiny_result):
     config, result = tiny_result
     again = run_optimize(config, engine=ExperimentEngine(cache=None))

@@ -71,8 +71,7 @@ def test_site_class_is_deterministic_and_covers_corpus():
 # ----------------------------------------------------------------------
 def test_candidate_seed_pairs_arms_and_ignores_fingerprint():
     """The seed stream depends on (site, run) only: every candidate of
-    one site is CRN-paired with the baseline at every run index, and
-    sibling candidates share replay prefixes."""
+    one site is CRN-paired with the baseline at every run index."""
     a = candidate_seed("w3", "fp-aaaa", 0)
     b = candidate_seed("w3", "fp-bbbb", 0)
     assert a == b

@@ -1,26 +1,24 @@
-"""Fastcore-vs-oracle equivalence: identical traces on random programs.
+"""Core-vs-oracle equivalence: identical traces on random programs.
 
-The batch-steppable :class:`repro.sim.fastcore.FastSimulator` replaces
-the heap-only :class:`repro.sim.events.Simulator` only because every
-observable is bit-identical: dispatch order (time, priority, seq),
-clock advancement, cancellation semantics, and stop/until interactions.
-These properties drive both cores with the same randomly generated
-program — schedules, lane timers, cancellations, nested scheduling,
-stops, horizon-bounded runs — and require the execution traces to be
-*exactly* equal (float equality, not approximate: the cores perform the
-same arithmetic or they are wrong).
+:class:`repro.sim.Simulator` (a heap plus monotonic timer lanes and
+no-handle scheduling) claims the dispatch order of a single heap.  The
+reference model in ``tests/support/heap_oracle.py`` *is* that single
+heap, and every observable must be bit-identical between the two:
+dispatch order (time, priority, seq), clock advancement, cancellation
+semantics, and stop/until interactions.  These properties drive both
+with the same randomly generated program — schedules, lane timers,
+cancellations, nested scheduling, stops, horizon-bounded runs — and
+require the execution traces to be *exactly* equal (float equality,
+not approximate: both perform the same arithmetic or one is wrong).
 
 The frame parser gets the same treatment: ``FrameReader.feed`` must
 surface, under any segmentation of the wire bytes, exactly the frames
 the one-at-a-time ``parse_frame`` reference reads from the whole wire.
 """
 
-import os
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import set_core_mode
 from repro.h2.constants import Flag
 from repro.h2.frames import (
     DataFrame,
@@ -32,14 +30,15 @@ from repro.h2.frames import (
     SettingsFrame,
     WindowUpdateFrame,
 )
-from repro.sim import FastSimulator, Simulator
+from repro.sim import Simulator
 from repro.sim.events import _NO_ARG
+from tests.support.heap_oracle import HeapSimulator
 
 
 # ----------------------------------------------------------------------
 # random scheduling programs
 # ----------------------------------------------------------------------
-#: One program step; interpreted identically against both cores.
+#: One program step; interpreted identically against core and oracle.
 _op = st.one_of(
     st.tuples(
         st.just("schedule"),
@@ -152,14 +151,12 @@ def _interpret(sim, ops, until):
     ),
 )
 @settings(max_examples=200, deadline=None)
-# A stop() after which only a cancelled lane event is left: the fastcore
-# has already peeled the tombstone, the oracle's heap still holds it;
-# both must leave the clock at the stopping event.
+# A stop() after which only a cancelled lane event is left: the core has
+# already peeled the tombstone, the oracle's heap still holds it; both
+# must leave the clock at the stopping event.
 @example(ops=[("cancel_later", 0.0, 0), ("stop_at", 0.0), ("lane", 0, 0.0)], until=1.0)
 def test_random_programs_trace_identically(ops, until):
-    oracle = _interpret(Simulator(), ops, until)
-    fast = _interpret(FastSimulator(), ops, until)
-    assert fast == oracle
+    assert _interpret(Simulator(), ops, until) == _interpret(HeapSimulator(), ops, until)
 
 
 @given(delays=st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=40))
@@ -175,7 +172,7 @@ def test_lane_only_programs_dispatch_in_oracle_order(delays):
         sim.run()
         return fired
 
-    assert run(FastSimulator()) == run(Simulator())
+    assert run(Simulator()) == run(HeapSimulator())
 
 
 @given(
@@ -197,14 +194,14 @@ def test_lane_cancellation_matches_oracle(delays, cancel_every):
         sim.run()
         return fired, sim.now, sim.pending_events()
 
-    assert run(FastSimulator()) == run(Simulator())
+    assert run(Simulator()) == run(HeapSimulator())
 
 
 # ----------------------------------------------------------------------
 # deterministic lane/engine unit properties
 # ----------------------------------------------------------------------
 def test_lane_timer_restart_and_cancel():
-    for sim in (FastSimulator(), Simulator()):
+    for sim in (Simulator(), HeapSimulator()):
         lane = sim.timer_lane()
         fired = []
         timer = lane.timer(lambda: fired.append(sim.now))
@@ -221,7 +218,7 @@ def test_lane_timer_restart_and_cancel():
 
 
 def test_lane_handle_cancel_is_tombstoned_not_scanned():
-    sim = FastSimulator()
+    sim = Simulator()
     lane = sim.timer_lane()
     handles = [lane.schedule(float(i), lambda: None) for i in range(100)]
     assert sim.pending_events() == 100
@@ -240,7 +237,7 @@ def test_lane_abs_refuses_past_deadlines():
 
     from repro.errors import SimulationError
 
-    sim = FastSimulator()
+    sim = Simulator()
     lane = sim.timer_lane()
     sim.schedule_call(5.0, lambda: None)
     sim.run()
@@ -249,7 +246,7 @@ def test_lane_abs_refuses_past_deadlines():
 
 
 def test_no_arg_sentinel_not_leaked_to_callbacks():
-    sim = FastSimulator()
+    sim = Simulator()
     seen = []
     sim.schedule_call(1.0, lambda *args: seen.append(args))
     sim.schedule_call(2.0, lambda *args: seen.append(args), 7)
@@ -323,9 +320,15 @@ def test_feed_matches_parse_frame_under_any_chunking(frames, chunk_seed):
 
 
 # ----------------------------------------------------------------------
-# end-to-end: one replay, both cores, identical result
+# end-to-end: whole replays on the core and on the oracle
 # ----------------------------------------------------------------------
-def test_small_replay_identical_under_both_cores():
+def _on_oracle(monkeypatch):
+    """Every replay built from here on runs on the heap oracle."""
+    monkeypatch.setattr("repro.replay.testbed.new_simulator", HeapSimulator)
+
+
+def test_small_replay_identical_under_both_cores(monkeypatch):
+    """Counters no result carries (events, frames) agree as well."""
     from repro.html.builder import build_site
     from repro.netsim.conditions import DSL_TESTBED
     from repro.replay.testbed import ReplayTestbed
@@ -335,54 +338,80 @@ def test_small_replay_identical_under_both_cores():
     site = generate_corpus(TOP_100_PROFILE, 1, seed=2018)[0]
     built = build_site(site.spec)
 
-    def load(mode):
-        set_core_mode(mode)
-        try:
-            testbed = ReplayTestbed(
-                built=built, conditions=DSL_TESTBED, strategy=NoPushStrategy()
+    def load():
+        testbed = ReplayTestbed(
+            built=built, conditions=DSL_TESTBED, strategy=NoPushStrategy()
+        )
+        seen = {}
+
+        def probe(view):
+            seen["sim"] = type(view.sim)
+            seen["events"] = view.events_processed
+            seen["frames"] = view.server_frames
+
+        result = testbed.run(seed=7, probe=probe)
+        return (
+            seen["sim"],
+            result.plt_ms,
+            result.downlink_bytes,
+            result.uplink_bytes,
+            seen["events"],
+            seen["frames"],
+        )
+
+    core = load()
+    _on_oracle(monkeypatch)
+    oracle = load()
+    assert (core[0], oracle[0]) == (Simulator, HeapSimulator)
+    assert core[1:] == oracle[1:]
+
+
+def test_full_replay_matches_heap_oracle(monkeypatch):
+    """The golden fig-3 grid, a lossy Reno cell and a lossy QUIC cell
+    replayed on the heap oracle fingerprint exactly as on the core.
+
+    This is the one whole-system check that the lanes and the no-handle
+    paths never reorder an event: loss, jitter and reordering exercise
+    the out-of-order lane fallback, RTO/delayed-ACK cancellation and the
+    QUIC recovery timers, none of which the clean grid reaches.
+    """
+    import json
+    from dataclasses import replace
+
+    from repro.experiments.engine import ExperimentEngine, Grid
+    from repro.experiments.engine.fingerprint import fingerprint
+    from repro.netsim.conditions import LOSSY_DSL, FixedConditions
+    from repro.sites.corpus import TOP_100_PROFILE, generate_corpus
+    from repro.strategies.simple import PushAllStrategy
+    from tests.experiments.test_determinism_guard import GOLDEN_PATH, _evaluate
+
+    spec = generate_corpus(TOP_100_PROFILE, 1, seed=2018)[0].spec
+
+    def lossy_fingerprints():
+        grid = Grid(name="oracle-cross-check")
+        for label, conditions in (
+            ("lossy-reno", LOSSY_DSL),
+            ("lossy-quic", replace(LOSSY_DSL, transport="quic")),
+        ):
+            grid.add(
+                spec,
+                PushAllStrategy(),
+                runs=2,
+                seed_base=11,
+                conditions=FixedConditions(conditions),
+                label=label,
             )
-            seen = {}
+        results = ExperimentEngine(cache=None).run(grid)
+        return [fingerprint(result) for result in results]
 
-            def probe(view):
-                seen["events"] = view.events_processed
-                seen["frames"] = view.server_frames
-
-            result = testbed.run(seed=7, probe=probe)
-            return (
-                result.plt_ms,
-                result.downlink_bytes,
-                result.uplink_bytes,
-                seen["events"],
-                seen["frames"],
-            )
-        finally:
-            set_core_mode(None)
-
-    assert load("fast") == load("python")
+    assert LOSSY_DSL.congestion_control == "reno"
+    on_core = lossy_fingerprints()
+    _on_oracle(monkeypatch)
+    assert lossy_fingerprints() == on_core
+    assert _evaluate() == json.loads(GOLDEN_PATH.read_text())
 
 
-def test_repro_core_env_selects_simulator_class():
+def test_new_simulator_builds_the_simulator():
     from repro.sim import new_simulator
 
-    saved = os.environ.get("REPRO_CORE")
-    try:
-        os.environ["REPRO_CORE"] = "python"
-        assert type(new_simulator()) is Simulator
-        os.environ["REPRO_CORE"] = "fast"
-        assert isinstance(new_simulator(), FastSimulator)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CORE", None)
-        else:
-            os.environ["REPRO_CORE"] = saved
-
-
-def test_invalid_repro_core_env_raises_config_error(monkeypatch):
-    import pytest
-
-    from repro.errors import ConfigError
-    from repro.sim import new_simulator
-
-    monkeypatch.setenv("REPRO_CORE", "pyhton")
-    with pytest.raises(ConfigError, match="'pyhton'.*fast, python, compiled"):
-        new_simulator()
+    assert type(new_simulator()) is Simulator
