@@ -633,12 +633,10 @@ class PageLoad:
         self.timeline.pushes_adopted += 1
         if self._tracer is not None:
             self._tracer.push_adopted(fetch.url, parked.stream_id)
-        # Rebind the stream to the adopting fetch for future data.
-        for conn_entry in self._connections.values():
-            table = conn_entry.stream_fetch
-            for key, value in list(table.items()):
-                if value is parked:
-                    table[key] = fetch
+        # Rebind the stream to the adopting fetch for future data: a
+        # parked fetch is registered once, under its promised stream id
+        # on the connection that carried the PUSH_PROMISE.
+        self._connections[parked.conn_key].stream_fetch[parked.stream_id] = fetch
         if parked.complete:
             self.sim.call_soon(lambda: self._complete_fetch(fetch))
 

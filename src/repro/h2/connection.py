@@ -19,7 +19,7 @@ paper's Interleaving Push is implemented (see ``repro.server``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ProtocolError, StreamError
 from ..netsim.tcp import TcpEndpoint
@@ -58,6 +58,9 @@ Header = Tuple[str, str]
 #: DATA frame header size, for socket-space arithmetic.
 _FRAME_HEADER = 9
 
+#: Connection receive window a client grows to at start-up (Chromium).
+_CONNECTION_RECV_WINDOW = 15 * 1024 * 1024
+
 _CLOSED = StreamState.CLOSED
 _HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
 
@@ -71,7 +74,13 @@ class DataScheduler:
     observes what was sent (hook point for the interleaving scheduler).
     """
 
-    def select(self, conn: "H2Connection", ready: List[int]) -> Optional[int]:
+    def select(self, conn: "H2Connection", ready: Set[int]) -> Optional[int]:
+        """Pick one of ``ready``, or ``None`` to send nothing now.
+
+        ``ready`` is the connection's *live* ready set, not a copy: it
+        changes under the scheduler's feet as frames go out, so read it
+        during the call only and never mutate it.
+        """
         return conn.priority_tree.select(ready)
 
     def on_data_sent(self, conn: "H2Connection", stream_id: int, size: int, end: bool) -> None:
@@ -93,7 +102,6 @@ class H2Connection:
         role: str,
         settings: Optional[Settings] = None,
         chunk_size: int = 16_384,
-        connection_recv_window: int = 15 * 1024 * 1024,
         tracer=None,
     ):
         if role not in ("client", "server"):
@@ -125,13 +133,17 @@ class H2Connection:
         self._conn_send_window = FlowControlWindow()
         self._conn_recv_window = ReceiveWindow()
         self._control_queue: Deque[bytes] = deque()
-        #: Streams that *may* want to send: every stream handed body
+        #: Streams with body left to send: every stream handed body
         #: bytes (or a pending zero-length END_STREAM) that has not yet
-        #: drained, finished, or closed.  Maintained incrementally so the
-        #: pump never rescans ``self.streams``; membership is a superset
-        #: of readiness — ``wants_to_send`` still filters (e.g. streams
-        #: blocked on flow control or a pause point stay members).
+        #: drained, finished, or been reset — including those blocked
+        #: on flow control or a pause point.
         self._send_candidates: Set[int] = set()
+        #: The candidates that can send *now*, kept live: a change to
+        #: one stream's inputs re-derives that stream alone
+        #: (``_refresh_ready``); only a connection-wide transition — the
+        #: connection window crossing zero, a new initial window size —
+        #: re-derives every candidate.  The scheduler picks from this.
+        self._ready: Set[int] = set()
         self._header_fragments: Optional[Tuple[int, str, bytearray, Flag]] = None
         self._goaway_received = False
         self._pumping = False
@@ -164,7 +176,7 @@ class H2Connection:
         if self.role == "client":
             self._control_queue.append(CONNECTION_PREFACE)
         self._queue_frame(SettingsFrame(stream_id=0, settings=self.local_settings.as_dict()))
-        grow = self._conn_recv_window.grow(15 * 1024 * 1024)
+        grow = self._conn_recv_window.grow(_CONNECTION_RECV_WINDOW)
         if grow > 0 and self.role == "client":
             # Chromium-style: immediately enlarge the connection window.
             self._queue_frame(WindowUpdateFrame(stream_id=0, increment=grow))
@@ -241,7 +253,13 @@ class H2Connection:
         stream = self._require_stream(stream_id)
         stream.queue_body(data, end_stream)
         self._send_candidates.add(stream_id)
+        self._refresh_ready((stream_id,))
         self._pump()
+
+    def pause_stream_at(self, stream_id: int, offset: Optional[int]) -> None:
+        """Cap how far into its body a stream may send; ``None`` lifts it."""
+        self._require_stream(stream_id).pause_at = offset
+        self._refresh_ready((stream_id,))
 
     def push(
         self,
@@ -292,7 +310,7 @@ class H2Connection:
         """Send RST_STREAM (e.g. a client cancelling an unwanted push)."""
         stream = self._require_stream(stream_id)
         stream.reset(code)
-        self._send_candidates.discard(stream_id)
+        self._forget_sender(stream_id)
         self.priority_tree.remove(stream_id)
         self._queue_frame(RstStreamFrame(stream_id=stream_id, error_code=code))
         self._pump()
@@ -374,55 +392,33 @@ class H2Connection:
                 return
             queue.popleft()
 
-    def _ready_streams(self) -> List[int]:
-        """Stream ids the scheduler may pick from, in stream-id order.
+    def _refresh_ready(self, stream_ids: Iterable[int]) -> None:
+        """Re-derive membership of the live ready set for ``stream_ids``.
 
-        Iterates the incrementally maintained candidate set instead of
-        every stream the connection ever opened; candidates that turn
-        out closed are evicted on the way (they can never become ready
-        again), while merely blocked ones are only filtered.
+        Ready means :meth:`H2Stream.wants_to_send` and the connection
+        window admits it: at or below zero only a zero-length
+        END_STREAM frame may go out.
         """
         streams = self.streams
-        candidates = self._send_candidates
-        ready: List[int] = []
-        append = ready.append
-        evict: List[int] = []
-        if self._conn_send_window._window <= 0:
-            # Only zero-length END_STREAM frames could be sent; include
-            # streams needing exactly that.
-            for sid in candidates:
-                stream = streams[sid]
-                state = stream.state
-                if state is _CLOSED:
-                    evict.append(sid)
-                elif (
-                    stream._queued_bytes == 0
-                    and stream._end_after_queue
-                    and state is not _HALF_CLOSED_LOCAL
-                ):
-                    append(sid)
-        else:
-            # Inlined H2Stream.wants_to_send — this loop runs for every
-            # candidate on every DATA frame the pump emits.
-            for sid in candidates:
-                stream = streams[sid]
-                state = stream.state
-                if state is _CLOSED:
-                    evict.append(sid)
-                elif stream._queued_bytes > 0:
-                    if stream.sendable_bytes() > 0:
-                        append(sid)
-                elif stream._end_after_queue and state is not _HALF_CLOSED_LOCAL:
-                    append(sid)
-        for sid in evict:
-            candidates.discard(sid)
-        ready.sort()
-        return ready
+        ready = self._ready
+        window_open = self._conn_send_window._window > 0
+        for stream_id in stream_ids:
+            stream = streams[stream_id]
+            if (window_open or not stream._queued_bytes) and stream.wants_to_send():
+                ready.add(stream_id)
+            else:
+                ready.discard(stream_id)
+
+    def _forget_sender(self, stream_id: int) -> None:
+        """The stream has nothing left to send (done, drained or reset)."""
+        self._send_candidates.discard(stream_id)
+        self._ready.discard(stream_id)
 
     def _flush_data(self) -> None:
-        if not self._send_candidates:
-            # Nothing could possibly be ready (the common case on the
-            # client side, which never queues body bytes).
+        ready = self._ready
+        if not ready:
+            # Nothing can send (the common case on the client side,
+            # which never queues body bytes).
             return
         # Direct half-connection access: send_buffer_space /
         # unsent_buffered / congestion_window are endpoint property
@@ -432,19 +428,10 @@ class H2Connection:
         streams = self.streams
         conn_window = self._conn_send_window
         scheduler = self.scheduler
-        priority_tree = self.priority_tree
         max_frame = self.remote_settings.max_frame_size
         chunk_size = self._chunk_size
         overhead = self._DATA_OVERHEAD
-        # The ready list is reused across loop iterations: between two
-        # DATA frames only the *selected* stream's readiness can change
-        # (its queue/window were consumed) unless a scheduler hook fired
-        # on END_STREAM, a data-sent callback ran, or the connection
-        # window hit zero (which flips the filter `_ready_streams`
-        # applies) — those cases set ``ready = None`` to force a rescan,
-        # keeping the list bit-identical to a fresh recomputation.
-        ready: Optional[List[int]] = None
-        while True:
+        while ready:
             space = half._max_buffer - half._buffered
             if space <= overhead:
                 return
@@ -458,17 +445,7 @@ class H2Connection:
             # stranded behind kilobytes of already-committed DATA.
             if half._buffered >= 2.0 * half._cc.cwnd:
                 return
-            if ready is None:
-                ready = self._ready_streams()
-            if not ready:
-                return
-            if len(ready) == 1 and ready[0] in priority_tree:
-                # One ready stream that the priority tree knows about:
-                # every scheduler in the testbed selects it, so skip the
-                # set-build and tree walk.
-                stream_id: Optional[int] = ready[0]
-            else:
-                stream_id = scheduler.select(self, ready)
+            stream_id = scheduler.select(self, ready)
             if stream_id is None:
                 return
             stream = streams[stream_id]
@@ -494,28 +471,28 @@ class H2Connection:
                 self._tracer.frame_sent(
                     self._trace_name, "DATA", stream_id, sent + overhead
                 )
+            # Either hook may change other streams' readiness (lift a
+            # pause, queue more body); those paths update ``ready``
+            # themselves, so only this frame's stream is re-derived here.
             scheduler.on_data_sent(self, stream_id, sent, end)
             if self.on_data_frame_sent is not None:
                 self.on_data_frame_sent(stream_id, sent, end)
-                ready = None
             if end:
-                self._send_candidates.discard(stream_id)
+                self._forget_sender(stream_id)
                 stream.close_local()
                 if stream.state is _CLOSED:
-                    priority_tree.remove(stream_id)
-                # Scheduler END_STREAM hooks may unpause other streams.
-                ready = None
-            elif stream._queued_bytes == 0:
+                    self.priority_tree.remove(stream_id)
+            elif not stream._queued_bytes:
                 # Drained without END_STREAM: nothing to send until the
                 # application queues more body (send_body re-adds).
-                self._send_candidates.discard(stream_id)
-                if ready is not None:
-                    ready.remove(stream_id)
-            elif ready is not None:
-                if conn_window._window <= 0:
-                    ready = None
-                elif not stream.wants_to_send():
-                    ready.remove(stream_id)
+                self._forget_sender(stream_id)
+            elif not stream.wants_to_send():
+                # Stream window or pause cap reached.
+                ready.discard(stream_id)
+            if sent and conn_window._window <= 0:
+                # The connection window just closed: what stays ready is
+                # whoever needs only a zero-length END_STREAM.
+                self._refresh_ready(self._send_candidates)
 
     def _emit_data(self, stream_id: int, span: Span, end: bool) -> None:
         """Write one DATA frame: a record charged header + payload, which
@@ -538,9 +515,9 @@ class H2Connection:
                     self._trace_name, frame.TYPE.name, frame.stream_id, frame.wire_size
                 )
             self._dispatch(frame)
-        # _pump is a no-op without queued control bytes or candidate
+        # _pump is a no-op without queued control bytes or ready
         # streams; skipping it saves the call chain per received segment.
-        if self._control_queue or self._send_candidates:
+        if self._control_queue or self._ready:
             self._pump()
 
     def _on_data_record(self, record: Tuple[int, Span, int]) -> None:
@@ -552,7 +529,7 @@ class H2Connection:
                 self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + len(span)
             )
         self._fast_data(stream_id, span, raw_flags)
-        if self._control_queue or self._send_candidates:
+        if self._control_queue or self._ready:
             self._pump()
 
     def _fast_data(self, stream_id: int, data: Span, raw_flags: int) -> None:
@@ -627,6 +604,7 @@ class H2Connection:
             for stream in self.streams.values():
                 if not stream.closed:
                     stream.send_window.adjust_initial(delta)
+            self._refresh_ready(self._send_candidates)
         if int(SettingCode.HEADER_TABLE_SIZE) in frame.settings:
             self._encoder.set_max_table_size(frame.settings[int(SettingCode.HEADER_TABLE_SIZE)])
         self._queue_frame(SettingsFrame(stream_id=0, flags=Flag.ACK))
@@ -721,25 +699,30 @@ class H2Connection:
         """Send RST_STREAM for a stream we may not have tracked yet."""
         stream = self._get_or_create_stream(stream_id)
         stream.reset(code)
-        self._send_candidates.discard(stream_id)
+        self._forget_sender(stream_id)
         self.pushes_cancelled += 1
         self._queue_frame(RstStreamFrame(stream_id=stream_id, error_code=code))
         self._pump()
 
     def _handle_window_update(self, frame: WindowUpdateFrame) -> None:
         if frame.stream_id == 0:
-            self._conn_send_window.replenish(frame.increment)
+            window = self._conn_send_window
+            was_closed = window._window <= 0
+            window.replenish(frame.increment)
+            if was_closed and window._window > 0:
+                self._refresh_ready(self._send_candidates)
         else:
             stream = self.streams.get(frame.stream_id)
             if stream is not None and not stream.closed:
                 stream.send_window.replenish(frame.increment)
+                self._refresh_ready((frame.stream_id,))
 
     def _handle_rst(self, frame: RstStreamFrame) -> None:
         stream = self.streams.get(frame.stream_id)
         if stream is None:
             return
         stream.reset(frame.error_code)
-        self._send_candidates.discard(frame.stream_id)
+        self._forget_sender(frame.stream_id)
         self.priority_tree.remove(frame.stream_id)
         self.scheduler.on_stream_reset(self, frame.stream_id)
         if self.on_reset is not None:

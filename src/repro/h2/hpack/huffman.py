@@ -14,7 +14,7 @@ seven bits or not matching EOS.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...errors import HpackError
 
@@ -81,13 +81,6 @@ def _canonical_codes(lengths: List[int]) -> List[Tuple[int, int]]:
 
 
 _CODES = _canonical_codes(_build_code_lengths(_frequency_profile()))
-
-#: Decoding trie: maps (code, length) -> symbol (reference decoder only).
-_DECODE: Dict[Tuple[int, int], int] = {
-    (code, length): sym for sym, (code, length) in enumerate(_CODES)
-}
-
-_MAX_CODE_LENGTH = max(length for _code, length in _CODES)
 
 #: Flat encode tables: per-symbol code value and bit length.
 _ENC_CODE = [code for code, _length in _CODES]
@@ -200,9 +193,9 @@ def _build_pair_row(first: int) -> List[Tuple[int, int]]:
 def huffman_encode(data: bytes) -> bytes:
     """Encode ``data``; the result is padded with EOS prefix bits.
 
-    Pair-table encoder; produces exactly the same bytes as
-    :func:`huffman_encode_reference`, the symbol-at-a-time
-    implementation it replaced (kept as the property-test oracle).
+    Pair-table encoder; produces exactly the same bytes as the
+    symbol-at-a-time implementation it replaced (the property-test
+    oracle, ``tests/support/huffman_reference.py``).
     The bit accumulator is masked down after every drain so it stays a
     machine-word int instead of growing into a big integer.
     """
@@ -243,33 +236,12 @@ def huffman_encode(data: bytes) -> bytes:
     return bytes(out)
 
 
-def huffman_encode_reference(data: bytes) -> bytes:
-    """Symbol-at-a-time encoder (pre-optimization); the test oracle."""
-    bits = 0
-    bit_count = 0
-    out = bytearray()
-    enc_code = _ENC_CODE
-    enc_len = _ENC_LEN
-    for byte in data:
-        length = enc_len[byte]
-        bits = (bits << length) | enc_code[byte]
-        bit_count += length
-        while bit_count >= 8:
-            bit_count -= 8
-            out.append((bits >> bit_count) & 0xFF)
-    if bit_count > 0:
-        pad = 8 - bit_count
-        bits = (bits << pad) | ((1 << pad) - 1)
-        out.append(bits & 0xFF)
-    return bytes(out)
-
-
 def huffman_decode(data: bytes) -> bytes:
     """Decode a Huffman-coded string, validating EOS padding.
 
     Byte-wise table decoder; produces exactly the same output and
-    errors as :func:`huffman_decode_reference`, the bit-at-a-time
-    implementation it replaced (kept as the property-test oracle).
+    errors as the bit-at-a-time implementation it replaced (the
+    property-test oracle, ``tests/support/huffman_reference.py``).
     """
     state = 0
     rows = _ROWS
@@ -290,31 +262,6 @@ def huffman_decode(data: bytes) -> bytes:
     if depth > 0 and not _ALL_ONES[state]:
         raise HpackError("Huffman padding is not all-one bits")
     return b"".join(chunks)
-
-
-def huffman_decode_reference(data: bytes) -> bytes:
-    """Bit-at-a-time decoder (pre-optimization); the test oracle."""
-    out = bytearray()
-    code = 0
-    length = 0
-    for byte in data:
-        for bit_index in range(7, -1, -1):
-            code = (code << 1) | ((byte >> bit_index) & 1)
-            length += 1
-            sym = _DECODE.get((code, length))
-            if sym is not None:
-                if sym == EOS:
-                    raise HpackError("EOS symbol decoded inside Huffman string")
-                out.append(sym)
-                code = 0
-                length = 0
-            elif length > _MAX_CODE_LENGTH:
-                raise HpackError("invalid Huffman code")
-    if length >= 8:
-        raise HpackError("Huffman padding longer than 7 bits")
-    if length > 0 and code != (1 << length) - 1:
-        raise HpackError("Huffman padding is not all-one bits")
-    return bytes(out)
 
 
 def huffman_encoded_length(data: bytes) -> int:

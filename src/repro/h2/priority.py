@@ -18,7 +18,7 @@ starved until the HTML finishes or blocks (Fig. 5a).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Collection, Dict, Optional, Set
 
 from ..errors import ProtocolError
 from .constants import DEFAULT_WEIGHT
@@ -36,6 +36,11 @@ class PriorityNode:
         self.weight = weight
         #: WFQ virtual time among siblings; lower is served first.
         self.virtual_time = 0.0
+
+
+def _service_order(node: PriorityNode):
+    """Sibling order of service: lowest virtual time, then stream id."""
+    return (node.virtual_time, node.stream_id)
 
 
 class PriorityTree:
@@ -146,17 +151,29 @@ class PriorityTree:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def select(self, ready: Iterable[int]) -> Optional[int]:
+    def select(self, ready: Collection[int]) -> Optional[int]:
         """Pick the stream to serve next among ``ready`` stream ids.
 
         Walks from the root: a ready node wins over its descendants;
         among sibling subtrees that contain ready nodes, the one with
-        the lowest virtual time wins.
+        the lowest virtual time wins.  That is the first ready node of
+        a pre-order walk taking siblings in service order, done here
+        with an explicit stack (a push chain is hundreds deep).
+        ``ready`` is only probed for membership, never copied.
         """
-        ready_set = set(ready)
-        if not ready_set:
+        if not ready:
             return None
-        return self._select_from(self._root, ready_set)
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.stream_id in ready:
+                return node.stream_id
+            children = node.children
+            if len(children) > 1:
+                stack.extend(sorted(children.values(), key=_service_order, reverse=True))
+            else:
+                stack.extend(children.values())
+        return None
 
     def charge(self, stream_id: int, size: int) -> None:
         """Account ``size`` bytes sent on ``stream_id`` for WFQ."""
@@ -164,27 +181,6 @@ class PriorityTree:
         if node is None:
             return
         node.virtual_time += size / max(node.weight, 1)
-
-    def _select_from(self, node: PriorityNode, ready: Set[int]) -> Optional[int]:
-        if node.stream_id in ready:
-            return node.stream_id
-        best_child: Optional[PriorityNode] = None
-        for child in node.children.values():
-            if not self._subtree_has_ready(child, ready):
-                continue
-            if best_child is None or (child.virtual_time, child.stream_id) < (
-                best_child.virtual_time,
-                best_child.stream_id,
-            ):
-                best_child = child
-        if best_child is None:
-            return None
-        return self._select_from(best_child, ready)
-
-    def _subtree_has_ready(self, node: PriorityNode, ready: Set[int]) -> bool:
-        if node.stream_id in ready:
-            return True
-        return any(self._subtree_has_ready(child, ready) for child in node.children.values())
 
     # ------------------------------------------------------------------
     # internals

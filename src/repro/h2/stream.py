@@ -7,10 +7,11 @@ the HTML stream at a byte offset), and flow-control windows.  The body
 is never cut up: :meth:`H2Stream.take_body` hands the pump a
 :class:`~repro.span.Span` of it and advances the cursor.
 
-Hot-path note: the connection pump calls :meth:`wants_to_send` and
-:meth:`sendable_bytes` for every candidate stream on every DATA-frame
-iteration, so the class uses ``__slots__`` and keeps those two methods
-free of property indirection.
+Hot-path note: :meth:`wants_to_send` is the one definition of stream
+readiness — the connection re-evaluates it for a stream whenever one
+of its inputs (queue, send window, pause point, state) changes, and
+calls :meth:`sendable_bytes` for every DATA frame — so the class uses
+``__slots__`` and keeps those two methods free of property indirection.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class H2Stream:
         #: Bytes of the body already handed to the connection pump.
         self.bytes_sent = 0
         #: Absolute body offset the pump must not exceed (None = no cap).
+        #: On a live connection set it through
+        #: ``H2Connection.pause_stream_at``, which re-derives readiness.
         self.pause_at: Optional[int] = None
 
         # --- receive side ---

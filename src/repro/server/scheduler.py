@@ -14,7 +14,7 @@ drain afterwards as usual.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from ..h2.connection import DataScheduler, H2Connection
 
@@ -42,23 +42,21 @@ class InterleavingScheduler(DataScheduler):
 
     def activate(self, conn: H2Connection) -> None:
         """Install the pause point on the parent stream."""
-        parent = conn.streams.get(self.parent_stream_id)
-        if parent is None:
+        if self.parent_stream_id not in conn.streams:
             raise ValueError(f"unknown parent stream {self.parent_stream_id}")
         if not self._finished:
-            parent.pause_at = self.offset
+            conn.pause_stream_at(self.parent_stream_id, self.offset)
         self._activated = True
 
     # ------------------------------------------------------------------
-    def select(self, conn: H2Connection, ready: List[int]) -> Optional[int]:
+    def select(self, conn: H2Connection, ready: Set[int]) -> Optional[int]:
         if not self._finished:
-            ready_set = set(ready)
             # Phase 1: the HTML head, up to the pause offset.
-            if self.parent_stream_id in ready_set:
+            if self.parent_stream_id in ready:
                 return self.parent_stream_id
             # Phase 2: critical pushes, in strategy order.
             for stream_id in self.critical_order:
-                if stream_id in ready_set and stream_id in self._critical_pending:
+                if stream_id in ready and stream_id in self._critical_pending:
                     return stream_id
         # Phase 3: normal priority-tree operation (HTML rest, other pushes).
         return conn.priority_tree.select(ready)
@@ -86,6 +84,5 @@ class InterleavingScheduler(DataScheduler):
 
     def _resume_parent(self, conn: H2Connection) -> None:
         self._finished = True
-        parent = conn.streams.get(self.parent_stream_id)
-        if parent is not None:
-            parent.pause_at = None
+        if self.parent_stream_id in conn.streams:
+            conn.pause_stream_at(self.parent_stream_id, None)

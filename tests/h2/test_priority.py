@@ -116,6 +116,38 @@ class TestScheduling:
         tree.insert(5, depends_on=3)
         assert tree.select({5}) == 5
 
+    def test_push_chain_deeper_than_the_recursion_limit(self):
+        # Pushes form a sequential dependency chain; the walk is a loop,
+        # so chain depth is not bounded by the interpreter's stack.
+        import sys
+
+        tree = PriorityTree()
+        depth = sys.getrecursionlimit() + 50
+        for index in range(depth):
+            tree.insert(2 * index + 1, depends_on=max(2 * index - 1, 0))
+        deepest = 2 * depth - 1
+        assert tree.select({deepest}) == deepest
+        assert tree.select({deepest + 2}) is None  # not in the tree
+
+    def test_ready_subtree_with_lower_virtual_time_wins(self):
+        # Sibling subtrees are taken in service order even when the
+        # ready stream sits below an idle sibling.
+        tree = PriorityTree()
+        tree.insert(1)
+        tree.insert(3)
+        tree.insert(5, depends_on=1)
+        tree.charge(3, 5_000)  # 3 has been served; 1's subtree has not
+        assert tree.select({3, 5}) == 5
+        tree.charge(1, 10_000)
+        assert tree.select({3, 5}) == 3
+
+    def test_select_does_not_touch_the_ready_set(self):
+        tree = PriorityTree()
+        tree.insert(1)
+        tree.insert(3, depends_on=1)
+        ready = frozenset({3})  # a frozenset cannot be mutated or need copying
+        assert tree.select(ready) == 3
+
     def test_promoted_child_does_not_preempt_long_runner(self):
         # Regression test: children promoted on stream close must not
         # restart the WFQ race against a sibling that has been sending.

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from repro.errors import HpackError
 from repro.h2.hpack.huffman import (
     huffman_decode,
-    huffman_decode_reference,
     huffman_encode,
-    huffman_encode_reference,
     huffman_encoded_length,
+)
+from tests.support.huffman_reference import (
+    huffman_decode_reference,
+    huffman_encode_reference,
 )
 
 

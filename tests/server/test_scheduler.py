@@ -122,3 +122,31 @@ def test_cancelled_critical_push_does_not_deadlock():
     client.request(REQUEST, priority=PriorityData(depends_on=0, weight=256))
     sim.run(until=30_000)
     assert 1 in finish  # the HTML still completed
+
+
+def test_pausing_a_sending_stream_takes_effect_on_the_next_frame():
+    """``pause_stream_at`` re-derives the stream's readiness at once: a
+    stream mid-body stops at the offset, and lifting the cap resumes it."""
+    sim, client, server = make_pair()
+    received = []
+
+    def on_request(sid, headers, prio):
+        server.respond(sid, [(":status", "200")])
+        server.send_body(sid, b"h" * 200_000, end_stream=True)
+        assert sid in server._ready
+        server.pause_stream_at(sid, 40_000)
+
+    server.on_request = on_request
+    client.on_data = lambda sid, span: received.append(len(span))
+    finish = {}
+    client.on_stream_end = lambda sid: finish.setdefault(sid, sim.now)
+    sid = client.request(REQUEST, priority=PriorityData(depends_on=0, weight=256))
+    sim.run()
+    assert sum(received) == 40_000 and not finish
+    assert sid not in server._ready and sid in server._send_candidates
+    server.pause_stream_at(sid, None)
+    assert sid in server._ready
+    server._pump()
+    sim.run()
+    assert sum(received) == 200_000 and sid in finish
+    assert not server._ready and not server._send_candidates
