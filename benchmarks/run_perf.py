@@ -6,9 +6,10 @@ Runs two tiers of benchmarks and records the results in
 trajectory behind:
 
 * **protocol micros** — HPACK round trips, frame parsing, Huffman
-  coding; fixed iteration counts, pure wall-clock.  ``--check`` fails
-  if the hpack round trip regresses past the recorded baseline by more
-  than measurement noise.
+  coding; fixed iteration counts, pure wall-clock.  Beside them, the
+  number of Python-level calls one HPACK round trip makes
+  (``sys.setprofile``, so the same on every machine); ``--check`` fails
+  if it rises above the committed ``current`` section's.
 * **end-to-end replay** — a fig-3-shaped grid (small synthetic corpus,
   no-push baseline vs push-all in computed order, serial, cache off),
   timed as a whole.  Alongside the wall time the harness collects
@@ -114,11 +115,6 @@ HUFFMAN_SAMPLE = (
 # ----------------------------------------------------------------------
 # protocol micros
 # ----------------------------------------------------------------------
-#: The hpack round-trip micro may not regress past the recorded
-#: baseline by more than timing noise under ``--check``.
-HPACK_NOISE_FACTOR = 1.15
-
-
 def _time_loop(fn, iterations: int) -> float:
     start = time.perf_counter()
     for _ in range(iterations):
@@ -150,6 +146,41 @@ def run_micros() -> Dict[str, float]:
         "frame_parse_100x500_s": _time_loop(frame_parse, 500),
         "huffman_round_trip_2k_s": _time_loop(huffman_round_trip, 2_000),
     }
+
+
+def count_hpack_calls() -> float:
+    """Python-level calls per HPACK round trip, machine-independent.
+
+    Each block is the micro's header list with its own ``:path``, as
+    every request of a page load has: seven fields the codec should
+    answer from its tables and one literal to insert and — once the
+    table is full — evict for.  (Under constant headers every block
+    after the first is eight index hits, and the insert half of the hot
+    path would go unwatched.)  An uncounted pass goes first, so that
+    what the process encoded earlier cannot move the count: work done
+    once per distinct field per process is not part of it.
+    """
+    blocks = 2_000
+    block_headers = []
+    for index in range(blocks):
+        headers = list(HEADERS)
+        headers[3] = (":path", f"/assets/app-{index:08x}.js")
+        block_headers.append(headers)
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    for profile in (None, count):
+        encoder, decoder = HpackEncoder(), HpackDecoder()
+        sys.setprofile(profile)
+        try:
+            for headers in block_headers:
+                decoder.decode(encoder.encode(headers))
+        finally:
+            sys.setprofile(None)
+    return calls[0] / blocks
 
 
 # ----------------------------------------------------------------------
@@ -538,6 +569,7 @@ def build_section(repetitions: int) -> Dict[str, object]:
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "micros": micros,
+        "hpack_pycalls_per_round_trip": count_hpack_calls(),
         "replay": replay,
         "trace": trace,
         "grid": grid,
@@ -575,6 +607,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     document: Dict[str, object] = {"schema": 1}
     if args.output.exists():
         document = json.loads(args.output.read_text())
+    committed_hpack_calls = document.get("current", {}).get(
+        "hpack_pycalls_per_round_trip"
+    )
     if args.record_baseline:
         document["baseline"] = section
         document.pop("current", None)
@@ -618,6 +653,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"{label} replay wall: {section['replay']['wall_s']:.3f} s")
     for name, value in section["micros"].items():
         print(f"{label} {name}: {value:.3f} s")
+    hpack_calls = section["hpack_pycalls_per_round_trip"]
+    print(f"{label} hpack python calls per round trip: {hpack_calls}")
     grid = section["grid"]
     for name, value in grid["wall_s"].items():
         print(f"{label} grid {name}: {value:.3f} s")
@@ -666,15 +703,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"tracing-off wall {trace['wall_off_s']:.3f}s exceeds the "
                 f"noise bound {bound:.3f}s — disabled hooks are too expensive"
             )
-        if baseline:
-            base_hpack = baseline["micros"].get("hpack_round_trip_2k_s")
-            cur_hpack = section["micros"]["hpack_round_trip_2k_s"]
-            if base_hpack and cur_hpack > base_hpack * HPACK_NOISE_FACTOR:
-                failures.append(
-                    f"hpack round trip {cur_hpack:.4f}s regressed past the "
-                    f"baseline {base_hpack:.4f}s (noise factor "
-                    f"{HPACK_NOISE_FACTOR}x)"
-                )
+        if committed_hpack_calls is not None and hpack_calls > committed_hpack_calls:
+            failures.append(
+                f"an hpack round trip makes {hpack_calls} python calls, up "
+                f"from the committed {committed_hpack_calls}"
+            )
         if optimizer["evaluations_saved"] <= 0:
             failures.append(
                 "successive halving scheduled no fewer arm-runs than "

@@ -66,6 +66,11 @@ _HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
 
 _END_STREAM_RAW = int(Flag.END_STREAM)
 
+#: The flag sets a header block is opened with (``Flag.__or__`` builds
+#: an enum member per call; there is one header block per object).
+_END_HEADERS = Flag.END_HEADERS
+_END_HEADERS_END_STREAM = Flag.END_HEADERS | Flag.END_STREAM
+
 
 class DataScheduler:
     """Default send scheduler: pure RFC 7540 priority-tree order.
@@ -207,7 +212,7 @@ class H2Connection:
             weight=priority.weight if priority else DEFAULT_WEIGHT,
             exclusive=priority.exclusive if priority else False,
         )
-        flags = Flag.END_HEADERS | (Flag.END_STREAM if end_stream else Flag.NONE)
+        flags = _END_HEADERS_END_STREAM if end_stream else _END_HEADERS
         block = self._encoder.encode(headers)
         self._queue_header_block(
             HeadersFrame(stream_id=stream_id, flags=flags, header_block=block, priority=priority)
@@ -222,7 +227,7 @@ class H2Connection:
             # Sending headers on a reserved (pushed) stream opens it.
             stream.state = StreamState.HALF_CLOSED_REMOTE
         stream.response_headers = list(headers)
-        flags = Flag.END_HEADERS | (Flag.END_STREAM if end_stream else Flag.NONE)
+        flags = _END_HEADERS_END_STREAM if end_stream else _END_HEADERS
         block = self._encoder.encode(headers)
         self._queue_header_block(
             HeadersFrame(stream_id=stream_id, flags=flags, header_block=block)
@@ -244,7 +249,7 @@ class H2Connection:
         self._require_stream(stream_id)
         block = self._encoder.encode(headers)
         self._queue_header_block(
-            HeadersFrame(stream_id=stream_id, flags=Flag.END_HEADERS, header_block=block)
+            HeadersFrame(stream_id=stream_id, flags=_END_HEADERS, header_block=block)
         )
         self._pump()
 
@@ -295,7 +300,7 @@ class H2Connection:
         self._queue_header_block(
             PushPromiseFrame(
                 stream_id=parent_stream_id,
-                flags=Flag.END_HEADERS,
+                flags=_END_HEADERS,
                 promised_stream_id=promised_id,
                 header_block=block,
             )
@@ -345,12 +350,13 @@ class H2Connection:
     def _queue_header_block(self, frame) -> None:
         """Queue HEADERS/PUSH_PROMISE, splitting into CONTINUATIONs."""
         max_size = self.remote_settings.max_frame_size
-        if len(frame.payload()) <= max_size:
+        payload_length = frame.payload_length()
+        if payload_length <= max_size:
             self._queue_frame(frame)
             return
         block = frame.header_block
         # Room left in the first frame after non-block payload bytes.
-        overhead = len(frame.payload()) - len(block)
+        overhead = payload_length - len(block)
         first_chunk = max_size - overhead
         frame.header_block = block[:first_chunk]
         frame.flags &= ~Flag.END_HEADERS

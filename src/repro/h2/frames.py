@@ -181,7 +181,7 @@ class HeadersFrame(Frame):
 
     def _effective_flags(self) -> int:
         if self.priority is not None:
-            return int(self.flags | Flag.PRIORITY)
+            return self.flags._value_ | _RAW_PRIORITY
         return int(self.flags)
 
     @classmethod

@@ -5,26 +5,24 @@ dynamic exact match), a literal with incremental indexing and an
 indexed name, and a literal with new name.  String literals use Huffman
 coding when that is shorter.  Sensitive headers (e.g. cookies in some
 deployments) may be emitted as never-indexed literals.
+
+Everything about a field that depends on the ``(name, value)`` pair
+alone — and not on what the dynamic table holds right now — is worked
+out once per distinct pair and kept as a *field plan*; per field,
+:meth:`HpackEncoder.encode` probes the plan memo and then asks the
+dynamic table the one question left: is the entry in there?
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .dynamic_table import DynamicTable
+from .dynamic_table import DynamicTable, entry_size
 from .huffman import huffman_encode, huffman_encoded_length
 from .integers import encode_integer
-from .static_table import lookup_exact, lookup_name
+from .static_table import STATIC_TABLE_SIZE, lookup_exact, lookup_name
 
 Header = Tuple[str, str]
-
-#: Memo for encoded string literals.  Header names and most values
-#: (methods, status codes, content types, hostnames) repeat heavily
-#: across requests, and the Huffman length/encode pass is the single
-#: most expensive step of encoding.  Bounded so pathological value
-#: diversity (e.g. unique URLs) cannot grow it without limit.
-_STRING_MEMO: dict = {}
-_STRING_MEMO_MAX = 8192
 
 #: Indexed header field (pattern ``1xxxxxxx``) for indices that fit the
 #: 7-bit prefix — covers the whole static table and the near end of the
@@ -32,20 +30,63 @@ _STRING_MEMO_MAX = 8192
 _INDEXED_FIELD = tuple(bytes([0x80 | i]) for i in range(127))
 
 
+class _FieldPlan(NamedTuple):
+    """The table-independent part of encoding one header field."""
+
+    #: Lower-cased name, and the ``(name, value)`` tuple that goes into
+    #: the dynamic table and keys its maps (one object, never rebuilt).
+    name: str
+    entry: Header
+    #: ``entry_size(name, value)``.
+    size: int
+    #: The whole field as one octet if the static table has the pair.
+    indexed: Optional[bytes]
+    #: ``01`` pattern with the static name index, if the name has one.
+    name_prefix: Optional[bytes]
+    #: The name as a string literal, if it has no static index.
+    name_literal: Optional[bytes]
+    value_literal: bytes
+
+
+#: Plans by header pair *as passed* (any case), so the hot loop neither
+#: lower-cases nor rebuilds a key.  Names and most values (methods,
+#: status codes, content types, hostnames) repeat heavily across
+#: requests; bounded so pathological value diversity (e.g. unique URLs)
+#: cannot grow it without limit.
+_FIELD_PLANS: dict = {}
+_FIELD_PLANS_MAX = 8192
+
+
 def _encode_string(text: str) -> bytes:
-    cached = _STRING_MEMO.get(text)
-    if cached is not None:
-        return cached
-    raw = text.encode("ascii", errors="replace")
+    raw = text.encode("ascii")
     if huffman_encoded_length(raw) < len(raw):
         huff = huffman_encode(raw)
-        encoded = encode_integer(len(huff), 7, 0x80) + huff
-    else:
-        encoded = encode_integer(len(raw), 7, 0x00) + raw
-    if len(_STRING_MEMO) >= _STRING_MEMO_MAX:
-        _STRING_MEMO.clear()
-    _STRING_MEMO[text] = encoded
-    return encoded
+        return encode_integer(len(huff), 7, 0x80) + huff
+    return encode_integer(len(raw), 7, 0x00) + raw
+
+
+def _plan_field(field: Header) -> _FieldPlan:
+    name, value = field
+    entry = field
+    if name != name.lower():
+        name = name.lower()
+        entry = (name, value)
+    size = entry_size(name, value)  # rejects non-ASCII before any literal is built
+    static_exact = lookup_exact(name, value)
+    static_name = lookup_name(name)
+    plan = _FieldPlan(
+        name=name,
+        entry=entry,
+        size=size,
+        indexed=None if static_exact is None else _INDEXED_FIELD[static_exact],
+        name_prefix=None if static_name is None else bytes([0x40 | static_name]),
+        name_literal=_encode_string(name) if static_name is None else None,
+        value_literal=_encode_string(value),
+    )
+    if len(_FIELD_PLANS) >= _FIELD_PLANS_MAX:
+        _FIELD_PLANS.clear()
+    _FIELD_PLANS[field] = plan
+    return plan
 
 
 class HpackEncoder:
@@ -72,41 +113,56 @@ class HpackEncoder:
     ) -> bytes:
         """Encode a complete header list into a header block."""
         sensitive_names = {name.lower() for name in sensitive} if sensitive else ()
-        out = bytearray()
+        parts: List[bytes] = []
+        append = parts.append
         if self._pending_resize:
             for size in self._pending_resize:
-                out.extend(encode_integer(size, 5, 0x20))
+                append(encode_integer(size, 5, 0x20))
             self._pending_resize.clear()
-        for name, value in headers:
-            name = name.lower()
-            out.extend(self._encode_field(name, value, name in sensitive_names))
-        return bytes(out)
+        plan_of = _FIELD_PLANS.get
+        table = self._table
+        # The table's maps hold live insertion ids only (see
+        # DynamicTable), read here without a call per field.
+        exact_ids = table._exact_ids
+        name_ids = table._name_ids
+        for field in headers:
+            if field.__class__ is not tuple:
+                field = tuple(field)
+            plan = plan_of(field)
+            if plan is None:
+                plan = _plan_field(field)
+            name, entry, size, indexed, name_prefix, name_literal, value_literal = plan
+            if sensitive_names and name in sensitive_names:
+                append(self._never_indexed(plan))
+                continue
+            if indexed is not None:
+                append(indexed)
+                continue
+            entry_id = exact_ids.get(entry)
+            if entry_id is not None:
+                index = STATIC_TABLE_SIZE + table._next_id - entry_id
+                append(_INDEXED_FIELD[index] if index < 127 else encode_integer(index, 7, 0x80))
+                continue
+            # Literal with incremental indexing (pattern 01, 6-bit
+            # prefix).  A dynamic name index is read before the insert
+            # shifts every index by one.
+            if name_prefix is None:
+                name_id = name_ids.get(name)
+                if name_id is None:
+                    append(b"\x40")
+                    append(name_literal)
+                else:
+                    index = STATIC_TABLE_SIZE + table._next_id - name_id
+                    append(encode_integer(index, 6, 0x40))
+            else:
+                append(name_prefix)
+            table.add(entry, size)
+            append(value_literal)
+        return b"".join(parts)
 
-    def _encode_field(self, name: str, value: str, is_sensitive: bool) -> bytes:
-        if is_sensitive:
-            return self._literal(name, value, pattern=0x10, prefix=4, index_name=True)
-        static_exact = lookup_exact(name, value)
-        if static_exact is not None:
-            return _INDEXED_FIELD[static_exact]
-        dynamic_exact, dynamic_name = self._table.find(name, value)
-        if dynamic_exact is not None:
-            if dynamic_exact < 127:
-                return _INDEXED_FIELD[dynamic_exact]
-            return encode_integer(dynamic_exact, 7, 0x80)
-        # Literal with incremental indexing (pattern 01, 6-bit prefix).
-        self._table.add(name, value)
-        name_index = lookup_name(name) or dynamic_name
+    def _never_indexed(self, plan: _FieldPlan) -> bytes:
+        """Literal never indexed (pattern 0001, 4-bit prefix)."""
+        name_index = lookup_name(plan.name) or self._table.find(*plan.entry)[1]
         if name_index is not None:
-            return encode_integer(name_index, 6, 0x40) + _encode_string(value)
-        return bytes([0x40]) + _encode_string(name) + _encode_string(value)
-
-    def _literal(
-        self, name: str, value: str, pattern: int, prefix: int, index_name: bool
-    ) -> bytes:
-        name_index = lookup_name(name) if index_name else None
-        if name_index is None:
-            dynamic_exact, dynamic_name = self._table.find(name, value)
-            name_index = dynamic_name
-        if name_index is not None:
-            return encode_integer(name_index, prefix, pattern) + _encode_string(value)
-        return bytes([pattern]) + _encode_string(name) + _encode_string(value)
+            return encode_integer(name_index, 4, 0x10) + plan.value_literal
+        return b"\x10" + plan.name_literal + plan.value_literal

@@ -124,16 +124,17 @@ class PriorityTree:
         if node is None:
             return
         parent = node.parent if node.parent is not None else self._root
-        existing = [
-            child.virtual_time
-            for child in parent.children.values()
-            if child is not node
-        ]
-        floor = min(existing) if existing else node.virtual_time
-        for child in list(node.children.values()):
-            child.parent = parent
-            child.virtual_time = max(child.virtual_time, floor)
-            parent.children[child.stream_id] = child
+        if node.children:
+            # Only promotion needs the floor; a leaf (every pushed image
+            # below the HTML stream) leaves without scanning its siblings.
+            floor = min(
+                (child.virtual_time for child in parent.children.values() if child is not node),
+                default=node.virtual_time,
+            )
+            for child in list(node.children.values()):
+                child.parent = parent
+                child.virtual_time = max(child.virtual_time, floor)
+                parent.children[child.stream_id] = child
         self._detach(node)
 
     def parent_of(self, stream_id: int) -> Optional[int]:

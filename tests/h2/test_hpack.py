@@ -102,6 +102,10 @@ class TestStaticTable:
         assert lookup_name("x-custom") is None
 
 
+def _add(table, name, value):
+    table.add((name, value), entry_size(name, value))
+
+
 class TestDynamicTable:
     def test_entry_size_includes_overhead(self):
         # RFC 7541 §4.1: name + value + 32.
@@ -109,30 +113,41 @@ class TestDynamicTable:
 
     def test_insertion_and_absolute_indexing(self):
         table = DynamicTable()
-        table.add("x-a", "1")
-        table.add("x-b", "2")
+        _add(table, "x-a", "1")
+        _add(table, "x-b", "2")
         # Most recent entry has the lowest dynamic index.
         assert table.get(STATIC_TABLE_SIZE + 1) == ("x-b", "2")
         assert table.get(STATIC_TABLE_SIZE + 2) == ("x-a", "1")
 
     def test_eviction_at_capacity(self):
         table = DynamicTable(max_size=80)  # fits two tiny entries
-        table.add("a", "1")  # 34
-        table.add("b", "2")  # 34
-        table.add("c", "3")  # evicts "a"
+        _add(table, "a", "1")  # 34
+        _add(table, "b", "2")  # 34
+        _add(table, "c", "3")  # evicts "a"
         assert len(table) == 2
         assert table.get(STATIC_TABLE_SIZE + 2) == ("b", "2")
 
+    def test_eviction_subtracts_the_evicted_entrys_own_size(self):
+        table = DynamicTable(max_size=120)
+        _add(table, "a", "1")  # 34
+        _add(table, "bbbb", "2222")  # 40
+        _add(table, "cc", "33")  # 36, table at 110
+        _add(table, "d", "4")  # 34, evicts "a"
+        assert table.size == 40 + 36 + 34
+        _add(table, "eeeeee", "555555")  # 44, evicts "bbbb"
+        assert table.size == 36 + 34 + 44
+        assert len(table) == 3
+
     def test_oversized_entry_clears_table(self):
         table = DynamicTable(max_size=50)
-        table.add("a", "1")
-        table.add("huge-name", "x" * 100)
+        _add(table, "a", "1")
+        _add(table, "huge-name", "x" * 100)
         assert len(table) == 0
 
     def test_resize_evicts(self):
         table = DynamicTable(max_size=200)
         for index in range(4):
-            table.add(f"h{index}", "v")
+            _add(table, f"h{index}", "v")
         table.resize(40)
         assert table.size <= 40
 
@@ -143,8 +158,8 @@ class TestDynamicTable:
 
     def test_find(self):
         table = DynamicTable()
-        table.add("x", "1")
-        table.add("x", "2")
+        _add(table, "x", "1")
+        _add(table, "x", "2")
         exact, name_only = table.find("x", "1")
         assert exact == STATIC_TABLE_SIZE + 2
         assert name_only == STATIC_TABLE_SIZE + 1
@@ -219,3 +234,158 @@ class TestCodec:
         decoder = HpackDecoder()
         with pytest.raises(HpackError):
             decoder.decode(b"\x80")  # indexed field with index 0
+
+
+class TestNonAscii:
+    """One rule: a non-ASCII header string is an ``HpackError``."""
+
+    def test_decoder_rejects_non_ascii_literal_it_would_index(self):
+        # Used to die with UnicodeEncodeError inside entry_size.
+        with pytest.raises(HpackError):
+            HpackDecoder().decode(bytes([0x40, 1, 0x61, 1, 0xFF]))
+
+    def test_decoder_rejects_non_ascii_literal_it_would_not_index(self):
+        # Used to come back as U+FFFD.
+        with pytest.raises(HpackError):
+            HpackDecoder().decode(bytes([0x00, 1, 0x61, 1, 0xFF]))
+
+    @pytest.mark.parametrize("pair", [("x-a", "café"), ("x-é", "1")])
+    def test_encoder_rejects_non_ascii_field(self, pair):
+        # Used to die with UnicodeEncodeError inside entry_size.
+        encoder = HpackEncoder()
+        with pytest.raises(HpackError):
+            encoder.encode([pair])
+        assert len(encoder.table) == 0
+
+    def test_encoder_rejects_non_ascii_never_indexed_field(self):
+        # Used to write "caf?" through errors="replace".
+        with pytest.raises(HpackError):
+            HpackEncoder().encode([("x-a", "café")], sensitive=["x-a"])
+
+    def test_entry_size_rejects_non_ascii(self):
+        with pytest.raises(HpackError):
+            entry_size("x-a", "café")
+
+
+class TestDecoderFastPathBoundaries:
+    """The one-octet index paths end at 126 (indexed) and 62 (name);
+    one further is the general multi-octet route, and both must agree
+    on ranges and errors."""
+
+    @staticmethod
+    def _decoder_with_entries(count):
+        encoder, decoder = HpackEncoder(), HpackDecoder()
+        for index in range(count):
+            decoder.decode(encoder.encode([("x-n", str(index))]))
+        assert len(decoder.table) == count
+        return decoder
+
+    def test_indexed_126_is_one_octet_and_127_is_two(self):
+        decoder = self._decoder_with_entries(70)
+        # Index 62 is the newest entry ("69"); 126 and 127 are 64 and 65 back.
+        assert decoder.decode(bytes([0x80 | 126])) == [("x-n", "5")]
+        assert decoder.decode(bytes([0xFF, 0x00])) == [("x-n", "4")]
+
+    def test_indexed_one_past_the_table_end(self):
+        decoder = self._decoder_with_entries(3)
+        assert decoder.decode(bytes([0x80 | 64])) == [("x-n", "0")]
+        with pytest.raises(HpackError, match="dynamic table index 65 out of range"):
+            decoder.decode(bytes([0x80 | 65]))
+        full = self._decoder_with_entries(65)  # indices 62..126
+        with pytest.raises(HpackError, match="dynamic table index 127 out of range"):
+            full.decode(bytes([0xFF, 0x00]))
+
+    def test_indexed_zero_rejected(self):
+        with pytest.raises(HpackError, match="index 0"):
+            HpackDecoder().decode(b"\x80")
+
+    def test_static_table_ends_at_61(self):
+        assert HpackDecoder().decode(bytes([0x80 | 61])) == [("www-authenticate", "")]
+        with pytest.raises(HpackError, match="dynamic table index 62 out of range"):
+            HpackDecoder().decode(bytes([0x80 | 62]))
+
+    def test_name_index_62_is_one_octet_and_63_is_two(self):
+        decoder = self._decoder_with_entries(1)
+        decoder.decode(bytes([0x40, 1, 0x61, 1, 0x62]))  # ("a", "b") is now 62
+        assert decoder.decode(bytes([0x40 | 62, 1, 0x63])) == [("a", "c")]
+        # ("a", "c") pushed the others back: 63 is ("a", "b"), 64 is "x-n".
+        assert decoder.decode(bytes([0x7F, 0x01, 1, 0x64])) == [("x-n", "d")]
+        assert decoder.table.get(62) == ("x-n", "d")
+        assert decoder.table.size == entry_size("x-n", "0") + 3 * 34 + 2
+
+    def test_name_index_one_past_the_table_end(self):
+        with pytest.raises(HpackError, match="dynamic table index 62 out of range"):
+            HpackDecoder().decode(bytes([0x40 | 62, 1, 0x63]))
+        decoder = self._decoder_with_entries(1)
+        with pytest.raises(HpackError, match="dynamic table index 63 out of range"):
+            decoder.decode(bytes([0x7F, 0x00, 1, 0x63]))
+        assert len(decoder.table) == 1
+
+    def test_name_index_zero_is_a_new_name(self):
+        decoder = HpackDecoder()
+        assert decoder.decode(bytes([0x40, 1, 0x61, 1, 0x62])) == [("a", "b")]
+        assert decoder.table.get(62) == ("a", "b")
+
+    def test_string_ending_at_and_past_the_block_end(self):
+        block = bytes([0x40 | 1, 3, 0x61, 0x62, 0x63])  # :authority: abc
+        assert HpackDecoder().decode(block) == [(":authority", "abc")]
+        decoder = HpackDecoder()
+        with pytest.raises(HpackError, match="string literal longer than block"):
+            decoder.decode(block[:-1])
+        with pytest.raises(HpackError, match="string extends past end of block"):
+            decoder.decode(block[:1])
+        assert len(decoder.table) == 0
+
+    def test_size_update_after_a_field_rejected(self):
+        with pytest.raises(HpackError, match="table size update after header fields"):
+            HpackDecoder().decode(bytes([0x82, 0x20]))
+        assert HpackDecoder().decode(bytes([0x20, 0x82])) == [(":method", "GET")]
+
+
+class TestFieldPlans:
+    def test_planned_block_needs_no_size_or_huffman_work(self, monkeypatch):
+        from repro.h2.hpack import dynamic_table, encoder as encoder_module
+
+        headers = TestCodec.REQUEST + [("x-plan-test", "a value long enough to huffman")]
+        expected = HpackEncoder().encode(headers)  # plans every field
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(encoder_module, "entry_size")
+        counted(dynamic_table, "entry_size")
+        counted(encoder_module, "huffman_encode")
+        counted(encoder_module, "huffman_encoded_length")
+        encoder = HpackEncoder()
+        assert encoder.encode(headers) == expected
+        assert len(encoder.encode(headers)) < len(expected)  # dynamic hits now
+        churning = HpackEncoder(max_table_size=100)  # every insert evicts
+        assert churning.encode(headers) == churning.encode(headers)
+        assert calls == []
+        HpackEncoder().encode([("x-plan-test", "never seen before")])
+        assert "entry_size" in calls and "huffman_encoded_length" in calls
+
+    def test_plan_is_shared_across_case_but_keyed_as_passed(self):
+        encoder, decoder = HpackEncoder(), HpackDecoder()
+        block = encoder.encode([("X-Mixed", "1"), ("x-mixed", "1"), ["X-MIXED", "1"]])
+        assert decoder.decode(block) == [("x-mixed", "1")] * 3
+        assert len(encoder.table) == 1
+
+    def test_plan_does_not_remember_the_table(self):
+        # The same field is a literal, then an index, then — after the
+        # table turned over — a literal again.
+        encoder, decoder = HpackEncoder(max_table_size=80), HpackDecoder(max_table_size=80)
+        field = [("x-a", "1")]
+        first = encoder.encode(field)
+        assert encoder.encode(field) == bytes([0x80 | 62])
+        encoder.encode([("x-b", "2"), ("x-c", "3")])  # evicts x-a
+        assert encoder.encode(field) == first
+        for block in (first, bytes([0x80 | 62])):
+            assert decoder.decode(block) == field
