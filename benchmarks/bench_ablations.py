@@ -10,7 +10,7 @@
 from conftest import write_report
 
 from repro.browser.cache import BrowserCache
-from repro.experiments import compute_order_for, run_repeated
+from repro.experiments import ExperimentEngine, run_repeated
 from repro.experiments.report import render_series
 from repro.html import ResourceSpec, ResourceType, WebsiteSpec, build_site
 from repro.replay import ReplayTestbed
@@ -53,19 +53,18 @@ def test_ablation_interleave_offset(benchmark):
 def test_ablation_push_order(benchmark):
     """§4.2.1: varying the push order changes the outcome."""
     spec = s1_loading_screen()
-    built = build_site(spec)
 
     def run_orders():
-        computed = compute_order_for(spec, runs=3, built=built)
+        computed = ExperimentEngine().order_for(spec, runs=3)
         orders = {
             "computed": computed,
             "reversed": list(reversed(computed)),
         }
         rows = []
         for name, order in orders.items():
-            cell = run_repeated(spec, PushAllStrategy(order=order), runs=3, built=built)
+            cell = run_repeated(spec, PushAllStrategy(order=order), runs=3)
             rows.append((name, round(cell.median_si)))
-        baseline = run_repeated(spec, NoPushStrategy(), runs=3, built=built)
+        baseline = run_repeated(spec, NoPushStrategy(), runs=3)
         rows.append(("no_push", round(baseline.median_si)))
         return rows
 

@@ -374,18 +374,13 @@ def run_grid_benchmark(repetitions: int) -> Dict[str, object]:
     # The pool persists across repetitions — exactly how experiment
     # drivers hold it across grids — so reps after the first measure the
     # warm steady state.
-    warm_wall, warm_prints = timed(
-        WarmPoolExecutor(GRID_BENCH_WORKERS, auto_scale=False)
-    )
-    # The production default: auto_scale clamps to the host's cores, so
-    # on small machines this takes the in-process warm path instead of
-    # oversubscribing.
-    warm_auto = WarmPoolExecutor(GRID_BENCH_WORKERS)
-    effective_workers = warm_auto.effective_workers
-    warm_auto_wall, warm_auto_prints = timed(warm_auto)
+    warm_wall, warm_prints = timed(WarmPoolExecutor(GRID_BENCH_WORKERS))
+    # One worker per CPU — the size the CLI clamps ``--jobs`` to; on a
+    # one-CPU host this is the serial executor, not an oversubscribed pool.
+    per_cpu_wall, per_cpu_prints = timed(WarmPoolExecutor())
     # LRU tier: the same grid resubmitted to a warm engine is answered
     # entirely from the in-process memory cache.
-    with WarmPoolExecutor(GRID_BENCH_WORKERS, auto_scale=False) as executor:
+    with WarmPoolExecutor(GRID_BENCH_WORKERS) as executor:
         engine = ExperimentEngine(executor=executor, cache=None)
         grid = _engine_grid(engine)
         engine.run(grid)
@@ -393,19 +388,16 @@ def run_grid_benchmark(repetitions: int) -> Dict[str, object]:
         rerun = engine.run(grid)
         lru_wall = time.perf_counter() - start
         lru_prints = [fingerprint(result) for result in rerun]
-    identical = serial_prints == warm_prints == warm_auto_prints == lru_prints
-    best_warm = min(warm_wall, warm_auto_wall)
+    identical = serial_prints == warm_prints == per_cpu_prints == lru_prints
+    best_warm = min(warm_wall, per_cpu_wall)
+    cpus = os.cpu_count() or 1
     return {
-        "cpus": os.cpu_count() or 1,
-        "workers": {
-            "requested": GRID_BENCH_WORKERS,
-            "forced": GRID_BENCH_WORKERS,
-            "auto_scaled": effective_workers,
-        },
+        "cpus": cpus,
+        "workers": {"forced": GRID_BENCH_WORKERS, "per_cpu": cpus},
         "wall_s": {
             "serial": serial_wall,
             "warm_pool": warm_wall,
-            "warm_auto": warm_auto_wall,
+            "warm_per_cpu": per_cpu_wall,
             "warm_lru_rerun": lru_wall,
         },
         "speedup_warm_vs_serial": round(serial_wall / best_warm, 3),

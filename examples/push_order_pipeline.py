@@ -25,7 +25,7 @@ def main() -> None:
     built = build_site(spec)
 
     # Step 1: traced no-push loads.
-    baseline = run_repeated(spec, NoPushStrategy(), runs=RUNS, built=built)
+    baseline = run_repeated(spec, NoPushStrategy(), runs=RUNS)
     timelines = [result.timeline for result in baseline.results]
 
     # Step 2-3: dependency tree + majority vote.
@@ -40,9 +40,7 @@ def main() -> None:
     print(f"\n{'strategy':<10} {'PLT':>8} {'SpeedIndex':>11}")
     print(f"{'no_push':<10} {baseline.median_plt:7.0f}ms {baseline.median_si:10.0f}ms")
     for n in (1, 5, 10):
-        cell = run_repeated(
-            spec, PushFirstNStrategy(n, order=order), runs=RUNS, built=built
-        )
+        cell = run_repeated(spec, PushFirstNStrategy(n, order=order), runs=RUNS)
         print(f"{cell.strategy:<10} {cell.median_plt:7.0f}ms {cell.median_si:10.0f}ms")
 
 

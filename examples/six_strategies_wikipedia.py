@@ -16,7 +16,6 @@ Run:  python examples/six_strategies_wikipedia.py
 """
 
 from repro.experiments import run_repeated
-from repro.html import build_site
 from repro.metrics import confidence_interval, relative_change
 from repro.sites.realworld import w1_wikipedia
 from repro.strategies.critical import build_strategy_suite
@@ -33,10 +32,7 @@ def main() -> None:
     baseline = None
     print(f"{'deployment':<26} {'ΔSpeedIndex':>14} {'pushed':>10}")
     for deployment in suite:
-        built = build_site(deployment.spec)
-        cell = run_repeated(
-            deployment.spec, deployment.strategy, runs=RUNS, built=built
-        )
+        cell = run_repeated(deployment.spec, deployment.strategy, runs=RUNS)
         if deployment.name == "no_push":
             baseline = cell
             print(f"{deployment.name:<26} {'(baseline)':>14} {0.0:>8.1f}KB"

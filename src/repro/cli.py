@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -92,9 +93,10 @@ def _engine_from_args(args):
 
     The returned engine is a context manager; commands use ``with`` so
     the warm worker pool is shut down when the command finishes.
+    ``--jobs`` is clamped to the CPU count here, where the user-typed
+    value arrives: oversubscribing a CPU-bound simulator only adds
+    scheduler churn.
     """
-    from pathlib import Path
-
     from .experiments.engine import (
         ExperimentEngine,
         ParallelExecutor,
@@ -103,8 +105,8 @@ def _engine_from_args(args):
         default_cache_dir,
     )
 
-    jobs = getattr(args, "jobs", 1)
-    if jobs and jobs > 1:
+    jobs = min(getattr(args, "jobs", 1) or 1, os.cpu_count() or 1)
+    if jobs > 1:
         executor = ParallelExecutor(jobs, chunk_runs=getattr(args, "chunk", None))
     else:
         executor = SerialExecutor()
@@ -238,7 +240,8 @@ def _run_fig(args, engine, exp) -> int:
     if figure == "1":
         print(exp.run_fig1().render())
     elif figure == "2":
-        print(exp.run_fig2(exp.Fig2Config(sites=args.sites, runs=args.runs)).render())
+        config = exp.Fig2Config(sites=args.sites, runs=args.runs)
+        print(exp.run_fig2(config, engine=engine).render())
     elif figure == "3":
         config = exp.Fig3Config(sites=args.sites, runs=args.runs)
         print(exp.run_fig3a(config, engine=engine).render())
@@ -279,8 +282,6 @@ def cmd_fig7(args) -> int:
     else:
         config = exp.Fig7Config(runs=args.runs)
     if args.burst:
-        import dataclasses
-
         config = dataclasses.replace(config, burst=True)
     with _engine_from_args(args) as engine:
         print(exp.run_fig7(config, engine=engine).render())
@@ -300,7 +301,6 @@ def cmd_fig8(args) -> int:
         print(result.render())
         if args.fingerprints:
             import json
-            from pathlib import Path
 
             Path(args.fingerprints).write_text(
                 json.dumps(result.cell_fingerprints(), indent=2, sort_keys=True)
@@ -355,8 +355,6 @@ def cmd_trace(args) -> int:
         print()
     print(render_diff(diff_traces(trace_a, trace_b)))
     if args.qlog:
-        from pathlib import Path
-
         out = Path(args.qlog)
         out.mkdir(parents=True, exist_ok=True)
         for trace in (trace_a, trace_b):
@@ -382,8 +380,6 @@ def cmd_population(args) -> int:
         result = run_population(config, engine=engine)
         print(render_population(result))
         if args.json:
-            from pathlib import Path
-
             Path(args.json).write_text(
                 json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",
@@ -475,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     order.set_defaults(func=cmd_order)
 
     fig = sub.add_parser("fig", help="regenerate a figure of the paper")
-    fig.add_argument("figure", help="1, 2, 3, 3a, 3b, 4, 5, 6, or 7")
+    fig.add_argument("figure", help="1, 2, 3, 3a, 3b, 4, 5, 6, 7, or 8")
     fig.add_argument("--sites", type=int, default=10)
     fig.add_argument("--runs", type=int, default=5)
     _add_engine_options(fig)

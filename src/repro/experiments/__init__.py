@@ -29,8 +29,6 @@ from .runner import (
     PAPER_RUNS,
     CellResult,
     RepeatedResult,
-    compute_order_for,
-    run_reduced,
     run_repeated,
 )
 from .tables import (
@@ -82,7 +80,6 @@ __all__ = [
     "RunStats",
     "TypeAnalysisConfig",
     "TypeAnalysisResult",
-    "compute_order_for",
     "make_mechanism_site",
     "make_test_site",
     "reducer_for",
@@ -96,7 +93,6 @@ __all__ = [
     "run_fig7",
     "run_fig8",
     "run_pushable_share",
-    "run_reduced",
     "run_repeated",
     "run_type_analysis",
     "summarize_results",

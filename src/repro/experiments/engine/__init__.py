@@ -6,7 +6,6 @@ executed serially (reference behaviour), in parallel across a warm
 persistent worker pool, or straight from the two-tier result cache.
 """
 
-from .arena import CorpusArena
 from .cache import (
     CACHE_ENV_VAR,
     MemoryResultCache,
@@ -20,7 +19,6 @@ from .executors import (
     ParallelExecutor,
     SerialExecutor,
     WarmPoolExecutor,
-    execute_cell,
     plan_chunks,
 )
 from .fingerprint import fingerprint
@@ -30,7 +28,6 @@ __all__ = [
     "CACHE_ENV_VAR",
     "Cell",
     "CellRecord",
-    "CorpusArena",
     "Executor",
     "ExperimentEngine",
     "Grid",
@@ -41,7 +38,6 @@ __all__ = [
     "SerialExecutor",
     "WarmPoolExecutor",
     "default_cache_dir",
-    "execute_cell",
     "fingerprint",
     "plan_chunks",
 ]

@@ -2,15 +2,15 @@
 
 A :class:`Cell` is the unit of measurement everywhere in the package:
 one (site spec, strategy, network conditions, repetition count, seed)
-tuple, replayed ``runs`` times by :func:`repro.experiments.runner.
-run_repeated`.  A :class:`Grid` is an ordered batch of cells submitted
-to the engine together; executors may run them in any order, but
-results always come back positionally aligned with ``grid.cells``.
+tuple, replayed ``runs`` times by :func:`repro.experiments.engine.
+executors.replay_runs`.  A :class:`Grid` is an ordered batch of cells
+submitted to the engine together; executors may run them in any order,
+but results always come back positionally aligned with ``grid.cells``.
 
 Cells carry *data only* — no callables, no pre-built sites — so they
-can be pickled to worker processes and fingerprinted for the result
-cache.  Workers rebuild :class:`BuiltSite` from the spec, which is
-deterministic.
+can be pickled to worker processes (every chunk message carries its
+cell) and fingerprinted for the result cache.  Workers rebuild
+:class:`BuiltSite` from the spec, which is deterministic.
 """
 
 from __future__ import annotations

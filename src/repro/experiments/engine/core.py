@@ -109,8 +109,8 @@ class ExperimentEngine:
         """Evaluate a single cell through the cache + executor path.
 
         Same-spec cells share one built site and record database via
-        the serial executor's site memo (``executors._memoized_site``),
-        so repeated ``run_cell`` calls do not rebuild the site.
+        the executors' site memo (``executors._memoized_site``), so
+        repeated ``run_cell`` calls do not rebuild the site.
         """
         return self.run(Grid(name=cell.describe(), cells=[cell]))[0]
 

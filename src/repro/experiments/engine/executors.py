@@ -4,14 +4,19 @@
   the reference behaviour, bit-for-bit identical to the historical
   hand-rolled experiment loops.
 * :class:`WarmPoolExecutor` (exported as ``ParallelExecutor``) fans
-  work out across a **persistent pool of warm worker processes**.  The
-  grid's cells and built sites are pickled once into a shared read-only
-  :class:`~.arena.CorpusArena` (workers mmap it and lazily memoize the
-  segments they touch), a cell's N seeded repeats fan out as
-  independent run-range chunks, and a size-aware scheduler dispatches
-  the largest chunks first so stragglers cannot serialize the tail.
-  Results are reassembled in run order, so they are bit-identical to
-  :class:`SerialExecutor` regardless of scheduling.
+  work out across a **persistent pool of warm worker processes**.  A
+  cell's N seeded repeats fan out as independent run-range chunks, a
+  size-aware scheduler dispatches the largest chunks first so
+  stragglers cannot serialize the tail, and every chunk message
+  carries its own cell — the protocol is stateless, so a worker stays
+  warm across grids.  Results are reassembled in run order, so they
+  are bit-identical to :class:`SerialExecutor` regardless of
+  scheduling.
+
+Both executors replay through one function, :func:`replay_runs` — the
+§4.1 loop over a run range — behind one bounded, content-keyed site
+memo (:func:`_memoized_site`): in the parent for the serial path, in
+each worker process for the pool.
 
 All executors expose ``run(cells, on_result)``: ``on_result(index,
 result, wall_ms)`` fires as each cell finishes (in completion order for
@@ -31,7 +36,7 @@ aggregation exactly.
 Fault tolerance: each worker owns a duplex pipe; the parent waits on
 pipes and process sentinels together, so a crashed or SIGKILLed worker
 is detected immediately, its in-flight chunk is requeued (bounded by
-``max_retries``), and a replacement worker is spawned.  Cells that fail
+``_MAX_RETRIES``), and a replacement worker is spawned.  Cells that fail
 permanently are reported via :class:`~repro.errors.ExecutorError` after
 the rest of the grid completes — never as a raw ``BrokenProcessPool``.
 """
@@ -45,7 +50,6 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing import connection
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ExecutorError, ExperimentError
@@ -54,8 +58,7 @@ from ...netsim.conditions import DSL_TESTBED, FixedConditions
 from ...replay.recorder import record_site
 from ...sites.corpus import replay_weight
 from ..reducers import reducer_for
-from ..runner import CellResult, run_reduced, run_single
-from .arena import CorpusArena
+from ..runner import CellResult, run_single
 from .cell import Cell
 from .fingerprint import fingerprint
 
@@ -66,19 +69,25 @@ ResultCallback = Callable[[int, CellResult, float], None]
 #: stealing has slack without drowning the pipes in tiny messages.
 _CHUNKS_PER_WORKER = 4
 
+#: How often a chunk is requeued after worker crashes before its cell is
+#: reported as permanently failed.
+_MAX_RETRIES = 2
 
-#: Serial-path site memo: same-spec cells share one ``BuiltSite`` and
-#: one ``RecordDatabase`` the way every warm-pool worker already does
-#: (``_run_warm_serial``/``_worker_main``).  Both are read-only during
-#: replay, ``_site_key`` is a content fingerprint of the spec, and
+#: Site memo: same-spec cells share one ``BuiltSite`` and one
+#: ``RecordDatabase`` — in this process for the serial path, in each
+#: worker process for the pool.  Both are read-only during replay, the
+#: key is a content fingerprint of the spec, and
 #: ``build_site``/``record_site`` are deterministic, so the memo is
 #: invisible in every result.
 _SITE_MEMO_MAX = 8
 _site_memo: "OrderedDict[str, Tuple[BuiltSite, object]]" = OrderedDict()
 
 
-def _memoized_site(cell: Cell) -> Tuple[BuiltSite, object]:
-    key = _site_key(cell)
+def _site_key(cell: Cell) -> str:
+    return fingerprint({"site": cell.spec})
+
+
+def _memoized_site(cell: Cell, key: str) -> Tuple[BuiltSite, object]:
     entry = _site_memo.get(key)
     if entry is None:
         built = build_site(cell.spec)
@@ -89,31 +98,45 @@ def _memoized_site(cell: Cell) -> Tuple[BuiltSite, object]:
     return entry
 
 
-def execute_cell(cell: Cell) -> CellResult:
-    """Run one cell to completion.
+def replay_runs(
+    cell: Cell, run_lo: int, run_hi: int, site_key: Optional[str] = None
+) -> list:
+    """The §4.1 loop over runs ``[run_lo, run_hi)`` of one cell.
 
-    The cell's reducer folds each run as it finishes — for ``summary``
-    cells no full :class:`PageLoadResult` outlives its own replay.
+    Returns the per-run payloads in run order.  The cell's reducer
+    folds each run as it finishes — for ``summary`` cells only the
+    bounded payload is kept (and, in a pool worker, crosses the pipe);
+    no full :class:`PageLoadResult` outlives its own replay.
+    ``site_key`` is the cell's :func:`_site_key` when the caller
+    already has it (the pool computes it once per cell, not per chunk).
     """
-    built, db = _memoized_site(cell)
-    return run_reduced(
-        cell.spec,
-        cell.strategy,
-        runs=cell.runs,
-        reducer=reducer_for(cell.reduce),
-        conditions=cell.conditions,
-        built=built,
-        seed_base=cell.seed_base,
-        db=db,
-        trace=cell.trace,
-        trace_key=cell.key() if cell.trace is not None else None,
+    built, db = _memoized_site(cell, site_key or _site_key(cell))
+    sampler = cell.conditions or FixedConditions(DSL_TESTBED)
+    # The trace key is a pure function of the cell, so every worker and
+    # the parent agree on the trace artifact names.
+    trace_key = cell.key() if cell.trace is not None else None
+    fold = reducer_for(cell.reduce).fold
+    return [
+        fold(
+            run_single(
+                built,
+                db,
+                cell.strategy,
+                run_index,
+                sampler=sampler,
+                seed_base=cell.seed_base,
+                trace=cell.trace,
+                trace_key=trace_key,
+            )
+        )
+        for run_index in range(run_lo, run_hi)
+    ]
+
+
+def _assemble(cell: Cell, payloads: list) -> CellResult:
+    return reducer_for(cell.reduce).assemble(
+        cell.spec.name, cell.strategy_name, payloads
     )
-
-
-def _timed_execute(cell: Cell) -> Tuple[CellResult, float]:
-    started = time.perf_counter()
-    result = execute_cell(cell)
-    return result, (time.perf_counter() - started) * 1000.0
 
 
 class Executor:
@@ -144,7 +167,9 @@ class SerialExecutor(Executor):
     ) -> List[CellResult]:
         results: List[CellResult] = []
         for index, cell in enumerate(cells):
-            result, wall_ms = _timed_execute(cell)
+            started = time.perf_counter()
+            result = _assemble(cell, replay_runs(cell, 0, cell.runs))
+            wall_ms = (time.perf_counter() - started) * 1000.0
             results.append(result)
             if on_result is not None:
                 on_result(index, result, wall_ms)
@@ -207,7 +232,7 @@ class _CellAssembler:
     *reduced segments* (per-run payloads, already folded worker-side by
     the cell's reducer) are keyed by run range and concatenated in
     ascending run order once the cell is complete — the exact
-    aggregation order of the serial ``run_reduced`` loop, making the
+    aggregation order of the serial loop, making the
     reduction independent of scheduling by construction.  Concatenation
     of ordered segments is associative, so any chunk geometry yields
     the same payload sequence and hence a bit-identical assembly.
@@ -237,103 +262,36 @@ class _CellAssembler:
         ordered: list = []
         for lo in sorted(parts):
             ordered.extend(parts[lo])
-        assembled = reducer_for(cell.reduce).assemble(
-            cell.spec.name, cell.strategy_name, ordered
-        )
-        return assembled, self._walls[cell_index]
-
-
-def _site_key(cell: Cell) -> str:
-    return fingerprint({"arena_site": cell.spec})
+        return _assemble(cell, ordered), self._walls[cell_index]
 
 
 def _worker_main(conn) -> None:
-    """Warm worker loop: receive a grid arena once, then run chunks.
+    """Warm worker loop: replay ``("chunk", ...)`` messages until ``("stop",)``.
 
-    Per-grid state (arena segments, built sites, record databases) is
-    memoized across chunks and cells — the whole point of keeping the
-    process warm.  Cell-level exceptions are reported as structured
-    ``("error", ...)`` messages; only a crash (signal, interpreter
-    death) silently drops a chunk, which the parent detects via the
-    process sentinel.
+    Every chunk carries its own cell, so the worker holds no per-grid
+    state; the built sites and record databases it replays sit in the
+    process's site memo and stay warm across chunks, cells and grids.
+    Cell-level exceptions are reported as structured ``("error", ...)``
+    messages; only a crash (signal, interpreter death) silently drops a
+    chunk, which the parent detects via the process sentinel.
     """
-    arena: Optional[CorpusArena] = None
-    cells: Optional[List[Cell]] = None
-    site_keys: Optional[List[str]] = None
-    built_memo: Dict[str, BuiltSite] = {}
-    db_memo: Dict[str, object] = {}
     try:
         while True:
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-            kind = msg[0]
-            if kind == "grid":
-                if arena is not None:
-                    arena.close()
-                cells = site_keys = None
-                built_memo.clear()
-                db_memo.clear()
-                try:
-                    arena = CorpusArena(Path(msg[1]))
-                except Exception:
-                    # The parent may already have dropped this arena
-                    # (its run ended while the message was in flight);
-                    # chunks against it are answered with an error, and
-                    # the next grid message replaces it.
-                    arena = None
-            elif kind == "chunk":
-                _, chunk_id, cell_index, run_lo, run_hi = msg
-                try:
-                    if arena is None:
-                        raise ExperimentError("chunk received before any grid")
-                    if cells is None:
-                        cells = arena.load("cells")
-                        site_keys = arena.load("sites")
-                    cell = cells[cell_index]
-                    key = site_keys[cell_index]
-                    built = built_memo.get(key)
-                    if built is None:
-                        built = built_memo[key] = arena.load("site:" + key)
-                    db = db_memo.get(key)
-                    if db is None:
-                        db = db_memo[key] = record_site(built)
-                    sampler = cell.conditions or FixedConditions(DSL_TESTBED)
-                    # Workers recompute the cell key themselves — it is
-                    # a pure function of the cell, so every worker and
-                    # the parent agree on the trace artifact names.
-                    trace_key = cell.key() if cell.trace is not None else None
-                    # Fold worker-side: for summary cells only the
-                    # bounded per-run payload crosses the pipe, and no
-                    # full PageLoadResult outlives its own replay.
-                    reducer = reducer_for(cell.reduce)
-                    started = time.perf_counter()
-                    results = [
-                        reducer.fold(
-                            run_single(
-                                cell.spec,
-                                cell.strategy,
-                                run_index,
-                                sampler=sampler,
-                                built=built,
-                                seed_base=cell.seed_base,
-                                db=db,
-                                trace=cell.trace,
-                                trace_key=trace_key,
-                            )
-                        )
-                        for run_index in range(run_lo, run_hi)
-                    ]
-                    wall_ms = (time.perf_counter() - started) * 1000.0
-                    conn.send(("done", chunk_id, results, wall_ms))
-                except BaseException as exc:  # noqa: BLE001 — reported upstream
-                    conn.send(("error", chunk_id, f"{type(exc).__name__}: {exc}"))
-            elif kind == "stop":
+            if msg[0] == "stop":
                 break
+            _, chunk_id, cell, site_key, run_lo, run_hi = msg
+            try:
+                started = time.perf_counter()
+                results = replay_runs(cell, run_lo, run_hi, site_key)
+                wall_ms = (time.perf_counter() - started) * 1000.0
+                conn.send(("done", chunk_id, results, wall_ms))
+            except BaseException as exc:  # noqa: BLE001 — reported upstream
+                conn.send(("error", chunk_id, f"{type(exc).__name__}: {exc}"))
     finally:
-        if arena is not None:
-            arena.close()
         try:
             conn.close()
         except OSError:
@@ -392,38 +350,26 @@ class WarmPoolExecutor(Executor):
         self,
         max_workers: Optional[int] = None,
         chunk_runs: Optional[int] = None,
-        max_retries: int = 2,
-        auto_scale: bool = True,
     ):
-        """``auto_scale`` clamps the worker count to the CPU count —
-        oversubscribing a CPU-bound simulator only adds scheduler churn
-        — and is disabled by tests that must exercise the real pool on
-        small machines.  ``chunk_runs`` pins the maximum runs per chunk
-        (``None`` auto-sizes per grid); ``max_retries`` bounds how often
-        a chunk may be requeued after worker crashes before its cell is
-        reported as permanently failed."""
-        self.requested_workers = int(max_workers or os.cpu_count() or 1)
-        self.cpus = os.cpu_count() or 1
-        self.auto_scale = auto_scale
-        self.effective_workers = (
-            min(self.requested_workers, self.cpus) if auto_scale else self.requested_workers
-        )
+        """``max_workers`` is the number of worker processes the pool
+        runs (``None``: one per CPU); it is taken as given, so a caller
+        holding a user-typed count clamps it first (the CLI does).
+        ``chunk_runs`` pins the maximum runs per chunk (``None``
+        auto-sizes per grid)."""
+        self.workers = int(max_workers or os.cpu_count() or 1)
         self.chunk_runs = chunk_runs
-        self.max_retries = max_retries
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
         self._workers: List[_WorkerHandle] = []
         self._next_worker_id = 0
-        self._arena_path: Optional[str] = None
         self._closed = False
         #: Test hook: called as ``hook(worker, chunk)`` right before a
         #: chunk is dispatched — fault-injection tests SIGKILL the
         #: worker here to exercise a deterministic crash point.
         self._dispatch_hook: Optional[Callable[[_WorkerHandle, Chunk], None]] = None
         self.stats: Dict[str, int] = {
-            "grids": 0,
             "chunks_dispatched": 0,
             "retries": 0,
             "respawns": 0,
@@ -439,93 +385,21 @@ class WarmPoolExecutor(Executor):
             raise ExperimentError("executor is closed")
         if not cells:
             return []
-        self.stats["grids"] += 1
-        if self.effective_workers <= 1:
-            return self._run_warm_serial(cells, on_result)
-        arena = self._build_arena(cells)
+        if self.workers <= 1:
+            # A pool of one is the serial executor minus the pipes.
+            return SerialExecutor().run(cells, on_result)
         try:
-            return self._run_pool(cells, arena, on_result)
+            return self._run_pool(cells, on_result)
         finally:
             # Late chunks of failed cells may still be computing; wait
-            # for them so a later run() never reads a stale reply, then
-            # drop the arena (workers keep their mapping until the next
-            # grid message — POSIX keeps the unlinked inode alive).
+            # for them so a later run() never reads a stale reply.
             self._drain_in_flight()
-            self._arena_path = None
-            arena.unlink()
 
     # ------------------------------------------------------------------
-    def _run_warm_serial(
-        self,
-        cells: Sequence[Cell],
-        on_result: Optional[ResultCallback],
-    ) -> List[CellResult]:
-        """In-process path for a single effective worker.
-
-        Skips pool + arena overhead but keeps the warm memoization:
-        built sites and record databases are shared across the cells of
-        the grid, exactly as one pool worker would."""
-        built_memo: Dict[str, BuiltSite] = {}
-        db_memo: Dict[str, object] = {}
-        results: List[CellResult] = []
-        for index, cell in enumerate(cells):
-            key = _site_key(cell)
-            built = built_memo.get(key)
-            if built is None:
-                built = built_memo[key] = build_site(cell.spec)
-            db = db_memo.get(key)
-            if db is None:
-                db = db_memo[key] = record_site(built)
-            sampler = cell.conditions or FixedConditions(DSL_TESTBED)
-            trace_key = cell.key() if cell.trace is not None else None
-            reducer = reducer_for(cell.reduce)
-            started = time.perf_counter()
-            payloads = [
-                reducer.fold(
-                    run_single(
-                        cell.spec,
-                        cell.strategy,
-                        run_index,
-                        sampler=sampler,
-                        built=built,
-                        seed_base=cell.seed_base,
-                        db=db,
-                        trace=cell.trace,
-                        trace_key=trace_key,
-                    )
-                )
-                for run_index in range(cell.runs)
-            ]
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            result = reducer.assemble(
-                cell.spec.name, cell.strategy_name, payloads
-            )
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result, wall_ms)
-        return results
-
-    # ------------------------------------------------------------------
-    def _build_arena(self, cells: Sequence[Cell]) -> CorpusArena:
-        """Pickle the grid's shared inputs once, keyed by content hash."""
-        segments: Dict[str, object] = {}
-        site_keys: List[str] = []
-        for cell in cells:
-            key = _site_key(cell)
-            site_keys.append(key)
-            name = "site:" + key
-            if name not in segments:
-                segments[name] = build_site(cell.spec)
-        segments["cells"] = list(cells)
-        segments["sites"] = site_keys
-        return CorpusArena.create(segments)
-
     def _spawn_worker(self) -> _WorkerHandle:
         worker = _WorkerHandle(self._ctx, self._next_worker_id)
         self._next_worker_id += 1
         self._workers.append(worker)
-        if self._arena_path is not None:
-            worker.conn.send(("grid", self._arena_path))
         return worker
 
     def _ensure_workers(self) -> None:
@@ -537,7 +411,7 @@ class WarmPoolExecutor(Executor):
             else:
                 worker.reap()
         self._workers = alive
-        while len(self._workers) < self.effective_workers:
+        while len(self._workers) < self.workers:
             self._spawn_worker()
 
     def _drain_in_flight(self) -> None:
@@ -561,10 +435,10 @@ class WarmPoolExecutor(Executor):
     def _run_pool(
         self,
         cells: Sequence[Cell],
-        arena: CorpusArena,
         on_result: Optional[ResultCallback],
     ) -> List[CellResult]:
-        chunks = plan_chunks(cells, self.effective_workers, self.chunk_runs)
+        chunks = plan_chunks(cells, self.workers, self.chunk_runs)
+        site_keys = [_site_key(cell) for cell in cells]
         queue: deque = deque(chunks)
         assembler = _CellAssembler(cells)
         results: List[Optional[CellResult]] = [None] * len(cells)
@@ -573,10 +447,7 @@ class WarmPoolExecutor(Executor):
         unfinished = set(range(len(cells)))
         next_chunk_id = 0
 
-        self._arena_path = str(arena.path)
         self._ensure_workers()
-        for worker in self._workers:
-            worker.conn.send(("grid", self._arena_path))
 
         def fail_cell(cell_index: int, reason: str) -> None:
             failed.setdefault(cell_index, reason)
@@ -595,7 +466,7 @@ class WarmPoolExecutor(Executor):
                     count = retries.get(chunk.key, 0) + 1
                     retries[chunk.key] = count
                     self.stats["retries"] += 1
-                    if count > self.max_retries:
+                    if count > _MAX_RETRIES:
                         fail_cell(
                             chunk.cell_index,
                             f"worker crashed {count} times on runs "
@@ -659,8 +530,10 @@ class WarmPoolExecutor(Executor):
                 if self._dispatch_hook is not None:
                     self._dispatch_hook(worker, chunk)
                 try:
+                    index = chunk.cell_index
                     worker.conn.send(
-                        ("chunk", chunk_id, chunk.cell_index, chunk.run_lo, chunk.run_hi)
+                        ("chunk", chunk_id, cells[index], site_keys[index],
+                         chunk.run_lo, chunk.run_hi)
                     )
                 except (BrokenPipeError, OSError):
                     # The worker died under us; account the chunk as

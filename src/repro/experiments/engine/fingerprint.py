@@ -4,8 +4,9 @@ The result cache is *content-addressed*: a finished cell is stored
 under a key derived from everything that determines its outcome — the
 website spec, the strategy configuration, the network conditions, the
 repetition count, and the seed base.  Two cells with the same key are
-guaranteed to produce bit-identical :class:`RepeatedResult`s (the
-testbed is deterministic), so a hit can be returned without re-running.
+guaranteed to produce bit-identical results — a ``RepeatedResult`` or
+a ``CellSummary``, as the cell's reducer decides — because the testbed
+is deterministic, so a hit can be returned without re-running.
 
 Fingerprinting walks arbitrary experiment objects (dataclasses, plain
 objects, enums, containers) into a canonical JSON document and hashes

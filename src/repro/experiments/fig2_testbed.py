@@ -11,14 +11,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List, Optional
 
 from ..metrics.stats import fraction_below
 from ..netsim.conditions import FixedConditions, InternetConditions
-from ..sites.corpus import RANDOM_100_PROFILE, CorpusSite, generate_corpus
+from ..sites.corpus import RANDOM_100_PROFILE, generate_corpus
 from ..strategies.simple import NoPushStrategy, PushListStrategy
+from .engine import ExperimentEngine, Grid
 from .report import render_cdf_table, render_fraction
-from .runner import run_repeated
 
 
 @dataclass
@@ -96,37 +96,32 @@ class Fig2Result:
         return "\n".join(lines)
 
 
-def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
+def run_fig2(
+    config: Fig2Config = Fig2Config(),
+    engine: Optional[ExperimentEngine] = None,
+) -> Fig2Result:
+    engine = engine or ExperimentEngine()
     corpus = generate_corpus(RANDOM_100_PROFILE, config.sites, seed=config.seed)
     result = Fig2Result()
-    testbed_conditions = FixedConditions()
-    internet_conditions = InternetConditions()
+    grid = Grid(name="fig2")
+    environments = (("tb", FixedConditions()), ("inet", InternetConditions()))
     for index, site in enumerate(corpus):
-        strategies = {
-            "push": PushListStrategy(site.deployed_push_urls, name="push_deployed"),
-            "no_push": NoPushStrategy(),
-        }
-        cells: Dict[str, Dict[str, object]] = {}
-        for env_name, sampler in (
-            ("tb", testbed_conditions),
-            ("inet", internet_conditions),
-        ):
-            for strat_name, strategy in strategies.items():
-                cells[f"{strat_name}/{env_name}"] = run_repeated(
-                    site.spec,
-                    strategy,
-                    runs=config.runs,
+        push = PushListStrategy(site.deployed_push_urls, name="push_deployed")
+        for env_name, sampler in environments:
+            for strat_name, strategy in (("push", push), ("no_push", NoPushStrategy())):
+                grid.add(
+                    site.spec, strategy, runs=config.runs, seed_base=index,
                     conditions=sampler,
-                    seed_base=index,
+                    label=f"{site.spec.name}/{strat_name}/{env_name}",
                 )
-        result.plt_sigma_testbed.append(cells["push/tb"].plt_std_error)
-        result.si_sigma_testbed.append(cells["push/tb"].si_std_error)
-        result.plt_sigma_internet.append(cells["push/inet"].plt_std_error)
-        result.si_sigma_internet.append(cells["push/inet"].si_std_error)
-        result.delta_plt.append(
-            cells["push/tb"].median_plt - cells["no_push/tb"].median_plt
-        )
-        result.delta_si.append(
-            cells["push/tb"].median_si - cells["no_push/tb"].median_si
-        )
+    cells = engine.run(grid)
+    for push_tb, no_push_tb, push_inet, _no_push_inet in zip(
+        cells[0::4], cells[1::4], cells[2::4], cells[3::4]
+    ):
+        result.plt_sigma_testbed.append(push_tb.plt_std_error)
+        result.si_sigma_testbed.append(push_tb.si_std_error)
+        result.plt_sigma_internet.append(push_inet.plt_std_error)
+        result.si_sigma_internet.append(push_inet.si_std_error)
+        result.delta_plt.append(push_tb.median_plt - no_push_tb.median_plt)
+        result.delta_si.append(push_tb.median_si - no_push_tb.median_si)
     return result

@@ -1,38 +1,35 @@
-"""Shared experiment machinery: repeated runs and reducer aggregation.
+"""Shared experiment machinery: one replayed run and the cell result types.
 
 The paper replays each website 31 times per setting and reports the
-median (§4.1).  ``run_repeated`` is that loop; experiments default to
-fewer repetitions so the benchmark suite stays tractable, and every
-experiment config exposes ``runs`` to restore the paper's 31.
+median (§4.1).  :func:`run_single` is one of those replays; the loop
+over them is :func:`repro.experiments.engine.executors.replay_runs`,
+which every executor calls and :func:`run_repeated` reaches through
+the serial one.  Experiments default to fewer repetitions so the
+benchmark suite stays tractable, and every experiment config exposes
+``runs`` to restore the paper's 31.
 
 Aggregation flows through the reducer protocol of
-:mod:`repro.experiments.reducers`: :func:`run_reduced` folds each run
-into the cell's reducer as it finishes, and :class:`RepeatedResult` —
-the historical collect-everything result — is now a thin shim whose
-aggregate properties delegate to the same :class:`CellSummary`
-reduction the population pipeline uses.  The shim keeps every figure,
-table, and golden record bit-identical while the engine, executors,
-and cache no longer assume a materialized run list.
+:mod:`repro.experiments.reducers`: the loop folds each run into the
+cell's reducer as it finishes, and :class:`RepeatedResult` — the
+historical collect-everything result — is a thin shim whose aggregate
+properties delegate to the same :class:`CellSummary` reduction the
+population pipeline uses.  The shim keeps every figure, table, and
+golden record bit-identical while the engine, executors, and cache do
+not assume a materialized run list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
-from ..browser.cache import BrowserCache
-from ..html.builder import BuiltSite, build_site
+from ..html.builder import BuiltSite
 from ..html.spec import WebsiteSpec
-from ..netsim.conditions import (
-    DSL_TESTBED,
-    ConditionSampler,
-    FixedConditions,
-    NetworkConditions,
-)
+from ..netsim.conditions import ConditionSampler
 from ..replay.testbed import PageLoadResult, ReplayTestbed
 from ..strategies.base import PushStrategy
-from .reducers import CellSummary, RunReducer, reducer_for, summarize_results
+from .reducers import CellSummary, summarize_results
 from .seeds import condition_seed, impairment_seed, load_seed
 
 #: The paper's repetition count per site and setting.
@@ -105,14 +102,12 @@ CellResult = Union[RepeatedResult, CellSummary]
 
 
 def run_single(
-    spec: WebsiteSpec,
+    built: BuiltSite,
+    db,
     strategy: Optional[PushStrategy],
     run_index: int,
-    sampler: Optional[ConditionSampler] = None,
-    built: Optional[BuiltSite] = None,
-    cache_factory: Optional[Callable[[], BrowserCache]] = None,
-    seed_base: int = 0,
-    db=None,
+    sampler: ConditionSampler,
+    seed_base: int,
     trace=None,
     trace_key: Optional[str] = None,
 ) -> PageLoadResult:
@@ -122,10 +117,10 @@ def run_single(
     samplers are stateless between calls, so a single run is independent
     of every other run: executors may replay the runs of one cell in any
     order (or on different worker processes) and still reproduce the
-    serial loop bit for bit.  ``db`` optionally injects a pre-recorded
-    :class:`~repro.replay.recorddb.RecordDatabase` so warm workers skip
-    re-recording the site on every run; the database is read-only during
-    replay, which keeps the reuse invisible in the results.
+    serial loop bit for bit.  ``built`` and ``db`` (its pre-recorded
+    :class:`~repro.replay.recorddb.RecordDatabase`) are shared by every
+    run of every same-spec cell; both are read-only during replay,
+    which keeps the reuse invisible in the results.
 
     ``trace`` (a :class:`repro.trace.store.TraceSpec`) plus ``trace_key``
     (the owning cell's cache key) record this run's wire/event trace and
@@ -134,12 +129,9 @@ def run_single(
     artifact write is atomic, so concurrent workers replaying the same
     run can only produce identical files.
     """
-    sampler = sampler or FixedConditions(DSL_TESTBED)
-    built = built or build_site(spec)
     run_rng = random.Random(condition_seed(seed_base, run_index))
     network = sampler.sample(run_rng)
     testbed = ReplayTestbed(built=built, conditions=network, strategy=strategy, db=db)
-    cache = cache_factory() if cache_factory is not None else None
     tracer = None
     if trace is not None and trace_key is not None:
         from ..trace import BinaryRingSink, ListSink, Tracer
@@ -151,7 +143,6 @@ def run_single(
         )
         tracer = Tracer(sink=sink, meta={"run_index": run_index})
     result = testbed.run(
-        cache=cache,
         seed=load_seed(seed_base, run_index),
         impairment_seed=impairment_seed(seed_base, run_index),
         tracer=tracer,
@@ -169,96 +160,28 @@ def run_single(
     return result
 
 
-def run_reduced(
-    spec: WebsiteSpec,
-    strategy: Optional[PushStrategy],
-    runs: int,
-    reducer: RunReducer,
-    conditions: Optional[ConditionSampler] = None,
-    built: Optional[BuiltSite] = None,
-    cache_factory: Optional[Callable[[], BrowserCache]] = None,
-    seed_base: int = 0,
-    db=None,
-    trace=None,
-    trace_key: Optional[str] = None,
-):
-    """The §4.1 loop as a reduction: fold each run as it finishes.
-
-    Each :class:`PageLoadResult` is handed to ``reducer.fold`` the
-    moment its replay returns, so with a bounded-payload reducer (the
-    population pipeline's ``summary``) the full result — timeline,
-    paint trace, request log — becomes garbage before the next run
-    starts: memory stays constant in ``runs``.  The ``collect``
-    reducer reproduces the historical materialize-everything loop bit
-    for bit.
-    """
-    sampler = conditions or FixedConditions(DSL_TESTBED)
-    built = built or build_site(spec)
-    payloads = [
-        reducer.fold(
-            run_single(
-                spec,
-                strategy,
-                run_index,
-                sampler=sampler,
-                built=built,
-                cache_factory=cache_factory,
-                seed_base=seed_base,
-                db=db,
-                trace=trace,
-                trace_key=trace_key,
-            )
-        )
-        for run_index in range(runs)
-    ]
-    return reducer.assemble(
-        spec.name, strategy.name if strategy else "no_push", payloads
-    )
-
-
 def run_repeated(
     spec: WebsiteSpec,
     strategy: Optional[PushStrategy],
     runs: int,
     conditions: Optional[ConditionSampler] = None,
-    built: Optional[BuiltSite] = None,
-    cache_factory: Optional[Callable[[], BrowserCache]] = None,
     seed_base: int = 0,
-    trace=None,
-    trace_key: Optional[str] = None,
 ) -> RepeatedResult:
     """Load a site ``runs`` times under one strategy and environment.
 
     ``conditions`` samples the network per run — ``FixedConditions``
     reproduces the deterministic testbed, ``InternetConditions`` the
-    variable live measurements of Fig. 2a.  ``trace``/``trace_key``
-    record a per-run trace artifact, see :func:`run_single`.  This is
-    :func:`run_reduced` under the ``collect`` reducer.
+    variable live measurements of Fig. 2a.  This is one ``collect``
+    cell on the serial executor, without an engine or a cache.
     """
-    return run_reduced(
-        spec,
-        strategy,
-        runs,
-        reducer_for("collect"),
-        conditions=conditions,
-        built=built,
-        cache_factory=cache_factory,
+    # The engine package imports this module, so it is imported here.
+    from .engine import Cell, SerialExecutor
+
+    cell = Cell(
+        spec=spec,
+        strategy=strategy,
+        runs=runs,
         seed_base=seed_base,
-        trace=trace,
-        trace_key=trace_key,
+        conditions=conditions,
     )
-
-
-def compute_order_for(
-    spec: WebsiteSpec,
-    runs: int = 5,
-    built: Optional[BuiltSite] = None,
-) -> List[str]:
-    """§4.2 order computation: no-push loads, dependency trees, vote."""
-    from ..strategies.order import computed_push_order
-    from ..strategies.simple import NoPushStrategy
-
-    built = built or build_site(spec)
-    repeated = run_repeated(spec, NoPushStrategy(), runs=runs, built=built)
-    timelines = [result.timeline for result in repeated.results]
-    return computed_push_order(timelines, built.html_url)
+    return SerialExecutor().run([cell])[0]

@@ -7,7 +7,6 @@ from .speedindex import (
     visual_complete_time,
 )
 from .stats import (
-    P2Quantile,
     StreamingMoments,
     TDigest,
     cdf_points,
@@ -23,7 +22,6 @@ from .stats import (
 )
 
 __all__ = [
-    "P2Quantile",
     "StreamingMoments",
     "TDigest",
     "cdf_points",

@@ -14,18 +14,17 @@ Two tiers live side by side:
 * **Streaming accumulators** for population-scale runs where the
   sample can never be materialized: :class:`StreamingMoments`
   (count/mean/min/max/variance via Welford, merged with Chan's
-  parallel update), :class:`P2Quantile` (the Jain/Chlamtac P²
-  estimator — five markers, sequential only), and :class:`TDigest`
-  (a small merging t-digest whose ``merge`` is commutative by
-  construction).  All of them hold O(1) state regardless of how many
-  values they fold, which is what lets cohort accumulators absorb
-  hundreds of thousands of page loads with constant memory.
+  parallel update) and :class:`TDigest` (a small merging t-digest
+  whose ``merge`` is commutative by construction).  Both hold O(1)
+  state regardless of how many values they fold, which is what lets
+  cohort accumulators absorb hundreds of thousands of page loads with
+  constant memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def mean(values: Sequence[float]) -> float:
@@ -77,10 +76,10 @@ def confidence_interval(
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile, q in [0, 100].
 
-    This is the exact oracle: the streaming estimators below
-    (:class:`P2Quantile`, :class:`TDigest`) are tested against it, and
-    anything that has the full sample in hand should use it (or
-    :func:`percentiles` for several quantiles of one series).
+    This is the exact oracle: the streaming estimator below
+    (:class:`TDigest`) is tested against it, and anything that has the
+    full sample in hand should use it (or :func:`percentiles` for
+    several quantiles of one series).
     """
     if not values:
         raise ValueError("percentile of empty sequence")
@@ -209,92 +208,6 @@ class StreamingMoments:
         if self.count < 2:
             return 0.0
         return self.stdev / math.sqrt(self.count)
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P² online quantile estimator (five markers).
-
-    O(1) state and O(1) per value, but strictly *sequential*: marker
-    positions depend on arrival order, so there is no ``merge``.  The
-    population pipeline folds it along the deterministic grid order and
-    uses :class:`TDigest` wherever shards must be combined; the
-    Hypothesis suite bounds its rank error against :func:`percentile`.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float = 0.5):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = q
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def add(self, value: float) -> None:
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for marker in range(cell + 1, 5):
-            self._positions[marker] += 1.0
-        for marker in range(5):
-            self._desired[marker] += self._increments[marker]
-        # Adjust the three interior markers toward their desired ranks.
-        for marker in (1, 2, 3):
-            delta = self._desired[marker] - self._positions[marker]
-            below = self._positions[marker] - self._positions[marker - 1]
-            above = self._positions[marker + 1] - self._positions[marker]
-            if (delta >= 1.0 and above > 1.0) or (delta <= -1.0 and below > 1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(marker, step)
-                if heights[marker - 1] < candidate < heights[marker + 1]:
-                    heights[marker] = candidate
-                else:
-                    heights[marker] = self._linear(marker, step)
-                self._positions[marker] += step
-
-    def _parabolic(self, marker: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[marker] + step / (p[marker + 1] - p[marker - 1]) * (
-            (p[marker] - p[marker - 1] + step)
-            * (h[marker + 1] - h[marker])
-            / (p[marker + 1] - p[marker])
-            + (p[marker + 1] - p[marker] - step)
-            * (h[marker] - h[marker - 1])
-            / (p[marker] - p[marker - 1])
-        )
-
-    def _linear(self, marker: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        other = marker + int(step)
-        return h[marker] + step * (h[other] - h[marker]) / (p[other] - p[marker])
-
-    def value(self) -> float:
-        """Current estimate; exact while fewer than five values seen."""
-        if not self._heights:
-            raise ValueError("quantile of empty accumulator")
-        if len(self._heights) < 5:
-            return _percentile_sorted(self._heights, self.q * 100.0)
-        return self._heights[2]
 
 
 class TDigest:

@@ -12,7 +12,7 @@ protocol:
     stay cache-addressed under their existing keys, whatever the rung
     geometry).  Cells are scheduled **run-major** with arms grouped by
     site variant, so same-spec arms sit next to each other and the
-    serial executor's small site memo builds each variant once per run
+    executors' small site memo builds each variant once per run
     instead of thrashing.
 
 :class:`GridCellEvaluator` (the A/B lab mode)

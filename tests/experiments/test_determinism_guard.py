@@ -222,7 +222,7 @@ def test_warm_pool_fig8_cells_match_golden_record():
     from repro.experiments.engine import WarmPoolExecutor
 
     golden = json.loads(GOLDEN_FIG8_PATH.read_text())
-    with WarmPoolExecutor(max_workers=3, auto_scale=False, chunk_runs=1) as executor:
+    with WarmPoolExecutor(max_workers=3, chunk_runs=1) as executor:
         actual = _evaluate_fig8(executor=executor)
     assert actual == golden
 
@@ -234,7 +234,7 @@ def test_warm_pool_matches_golden_record():
     from repro.experiments.engine import WarmPoolExecutor
 
     golden = json.loads(GOLDEN_PATH.read_text())
-    with WarmPoolExecutor(max_workers=4, auto_scale=False, chunk_runs=1) as executor:
+    with WarmPoolExecutor(max_workers=4, chunk_runs=1) as executor:
         actual = _evaluate(executor=executor)
     assert actual == golden
 
@@ -246,7 +246,7 @@ def test_warm_pool_lossy_cell_matches_golden_record():
     from repro.experiments.engine import WarmPoolExecutor
 
     golden = json.loads(GOLDEN_LOSSY_PATH.read_text())
-    with WarmPoolExecutor(max_workers=3, auto_scale=False, chunk_runs=1) as executor:
+    with WarmPoolExecutor(max_workers=3, chunk_runs=1) as executor:
         actual = _evaluate_lossy(executor=executor)
     assert actual == golden
 

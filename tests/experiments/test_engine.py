@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import compute_order_for, run_repeated
+from repro.experiments import run_repeated
 from repro.experiments.engine import (
     Cell,
     ExperimentEngine,
@@ -21,9 +21,12 @@ from repro.experiments.engine import (
     SerialExecutor,
     fingerprint,
 )
-from repro.experiments.seeds import condition_seed, load_seed
+from repro.experiments.seeds import condition_seed, impairment_seed, load_seed
+from repro.html import build_site
 from repro.netsim.conditions import CABLE, DSL_TESTBED, FixedConditions
+from repro.replay.testbed import ReplayTestbed
 from repro.sites.synthetic import s2_landing, synthetic_sites
+from repro.strategies.order import computed_push_order
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy, PushFirstNStrategy
 
 
@@ -39,20 +42,33 @@ def small_grid() -> Grid:
 # ----------------------------------------------------------------------
 # executors
 # ----------------------------------------------------------------------
+def handrolled_loads(spec, strategy, runs, seed_base=0):
+    """The §4.1 loop spelled out on the bare testbed, no engine."""
+    built = build_site(spec)
+    return [
+        ReplayTestbed(built=built, conditions=DSL_TESTBED, strategy=strategy).run(
+            seed=load_seed(seed_base, run),
+            impairment_seed=impairment_seed(seed_base, run),
+        )
+        for run in range(runs)
+    ]
+
+
 def test_serial_matches_handrolled_loop():
     spec = s2_landing()
-    direct = run_repeated(spec, PushAllStrategy(), runs=2, seed_base=3)
+    direct = handrolled_loads(spec, PushAllStrategy(), runs=2, seed_base=3)
     engine = ExperimentEngine()
     cell = engine.run_cell(Cell(spec=spec, strategy=PushAllStrategy(), runs=2, seed_base=3))
-    assert cell == direct
+    assert cell.results == direct
+    assert run_repeated(spec, PushAllStrategy(), runs=2, seed_base=3) == cell
 
 
 def test_serial_and_parallel_executors_agree():
     grid = small_grid()
     serial = ExperimentEngine(executor=SerialExecutor()).run(grid)
-    # auto_scale=False forces a real multi-process pool even on 1-CPU
-    # machines, so the pooled path is what's actually exercised.
-    with ParallelExecutor(max_workers=2, auto_scale=False) as executor:
+    # The constructor takes the worker count as given, so this is a real
+    # two-process pool even on a 1-CPU machine.
+    with ParallelExecutor(max_workers=2) as executor:
         parallel = ExperimentEngine(executor=executor).run(grid)
     assert len(serial) == len(parallel) == 4
     for left, right in zip(serial, parallel):
@@ -278,8 +294,11 @@ def test_fingerprint_handles_sets_of_enums():
 # shared order memoization
 # ----------------------------------------------------------------------
 def test_order_for_matches_compute_order_for(tmp_path):
+    """Named for the retired ``runner.compute_order_for``; its §4.2
+    steps (no-push loads, dependency trees, vote) are spelled out here."""
     spec = s2_landing()
-    expected = compute_order_for(spec, runs=2)
+    timelines = [load.timeline for load in handrolled_loads(spec, NoPushStrategy(), 2)]
+    expected = computed_push_order(timelines, build_site(spec).html_url)
     engine = ExperimentEngine(cache=ResultCache(tmp_path))
     assert engine.order_for(spec, runs=2) == expected
     # Second call is served from the in-memory memo (no new report).
@@ -328,7 +347,7 @@ def test_internet_conditions_cell_deterministic_across_executors():
         conditions=InternetConditions(),
     )
     serial = ExperimentEngine().run_cell(cell)
-    with ParallelExecutor(max_workers=2, auto_scale=False) as executor:
+    with ParallelExecutor(max_workers=2) as executor:
         parallel = ExperimentEngine(executor=executor).run(Grid(cells=[cell, cell]))
     assert parallel[0] == serial
     assert parallel[1] == serial

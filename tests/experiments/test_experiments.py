@@ -8,6 +8,7 @@ renders a report.
 import pytest
 
 from repro.experiments import (
+    ExperimentEngine,
     Fig1Config,
     Fig2Config,
     Fig3Config,
@@ -15,7 +16,6 @@ from repro.experiments import (
     Fig5Config,
     Fig6Config,
     TypeAnalysisConfig,
-    compute_order_for,
     run_fig1,
     run_fig2,
     run_fig3a,
@@ -40,7 +40,7 @@ def test_run_repeated_median_and_sigma():
 
 def test_compute_order_returns_all_resources():
     spec = s2_landing()
-    order = compute_order_for(spec, runs=2)
+    order = ExperimentEngine().order_for(spec, runs=2)
     assert len(order) == len(spec.resources)
     # CSS must rank ahead of below-fold images.
     assert order[0].endswith("style.css")
@@ -60,6 +60,20 @@ def test_fig2_small():
     # The testbed's whole point: far less variability than the Internet.
     assert max(result.plt_sigma_testbed) < min(result.plt_sigma_internet)
     assert "Fig. 2a" in result.render()
+
+
+def test_fig2_runs_through_the_engine(tmp_path):
+    """Four cells per site in one grid; a second run is all cache hits."""
+    from repro.experiments.engine import ResultCache
+
+    config = Fig2Config(sites=2, runs=2)
+    engine = ExperimentEngine(cache=ResultCache(tmp_path))
+    first = run_fig2(config, engine=engine)
+    assert len(engine.last_report.records) == 8
+    assert not any(record.cache_hit for record in engine.last_report.records)
+    warm = ExperimentEngine(cache=ResultCache(tmp_path))
+    assert run_fig2(config, engine=warm) == first
+    assert all(record.cache_hit for record in warm.last_report.records)
 
 
 def test_fig3a_small():

@@ -5,7 +5,7 @@ matter how a grid is chunked, scheduled, stolen, or retried, every
 observable output — engine fingerprints, PLT checksums, pushed bytes,
 full timelines — is bit-identical to the serial reference.  This module
 asserts that on a mini grid that includes an impaired fig-7 cell, under
-several chunking geometries and on the warm-serial degradation path.
+several chunking geometries and with a pool of one worker.
 """
 
 from __future__ import annotations
@@ -88,9 +88,7 @@ def _identity_facets(results):
 )
 def test_warm_pool_bit_identical_to_serial(serial_reference, workers, chunk_runs):
     grid, serial_results = serial_reference
-    with WarmPoolExecutor(
-        max_workers=workers, chunk_runs=chunk_runs, auto_scale=False
-    ) as executor:
+    with WarmPoolExecutor(max_workers=workers, chunk_runs=chunk_runs) as executor:
         parallel_results = ExperimentEngine(executor=executor, cache=None).run(grid)
     assert _identity_facets(parallel_results) == _identity_facets(serial_results)
     for left, right in zip(serial_results, parallel_results):
@@ -98,10 +96,10 @@ def test_warm_pool_bit_identical_to_serial(serial_reference, workers, chunk_runs
 
 
 def test_warm_serial_degradation_bit_identical(serial_reference):
-    """effective_workers == 1 takes the in-process warm path; the
+    """A pool of one worker runs in-process as the serial executor; the
     shared BuiltSite/RecordDatabase memoization must be invisible."""
     grid, serial_results = serial_reference
-    with WarmPoolExecutor(max_workers=1, auto_scale=False) as executor:
+    with WarmPoolExecutor(max_workers=1) as executor:
         warm_results = ExperimentEngine(executor=executor, cache=None).run(grid)
     assert warm_results == serial_results
 
@@ -111,7 +109,7 @@ def test_pool_reuse_across_grids_is_stateless(serial_reference):
     identical results for the next one — worker-side memoization leaks
     state across grids if anything replay-visible is mutated."""
     grid, serial_results = serial_reference
-    with WarmPoolExecutor(max_workers=2, auto_scale=False) as executor:
+    with WarmPoolExecutor(max_workers=2) as executor:
         engine = ExperimentEngine(executor=executor, cache=None, force=True)
         first = engine.run(grid)
         second = engine.run(grid)

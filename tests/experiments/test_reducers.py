@@ -4,8 +4,8 @@ Three contracts:
 
 * ``RepeatedResult`` is now a shim over the ``summary`` reducer — its
   aggregates must equal a ``summary`` cell's, field for field;
-* a ``summary`` cell is bit-identical across serial, warm-serial, and
-  warm-pool execution under any chunk geometry;
+* a ``summary`` cell is bit-identical across serial and warm-pool
+  execution under any chunk geometry;
 * summary cells round-trip through both cache tiers, and the ``reduce``
   field only enters ``Cell.key()`` when non-default (historical keys
   must not move).
@@ -31,7 +31,7 @@ from repro.experiments.reducers import (
     reducer_for,
     summarize_results,
 )
-from repro.experiments.runner import RepeatedResult, run_reduced, run_repeated
+from repro.experiments.runner import RepeatedResult, run_repeated
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy
 
 
@@ -56,9 +56,9 @@ def test_reducer_registry():
 
 def test_summary_matches_collect_shim(spec):
     collected = run_repeated(spec, PushAllStrategy(), runs=5, seed_base=1)
-    summary = run_reduced(
-        spec, PushAllStrategy(), runs=5, reducer=reducer_for("summary"), seed_base=1
-    )
+    summary = SerialExecutor().run(
+        [Cell(spec=spec, strategy=PushAllStrategy(), runs=5, seed_base=1, reduce="summary")]
+    )[0]
     assert isinstance(collected, RepeatedResult)
     assert isinstance(summary, CellSummary)
     assert collected.summary == summary
@@ -95,19 +95,17 @@ def test_summary_identical_across_executors_and_chunking(spec):
         paired_grid(spec, "summary")
     )
     for chunk_runs in (1, 2, 5):
-        with WarmPoolExecutor(
-            max_workers=2, chunk_runs=chunk_runs, auto_scale=False
-        ) as executor:
+        with WarmPoolExecutor(max_workers=2, chunk_runs=chunk_runs) as executor:
             pooled = ExperimentEngine(executor=executor, cache=None).run(
                 paired_grid(spec, "summary")
             )
         assert pooled == serial, f"chunk_runs={chunk_runs} diverged"
-    # Warm-serial degradation path (effective_workers == 1).
-    with WarmPoolExecutor(max_workers=1, auto_scale=False) as executor:
-        warm_serial = ExperimentEngine(executor=executor, cache=None).run(
+    # A pool of one worker is the serial executor.
+    with WarmPoolExecutor(max_workers=1) as executor:
+        one_worker = ExperimentEngine(executor=executor, cache=None).run(
             paired_grid(spec, "summary")
         )
-    assert warm_serial == serial
+    assert one_worker == serial
 
 
 def test_summary_equals_collect_summary_through_engine(spec):

@@ -1,12 +1,12 @@
-"""Warm pool internals: chunking, assembly, arena, fault tolerance.
+"""Warm pool internals: chunking, assembly, site memo, fault tolerance.
 
 Complements ``test_parallel_identity`` (end-to-end bit-identity) with
 targeted coverage of the scheduler pieces: the chunk planner's
 largest-first order, the property that the assembler's reduction is
-independent of chunk arrival order, the corpus arena round-trip, and
-the crash paths — a SIGKILLed worker mid-grid, a worker that dies on
-the same chunk until the retry budget runs out, and a cell that raises
-deterministically inside a worker.
+independent of chunk arrival order, the bounded site memo both
+executors replay behind, and the crash paths — a SIGKILLed worker
+mid-grid, a worker that dies on the same chunk until the retry budget
+runs out, and a cell that raises deterministically inside a worker.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from hypothesis import strategies as st
 from repro.errors import ExecutorError
 from repro.experiments.engine import (
     Cell,
-    CorpusArena,
     ExperimentEngine,
     Grid,
     SerialExecutor,
     WarmPoolExecutor,
     plan_chunks,
 )
+from repro.experiments.engine import executors
 from repro.experiments.engine.executors import _CellAssembler
+from repro.experiments.fig5_interleaving import make_test_site
 from repro.sites.corpus import RANDOM_100_PROFILE, generate_corpus, replay_weight
 from repro.strategies.base import PushStrategy
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy
@@ -140,68 +141,49 @@ def test_assembler_reduction_is_arrival_order_independent(data):
 
 
 # ----------------------------------------------------------------------
-# corpus arena
+# site memo: one bounded, content-keyed memo behind both executors
 # ----------------------------------------------------------------------
-def test_arena_round_trips_segments(tmp_path):
-    corpus = generate_corpus(RANDOM_100_PROFILE, 1, seed=3)
-    segments = {
-        "cells": corpus_cells(runs=2),
-        "sites": ["k0", "k1"],
-        "site:k0": {"payload": b"x" * 10_000},
-    }
-    arena = CorpusArena.create(segments, directory=tmp_path)
-    try:
-        assert set(arena.names()) == set(segments)
-        reopened = CorpusArena(arena.path)
-        assert reopened.load("sites") == ["k0", "k1"]
-        assert reopened.load("site:k0") == {"payload": b"x" * 10_000}
-        assert [cell.key() for cell in reopened.load("cells")] == [
-            cell.key() for cell in segments["cells"]
-        ]
-        # load() memoizes per handle
-        assert reopened.load("sites") is reopened.load("sites")
-        reopened.close()
-    finally:
-        arena.unlink()
-    assert not arena.path.exists()
+def test_pool_evicting_site_memo_matches_serial():
+    """More distinct sites than the memo holds, one run per chunk, two
+    real workers: every worker evicts and rebuilds sites mid-grid, and
+    the results still equal the serial executor's."""
+    specs = [make_test_site(20 + index) for index in range(executors._SITE_MEMO_MAX + 2)]
+    # Two rounds over the sites, so first-round sites are replayed again
+    # after they have been evicted.
+    cells = [
+        Cell(spec=spec, strategy=strategy, runs=2, seed_base=index)
+        for strategy in (NoPushStrategy(), PushAllStrategy())
+        for index, spec in enumerate(specs)
+    ]
+    serial = SerialExecutor().run(cells)
+    assert len(executors._site_memo) == executors._SITE_MEMO_MAX
+    with WarmPoolExecutor(max_workers=2, chunk_runs=1) as executor:
+        pooled = executor.run(cells)
+    assert pooled == serial
 
 
-def test_arena_rejects_truncated_file(tmp_path):
-    path = tmp_path / "short.bin"
-    path.write_bytes(b"tiny")
-    from repro.errors import ExperimentError
+def test_consecutive_grids_build_a_site_once(monkeypatch):
+    """The memo outlives a grid: a second grid over the same spec on
+    the same executor replays the site the first one built — the same
+    function the pool workers run, which is what keeps them warm."""
+    built_specs = []
+    real_build_site = executors.build_site
 
-    with pytest.raises(ExperimentError, match="truncated"):
-        CorpusArena(path)
+    def counting_build_site(spec):
+        built_specs.append(spec.name)
+        return real_build_site(spec)
 
-
-def test_arena_rejects_bad_magic(tmp_path):
-    arena = CorpusArena.create({"sites": []}, directory=tmp_path)
-    arena.close()
-    blob = bytearray(arena.path.read_bytes())
-    blob[-8:] = b"XXXXXXXX"
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(blob))
-    from repro.errors import ExperimentError
-
-    with pytest.raises(ExperimentError, match="magic"):
-        CorpusArena(bad)
-    arena.unlink()
-
-
-def test_arena_unknown_segment_and_closed_handle(tmp_path):
-    from repro.errors import ExperimentError
-
-    arena = CorpusArena.create({"sites": ["k"]}, directory=tmp_path)
-    with pytest.raises(ExperimentError, match="no segment"):
-        arena.load("missing")
-    loaded = arena.load("sites")
-    arena.close()
-    # Memoized segments survive close(); unloaded ones do not.
-    assert arena.load("sites") is loaded
-    with pytest.raises(ExperimentError, match="closed"):
-        arena.load("cells" if "cells" in arena else "other")
-    arena.unlink()
+    monkeypatch.setattr(executors, "build_site", counting_build_site)
+    executors._site_memo.clear()
+    spec = make_test_site(48)
+    executor = SerialExecutor()
+    engine = ExperimentEngine(executor=executor, cache=None, force=True)
+    for strategy in (NoPushStrategy(), PushAllStrategy()):
+        grid = Grid(name=strategy.name)
+        grid.add(spec, strategy, runs=2)
+        grid.add(spec, strategy, runs=1, seed_base=1)
+        engine.run(grid)
+    assert built_specs == [spec.name]
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +192,7 @@ def test_arena_unknown_segment_and_closed_handle(tmp_path):
 def test_sigkilled_worker_chunk_is_requeued_and_results_identical():
     cells = corpus_cells(runs=3)
     serial = SerialExecutor().run(cells)
-    executor = WarmPoolExecutor(max_workers=3, auto_scale=False, chunk_runs=1)
+    executor = WarmPoolExecutor(max_workers=3, chunk_runs=1)
     killed = {"count": 0}
 
     def sigkill_once(worker, chunk):
@@ -232,9 +214,7 @@ def test_sigkilled_worker_chunk_is_requeued_and_results_identical():
 
 def test_repeated_crashes_exhaust_retry_budget():
     cells = corpus_cells(runs=2)
-    executor = WarmPoolExecutor(
-        max_workers=2, auto_scale=False, chunk_runs=1, max_retries=2
-    )
+    executor = WarmPoolExecutor(max_workers=2, chunk_runs=1)
 
     def always_kill(worker, chunk):
         if chunk.cell_index == 0 and chunk.run_lo == 0:
@@ -265,7 +245,7 @@ def test_deterministic_cell_error_is_structured_and_partial():
     bad = Cell(
         spec=corpus[0].spec, strategy=ExplodingStrategy(), runs=2, label="bad"
     )
-    with WarmPoolExecutor(max_workers=2, auto_scale=False) as executor:
+    with WarmPoolExecutor(max_workers=2) as executor:
         engine = ExperimentEngine(executor=executor, cache=None)
         with pytest.raises(ExecutorError) as excinfo:
             engine.run(Grid(name="partial", cells=[good, bad]))
@@ -278,7 +258,7 @@ def test_deterministic_cell_error_is_structured_and_partial():
 
 
 def test_executor_rejects_use_after_close():
-    executor = WarmPoolExecutor(max_workers=2, auto_scale=False)
+    executor = WarmPoolExecutor(max_workers=2)
     executor.close()
     from repro.errors import ExperimentError
 

@@ -7,7 +7,6 @@ reproduce them (see EXPERIMENTS.md for the measured magnitudes).
 import pytest
 
 from repro.experiments import run_repeated
-from repro.html import build_site
 from repro.metrics.speedindex import first_visual_change
 from repro.sites.realworld import (
     w1_wikipedia,
@@ -28,10 +27,7 @@ def deployment_si(spec, *names):
     out = {}
     for name in names:
         deployment = suite[name]
-        built = build_site(deployment.spec)
-        out[name] = run_repeated(
-            deployment.spec, deployment.strategy, runs=RUNS, built=built
-        )
+        out[name] = run_repeated(deployment.spec, deployment.strategy, runs=RUNS)
     return out
 
 

@@ -175,7 +175,7 @@ def test_study_is_batch_size_invariant(golden_study):
 
 def test_study_is_executor_invariant(golden_study):
     config = PopulationConfig(**GOLDEN_CONFIG)
-    with WarmPoolExecutor(max_workers=2, auto_scale=False) as executor:
+    with WarmPoolExecutor(max_workers=2) as executor:
         pooled = run_population(
             config, engine=ExperimentEngine(executor=executor, cache=None)
         )

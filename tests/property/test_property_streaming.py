@@ -7,9 +7,6 @@ memory; these tests bound what that trade costs:
   Chan merge must be split-point invariant;
 * ``TDigest`` estimates must land within a rank tolerance of the exact
   :func:`repro.metrics.stats.percentile` oracle on arbitrary data;
-  ``P2Quantile`` must be exact below its marker count, range-bounded
-  always, and rank-bounded on i.i.d. draws (its accuracy contract is
-  distributional — adversarial tie blocks defeat any fixed rank bound);
 * the t-digest merge must be commutative (the assembler's freedom to
   combine shards in any order rests on it);
 * reduced run segments must concatenate associatively — the warm
@@ -17,17 +14,14 @@ memory; these tests bound what that trade costs:
 """
 
 import math
-import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.stats import (
-    P2Quantile,
     StreamingMoments,
     TDigest,
     mean,
-    percentile,
 )
 
 samples = st.lists(
@@ -82,60 +76,6 @@ def test_moments_merge_is_split_invariant(values, cut):
     assert left.maximum == whole.maximum
     assert math.isclose(left.mean, whole.mean, rel_tol=1e-9, abs_tol=1e-6)
     assert math.isclose(left.variance, whole.variance, rel_tol=1e-6, abs_tol=1e-3)
-
-
-# ----------------------------------------------------------------------
-# P² sequential quantile
-# ----------------------------------------------------------------------
-@given(
-    st.lists(
-        st.floats(0.0, 50_000.0, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=400,
-    ),
-    st.sampled_from([0.25, 0.5, 0.9, 0.95]),
-)
-@settings(max_examples=60)
-def test_p2_is_exact_small_and_range_bounded(values, q):
-    """On *arbitrary* data P² only promises containment.
-
-    Its five-marker parabola has no adversarial rank guarantee: two
-    tie blocks (or one early outlier poisoning the initial markers)
-    push the estimate between the blocks, where every rank interval is
-    a point.  What always holds: exactness below the marker count, and
-    the estimate staying inside [min, max].
-    """
-    estimator = P2Quantile(q)
-    for value in values:
-        estimator.add(value)
-    estimate = estimator.value()
-    if len(values) < 5:
-        # Exact below the marker count, by construction.
-        assert math.isclose(
-            estimate, percentile(values, q * 100), rel_tol=1e-12, abs_tol=1e-9
-        )
-        return
-    assert min(values) <= estimate <= max(values)
-
-
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(50, 400),
-    st.sampled_from([0.25, 0.5, 0.9, 0.95]),
-)
-@settings(max_examples=60)
-def test_p2_is_rank_bounded_on_iid_data(seed, n, q):
-    """P²'s accuracy contract is distributional: on i.i.d. continuous
-    draws the estimate must sit within a rank window around q (worst
-    observed over 12k uniform trials: 0.113; the 0.20 bound catches
-    sign errors, marker drift, and off-by-one bugs with margin).
-    """
-    rng = random.Random(seed)
-    values = [rng.uniform(0.0, 50_000.0) for _ in range(n)]
-    estimator = P2Quantile(q)
-    for value in values:
-        estimator.add(value)
-    assert rank_error(values, estimator.value(), q) <= 0.20
 
 
 # ----------------------------------------------------------------------

@@ -90,3 +90,20 @@ def test_waterfall_command(capsys):
     assert code == 0
     assert "PUSH" in out
     assert "first paint" in out
+
+
+def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
+    """``--jobs`` above the CPU count yields a pool of exactly one
+    worker per CPU; ``--jobs 1`` yields the serial executor."""
+    from repro import cli
+    from repro.experiments.engine import SerialExecutor, WarmPoolExecutor
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    parser = cli.build_parser()
+    args = parser.parse_args(["replay", "s2", "--jobs", "16", "--no-cache"])
+    with cli._engine_from_args(args) as engine:
+        assert isinstance(engine.executor, WarmPoolExecutor)
+        assert engine.executor.workers == 3
+    args = parser.parse_args(["replay", "s2", "--jobs", "1", "--no-cache"])
+    with cli._engine_from_args(args) as engine:
+        assert isinstance(engine.executor, SerialExecutor)

@@ -147,7 +147,7 @@ def test_serial_and_warm_pool_traces_are_byte_identical(tmp_path):
     serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
     engine = ExperimentEngine(executor=SerialExecutor())
     engine.run(_grid(spec, TraceSpec(dir=str(serial_dir))))
-    with WarmPoolExecutor(max_workers=2, auto_scale=False) as executor:
+    with WarmPoolExecutor(max_workers=2) as executor:
         ExperimentEngine(executor=executor).run(
             _grid(spec, TraceSpec(dir=str(pool_dir)))
         )
