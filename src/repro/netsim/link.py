@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from ..sim import Simulator
-from ..sim.events import _NO_ARG
+from ..sim import NO_ARG, Simulator
 from .impairment import ImpairmentPipeline
 
 
@@ -58,8 +57,8 @@ class SharedLink:
         self.bytes_transmitted = 0
         #: Per-link delivery lane: clean-link arrivals are monotone
         #: (FIFO serialization + constant propagation), so deliveries
-        #: bypass the simulator heap; jitter/impairment reordering
-        #: falls back to the heap per event inside the lane.
+        #: queue in O(1); jitter/impairment reordering falls back to
+        #: the heap per event inside the lane.
         self._deliver_lane = sim.timer_lane()
 
     @property
@@ -79,7 +78,7 @@ class SharedLink:
         """Current queueing delay a new arrival would experience."""
         return max(0.0, self._busy_until - self._sim.now)
 
-    def transmit(self, size: int, deliver: Callable, arg1=_NO_ARG, arg2=_NO_ARG) -> float:
+    def transmit(self, size: int, deliver: Callable, arg1=NO_ARG, arg2=NO_ARG) -> float:
         """Enqueue ``size`` bytes; call ``deliver`` when they arrive.
 
         Up to two arguments may be carried inline for the delivery
@@ -111,7 +110,7 @@ class SharedLink:
                 return finish + delay
             delay += extra
         arrival = finish + delay
-        self._deliver_lane.schedule_call_abs(arrival, deliver, arg1, arg2)
+        self._deliver_lane.schedule_abs(arrival, deliver, arg1, arg2)
         return arrival
 
     def reset_counters(self) -> None:

@@ -47,7 +47,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Union
 
 from ..errors import NetworkError
-from ..sim import Simulator
+from ..sim import CANCELLED, Simulator
 from ..span import Span
 from .conditions import NetworkConditions
 from .congestion import make_congestion_control
@@ -170,8 +170,9 @@ class _QuicHalf:
         self._acked_count = 0
         #: Per-stream next send offset.
         self._send_offsets: Dict[int, int] = {}
-        #: pn -> [stream_id, offset, span, fin, timer, sent_at, size]; every
-        #: transmission takes a fresh number, so this is in pn order.
+        #: pn -> [stream_id, offset, span, fin, PTO queue entry, sent_at,
+        #: size]; every transmission takes a fresh number, so this is in
+        #: pn order.
         self._in_flight: Dict[int, list] = {}
         self._flight_bytes = 0
         self._rto_lane = sim.timer_lane()
@@ -192,7 +193,9 @@ class _QuicHalf:
         self._streams: Dict[int, list] = {}
         self.bytes_delivered = 0
         self._packets_since_ack = 0
-        self._ack_timer = sim.timer_lane().timer(self._send_ack_now)
+        self._ack_lane = sim.timer_lane()
+        #: The pending delayed-ACK timer's queue entry; None = not armed.
+        self._ack_timer: Optional[list] = None
 
     # ------------------------------------------------------------------
     # sender side
@@ -305,7 +308,7 @@ class _QuicHalf:
                 entry = in_flight.pop(pn, None)
                 if entry is None:
                     continue  # its PTO fired first; the frame went out again
-                entry[4].cancel()
+                entry[4][CANCELLED] = True
                 self._flight_bytes -= entry[6]
                 newly_acked += entry[6]
                 self._sample_rtt(now - entry[5])
@@ -328,7 +331,7 @@ class _QuicHalf:
                 )
             for pn in lost_pns:
                 entry = in_flight.pop(pn)
-                entry[4].cancel()
+                entry[4][CANCELLED] = True
                 self._flight_bytes -= entry[6]
                 self._retransmit(entry, "fast", pn)
         elif newly_acked > 0 and self._tracer is not None:
@@ -362,8 +365,10 @@ class _QuicHalf:
         self._packets_since_ack += 1
         if self._packets_since_ack >= DELAYED_ACK_SEGMENTS:
             self._send_ack_now()
-        elif not self._ack_timer.armed:
-            self._ack_timer.start(DELAYED_ACK_TIMEOUT_MS)
+        elif self._ack_timer is None:
+            self._ack_timer = self._ack_lane.schedule(
+                DELAYED_ACK_TIMEOUT_MS, self._send_ack_now
+            )
 
     def _deliver_frame(self, frame: tuple) -> None:
         stream_id, offset, span, fin = frame
@@ -407,7 +412,10 @@ class _QuicHalf:
             receiver.on_stream_data(stream_id, span, fin)
 
     def _send_ack_now(self) -> None:
-        self._ack_timer.cancel()
+        timer = self._ack_timer
+        if timer is not None:
+            timer[CANCELLED] = True  # a no-op when this is the timer firing
+            self._ack_timer = None
         self._packets_since_ack = 0
         self._ack_link.transmit(
             ACK_SIZE, self._on_ack_arrival, len(self._rcv_order), self._rcv_largest

@@ -47,7 +47,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..errors import NetworkError
-from ..sim import EventHandle, Simulator
+from ..sim import CANCELLED, Simulator
 from .conditions import NetworkConditions
 from .congestion import make_congestion_control
 from .link import SharedLink
@@ -187,8 +187,8 @@ class _HalfConnection:
         # Congestion control policy (Reno reproduces the historical
         # inline window arithmetic bit for bit; see netsim.congestion).
         self._cc = make_congestion_control(conditions.congestion_control, conditions.mss)
-        #: seq -> (rto handle, send time, was retransmitted, end seq).
-        self._in_flight: Dict[int, Tuple[EventHandle, float, bool, int]] = {}
+        #: seq -> (rto queue entry, send time, was retransmitted, end seq).
+        self._in_flight: Dict[int, Tuple[list, float, bool, int]] = {}
         #: While no retransmission has occurred, ``_in_flight`` insertion
         #: order equals sequence order, so the per-ACK scan can stop at
         #: the first unacked entry instead of filtering the whole dict.
@@ -197,7 +197,7 @@ class _HalfConnection:
         self._ordered = True
         #: Dedicated timer lanes: RTO deadlines (now + rto) and delayed
         #: ACK deadlines (now + 5ms) are each near-monotone within their
-        #: class, so arming/cancelling bypasses the main event heap.
+        #: class, so arming is an append and cancelling a slot write.
         self._rto_lane = sim.timer_lane()
         self.bytes_enqueued = 0
         # RFC 6298 adaptive retransmission timeout.  A fixed RTO melts
@@ -222,7 +222,9 @@ class _HalfConnection:
         self._reorder: Dict[int, int] = {}
         self.bytes_delivered = 0
         self._segments_since_ack = 0
-        self._ack_timer = sim.timer_lane().timer(self._send_ack_now)
+        self._ack_lane = sim.timer_lane()
+        #: The pending delayed-ACK timer's queue entry; None = not armed.
+        self._ack_timer: Optional[list] = None
 
     # ------------------------------------------------------------------
     # sender side
@@ -318,7 +320,7 @@ class _HalfConnection:
             # ACK is still in flight on a reordered return path).
             return
         timer, _sent_at, _retx, end = entry
-        timer.cancel()
+        timer[CANCELLED] = True
         self._cc.on_fast_retransmit(self._sim.now)
         if self._tracer is not None:
             self._tracer.retransmit(self.name, self._snd_una, "fast")
@@ -371,7 +373,7 @@ class _HalfConnection:
                 if entry[3] > ack:
                     break
                 acked_seqs.append(seq)
-                entry[0].cancel()
+                entry[0][CANCELLED] = True
                 if not entry[2]:
                     self._sample_rtt(now - entry[1])
             for seq in acked_seqs:
@@ -379,7 +381,7 @@ class _HalfConnection:
         else:
             for seq in [s for s, entry in in_flight.items() if entry[3] <= ack]:
                 timer, sent_at, retransmitted, _end = in_flight.pop(seq)
-                timer.cancel()
+                timer[CANCELLED] = True
                 if not retransmitted:
                     self._sample_rtt(now - sent_at)
         self._cc.on_ack(newly_acked, now)
@@ -412,8 +414,10 @@ class _HalfConnection:
         self._segments_since_ack += 1
         if self._segments_since_ack >= DELAYED_ACK_SEGMENTS:
             self._send_ack_now()
-        elif not self._ack_timer.armed:
-            self._ack_timer.start(DELAYED_ACK_TIMEOUT_MS)
+        elif self._ack_timer is None:
+            self._ack_timer = self._ack_lane.schedule(
+                DELAYED_ACK_TIMEOUT_MS, self._send_ack_now
+            )
 
     def _deliver(self, length: int) -> None:
         """Advance the in-order point over one segment and hand the
@@ -449,7 +453,10 @@ class _HalfConnection:
             receiver.on_data(data)
 
     def _send_ack_now(self) -> None:
-        self._ack_timer.cancel()
+        timer = self._ack_timer
+        if timer is not None:
+            timer[CANCELLED] = True  # a no-op when this is the timer firing
+            self._ack_timer = None
         self._segments_since_ack = 0
         self._ack_link.transmit(ACK_SIZE, self._on_ack, self._rcv_next)
 

@@ -5,8 +5,15 @@ repeated runs of the same configuration are identical — the property
 the paper's replay testbed exists to provide.
 """
 
-from .events import DEFAULT_PRIORITY, EventHandle, LaneTimer, Simulator, TimerLane
-from .timers import PeriodicTimer, Timer
+from .events import (
+    CANCELLED,
+    DEFAULT_PRIORITY,
+    NO_ARG,
+    POPPED,
+    TIME,
+    Simulator,
+    TimerLane,
+)
 
 
 def new_simulator() -> Simulator:
@@ -15,12 +22,12 @@ def new_simulator() -> Simulator:
 
 
 __all__ = [
+    "CANCELLED",
     "DEFAULT_PRIORITY",
-    "EventHandle",
-    "LaneTimer",
-    "PeriodicTimer",
+    "NO_ARG",
+    "POPPED",
+    "TIME",
     "Simulator",
-    "Timer",
     "TimerLane",
     "new_simulator",
 ]

@@ -28,7 +28,7 @@ from repro.netsim.tcp import (
     DELAYED_ACK_TIMEOUT_MS,
     TcpConnection,
 )
-from repro.sim import Simulator
+from repro.sim import CANCELLED, Simulator
 from repro.span import Span
 
 SOURCE = random.Random(12).randbytes(420_000)
@@ -52,7 +52,7 @@ class ChaosLink:
         copies = 2 if rng.random() < self._duplicate else 1
         for _ in range(copies):
             delay = 5.0 + (rng.uniform(0.0, 40.0) if rng.random() < self._reorder else 0.0)
-            self._sim.schedule_call(delay, deliver, *args)
+            self._sim.schedule(delay, deliver, *args)
 
 
 chaos = st.fixed_dictionaries(
@@ -251,11 +251,15 @@ class _RangesAckHalf(_QuicHalf):
         self._packets_since_ack += 1
         if self._packets_since_ack >= DELAYED_ACK_SEGMENTS:
             self._send_ack_now()
-        elif not self._ack_timer.armed:
-            self._ack_timer.start(DELAYED_ACK_TIMEOUT_MS)
+        elif self._ack_timer is None:
+            self._ack_timer = self._ack_lane.schedule(
+                DELAYED_ACK_TIMEOUT_MS, self._send_ack_now
+            )
 
     def _send_ack_now(self):
-        self._ack_timer.cancel()
+        if self._ack_timer is not None:
+            self._ack_timer[CANCELLED] = True
+            self._ack_timer = None
         self._packets_since_ack = 0
         self._ack_link.transmit(
             ACK_SIZE, self._on_ranges_ack, self._floor, tuple(sorted(self._above))
@@ -271,7 +275,7 @@ class _RangesAckHalf(_QuicHalf):
         now = self._sim.now
         for pn in [pn for pn in in_flight if pn <= floor or pn in ranges]:
             _sid, _offset, _span, _fin, timer, sent_at, size = in_flight.pop(pn)
-            timer.cancel()
+            timer[CANCELLED] = True
             self._flight_bytes -= size
             newly_acked += size
             self._sample_rtt(now - sent_at)
@@ -282,7 +286,7 @@ class _RangesAckHalf(_QuicHalf):
             self._cc.on_fast_retransmit(now)
             for pn in lost:
                 entry = in_flight.pop(pn)
-                entry[4].cancel()
+                entry[4][CANCELLED] = True
                 self._flight_bytes -= entry[6]
                 self._retransmit(entry, "fast", pn)
         self._pump()

@@ -1,18 +1,21 @@
 """Reference model of the event core: one heap, nothing else.
 
-``repro.sim.Simulator`` keeps a heap plus monotonic timer lanes and
-claims its dispatch order is the order a single heap holding every
-event would produce.  This is that single heap — every schedule call,
-lane or not, is a ``heappush`` — kept as small as the contract allows
-(schedule / call_soon / schedule_call[_at] / timer_lane / cancel /
-stop / ``run(until)``) so the random-program suite and the full-replay
-cross-check have something independent to compare against.
+``repro.sim.Simulator`` keeps lane fronts in its heap and the rest of
+each lane in a deque, and claims its dispatch order is the order a
+single heap holding every event would produce.  This is that single
+heap — every schedule call, lane or not, is a ``heappush`` — kept as
+small as the contract allows (schedule / call_soon / timer_lane with
+its relative and absolute method / cancel by slot write / stop /
+``run(until)``) so the random-program suite and the full-replay
+cross-check have something independent to compare against.  Entries
+are ``[time, priority, seq, callback, cancelled, popped, args]``: the
+slots a holder may touch sit where the core has them.
 """
 
 from heapq import heappop, heappush
 
 from repro.errors import SimulationError
-from repro.sim.events import _NO_ARG, DEFAULT_PRIORITY, EventHandle, LaneTimer
+from repro.sim import CANCELLED, DEFAULT_PRIORITY, NO_ARG, POPPED, TIME
 
 
 class _HeapTimerLane:
@@ -21,18 +24,16 @@ class _HeapTimerLane:
     def __init__(self, sim):
         self._sim = sim
 
-    def schedule(self, delay, callback, arg1=_NO_ARG, arg2=_NO_ARG):
-        if arg1 is _NO_ARG:
-            return self._sim.schedule(delay, callback)
-        if arg2 is _NO_ARG:
-            return self._sim.schedule(delay, lambda: callback(arg1))
-        return self._sim.schedule(delay, lambda: callback(arg1, arg2))
+    def schedule(self, delay, callback, arg1=NO_ARG, arg2=NO_ARG):
+        return self._sim.schedule(delay, callback, arg1, arg2)
 
-    def schedule_call_abs(self, when, callback, arg1=_NO_ARG, arg2=_NO_ARG):
-        self._sim.schedule_call_at(when, callback, arg1, arg2)
-
-    def timer(self, callback):
-        return LaneTimer(self, callback)
+    def schedule_abs(self, when, callback, arg1=NO_ARG, arg2=NO_ARG):
+        sim = self._sim
+        if when < sim.now:
+            raise SimulationError(
+                f"cannot schedule event in the past (delay={when - sim.now})"
+            )
+        return sim._push(when, DEFAULT_PRIORITY, callback, arg1, arg2)
 
 
 class HeapSimulator:
@@ -45,30 +46,21 @@ class HeapSimulator:
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        self._live_events = 0
 
-    def schedule(self, delay, callback, priority=DEFAULT_PRIORITY):
+    def _push(self, when, priority, callback, arg1, arg2):
+        self._seq += 1
+        args = tuple(arg for arg in (arg1, arg2) if arg is not NO_ARG)
+        event = [when, priority, self._seq, callback, False, False, args]
+        heappush(self._queue, event)
+        return event
+
+    def schedule(self, delay, callback, arg1=NO_ARG, arg2=NO_ARG, *, priority=DEFAULT_PRIORITY):
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        self._seq += 1
-        event = [self.now + delay, priority, self._seq, callback, False, False]
-        heappush(self._queue, event)
-        self._live_events += 1
-        return EventHandle(event, self)
+        return self._push(self.now + delay, priority, callback, arg1, arg2)
 
     def call_soon(self, callback):
         return self.schedule(0.0, callback)
-
-    def schedule_call(self, delay, callback, arg1=_NO_ARG, arg2=_NO_ARG):
-        if arg1 is _NO_ARG:
-            self.schedule(delay, callback)
-        elif arg2 is _NO_ARG:
-            self.schedule(delay, lambda: callback(arg1))
-        else:
-            self.schedule(delay, lambda: callback(arg1, arg2))
-
-    def schedule_call_at(self, when, callback, arg1=_NO_ARG, arg2=_NO_ARG):
-        self.schedule_call(when - self.now, callback, arg1, arg2)
 
     def timer_lane(self):
         return _HeapTimerLane(self)
@@ -77,7 +69,7 @@ class HeapSimulator:
         self._stopped = True
 
     def pending_events(self):
-        return self._live_events
+        return sum(not event[CANCELLED] for event in self._queue)
 
     def run(self, until=None):
         if self._running:
@@ -90,19 +82,18 @@ class HeapSimulator:
                 if self._stopped:
                     break
                 event = queue[0]
-                if event[4]:  # cancelled
+                if event[CANCELLED]:
                     heappop(queue)
-                    event[5] = True
+                    event[POPPED] = True
                     continue
-                if until is not None and event[0] > until:
+                if until is not None and event[TIME] > until:
                     self.now = until
                     break
                 heappop(queue)
-                event[5] = True
-                self._live_events -= 1
-                self.now = event[0]
+                event[POPPED] = True
+                self.now = event[TIME]
                 self.events_processed += 1
-                event[3]()
+                event[3](*event[6])
             else:
                 # A stopped run leaves the clock at its last event even
                 # when only cancelled events were left to drain.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator, Timer, PeriodicTimer
+from repro.sim import CANCELLED, POPPED, TIME, Simulator
 
 
 class TestSimulator:
@@ -49,11 +49,15 @@ class TestSimulator:
             sim.schedule(-1.0, lambda: None)
 
     def test_schedule_at_absolute_time(self):
+        # Absolute deadlines belong to lanes, and are taken as given:
+        # 0.9 scheduled at now = 0.2 as a delay would land one ulp away.
         sim = Simulator()
+        lane = sim.timer_lane()
         seen = []
-        sim.schedule_at(42.0, lambda: seen.append(sim.now))
+        sim.schedule(0.2, lambda: lane.schedule_abs(0.9, lambda: seen.append(sim.now)))
         sim.run()
-        assert seen == [42.0]
+        assert seen == [0.9]
+        assert 0.9 - 0.2 + 0.2 != 0.9
 
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
@@ -86,11 +90,12 @@ class TestSimulator:
     def test_cancelled_event_does_not_run(self):
         sim = Simulator()
         seen = []
-        handle = sim.schedule(10, lambda: seen.append("x"))
-        handle.cancel()
+        entry = sim.schedule(10, lambda: seen.append("x"))
+        assert (entry[TIME], entry[CANCELLED], entry[POPPED]) == (10.0, False, False)
+        entry[CANCELLED] = True
         sim.run()
         assert seen == []
-        assert handle.cancelled
+        assert entry[CANCELLED] and entry[POPPED]
 
     def test_stop_ends_run(self):
         sim = Simulator()
@@ -129,18 +134,18 @@ class TestSimulator:
 
     def test_pending_events_counts_live_events(self):
         sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
+        entry = sim.schedule(10, lambda: None)
         sim.schedule(20, lambda: None)
         assert sim.pending_events() == 2
-        handle.cancel()
+        entry[CANCELLED] = True
         assert sim.pending_events() == 1
 
     def test_pending_events_counter_survives_edge_cases(self):
         sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
-        # Double-cancel must only decrement once.
-        handle.cancel()
-        handle.cancel()
+        entry = sim.schedule(10, lambda: None)
+        # Double-cancel must only count once.
+        entry[CANCELLED] = True
+        entry[CANCELLED] = True
         assert sim.pending_events() == 0
         later = sim.schedule(30, lambda: None)
         sim.schedule(20, lambda: None)
@@ -149,9 +154,10 @@ class TestSimulator:
         # Cancelling after the event already ran is a no-op.
         ran = sim.schedule(1, lambda: None)
         sim.run(until=28)
-        ran.cancel()
+        assert ran[POPPED]
+        ran[CANCELLED] = True
         assert sim.pending_events() == 1
-        later.cancel()
+        later[CANCELLED] = True
         assert sim.pending_events() == 0
         sim.run()
         assert sim.pending_events() == 0
@@ -166,55 +172,3 @@ class TestSimulator:
             return trace
 
         assert run_once() == run_once()
-
-
-class TestTimer:
-    def test_fires_after_delay(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(25)
-        sim.run()
-        assert fired == [25.0]
-
-    def test_restart_resets_deadline(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(25)
-        sim.schedule(10, lambda: timer.start(30))
-        sim.run()
-        assert fired == [40.0]
-
-    def test_cancel_prevents_firing(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(1))
-        timer.start(25)
-        timer.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_armed_reflects_state(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert not timer.armed
-        timer.start(5)
-        assert timer.armed
-        sim.run()
-        assert not timer.armed
-
-
-class TestPeriodicTimer:
-    def test_fires_repeatedly(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, 10, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.schedule(35, timer.cancel)
-        sim.run()
-        assert ticks == [10.0, 20.0, 30.0]
-
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            PeriodicTimer(Simulator(), 0, lambda: None)
