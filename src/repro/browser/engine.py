@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Union
 
 from ..errors import BrowserError
@@ -456,8 +457,10 @@ class PageLoad:
         conn.on_informational = (
             lambda sid, headers: self._on_informational(entry, sid, headers)
         )
-        conn.on_data = lambda sid, data: self._on_data(entry, sid, data)
-        conn.on_stream_end = lambda sid: self._on_stream_end(entry, sid)
+        # One call per DATA frame: a partial enters ``_on_data`` directly,
+        # a lambda is a Python frame of its own in between.
+        conn.on_data = partial(self._on_data, entry)
+        conn.on_stream_end = partial(self._on_stream_end, entry)
         conn.on_push_promise = (
             lambda parent, promised, headers: self._on_push_promise(entry, promised, headers)
         )

@@ -375,8 +375,9 @@ class H2Connection:
             return
         self._pumping = True
         try:
-            self._flush_control()
-            if not self._control_queue:
+            if self._control_queue:
+                self._flush_control()
+            if self._ready and not self._control_queue:
                 self._flush_data()
         finally:
             self._pumping = False
@@ -421,11 +422,13 @@ class H2Connection:
         self._ready.discard(stream_id)
 
     def _flush_data(self) -> None:
+        """Cut DATA frames while a stream is ready and the socket has room.
+
+        One pass of the loop is one frame, and one call into each thing
+        it touches: the scheduler picks, :meth:`H2Stream.take` cuts,
+        ``_emit_data`` writes, the scheduler is told.
+        """
         ready = self._ready
-        if not ready:
-            # Nothing can send (the common case on the client side,
-            # which never queues body bytes).
-            return
         # Direct half-connection access: send_buffer_space /
         # unsent_buffered / congestion_window are endpoint property
         # chains re-read on every loop iteration of the hottest loop in
@@ -433,13 +436,15 @@ class H2Connection:
         half = self._endpoint._out
         streams = self.streams
         conn_window = self._conn_send_window
-        scheduler = self.scheduler
+        select = self.scheduler.select
+        on_data_sent = self.scheduler.on_data_sent
+        emit = self._emit_data
         max_frame = self.remote_settings.max_frame_size
         chunk_size = self._chunk_size
         overhead = self._DATA_OVERHEAD
         while ready:
-            space = half._max_buffer - half._buffered
-            if space <= overhead:
+            budget = half._max_buffer - half._buffered - overhead
+            if budget <= 0:
                 return
             # TCP_NOTSENT_LOWAT-style pacing: stop queueing DATA once
             # the unsent socket backlog covers two congestion windows.
@@ -451,27 +456,29 @@ class H2Connection:
             # stranded behind kilobytes of already-committed DATA.
             if half._buffered >= 2.0 * half._cc.cwnd:
                 return
-            stream_id = scheduler.select(self, ready)
+            stream_id = select(self, ready)
             if stream_id is None:
                 return
             stream = streams[stream_id]
+            # min(chunk size, socket space, peer's max frame, connection
+            # window floored at zero), as comparisons.
+            if chunk_size < budget:
+                budget = chunk_size
+            if max_frame < budget:
+                budget = max_frame
             available = conn_window._window
-            budget = min(
-                chunk_size,
-                space - overhead,
-                max_frame,
-                available if available > 0 else 0,
-            )
-            span, end = stream.take_body(min(stream.sendable_bytes(), budget))
+            if available < budget:
+                budget = available if available > 0 else 0
+            span, end, more = stream.take(budget)
             sent = span.stop - span.start
             if not sent and not end:
                 # Stream was ready only for a pause boundary; try others.
                 return
-            # FlowControlWindow.consume, inlined: ``sent`` was capped by
-            # both windows two statements up.
-            stream.send_window._window -= sent
-            conn_window._window -= sent
-            self._emit_data(stream_id, span, end)
+            # ``take`` consumed the stream window; the connection's is
+            # ours (FlowControlWindow.consume, inlined: the budget was
+            # capped by it above).
+            conn_window._window = available = available - sent
+            emit(stream_id, span, end)
             self.frames_sent += 1
             if self._tracer is not None:
                 self._tracer.frame_sent(
@@ -480,7 +487,7 @@ class H2Connection:
             # Either hook may change other streams' readiness (lift a
             # pause, queue more body); those paths update ``ready``
             # themselves, so only this frame's stream is re-derived here.
-            scheduler.on_data_sent(self, stream_id, sent, end)
+            on_data_sent(self, stream_id, sent, end)
             if self.on_data_frame_sent is not None:
                 self.on_data_frame_sent(stream_id, sent, end)
             if end:
@@ -492,10 +499,14 @@ class H2Connection:
                 # Drained without END_STREAM: nothing to send until the
                 # application queues more body (send_body re-adds).
                 self._forget_sender(stream_id)
-            elif not stream.wants_to_send():
-                # Stream window or pause cap reached.
+            elif (not more or stream.pause_at is not None) and not stream.wants_to_send():
+                # Stream window or pause cap reached.  ``more`` is
+                # ``take``'s answer from before the hooks ran: a true one
+                # on a stream with no pause point still holds (a hook can
+                # only reset the stream, caught above, or set a pause);
+                # anything else is asked again.
                 ready.discard(stream_id)
-            if sent and conn_window._window <= 0:
+            if sent and available <= 0:
                 # The connection window just closed: what stays ready is
                 # whoever needs only a zero-length END_STREAM.
                 self._refresh_ready(self._send_candidates)
@@ -503,10 +514,16 @@ class H2Connection:
     def _emit_data(self, stream_id: int, span: Span, end: bool) -> None:
         """Write one DATA frame: a record charged header + payload, which
         the peer's ``_on_data_record`` receives when its last octet does."""
-        self._endpoint._out.enqueue_record(
-            _FRAME_HEADER + span.stop - span.start,
-            (stream_id, span, _END_STREAM_RAW if end else 0),
-        )
+        size = _FRAME_HEADER + span.stop - span.start
+        if not self._endpoint._out.enqueue_record(
+            size, (stream_id, span, _END_STREAM_RAW if end else 0)
+        ):
+            # ``_flush_data`` sized the frame to the socket space; the
+            # windows and the body cursor have already moved.
+            raise ProtocolError(
+                f"transport refused a {size}-octet DATA record on stream {stream_id} "
+                f"({self._endpoint._out.buffer_space} octets of send-buffer space)"
+            )
 
     # ------------------------------------------------------------------
     # receive path
@@ -515,6 +532,13 @@ class H2Connection:
         """In-order control-plane bytes (and any DATA a peer sent as bytes)."""
         tracer = self._tracer
         for frame in self._reader.feed(data):
+            if frame.__class__ is DataFrame and self._header_fragments is None:
+                # Only a foreign peer frames DATA as bytes; it joins the
+                # record path (which counts, traces and pumps itself).
+                self._on_data_record(
+                    (frame.stream_id, Span(frame.data), frame.flags._value_)
+                )
+                continue
             self.frames_received += 1
             if tracer is not None:
                 tracer.frame_received(
@@ -527,58 +551,55 @@ class H2Connection:
             self._pump()
 
     def _on_data_record(self, record: Tuple[int, Span, int]) -> None:
-        """One DATA frame written by the peer's ``_emit_data`` arrived."""
+        """One DATA frame written by the peer's ``_emit_data`` arrived:
+        account the payload against the receive windows and hand it to
+        the application; END_STREAM closes the remote side."""
         stream_id, span, raw_flags = record
         self.frames_received += 1
+        size = span.stop - span.start
         if self._tracer is not None:
             self._tracer.frame_received(
-                self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + len(span)
+                self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + size
             )
-        self._fast_data(stream_id, span, raw_flags)
+        stream = self.streams.get(stream_id)
+        # Data for a reset stream may already have been in flight.
+        if stream is not None and stream.state is not _CLOSED:
+            end = raw_flags & _END_STREAM_RAW
+            stream.bytes_received += size
+            # Inlined ReceiveWindow.on_data for the stream window: always
+            # account the bytes; emit credit once half the window is
+            # spent (suppressed when the stream just ended).
+            recv_window = stream.recv_window
+            consumed = recv_window._consumed_since_update + size
+            if consumed * 2 > recv_window._capacity:
+                recv_window._consumed_since_update = 0
+                if not end:
+                    self._queue_frame(
+                        WindowUpdateFrame(stream_id=stream_id, increment=consumed)
+                    )
+            else:
+                recv_window._consumed_since_update = consumed
+            conn_window = self._conn_recv_window
+            conn_consumed = conn_window._consumed_since_update + size
+            if conn_consumed * 2 > conn_window._capacity:
+                conn_window._consumed_since_update = 0
+                self._queue_frame(WindowUpdateFrame(stream_id=0, increment=conn_consumed))
+            else:
+                conn_window._consumed_since_update = conn_consumed
+            if size and self.on_data is not None:
+                self.on_data(stream_id, span)
+            if end:
+                self._end_remote(stream)
         if self._control_queue or self._ready:
             self._pump()
-
-    def _fast_data(self, stream_id: int, data: Span, raw_flags: int) -> None:
-        """Account one DATA payload against the receive windows and hand
-        it to the application; END_STREAM closes the remote side."""
-        stream = self.streams.get(stream_id)
-        if stream is None or stream.state is _CLOSED:
-            return  # data for a reset stream was already in flight
-        size = data.stop - data.start
-        end = raw_flags & _END_STREAM_RAW
-        stream.bytes_received += size
-        # Inlined ReceiveWindow.on_data for the stream window: always
-        # account the bytes; emit credit once half the window is spent
-        # (suppressed when the stream just ended).
-        recv_window = stream.recv_window
-        consumed = recv_window._consumed_since_update + size
-        if consumed * 2 > recv_window._capacity:
-            recv_window._consumed_since_update = 0
-            if not end:
-                self._queue_frame(WindowUpdateFrame(stream_id=stream_id, increment=consumed))
-        else:
-            recv_window._consumed_since_update = consumed
-        conn_window = self._conn_recv_window
-        conn_consumed = conn_window._consumed_since_update + size
-        if conn_consumed * 2 > conn_window._capacity:
-            conn_window._consumed_since_update = 0
-            self._queue_frame(WindowUpdateFrame(stream_id=0, increment=conn_consumed))
-        else:
-            conn_window._consumed_since_update = conn_consumed
-        if size and self.on_data is not None:
-            self.on_data(stream_id, data)
-        if end:
-            self._end_remote(stream)
 
     def _dispatch(self, frame: Frame) -> None:
         if self._header_fragments is not None and not isinstance(frame, ContinuationFrame):
             raise ProtocolError("expected CONTINUATION frame")
-        # Ladder ordered by receive frequency (DATA arrives as records,
-        # not through here, so WINDOW_UPDATE dominates).
+        # Ladder ordered by receive frequency (DATA goes to
+        # ``_on_data_record``, not through here, so WINDOW_UPDATE dominates).
         if isinstance(frame, WindowUpdateFrame):
             self._handle_window_update(frame)
-        elif isinstance(frame, DataFrame):
-            self._fast_data(frame.stream_id, Span(frame.data), frame.flags._value_)
         elif isinstance(frame, HeadersFrame):
             self._handle_headers(frame)
         elif isinstance(frame, ContinuationFrame):

@@ -43,6 +43,12 @@ def _service_order(node: PriorityNode):
     return (node.virtual_time, node.stream_id)
 
 
+def _check_weight(weight: int) -> None:
+    """§5.3.2: a weight is 1..256 (``charge`` divides by it)."""
+    if not 1 <= weight <= 256:
+        raise ProtocolError(f"stream weight {weight} outside 1..256")
+
+
 class PriorityTree:
     """Dependency tree rooted at the virtual stream 0."""
 
@@ -74,6 +80,7 @@ class PriorityTree:
             raise ProtocolError(f"stream {stream_id} already prioritized")
         if depends_on == stream_id:
             raise ProtocolError(f"stream {stream_id} cannot depend on itself")
+        _check_weight(weight)
         parent = self._nodes.get(depends_on, self._root)
         node = PriorityNode(stream_id, parent, weight)
         if exclusive:
@@ -96,6 +103,7 @@ class PriorityTree:
         if node is None:
             self.insert(stream_id, depends_on, weight, exclusive)
             return
+        _check_weight(weight)
         new_parent = self._nodes.get(depends_on, self._root)
         # §5.3.3: if the new parent is a descendant of the moved node,
         # first move the new parent up to the moved node's old parent.
@@ -158,30 +166,40 @@ class PriorityTree:
         Walks from the root: a ready node wins over its descendants;
         among sibling subtrees that contain ready nodes, the one with
         the lowest virtual time wins.  That is the first ready node of
-        a pre-order walk taking siblings in service order, done here
-        with an explicit stack (a push chain is hundreds deep).
-        ``ready`` is only probed for membership, never copied.
+        a pre-order walk taking siblings in service order.  A node with
+        one child is stepped through in place (a push chain is hundreds
+        deep, and the usual answer is the root's only child); the
+        explicit stack of the walk exists only from the first node with
+        several children on.  ``ready`` is only probed for membership,
+        never copied.
         """
         if not ready:
             return None
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
+        node = self._root
+        stack = None
+        while True:
             if node.stream_id in ready:
                 return node.stream_id
             children = node.children
-            if len(children) > 1:
-                stack.extend(sorted(children.values(), key=_service_order, reverse=True))
-            else:
-                stack.extend(children.values())
-        return None
+            if len(children) == 1:
+                (node,) = children.values()
+                continue
+            if children:
+                siblings = sorted(children.values(), key=_service_order, reverse=True)
+                if stack:
+                    stack.extend(siblings)
+                else:
+                    stack = siblings
+            if not stack:
+                return None
+            node = stack.pop()
 
     def charge(self, stream_id: int, size: int) -> None:
         """Account ``size`` bytes sent on ``stream_id`` for WFQ."""
         node = self._nodes.get(stream_id)
         if node is None:
             return
-        node.virtual_time += size / max(node.weight, 1)
+        node.virtual_time += size / node.weight
 
     # ------------------------------------------------------------------
     # internals

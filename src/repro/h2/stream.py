@@ -4,14 +4,17 @@ Each :class:`H2Stream` tracks the RFC lifecycle plus the send-side
 machinery the connection's pump needs: the body and a cursor into it,
 an optional *pause point* (used by the interleaving scheduler to stop
 the HTML stream at a byte offset), and flow-control windows.  The body
-is never cut up: :meth:`H2Stream.take_body` hands the pump a
-:class:`~repro.span.Span` of it and advances the cursor.
+is never cut up: :meth:`H2Stream.take` hands the pump a
+:class:`~repro.span.Span` of it, advances the cursor and consumes the
+stream's send window — one call per DATA frame.
 
 Hot-path note: :meth:`wants_to_send` is the one definition of stream
 readiness — the connection re-evaluates it for a stream whenever one
-of its inputs (queue, send window, pause point, state) changes, and
-calls :meth:`sendable_bytes` for every DATA frame — so the class uses
-``__slots__`` and keeps those two methods free of property indirection.
+of its inputs (queue, send window, pause point, state) changes.
+:meth:`take` reports the same answer for the frame it just cut
+(``more``), so the pump only asks again where a hook may have moved an
+input in between.  The class uses ``__slots__`` and keeps these methods
+free of property indirection.
 """
 
 from __future__ import annotations
@@ -211,13 +214,34 @@ class H2Stream:
             state is _HALF_CLOSED_LOCAL or state is _CLOSED
         )
 
-    def take_body(self, size: int) -> Tuple[Span, bool]:
-        """Take up to ``size`` bytes; returns (span of the body, end_stream)."""
-        if size > self._queued_bytes:
-            size = self._queued_bytes
+    def take(self, budget: int) -> Tuple[Span, bool, bool]:
+        """Take the next DATA payload, at most ``budget`` bytes of it.
+
+        One call does what the pump needs per frame: caps the size by
+        queue, stream window and pause point (as :meth:`sendable_bytes`
+        does), advances the cursor and consumes the *stream* send window
+        — the connection window is the caller's.  Returns ``(span of
+        the body, end_stream, more)``; ``more`` is
+        :meth:`wants_to_send` as of this return, for a frame that did
+        not end the stream.
+        """
+        queued = self._queued_bytes
+        send_window = self.send_window
+        window = send_window._window
+        size = queued if queued < window else window
+        if budget < size:
+            size = budget
+        if size < 0:
+            size = 0
+        sent = self.bytes_sent
+        pause_at = self.pause_at
+        if pause_at is not None and pause_at - sent < size:
+            size = pause_at - sent if pause_at > sent else 0
         cursor = self._cursor
         self._cursor = stop = cursor + size
-        self._queued_bytes -= size
-        self.bytes_sent += size
-        end = self._end_after_queue and self._queued_bytes == 0
-        return Span(self._body, cursor, stop), end
+        self._queued_bytes = queued = queued - size
+        self.bytes_sent = sent = sent + size
+        send_window._window = window = window - size
+        more = queued > 0 and window > 0 and (pause_at is None or pause_at > sent)
+        end = self._end_after_queue and not queued
+        return Span(self._body, cursor, stop), end, more

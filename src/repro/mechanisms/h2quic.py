@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..errors import ProtocolError
 from ..h2.connection import (
     H2Connection,
     _END_STREAM_RAW,
@@ -54,7 +55,14 @@ class H2OverQuicConnection(H2Connection):
     _DATA_OVERHEAD = 0
 
     def _emit_data(self, stream_id: int, span: Span, end: bool) -> None:
-        self._endpoint._out.enqueue_stream(stream_id, span, end)
+        size = span.stop - span.start
+        accepted = self._endpoint._out.enqueue_stream(stream_id, span, end)
+        if accepted != size:
+            # As over TCP: the frame was sized to the socket space, and
+            # the windows and the body cursor have already moved.
+            raise ProtocolError(
+                f"transport accepted {accepted} of {size} DATA octets on stream {stream_id}"
+            )
 
     # ------------------------------------------------------------------
     # receive path: per-stream payloads feed the DATA machinery

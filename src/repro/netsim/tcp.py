@@ -261,7 +261,10 @@ class _HalfConnection:
         self.bytes_enqueued += size
         self._log.append((self.bytes_enqueued, record))
         self._buffered += size
-        self._pump()
+        # Most records are written from ``on_writable`` with the window
+        # already full; the ACK that opens it pumps.
+        if self._next_seq - self._snd_una < self._cc.cwnd:
+            self._pump()
         return True
 
     def _flight_size(self) -> int:
@@ -269,24 +272,48 @@ class _HalfConnection:
 
     def _pump(self) -> None:
         """Transmit segments while the congestion window allows."""
-        cc = self._cc
-        mss = self._mss
-        while self._buffered > 0 and self._next_seq - self._snd_una < cc.cwnd:
-            buffered = self._buffered
-            length = mss if mss < buffered else buffered
-            self._buffered = buffered - length
-            seq = self._next_seq
-            self._next_seq = seq + length
-            self._transmit(seq, length, retransmission=False)
-
-    def _transmit(self, seq: int, length: int, retransmission: bool) -> None:
-        rto = self._rto_lane.schedule(self._rto, self._on_timeout, seq)
-        self._in_flight[seq] = (rto, self._sim.now, retransmission, seq + length)
-        if retransmission:
-            self._ordered = False
-        if self._conditions.loss_rate > 0 and self._rng.random() < self._conditions.loss_rate:
-            # The segment is lost on the wire; the RTO timer recovers it.
+        buffered = self._buffered
+        next_seq = self._next_seq
+        snd_una = self._snd_una
+        cwnd = self._cc.cwnd
+        if buffered <= 0 or next_seq - snd_una >= cwnd:
             return
+        # Nothing below re-enters this half-connection (arming a timer
+        # and queueing on the link only schedule), so the sender state
+        # lives in locals for the burst and is written back once.  The
+        # callbacks are bound per burst, not kept on ``self``: a bound
+        # method stored on its own instance is a reference cycle, and a
+        # finished load's world would wait for the cyclic collector.
+        mss = self._mss
+        now = self._sim.now
+        rto = self._rto
+        arm = self._rto_lane.schedule
+        on_timeout = self._on_timeout
+        in_flight = self._in_flight
+        link_transmit = self._data_link.transmit
+        on_arrival = self._on_segment_arrival
+        loss_rate = self._conditions.loss_rate
+        while buffered > 0 and next_seq - snd_una < cwnd:
+            length = mss if mss < buffered else buffered
+            buffered -= length
+            seq = next_seq
+            next_seq = seq + length
+            in_flight[seq] = (arm(rto, on_timeout, seq), now, False, next_seq)
+            if loss_rate > 0 and self._rng.random() < loss_rate:
+                # The segment is lost on the wire; the RTO timer recovers it.
+                continue
+            link_transmit(length + HEADER_OVERHEAD, on_arrival, seq, length)
+        self._buffered = buffered
+        self._next_seq = next_seq
+
+    def _retransmit(self, seq: int, length: int) -> None:
+        """Send ``[seq, seq + length)`` again (first sends are ``_pump``'s)."""
+        timer = self._rto_lane.schedule(self._rto, self._on_timeout, seq)
+        self._in_flight[seq] = (timer, self._sim.now, True, seq + length)
+        self._ordered = False
+        loss_rate = self._conditions.loss_rate
+        if loss_rate > 0 and self._rng.random() < loss_rate:
+            return  # lost on the wire again; its new RTO timer recovers it
         self._data_link.transmit(
             length + HEADER_OVERHEAD, self._on_segment_arrival, seq, length
         )
@@ -327,7 +354,7 @@ class _HalfConnection:
             self._cc.trace_sample(
                 self._tracer, self.name, "fast_retransmit", self._rto, self._flight_size()
             )
-        self._transmit(self._snd_una, end - self._snd_una, retransmission=True)
+        self._retransmit(self._snd_una, end - self._snd_una)
 
     def _on_timeout(self, seq: int) -> None:
         if seq not in self._in_flight:
@@ -340,7 +367,7 @@ class _HalfConnection:
             self._cc.trace_sample(
                 self._tracer, self.name, "timeout", self._rto, self._flight_size()
             )
-        self._transmit(seq, end - seq, retransmission=True)
+        self._retransmit(seq, end - seq)
 
     def _on_ack(self, ack: int) -> None:
         if ack < self._snd_una:
@@ -367,17 +394,37 @@ class _HalfConnection:
         if self._ordered:
             # Loss-free steady state: insertion order == seq order, so
             # the acked entries are a prefix — stop at the first entry
-            # past the ACK instead of filtering the whole flight.
+            # past the ACK instead of filtering the whole flight.  No
+            # retransmission has happened, so every entry is a valid
+            # sample (Karn); the RFC 6298 update of ``_sample_rtt`` runs
+            # here on locals, and the RTO, a function of the final
+            # (srtt, rttvar) alone, is derived once after the loop.
+            srtt = self._srtt
+            rttvar = self._rttvar
             acked_seqs = []
             for seq, entry in in_flight.items():
                 if entry[3] > ack:
                     break
                 acked_seqs.append(seq)
                 entry[0][CANCELLED] = True
-                if not entry[2]:
-                    self._sample_rtt(now - entry[1])
-            for seq in acked_seqs:
-                del in_flight[seq]
+                rtt = now - entry[1]
+                if srtt == 0.0:
+                    srtt = rtt
+                    rttvar = rtt / 2.0
+                else:
+                    deviation = srtt - rtt
+                    if deviation < 0.0:
+                        deviation = -deviation
+                    rttvar = 0.75 * rttvar + 0.25 * deviation
+                    srtt = 0.875 * srtt + 0.125 * rtt
+            if acked_seqs:
+                for seq in acked_seqs:
+                    del in_flight[seq]
+                self._srtt = srtt
+                self._rttvar = rttvar
+                margin = 4.0 * rttvar
+                rto = srtt + (margin if margin > 10.0 else 10.0)
+                self._rto = 200.0 if rto < 200.0 else (rto if rto < 60_000.0 else 60_000.0)
         else:
             for seq in [s for s, entry in in_flight.items() if entry[3] <= ack]:
                 timer, sent_at, retransmitted, _end = in_flight.pop(seq)
@@ -400,57 +447,66 @@ class _HalfConnection:
     # receiver side (runs at the *other* host; links already added delay)
     # ------------------------------------------------------------------
     def _on_segment_arrival(self, seq: int, length: int) -> None:
-        if seq == self._rcv_next:
-            self._deliver(length)
-            while self._rcv_next in self._reorder:
-                self._deliver(self._reorder.pop(self._rcv_next))
-        elif seq > self._rcv_next:
+        old = self._rcv_next
+        if seq == old:
+            # In order.  Advance the in-order point over this segment and
+            # hand the receiver what that brings — the newly in-order
+            # part of ``bytes`` writes, and every record whose last byte
+            # has now arrived (one ``on_data`` per run of bytes between
+            # records, in stream order) — then again for each buffered
+            # segment the advance reaches.
+            receiver = self.receiver_endpoint
+            log = self._log
+            reorder = self._reorder
+            while True:
+                self._rcv_next = new = old + length
+                self.bytes_delivered += length
+                data = None
+                while True:
+                    end, payload = log[0]
+                    if payload.__class__ is bytes:
+                        first = end - len(payload)
+                        piece = payload[old - first if old > first else 0 : new - first]
+                        data = piece if data is None else data + piece
+                    elif end <= new:
+                        if data is not None:
+                            if receiver.on_data is not None:
+                                receiver.on_data(data)
+                            data = None
+                        if receiver.on_record is not None:
+                            receiver.on_record(payload)
+                    if end > new:
+                        break
+                    log.popleft()
+                    if end == new:
+                        break
+                if data is not None and receiver.on_data is not None:
+                    receiver.on_data(data)
+                if new not in reorder:
+                    break
+                old = new
+                length = reorder.pop(new)
+        elif seq > old:
             self._reorder[seq] = length
             # RFC 5681: an out-of-order segment triggers an immediate
             # duplicate ACK so the sender can fast-retransmit.
             self._send_ack_now()
             return
         # else: duplicate of already-delivered data; just re-ACK.
-        self._segments_since_ack += 1
-        if self._segments_since_ack >= DELAYED_ACK_SEGMENTS:
-            self._send_ack_now()
-        elif self._ack_timer is None:
-            self._ack_timer = self._ack_lane.schedule(
-                DELAYED_ACK_TIMEOUT_MS, self._send_ack_now
-            )
-
-    def _deliver(self, length: int) -> None:
-        """Advance the in-order point over one segment and hand the
-        receiver what that brings: the newly in-order part of ``bytes``
-        writes, and every record whose last byte has now arrived (one
-        ``on_data`` per run of bytes between records, in stream order).
-        """
-        old = self._rcv_next
-        self._rcv_next = new = old + length
-        self.bytes_delivered += length
-        receiver = self.receiver_endpoint
-        log = self._log
-        data = None
-        while True:
-            end, payload = log[0]
-            if payload.__class__ is bytes:
-                first = end - len(payload)
-                piece = payload[old - first if old > first else 0 : new - first]
-                data = piece if data is None else data + piece
-            elif end <= new:
-                if data is not None:
-                    if receiver.on_data is not None:
-                        receiver.on_data(data)
-                    data = None
-                if receiver.on_record is not None:
-                    receiver.on_record(payload)
-            if end > new:
-                break
-            log.popleft()
-            if end == new:
-                break
-        if data is not None and receiver.on_data is not None:
-            receiver.on_data(data)
+        if self._segments_since_ack + 1 >= DELAYED_ACK_SEGMENTS:
+            # ``_send_ack_now``, inline: every second segment ends here.
+            timer = self._ack_timer
+            if timer is not None:
+                timer[CANCELLED] = True
+                self._ack_timer = None
+            self._segments_since_ack = 0
+            self._ack_link.transmit(ACK_SIZE, self._on_ack, self._rcv_next)
+        else:
+            self._segments_since_ack += 1
+            if self._ack_timer is None:
+                self._ack_timer = self._ack_lane.schedule(
+                    DELAYED_ACK_TIMEOUT_MS, self._send_ack_now
+                )
 
     def _send_ack_now(self) -> None:
         timer = self._ack_timer

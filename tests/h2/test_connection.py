@@ -1,24 +1,29 @@
 """Integration tests for H2Connection over the simulated network."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ProtocolError
 from repro.h2 import ErrorCode, H2Connection, PriorityData, Settings
+from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.netsim import DSL_TESTBED, Topology
 from repro.sim import Simulator
+from repro.span import Span
 
 
-def make_pair(client_settings=None, server_chunk=1400):
+def make_pair(client_settings=None, server_chunk=1400, conditions=DSL_TESTBED):
     """An established client/server H2 connection pair."""
     sim = Simulator()
-    topo = Topology(sim, DSL_TESTBED)
+    topo = Topology(sim, conditions)
     topo.add_host("1.1.1.1", ["example.com"])
     topo.prewarm_dns("example.com")
     pair = {}
+    connection_class = H2OverQuicConnection if conditions.transport == "quic" else H2Connection
 
     def on_conn(tcp):
-        pair["server"] = H2Connection(tcp.server, "server", chunk_size=server_chunk)
-        pair["client"] = H2Connection(
+        pair["server"] = connection_class(tcp.server, "server", chunk_size=server_chunk)
+        pair["client"] = connection_class(
             tcp.client,
             "client",
             settings=client_settings or Settings(initial_window_size=6 * 1024 * 1024),
@@ -236,3 +241,45 @@ def test_wire_bytes_include_frame_overhead():
     client.request(REQUEST)
     sim.run()
     assert sum(got) == 10_000
+
+
+class _RefusingHalf:
+    """The server's sending half with a transport that goes back on its
+    word: it reports the room it has and takes control bytes, but
+    refuses a DATA record (TCP) or accepts all but the last octet of a
+    body write (QUIC)."""
+
+    def __init__(self, half):
+        self._half = half
+
+    def __getattr__(self, name):
+        return getattr(self._half, name)
+
+    def enqueue_record(self, size, record):
+        return False
+
+    def enqueue_stream(self, stream_id, span, fin):
+        return self._half.enqueue_stream(
+            stream_id, Span(span.source, span.start, span.stop - 1), False
+        )
+
+
+@pytest.mark.parametrize("transport", ["tcp", "quic"])
+def test_a_transport_that_refuses_sized_data_is_a_protocol_error(transport):
+    """``_flush_data`` sizes each frame to the socket space it read, and
+    by the time it writes, the windows and the body cursor have moved:
+    a refusal must not pass silently as lost DATA."""
+    sim, client, server = make_pair(conditions=replace(DSL_TESTBED, transport=transport))
+    server._endpoint._out = _RefusingHalf(server._endpoint._out)
+
+    def on_request(sid, headers, prio):
+        server.respond(sid, [(":status", "200")])
+        server.send_body(sid, b"b" * 1_000, end_stream=True)
+
+    server.on_request = on_request
+    stream_id = client.request(REQUEST)
+    with pytest.raises(ProtocolError) as raised:
+        sim.run()
+    message = str(raised.value)
+    assert f"stream {stream_id}" in message
+    assert ("1009-octet" in message) if transport == "tcp" else ("999 of 1000" in message)

@@ -50,14 +50,15 @@ class TestSendQueue:
         stream.open_local()
         body = b"hello world"
         stream.queue_body(body, end_stream=True)
-        span, end = stream.take_body(5)
+        span, end, more = stream.take(5)
         assert span.source is body  # a window onto the body, not a copy
         assert span.tobytes() == b"hello"
-        assert not end
-        span, end = stream.take_body(100)
+        assert not end and more
+        assert stream.send_window.available == 65_535 - 5  # take consumes it
+        span, end, more = stream.take(100)
         assert (span.start, span.stop) == (5, 11)
         assert span.tobytes() == b" world"
-        assert end
+        assert end and not more
 
     def test_queue_after_end_rejected(self):
         stream = make_stream()
@@ -79,7 +80,8 @@ class TestSendQueue:
         stream.queue_body(b"a" * 1000, end_stream=True)
         stream.pause_at = 300
         assert stream.sendable_bytes() == 300
-        stream.take_body(300)
+        span, end, more = stream.take(1000)
+        assert len(span) == 300 and not end and not more
         assert stream.sendable_bytes() == 0
         assert not stream.wants_to_send()
         stream.pause_at = None
@@ -91,17 +93,17 @@ class TestSendQueue:
         stream.open_local()
         stream.queue_body(b"", end_stream=True)
         assert stream.wants_to_send()
-        span, end = stream.take_body(0)
-        assert len(span) == 0 and end
+        span, end, more = stream.take(0)
+        assert len(span) == 0 and end and not more
 
     def test_second_write_queues_behind_the_cursor(self):
         stream = make_stream()
         stream.open_local()
         stream.queue_body(b"abcdef", end_stream=False)
-        stream.take_body(2)
+        stream.take(2)
         stream.queue_body(b"ghi", end_stream=True)
         assert stream.queued_bytes == 7
-        span, end = stream.take_body(100)
+        span, end, _more = stream.take(100)
         assert span.tobytes() == b"cdefghi" and end
         assert stream.bytes_sent == 9
 
@@ -109,6 +111,6 @@ class TestSendQueue:
         stream = make_stream()
         stream.open_local()
         stream.queue_body(b"q" * 400, end_stream=False)
-        stream.take_body(150)
+        stream.take(150)
         assert stream.bytes_sent == 150
         assert stream.queued_bytes == 250

@@ -11,6 +11,7 @@ from repro.netsim.tcp import (
     INITIAL_WINDOW_SEGMENTS,
     MSS,
     TcpConnection,
+    _HalfConnection,
 )
 from repro.sim import Simulator
 
@@ -286,6 +287,65 @@ def test_impaired_transfer_is_seed_deterministic():
         return transfer(sim, conn, 150_000)
 
     assert run_once() == run_once()
+
+
+class _ReferenceEstimator:
+    """RFC 6298 state alone, moved only by ``_sample_rtt`` (and the
+    back-off line of ``_on_timeout``)."""
+
+    _sample_rtt = _HalfConnection._sample_rtt
+
+    def __init__(self):
+        self._srtt = 0.0
+        self._rttvar = 0.0
+        self._rto = 1_000.0
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy_dsl"])
+def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(lossy, monkeypatch):
+    """``_on_ack``'s ordered loop carries the RFC 6298 arithmetic inline
+    and derives the RTO once per ACK.  After every ACK of a whole
+    transfer ``(srtt, rttvar, rto)`` must be, float for float, what a
+    reference reaches by feeding the same samples — every newly
+    acknowledged, never-retransmitted segment, in flight order —
+    through ``_sample_rtt`` one at a time."""
+    from repro.netsim.conditions import LOSSY_DSL
+
+    if lossy:
+        sim, conn = make_impaired_connection(LOSSY_DSL.impairment, seed=2, impairment_seed=11)
+    else:
+        sim, conn = make_connection()
+    sender = conn._s2c
+    reference = _ReferenceEstimator()
+    log = []
+    on_ack = _HalfConnection._on_ack
+    on_timeout = _HalfConnection._on_timeout
+
+    def checked_on_ack(half, ack):
+        if half is sender and ack > half._snd_una:
+            now = sim.now
+            for _timer, sent_at, retransmitted, end in half._in_flight.values():
+                if end <= ack and not retransmitted:
+                    reference._sample_rtt(now - sent_at)
+        on_ack(half, ack)
+        if half is sender:
+            log.append((half._srtt, half._rttvar, half._rto, half._ordered))
+            assert log[-1][:3] == (reference._srtt, reference._rttvar, reference._rto)
+
+    def checked_on_timeout(half, seq):
+        if half is sender and seq in half._in_flight:
+            reference._rto = min(reference._rto * 2.0, 60_000.0)
+        on_timeout(half, seq)
+
+    monkeypatch.setattr(_HalfConnection, "_on_ack", checked_on_ack)
+    monkeypatch.setattr(_HalfConnection, "_on_timeout", checked_on_timeout)
+    transfer(sim, conn, 600_000)
+    assert len(log) > 150
+    assert len({entry[:3] for entry in log}) > 100  # the estimator moved
+    # The clean transfer stays on the inlined loop to the end; the lossy
+    # one retransmits and finishes on the ``_sample_rtt`` branch.
+    assert [entry[3] for entry in log].count(True) > (150 if not lossy else 5)
+    assert log[-1][3] is (not lossy)
 
 
 @pytest.mark.xfail(

@@ -5,7 +5,9 @@ delayed-ACK timer; almost all are cancelled before they fire.  Both
 are queue entries the half-connection holds (``repro.sim``: the entry
 *is* the handle), so these tests pin when each is armed, cancelled and
 dispatched — in ACK departure instants and exact event counts — and
-what a page load pays the event core for them.
+what a page load pays the event core for them.  The last test counts
+the other side of the same loop: what a delivered DATA frame pays
+``netsim``, ``h2`` and ``browser`` together.
 """
 
 import random
@@ -192,3 +194,46 @@ def test_event_core_calls_per_delivered_segment():
     assert len(down.log) == 300
     assert sim.events_processed == 459
     assert calls[0] / 300 <= 3.5, calls[0]
+
+
+def test_data_path_calls_per_delivered_frame():
+    """Python-level calls into ``repro/{netsim,h2,browser}/`` over one
+    page load that is one 300-segment object (and a 2 kB document), per
+    DATA frame the client received — the ACK-clocked loop end to end:
+    ACK, TCP pump, writable, schedule, cut, segment, deliver, browser.
+    Each layer is entered once per frame or segment; a helper call put
+    back on that path adds 430 calls here.  It reads 15.0 (24.0 before
+    the path was flattened), connection set-up, headers and the
+    document's parse included; wall time on a shared host would not
+    show it.
+    """
+    from repro.html import ResourceSpec, ResourceType, WebsiteSpec
+    from repro.replay import replay_site
+
+    spec = WebsiteSpec(
+        name="one-object",
+        primary_domain="one.example",
+        html_size=2_000,
+        html_visual_weight=10,
+        resources=[ResourceSpec("big.jpg", ResourceType.IMAGE, 300 * MSS)],
+    )
+    calls = [0]
+    frames = [0]
+
+    def on_event(frame, event, _arg):
+        if event != "call":
+            return
+        filename = frame.f_code.co_filename
+        if "/repro/netsim/" in filename or "/repro/h2/" in filename or "/repro/browser/" in filename:
+            calls[0] += 1
+            if frame.f_code.co_name == "_on_data_record":
+                frames[0] += 1
+
+    sys.setprofile(on_event)
+    try:
+        result = replay_site(spec)
+    finally:
+        sys.setprofile(None)
+    assert result.timeline.onload is not None
+    assert frames[0] == 430
+    assert calls[0] / frames[0] <= 16.5, calls[0]
