@@ -88,9 +88,6 @@ class BrowserConfig:
     #: Attach a cache digest (draft-ietf-httpbis-cache-digest) to the
     #: navigation request so the server can skip pushing cached objects.
     send_cache_digest: bool = False
-    #: Application protocol: "h2" (default) or "h1" — the HTTP/1.1
-    #: baseline with six serial connections per origin and no push.
-    protocol: str = "h2"
 
 
 class _Fetch:
@@ -239,15 +236,18 @@ class PageLoad:
         self._onload_fired = False
         self._delayable_queue: Deque[_Fetch] = deque()
         self._delayable_in_flight = 0
+        #: The servers say what they speak: HTTP/1.1 origins are loaded
+        #: through six serial connections each, without push.
         self._h1_pools = None
-        if self.config.protocol == "h1":
+        protocols = {server.protocol for server in servers}
+        if protocols == {"h1"}:
             from ..h1.pool import H1PoolManager
 
             self._h1_pools = H1PoolManager(
                 topology, lambda ip: self.servers.get(ip).accept
             )
-        elif self.config.protocol != "h2":
-            raise BrowserError(f"unknown protocol {self.config.protocol!r}")
+        elif protocols - {"h2"}:
+            raise BrowserError(f"cannot load from {sorted(protocols)} servers")
 
     # ------------------------------------------------------------------
     # entry point
@@ -377,44 +377,28 @@ class PageLoad:
         self._send_request(entry, fetch)
 
     def _issue_h1_request(self, fetch: _Fetch) -> None:
-        """HTTP/1.1 path: serial requests over a per-origin pool."""
+        """HTTP/1.1 path: serial requests over a per-origin pool.
+
+        One exchange is a connection entry whose only stream is 0, so
+        its response arrives at the handlers H2 streams arrive at.
+        """
         domain = split_url(fetch.url)[0]
         pool = self._h1_pools.pool_for(domain)
-        if self.timeline.connect_end is None and pool.on_first_established is None:
-            def mark_connected() -> None:
-                if self.timeline.connect_end is None:
-                    self.timeline.connect_end = self.sim.now
-
-            pool.on_first_established = mark_connected
+        pool.on_first_established = self._mark_connected
         if fetch.requested_at is None:
             fetch.requested_at = self.sim.now
-
-        def on_response(status, headers) -> None:
-            if fetch.response_start is None:
-                fetch.response_start = self.sim.now
-            if fetch.rtype == ResourceType.HTML:
-                for hint in _parse_link_preloads(headers):
-                    self._preload_hint(hint, "link_header")
+        entry = _ConnectionEntry(self.topology.resolve(domain), domain)
+        entry.stream_fetch[0] = fetch
 
         def on_informational(status, headers) -> None:
-            if status != 103:
-                return
-            hints = _parse_link_preloads(headers)
-            if self._tracer is not None:
-                self._tracer.early_hints_received(f"h1-{domain}", 0, len(hints))
-            for hint in hints:
-                self._preload_hint(hint, "early_hints")
-
-        def on_data(chunk: bytes) -> None:
-            fetch.body.append(Span(chunk))
-            if fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
-                self._on_html_bytes(chunk)
+            if status == 103:
+                self._on_early_hints(f"h1-{domain}", 0, headers)
 
         pool.fetch(
             fetch.url,
-            on_response=on_response,
-            on_data=on_data,
-            on_complete=lambda: self._complete_fetch(fetch),
+            on_response=lambda status, headers: self._on_response(entry, 0, headers),
+            on_data=lambda chunk: self._on_data(entry, 0, Span(chunk)),
+            on_complete=partial(self._on_stream_end, entry, 0),
             headers=[("user-agent", "repro-browser/1.0 (HTTP/1.1)")],
             on_informational=on_informational,
         )
@@ -443,16 +427,10 @@ class PageLoad:
             enable_push=1 if self.config.enable_push else 0,
             initial_window_size=self.config.initial_window,
         )
-        if getattr(tcp, "transport", "tcp") == "quic":
-            from ..mechanisms.h2quic import H2OverQuicConnection
+        # Imported here: ``mechanisms`` reaches back to this module.
+        from ..mechanisms.h2quic import h2_endpoint
 
-            conn: H2Connection = H2OverQuicConnection(
-                tcp.client, "client", settings=settings, tracer=self._tracer
-            )
-        else:
-            conn = H2Connection(
-                tcp.client, "client", settings=settings, tracer=self._tracer
-            )
+        conn = h2_endpoint(tcp, "client", settings=settings, tracer=self._tracer)
         conn.on_response = lambda sid, headers: self._on_response(entry, sid, headers)
         conn.on_informational = (
             lambda sid, headers: self._on_informational(entry, sid, headers)
@@ -467,12 +445,17 @@ class PageLoad:
         entry.conn = conn
         entry.established = True
         if self.timeline.connect_end is None:
-            self.timeline.connect_end = self.sim.now
-            if self._tracer is not None:
-                self._tracer.milestone("connect_end")
+            self._mark_connected()
         pending, entry.pending = entry.pending, []
         for fetch in pending:
             self._send_request(entry, fetch)
+
+    def _mark_connected(self) -> None:
+        """The first connection of the load is up (later ones: no-op)."""
+        if self.timeline.connect_end is None:
+            self.timeline.connect_end = self.sim.now
+            if self._tracer is not None:
+                self._tracer.milestone("connect_end")
 
     def _send_request(self, entry: _ConnectionEntry, fetch: _Fetch) -> None:
         domain, path = split_url(fetch.url)
@@ -539,13 +522,13 @@ class PageLoad:
     ) -> None:
         """An interim response arrived (103 Early Hints, RFC 8297)."""
         status = next((value for name, value in headers if name == ":status"), "")
-        if status != "103":
-            return
+        if status == "103":
+            self._on_early_hints(entry.conn._trace_name, stream_id, headers)
+
+    def _on_early_hints(self, conn_name: str, stream_id: int, headers) -> None:
         hints = _parse_link_preloads(headers)
         if self._tracer is not None:
-            self._tracer.early_hints_received(
-                entry.conn._trace_name, stream_id, len(hints)
-            )
+            self._tracer.early_hints_received(conn_name, stream_id, len(hints))
         for hint in hints:
             self._preload_hint(hint, "early_hints")
 

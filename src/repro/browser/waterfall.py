@@ -13,57 +13,32 @@ from a :class:`~repro.replay.testbed.PageLoadResult`:
 ``▒`` marks wait (request issued, first byte pending), ``█`` transfer,
 and markers show first paint (P) and onload (L).
 
-Two front ends share one renderer: :func:`render_waterfall` reads the
+Two front ends share one renderer and one row type
+(:class:`repro.trace.ResourceRow`): :func:`render_waterfall` reads the
 browser's :class:`~repro.browser.timings.PageTimeline` (the historical
 path, byte-identical output), and :func:`render_waterfall_from_trace`
-reconstructs the same rows from a :class:`repro.trace.core.Trace` event
-stream — which additionally knows about *rejected* pushes, rendered as
-zero-duration rows so a wasted PUSH_PROMISE is visible in the picture.
+takes the rows of :func:`repro.trace.load_view` — which additionally
+knows about *rejected* pushes, rendered as zero-duration rows so a
+wasted PUSH_PROMISE is visible in the picture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..replay.testbed import PageLoadResult
+from ..trace.core import Trace
+from ..trace.view import ResourceRow, load_view
 
 #: Characters per rendered timeline.
 DEFAULT_WIDTH = 60
-
-
-@dataclass
-class WaterfallRow:
-    """One renderable resource timeline, whichever front end built it."""
-
-    url: str
-    requested_at: float
-    response_start: Optional[float] = None
-    finished_at: Optional[float] = None
-    pushed: bool = False
-    from_cache: bool = False
-    #: A push the client refused (reset); rendered as a zero-duration
-    #: row so the wasted promise still shows up in the waterfall.
-    rejected: bool = False
-    reject_reason: str = ""
-
-    def flags(self) -> List[str]:
-        flags: List[str] = []
-        if self.pushed:
-            flags.append("PUSH")
-        if self.from_cache:
-            flags.append("CACHE")
-        if self.rejected:
-            reason = f"({self.reject_reason})" if self.reject_reason else ""
-            flags.append(f"REJECTED{reason}")
-        return flags
 
 
 def render_waterfall(result: PageLoadResult, width: int = DEFAULT_WIDTH) -> str:
     """Render the load as a fixed-width ASCII waterfall."""
     timeline = result.timeline
     rows = [
-        WaterfallRow(
+        ResourceRow(
             url=r.url,
             requested_at=r.requested_at,
             response_start=r.response_start,
@@ -72,7 +47,6 @@ def render_waterfall(result: PageLoadResult, width: int = DEFAULT_WIDTH) -> str:
             from_cache=r.from_cache,
         )
         for r in timeline.resources.values()
-        if r.requested_at is not None
     ]
     return render_rows(
         rows,
@@ -83,90 +57,28 @@ def render_waterfall(result: PageLoadResult, width: int = DEFAULT_WIDTH) -> str:
     )
 
 
-def render_waterfall_from_trace(trace, width: int = DEFAULT_WIDTH) -> str:
-    """Render a waterfall from a trace event stream instead of a result.
-
-    Consumes ``ResourceRequested``/``ResourceResponse``/
-    ``ResourceFinished``/``PushRejected``/``Milestone`` events; every
-    other event type is ignored, so any tracer output (full or
-    ring-truncated) renders.
-    """
-    rows, navigation_start, first_paint, onload = rows_from_trace(trace)
+def render_waterfall_from_trace(trace: Trace, width: int = DEFAULT_WIDTH) -> str:
+    """Render a waterfall from a trace event stream instead of a result."""
+    view = load_view(trace)
     return render_rows(
-        rows,
-        navigation_start=navigation_start,
-        first_paint=first_paint,
-        onload=onload,
+        view.rows,
+        navigation_start=view.milestones.get("navigation_start", 0.0),
+        first_paint=view.milestones.get("first_paint"),
+        onload=view.milestones.get("onload"),
         width=width,
     )
 
 
-def rows_from_trace(trace):
-    """Extract waterfall rows + milestones from a trace.
-
-    Returns ``(rows, navigation_start, first_paint, onload)``.  Shared
-    by the waterfall renderer and the trace CLI; the first event of each
-    kind wins per URL, matching how the browser timeline records them.
-    """
-    from ..trace.core import (
-        Milestone,
-        PushRejected,
-        ResourceFinished,
-        ResourceRequested,
-        ResourceResponse,
-    )
-
-    rows: List[WaterfallRow] = []
-    by_url: Dict[str, WaterfallRow] = {}
-    navigation_start = 0.0
-    first_paint: Optional[float] = None
-    onload: Optional[float] = None
-    for event in trace.events:
-        if type(event) is ResourceRequested:
-            if event.url not in by_url:
-                row = WaterfallRow(
-                    url=event.url, requested_at=event.t, pushed=event.pushed
-                )
-                by_url[event.url] = row
-                rows.append(row)
-        elif type(event) is ResourceResponse:
-            row = by_url.get(event.url)
-            if row is not None and row.response_start is None:
-                row.response_start = event.t
-        elif type(event) is ResourceFinished:
-            row = by_url.get(event.url)
-            if row is not None and row.finished_at is None:
-                row.finished_at = event.t
-                row.pushed = row.pushed or event.pushed
-                row.from_cache = row.from_cache or event.from_cache
-        elif type(event) is PushRejected:
-            rows.append(
-                WaterfallRow(
-                    url=event.url,
-                    requested_at=event.t,
-                    pushed=True,
-                    rejected=True,
-                    reject_reason=event.reason,
-                )
-            )
-        elif type(event) is Milestone:
-            if event.milestone == "navigation_start":
-                navigation_start = event.t
-            elif event.milestone == "first_paint" and first_paint is None:
-                first_paint = event.t
-            elif event.milestone == "onload" and onload is None:
-                onload = event.t
-    return rows, navigation_start, first_paint, onload
-
-
 def render_rows(
-    rows: List[WaterfallRow],
+    rows: List[ResourceRow],
     navigation_start: float,
     first_paint: Optional[float],
     onload: Optional[float],
     width: int = DEFAULT_WIDTH,
 ) -> str:
-    """The shared fixed-width renderer behind both front ends."""
+    """The shared fixed-width renderer behind both front ends; a row
+    that was never requested (finish event only) has no bar to draw."""
+    rows = [row for row in rows if row.requested_at is not None]
     if not rows:
         return "(no resources)"
     start = navigation_start
@@ -192,7 +104,7 @@ def render_rows(
         duration = (row.finished_at or first_byte) - row.requested_at
         lines.append(
             f"{_label(row.url):<{label_width}} |{''.join(bar)}| "
-            f"{duration:6.0f}ms {' '.join(row.flags())}".rstrip()
+            f"{duration:6.0f}ms {' '.join(_flags(row))}".rstrip()
         )
     markers = [" "] * width
     if first_paint is not None:
@@ -204,6 +116,18 @@ def render_rows(
         f"{'':<{label_width}}  0ms{'':>{max(width - 14, 0)}}{span:7.0f}ms"
     )
     return "\n".join(lines)
+
+
+def _flags(row: ResourceRow) -> List[str]:
+    flags: List[str] = []
+    if row.pushed:
+        flags.append("PUSH")
+    if row.from_cache:
+        flags.append("CACHE")
+    if row.reject_reason is not None:
+        reason = f"({row.reject_reason})" if row.reject_reason else ""
+        flags.append(f"REJECTED{reason}")
+    return flags
 
 
 def _label(url: str) -> str:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 from pathlib import Path
@@ -105,35 +106,52 @@ def _engine_from_args(args):
         default_cache_dir,
     )
 
-    jobs = min(getattr(args, "jobs", 1) or 1, os.cpu_count() or 1)
+    jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
-        executor = ParallelExecutor(jobs, chunk_runs=getattr(args, "chunk", None))
+        executor = ParallelExecutor(jobs, chunk_runs=args.chunk)
     else:
         executor = SerialExecutor()
     cache = None
-    if not getattr(args, "no_cache", False):
-        root = Path(args.cache) if getattr(args, "cache", None) else default_cache_dir()
+    if not args.no_cache:
+        root = Path(args.cache) if args.cache else default_cache_dir()
         if root is not None:
             cache = ResultCache(root)
-    return ExperimentEngine(
-        executor=executor, cache=cache, force=getattr(args, "force", False)
-    )
+    return ExperimentEngine(executor=executor, cache=cache, force=args.force)
 
 
 def _maybe_report(args, engine) -> None:
-    if getattr(args, "report", False) and engine.reports:
+    if args.report and engine.reports:
         print(engine.render_reports(), file=sys.stderr)
+
+
+def _write_json(path: str, document) -> None:
+    """Write ``document`` to ``path`` as sorted JSON; say so on stderr."""
+    Path(path).write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts: an integer >= 1, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
     group.add_argument(
-        "--jobs", "--workers", dest="jobs", type=int, default=1,
+        "--jobs", "--workers", dest="jobs", type=_positive_int, default=1,
         help="worker processes for cell execution (default: 1 = serial; "
         "clamped to the CPU count)",
     )
     group.add_argument(
-        "--chunk", type=int, default=None, metavar="RUNS",
+        "--chunk", type=_positive_int, default=None, metavar="RUNS",
         help="max runs per scheduled work unit (default: auto-sized per grid)",
     )
     group.add_argument(
@@ -264,12 +282,11 @@ def _run_fig(args, engine, exp) -> int:
         print(exp.run_fig5(exp.Fig5Config(runs=args.runs), engine=engine).render())
     elif figure == "6":
         print(exp.run_fig6(exp.Fig6Config(runs=args.runs), engine=engine).render())
-    elif figure == "7":
-        print(exp.run_fig7(exp.Fig7Config(runs=args.runs), engine=engine).render())
-    elif figure == "8":
-        print(exp.run_fig8(exp.Fig8Config(runs=args.runs), engine=engine).render())
     else:
-        raise ConfigError(f"unknown figure {figure!r} (1, 2, 3, 3a, 3b, 4, 5, 6, 7, 8)")
+        raise ConfigError(
+            f"unknown figure {figure!r} (1, 2, 3, 3a, 3b, 4, 5, 6; the "
+            "extensions are the `fig7` and `fig8` commands)"
+        )
     _maybe_report(args, engine)
     return 0
 
@@ -300,14 +317,7 @@ def cmd_fig8(args) -> int:
         result = exp.run_fig8(config, engine=engine)
         print(result.render())
         if args.fingerprints:
-            import json
-
-            Path(args.fingerprints).write_text(
-                json.dumps(result.cell_fingerprints(), indent=2, sort_keys=True)
-                + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.fingerprints}", file=sys.stderr)
+            _write_json(args.fingerprints, result.cell_fingerprints())
         _maybe_report(args, engine)
     return 0
 
@@ -365,8 +375,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_population(args) -> int:
-    import json
-
     from .population import PopulationConfig, render_population, run_population
 
     config = PopulationConfig(
@@ -380,18 +388,12 @@ def cmd_population(args) -> int:
         result = run_population(config, engine=engine)
         print(render_population(result))
         if args.json:
-            Path(args.json).write_text(
-                json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.json}", file=sys.stderr)
+            _write_json(args.json, result.to_json())
         _maybe_report(args, engine)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    import json as json_module
-
     from .optimizer import OptimizeConfig, run_optimize
 
     config = OptimizeConfig.quick() if args.quick else OptimizeConfig()
@@ -417,11 +419,7 @@ def cmd_optimize(args) -> int:
             result.table.save(args.table)
             print(f"wrote {args.table}", file=sys.stderr)
         if args.json:
-            Path(args.json).write_text(
-                json_module.dumps(result.to_json(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.json}", file=sys.stderr)
+            _write_json(args.json, result.to_json())
         _maybe_report(args, engine)
     return 0
 
@@ -454,26 +452,26 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="replay one site under one strategy")
     replay.add_argument("site")
     replay.add_argument("--strategy", default="no_push")
-    replay.add_argument("--runs", type=int, default=5)
+    replay.add_argument("--runs", type=_positive_int, default=5)
     _add_engine_options(replay)
     replay.set_defaults(func=cmd_replay)
 
     suite = sub.add_parser("suite", help="run the six §5 deployments on a site")
     suite.add_argument("site")
-    suite.add_argument("--runs", type=int, default=5)
+    suite.add_argument("--runs", type=_positive_int, default=5)
     _add_engine_options(suite)
     suite.set_defaults(func=cmd_suite)
 
     order = sub.add_parser("order", help="compute the §4.2 push order for a site")
     order.add_argument("site")
-    order.add_argument("--runs", type=int, default=5)
+    order.add_argument("--runs", type=_positive_int, default=5)
     _add_engine_options(order)
     order.set_defaults(func=cmd_order)
 
     fig = sub.add_parser("fig", help="regenerate a figure of the paper")
-    fig.add_argument("figure", help="1, 2, 3, 3a, 3b, 4, 5, 6, 7, or 8")
+    fig.add_argument("figure", help="1, 2, 3, 3a, 3b, 4, 5, or 6")
     fig.add_argument("--sites", type=int, default=10)
-    fig.add_argument("--runs", type=int, default=5)
+    fig.add_argument("--runs", type=_positive_int, default=5)
     _add_engine_options(fig)
     fig.set_defaults(func=cmd_fig)
 
@@ -488,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="Gilbert-Elliott burst loss instead of i.i.d.",
     )
-    fig7.add_argument("--runs", type=int, default=5)
+    fig7.add_argument("--runs", type=_positive_int, default=5)
     _add_engine_options(fig7)
     fig7.set_defaults(func=cmd_fig7)
 
@@ -499,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig8.add_argument(
         "--quick", action="store_true", help="small CI-sized sweep"
     )
-    fig8.add_argument("--runs", type=int, default=5)
+    fig8.add_argument("--runs", type=_positive_int, default=5)
     fig8.add_argument(
         "--fingerprints", metavar="PATH", default=None,
         help="also write per-cell result fingerprints as JSON to PATH "
@@ -511,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     waterfall = sub.add_parser("waterfall", help="render a load as an ASCII waterfall")
     waterfall.add_argument("site")
     waterfall.add_argument("--strategy", default="no_push")
-    waterfall.add_argument("--width", type=int, default=60)
+    waterfall.add_argument("--width", type=_positive_int, default=60)
     waterfall.set_defaults(func=cmd_waterfall)
 
     trace = sub.add_parser(
@@ -521,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--strategy", default="push_all")
     trace.add_argument("--vs", default="no_push", help="baseline strategy to diff against")
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--width", type=int, default=60)
+    trace.add_argument("--width", type=_positive_int, default=60)
     trace.add_argument(
         "--qlog", metavar="DIR", default=None,
         help="also write the two qlog JSON exports to DIR",
@@ -538,11 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="small sites and cohorts (CI smoke; also the golden config)",
     )
     population.add_argument(
-        "--loads", type=int, default=200,
+        "--loads", type=_positive_int, default=200,
         help="simulated clients per cohort (default: 200)",
     )
     population.add_argument(
-        "--batch", type=int, default=64,
+        "--batch", type=_positive_int, default=64,
         help="loads per engine grid; memory is O(batch), results are "
         "batch-size invariant (default: 64)",
     )
@@ -601,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     abtest = sub.add_parser("abtest", help="CDN A/B strategy selection (§6)")
     abtest.add_argument("site")
-    abtest.add_argument("--runs", type=int, default=3)
-    abtest.add_argument("--rum-runs", type=int, default=7)
+    abtest.add_argument("--runs", type=_positive_int, default=3)
+    abtest.add_argument("--rum-runs", type=_positive_int, default=7)
     _add_engine_options(abtest)
     abtest.set_defaults(func=cmd_abtest)
 

@@ -18,29 +18,24 @@ Keys come from :mod:`.fingerprint`: they cover the spec, strategy,
 conditions, runs, and seed base, so any configuration change yields a
 different key and the stale entry is simply never read again.
 
-Durability: cell files carry a magic header and the SHA-256 of their
-payload; loads validate both and **quarantine** anything that fails
-(renamed to ``*.corrupt``, with a logged warning) so the cell is
-recomputed instead of the corruption being silently swallowed.  Writes
-go through a temp file + ``fsync`` + ``os.replace`` so a killed run can
-never leave a partial cell behind under the final name.
+Durability: cell files are :mod:`repro.checksummed` files — magic
+header, SHA-256 of the payload, atomic write, and a quarantine
+(``*.corrupt`` plus a logged warning) for anything that fails to
+validate, so the cell is recomputed instead of the corruption being
+silently swallowed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import List, Optional
 
+from ... import checksummed
 from ..runner import CellResult
-
-logger = logging.getLogger("repro.experiments.cache")
 
 #: Environment variable naming the default cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -49,7 +44,8 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: (old entries then fail validation and are recomputed).
 CELL_MAGIC = b"RPRC2\n"
 
-_DIGEST_SIZE = hashlib.sha256().digest_size
+#: Cells the in-process tier of an engine keeps.
+MEMORY_CACHE_CAPACITY = 256
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -65,7 +61,7 @@ class MemoryResultCache:
     immutable (everything downstream of the engine already does).
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = MEMORY_CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -114,61 +110,29 @@ class ResultCache:
         return self.cell_path(key).exists()
 
     def load(self, key: str) -> Optional[CellResult]:
-        data = self.load_bytes(key)
-        if data is None:
-            return None
-        payload = self._validate(key, data)
+        path = self.cell_path(key)
+        payload = checksummed.read(path, CELL_MAGIC)
         if payload is None:
             return None
         try:
             return pickle.loads(payload)
         except Exception as exc:  # unpicklable despite valid checksum:
             # the entry was written by an incompatible code version.
-            self._quarantine(self.cell_path(key), f"unpicklable payload ({exc})")
+            checksummed.quarantine(path, f"unpicklable payload ({exc})")
             return None
 
     def load_bytes(self, key: str) -> Optional[bytes]:
         """Raw stored record; exposed so tests can assert byte identity."""
-        path = self.cell_path(key)
         try:
-            return path.read_bytes()
+            return self.cell_path(key).read_bytes()
         except FileNotFoundError:
             return None
 
     def store(self, key: str, result: CellResult) -> Path:
         path = self.cell_path(key)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        framed = CELL_MAGIC + hashlib.sha256(payload).digest() + payload
-        self._atomic_write(path, framed)
+        checksummed.write(path, CELL_MAGIC, payload)
         return path
-
-    def _validate(self, key: str, data: bytes) -> Optional[bytes]:
-        """Strip and verify the frame; quarantine on any mismatch."""
-        path = self.cell_path(key)
-        header = len(CELL_MAGIC) + _DIGEST_SIZE
-        if len(data) < header or not data.startswith(CELL_MAGIC):
-            self._quarantine(path, "missing or foreign header")
-            return None
-        digest = data[len(CELL_MAGIC) : header]
-        payload = data[header:]
-        if hashlib.sha256(payload).digest() != digest:
-            self._quarantine(path, "checksum mismatch (truncated or corrupt)")
-            return None
-        return payload
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad entry aside so the cell is recomputed, loudly."""
-        quarantined = path.with_suffix(path.suffix + ".corrupt")
-        try:
-            os.replace(path, quarantined)
-        except OSError:
-            quarantined = path  # couldn't move it; report in place
-        logger.warning(
-            "cache entry %s is invalid (%s); quarantined as %s and recomputing",
-            path,
-            reason,
-            quarantined,
-        )
 
     # ------------------------------------------------------------------
     def order_path(self, key: str) -> Path:
@@ -183,11 +147,13 @@ class ResultCache:
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
-            self._quarantine(path, f"corrupt order JSON ({exc.msg})")
+            checksummed.quarantine(path, f"corrupt order JSON ({exc.msg})")
             return None
 
     def store_order(self, key: str, order: List[str]) -> None:
-        self._atomic_write(self.order_path(key), json.dumps(order).encode("utf-8"))
+        checksummed.atomic_write(
+            self.order_path(key), json.dumps(order).encode("utf-8")
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -201,21 +167,3 @@ class ResultCache:
         with self.records_path.open("a", encoding="utf-8") as handle:
             for line in lines:
                 handle.write(line + "\n")
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
+from ...errors import ConfigError
 from ...html.spec import WebsiteSpec
 from ...netsim.conditions import ConditionSampler
 from ...strategies.base import PushStrategy
@@ -52,6 +53,10 @@ class Cell:
     #: ``"summary"`` folds each run to bounded scalars for
     #: population-scale grids.
     reduce: str = "collect"
+
+    def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ConfigError(f"a cell needs at least one run, got runs={self.runs}")
 
     def key(self) -> str:
         """Content-addressed cache key; excludes the display label.

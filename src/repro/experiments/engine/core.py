@@ -36,12 +36,11 @@ class ExperimentEngine:
         executor: Optional[Executor] = None,
         cache: Optional[ResultCache] = None,
         force: bool = False,
-        memory_cache_size: int = 256,
     ):
         """``cache=None`` falls back to ``$REPRO_CACHE_DIR`` (no disk
-        caching when unset).  The in-process LRU tier is always on —
-        ``memory_cache_size`` bounds it — so duplicate cells across the
-        grids of one process run once even without a cache directory.
+        caching when unset).  The in-process LRU tier is always on, so
+        duplicate cells across the grids of one process run once even
+        without a cache directory.
         ``force=True`` ignores both cache tiers but still stores fresh
         results."""
         self.executor = executor or SerialExecutor()
@@ -49,7 +48,7 @@ class ExperimentEngine:
             root = default_cache_dir()
             cache = ResultCache(root) if root is not None else None
         self.cache = cache
-        self.memory = MemoryResultCache(memory_cache_size)
+        self.memory = MemoryResultCache()
         self.force = force
         self.reports: List[ProgressReport] = []
         #: In-memory memo of §4.2 push orders shared across experiments.
@@ -121,7 +120,7 @@ class ExperimentEngine:
             return True
         from ...trace.store import TraceStore
 
-        return TraceStore(cell.trace.dir).has_all(key, max(1, cell.runs))
+        return TraceStore(cell.trace.dir).has_all(key, cell.runs)
 
     def _lookup(self, key: str) -> Tuple[Optional[CellResult], str]:
         """Probe the memory tier, then disk; promote disk hits."""

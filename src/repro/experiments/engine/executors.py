@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...errors import ExecutorError, ExperimentError
+from ...errors import ConfigError, ExecutorError, ExperimentError
 from ...html.builder import BuiltSite, build_site
 from ...netsim.conditions import DSL_TESTBED, FixedConditions
 from ...replay.recorder import record_site
@@ -208,17 +208,17 @@ def plan_chunks(
     explicit value pins the maximum runs per chunk.  The sort is total
     (weight, then position) so the schedule is deterministic.
     """
-    total_runs = sum(max(1, cell.runs) for cell in cells)
+    total_runs = sum(cell.runs for cell in cells)
     if chunk_runs is None:
         chunk_runs = max(1, math.ceil(total_runs / (max(1, workers) * _CHUNKS_PER_WORKER)))
-    chunk_runs = max(1, chunk_runs)
+    elif chunk_runs < 1:
+        raise ConfigError(f"chunk_runs must be >= 1, got {chunk_runs}")
     chunks: List[Chunk] = []
     for index, cell in enumerate(cells):
         weight = replay_weight(cell.spec)
         lo = 0
-        runs = max(1, cell.runs)
-        while lo < runs:
-            hi = min(runs, lo + chunk_runs)
+        while lo < cell.runs:
+            hi = min(cell.runs, lo + chunk_runs)
             chunks.append(Chunk(index, lo, hi, weight * (hi - lo)))
             lo = hi
     chunks.sort(key=lambda c: (-c.weight, c.cell_index, c.run_lo))
@@ -257,7 +257,7 @@ class _CellAssembler:
         self._got[cell_index] += len(results)
         self._walls[cell_index] += wall_ms
         cell = self.cells[cell_index]
-        if self._got[cell_index] < max(1, cell.runs):
+        if self._got[cell_index] < cell.runs:
             return None
         ordered: list = []
         for lo in sorted(parts):

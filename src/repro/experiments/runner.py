@@ -29,6 +29,7 @@ from ..html.spec import WebsiteSpec
 from ..netsim.conditions import ConditionSampler
 from ..replay.testbed import PageLoadResult, ReplayTestbed
 from ..strategies.base import PushStrategy
+from ..trace import TraceStore, Tracer, qlog_json
 from .reducers import CellSummary, summarize_results
 from .seeds import condition_seed, impairment_seed, load_seed
 
@@ -134,28 +135,14 @@ def run_single(
     testbed = ReplayTestbed(built=built, conditions=network, strategy=strategy, db=db)
     tracer = None
     if trace is not None and trace_key is not None:
-        from ..trace import BinaryRingSink, ListSink, Tracer
-
-        sink = (
-            BinaryRingSink(trace.ring_capacity)
-            if trace.ring_capacity
-            else ListSink()
-        )
-        tracer = Tracer(sink=sink, meta={"run_index": run_index})
+        tracer = Tracer(meta={"run_index": run_index})
     result = testbed.run(
         seed=load_seed(seed_base, run_index),
         impairment_seed=impairment_seed(seed_base, run_index),
         tracer=tracer,
     )
     if tracer is not None:
-        from ..trace import BinaryRingSink, qlog_json
-        from ..trace.store import TraceStore
-
-        sink = tracer.sink
-        if isinstance(sink, BinaryRingSink):
-            payload = sink.dump()
-        else:
-            payload = qlog_json(tracer.trace()).encode("utf-8")
+        payload = qlog_json(tracer.trace()).encode("utf-8")
         TraceStore(trace.dir).store(trace_key, run_index, payload)
     return result
 

@@ -22,6 +22,9 @@ class H1ReplayServer:
     pushed/hinted URL lists are ignored, as a push-less origin would.
     """
 
+    #: What the browser must speak to this server.
+    protocol = "h1"
+
     def __init__(self, ip: str, matcher: RequestMatcher, strategy=None, tracer=None):
         self.ip = ip
         self.matcher = matcher

@@ -5,7 +5,7 @@ connection logic — everything Server Push needs, running over the
 simulated TCP byte stream.
 """
 
-from .connection import DataScheduler, H2Connection
+from .connection import H2Connection
 from .constants import (
     CONNECTION_PREFACE,
     DEFAULT_INITIAL_WINDOW_SIZE,
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_SIZE",
     "DEFAULT_WEIGHT",
     "DataFrame",
-    "DataScheduler",
     "ErrorCode",
     "Flag",
     "FlowControlWindow",

@@ -72,29 +72,6 @@ _END_HEADERS = Flag.END_HEADERS
 _END_HEADERS_END_STREAM = Flag.END_HEADERS | Flag.END_STREAM
 
 
-class DataScheduler:
-    """Default send scheduler: pure RFC 7540 priority-tree order.
-
-    ``select`` returns the stream id to serve next; ``on_data_sent``
-    observes what was sent (hook point for the interleaving scheduler).
-    """
-
-    def select(self, conn: "H2Connection", ready: Set[int]) -> Optional[int]:
-        """Pick one of ``ready``, or ``None`` to send nothing now.
-
-        ``ready`` is the connection's *live* ready set, not a copy: it
-        changes under the scheduler's feet as frames go out, so read it
-        during the call only and never mutate it.
-        """
-        return conn.priority_tree.select(ready)
-
-    def on_data_sent(self, conn: "H2Connection", stream_id: int, size: int, end: bool) -> None:
-        conn.priority_tree.charge(stream_id, size)
-
-    def on_stream_reset(self, conn: "H2Connection", stream_id: int) -> None:
-        """A stream was reset by the peer; schedulers may unblock."""
-
-
 class H2Connection:
     """One endpoint of an HTTP/2 connection."""
 
@@ -131,7 +108,10 @@ class H2Connection:
 
         self.streams: Dict[int, H2Stream] = {}
         self.priority_tree = PriorityTree()
-        self.scheduler: DataScheduler = DataScheduler()
+        #: ``None``: pure RFC 7540 order, ``priority_tree`` picks and is
+        #: charged.  Otherwise an object with the three methods of
+        #: :class:`~repro.server.scheduler.InterleavingScheduler`.
+        self.scheduler = None
         self._chunk_size = chunk_size
 
         self._next_stream_id = 1 if role == "client" else 2
@@ -162,9 +142,6 @@ class H2Connection:
         self.on_data: Optional[Callable[[int, Span], None]] = None
         self.on_stream_end: Optional[Callable[[int], None]] = None
         self.on_push_promise: Optional[Callable[[int, int, List[Header]], None]] = None
-        self.on_reset: Optional[Callable[[int, ErrorCode], None]] = None
-        self.on_settings: Optional[Callable[[Settings], None]] = None
-        self.on_data_frame_sent: Optional[Callable[[int, int, bool], None]] = None
 
         # --- wire statistics ---
         self.frames_sent = 0
@@ -436,8 +413,9 @@ class H2Connection:
         half = self._endpoint._out
         streams = self.streams
         conn_window = self._conn_send_window
-        select = self.scheduler.select
-        on_data_sent = self.scheduler.on_data_sent
+        scheduler = self.scheduler
+        tree_select = self.priority_tree.select
+        charge = self.priority_tree.charge
         emit = self._emit_data
         max_frame = self.remote_settings.max_frame_size
         chunk_size = self._chunk_size
@@ -456,7 +434,10 @@ class H2Connection:
             # stranded behind kilobytes of already-committed DATA.
             if half._buffered >= 2.0 * half._cc.cwnd:
                 return
-            stream_id = select(self, ready)
+            if scheduler is None:
+                stream_id = tree_select(ready)
+            else:
+                stream_id = scheduler.select(self, ready)
             if stream_id is None:
                 return
             stream = streams[stream_id]
@@ -484,12 +465,13 @@ class H2Connection:
                 self._tracer.frame_sent(
                     self._trace_name, "DATA", stream_id, sent + overhead
                 )
-            # Either hook may change other streams' readiness (lift a
-            # pause, queue more body); those paths update ``ready``
-            # themselves, so only this frame's stream is re-derived here.
-            on_data_sent(self, stream_id, sent, end)
-            if self.on_data_frame_sent is not None:
-                self.on_data_frame_sent(stream_id, sent, end)
+            if scheduler is None:
+                charge(stream_id, sent)
+            else:
+                # The hook may change other streams' readiness (lift a
+                # pause); that path updates ``ready`` itself, so only
+                # this frame's stream is re-derived here.
+                scheduler.on_data_sent(self, stream_id, sent, end)
             if end:
                 self._forget_sender(stream_id)
                 stream.close_local()
@@ -501,7 +483,7 @@ class H2Connection:
                 self._forget_sender(stream_id)
             elif (not more or stream.pause_at is not None) and not stream.wants_to_send():
                 # Stream window or pause cap reached.  ``more`` is
-                # ``take``'s answer from before the hooks ran: a true one
+                # ``take``'s answer from before the hook ran: a true one
                 # on a stream with no pause point still holds (a hook can
                 # only reset the stream, caught above, or set a pause);
                 # anything else is asked again.
@@ -635,8 +617,6 @@ class H2Connection:
         if int(SettingCode.HEADER_TABLE_SIZE) in frame.settings:
             self._encoder.set_max_table_size(frame.settings[int(SettingCode.HEADER_TABLE_SIZE)])
         self._queue_frame(SettingsFrame(stream_id=0, flags=Flag.ACK))
-        if self.on_settings is not None:
-            self.on_settings(self.remote_settings)
 
     def _handle_headers(self, frame: HeadersFrame) -> None:
         if frame.priority is not None and self.role == "server":
@@ -751,9 +731,8 @@ class H2Connection:
         stream.reset(frame.error_code)
         self._forget_sender(frame.stream_id)
         self.priority_tree.remove(frame.stream_id)
-        self.scheduler.on_stream_reset(self, frame.stream_id)
-        if self.on_reset is not None:
-            self.on_reset(frame.stream_id, frame.error_code)
+        if self.scheduler is not None:
+            self.scheduler.on_stream_reset(self, frame.stream_id)
 
     def _handle_priority(self, frame: PriorityFrame) -> None:
         self._apply_priority(frame.stream_id, frame.priority)
@@ -788,7 +767,3 @@ class H2Connection:
         if stream is None:
             raise StreamError(f"unknown stream {stream_id}", stream_id)
         return stream
-
-    @property
-    def all_streams_done(self) -> bool:
-        return all(stream.closed for stream in self.streams.values())

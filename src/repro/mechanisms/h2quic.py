@@ -92,3 +92,11 @@ class H2OverQuicConnection(H2Connection):
         super()._finish_header_block(stream_id, block, end_stream)
         if self._early_frames:
             self._drain_early_frames(stream_id)
+
+
+def h2_endpoint(conn, role: str, **kwargs) -> H2Connection:
+    """The HTTP/2 endpoint for ``role`` on a transport connection: the
+    stream mapping above over QUIC, plain H2 framing over TCP."""
+    endpoint = conn.client if role == "client" else conn.server
+    cls = H2OverQuicConnection if conn.transport == "quic" else H2Connection
+    return cls(endpoint, role, **kwargs)

@@ -31,6 +31,10 @@ from .recorddb import RecordDatabase
 from .recorder import record_site
 
 
+#: Simulated time after which an unfinished load is an error.
+LOAD_TIMEOUT_MS = 300_000.0
+
+
 @dataclass(slots=True)
 class PageLoadResult:
     """Outcome of one replayed page load."""
@@ -111,7 +115,6 @@ class ReplayTestbed:
         self,
         cache: Optional[BrowserCache] = None,
         seed: int = 0,
-        timeout_ms: float = 300_000.0,
         probe: Optional[Callable[["ReplayProbe"], None]] = None,
         impairment_seed: Optional[int] = None,
         tracer=None,
@@ -127,38 +130,18 @@ class ReplayTestbed:
         :func:`repro.experiments.seeds.impairment_seed`, and direct
         callers fall back to the same derivation from ``seed``.
 
-        ``tracer`` (a :class:`repro.trace.Tracer`) observes the load:
-        every event is stamped with simulated time and every hook is
-        read-only, so traced results are bit-identical to untraced ones.
-        Traces travel out-of-band — :class:`PageLoadResult` is unchanged.
+        ``tracer`` (a :class:`repro.trace.Tracer`, or ``None`` for off)
+        observes the load: every event is stamped with simulated time
+        and every hook is read-only, so traced results are bit-identical
+        to untraced ones.  Traces travel out-of-band —
+        :class:`PageLoadResult` is unchanged.
         """
         sim = new_simulator()
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None  # NullTracer: same path as no tracer at all
         if tracer is not None:
             tracer.attach(sim)
             tracer.meta.setdefault("site", self.built.spec.name)
             tracer.meta.setdefault("strategy", self._strategy_name())
             tracer.meta.setdefault("seed", seed)
-            tracer.activate()
-        try:
-            return self._run(
-                sim, cache, seed, timeout_ms, probe, impairment_seed, tracer
-            )
-        finally:
-            if tracer is not None:
-                tracer.deactivate()
-
-    def _run(
-        self,
-        sim: Simulator,
-        cache: Optional[BrowserCache],
-        seed: int,
-        timeout_ms: float,
-        probe: Optional[Callable[["ReplayProbe"], None]],
-        impairment_seed: Optional[int],
-        tracer,
-    ) -> PageLoadResult:
         rng = random.Random(seed)
         spec = self.built.spec
         if self.protocol == "h1" and self.conditions.transport != "tcp":
@@ -214,10 +197,6 @@ class ReplayTestbed:
                 )
 
         config = self.browser_config or BrowserConfig()
-        if self.protocol == "h1" and config.protocol != "h1":
-            import dataclasses
-
-            config = dataclasses.replace(config, protocol="h1", enable_push=False)
         if self.strategy is not None and not self.strategy.client_push_enabled:
             import dataclasses
 
@@ -234,10 +213,10 @@ class ReplayTestbed:
             tracer=tracer,
         )
         page.start()
-        sim.run(until=timeout_ms)
+        sim.run(until=LOAD_TIMEOUT_MS)
         if not page.finished:
             raise ConfigError(
-                f"page load of {spec.name} did not finish within {timeout_ms} ms "
+                f"page load of {spec.name} did not finish within {LOAD_TIMEOUT_MS} ms "
                 f"(strategy={self._strategy_name()})"
             )
         if probe is not None:

@@ -1,10 +1,9 @@
 """HTTP/2 origin servers for the replay testbed."""
 
 from .h2server import ReplayServer, ServerFarm
-from .scheduler import DefaultScheduler, InterleavingScheduler
+from .scheduler import InterleavingScheduler
 
 __all__ = [
-    "DefaultScheduler",
     "InterleavingScheduler",
     "ReplayServer",
     "ServerFarm",

@@ -18,6 +18,7 @@ from ..h2.connection import H2Connection
 from ..h2.constants import ErrorCode
 from ..h2.frames import PriorityData
 from ..html.resources import ResourceType, split_url
+from ..mechanisms.h2quic import h2_endpoint
 from ..netsim.tcp import TcpConnection
 from ..replay.certs import Certificate
 from ..replay.matcher import RequestMatcher
@@ -30,6 +31,9 @@ Header = Tuple[str, str]
 
 class ReplayServer:
     """An HTTP/2 origin server serving recorded responses."""
+
+    #: What the browser must speak to this server.
+    protocol = "h2"
 
     def __init__(
         self,
@@ -68,16 +72,9 @@ class ReplayServer:
         The framing adapter follows the transport: H2-over-TCP for the
         paper's stack, the H3-flavored stream mapping for QUIC.
         """
-        if getattr(tcp, "transport", "tcp") == "quic":
-            from ..mechanisms.h2quic import H2OverQuicConnection
-
-            conn: H2Connection = H2OverQuicConnection(
-                tcp.server, "server", chunk_size=self.chunk_size, tracer=self.tracer
-            )
-        else:
-            conn = H2Connection(
-                tcp.server, "server", chunk_size=self.chunk_size, tracer=self.tracer
-            )
+        conn = h2_endpoint(
+            tcp, "server", chunk_size=self.chunk_size, tracer=self.tracer
+        )
         conn.on_request = lambda sid, headers, prio: self._on_request(conn, sid, headers)
         self.connections.append(conn)
         return conn

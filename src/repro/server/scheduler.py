@@ -1,9 +1,9 @@
-"""h2o-style stream schedulers.
+"""The h2o-style interleaving scheduler.
 
-:class:`DefaultScheduler` is the unmodified h2o discipline: strict
-adherence to the RFC 7540 priority tree, where a pushed stream is a
-child of its parent and therefore only sends when the parent is idle,
-blocked, or finished (Fig. 5a).
+A connection with no scheduler installed follows the unmodified h2o
+discipline: strict adherence to the RFC 7540 priority tree, where a
+pushed stream is a child of its parent and therefore only sends when
+the parent is idle, blocked, or finished (Fig. 5a).
 
 :class:`InterleavingScheduler` is the paper's modification (§5): the
 parent (HTML) stream is *stopped* after a configured byte offset, the
@@ -16,17 +16,17 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from ..h2.connection import DataScheduler, H2Connection
+from ..h2.connection import H2Connection
 
 
-class DefaultScheduler(DataScheduler):
-    """Alias of the connection's built-in priority-tree scheduler."""
+class InterleavingScheduler:
+    """Pause the parent stream at ``offset``; send critical pushes; resume.
 
-    name = "default"
-
-
-class InterleavingScheduler(DataScheduler):
-    """Pause the parent stream at ``offset``; send critical pushes; resume."""
+    Installed as ``conn.scheduler``: the connection asks :meth:`select`
+    for the stream of each DATA frame, reports the frame to
+    :meth:`on_data_sent`, and a peer's RST_STREAM to
+    :meth:`on_stream_reset`.
+    """
 
     name = "interleaving"
 
@@ -50,6 +50,12 @@ class InterleavingScheduler(DataScheduler):
 
     # ------------------------------------------------------------------
     def select(self, conn: H2Connection, ready: Set[int]) -> Optional[int]:
+        """Pick one of ``ready``, or ``None`` to send nothing now.
+
+        ``ready`` is the connection's *live* ready set, not a copy: it
+        changes as frames go out, so read it during the call only and
+        never mutate it.
+        """
         if not self._finished:
             # Phase 1: the HTML head, up to the pause offset.
             if self.parent_stream_id in ready:

@@ -9,22 +9,19 @@ cwnd/RTO evolution, impairment drops, cache hits, paint and onload
 milestones — all stamped with **simulated** time, never wall-clock, so
 tracing cannot perturb any experiment output.
 
-Everything here is zero-overhead when disabled: instrumented objects
-hold a ``tracer`` attribute that defaults to ``None`` and hot paths pay
-exactly one attribute check.
+Tracing is off when the tracer is ``None``: instrumented objects hold
+a ``tracer`` attribute that defaults to ``None`` and hot paths pay
+exactly one attribute check.  Readers share :func:`load_view`.
 """
 
 from .core import (
-    EVENT_TYPES,
     CacheHit,
     CwndSample,
     EarlyHintsReceived,
     EarlyHintsSent,
     FrameReceived,
     FrameSent,
-    ListSink,
     Milestone,
-    NullTracer,
     PacketDropped,
     PacketReordered,
     Paint,
@@ -46,24 +43,20 @@ from .core import (
     Trace,
     TraceEvent,
     Tracer,
-    is_enabled,
 )
 from .diff import TraceDiff, diff_traces, render_diff
-from .qlog import BinaryRingSink, parse_qlog_events, qlog_json, to_qlog
+from .qlog import parse_qlog_events, qlog_json, to_qlog
 from .store import TraceSpec, TraceStore
+from .view import load_view
 
 __all__ = [
-    "BinaryRingSink",
     "CacheHit",
     "CwndSample",
-    "EVENT_TYPES",
     "EarlyHintsReceived",
     "EarlyHintsSent",
     "FrameReceived",
     "FrameSent",
-    "ListSink",
     "Milestone",
-    "NullTracer",
     "PacketDropped",
     "PacketReordered",
     "Paint",
@@ -89,7 +82,7 @@ __all__ = [
     "TraceStore",
     "Tracer",
     "diff_traces",
-    "is_enabled",
+    "load_view",
     "parse_qlog_events",
     "qlog_json",
     "render_diff",

@@ -1,4 +1,4 @@
-"""Tracer protocol, event taxonomy, and sinks.
+"""The tracer and its event taxonomy.
 
 Design contract (mirrors DESIGN §10):
 
@@ -8,36 +8,19 @@ Design contract (mirrors DESIGN §10):
   they never touch an RNG, never schedule events, and never mutate
   model state, so a traced run is bit-identical to an untraced one.
 
-* **Zero overhead when off.**  Instrumented objects carry a tracer
-  attribute defaulting to ``None``; the hot-path cost with tracing off
-  is one attribute load and one ``is None`` comparison.  A module-level
-  :data:`enabled` flag mirrors whether any tracer is live so coarse
-  call sites (and tests) can check globally without holding a tracer.
+* **Off is ``None``.**  Instrumented objects carry a tracer attribute
+  that is a :class:`Tracer` or ``None``; the hot-path cost with tracing
+  off is one attribute load and one ``is None`` comparison.
 
 * **Typed events.**  Each event is a small dataclass with a ``t``
   field (simulated milliseconds) first; the remaining fields are the
-  event payload.  ``qlog_name`` gives the qlog-style category:name and
-  the field annotations drive the compact binary codec in
-  :mod:`repro.trace.qlog`.
+  event payload.  ``qlog_name`` gives the qlog-style category:name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, List, Optional
-
-#: True while at least one :class:`Tracer` is activated (attached to a
-#: live run).  Maintained by :meth:`Tracer.activate`/``deactivate``;
-#: purely informational for coarse gates — per-object ``tracer is not
-#: None`` checks are the canonical hot-path guard.
-enabled = False
-
-_active_tracers = 0
-
-
-def is_enabled() -> bool:
-    """Whether any tracer is currently activated (module-level flag)."""
-    return enabled
 
 
 # ----------------------------------------------------------------------
@@ -57,12 +40,6 @@ class TraceEvent:
         return {
             f.name: getattr(self, f.name) for f in fields(self) if f.name != "t"
         }
-
-    def signature(self) -> tuple:
-        """Time-free identity used for structural trace alignment."""
-        return (self.qlog_name,) + tuple(
-            getattr(self, f.name) for f in fields(self) if f.name != "t"
-        )
 
 
 # -- HTTP/2 stream lifecycle -------------------------------------------
@@ -312,57 +289,14 @@ class QuicStreamRecovered(TraceEvent):
     recovered_bytes: int
 
 
-#: Stable, ordered registry — the index is the binary event code, so
-#: append only; never reorder or remove (it would break stored sinks).
-EVENT_TYPES: List[type] = [
-    StreamOpened,
-    StreamClosed,
-    StreamReset,
-    FrameSent,
-    FrameReceived,
-    PushPromised,
-    PushReceived,
-    PushRejected,
-    PushAdopted,
-    PushData,
-    CwndSample,
-    Retransmit,
-    PacketDropped,
-    PacketReordered,
-    CacheHit,
-    ResourceDiscovered,
-    ResourceRequested,
-    ResourceResponse,
-    ResourceFinished,
-    Milestone,
-    Paint,
-    EarlyHintsSent,
-    EarlyHintsReceived,
-    PreloadDiscovered,
-    QuicStreamRecovered,
-]
-
-EVENT_BY_NAME: Dict[str, type] = {cls.qlog_name: cls for cls in EVENT_TYPES}
+#: qlog name -> event class, for every event class defined above.
+EVENT_BY_NAME: Dict[str, type] = {
+    cls.qlog_name: cls for cls in TraceEvent.__subclasses__()
+}
 
 
 # ----------------------------------------------------------------------
-# Sinks and the tracer itself
-
-
-class ListSink:
-    """Default in-memory sink: keeps every event, in emission order."""
-
-    def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
-
-    def append(self, event: TraceEvent) -> None:
-        self._events.append(event)
-
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
+# The tracer itself
 
 
 @dataclass
@@ -373,109 +307,63 @@ class Trace:
     events: List[TraceEvent]
 
 
-class NullTracer:
-    """Explicit no-op tracer (instrumentation treats it like ``None``).
-
-    Exists so call sites can hold a tracer-shaped object
-    unconditionally; it records nothing and never activates the
-    module-level flag.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def attach(self, sim) -> None:  # pragma: no cover - trivial
-        pass
-
-    def activate(self) -> None:
-        pass
-
-    def deactivate(self) -> None:
-        pass
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-    def events(self) -> List[TraceEvent]:
-        return []
-
-    def trace(self) -> Trace:
-        return Trace(meta={}, events=[])
-
-
 class Tracer:
     """Collects typed events stamped with simulated time.
 
     One tracer covers one page load (one :meth:`ReplayTestbed.run`).
     The testbed calls :meth:`attach` with the run's simulator before
-    the load starts; all emitters then read ``sim.now``.
+    the load starts; all emitters then read ``sim.now`` and append to
+    the tracer's own event list.
     """
 
-    enabled = True
-
-    def __init__(self, sink=None, meta: Optional[Dict[str, Any]] = None):
-        self.sink = sink if sink is not None else ListSink()
+    def __init__(self, meta: Optional[Dict[str, Any]] = None):
         self.meta: Dict[str, Any] = dict(meta or {})
+        self._events: List[TraceEvent] = []
         self._sim = None
 
-    # -- lifecycle -----------------------------------------------------
     def attach(self, sim) -> None:
         self._sim = sim
-
-    def activate(self) -> None:
-        global enabled, _active_tracers
-        _active_tracers += 1
-        enabled = True
-
-    def deactivate(self) -> None:
-        global enabled, _active_tracers
-        _active_tracers = max(0, _active_tracers - 1)
-        enabled = _active_tracers > 0
 
     @property
     def now(self) -> float:
         return self._sim.now if self._sim is not None else 0.0
 
-    def emit(self, event: TraceEvent) -> None:
-        self.sink.append(event)
-
     def events(self) -> List[TraceEvent]:
-        return self.sink.events()
+        return list(self._events)
 
     def trace(self) -> Trace:
-        return Trace(meta=dict(self.meta), events=self.sink.events())
+        return Trace(meta=dict(self.meta), events=list(self._events))
 
     # -- typed emitters (hot paths call these behind a None-check) -----
     def stream_opened(self, conn: str, stream_id: int, pushed: bool) -> None:
-        self.sink.append(StreamOpened(self.now, conn, stream_id, pushed))
+        self._events.append(StreamOpened(self.now, conn, stream_id, pushed))
 
     def stream_closed(self, conn: str, stream_id: int) -> None:
-        self.sink.append(StreamClosed(self.now, conn, stream_id))
+        self._events.append(StreamClosed(self.now, conn, stream_id))
 
     def stream_reset(self, conn: str, stream_id: int, code: str) -> None:
-        self.sink.append(StreamReset(self.now, conn, stream_id, code))
+        self._events.append(StreamReset(self.now, conn, stream_id, code))
 
     def frame_sent(self, conn: str, frame_type: str, stream_id: int, size: int) -> None:
-        self.sink.append(FrameSent(self.now, conn, frame_type, stream_id, size))
+        self._events.append(FrameSent(self.now, conn, frame_type, stream_id, size))
 
     def frame_received(self, conn: str, frame_type: str, stream_id: int, size: int) -> None:
-        self.sink.append(FrameReceived(self.now, conn, frame_type, stream_id, size))
+        self._events.append(FrameReceived(self.now, conn, frame_type, stream_id, size))
 
     def push_promised(self, conn: str, parent_id: int, promised_id: int) -> None:
-        self.sink.append(PushPromised(self.now, conn, parent_id, promised_id))
+        self._events.append(PushPromised(self.now, conn, parent_id, promised_id))
 
     def push_received(self, conn: str, promised_id: int, url: str) -> None:
-        self.sink.append(PushReceived(self.now, conn, promised_id, url))
+        self._events.append(PushReceived(self.now, conn, promised_id, url))
 
     def push_rejected(self, conn: str, promised_id: int, url: str, reason: str) -> None:
-        self.sink.append(PushRejected(self.now, conn, promised_id, url, reason))
+        self._events.append(PushRejected(self.now, conn, promised_id, url, reason))
 
     def push_adopted(self, url: str, stream_id: int) -> None:
-        self.sink.append(PushAdopted(self.now, url, stream_id))
+        self._events.append(PushAdopted(self.now, url, stream_id))
 
     def push_data(self, url: str, size: int, before_demand: bool) -> None:
-        self.sink.append(PushData(self.now, url, size, before_demand))
+        self._events.append(PushData(self.now, url, size, before_demand))
 
     def cwnd_sample(
         self,
@@ -486,48 +374,48 @@ class Tracer:
         rto_ms: float,
         in_flight: int,
     ) -> None:
-        self.sink.append(
+        self._events.append(
             CwndSample(self.now, conn, trigger, cwnd, ssthresh, rto_ms, in_flight)
         )
 
     def retransmit(self, conn: str, seq: int, kind: str) -> None:
-        self.sink.append(Retransmit(self.now, conn, seq, kind))
+        self._events.append(Retransmit(self.now, conn, seq, kind))
 
     def packet_dropped(self, link: str, packet_index: int) -> None:
-        self.sink.append(PacketDropped(self.now, link, packet_index))
+        self._events.append(PacketDropped(self.now, link, packet_index))
 
     def packet_reordered(self, link: str, packet_index: int, extra_delay_ms: float) -> None:
-        self.sink.append(PacketReordered(self.now, link, packet_index, extra_delay_ms))
+        self._events.append(PacketReordered(self.now, link, packet_index, extra_delay_ms))
 
     def cache_hit(self, url: str, size: int) -> None:
-        self.sink.append(CacheHit(self.now, url, size))
+        self._events.append(CacheHit(self.now, url, size))
 
     def resource_discovered(self, url: str, rtype: str, initiator: str) -> None:
-        self.sink.append(ResourceDiscovered(self.now, url, rtype, initiator))
+        self._events.append(ResourceDiscovered(self.now, url, rtype, initiator))
 
     def resource_requested(self, url: str, pushed: bool) -> None:
-        self.sink.append(ResourceRequested(self.now, url, pushed))
+        self._events.append(ResourceRequested(self.now, url, pushed))
 
     def resource_response(self, url: str) -> None:
-        self.sink.append(ResourceResponse(self.now, url))
+        self._events.append(ResourceResponse(self.now, url))
 
     def resource_finished(self, url: str, size: int, pushed: bool, from_cache: bool) -> None:
-        self.sink.append(ResourceFinished(self.now, url, size, pushed, from_cache))
+        self._events.append(ResourceFinished(self.now, url, size, pushed, from_cache))
 
     def milestone(self, name: str) -> None:
-        self.sink.append(Milestone(self.now, name))
+        self._events.append(Milestone(self.now, name))
 
     def paint(self, weight: float, source: str) -> None:
-        self.sink.append(Paint(self.now, weight, source))
+        self._events.append(Paint(self.now, weight, source))
 
     def early_hints_sent(self, conn: str, stream_id: int, url_count: int) -> None:
-        self.sink.append(EarlyHintsSent(self.now, conn, stream_id, url_count))
+        self._events.append(EarlyHintsSent(self.now, conn, stream_id, url_count))
 
     def early_hints_received(self, conn: str, stream_id: int, url_count: int) -> None:
-        self.sink.append(EarlyHintsReceived(self.now, conn, stream_id, url_count))
+        self._events.append(EarlyHintsReceived(self.now, conn, stream_id, url_count))
 
     def preload_discovered(self, url: str, rtype: str, source: str) -> None:
-        self.sink.append(PreloadDiscovered(self.now, url, rtype, source))
+        self._events.append(PreloadDiscovered(self.now, url, rtype, source))
 
     def quic_stream_recovered(self, conn: str, stream_id: int, recovered_bytes: int) -> None:
-        self.sink.append(QuicStreamRecovered(self.now, conn, stream_id, recovered_bytes))
+        self._events.append(QuicStreamRecovered(self.now, conn, stream_id, recovered_bytes))

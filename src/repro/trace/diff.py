@@ -20,15 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .core import (
-    Milestone,
-    PushData,
-    PushRejected,
-    ResourceFinished,
-    ResourceRequested,
-    Trace,
-    TraceEvent,
-)
+from .core import Trace, TraceEvent
+from .view import LoadView, ResourceRow, load_view
 
 _MILESTONES = (
     "navigation_start",
@@ -51,20 +44,18 @@ class Divergence:
 
 @dataclass
 class ResourceDelta:
+    """One resource under both strategies (a blank row where absent)."""
+
     url: str
-    a_requested: Optional[float] = None
-    a_finished: Optional[float] = None
-    b_requested: Optional[float] = None
-    b_finished: Optional[float] = None
-    a_pushed: bool = False
-    b_pushed: bool = False
+    a: ResourceRow
+    b: ResourceRow
     notes: List[str] = field(default_factory=list)
 
     @property
     def delta_finished(self) -> Optional[float]:
-        if self.a_finished is None or self.b_finished is None:
+        if self.a.finished_at is None or self.b.finished_at is None:
             return None
-        return self.a_finished - self.b_finished
+        return self.a.finished_at - self.b.finished_at
 
 
 @dataclass
@@ -92,104 +83,61 @@ def describe_event(event: TraceEvent) -> str:
 # ----------------------------------------------------------------------
 
 
-def _milestone_times(trace: Trace) -> Dict[str, float]:
-    times: Dict[str, float] = {}
-    for event in trace.events:
-        if isinstance(event, Milestone) and event.milestone not in times:
-            times[event.milestone] = event.t
-    return times
-
-
-def _resource_times(trace: Trace) -> Dict[str, Tuple[Optional[float], Optional[float], bool]]:
-    """url -> (first requested_at, first finished_at, pushed)."""
-    table: Dict[str, Tuple[Optional[float], Optional[float], bool]] = {}
-    for event in trace.events:
-        if isinstance(event, ResourceRequested):
-            requested, finished, pushed = table.get(event.url, (None, None, False))
-            if requested is None:
-                table[event.url] = (event.t, finished, pushed or event.pushed)
-        elif isinstance(event, ResourceFinished):
-            requested, finished, pushed = table.get(event.url, (None, None, False))
-            if finished is None:
-                table[event.url] = (requested, event.t, pushed or event.pushed)
-    return table
-
-
-def _rejected_pushes(trace: Trace) -> Dict[str, str]:
-    return {
-        event.url: event.reason
-        for event in trace.events
-        if isinstance(event, PushRejected)
-    }
-
-
-def _push_bytes_before_demand(trace: Trace) -> int:
-    return sum(
-        event.size
-        for event in trace.events
-        if isinstance(event, PushData) and event.before_demand
-    )
-
-
 def _first_divergence(a: Trace, b: Trace) -> Optional[Divergence]:
+    """Structural before length before timing, whichever comes first."""
     common = min(len(a.events), len(b.events))
+    timing = None
     for index in range(common):
         ea, eb = a.events[index], b.events[index]
-        if ea.signature() != eb.signature():
+        if type(ea) is not type(eb) or ea.data() != eb.data():
             return Divergence(
                 index, "structural", describe_event(ea), describe_event(eb)
             )
+        if timing is None and abs(ea.t - eb.t) > 1e-9:
+            timing = Divergence(index, "timing", describe_event(ea), describe_event(eb))
     if len(a.events) != len(b.events):
-        longer = a.events if len(a.events) > len(b.events) else b.events
-        extra = describe_event(longer[common])
-        return Divergence(
-            common,
-            "length",
-            extra if longer is a.events else None,
-            extra if longer is b.events else None,
-        )
-    for index in range(common):
-        ea, eb = a.events[index], b.events[index]
-        if abs(ea.t - eb.t) > 1e-9:
-            return Divergence(index, "timing", describe_event(ea), describe_event(eb))
-    return None
+        rest_a = describe_event(a.events[common]) if len(a.events) > common else None
+        rest_b = describe_event(b.events[common]) if len(b.events) > common else None
+        return Divergence(common, "length", rest_a, rest_b)
+    return timing
+
+
+def _split_rows(view: LoadView) -> Tuple[Dict[str, ResourceRow], Dict[str, str]]:
+    """url -> resource row, and url -> reason of every refused push."""
+    resources = {r.url: r for r in view.rows if r.reject_reason is None}
+    rejected = {
+        r.url: r.reject_reason for r in view.rows if r.reject_reason is not None
+    }
+    return resources, rejected
+
+
+def _first_request(delta: ResourceDelta) -> Tuple[float, str]:
+    times = [t for t in (delta.a.requested_at, delta.b.requested_at) if t is not None]
+    return (min(times, default=float("inf")), delta.url)
 
 
 def diff_traces(a: Trace, b: Trace) -> TraceDiff:
     """Align two traces of the same site under different strategies."""
-    times_a, times_b = _milestone_times(a), _milestone_times(b)
+    view_a, view_b = load_view(a), load_view(b)
+    times_a, times_b = view_a.milestones, view_b.milestones
     milestones = [
         (name, times_a.get(name), times_b.get(name))
         for name in _MILESTONES
         if name in times_a or name in times_b
     ]
-    res_a, res_b = _resource_times(a), _resource_times(b)
-    rejected_a, rejected_b = _rejected_pushes(a), _rejected_pushes(b)
-
-    def _order_key(url: str) -> Tuple[float, str]:
-        candidates = [
-            t
-            for t in (res_a.get(url, (None,))[0], res_b.get(url, (None,))[0])
-            if t is not None
-        ]
-        return (min(candidates) if candidates else float("inf"), url)
+    res_a, rejected_a = _split_rows(view_a)
+    res_b, rejected_b = _split_rows(view_b)
 
     resources: List[ResourceDelta] = []
     # Rejected-only URLs (a push refused before any request) still get a
     # row — a refused promise is exactly the waste worth diagnosing.
     seen_a = set(res_a) | set(rejected_a)
     seen_b = set(res_b) | set(rejected_b)
-    for url in sorted(seen_a | seen_b, key=_order_key):
-        ra = res_a.get(url, (None, None, False))
-        rb = res_b.get(url, (None, None, False))
+    for url in seen_a | seen_b:
         delta = ResourceDelta(
             url=url,
-            a_requested=ra[0],
-            a_finished=ra[1],
-            b_requested=rb[0],
-            b_finished=rb[1],
-            a_pushed=ra[2],
-            b_pushed=rb[2],
+            a=res_a.get(url) or ResourceRow(url),
+            b=res_b.get(url) or ResourceRow(url),
         )
         if url not in seen_b:
             delta.notes.append("only under A")
@@ -200,6 +148,7 @@ def diff_traces(a: Trace, b: Trace) -> TraceDiff:
         if url in rejected_b:
             delta.notes.append(f"push rejected under B ({rejected_b[url]})")
         resources.append(delta)
+    resources.sort(key=_first_request)
 
     return TraceDiff(
         site=str(a.meta.get("site", b.meta.get("site", ""))),
@@ -208,8 +157,8 @@ def diff_traces(a: Trace, b: Trace) -> TraceDiff:
         milestones=milestones,
         divergence=_first_divergence(a, b),
         resources=resources,
-        push_bytes_before_demand_a=_push_bytes_before_demand(a),
-        push_bytes_before_demand_b=_push_bytes_before_demand(b),
+        push_bytes_before_demand_a=view_a.push_bytes_before_demand,
+        push_bytes_before_demand_b=view_b.push_bytes_before_demand,
         pushes_rejected_a=len(rejected_a),
         pushes_rejected_b=len(rejected_b),
         events_a=len(a.events),
@@ -263,15 +212,15 @@ def render_diff(diff: TraceDiff, max_resources: int = 40) -> str:
             label = delta.url if len(delta.url) <= 44 else "…" + delta.url[-43:]
             d = delta.delta_finished
             flags = []
-            if delta.a_pushed:
+            if delta.a.pushed:
                 flags.append("A:push")
-            if delta.b_pushed:
+            if delta.b.pushed:
                 flags.append("B:push")
             flags.extend(delta.notes)
             suffix = ("  " + "; ".join(flags)) if flags else ""
             lines.append(
-                f"  {label:<44} {_fmt_ms(delta.a_finished)} "
-                f"{_fmt_ms(delta.b_finished)} "
+                f"  {label:<44} {_fmt_ms(delta.a.finished_at)} "
+                f"{_fmt_ms(delta.b.finished_at)} "
                 f"{f'{d:+9.1f}' if d is not None else '        —'}{suffix}"
             )
         if len(diff.resources) > max_resources:

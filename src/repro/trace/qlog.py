@@ -1,4 +1,4 @@
-"""qlog-style JSON export and a compact binary ring-buffer sink.
+"""qlog-style JSON export: the one trace artifact format.
 
 The JSON shape follows the spirit of IETF qlog (draft-ietf-quic-qlog):
 a top-level document with ``qlog_version`` and a ``traces`` array whose
@@ -7,46 +7,22 @@ single entry holds ``common_fields``, run metadata, and the ordered
 Serialization is canonical — sorted keys, no whitespace — so the same
 run always yields byte-identical output, which is what the determinism
 tests pin.
-
-For long grids where keeping every event of every run in memory is
-wasteful, :class:`BinaryRingSink` retains only the most recent N events
-as struct-packed records with an interned string table; ``dump()`` /
-``load()`` round-trip the buffer losslessly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import struct
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from dataclasses import fields
+from typing import List
 
-from .core import EVENT_BY_NAME, EVENT_TYPES, Trace, TraceEvent
+from ..errors import ConfigError
+from .core import EVENT_BY_NAME, Trace, TraceEvent
 
 QLOG_VERSION = "0.4"
 
-#: struct codes per field annotation; strings are stored as u32 indexes
-#: into the sink's interned string table.
-_FIELD_CODES = {"float": "d", "int": "q", "bool": "?", "str": "I"}
-
-
-def _field_plan(cls: type) -> Tuple[struct.Struct, List[Tuple[str, str]]]:
-    from dataclasses import fields
-
-    plan = [(f.name, _FIELD_CODES[f.type]) for f in fields(cls)]
-    fmt = "<B" + "".join(code for _, code in plan)
-    return struct.Struct(fmt), plan
-
-
-_PLANS: Dict[type, Tuple[struct.Struct, List[Tuple[str, str]]]] = {
-    cls: _field_plan(cls) for cls in EVENT_TYPES
-}
-_CODES: Dict[type, int] = {cls: index for index, cls in enumerate(EVENT_TYPES)}
-
-
-# ----------------------------------------------------------------------
-# qlog JSON export
+#: JSON value types accepted per event-field annotation (an integral
+#: float such as ``5.0`` may come back from another writer as ``5``).
+_FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,)}
 
 
 def to_qlog(trace: Trace) -> dict:
@@ -77,120 +53,28 @@ def qlog_json(trace: Trace) -> str:
 
 def parse_qlog_events(document: dict) -> Trace:
     """Rebuild a :class:`Trace` from a qlog document (inverse of
-    :func:`to_qlog` for every event type in the registry)."""
-    entry = document["traces"][0]
-    events: List[TraceEvent] = []
-    for raw in entry["events"]:
-        cls = EVENT_BY_NAME.get(raw["name"])
-        if cls is None:
-            continue  # forward compatibility: skip unknown event types
-        events.append(cls(t=raw["time"], **raw["data"]))
-    return Trace(meta=dict(entry.get("meta", {})), events=events)
+    :func:`to_qlog` for every event class).
 
-
-def qlog_digest(trace: Trace) -> str:
-    """SHA-256 of the canonical serialization (cheap identity checks)."""
-    return hashlib.sha256(qlog_json(trace).encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Binary ring-buffer sink
-
-RING_MAGIC = b"RTRB1\n"
-
-
-class BinaryRingSink:
-    """Bounded sink: keeps the newest ``capacity`` events, struct-packed.
-
-    Strings (connection labels, URLs, frame types) are interned into a
-    table shared across records, so a long grid's sink stays compact
-    even though URLs repeat thousands of times.  ``dropped`` counts
-    events evicted from the ring.
+    Events with an unknown name are skipped (forward compatibility);
+    anything else that does not have the exported shape — a missing
+    key, a wrong container, a field of the wrong type — raises
+    :class:`~repro.errors.ConfigError`.
     """
-
-    def __init__(self, capacity: int = 1 << 16):
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._records: deque = deque(maxlen=capacity)
-        self._strings: List[str] = []
-        self._index: Dict[str, int] = {}
-        self.dropped = 0
-
-    def _intern(self, value: str) -> int:
-        index = self._index.get(value)
-        if index is None:
-            index = len(self._strings)
-            self._index[value] = index
-            self._strings.append(value)
-        return index
-
-    def append(self, event: TraceEvent) -> None:
-        cls = type(event)
-        packer, plan = _PLANS[cls]
-        values = [_CODES[cls]]
-        for name, code in plan:
-            value = getattr(event, name)
-            values.append(self._intern(value) if code == "I" else value)
-        if len(self._records) == self.capacity:
-            self.dropped += 1
-        self._records.append(packer.pack(*values))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def events(self) -> List[TraceEvent]:
-        return [self._decode(record) for record in self._records]
-
-    def _decode(self, record: bytes) -> TraceEvent:
-        cls = EVENT_TYPES[record[0]]
-        packer, plan = _PLANS[cls]
-        values = packer.unpack(record)[1:]
-        kwargs = {}
-        for (name, code), value in zip(plan, values):
-            kwargs[name] = self._strings[value] if code == "I" else value
-        return cls(**kwargs)
-
-    # -- persistence ---------------------------------------------------
-    def dump(self) -> bytes:
-        """Serialize the string table and ring contents."""
-        parts = [RING_MAGIC, struct.pack("<IQ", len(self._strings), self.dropped)]
-        for value in self._strings:
-            raw = value.encode("utf-8")
-            parts.append(struct.pack("<I", len(raw)))
-            parts.append(raw)
-        parts.append(struct.pack("<I", len(self._records)))
-        for record in self._records:
-            parts.append(struct.pack("<I", len(record)))
-            parts.append(record)
-        return b"".join(parts)
-
-    @classmethod
-    def load(cls, payload: bytes, capacity: Optional[int] = None) -> "BinaryRingSink":
-        """Rebuild a sink from :meth:`dump` output (lossless)."""
-        if payload[: len(RING_MAGIC)] != RING_MAGIC:
-            raise ValueError("not a binary trace ring dump (bad magic)")
-        offset = len(RING_MAGIC)
-        n_strings, dropped = struct.unpack_from("<IQ", payload, offset)
-        offset += struct.calcsize("<IQ")
-        strings: List[str] = []
-        for _ in range(n_strings):
-            (length,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            strings.append(payload[offset : offset + length].decode("utf-8"))
-            offset += length
-        (n_records,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        records = []
-        for _ in range(n_records):
-            (length,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            records.append(payload[offset : offset + length])
-            offset += length
-        sink = cls(capacity=capacity or max(n_records, 1))
-        sink._strings = strings
-        sink._index = {value: index for index, value in enumerate(strings)}
-        sink.dropped = dropped
-        for record in records:
-            sink._records.append(record)
-        return sink
+    events: List[TraceEvent] = []
+    try:
+        entry = document["traces"][0]
+        meta = entry.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
+        for raw in entry["events"]:
+            cls = EVENT_BY_NAME.get(raw["name"])
+            if cls is None:
+                continue
+            event = cls(t=raw["time"], **raw["data"])
+            for f in fields(cls):
+                if type(getattr(event, f.name)) not in _FIELD_TYPES[f.type]:
+                    raise TypeError(f"{cls.qlog_name}.{f.name} is not {f.type}")
+            events.append(event)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed qlog document: {exc!r}") from None
+    return Trace(meta=dict(meta), events=events)

@@ -2,31 +2,22 @@
 
 Per-run qlog exports are written under ``<dir>/traces/<key[:2]>/
 <key>.run<N>.qlog`` where ``key`` is the owning cell's content-address
-(:meth:`Cell.key`).  Artifacts use the same durability discipline as
-the PR 4 result cache: a magic + SHA-256 + payload framing, written to
-a temp file, fsynced, and atomically renamed into place; corrupt or
-foreign files are quarantined as ``*.corrupt`` and treated as missing
-so the engine simply re-traces the run (recomputation is bit-identical
-by the determinism contract).
-
-This module deliberately re-implements the tiny atomic-write helper
-instead of importing :mod:`repro.experiments.engine.cache`: the trace
-package sits below the experiment engine in the dependency graph
-(``engine.cell`` imports :class:`TraceSpec`), so importing upward
-would create a cycle.
+(:meth:`Cell.key`).  Artifacts are :mod:`repro.checksummed` files, the
+same framing and write discipline as the result cache: corrupt or
+foreign files are quarantined as ``*.corrupt`` with a logged warning
+and treated as missing, so the engine simply re-traces the run
+(recomputation is bit-identical by the determinism contract).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .. import checksummed
+
 TRACE_MAGIC = b"RPTR1\n"
-_DIGEST_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -41,9 +32,6 @@ class TraceSpec:
 
     #: Root directory; artifacts land under ``<dir>/traces/``.
     dir: str
-    #: Ring capacity for the binary sink; ``None`` keeps every event
-    #: (ListSink).  Long grids can bound memory per run with this.
-    ring_capacity: Optional[int] = None
 
 
 class TraceStore:
@@ -55,63 +43,14 @@ class TraceStore:
     def path(self, key: str, run_index: int) -> Path:
         return self.root / "traces" / key[:2] / f"{key}.run{run_index}.qlog"
 
-    def store(self, key: str, run_index: int, payload: bytes) -> Path:
-        path = self.path(key, run_index)
-        digest = hashlib.sha256(payload).digest()
-        _atomic_write(path, TRACE_MAGIC + digest + payload)
-        return path
+    def store(self, key: str, run_index: int, payload: bytes) -> None:
+        checksummed.write(self.path(key, run_index), TRACE_MAGIC, payload)
 
     def load(self, key: str, run_index: int) -> Optional[bytes]:
         """Return the artifact payload, or ``None`` if absent/corrupt."""
-        path = self.path(key, run_index)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        payload = self._validate(raw)
-        if payload is None:
-            self._quarantine(path)
-            return None
-        return payload
-
-    def has(self, key: str, run_index: int) -> bool:
-        return self.load(key, run_index) is not None
+        return checksummed.read(self.path(key, run_index), TRACE_MAGIC)
 
     def has_all(self, key: str, runs: int) -> bool:
-        return all(self.has(key, run_index) for run_index in range(runs))
-
-    @staticmethod
-    def _validate(raw: bytes) -> Optional[bytes]:
-        header = len(TRACE_MAGIC) + _DIGEST_SIZE
-        if len(raw) < header or not raw.startswith(TRACE_MAGIC):
-            return None
-        digest = raw[len(TRACE_MAGIC) : header]
-        payload = raw[header:]
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        return payload
-
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-        except OSError:
-            pass
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """tmp + fsync + rename, same discipline as the result cache."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+        return all(
+            self.load(key, run_index) is not None for run_index in range(runs)
+        )

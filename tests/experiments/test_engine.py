@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments import run_repeated
 from repro.experiments.engine import (
     Cell,
@@ -81,6 +81,28 @@ def test_results_align_with_grid_order():
     for cell, result in zip(grid.cells, results):
         assert result.site == cell.spec.name
         assert result.strategy == cell.strategy_name
+
+
+@pytest.mark.parametrize("runs", [0, -2])
+def test_cell_without_runs_is_a_config_error(runs):
+    """``runs=0`` used to be one run under the pool and none under the
+    serial executor; now no executor ever sees such a cell."""
+    with pytest.raises(ConfigError, match="at least one run"):
+        Cell(spec=s2_landing(), strategy=None, runs=runs)
+    with pytest.raises(ConfigError, match="at least one run"):
+        Grid().add(s2_landing(), NoPushStrategy(), runs=runs)
+
+
+def test_plan_chunks_rejects_an_empty_chunk_size():
+    from repro.experiments.engine.executors import plan_chunks
+
+    cell = Cell(spec=s2_landing(), strategy=None, runs=3)
+    with pytest.raises(ConfigError, match="chunk_runs"):
+        plan_chunks([cell], workers=2, chunk_runs=0)
+    assert [(c.run_lo, c.run_hi) for c in plan_chunks([cell], 2, chunk_runs=2)] == [
+        (0, 2),
+        (2, 3),
+    ]
 
 
 # ----------------------------------------------------------------------

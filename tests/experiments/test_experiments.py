@@ -98,9 +98,16 @@ def test_pushable_share_table():
 
 
 def test_type_analysis_small():
-    result = run_type_analysis(TypeAnalysisConfig(sites=2, runs=2))
+    """§4.2.1, sign only: pushing images worsens SpeedIndex on most
+    sites (paper: 74 %) and even the best type helps a minority (24 %).
+    At six sites the shares read 0.5 and 0.33.  A failure here is a
+    finding for EXPERIMENTS.md "Known deviations", not a bound to
+    loosen.
+    """
+    result = run_type_analysis(TypeAnalysisConfig(sites=6, runs=2))
     assert set(result.delta_si) == {"css", "js", "images", "css+js", "css+images"}
-    assert 0.0 <= result.images_worse_share <= 1.0
+    assert result.images_worse_share >= 0.5
+    assert result.best_type_improves_si <= 0.6
     result.render()
 
 

@@ -138,7 +138,6 @@ def test_push_disabled_by_settings():
 
 def test_client_cancels_push_with_rst():
     sim, client, server = make_pair()
-    resets = []
 
     def on_request(sid, headers, prio):
         server.respond(sid, [(":status", "200")])
@@ -151,9 +150,13 @@ def test_client_cancels_push_with_rst():
     client.on_push_promise = lambda parent, pid, headers: client.reset_stream_raw(
         pid, ErrorCode.CANCEL
     )
-    server.on_reset = lambda sid, code: resets.append((sid, code))
     client.request(REQUEST)
     sim.run()
+    resets = [
+        (sid, stream.reset_code)
+        for sid, stream in server.streams.items()
+        if stream.reset_code is not None
+    ]
     assert resets == [(2, ErrorCode.CANCEL)]
 
 

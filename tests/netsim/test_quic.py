@@ -271,12 +271,10 @@ def test_loss_recovery_emits_stream_recovered_trace():
     up = SharedLink(sim, conditions.uplink_bytes_per_ms, conditions.one_way_ms, rng=rng)
     tracer = Tracer()
     tracer.attach(sim)
-    tracer.activate()
     conn = QuicConnection(
         sim, downlink=down, uplink=up, conditions=conditions, rng=rng, tracer=tracer
     )
     stream_transfer(sim, conn, {1: b"a" * 120_000, 3: b"b" * 120_000})
-    tracer.deactivate()
     recovered = [
         e for e in tracer.events() if type(e).__name__ == "QuicStreamRecovered"
     ]

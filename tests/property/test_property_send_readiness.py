@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.h2 import ErrorCode, PriorityData, Settings
-from repro.h2.connection import DataScheduler
 from repro.h2.constants import SettingCode, StreamState
 from repro.h2.frames import SettingsFrame, WindowUpdateFrame
 from repro.h2.priority import PriorityTree
@@ -96,15 +95,22 @@ def assert_ready_is_fresh(conn):
     assert conn._ready <= conn._send_candidates
 
 
-class CheckingScheduler(DataScheduler):
-    """Default discipline; every decision compared with the oracles."""
+class CheckingScheduler:
+    """Default discipline (what a connection does with no scheduler
+    installed); every decision compared with the oracles."""
 
     def select(self, conn, ready):
         assert ready is conn._ready
         assert_ready_is_fresh(conn)
-        chosen = super().select(conn, ready)
+        chosen = conn.priority_tree.select(ready)
         assert chosen == reference_select(conn.priority_tree, ready)
         return chosen
+
+    def on_data_sent(self, conn, stream_id, size, end):
+        conn.priority_tree.charge(stream_id, size)
+
+    def on_stream_reset(self, conn, stream_id):
+        pass
 
 
 class CheckingInterleavingScheduler(InterleavingScheduler):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.h2 import H2Connection, PriorityData, Settings
 from repro.netsim import DSL_TESTBED, Topology
-from repro.server.scheduler import DefaultScheduler, InterleavingScheduler
+from repro.server.scheduler import InterleavingScheduler
 from repro.sim import Simulator
 
 

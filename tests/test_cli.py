@@ -77,6 +77,37 @@ def test_fig_unknown_fails(capsys):
     assert "unknown figure" in err
 
 
+def test_fig_points_at_the_extension_commands(capsys):
+    """`fig 7` / `fig 8` were flagless duplicates of `fig7` / `fig8`."""
+    code, _out, err = run_cli(capsys, "fig", "7")
+    assert code == 2
+    assert "fig7" in err and "fig8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("replay", "s1", "--runs", "0"),
+        ("replay", "s1", "--jobs", "-3"),
+        ("replay", "s1", "--chunk", "0"),
+        ("suite", "s1", "--runs", "-1"),
+        ("population", "--loads", "0"),
+        ("population", "--batch", "0"),
+        ("waterfall", "s1", "--width", "0"),
+        ("abtest", "s1", "--rum-runs", "0"),
+        ("replay", "s1", "--runs", "many"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    """A bad count is rejected where it is typed: exit 2 and a message
+    naming the flag, not a traceback from inside the run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_push_n_strategy_parsing(capsys):
     code, out, _err = run_cli(capsys, "replay", "s6", "--strategy", "push_3",
                               "--runs", "2")

@@ -17,7 +17,7 @@ from repro.netsim.conditions import DSL_TESTBED, FixedConditions
 from repro.netsim.impairment import GilbertElliottLoss, ImpairmentConfig, JitterSpec
 from repro.replay.testbed import ReplayTestbed
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy, PushListStrategy
-from repro.trace import NullTracer, Tracer, is_enabled, qlog_json
+from repro.trace import Tracer, qlog_json
 from repro.trace.store import TraceSpec, TraceStore
 
 
@@ -72,21 +72,6 @@ def test_same_seed_produces_byte_identical_qlog(built):
     for tracer in tracers:
         testbed.run(seed=6, tracer=tracer)
     assert qlog_json(tracers[0].trace()) == qlog_json(tracers[1].trace())
-
-
-def test_null_tracer_takes_the_untraced_path(built):
-    testbed = ReplayTestbed(built=built, strategy=NoPushStrategy())
-    plain = testbed.run(seed=5)
-    nulled = testbed.run(seed=5, tracer=NullTracer())
-    assert fingerprint(plain) == fingerprint(nulled)
-    assert not is_enabled()
-
-
-def test_enabled_flag_tracks_active_tracers(built):
-    assert not is_enabled()
-    testbed = ReplayTestbed(built=built, strategy=NoPushStrategy())
-    testbed.run(seed=0, tracer=Tracer())
-    assert not is_enabled()  # deactivated when the run finishes
 
 
 # ----------------------------------------------------------------------

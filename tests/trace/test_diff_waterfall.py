@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.browser.cache import BrowserCache
-from repro.browser.waterfall import (
-    render_waterfall,
-    render_waterfall_from_trace,
-    rows_from_trace,
-)
+from repro.browser.waterfall import render_waterfall, render_waterfall_from_trace
 from repro.experiments.fig5_interleaving import make_test_site
 from repro.html.builder import build_site
 from repro.replay.testbed import ReplayTestbed
@@ -23,6 +19,7 @@ from repro.trace import (
     Trace,
     Tracer,
     diff_traces,
+    load_view,
     render_diff,
 )
 
@@ -121,22 +118,33 @@ def test_real_rejected_push_with_warm_cache():
 # ----------------------------------------------------------------------
 # the two waterfall front ends agree structurally
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("strategy", [NoPushStrategy(), PushAllStrategy()])
-def test_trace_waterfall_matches_result_rows(strategy):
+@pytest.mark.parametrize(
+    "strategy, protocol",
+    [
+        pytest.param(NoPushStrategy(), "h2", id="strategy0"),
+        pytest.param(PushAllStrategy(), "h2", id="strategy1"),
+        pytest.param(NoPushStrategy(), "h1", id="h1"),
+    ],
+)
+def test_trace_waterfall_matches_result_rows(strategy, protocol):
     built = build_site(make_test_site(30))
-    testbed = ReplayTestbed(built=built, strategy=strategy)
+    testbed = ReplayTestbed(built=built, strategy=strategy, protocol=protocol)
     tracer = Tracer()
     result = testbed.run(seed=2, tracer=tracer)
-    rows, navigation_start, first_paint, onload = rows_from_trace(tracer.trace())
+    view = load_view(tracer.trace())
+    rows = view.rows
     timeline = result.timeline
     assert {row.url for row in rows} == set(timeline.resources)
-    assert navigation_start == timeline.navigation_start
-    assert first_paint == timeline.first_paint
-    assert onload == timeline.onload
+    assert view.milestones["navigation_start"] == timeline.navigation_start
+    assert view.milestones["connect_end"] == timeline.connect_end
+    assert view.milestones.get("first_paint") == timeline.first_paint
+    assert view.milestones.get("onload") == timeline.onload
     for row in rows:
         resource = timeline.resources[row.url]
         assert row.finished_at == resource.finished_at
         assert row.pushed == resource.pushed
+        # The wait/transfer split: HTTP/1.1 loads report it too.
+        assert row.response_start == resource.response_start
     # Both renderings carry every resource and the same milestones row.
     legacy = render_waterfall(result)
     traced = render_waterfall_from_trace(tracer.trace())

@@ -129,21 +129,6 @@ def test_mechanism_events_export_to_qlog():
     assert parsed.events == trace.events
 
 
-def test_event_registry_is_append_only():
-    """Binary sinks store event codes by registry index: the pre-PR-8
-    prefix must keep its exact order and the new events sit at the end."""
-    from repro.trace.core import EVENT_TYPES
-
-    names = [cls.qlog_name for cls in EVENT_TYPES]
-    assert names[-4:] == [
-        "hints:early_hints_sent",
-        "hints:early_hints_received",
-        "hints:preload_discovered",
-        "quic:stream_recovered",
-    ]
-    assert names.index("net:packet_dropped") < names.index("browser:milestone")
-
-
 def _regenerate() -> None:
     GOLDEN_PATH.write_text(
         json.dumps(json.loads(qlog_json(_golden_trace())), indent=2, sort_keys=True)

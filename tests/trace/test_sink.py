@@ -1,15 +1,22 @@
-"""Binary ring sink: property-based round trips and ring semantics."""
+"""The one artifact format, property-based: qlog JSON round trips every
+event class exactly, and a damaged export is a typed error."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace import BinaryRingSink, EVENT_TYPES
-from repro.trace.qlog import RING_MAGIC
+from repro.errors import ConfigError
+from repro.experiments.fig5_interleaving import make_test_site
+from repro.html.builder import build_site
+from repro.replay.testbed import ReplayTestbed
+from repro.strategies.simple import PushAllStrategy
+from repro.trace import Trace, Tracer, parse_qlog_events, qlog_json
+from repro.trace.core import EVENT_BY_NAME
 
 _VALUE_STRATEGIES = {
     "float": st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -21,7 +28,7 @@ _VALUE_STRATEGIES = {
 
 @st.composite
 def trace_events(draw):
-    cls = draw(st.sampled_from(EVENT_TYPES))
+    cls = draw(st.sampled_from(sorted(EVENT_BY_NAME.values(), key=lambda c: c.__name__)))
     values = {
         f.name: draw(_VALUE_STRATEGIES[f.type])
         for f in fields(cls)
@@ -34,49 +41,92 @@ def trace_events(draw):
 @given(st.lists(trace_events(), max_size=50))
 @settings(max_examples=50, deadline=None)
 def test_dump_load_round_trip(events):
-    sink = BinaryRingSink(capacity=64)
-    for event in events:
-        sink.append(event)
-    restored = BinaryRingSink.load(sink.dump())
-    assert restored.events() == events
-    assert restored.dropped == 0
-
-
-@given(st.lists(trace_events(), min_size=9, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_ring_keeps_newest_and_counts_dropped(events):
-    capacity = 8
-    sink = BinaryRingSink(capacity=capacity)
-    for event in events:
-        sink.append(event)
-    assert sink.events() == events[-capacity:]
-    assert sink.dropped == len(events) - capacity
-    restored = BinaryRingSink.load(sink.dump())
-    assert restored.events() == events[-capacity:]
-    assert restored.dropped == len(events) - capacity
-
-
-def test_dump_carries_magic_header():
-    sink = BinaryRingSink(capacity=4)
-    assert sink.dump().startswith(RING_MAGIC)
+    trace = Trace(meta={"site": "t.example", "seed": 3}, events=events)
+    restored = parse_qlog_events(json.loads(qlog_json(trace)))
+    assert restored.events == events
+    assert [type(e) for e in restored.events] == [type(e) for e in events]
+    assert restored.meta == trace.meta
+    assert qlog_json(restored) == qlog_json(trace)
 
 
 def test_load_rejects_foreign_payload():
-    with pytest.raises(ValueError):
-        BinaryRingSink.load(b"not a ring buffer")
+    for document in (
+        "not a qlog document",
+        [],
+        {},
+        {"traces": []},
+        {"traces": [{"meta": {}}]},
+        {"traces": [{"events": [{"name": "browser:milestone", "time": 1.0}]}]},
+    ):
+        with pytest.raises(ConfigError, match="malformed qlog"):
+            parse_qlog_events(document)
 
 
-def test_zero_capacity_rejected():
-    with pytest.raises(ValueError):
-        BinaryRingSink(capacity=0)
+def test_unknown_event_names_are_skipped():
+    document = {"traces": [{"events": [{"name": "future:event", "time": 1.0, "data": {}}]}]}
+    assert parse_qlog_events(document).events == []
 
 
-def test_string_interning_shares_entries():
-    from repro.trace import FrameSent
+# ----------------------------------------------------------------------
+# a real export, damaged
+# ----------------------------------------------------------------------
+def _real_export() -> str:
+    testbed = ReplayTestbed(
+        built=build_site(make_test_site(30)), strategy=PushAllStrategy()
+    )
+    tracer = Tracer()
+    testbed.run(seed=4, tracer=tracer)
+    return qlog_json(tracer.trace())
 
-    sink = BinaryRingSink(capacity=1024)
-    for index in range(500):
-        sink.append(FrameSent(float(index), "conn-1", "DATA", 1, 1400))
-    # One entry per distinct string, not per record.
-    assert len(sink._strings) == 2
-    assert BinaryRingSink.load(sink.dump()).events() == sink.events()
+
+_EXPORT = _real_export()
+_EXPORT_EVENTS = parse_qlog_events(json.loads(_EXPORT)).events
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_exports(draw):
+    """The export with one node — chosen by a random walk from the root,
+    so the document's skeleton is hit as often as its leaves — replaced
+    by an arbitrary JSON value or deleted.  Returns (document, path)."""
+    root = {"root": json.loads(_EXPORT)}
+    parent, key, path = root, "root", []
+    while True:
+        node = parent[key]
+        if not isinstance(node, (dict, list)) or not node or draw(st.integers(0, 4)) == 0:
+            break
+        parent = node
+        if isinstance(node, dict):
+            key = draw(st.sampled_from(sorted(node)))
+        else:
+            key = draw(st.integers(0, len(node) - 1))
+        path.append(key)
+    if path and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_json_values)
+    return root["root"], path
+
+
+@given(damaged_exports())
+@settings(max_examples=300, deadline=None)
+def test_damaged_export_parses_or_raises_config_error(damaged):
+    document, path = damaged
+    try:
+        trace = parse_qlog_events(document)
+    except ConfigError:
+        return
+    # Anything that parsed is well typed: it exports and parses again.
+    assert parse_qlog_events(json.loads(qlog_json(trace))).events == trace.events
+    if path[:3] != ["traces", 0, "events"] and path != ["traces"] and path != ["traces", 0]:
+        assert trace.events == _EXPORT_EVENTS
