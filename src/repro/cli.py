@@ -13,9 +13,8 @@ Usage::
 
 Every command prints the same rows/series the corresponding paper
 artefact reports.  Measurement commands run on the experiment engine:
-``--jobs N`` (alias ``--workers N``) fans cells *and their repeats* out
-across a warm persistent worker pool (``--chunk RUNS`` pins the work
-unit size),
+``--jobs N`` fans cells *and their repeats* out across a warm
+persistent worker pool (``--chunk RUNS`` pins the work unit size),
 ``--cache DIR`` (or ``$REPRO_CACHE_DIR``) reuses finished cells across
 invocations, ``--force`` ignores cached entries, and ``--report``
 prints the engine's per-grid timing/cache summary to stderr.
@@ -100,15 +99,15 @@ def _engine_from_args(args):
     """
     from .experiments.engine import (
         ExperimentEngine,
-        ParallelExecutor,
         ResultCache,
         SerialExecutor,
+        WarmPoolExecutor,
         default_cache_dir,
     )
 
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
-        executor = ParallelExecutor(jobs, chunk_runs=args.chunk)
+        executor = WarmPoolExecutor(jobs, chunk_runs=args.chunk)
     else:
         executor = SerialExecutor()
     cache = None
@@ -146,7 +145,7 @@ def _positive_int(text: str) -> int:
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
     group.add_argument(
-        "--jobs", "--workers", dest="jobs", type=_positive_int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for cell execution (default: 1 = serial; "
         "clamped to the CPU count)",
     )
@@ -470,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("fig", help="regenerate a figure of the paper")
     fig.add_argument("figure", help="1, 2, 3, 3a, 3b, 4, 5, or 6")
-    fig.add_argument("--sites", type=int, default=10)
+    fig.add_argument("--sites", type=_positive_int, default=10)
     fig.add_argument("--runs", type=_positive_int, default=5)
     _add_engine_options(fig)
     fig.set_defaults(func=cmd_fig)

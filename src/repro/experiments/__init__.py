@@ -5,7 +5,6 @@ from .engine import (
     Cell,
     ExperimentEngine,
     Grid,
-    ParallelExecutor,
     ResultCache,
     SerialExecutor,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CellSummary",
     "ExperimentEngine",
     "Grid",
-    "ParallelExecutor",
     "ResultCache",
     "SerialExecutor",
     "Fig1Config",

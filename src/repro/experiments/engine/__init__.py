@@ -16,7 +16,6 @@ from .cell import Cell, Grid
 from .core import ExperimentEngine
 from .executors import (
     Executor,
-    ParallelExecutor,
     SerialExecutor,
     WarmPoolExecutor,
     plan_chunks,
@@ -32,7 +31,6 @@ __all__ = [
     "ExperimentEngine",
     "Grid",
     "MemoryResultCache",
-    "ParallelExecutor",
     "ProgressReport",
     "ResultCache",
     "SerialExecutor",

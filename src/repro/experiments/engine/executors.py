@@ -3,15 +3,14 @@
 * :class:`SerialExecutor` runs cells in submission order in-process —
   the reference behaviour, bit-for-bit identical to the historical
   hand-rolled experiment loops.
-* :class:`WarmPoolExecutor` (exported as ``ParallelExecutor``) fans
-  work out across a **persistent pool of warm worker processes**.  A
-  cell's N seeded repeats fan out as independent run-range chunks, a
-  size-aware scheduler dispatches the largest chunks first so
-  stragglers cannot serialize the tail, and every chunk message
-  carries its own cell — the protocol is stateless, so a worker stays
-  warm across grids.  Results are reassembled in run order, so they
-  are bit-identical to :class:`SerialExecutor` regardless of
-  scheduling.
+* :class:`WarmPoolExecutor` fans work out across a **persistent pool
+  of warm worker processes**.  A cell's N seeded repeats fan out as
+  independent run-range chunks, a size-aware scheduler dispatches the
+  largest chunks first so stragglers cannot serialize the tail, and
+  every chunk message carries its own cell — the protocol is
+  stateless, so a worker stays warm across grids.  Results are
+  reassembled in run order, so they are bit-identical to
+  :class:`SerialExecutor` regardless of scheduling.
 
 Both executors replay through one function, :func:`replay_runs` — the
 §4.1 loop over a run range — behind one bounded, content-keyed site
@@ -617,8 +616,3 @@ class WarmPoolExecutor(Executor):
             self.close()
         except Exception:
             pass
-
-
-#: The default parallel executor is the warm pool; the old name stays
-#: the public API (CLI, engine configuration, tests).
-ParallelExecutor = WarmPoolExecutor

@@ -299,6 +299,8 @@ class TDigest:
                 prev_center = seen - weights[index - 1] / 2.0
                 span = center - prev_center
                 fraction = (target - prev_center) / span if span > 0 else 0.0
+                if fraction >= 1.0:  # a + 1.0 * (b - a) can land an ulp below b
+                    return means[index]
                 value = means[index - 1] + fraction * (means[index] - means[index - 1])
                 # The interpolation arithmetic can overshoot the
                 # bracketing centroid means by an ulp even though

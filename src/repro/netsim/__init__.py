@@ -9,7 +9,6 @@ from .conditions import (
     CELLULAR,
     CELLULAR_3G,
     CELLULAR_LTE,
-    CLEAN_DSL,
     DSL_TESTBED,
     FIBER,
     LOSSY_DSL,
@@ -41,7 +40,6 @@ __all__ = [
     "CELLULAR",
     "CELLULAR_3G",
     "CELLULAR_LTE",
-    "CLEAN_DSL",
     "CONGESTION_CONTROLS",
     "ConditionSampler",
     "CubicCC",

@@ -141,9 +141,6 @@ class NetworkConditions:
 #: The paper's emulated DSL setting (§4.1).
 DSL_TESTBED = NetworkConditions()
 
-#: Alias making the clean/lossy contrast explicit at call sites.
-CLEAN_DSL = DSL_TESTBED
-
 #: A faster cable-like profile, used in some ablations.
 CABLE = NetworkConditions(
     rtt_ms=20.0,
@@ -205,7 +202,7 @@ FIBER = NetworkConditions(
 
 #: Named profiles selectable from experiment configs and the CLI.
 PROFILES: Dict[str, NetworkConditions] = {
-    "clean_dsl": CLEAN_DSL,
+    "clean_dsl": DSL_TESTBED,
     "lossy_dsl": LOSSY_DSL,
     "cable": CABLE,
     "cellular": CELLULAR,

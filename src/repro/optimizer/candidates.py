@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import ConfigError
 from ..html.builder import BuiltSite, build_site
 from ..html.resources import split_url
 from ..html.spec import WebsiteSpec
@@ -61,6 +62,10 @@ class CandidateConfig:
     restarts: int = 4
     #: RNG seed; combined with the site name into the population seed.
     seed: int = 2018
+
+    def __post_init__(self) -> None:
+        if self.population < 0:
+            raise ConfigError(f"population must be >= 0, got {self.population}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ engine and asserts that both the **cell cache keys** and a **full
 fingerprint of every per-cell result** (every run's timeline, byte
 counts, and metrics) match a checked-in golden record.
 
+A second, larger replay grid is pinned by **determinism counters**
+instead of a golden file: simulator events, HTTP/2 frames on the wire,
+bytes on both links and a PLT checksum, summed over 24 page loads.  The
+numbers are written into the test; a speed-up must leave them exact,
+traced or not.
+
 If this test fails after an intentional semantics change (new seed
 derivation, model fix), regenerate the golden record::
 
@@ -22,10 +28,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.engine import ExperimentEngine, Grid
 from repro.experiments.engine.fingerprint import fingerprint
+from repro.experiments.seeds import load_seed
+from repro.html.builder import build_site
+from repro.replay.testbed import ReplayTestbed
 from repro.sites.corpus import TOP_100_PROFILE, generate_corpus
+from repro.strategies.order import computed_push_order
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy
+from repro.trace import Tracer
 
 GOLDEN_PATH = Path(__file__).parent / "golden_fig3.json"
 GOLDEN_LOSSY_PATH = Path(__file__).parent / "golden_fig7_cell.json"
@@ -156,6 +169,74 @@ def _evaluate_fig8(executor=None) -> dict:
             "median_si_ms": result.median_si,
         }
     return record
+
+
+#: The frozen replay grid's counters, summed over every load; they have
+#: not moved since the grid was frozen, through every hot-path rewrite.
+FROZEN_GRID_COUNTERS = {
+    "replays": 24,
+    "events_processed": 63_945,
+    "frames_on_wire": 52_440,
+    "downlink_bytes": 54_007_478,
+    "uplink_bytes": 898_421,
+    "plt_checksum_ms": 34_551.2777,
+}
+
+
+def _frozen_grid_counters(tracers=None) -> dict:
+    """Replay the frozen fig-3-shaped grid serially and sum its counters.
+
+    Three ``TOP_100`` sites at seed 2018; per site, two no-push loads
+    recover the §4.2 push order, then three runs each of no-push and
+    push-all in that order, on the DSL testbed.  With ``tracers`` (a
+    list) every load gets a fresh :class:`Tracer`, appended to it.
+    """
+    counters = dict.fromkeys(FROZEN_GRID_COUNTERS, 0)
+
+    def probe(view) -> None:
+        counters["replays"] += 1
+        counters["events_processed"] += view.events_processed
+        counters["frames_on_wire"] += view.server_frames
+
+    def load(testbed, site_index, run_index):
+        tracer = None
+        if tracers is not None:
+            tracer = Tracer()
+            tracers.append(tracer)
+        result = testbed.run(
+            seed=load_seed(site_index, run_index), probe=probe, tracer=tracer
+        )
+        counters["downlink_bytes"] += result.downlink_bytes
+        counters["uplink_bytes"] += result.uplink_bytes
+        # PLTs are exact simulated milliseconds; rounding each partial
+        # sum keeps the checksum independent of float summation noise.
+        counters["plt_checksum_ms"] = round(
+            counters["plt_checksum_ms"] + result.plt_ms, 4
+        )
+        return result
+
+    for site_index, site in enumerate(generate_corpus(TOP_100_PROFILE, 3, seed=2018)):
+        built = build_site(site.spec)
+        order_testbed = ReplayTestbed(built=built, strategy=NoPushStrategy())
+        timelines = [load(order_testbed, site_index, run).timeline for run in range(2)]
+        order = computed_push_order(timelines, built.html_url)
+        for strategy in (NoPushStrategy(), PushAllStrategy(order=order)):
+            testbed = ReplayTestbed(built=built, strategy=strategy, db=order_testbed.db)
+            for run_index in range(3):
+                load(testbed, site_index, run_index)
+    return counters
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_frozen_grid_determinism_counters(traced):
+    """Events, frames, link bytes and PLTs of the frozen grid are exact
+    — and a live tracer on every load, which only observes, moves none
+    of them."""
+    tracers = [] if traced else None
+    assert _frozen_grid_counters(tracers) == FROZEN_GRID_COUNTERS
+    if traced:
+        assert len(tracers) == FROZEN_GRID_COUNTERS["replays"]
+        assert sum(len(tracer.events()) for tracer in tracers) > 0
 
 
 def test_outputs_match_golden_record():

@@ -16,9 +16,9 @@ from repro.experiments.engine import (
     Cell,
     ExperimentEngine,
     Grid,
-    ParallelExecutor,
     ResultCache,
     SerialExecutor,
+    WarmPoolExecutor,
     fingerprint,
 )
 from repro.experiments.seeds import condition_seed, impairment_seed, load_seed
@@ -68,7 +68,7 @@ def test_serial_and_parallel_executors_agree():
     serial = ExperimentEngine(executor=SerialExecutor()).run(grid)
     # The constructor takes the worker count as given, so this is a real
     # two-process pool even on a 1-CPU machine.
-    with ParallelExecutor(max_workers=2) as executor:
+    with WarmPoolExecutor(max_workers=2) as executor:
         parallel = ExperimentEngine(executor=executor).run(grid)
     assert len(serial) == len(parallel) == 4
     for left, right in zip(serial, parallel):
@@ -369,7 +369,7 @@ def test_internet_conditions_cell_deterministic_across_executors():
         conditions=InternetConditions(),
     )
     serial = ExperimentEngine().run_cell(cell)
-    with ParallelExecutor(max_workers=2) as executor:
+    with WarmPoolExecutor(max_workers=2) as executor:
         parallel = ExperimentEngine(executor=executor).run(Grid(cells=[cell, cell]))
     assert parallel[0] == serial
     assert parallel[1] == serial

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -9,6 +11,10 @@ from repro.experiments.ab_testing import ABTestConfig, StrategySelector
 from repro.experiments.engine import ExperimentEngine, Grid
 from repro.optimizer import OptimizeConfig, PolicyTable, run_optimize
 from repro.sites import realworld_sites
+
+#: The tiny cell's policy-table digest.  It moves when the candidate
+#: generator, the racer or any simulated number does.
+TINY_TABLE_SHA = "4887bf62b0f7e74826ddee104af62c44403ab811479479d83395c4ed87be666f"
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +57,28 @@ def test_halving_is_cheaper_than_exhaustive(tiny_result):
     assert result.stats["evaluations"] < result.stats["exhaustive"]
     assert result.stats["saved"] > 0
     assert result.stats["race_evaluations"] <= result.stats["evaluations"]
+    # The exact cost is pinned: pruning that engages later or earlier
+    # moves it even when the winner does not change.
+    assert (result.stats["evaluations"], result.stats["exhaustive"]) == (59, 66)
+
+
+def test_halving_winner_is_the_exhaustive_argmin(tiny_result):
+    """Pruning may make the search cheaper, never change its decision:
+    one full-budget rung with ``eta=1`` prunes nothing, and in every
+    cell it must pick the same policy, measured at the same full budget
+    with the same paired effect."""
+    config, result = tiny_result
+    exhaustive = run_optimize(
+        dataclasses.replace(config, rungs=(config.rungs[-1],), eta=1),
+        engine=ExperimentEngine(cache=None),
+    )
+    assert result.table.entries == exhaustive.table.entries
 
 
 def test_table_is_bit_reproducible(tiny_result):
     config, result = tiny_result
     again = run_optimize(config, engine=ExperimentEngine(cache=None))
+    assert result.table.sha() == TINY_TABLE_SHA
     assert again.table.sha() == result.table.sha()
     assert again.table.to_json() == result.table.to_json()
     # And survives its own artifact round trip.

@@ -113,6 +113,9 @@ def test_tdigest_merge_is_commutative(left_values, right_values):
 
 @given(samples, st.integers(0, 300), st.sampled_from([0.25, 0.5, 0.9]))
 @settings(max_examples=60)
+# The target sits exactly on the last centroid's center: interpolation
+# once returned one ulp below it, ranking the estimate under the median.
+@example(values=[16386.0, 1.2685179517957295, 16385.91377518488], cut=0, q=0.5)
 def test_tdigest_merge_stays_rank_bounded(values, cut, q):
     cut = min(cut, len(values))
     left, right = TDigest(compression=100), TDigest(compression=100)

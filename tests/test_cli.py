@@ -96,6 +96,8 @@ def test_fig_points_at_the_extension_commands(capsys):
         ("waterfall", "s1", "--width", "0"),
         ("abtest", "s1", "--rum-runs", "0"),
         ("replay", "s1", "--runs", "many"),
+        ("fig", "3", "--sites", "0"),
+        ("fig", "2", "--sites", "-2"),
     ],
 )
 def test_counts_below_one_are_usage_errors(capsys, argv):
@@ -106,6 +108,17 @@ def test_counts_below_one_are_usage_errors(capsys, argv):
     assert excinfo.value.code == 2
     flag = next(arg for arg in argv if arg.startswith("--"))
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_negative_optimizer_population_is_a_config_error(capsys):
+    """``--population`` may be 0 (anchors only) but never negative: the
+    candidate config raises ConfigError before any search runs."""
+    code, out, err = run_cli(
+        capsys, "optimize", "--quick", "--population", "-3", "--no-cache"
+    )
+    assert code == 2
+    assert out == ""
+    assert "population must be >= 0, got -3" in err
 
 
 def test_push_n_strategy_parsing(capsys):
