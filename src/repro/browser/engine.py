@@ -279,6 +279,17 @@ class PageLoad:
     def finished(self) -> bool:
         return self._onload_fired
 
+    def release(self) -> None:
+        """Cut the load's callback web once it is over: the main thread
+        and every connection call back into this page, which holds
+        them.  The timeline and the fetch records stay readable."""
+        self.main_thread.release()
+        for entry in self._connections.values():
+            if entry.conn is not None:
+                entry.conn.release()
+        if self._h1_pools is not None:
+            self._h1_pools.release()
+
     # ------------------------------------------------------------------
     # fetch machinery
     # ------------------------------------------------------------------

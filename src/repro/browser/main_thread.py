@@ -28,6 +28,12 @@ class MainThread:
         #: Invoked whenever the queue drains completely.
         self.on_idle: Optional[Callable[[], None]] = None
 
+    def release(self) -> None:
+        """Drop queued tasks and the idle callback, which close over the
+        page that owns this thread."""
+        self._queue.clear()
+        self.on_idle = None
+
     def submit(self, duration_ms: float, on_done: Callable[[], None], label: str = "") -> None:
         """Queue a task occupying the thread for ``duration_ms``."""
         if duration_ms < 0:

@@ -96,6 +96,18 @@ class MemoryResultCache:
         self._entries.clear()
 
 
+#: What ``pickle.loads`` raises on a payload from another code version:
+#: a renamed module or class, a changed constructor, a truncated stream.
+_INCOMPATIBLE_PAYLOAD = (
+    pickle.UnpicklingError,
+    AttributeError,
+    ImportError,
+    EOFError,
+    TypeError,
+    ValueError,
+)
+
+
 class ResultCache:
     """Tier-2 on-disk store of finished cells by content-addressed key."""
 
@@ -116,8 +128,9 @@ class ResultCache:
             return None
         try:
             return pickle.loads(payload)
-        except Exception as exc:  # unpicklable despite valid checksum:
-            # the entry was written by an incompatible code version.
+        except _INCOMPATIBLE_PAYLOAD as exc:  # unpicklable despite a valid
+            # checksum: the entry was written by an incompatible code
+            # version.  Anything else is a bug and propagates.
             checksummed.quarantine(path, f"unpicklable payload ({exc})")
             return None
 

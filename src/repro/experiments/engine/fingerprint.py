@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from typing import Any
@@ -61,17 +62,30 @@ def jsonable(value: Any) -> Any:
         # same convention ``Cell.key`` uses for ``reduce``.
         neutral = getattr(type(value), "FINGERPRINT_NEUTRAL", None)
         fields = {}
-        for field in dataclasses.fields(value):
-            item = getattr(value, field.name)
-            if neutral is not None and field.name in neutral and item == neutral[field.name]:
+        for name in _field_names(type(value)):
+            item = getattr(value, name)
+            if neutral is not None and name in neutral and item == neutral[name]:
                 continue
-            fields[field.name] = jsonable(item)
+            fields[name] = jsonable(item)
         return {"__type__": _type_name(value), **fields}
     if hasattr(value, "__dict__"):
         # Plain objects (strategies, condition samplers): type + state.
         state = {key: jsonable(val) for key, val in sorted(vars(value).items())}
         return {"__type__": _type_name(value), **state}
     raise TypeError(f"cannot fingerprint {type(value).__name__}: {value!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple:
+    """A dataclass's field names, computed once per class.
+
+    ``dataclasses.fields`` builds its tuple from a generator on every
+    call, and each such tuple is freed onto the interpreter's free list
+    for its final size after being taken from the one for size 10, so
+    a study that fingerprints thousands of cells grows those lists by
+    one tuple per call.
+    """
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def _type_name(value: Any) -> str:

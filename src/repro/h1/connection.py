@@ -43,6 +43,13 @@ class H1ClientConnection:
         self.on_data: Optional[Callable[[bytes], None]] = None
         self.on_complete: Optional[Callable[[], None]] = None
 
+    def release(self) -> None:
+        """Cut this connection loose from its transport endpoint and
+        from the exchange callbacks, which lead back to the pool."""
+        self._endpoint.release()
+        self.on_response = self.on_informational = None
+        self.on_data = self.on_complete = None
+
     # ------------------------------------------------------------------
     def request(self, method: str, url_path: str, host: str,
                 headers: Optional[List[Header]] = None) -> None:
@@ -126,6 +133,12 @@ class H1ServerConnection:
         endpoint.on_writable = self._pump
         self._recv_buffer = bytearray()
         self._send_buffer = bytearray()
+
+    def release(self) -> None:
+        """Cut this connection loose from its transport endpoint and
+        from the server's handlers."""
+        self._endpoint.release()
+        self._handler = self._interim_handler = None
 
     def _on_data(self, data: bytes) -> None:
         self._recv_buffer.extend(data)

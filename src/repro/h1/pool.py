@@ -119,6 +119,14 @@ class H1OriginPool:
     def connection_count(self) -> int:
         return len(self._connections)
 
+    def release(self) -> None:
+        """Release every pooled connection and drop the queued
+        requests and callbacks, which lead back to the page."""
+        for pooled in self._connections:
+            pooled.conn.release()
+        self._queue.clear()
+        self.on_first_established = None
+
 
 class H1PoolManager:
     """Per-origin pools for one page load."""
@@ -135,3 +143,10 @@ class H1PoolManager:
             pool = H1OriginPool(self._topology, domain, self._accept_for_ip(ip))
             self._pools[domain] = pool
         return pool
+
+    def release(self) -> None:
+        """Release every pool and the accept callback, a closure over
+        the page."""
+        for pool in self._pools.values():
+            pool.release()
+        self._accept_for_ip = None

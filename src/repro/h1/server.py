@@ -39,6 +39,11 @@ class H1ReplayServer:
         self.connections.append(conn)
         return conn
 
+    def release(self) -> None:
+        """As :meth:`repro.server.h2server.ReplayServer.release`."""
+        for conn in self.connections:
+            conn.release()
+
     def _interims(self, method: str, url: str, _headers) -> List[tuple]:
         """103 Early Hints ahead of the base document, when planned."""
         record = self.matcher.match(url, method=method)

@@ -312,6 +312,19 @@ class H2Connection:
         )
         self._pump()
 
+    def release(self) -> None:
+        """Cut the references that make a finished connection cyclic.
+
+        The transport endpoint holds this connection's bound methods,
+        the ``on_*`` callbacks lead back to the layer above (which
+        holds this connection), and the priority tree links both ways.
+        Frame counters and stream state stay readable.
+        """
+        self._endpoint.release()
+        self.on_request = self.on_response = self.on_informational = None
+        self.on_data = self.on_stream_end = self.on_push_promise = None
+        self.priority_tree.release()
+
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------

@@ -157,6 +157,13 @@ class PriorityTree:
     def children_of(self, stream_id: int) -> Set[int]:
         return set(self._nodes[stream_id].children)
 
+    def release(self) -> None:
+        """Unlink every node from its parent and children: parent and
+        child pointers make the tree cyclic by construction."""
+        for node in self._nodes.values():
+            node.parent = None
+            node.children.clear()
+
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

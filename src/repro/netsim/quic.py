@@ -90,8 +90,17 @@ class QuicEndpoint:
         self.on_data: Optional[Callable[[bytes], None]] = None
         self.on_stream_data: Optional[Callable[[int, Span, bool], None]] = None
         self.on_writable: Optional[Callable[[], None]] = None
+        #: Never called: bodies arrive per stream.  The HTTP/2 layer
+        #: wires it on either transport.
+        self.on_record: Optional[Callable[[object], None]] = None
         half_out.endpoint = self
         half_in.receiver_endpoint = self
+
+    def release(self) -> None:
+        """As :meth:`repro.netsim.tcp.TcpEndpoint.release`."""
+        self.on_data = self.on_stream_data = self.on_writable = self.on_record = None
+        self._out.endpoint = None
+        self._in.receiver_endpoint = None
 
     def send(self, data: bytes) -> int:
         """Buffer control-stream bytes; returns the count accepted."""

@@ -93,6 +93,14 @@ class TcpEndpoint:
         half_out.endpoint = self
         half_in.receiver_endpoint = self
 
+    def release(self) -> None:
+        """Drop the application's callbacks and this side's links to
+        the half-connections, which point back here; the byte counters
+        of the halves stay readable through their own references."""
+        self.on_data = self.on_record = self.on_writable = None
+        self._out.endpoint = None
+        self._in.receiver_endpoint = None
+
     def send(self, data: bytes) -> int:
         """Buffer up to ``len(data)`` bytes for transmission.
 

@@ -26,7 +26,6 @@ chunking) cannot change a single reported number.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -110,15 +109,6 @@ def run_population(
             for pair_index in range(0, len(results), 2):
                 accumulator.add_pair(results[pair_index], results[pair_index + 1])
             _drain_reports(engine, result)
-            # Replay object graphs are cyclic (connection <-> endpoint,
-            # simulator <-> scheduled callbacks), so a batch's garbage
-            # frees only when the cycle collector runs.  Collect at the
-            # batch boundary to make the O(batch) memory bound
-            # deterministic instead of dependent on allocation-count GC
-            # heuristics — a replay allocates few enough objects that
-            # automatic collections come late and would let several
-            # batches of cycles pile up.
-            gc.collect()
         result.cohorts.append(accumulator)
     return result
 

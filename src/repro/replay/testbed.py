@@ -64,6 +64,12 @@ class ReplayProbe:
     Handed to the optional ``probe`` callback of :meth:`ReplayTestbed.run`
     so the perf harness can read determinism counters (events processed,
     frames on the wire) without changing any result dataclass.
+
+    The load's world is released once the probe returns: a view kept
+    past that point still reads every counter (events processed, frames
+    sent and received, link bytes, impairment packet counts), but the
+    callbacks that wired the world together are gone, so it cannot be
+    driven further.
     """
 
     sim: Simulator
@@ -212,28 +218,38 @@ class ReplayTestbed:
             rng=random.Random(seed + 7919),
             tracer=tracer,
         )
-        page.start()
-        sim.run(until=LOAD_TIMEOUT_MS)
-        if not page.finished:
-            raise ConfigError(
-                f"page load of {spec.name} did not finish within {LOAD_TIMEOUT_MS} ms "
-                f"(strategy={self._strategy_name()})"
+        try:
+            page.start()
+            sim.run(until=LOAD_TIMEOUT_MS)
+            if not page.finished:
+                raise ConfigError(
+                    f"page load of {spec.name} did not finish within {LOAD_TIMEOUT_MS} ms "
+                    f"(strategy={self._strategy_name()})"
+                )
+            if probe is not None:
+                probe(ReplayProbe(sim=sim, topology=topology, farm=farm, page=page))
+            timeline = page.timeline
+            return PageLoadResult(
+                site=spec.name,
+                strategy=self._strategy_name(),
+                plt_ms=timeline.plt_ms,
+                speed_index_ms=speed_index_of(timeline),
+                timeline=timeline,
+                pushed_bytes=farm.total_pushed_bytes,
+                downlink_bytes=topology.downlink.bytes_transmitted,
+                uplink_bytes=topology.uplink.bytes_transmitted,
+                connections=topology.connections_opened,
+                requests=len(timeline.requests),
             )
-        if probe is not None:
-            probe(ReplayProbe(sim=sim, topology=topology, farm=farm, page=page))
-        timeline = page.timeline
-        return PageLoadResult(
-            site=spec.name,
-            strategy=self._strategy_name(),
-            plt_ms=timeline.plt_ms,
-            speed_index_ms=speed_index_of(timeline),
-            timeline=timeline,
-            pushed_bytes=farm.total_pushed_bytes,
-            downlink_bytes=topology.downlink.bytes_transmitted,
-            uplink_bytes=topology.uplink.bytes_transmitted,
-            connections=topology.connections_opened,
-            requests=len(timeline.requests),
-        )
+        finally:
+            # The world is a web of callbacks (connection <-> endpoint,
+            # browser <-> connection, simulator <-> armed events); cut
+            # it so that reference counting, not the cyclic collector,
+            # frees a finished or failed load.
+            page.release()
+            for server in farm:
+                server.release()
+            sim.release()
 
     def _strategy_name(self) -> str:
         return self.strategy.name if self.strategy is not None else "no_push"

@@ -79,6 +79,12 @@ class ReplayServer:
         self.connections.append(conn)
         return conn
 
+    def release(self) -> None:
+        """Release every accepted connection; ``connections`` and the
+        counters stay for post-run accounting."""
+        for conn in self.connections:
+            conn.release()
+
     def is_authoritative(self, url: str) -> bool:
         """RFC 7540 §8.2: may this server push ``url``?"""
         domain = split_url(url)[0]

@@ -39,6 +39,7 @@ that single heap, and the random-program suite in
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, List, Optional
@@ -200,6 +201,25 @@ class Simulator:
                 live += not queued[CANCELLED]
         return live
 
+    def release(self) -> None:
+        """Drop every queued event, so the world it calls into can be freed.
+
+        Pending callbacks are bound methods and closures of the model,
+        whose objects hold this simulator and the entries they armed: a
+        load that ends with events queued (a timeout, a raise) would
+        leave its world in reference cycles.  Every queued entry, lane
+        successors included, loses its callback and arguments, and the
+        heap and the lanes empty.  The clock and ``events_processed``
+        stay readable; the simulator is not meant to run again.
+        """
+        for event in self._queue:
+            lane = event[_LANE]
+            for queued in (event,) if lane is None else lane:
+                queued[3] = queued[6] = queued[7] = None
+            if lane is not None:
+                lane.clear()
+        self._queue.clear()
+
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains, ``until`` is reached, or stopped.
 
@@ -207,6 +227,12 @@ class Simulator:
         guards against accidental event loops in model code.  Dispatch
         order is global (time, priority, seq) across the heap and every
         lane.
+
+        The cyclic garbage collector is paused for the run and restored
+        to its prior state afterwards: a load allocates thousands of
+        tracked objects, each gen-0 pass over them finds nothing to
+        free, and a released world (:meth:`release` and the model's own
+        ``release`` methods) is freed by reference counting.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
@@ -214,6 +240,8 @@ class Simulator:
         self._stopped = False
         queue = self._queue
         no_arg = NO_ARG
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             # A stopped run leaves the clock at its last event whether
             # or not cancelled events linger, so this test comes before
@@ -262,4 +290,6 @@ class Simulator:
                     event[3](arg1, event[7])
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
         return self.now

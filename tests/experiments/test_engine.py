@@ -226,6 +226,44 @@ def test_foreign_header_cache_entry_is_quarantined(tmp_path):
     assert cache.cell_path(key).with_suffix(".pkl.corrupt").exists()
 
 
+def _stored_cell(tmp_path):
+    grid = small_grid()
+    cache = ResultCache(tmp_path)
+    ExperimentEngine(cache=cache).run(grid)
+    return cache, grid.cells[0].key()
+
+
+def test_incompatible_cache_payload_is_quarantined(tmp_path):
+    """A checksummed payload from another code version: the class it
+    names no longer exists, so unpickling raises and the entry goes."""
+    import pickle
+
+    from repro import checksummed
+    from repro.experiments.engine.cache import CELL_MAGIC
+
+    cache, key = _stored_cell(tmp_path)
+    path = cache.cell_path(key)
+    payload = pickle.dumps(ExperimentError("x")).replace(
+        b"ExperimentError", b"RetiredErrorKin"
+    )
+    checksummed.write(path, CELL_MAGIC, payload)
+    assert cache.load(key) is None
+    assert path.with_suffix(".pkl.corrupt").exists()
+
+
+def test_unrelated_unpickle_error_propagates(tmp_path, monkeypatch):
+    """Only an incompatible payload is quarantined; a bug surfaces."""
+    cache, key = _stored_cell(tmp_path)
+
+    def broken(_payload):
+        raise KeyError("not a payload problem")
+
+    monkeypatch.setattr("repro.experiments.engine.cache.pickle.loads", broken)
+    with pytest.raises(KeyError):
+        cache.load(key)
+    assert cache.cell_path(key).exists()
+
+
 def test_corrupt_order_json_is_quarantined_and_recomputed(tmp_path):
     spec = s2_landing()
     engine = ExperimentEngine(cache=ResultCache(tmp_path))

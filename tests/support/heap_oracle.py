@@ -6,7 +6,7 @@ single heap holding every event would produce.  This is that single
 heap — every schedule call, lane or not, is a ``heappush`` — kept as
 small as the contract allows (schedule / call_soon / timer_lane with
 its relative and absolute method / cancel by slot write / stop /
-``run(until)``) so the random-program suite and the full-replay
+``run(until)`` / release) so the random-program suite and the full-replay
 cross-check have something independent to compare against.  Entries
 are ``[time, priority, seq, callback, cancelled, popped, args]``: the
 slots a holder may touch sit where the core has them.
@@ -70,6 +70,11 @@ class HeapSimulator:
 
     def pending_events(self):
         return sum(not event[CANCELLED] for event in self._queue)
+
+    def release(self):
+        for event in self._queue:
+            event[3] = event[6] = None
+        self._queue.clear()
 
     def run(self, until=None):
         if self._running:

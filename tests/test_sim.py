@@ -172,3 +172,91 @@ class TestSimulator:
             return trace
 
         assert run_once() == run_once()
+
+
+# ----------------------------------------------------------------------
+# the cyclic collector is paused for a run, then restored
+# ----------------------------------------------------------------------
+def _drained(sim):
+    sim.schedule(1, lambda: None)
+    sim.run()
+
+
+def _stopped(sim):
+    sim.schedule(1, sim.stop)
+    sim.schedule(2, lambda: None)
+    sim.run()
+
+
+def _until(sim):
+    sim.schedule(10, lambda: None)
+    sim.run(until=5)
+
+
+def _raising(sim):
+    def boom():
+        raise RuntimeError("model bug")
+
+    sim.schedule(1, boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+
+
+def _runaway(sim):
+    def again():
+        sim.schedule(1, again)
+
+    sim.schedule(1, again)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=10)
+
+
+_ENDINGS = [_drained, _stopped, _until, _raising, _runaway]
+
+
+@pytest.fixture
+def restore_gc():
+    import gc
+
+    enabled = gc.isenabled()
+    try:
+        yield gc
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("ending", _ENDINGS, ids=lambda f: f.__name__.strip("_"))
+def test_run_pauses_then_restores_an_enabled_collector(ending, restore_gc):
+    gc = restore_gc
+    gc.enable()
+    sim = Simulator()
+    during = []
+    sim.schedule(0, lambda: during.append(gc.isenabled()))
+    ending(sim)
+    assert during == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("ending", _ENDINGS, ids=lambda f: f.__name__.strip("_"))
+def test_run_leaves_a_disabled_collector_disabled(ending, restore_gc):
+    gc = restore_gc
+    gc.disable()
+    ending(Simulator())
+    assert not gc.isenabled()
+
+
+def test_release_drops_queued_events_and_keeps_counters():
+    sim = Simulator()
+    lane = sim.timer_lane()
+    ran = []
+    sim.schedule(1, ran.append, "ran")
+    heap_entry = sim.schedule(50, ran.append, "late")
+    lane_entries = [lane.schedule(40 + i, ran.append, i) for i in range(3)]
+    sim.run(until=20)
+    sim.release()
+    assert (ran, sim.events_processed, sim.now) == (["ran"], 1, 20)
+    assert sim.pending_events() == 0 and len(lane) == 0
+    for entry in [heap_entry] + lane_entries:
+        assert entry[3] is None and entry[6] is None
+    sim.run()
+    assert ran == ["ran"]
