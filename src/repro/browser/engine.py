@@ -34,11 +34,12 @@ from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Union
 
 from ..errors import BrowserError
+from ..h2.cache_digest import CacheDigest
 from ..h2.connection import H2Connection
 from ..h2.constants import ErrorCode
 from ..h2.frames import PriorityData
 from ..h2.settings import Settings
-from ..html.resources import ResourceType, classify_url, split_url
+from ..html.resources import FetchedResource, ResourceType, classify_url, split_url
 from ..html.tokenizer import (
     DocumentEndToken,
     FontToken,
@@ -65,6 +66,14 @@ from .cache import BrowserCache
 from .main_thread import MainThread
 from .priorities import WEIGHT_ASYNC_JS, WEIGHT_IMAGE, WEIGHT_MAIN, weight_for
 from .timings import PageTimeline, RequestTrace
+
+# Module aliases for the resource classes the per-object (and, in
+# ``_on_data``, per-DATA-frame) paths test: a module global loads in a
+# quarter of the time of an enum attribute.
+_HTML = ResourceType.HTML
+_CSS = ResourceType.CSS
+_JS = ResourceType.JS
+_PAINTABLE = (ResourceType.IMAGE, ResourceType.FONT)
 
 
 @dataclass
@@ -479,12 +488,10 @@ class PageLoad:
             ("accept-encoding", "gzip, deflate"),
         ]
         if (
-            fetch.rtype == ResourceType.HTML
+            fetch.rtype == _HTML
             and self.config.send_cache_digest
             and len(self.cache)
         ):
-            from ..h2.cache_digest import CacheDigest
-
             digest = CacheDigest.from_urls(self.cache.urls())
             headers.append(("cache-digest", digest.to_header_value()))
         weight = fetch.weight if fetch.weight is not None else weight_for(
@@ -498,7 +505,7 @@ class PageLoad:
         fetch.conn_key = entry.domain
         if fetch.requested_at is None:
             fetch.requested_at = self.sim.now
-        if fetch.rtype == ResourceType.HTML and entry.html_stream_id is None:
+        if fetch.rtype == _HTML and entry.html_stream_id is None:
             entry.html_stream_id = stream_id
         entry.stream_fetch[stream_id] = fetch
 
@@ -524,7 +531,7 @@ class PageLoad:
             fetch.response_start = self.sim.now
             if self._tracer is not None:
                 self._tracer.resource_response(fetch.url)
-        if fetch is not None and fetch.rtype == ResourceType.HTML:
+        if fetch is not None and fetch.rtype == _HTML:
             for hint in _parse_link_preloads(headers):
                 self._preload_hint(hint, "link_header")
 
@@ -562,7 +569,7 @@ class PageLoad:
             self.timeline.pushed_bytes += size
             if self._tracer is not None:
                 self._tracer.push_data(fetch.url, size, not fetch.adopted)
-        if fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
+        if fetch.rtype == _HTML and fetch.url == self.main_url:
             self._on_html_bytes(data)
 
     def _on_stream_end(self, entry: _ConnectionEntry, stream_id: int) -> None:
@@ -654,13 +661,14 @@ class PageLoad:
         self._record_resource(fetch)
         self._release_delayable(fetch)
 
-        if fetch.rtype == ResourceType.CSS:
+        rtype = fetch.rtype
+        if rtype == _CSS:
             self._on_css_loaded(fetch)
-        elif fetch.rtype == ResourceType.JS:
+        elif rtype == _JS:
             self._on_js_loaded(fetch)
-        elif fetch.rtype in (ResourceType.IMAGE, ResourceType.FONT):
+        elif rtype in _PAINTABLE:
             self._maybe_paint_resource(fetch)
-        elif fetch.rtype == ResourceType.HTML and fetch.url == self.main_url:
+        elif rtype == _HTML and fetch.url == self.main_url:
             self._html_complete = True
             if fetch.from_cache:
                 self._on_html_bytes(fetch.body.tobytes())
@@ -668,8 +676,6 @@ class PageLoad:
         self._check_onload()
 
     def _record_resource(self, fetch: _Fetch) -> None:
-        from ..html.resources import FetchedResource
-
         self.timeline.resources[fetch.url] = FetchedResource(
             url=fetch.url,
             rtype=fetch.rtype,
@@ -908,7 +914,7 @@ class PageLoad:
     def _cssom_ready_for(self, offset: int) -> bool:
         """All non-print stylesheets referenced before ``offset`` ready."""
         for fetch in self._fetches.values():
-            if fetch.rtype != ResourceType.CSS or fetch.cancelled:
+            if fetch.rtype != _CSS or fetch.cancelled:
                 continue
             if fetch.token_offset and fetch.token_offset > offset:
                 continue
@@ -953,7 +959,7 @@ class PageLoad:
     def _maybe_paint_resource(self, fetch: _Fetch) -> None:
         if fetch.painted or fetch.visual_weight <= 0 or not fetch.above_fold:
             return
-        if fetch.rtype not in (ResourceType.IMAGE, ResourceType.FONT):
+        if fetch.rtype not in _PAINTABLE:
             return
         if not (fetch.complete and fetch.parsed and self._render_started):
             return

@@ -26,17 +26,25 @@ WEIGHT_ASYNC_JS = 147  # async/defer script (Low)
 WEIGHT_IMAGE = 110     # images (Lowest)
 WEIGHT_OTHER = 110
 
+# Module aliases: a module global loads in a quarter of the time of an
+# enum attribute, and every request asks for its weight.
+_HTML = ResourceType.HTML
+_CSS = ResourceType.CSS
+_FONT = ResourceType.FONT
+_JS = ResourceType.JS
+_IMAGE = ResourceType.IMAGE
+
 
 def weight_for(rtype: ResourceType, is_async: bool = False) -> int:
     """The H2 weight a Chromium-like client assigns to a request."""
-    if rtype == ResourceType.HTML:
+    if rtype == _HTML:
         return WEIGHT_MAIN
-    if rtype == ResourceType.CSS:
+    if rtype == _CSS:
         return WEIGHT_CSS
-    if rtype == ResourceType.FONT:
+    if rtype == _FONT:
         return WEIGHT_FONT
-    if rtype == ResourceType.JS:
+    if rtype == _JS:
         return WEIGHT_ASYNC_JS if is_async else WEIGHT_SYNC_JS
-    if rtype == ResourceType.IMAGE:
+    if rtype == _IMAGE:
         return WEIGHT_IMAGE
     return WEIGHT_OTHER

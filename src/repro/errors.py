@@ -46,6 +46,11 @@ class StreamError(ReproError):
         self.stream_id = stream_id
         self.error_code = error_code
 
+    def __reduce__(self):
+        # ``args`` holds the message alone; rebuild from every argument
+        # so the error survives a pipe to or from a worker process.
+        return (type(self), (self.args[0], self.stream_id, self.error_code))
+
 
 class HpackError(ProtocolError):
     """HPACK (RFC 7541) decoding failure; always a COMPRESSION_ERROR."""

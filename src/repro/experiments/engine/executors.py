@@ -38,6 +38,11 @@ is detected immediately, its in-flight chunk is requeued (bounded by
 ``_MAX_RETRIES``), and a replacement worker is spawned.  Cells that fail
 permanently are reported via :class:`~repro.errors.ExecutorError` after
 the rest of the grid completes — never as a raw ``BrokenProcessPool``.
+
+Failures are as deterministic as results: a cell that raises a
+:class:`~repro.errors.ReproError` in a worker is not retried, and once
+the grid is done the parent raises that exception — same type, same
+message — as :class:`SerialExecutor` would have.
 """
 
 from __future__ import annotations
@@ -45,13 +50,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...errors import ConfigError, ExecutorError, ExperimentError
+from ...errors import ConfigError, ExecutorError, ExperimentError, ReproError
 from ...html.builder import BuiltSite, build_site
 from ...netsim.conditions import DSL_TESTBED, FixedConditions
 from ...replay.recorder import record_site
@@ -271,8 +277,9 @@ def _worker_main(conn) -> None:
     state; the built sites and record databases it replays sit in the
     process's site memo and stay warm across chunks, cells and grids.
     Cell-level exceptions are reported as structured ``("error", ...)``
-    messages; only a crash (signal, interpreter death) silently drops a
-    chunk, which the parent detects via the process sentinel.
+    messages carrying the exception (:func:`_portable_error`); only a
+    crash (signal, interpreter death) silently drops a chunk, which the
+    parent detects via the process sentinel.
     """
     try:
         while True:
@@ -289,12 +296,28 @@ def _worker_main(conn) -> None:
                 wall_ms = (time.perf_counter() - started) * 1000.0
                 conn.send(("done", chunk_id, results, wall_ms))
             except BaseException as exc:  # noqa: BLE001 — reported upstream
-                conn.send(("error", chunk_id, f"{type(exc).__name__}: {exc}"))
+                conn.send(("error", chunk_id, _portable_error(exc)))
     finally:
         try:
             conn.close()
         except OSError:
             pass
+
+
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _portable_error(exc: BaseException):
+    """``exc`` itself when it crosses a pipe with its type and message
+    intact, else its ``"Type: message"`` text."""
+    try:
+        clone = pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 — any unpicklable exception
+        return _error_text(exc)
+    if type(clone) is not type(exc) or str(clone) != str(exc):
+        return _error_text(exc)
+    return exc
 
 
 class _WorkerHandle:
@@ -443,6 +466,8 @@ class WarmPoolExecutor(Executor):
         results: List[Optional[CellResult]] = [None] * len(cells)
         retries: Dict[Tuple[int, int, int], int] = {}
         failed: Dict[int, str] = {}
+        #: Failed cells whose worker sent a package error to re-raise.
+        raised: Dict[int, ReproError] = {}
         unfinished = set(range(len(cells)))
         next_chunk_id = 0
 
@@ -499,7 +524,12 @@ class WarmPoolExecutor(Executor):
                     if on_result is not None:
                         on_result(chunk.cell_index, result, cell_wall_ms)
             elif kind == "error":
-                fail_cell(chunk.cell_index, msg[2])
+                error = msg[2]
+                if isinstance(error, BaseException):
+                    if isinstance(error, ReproError) and chunk.cell_index not in failed:
+                        raised[chunk.cell_index] = error
+                    error = _error_text(error)
+                fail_cell(chunk.cell_index, error)
             else:
                 raise ExperimentError(f"unexpected worker message {kind!r}")
 
@@ -582,6 +612,10 @@ class WarmPoolExecutor(Executor):
                 "internal scheduling error: cells "
                 f"{sorted(unfinished)} neither finished nor failed"
             )
+        if failed and min(failed) in raised:
+            # The first failing cell in submission order — the one the
+            # serial executor stops at — raised a package error.
+            raise raised[min(failed)]
         if failed:
             triples = sorted(
                 (index, cells[index].describe(), reason)

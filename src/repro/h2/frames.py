@@ -10,6 +10,12 @@ payload itself travels by reference (``repro.h2.connection``), so every
 frame overhead is charged against the simulated links exactly as it
 would be on the wire.  :class:`DataFrame` remains the byte-exact DATA
 codec for peers that do send DATA as bytes.
+
+Each frame type's wire layout is written once, in its ``pack_*``
+function: :meth:`Frame.serialize` calls it, and so does the connection's
+send path, which packs control frames straight from their fields
+without building a frame object.  :class:`FrameReader` is the one
+receive-side parser.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Type
 from ..errors import ProtocolError
 from .constants import (
     ABSOLUTE_MAX_FRAME_SIZE,
+    CONNECTION_PREFACE,
     DEFAULT_WEIGHT,
     FRAME_HEADER_SIZE,
     ErrorCode,
@@ -29,12 +36,28 @@ from .constants import (
 )
 
 _HEADER_STRUCT = struct.Struct(">IBI")  # (length << 8 | type), flags, stream id
+_PRIORITY_STRUCT = struct.Struct(">IB")  # E bit | stream dependency, weight - 1
+_U32 = struct.Struct(">I")
+_SETTING_STRUCT = struct.Struct(">HI")
+_GOAWAY_STRUCT = struct.Struct(">II")  # last stream id, error code
 
 # Raw flag values for hot parse paths (IntFlag.__and__ is a Python-level
 # call; these tests run once or twice per frame received).
 _RAW_ACK = Flag.ACK._value_
 _RAW_PADDED = Flag.PADDED._value_
 _RAW_PRIORITY = Flag.PRIORITY._value_
+
+# Raw type codes (an IntEnum member is a Python object per load).
+_DATA = FrameType.DATA._value_
+_HEADERS = FrameType.HEADERS._value_
+_PRIORITY = FrameType.PRIORITY._value_
+_RST_STREAM = FrameType.RST_STREAM._value_
+_SETTINGS = FrameType.SETTINGS._value_
+_PUSH_PROMISE = FrameType.PUSH_PROMISE._value_
+_PING = FrameType.PING._value_
+_GOAWAY = FrameType.GOAWAY._value_
+_WINDOW_UPDATE = FrameType.WINDOW_UPDATE._value_
+_CONTINUATION = FrameType.CONTINUATION._value_
 
 
 def _pack_header(length: int, frame_type: int, flags: int, stream_id: int) -> bytes:
@@ -52,6 +75,114 @@ def _unpack_header(data: bytes) -> Tuple[int, int, int, int]:
     return length_type >> 8, length_type & 0xFF, flags, stream_id & 0x7FFFFFFF
 
 
+# ----------------------------------------------------------------------
+# wire layouts, one function per frame type (RFC 7540 §6), each taking
+# ``(stream_id, flags, *payload fields)``.  ``flags`` is the raw flag
+# octet; a flag the payload implies (PADDED, PRIORITY) is added here.
+# Fixed-size frames pack their header directly: their length cannot
+# exceed the maximum.
+# ----------------------------------------------------------------------
+def pack_data(stream_id: int, flags: int, data: bytes, pad_length: int = 0) -> bytes:
+    """DATA (§6.1), padded when ``pad_length`` is positive."""
+    if pad_length > 0:
+        return (
+            _pack_header(1 + len(data) + pad_length, _DATA, flags | _RAW_PADDED, stream_id)
+            + bytes((pad_length,))
+            + data
+            + b"\x00" * pad_length
+        )
+    return _pack_header(len(data), _DATA, flags, stream_id) + data
+
+
+def pack_headers(
+    stream_id: int,
+    flags: int,
+    header_block: bytes,
+    priority: Optional["PriorityData"] = None,
+) -> bytes:
+    """HEADERS (§6.2); a ``priority`` adds the 5-octet block and the
+    PRIORITY flag."""
+    if priority is None:
+        return _pack_header(len(header_block), _HEADERS, flags, stream_id) + header_block
+    return (
+        _pack_header(5 + len(header_block), _HEADERS, flags | _RAW_PRIORITY, stream_id)
+        + _PRIORITY_STRUCT.pack(
+            priority.depends_on | (0x80000000 if priority.exclusive else 0),
+            priority.weight - 1,
+        )
+        + header_block
+    )
+
+
+def pack_priority(stream_id: int, flags: int, priority: "PriorityData") -> bytes:
+    """PRIORITY (§6.3)."""
+    return _HEADER_STRUCT.pack(
+        (5 << 8) | _PRIORITY, flags, stream_id & 0x7FFFFFFF
+    ) + _PRIORITY_STRUCT.pack(
+        priority.depends_on | (0x80000000 if priority.exclusive else 0),
+        priority.weight - 1,
+    )
+
+
+def pack_rst_stream(stream_id: int, flags: int, error_code: int) -> bytes:
+    """RST_STREAM (§6.4)."""
+    return _HEADER_STRUCT.pack(
+        (4 << 8) | _RST_STREAM, flags, stream_id & 0x7FFFFFFF
+    ) + _U32.pack(error_code)
+
+
+def pack_settings(stream_id: int, flags: int, settings: Dict[int, int]) -> bytes:
+    """SETTINGS (§6.5), parameters in identifier order."""
+    return _pack_header(6 * len(settings), _SETTINGS, flags, stream_id) + b"".join(
+        _SETTING_STRUCT.pack(key, value) for key, value in sorted(settings.items())
+    )
+
+
+def pack_push_promise(
+    stream_id: int, flags: int, promised_stream_id: int, header_block: bytes
+) -> bytes:
+    """PUSH_PROMISE (§6.6)."""
+    return (
+        _pack_header(4 + len(header_block), _PUSH_PROMISE, flags, stream_id)
+        + _U32.pack(promised_stream_id & 0x7FFFFFFF)
+        + header_block
+    )
+
+
+def pack_ping(stream_id: int, flags: int, opaque: bytes) -> bytes:
+    """PING (§6.7)."""
+    if len(opaque) != 8:
+        raise ProtocolError("PING payload must be 8 octets", ErrorCode.FRAME_SIZE_ERROR)
+    return _HEADER_STRUCT.pack((8 << 8) | _PING, flags, stream_id & 0x7FFFFFFF) + opaque
+
+
+def pack_goaway(
+    stream_id: int, flags: int, last_stream_id: int, error_code: int, debug_data: bytes = b""
+) -> bytes:
+    """GOAWAY (§6.8)."""
+    return (
+        _pack_header(8 + len(debug_data), _GOAWAY, flags, stream_id)
+        + _GOAWAY_STRUCT.pack(last_stream_id & 0x7FFFFFFF, error_code)
+        + debug_data
+    )
+
+
+def pack_window_update(stream_id: int, flags: int, increment: int) -> bytes:
+    """WINDOW_UPDATE (§6.9)."""
+    return _HEADER_STRUCT.pack(
+        (4 << 8) | _WINDOW_UPDATE, flags, stream_id & 0x7FFFFFFF
+    ) + _U32.pack(increment & 0x7FFFFFFF)
+
+
+def pack_continuation(stream_id: int, flags: int, header_block: bytes) -> bytes:
+    """CONTINUATION (§6.10)."""
+    return _pack_header(len(header_block), _CONTINUATION, flags, stream_id) + header_block
+
+
+# ----------------------------------------------------------------------
+# frame objects: what :class:`FrameReader` returns, and a way to build
+# a frame field by field (tests, foreign peers)
+# ----------------------------------------------------------------------
 @dataclass
 class Frame:
     """Base class for all frames."""
@@ -62,29 +193,14 @@ class Frame:
     #: Frame type code; set by each concrete subclass.
     TYPE: ClassVar[FrameType]
 
-    def payload(self) -> bytes:
+    def serialize(self) -> bytes:
+        """The frame's wire bytes, from its type's ``pack_*`` function."""
         raise NotImplementedError
 
     def payload_length(self) -> int:
-        """Length of :meth:`payload` in octets, computed without
-        building the payload (subclasses override with arithmetic)."""
-        return len(self.payload())
-
-    def _effective_flags(self) -> int:
-        """Flags as they appear on the wire.
-
-        Subclasses whose payload structure implies a flag (PADDED,
-        PRIORITY) override this instead of mutating ``self.flags``
-        during serialization, keeping ``serialize`` idempotent.
-        """
-        return int(self.flags)
-
-    def serialize(self) -> bytes:
-        body = self.payload()
-        return (
-            _pack_header(len(body), int(self.TYPE), self._effective_flags(), self.stream_id)
-            + body
-        )
+        """Length of the frame payload in octets, computed without
+        serializing (each subclass overrides with arithmetic)."""
+        raise NotImplementedError
 
     @property
     def wire_size(self) -> int:
@@ -93,7 +209,7 @@ class Frame:
 
     def has_flag(self, flag: Flag) -> bool:
         # ``_value_`` reads skip IntFlag.__and__'s composite-member
-        # machinery; flag accessors run for every frame received.
+        # machinery.
         return (self.flags._value_ & flag._value_) != 0
 
 
@@ -105,20 +221,13 @@ class DataFrame(Frame):
     pad_length: int = 0
     TYPE = FrameType.DATA
 
-    def payload(self) -> bytes:
-        if self.pad_length > 0:
-            return bytes([self.pad_length]) + self.data + b"\x00" * self.pad_length
-        return self.data
+    def serialize(self) -> bytes:
+        return pack_data(self.stream_id, int(self.flags), self.data, self.pad_length)
 
     def payload_length(self) -> int:
         if self.pad_length > 0:
             return 1 + len(self.data) + self.pad_length
         return len(self.data)
-
-    def _effective_flags(self) -> int:
-        if self.pad_length > 0:
-            return int(self.flags | Flag.PADDED)
-        return int(self.flags)
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "DataFrame":
@@ -146,14 +255,15 @@ class PriorityData:
     exclusive: bool = False
 
     def serialize(self) -> bytes:
-        dep = self.depends_on | (0x80000000 if self.exclusive else 0)
-        return struct.pack(">IB", dep, self.weight - 1)
+        return _PRIORITY_STRUCT.pack(
+            self.depends_on | (0x80000000 if self.exclusive else 0), self.weight - 1
+        )
 
     @classmethod
     def parse(cls, body: bytes) -> "PriorityData":
         if len(body) < 5:
             raise ProtocolError("truncated priority block", ErrorCode.FRAME_SIZE_ERROR)
-        dep, weight = struct.unpack(">IB", body[:5])
+        dep, weight = _PRIORITY_STRUCT.unpack_from(body)
         return cls(
             depends_on=dep & 0x7FFFFFFF,
             weight=weight + 1,
@@ -169,25 +279,18 @@ class HeadersFrame(Frame):
     priority: Optional[PriorityData] = None
     TYPE = FrameType.HEADERS
 
-    def payload(self) -> bytes:
-        parts = []
-        if self.priority is not None:
-            parts.append(self.priority.serialize())
-        parts.append(self.header_block)
-        return b"".join(parts)
+    def serialize(self) -> bytes:
+        return pack_headers(self.stream_id, int(self.flags), self.header_block, self.priority)
 
     def payload_length(self) -> int:
         return (5 if self.priority is not None else 0) + len(self.header_block)
-
-    def _effective_flags(self) -> int:
-        if self.priority is not None:
-            return self.flags._value_ | _RAW_PRIORITY
-        return int(self.flags)
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "HeadersFrame":
         pad = 0
         if flags._value_ & _RAW_PADDED:
+            if not body:
+                raise ProtocolError("PADDED HEADERS frame without pad length")
             pad = body[0]
             body = body[1:]
         priority = None
@@ -216,8 +319,8 @@ class PriorityFrame(Frame):
     priority: PriorityData = field(default_factory=PriorityData)
     TYPE = FrameType.PRIORITY
 
-    def payload(self) -> bytes:
-        return self.priority.serialize()
+    def serialize(self) -> bytes:
+        return pack_priority(self.stream_id, int(self.flags), self.priority)
 
     def payload_length(self) -> int:
         return 5
@@ -241,8 +344,8 @@ class RstStreamFrame(Frame):
     error_code: ErrorCode = ErrorCode.NO_ERROR
     TYPE = FrameType.RST_STREAM
 
-    def payload(self) -> bytes:
-        return struct.pack(">I", int(self.error_code))
+    def serialize(self) -> bytes:
+        return pack_rst_stream(self.stream_id, int(self.flags), int(self.error_code))
 
     def payload_length(self) -> int:
         return 4
@@ -251,7 +354,7 @@ class RstStreamFrame(Frame):
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "RstStreamFrame":
         if len(body) != 4:
             raise ProtocolError("RST_STREAM frame must be 4 octets", ErrorCode.FRAME_SIZE_ERROR)
-        (code,) = struct.unpack(">I", body)
+        (code,) = _U32.unpack(body)
         try:
             error_code = ErrorCode(code)
         except ValueError:
@@ -270,10 +373,8 @@ class SettingsFrame(Frame):
     settings: Dict[int, int] = field(default_factory=dict)
     TYPE = FrameType.SETTINGS
 
-    def payload(self) -> bytes:
-        return b"".join(
-            struct.pack(">HI", key, value) for key, value in sorted(self.settings.items())
-        )
+    def serialize(self) -> bytes:
+        return pack_settings(self.stream_id, int(self.flags), self.settings)
 
     def payload_length(self) -> int:
         return 6 * len(self.settings)
@@ -288,7 +389,7 @@ class SettingsFrame(Frame):
             raise ProtocolError("SETTINGS ACK with payload", ErrorCode.FRAME_SIZE_ERROR)
         settings = {}
         for offset in range(0, len(body), 6):
-            key, value = struct.unpack_from(">HI", body, offset)
+            key, value = _SETTING_STRUCT.unpack_from(body, offset)
             settings[key] = value
         return cls(stream_id=stream_id, flags=flags, settings=settings)
 
@@ -309,8 +410,10 @@ class PushPromiseFrame(Frame):
     header_block: bytes = b""
     TYPE = FrameType.PUSH_PROMISE
 
-    def payload(self) -> bytes:
-        return struct.pack(">I", self.promised_stream_id & 0x7FFFFFFF) + self.header_block
+    def serialize(self) -> bytes:
+        return pack_push_promise(
+            self.stream_id, int(self.flags), self.promised_stream_id, self.header_block
+        )
 
     def payload_length(self) -> int:
         return 4 + len(self.header_block)
@@ -319,11 +422,13 @@ class PushPromiseFrame(Frame):
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "PushPromiseFrame":
         pad = 0
         if flags._value_ & _RAW_PADDED:
+            if not body:
+                raise ProtocolError("PADDED PUSH_PROMISE frame without pad length")
             pad = body[0]
             body = body[1:]
         if len(body) < 4:
             raise ProtocolError("truncated PUSH_PROMISE", ErrorCode.FRAME_SIZE_ERROR)
-        (promised,) = struct.unpack(">I", body[:4])
+        (promised,) = _U32.unpack_from(body)
         block = body[4:]
         if pad:
             if pad > len(block):
@@ -348,10 +453,8 @@ class PingFrame(Frame):
     opaque: bytes = b"\x00" * 8
     TYPE = FrameType.PING
 
-    def payload(self) -> bytes:
-        if len(self.opaque) != 8:
-            raise ProtocolError("PING payload must be 8 octets", ErrorCode.FRAME_SIZE_ERROR)
-        return self.opaque
+    def serialize(self) -> bytes:
+        return pack_ping(self.stream_id, int(self.flags), self.opaque)
 
     def payload_length(self) -> int:
         return 8
@@ -378,10 +481,13 @@ class GoAwayFrame(Frame):
     debug_data: bytes = b""
     TYPE = FrameType.GOAWAY
 
-    def payload(self) -> bytes:
-        return (
-            struct.pack(">II", self.last_stream_id & 0x7FFFFFFF, int(self.error_code))
-            + self.debug_data
+    def serialize(self) -> bytes:
+        return pack_goaway(
+            self.stream_id,
+            int(self.flags),
+            self.last_stream_id,
+            int(self.error_code),
+            self.debug_data,
         )
 
     def payload_length(self) -> int:
@@ -391,7 +497,7 @@ class GoAwayFrame(Frame):
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "GoAwayFrame":
         if len(body) < 8:
             raise ProtocolError("truncated GOAWAY", ErrorCode.FRAME_SIZE_ERROR)
-        last, code = struct.unpack(">II", body[:8])
+        last, code = _GOAWAY_STRUCT.unpack_from(body)
         try:
             error_code = ErrorCode(code)
         except ValueError:
@@ -412,8 +518,8 @@ class WindowUpdateFrame(Frame):
     increment: int = 0
     TYPE = FrameType.WINDOW_UPDATE
 
-    def payload(self) -> bytes:
-        return struct.pack(">I", self.increment & 0x7FFFFFFF)
+    def serialize(self) -> bytes:
+        return pack_window_update(self.stream_id, int(self.flags), self.increment)
 
     def payload_length(self) -> int:
         return 4
@@ -422,7 +528,7 @@ class WindowUpdateFrame(Frame):
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "WindowUpdateFrame":
         if len(body) != 4:
             raise ProtocolError("WINDOW_UPDATE must be 4 octets", ErrorCode.FRAME_SIZE_ERROR)
-        (increment,) = struct.unpack(">I", body)
+        (increment,) = _U32.unpack(body)
         increment &= 0x7FFFFFFF
         if increment == 0:
             raise ProtocolError("WINDOW_UPDATE with zero increment")
@@ -436,8 +542,8 @@ class ContinuationFrame(Frame):
     header_block: bytes = b""
     TYPE = FrameType.CONTINUATION
 
-    def payload(self) -> bytes:
-        return self.header_block
+    def serialize(self) -> bytes:
+        return pack_continuation(self.stream_id, int(self.flags), self.header_block)
 
     def payload_length(self) -> int:
         return len(self.header_block)
@@ -518,8 +624,6 @@ class FrameReader:
             self._buffer = b""
         offset = 0
         if self._expect_preface:
-            from .constants import CONNECTION_PREFACE
-
             if len(data) < len(CONNECTION_PREFACE):
                 self._buffer = data
                 return frames

@@ -80,7 +80,8 @@ class PriorityTree:
             raise ProtocolError(f"stream {stream_id} already prioritized")
         if depends_on == stream_id:
             raise ProtocolError(f"stream {stream_id} cannot depend on itself")
-        _check_weight(weight)
+        if not 1 <= weight <= 256:
+            _check_weight(weight)  # raises; inline test: one insert per stream
         parent = self._nodes.get(depends_on, self._root)
         node = PriorityNode(stream_id, parent, weight)
         if exclusive:
@@ -143,7 +144,8 @@ class PriorityTree:
                 child.parent = parent
                 child.virtual_time = max(child.virtual_time, floor)
                 parent.children[child.stream_id] = child
-        self._detach(node)
+        if node.parent is not None:  # _detach, inline: one remove per stream
+            parent.children.pop(stream_id, None)
 
     def parent_of(self, stream_id: int) -> Optional[int]:
         node = self._nodes.get(stream_id)

@@ -14,13 +14,24 @@ from .constants import (
     SettingCode,
 )
 
+#: Parameter identifiers as plain ints, resolved once: ``int(SettingCode.X)``
+#: is an enum attribute load and a conversion on every read.  The
+#: connection reads ``Settings._values`` by these keys on its per-stream
+#: and per-header-block paths.
+HEADER_TABLE_SIZE = int(SettingCode.HEADER_TABLE_SIZE)
+ENABLE_PUSH = int(SettingCode.ENABLE_PUSH)
+MAX_CONCURRENT_STREAMS = int(SettingCode.MAX_CONCURRENT_STREAMS)
+INITIAL_WINDOW_SIZE = int(SettingCode.INITIAL_WINDOW_SIZE)
+MAX_FRAME_SIZE = int(SettingCode.MAX_FRAME_SIZE)
+MAX_HEADER_LIST_SIZE = int(SettingCode.MAX_HEADER_LIST_SIZE)
+
 _DEFAULTS: Dict[int, int] = {
-    int(SettingCode.HEADER_TABLE_SIZE): DEFAULT_HEADER_TABLE_SIZE,
-    int(SettingCode.ENABLE_PUSH): 1,
-    int(SettingCode.MAX_CONCURRENT_STREAMS): 2**31 - 1,
-    int(SettingCode.INITIAL_WINDOW_SIZE): DEFAULT_INITIAL_WINDOW_SIZE,
-    int(SettingCode.MAX_FRAME_SIZE): DEFAULT_MAX_FRAME_SIZE,
-    int(SettingCode.MAX_HEADER_LIST_SIZE): 2**31 - 1,
+    HEADER_TABLE_SIZE: DEFAULT_HEADER_TABLE_SIZE,
+    ENABLE_PUSH: 1,
+    MAX_CONCURRENT_STREAMS: 2**31 - 1,
+    INITIAL_WINDOW_SIZE: DEFAULT_INITIAL_WINDOW_SIZE,
+    MAX_FRAME_SIZE: DEFAULT_MAX_FRAME_SIZE,
+    MAX_HEADER_LIST_SIZE: 2**31 - 1,
 }
 
 
@@ -34,13 +45,13 @@ class Settings:
             self._set(int(code), value)
 
     def _set(self, code: int, value: int) -> None:
-        if code == SettingCode.ENABLE_PUSH and value not in (0, 1):
+        if code == ENABLE_PUSH and value not in (0, 1):
             raise ProtocolError("ENABLE_PUSH must be 0 or 1")
-        if code == SettingCode.INITIAL_WINDOW_SIZE and value > MAX_WINDOW_SIZE:
+        if code == INITIAL_WINDOW_SIZE and value > MAX_WINDOW_SIZE:
             raise ProtocolError(
                 "INITIAL_WINDOW_SIZE too large", ErrorCode.FLOW_CONTROL_ERROR
             )
-        if code == SettingCode.MAX_FRAME_SIZE and not (
+        if code == MAX_FRAME_SIZE and not (
             DEFAULT_MAX_FRAME_SIZE <= value <= 16_777_215
         ):
             raise ProtocolError("MAX_FRAME_SIZE out of range")
@@ -63,20 +74,20 @@ class Settings:
 
     @property
     def header_table_size(self) -> int:
-        return self._values[int(SettingCode.HEADER_TABLE_SIZE)]
+        return self._values[HEADER_TABLE_SIZE]
 
     @property
     def enable_push(self) -> bool:
-        return bool(self._values[int(SettingCode.ENABLE_PUSH)])
+        return bool(self._values[ENABLE_PUSH])
 
     @property
     def max_concurrent_streams(self) -> int:
-        return self._values[int(SettingCode.MAX_CONCURRENT_STREAMS)]
+        return self._values[MAX_CONCURRENT_STREAMS]
 
     @property
     def initial_window_size(self) -> int:
-        return self._values[int(SettingCode.INITIAL_WINDOW_SIZE)]
+        return self._values[INITIAL_WINDOW_SIZE]
 
     @property
     def max_frame_size(self) -> int:
-        return self._values[int(SettingCode.MAX_FRAME_SIZE)]
+        return self._values[MAX_FRAME_SIZE]

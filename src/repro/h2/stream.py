@@ -28,7 +28,10 @@ from .flow_control import FlowControlWindow, ReceiveWindow
 
 Header = Tuple[str, str]
 
+_IDLE = StreamState.IDLE
 _OPEN = StreamState.OPEN
+_RESERVED_LOCAL = StreamState.RESERVED_LOCAL
+_RESERVED_REMOTE = StreamState.RESERVED_REMOTE
 _CLOSED = StreamState.CLOSED
 _HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
 _HALF_CLOSED_REMOTE = StreamState.HALF_CLOSED_REMOTE
@@ -59,7 +62,7 @@ class H2Stream:
 
     def __init__(self, stream_id: int, initial_send_window: int, initial_recv_window: int):
         self.stream_id = stream_id
-        self.state = StreamState.IDLE
+        self.state = _IDLE
         self.send_window = FlowControlWindow(initial_send_window)
         self.recv_window = ReceiveWindow(initial_recv_window)
 
@@ -95,30 +98,41 @@ class H2Stream:
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
+    # Every opening transition leaves IDLE: an identity test, where a
+    # set of allowed states would hash the enum (a Python-level call)
+    # once per stream.
     def open_local(self) -> None:
-        self._transition_from({StreamState.IDLE}, StreamState.OPEN)
+        if self.state is not _IDLE:
+            self._invalid_transition(_OPEN)
+        self.state = _OPEN
         if self.tracer is not None:
             self.tracer.stream_opened(self.trace_conn, self.stream_id, False)
 
     def open_remote(self) -> None:
-        self._transition_from({StreamState.IDLE}, StreamState.OPEN)
+        if self.state is not _IDLE:
+            self._invalid_transition(_OPEN)
+        self.state = _OPEN
         if self.tracer is not None:
             self.tracer.stream_opened(self.trace_conn, self.stream_id, False)
 
     def reserve_local(self) -> None:
-        self._transition_from({StreamState.IDLE}, StreamState.RESERVED_LOCAL)
+        if self.state is not _IDLE:
+            self._invalid_transition(_RESERVED_LOCAL)
+        self.state = _RESERVED_LOCAL
         if self.tracer is not None:
             self.tracer.stream_opened(self.trace_conn, self.stream_id, True)
 
     def reserve_remote(self) -> None:
-        self._transition_from({StreamState.IDLE}, StreamState.RESERVED_REMOTE)
+        if self.state is not _IDLE:
+            self._invalid_transition(_RESERVED_REMOTE)
+        self.state = _RESERVED_REMOTE
         if self.tracer is not None:
             self.tracer.stream_opened(self.trace_conn, self.stream_id, True)
 
     def close_local(self) -> None:
         """We sent END_STREAM."""
         state = self.state
-        if state is _OPEN or state is StreamState.RESERVED_LOCAL:
+        if state is _OPEN or state is _RESERVED_LOCAL:
             self.state = _HALF_CLOSED_LOCAL
         elif state is _HALF_CLOSED_REMOTE:
             self.state = _CLOSED
@@ -132,7 +146,7 @@ class H2Stream:
     def close_remote(self) -> None:
         """Peer sent END_STREAM."""
         state = self.state
-        if state is _OPEN or state is StreamState.RESERVED_REMOTE:
+        if state is _OPEN or state is _RESERVED_REMOTE:
             self.state = _HALF_CLOSED_REMOTE
         elif state is _HALF_CLOSED_LOCAL:
             self.state = _CLOSED
@@ -145,7 +159,7 @@ class H2Stream:
 
     def reset(self, code: ErrorCode) -> None:
         was_closed = self.state is _CLOSED
-        self.state = StreamState.CLOSED
+        self.state = _CLOSED
         self.reset_code = code
         self._body = b""
         self._cursor = 0
@@ -157,12 +171,8 @@ class H2Stream:
     def closed(self) -> bool:
         return self.state is _CLOSED
 
-    def _transition_from(self, allowed: set, target: StreamState) -> None:
-        if self.state not in allowed:
-            raise StreamError(
-                f"invalid transition {self.state} -> {target}", self.stream_id
-            )
-        self.state = target
+    def _invalid_transition(self, target: StreamState) -> None:
+        raise StreamError(f"invalid transition {self.state} -> {target}", self.stream_id)
 
     # ------------------------------------------------------------------
     # send-side body

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 
@@ -77,8 +78,14 @@ def classify_url(url: str) -> ResourceType:
     return _TYPE_BY_EXTENSION.get(extension, ResourceType.OTHER)
 
 
+@lru_cache(maxsize=4096)
 def split_url(url: str) -> Tuple[str, str]:
-    """Split ``https://domain/path`` into ``(domain, /path)``."""
+    """Split ``https://domain/path`` into ``(domain, /path)``.
+
+    Memoised: a page load asks for the same object's URL parts in the
+    browser, the server and the push strategy.  A hit is one C-level
+    call; the result is an immutable tuple.
+    """
     if "://" in url:
         url = url.split("://", 1)[1]
     if "/" in url:

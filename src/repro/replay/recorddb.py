@@ -31,6 +31,13 @@ class ResponseRecord:
     body: bytes = b""
     method: str = "GET"
 
+    def __post_init__(self) -> None:
+        #: The resource class, from ``content-type``.  Classified when
+        #: the record is made: the server asks per request, a record is
+        #: read-only once recorded, and a lazy cache would make a
+        #: record's first replay do work its later replays skip.
+        self.rtype: ResourceType = classify_content_type(self.content_type)
+
     @property
     def domain(self) -> str:
         return split_url(self.url)[0]
@@ -45,10 +52,6 @@ class ResponseRecord:
             if name.lower() == "content-type":
                 return value
         return None
-
-    @property
-    def rtype(self) -> ResourceType:
-        return classify_content_type(self.content_type)
 
     @property
     def size(self) -> int:

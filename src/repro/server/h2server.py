@@ -14,10 +14,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..browser.priorities import weight_for
 from ..errors import ProtocolError
+from ..h2.cache_digest import CacheDigest
 from ..h2.connection import H2Connection
 from ..h2.constants import ErrorCode
 from ..h2.frames import PriorityData
 from ..html.resources import ResourceType, split_url
+from .scheduler import InterleavingScheduler
 from ..mechanisms.h2quic import h2_endpoint
 from ..netsim.tcp import TcpConnection
 from ..replay.certs import Certificate
@@ -27,6 +29,10 @@ from ..sim import Simulator
 from ..strategies.base import PushPlan, PushStrategy
 
 Header = Tuple[str, str]
+
+#: Module alias: a module global loads in a quarter of the time of an
+#: enum attribute, and every request is classified.
+_HTML = ResourceType.HTML
 
 
 class ReplayServer:
@@ -98,7 +104,7 @@ class ReplayServer:
         plan = None
         if (
             record is not None
-            and record.rtype == ResourceType.HTML
+            and record.rtype == _HTML
             and self.strategy is not None
         ):
             plan = self.strategy.plan(url, self.matcher._db, self.is_authoritative)
@@ -131,8 +137,6 @@ class ReplayServer:
         A malformed header is served as "no digest"; anything but
         :class:`ProtocolError` is a model bug and propagates.
         """
-        from ..h2.cache_digest import CacheDigest
-
         for name, value in headers:
             if name.lower() == "cache-digest":
                 try:
@@ -154,7 +158,7 @@ class ReplayServer:
         if record is None:
             conn.respond(stream_id, [(":status", "404")], end_stream=True)
             return
-        is_document = record.rtype == ResourceType.HTML and self.strategy is not None
+        is_document = record.rtype == _HTML and self.strategy is not None
         if is_document and plan is None:
             plan = self.strategy.plan(url, self.matcher._db, self.is_authoritative)
         response_headers = record.response_headers()
@@ -223,8 +227,6 @@ class ReplayServer:
                 promised[url] for url in plan.critical_urls if url in promised
             ]
             if critical_ids:
-                from .scheduler import InterleavingScheduler
-
                 scheduler = InterleavingScheduler(
                     parent_stream_id=parent_id,
                     offset=plan.interleave_offset,

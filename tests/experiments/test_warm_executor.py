@@ -6,19 +6,23 @@ largest-first order, the property that the assembler's reduction is
 independent of chunk arrival order, the bounded site memo both
 executors replay behind, and the crash paths — a SIGKILLed worker
 mid-grid, a worker that dies on the same chunk until the retry budget
-runs out, and a cell that raises deterministically inside a worker.
+runs out, and a cell that raises deterministically inside a worker —
+as a structured failure, or, for a package error, as the same
+exception the serial executor raises.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutorError
+from repro import errors
+from repro.errors import ExecutorError, SimulationError
 from repro.experiments.engine import (
     Cell,
     ExperimentEngine,
@@ -30,6 +34,7 @@ from repro.experiments.engine import (
 from repro.experiments.engine import executors
 from repro.experiments.engine.executors import _CellAssembler
 from repro.experiments.fig5_interleaving import make_test_site
+from repro.sim import Simulator
 from repro.sites.corpus import RANDOM_100_PROFILE, generate_corpus, replay_weight
 from repro.strategies.base import PushStrategy
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy
@@ -42,6 +47,22 @@ class ExplodingStrategy(PushStrategy):
 
     def plan(self, main_url, db, is_authoritative):
         raise RuntimeError("injected strategy failure")
+
+
+class RunawayStrategy(PushStrategy):
+    """Plans by running a model loop into the simulator's event cap —
+    a deterministic package error (``SimulationError``)."""
+
+    name = "runaway"
+
+    def plan(self, main_url, db, is_authoritative):
+        sim = Simulator()
+
+        def tick():
+            sim.schedule(1.0, tick)
+
+        tick()
+        sim.run(max_events=50)
 
 
 def corpus_cells(runs: int = 3):
@@ -264,3 +285,51 @@ def test_executor_rejects_use_after_close():
 
     with pytest.raises(ExperimentError):
         executor.run(corpus_cells(runs=1))
+
+
+def test_package_error_keeps_its_type_on_both_executors():
+    """The same failing cell raises the same exception type and message
+    from the serial executor and from a pool worker, and the pool does
+    not retry it (a raise is not a crash)."""
+    corpus = generate_corpus(RANDOM_100_PROFILE, 1, seed=11)
+    good = Cell(spec=corpus[0].spec, strategy=NoPushStrategy(), runs=2, label="good")
+    runaway = Cell(spec=corpus[0].spec, strategy=RunawayStrategy(), runs=2, label="runaway")
+    with pytest.raises(SimulationError) as serial:
+        SerialExecutor().run([good, runaway])
+    finished = []
+    with WarmPoolExecutor(max_workers=2, chunk_runs=1) as executor:
+        with pytest.raises(SimulationError) as pooled:
+            executor.run([good, runaway], lambda index, _r, _w: finished.append(index))
+        assert executor.stats["retries"] == 0
+        assert executor.stats["respawns"] == 0
+    assert str(pooled.value) == str(serial.value)
+    assert "exceeded 50 events" in str(pooled.value)
+    # The rest of the grid still finished before the raise.
+    assert finished == [0]
+
+
+def test_every_package_error_survives_a_pipe():
+    """Each ``ReproError`` class pickles with its type, message and
+    attributes, so a worker can send the exception itself."""
+    samples = []
+    for cls in vars(errors).values():
+        if not (isinstance(cls, type) and issubclass(cls, errors.ReproError)):
+            continue
+        if cls is errors.StreamError:
+            samples.append(cls("stream failed", 7, 8))
+        else:
+            samples.append(cls("failed"))
+    assert len(samples) >= 10
+    for exc in samples:
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is type(exc)
+        assert str(clone) == str(exc)
+        assert vars(clone) == vars(exc)
+        assert executors._portable_error(exc) is exc
+
+
+def test_an_unpicklable_error_travels_as_text():
+    class LocalError(Exception):
+        pass
+
+    assert executors._portable_error(LocalError("boom")) == "LocalError: boom"

@@ -286,3 +286,40 @@ def test_a_transport_that_refuses_sized_data_is_a_protocol_error(transport):
     message = str(raised.value)
     assert f"stream {stream_id}" in message
     assert ("1009-octet" in message) if transport == "tcp" else ("999 of 1000" in message)
+
+
+def test_received_frames_reach_a_subclass_override(monkeypatch):
+    """Frames are dispatched by a lookup keyed on the frame class, and the
+    handler is found on the connection: ``H2OverQuicConnection``'s
+    overrides — patched here after the class was built — are the ones
+    that run, on both sides."""
+    seen = []
+    finish = H2OverQuicConnection._finish_header_block
+    handle_push = H2OverQuicConnection._handle_push_promise
+
+    def spy_finish(self, stream_id, block, end_stream):
+        seen.append((self.role, "headers", stream_id))
+        finish(self, stream_id, block, end_stream)
+
+    def spy_push(self, frame):
+        seen.append((self.role, "push_promise", frame.promised_stream_id))
+        handle_push(self, frame)
+
+    monkeypatch.setattr(H2OverQuicConnection, "_finish_header_block", spy_finish)
+    monkeypatch.setattr(H2OverQuicConnection, "_handle_push_promise", spy_push)
+    sim, client, server = make_pair(conditions=replace(DSL_TESTBED, transport="quic"))
+
+    def on_request(sid, headers, prio):
+        promised = server.push(sid, REQUEST[:3] + [(":path", "/pushed")])
+        server.respond(sid, [(":status", "200")], end_stream=True)
+        server.respond(promised, [(":status", "200")], end_stream=True)
+
+    server.on_request = on_request
+    client.request(REQUEST)
+    sim.run()
+    assert seen == [
+        ("server", "headers", 1),
+        ("client", "push_promise", 2),
+        ("client", "headers", 1),
+        ("client", "headers", 2),
+    ]

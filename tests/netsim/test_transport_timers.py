@@ -5,9 +5,10 @@ delayed-ACK timer; almost all are cancelled before they fire.  Both
 are queue entries the half-connection holds (``repro.sim``: the entry
 *is* the handle), so these tests pin when each is armed, cancelled and
 dispatched — in ACK departure instants and exact event counts — and
-what a page load pays the event core for them.  The last test counts
-the other side of the same loop: what a delivered DATA frame pays
-``netsim``, ``h2`` and ``browser`` together.
+what a page load pays the event core for them.  The last two tests
+count the other side of the same loop: what a delivered DATA frame pays
+``netsim``, ``h2`` and ``browser`` together, and what one object's
+header block pays ``h2``.
 """
 
 import random
@@ -238,3 +239,61 @@ def test_data_path_calls_per_delivered_frame():
     assert result.timeline.onload is not None
     assert frames[0] == 430
     assert calls[0] / frames[0] <= 13.5, calls[0]
+
+
+@pytest.mark.parametrize(
+    "strategy_name, ceiling", [("no_push", 40.7), ("push_all", 35.1)]
+)
+def test_header_block_calls_per_object(strategy_name, ceiling):
+    """Python-level calls into ``repro/h2/`` over one load of a page of
+    100 images of 600 B, per header block decoded: a request and a
+    response per object under no_push, a PUSH_PROMISE and a response
+    under push_all — each entering the layer once on either side
+    (encode, pack, queue; feed, parse, one dispatch lookup, decode,
+    stream and priority bookkeeping).  It reads 40.45 and 34.82; it
+    read 59.57 and 51.72 while control frames were built as frame
+    objects to be serialized, the receive side walked an ``isinstance``
+    ladder and flag properties, streams hashed their state enum and
+    every stream read settings through properties.  A helper call put
+    back on one side of the exchange adds 0.5 per block.  An uncounted
+    warm-up load goes first: the HPACK encoder's plan memo is
+    process-wide.
+    """
+    from repro.html import ResourceSpec, ResourceType, WebsiteSpec
+    from repro.html.builder import build_site
+    from repro.replay.testbed import ReplayTestbed
+    from repro.strategies.simple import NoPushStrategy, PushAllStrategy
+
+    spec = WebsiteSpec(
+        name="hundred-images",
+        primary_domain="images.example",
+        html_size=4_000,
+        html_visual_weight=10,
+        resources=[
+            ResourceSpec(f"i{index}.jpg", ResourceType.IMAGE, 600) for index in range(100)
+        ],
+    )
+    built = build_site(spec)
+    strategy = NoPushStrategy() if strategy_name == "no_push" else PushAllStrategy()
+    ReplayTestbed(built=built, strategy=strategy).run(seed=1)
+    testbed = ReplayTestbed(built=built, strategy=strategy)
+    calls = [0]
+    blocks = [0]
+
+    def on_event(frame, event, _arg):
+        if event != "call":
+            return
+        filename = frame.f_code.co_filename
+        if "/repro/h2/" in filename:
+            calls[0] += 1
+            if frame.f_code.co_name == "decode" and filename.endswith("decoder.py"):
+                blocks[0] += 1
+
+    sys.setprofile(on_event)
+    try:
+        result = testbed.run(seed=1)
+    finally:
+        sys.setprofile(None)
+    assert result.timeline.onload is not None
+    assert blocks[0] == 202
+    assert calls[0] / blocks[0] <= ceiling, calls[0] / blocks[0]

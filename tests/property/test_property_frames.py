@@ -1,11 +1,15 @@
 """Property-based tests for the frame codec."""
 
-from hypothesis import given, settings
+import struct
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.h2.constants import ErrorCode, Flag
+from repro.errors import ProtocolError
+from repro.h2.constants import CONNECTION_PREFACE, ErrorCode, Flag
 from repro.h2.frames import (
     DataFrame,
+    Frame,
     FrameReader,
     GoAwayFrame,
     HeadersFrame,
@@ -87,3 +91,62 @@ def test_goaway_round_trip(last, debug):
     parsed, _ = parse_frame(frame.serialize())
     assert parsed.last_stream_id == last
     assert parsed.debug_data == debug
+
+
+def _raw_frame(frame_type: int, flags: int, stream_id: int, body: bytes) -> bytes:
+    """A frame header with an honest length over an arbitrary body."""
+    return struct.pack(">IBI", (len(body) << 8) | frame_type, flags, stream_id) + body
+
+
+# Frames of every type (and unknown ones) with any flags and any body,
+# so the type-specific parsers see malformed payloads, not only
+# truncated headers; a tail of raw bytes covers the rest.
+_RAW_FRAMES = st.lists(
+    st.builds(
+        _raw_frame,
+        st.integers(0, 12),
+        st.integers(0, 255),
+        st.integers(0, 2**32 - 1),
+        st.binary(max_size=24),
+    ),
+    max_size=6,
+)
+
+# PADDED (0x8) HEADERS and PUSH_PROMISE with an empty payload: no pad
+# length octet to read.
+_EMPTY_PADDED_HEADERS = _raw_frame(0x1, 0x8, 1, b"")
+_EMPTY_PADDED_PUSH_PROMISE = _raw_frame(0x5, 0x8, 1, b"")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames=_RAW_FRAMES,
+    tail=st.binary(max_size=30),
+    cuts=st.lists(st.integers(0, 400), max_size=6),
+    preface=st.booleans(),
+)
+@example(frames=[_EMPTY_PADDED_HEADERS], tail=b"", cuts=[], preface=False)
+@example(frames=[_EMPTY_PADDED_PUSH_PROMISE], tail=b"", cuts=[], preface=False)
+@example(frames=[_EMPTY_PADDED_HEADERS], tail=b"", cuts=[3, 9], preface=True)
+def test_reader_returns_frames_or_raises_protocol_error(frames, tail, cuts, preface):
+    """Over arbitrary bytes in arbitrary chunks, ``feed`` returns frames
+    or raises ``ProtocolError`` — never any other exception."""
+    wire = (CONNECTION_PREFACE if preface else b"") + b"".join(frames) + tail
+    bounds = [0] + sorted({cut for cut in cuts if cut < len(wire)}) + [len(wire)]
+    reader = FrameReader(expect_preface=preface)
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            for frame in reader.feed(wire[lo:hi]):
+                assert isinstance(frame, Frame)
+    except ProtocolError:
+        pass
+
+
+def test_empty_padded_header_frames_are_protocol_errors():
+    for wire in (_EMPTY_PADDED_HEADERS, _EMPTY_PADDED_PUSH_PROMISE):
+        try:
+            FrameReader().feed(wire)
+        except ProtocolError as exc:
+            assert "pad length" in str(exc)
+        else:
+            raise AssertionError("an empty PADDED frame parsed")

@@ -244,7 +244,7 @@ def test_ready_set_matches_a_rescan_at_every_step(
 
     def from_client(frame):
         """Send a control frame and wait for the server to act on it."""
-        client._queue_frame(frame)
+        client._queue_wire(frame.TYPE.name, frame.stream_id, frame.serialize())
         client._pump()
         sim.run(until=sim.now + 40.0)
 
