@@ -21,9 +21,12 @@ case-study analysis relies on:
   paper notes); other pushed streams park until the parser or preload
   scanner claims them.
 
-Connections are opened per origin with RFC 7540 §9.1.1 coalescing:
-a domain rides an existing connection when it resolves to the same IP
-and the server's certificate covers it.
+The servers say what they speak.  An H2 origin gets one connection,
+with RFC 7540 §9.1.1 coalescing: a domain rides an existing connection
+when it resolves to the same IP and the server's certificate covers it.
+An HTTP/1.1 origin gets a pool of six serial connections
+(:class:`~repro.h1.pool.H1OriginPool`), which has H2Connection's client
+surface; every request and response takes the same path from there.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from ..sim import Simulator
 from ..span import Span, SpanBuffer
 
 if TYPE_CHECKING:  # typing-only imports; avoids a cycle through repro.replay
+    from ..h1.pool import H1OriginPool
     from ..replay.certs import CertificateAuthority
     from ..server.h2server import ServerFarm
 from .cache import BrowserCache
@@ -163,7 +167,9 @@ class _Fetch:
 
 
 class _ConnectionEntry:
-    """A pooled client connection (possibly still handshaking)."""
+    """One origin's client (possibly still handshaking): an
+    :class:`H2Connection`, shared by coalesced domains, or an
+    :class:`H1OriginPool`."""
 
     __slots__ = (
         "ip",
@@ -179,7 +185,7 @@ class _ConnectionEntry:
     def __init__(self, ip: str, domain: str):
         self.ip = ip
         self.domain = domain
-        self.conn: Optional[H2Connection] = None
+        self.conn: Optional[Union[H2Connection, "H1OriginPool"]] = None
         self.established = False
         self.pending: List[_Fetch] = []
         self.html_stream_id: Optional[int] = None
@@ -245,18 +251,6 @@ class PageLoad:
         self._onload_fired = False
         self._delayable_queue: Deque[_Fetch] = deque()
         self._delayable_in_flight = 0
-        #: The servers say what they speak: HTTP/1.1 origins are loaded
-        #: through six serial connections each, without push.
-        self._h1_pools = None
-        protocols = {server.protocol for server in servers}
-        if protocols == {"h1"}:
-            from ..h1.pool import H1PoolManager
-
-            self._h1_pools = H1PoolManager(
-                topology, lambda ip: self.servers.get(ip).accept
-            )
-        elif protocols - {"h2"}:
-            raise BrowserError(f"cannot load from {sorted(protocols)} servers")
 
     # ------------------------------------------------------------------
     # entry point
@@ -296,8 +290,6 @@ class PageLoad:
         for entry in self._connections.values():
             if entry.conn is not None:
                 entry.conn.release()
-        if self._h1_pools is not None:
-            self._h1_pools.release()
 
     # ------------------------------------------------------------------
     # fetch machinery
@@ -386,9 +378,6 @@ class PageLoad:
             self._issue_request(queued)
 
     def _issue_request(self, fetch: _Fetch) -> None:
-        if self._h1_pools is not None:
-            self._issue_h1_request(fetch)
-            return
         domain = split_url(fetch.url)[0]
         entry = self._connection_for(domain)
         if not entry.established:
@@ -396,39 +385,32 @@ class PageLoad:
             return
         self._send_request(entry, fetch)
 
-    def _issue_h1_request(self, fetch: _Fetch) -> None:
-        """HTTP/1.1 path: serial requests over a per-origin pool.
-
-        One exchange is a connection entry whose only stream is 0, so
-        its response arrives at the handlers H2 streams arrive at.
-        """
-        domain = split_url(fetch.url)[0]
-        pool = self._h1_pools.pool_for(domain)
-        pool.on_first_established = self._mark_connected
-        if fetch.requested_at is None:
-            fetch.requested_at = self.sim.now
-        entry = _ConnectionEntry(self.topology.resolve(domain), domain)
-        entry.stream_fetch[0] = fetch
-
-        def on_informational(status, headers) -> None:
-            if status == 103:
-                self._on_early_hints(f"h1-{domain}", 0, headers)
-
-        pool.fetch(
-            fetch.url,
-            on_response=lambda status, headers: self._on_response(entry, 0, headers),
-            on_data=lambda chunk: self._on_data(entry, 0, Span(chunk)),
-            on_complete=partial(self._on_stream_end, entry, 0),
-            headers=[("user-agent", "repro-browser/1.0 (HTTP/1.1)")],
-            on_informational=on_informational,
-        )
-
     def _connection_for(self, domain: str) -> _ConnectionEntry:
         ip = self.topology.resolve(domain)
         # Exact-origin reuse.
         entry = self._connections.get(domain)
         if entry is not None:
             return entry
+        try:
+            server = self.servers.get(ip)
+        except KeyError:
+            raise BrowserError(f"no replay server for IP {ip}") from None
+        if server.protocol == "h1":
+            # HTTP/1.1 neither multiplexes nor coalesces: the origin's
+            # pool queues requests until it has an idle connection.
+            # Imported here: ``repro.h1`` reaches back through the replay
+            # server to this module.
+            from ..h1.pool import H1OriginPool
+
+            entry = _ConnectionEntry(ip, domain)
+            self._connections[domain] = entry
+            self._attach(
+                entry,
+                H1OriginPool(self.topology, domain, partial(self._on_h1_connected, server)),
+            )
+            return entry
+        if server.protocol != "h2":
+            raise BrowserError(f"cannot load from a {server.protocol!r} server")
         # RFC 7540 §9.1.1 coalescing onto an existing connection.
         for existing in self._connections.values():
             if self.ca.can_coalesce(existing.ip, domain, ip):
@@ -436,13 +418,11 @@ class PageLoad:
                 return existing
         entry = _ConnectionEntry(ip, domain)
         self._connections[domain] = entry
-        self.topology.open_connection(domain, lambda tcp: self._on_connected(entry, tcp))
+        self.topology.open_connection(domain, partial(self._on_connected, entry, server))
         return entry
 
-    def _on_connected(self, entry: _ConnectionEntry, tcp) -> None:
-        if entry.ip not in self.servers:
-            raise BrowserError(f"no replay server for IP {entry.ip}")
-        self.servers.get(entry.ip).accept(tcp)
+    def _on_connected(self, entry: _ConnectionEntry, server, tcp) -> None:
+        server.accept(tcp)
         settings = Settings(
             enable_push=1 if self.config.enable_push else 0,
             initial_window_size=self.config.initial_window,
@@ -450,7 +430,20 @@ class PageLoad:
         # Imported here: ``mechanisms`` reaches back to this module.
         from ..mechanisms.h2quic import h2_endpoint
 
-        conn = h2_endpoint(tcp, "client", settings=settings, tracer=self._tracer)
+        self._attach(entry, h2_endpoint(tcp, "client", settings=settings, tracer=self._tracer))
+        if self.timeline.connect_end is None:
+            self._mark_connected()
+        pending, entry.pending = entry.pending, []
+        for fetch in pending:
+            self._send_request(entry, fetch)
+
+    def _on_h1_connected(self, server, tcp) -> None:
+        """One more connection of an HTTP/1.1 origin's pool is up."""
+        server.accept(tcp)
+        self._mark_connected()
+
+    def _attach(self, entry: _ConnectionEntry, conn) -> None:
+        """Make ``conn`` the entry's client, its responses this page's."""
         conn.on_response = lambda sid, headers: self._on_response(entry, sid, headers)
         conn.on_informational = (
             lambda sid, headers: self._on_informational(entry, sid, headers)
@@ -464,11 +457,6 @@ class PageLoad:
         )
         entry.conn = conn
         entry.established = True
-        if self.timeline.connect_end is None:
-            self._mark_connected()
-        pending, entry.pending = entry.pending, []
-        for fetch in pending:
-            self._send_request(entry, fetch)
 
     def _mark_connected(self) -> None:
         """The first connection of the load is up (later ones: no-op)."""
@@ -540,13 +528,13 @@ class PageLoad:
     ) -> None:
         """An interim response arrived (103 Early Hints, RFC 8297)."""
         status = next((value for name, value in headers if name == ":status"), "")
-        if status == "103":
-            self._on_early_hints(entry.conn._trace_name, stream_id, headers)
-
-    def _on_early_hints(self, conn_name: str, stream_id: int, headers) -> None:
+        if status != "103":
+            return
         hints = _parse_link_preloads(headers)
         if self._tracer is not None:
-            self._tracer.early_hints_received(conn_name, stream_id, len(hints))
+            self._tracer.early_hints_received(
+                entry.conn._trace_name, stream_id, len(hints)
+            )
         for hint in hints:
             self._preload_hint(hint, "early_hints")
 

@@ -100,41 +100,25 @@ class StrategySelector:
 
     # ------------------------------------------------------------------
     def lab_phase(self) -> List[LabMeasurement]:
-        """Rank every candidate in the deterministic testbed.
-
-        The lab phase is a single-rung, no-pruning race on the shared
-        :class:`~repro.optimizer.racer.Racer`: every deployment is one
-        arm of a :class:`~repro.optimizer.evaluators.GridCellEvaluator`
-        that builds the exact historical grid (name, labels, run count,
-        cell order — cache keys included), and without a baseline arm
-        the racer scores by median SpeedIndex, which is this ranking.
-        """
-        # Lazy import: the optimizer package sits on top of the
-        # experiments layer, so the selector pulls it in at call time.
-        from ..optimizer.evaluators import GridCellEvaluator
-        from ..optimizer.racer import Racer, RacerConfig
-
+        """Rank every candidate in the deterministic testbed by median
+        SpeedIndex: one ``lab_runs``-run cell per deployment."""
         deployments = {d.name: d for d in self.candidates}
-        evaluator = GridCellEvaluator(
-            self.engine,
-            arms={
-                name: (d.spec, d.strategy) for name, d in deployments.items()
-            },
-            grid_name=f"abtest-lab/{self.spec.name}",
-            label_for=lambda name: f"{self.spec.name}/{name}",
-        )
-        racer = Racer(
-            evaluator, RacerConfig(rungs=(self.config.lab_runs,), eta=1)
-        )
-        racer.race(list(deployments))
+        grid = Grid(name=f"abtest-lab/{self.spec.name}")
+        for name, deployment in deployments.items():
+            grid.add(
+                deployment.spec,
+                deployment.strategy,
+                runs=self.config.lab_runs,
+                label=f"{self.spec.name}/{name}",
+            )
         measurements = [
             LabMeasurement(
                 deployment=name,
-                median_si=evaluator.result(name).median_si,
-                median_plt=evaluator.result(name).median_plt,
-                pushed_bytes=evaluator.result(name).pushed_bytes,
+                median_si=cell.median_si,
+                median_plt=cell.median_plt,
+                pushed_bytes=cell.pushed_bytes,
             )
-            for name in deployments
+            for name, cell in zip(deployments, self.engine.run(grid))
         ]
         measurements.sort(key=lambda m: m.median_si)
         return measurements

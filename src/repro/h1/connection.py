@@ -16,15 +16,27 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import ProtocolError
 from ..netsim.tcp import TcpEndpoint
+from ..span import Span
 
 Header = Tuple[str, str]
+
+#: What an HTTP/1.1 client announces itself as.
+_USER_AGENT = "repro-browser/1.0 (HTTP/1.1)"
 
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
 
 
 class H1ClientConnection:
-    """One keep-alive HTTP/1.1 client connection (serial requests)."""
+    """One keep-alive HTTP/1.1 client connection (serial requests).
+
+    It speaks the client callbacks of
+    :class:`~repro.h2.connection.H2Connection` for the exchange in
+    flight, under the number the caller gave it: ``on_informational``
+    and ``on_response`` receive ``(stream_id, headers)`` with the status
+    line as a ``:status`` pseudo-header, ``on_data`` receives
+    ``(stream_id, span)`` and ``on_stream_end`` ``(stream_id)``.
+    """
 
     def __init__(self, endpoint: TcpEndpoint):
         self._endpoint = endpoint
@@ -34,33 +46,42 @@ class H1ClientConnection:
         self._recv_buffer = bytearray()
         self._expecting_body: Optional[int] = None
         self._body_received = 0
+        self._stream_id = 0
         self.busy = False
 
-        # callbacks for the in-flight exchange
         self.on_response: Optional[Callable[[int, List[Header]], None]] = None
         #: Interim (1xx) response heads, e.g. 103 Early Hints (RFC 8297).
         self.on_informational: Optional[Callable[[int, List[Header]], None]] = None
-        self.on_data: Optional[Callable[[bytes], None]] = None
-        self.on_complete: Optional[Callable[[], None]] = None
+        self.on_data: Optional[Callable[[int, Span], None]] = None
+        self.on_stream_end: Optional[Callable[[int], None]] = None
 
     def release(self) -> None:
         """Cut this connection loose from its transport endpoint and
         from the exchange callbacks, which lead back to the pool."""
         self._endpoint.release()
         self.on_response = self.on_informational = None
-        self.on_data = self.on_complete = None
+        self.on_data = self.on_stream_end = None
 
     # ------------------------------------------------------------------
-    def request(self, method: str, url_path: str, host: str,
-                headers: Optional[List[Header]] = None) -> None:
+    def request(self, stream_id: int, headers: List[Header]) -> None:
+        """Send the H2-form request ``headers`` as exchange ``stream_id``.
+
+        The request line comes from ``:method`` and ``:path``, ``Host``
+        from ``:authority``; the other fields are H2's (priority,
+        compression, cache digest), and an H1 client sends its own
+        user-agent in their place.
+        """
         if self.busy:
             raise ProtocolError("HTTP/1.1 connection already has a request in flight")
         self.busy = True
-        lines = [f"{method} {url_path} HTTP/1.1", f"Host: {host}",
-                 "Connection: keep-alive"]
-        for name, value in headers or []:
-            lines.append(f"{name}: {value}")
-        wire = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
+        self._stream_id = stream_id
+        fields = dict(headers)
+        wire = (
+            f"{fields[':method']} {fields[':path']} HTTP/1.1\r\n"
+            f"Host: {fields[':authority']}\r\n"
+            f"Connection: keep-alive\r\n"
+            f"user-agent: {_USER_AGENT}\r\n\r\n"
+        ).encode("ascii")
         self._send_buffer.extend(wire)
         self._pump()
 
@@ -84,16 +105,17 @@ class H1ClientConnection:
             head = bytes(self._recv_buffer[:end]).decode("ascii", errors="replace")
             del self._recv_buffer[: end + len(_HEADER_END)]
             status, headers = _parse_response_head(head)
+            headers.insert(0, (":status", str(status)))
             if 100 <= status < 200:
                 # Interim response: header-only, no body, the final
                 # response to the same request follows on the wire.
                 if self.on_informational is not None:
-                    self.on_informational(status, headers)
+                    self.on_informational(self._stream_id, headers)
                 continue
             self._expecting_body = _content_length(headers)
             self._body_received = 0
             if self.on_response is not None:
-                self.on_response(status, headers)
+                self.on_response(self._stream_id, headers)
         if self._expecting_body is not None and self._recv_buffer:
             take = min(len(self._recv_buffer), self._expecting_body - self._body_received)
             if take > 0:
@@ -101,16 +123,15 @@ class H1ClientConnection:
                 del self._recv_buffer[:take]
                 self._body_received += take
                 if self.on_data is not None:
-                    self.on_data(chunk)
+                    self.on_data(self._stream_id, Span(chunk))
         if (
             self._expecting_body is not None
             and self._body_received >= self._expecting_body
         ):
             self._expecting_body = None
             self.busy = False
-            if self.on_complete is not None:
-                callback = self.on_complete
-                callback()
+            if self.on_stream_end is not None:
+                self.on_stream_end(self._stream_id)
 
 
 class H1ServerConnection:
@@ -216,10 +237,18 @@ def _parse_headers(lines: List[str]) -> List[Header]:
 
 
 def _content_length(headers: List[Header]) -> int:
+    """The body length a response head declares; no field, no body.
+
+    RFC 7230 §3.3.2: the value is ``1*DIGIT``, and repeated fields must
+    carry the same value.  Anything else is a framing error.
+    """
+    length: Optional[int] = None
     for name, value in headers:
-        if name == "content-length":
-            try:
-                return int(value)
-            except ValueError:
-                raise ProtocolError(f"bad content-length: {value!r}") from None
-    return 0
+        if name != "content-length":
+            continue
+        if not (value.isascii() and value.isdigit()):
+            raise ProtocolError(f"bad content-length: {value!r}")
+        if length is not None and int(value) != length:
+            raise ProtocolError(f"conflicting content-length values: {length}, {value}")
+        length = int(value)
+    return length or 0

@@ -22,10 +22,12 @@ tokenizer releases each token when the bytes received reach its
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..errors import ConfigError
 from ..span import Span
 
 _TAG_RE = re.compile(rb"<(/?)([a-zA-Z][a-zA-Z0-9]*)((?:\s+[^<>]*?)?)(/?)>", re.DOTALL)
@@ -116,6 +118,22 @@ def _attrs(raw: bytes) -> Dict[str, str]:
         key.decode("ascii").lower(): value.decode("utf-8", errors="replace")
         for key, value in _ATTR_RE.findall(raw)
     }
+
+
+def _annotation(attrs: Dict[str, str], name: str) -> float:
+    """A model annotation the site builder writes (``data-vw`` visual
+    weight, ``data-exec`` main-thread ms): a finite number ≥ 0, and 0
+    when absent or empty."""
+    raw = attrs.get(name)
+    if not raw:
+        return 0.0
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name}={raw!r} is not a finite number >= 0")
+    return value
 
 
 def _flag(raw: bytes, name: bytes) -> bool:
@@ -218,7 +236,7 @@ class HtmlTokenizer:
             return ImageToken(
                 offset=end,
                 url=attrs.get("src", ""),
-                visual_weight=float(attrs.get("data-vw", 0) or 0),
+                visual_weight=_annotation(attrs, "data-vw"),
                 above_fold=attrs.get("data-atf", "1") != "0",
             )
         if tag == b"p":
@@ -227,7 +245,7 @@ class HtmlTokenizer:
                 return _INCOMPLETE
             offset = close + len(b"</p>")
             self._scan_pos = offset
-            return TextToken(offset=offset, visual_weight=float(attrs.get("data-vw", 0) or 0))
+            return TextToken(offset=offset, visual_weight=_annotation(attrs, "data-vw"))
         return None
 
     def _link_token(self, attrs: Dict[str, str], end: int):
@@ -237,14 +255,14 @@ class HtmlTokenizer:
             return StylesheetToken(
                 offset=end,
                 url=attrs.get("href", ""),
-                exec_ms=float(attrs.get("data-exec", 0) or 0),
+                exec_ms=_annotation(attrs, "data-exec"),
                 media_print=attrs.get("media", "").lower() == "print",
             )
         if rel == "preload" and attrs.get("as", "").lower() == "font":
             return FontToken(
                 offset=end,
                 url=attrs.get("href", ""),
-                visual_weight=float(attrs.get("data-vw", 0) or 0),
+                visual_weight=_annotation(attrs, "data-vw"),
                 above_fold=attrs.get("data-atf", "1") != "0",
             )
         if rel == "preload":
@@ -265,8 +283,8 @@ class HtmlTokenizer:
             offset=offset,
             url=attrs.get("src") or None,
             content=buffer[end:close].decode("utf-8", errors="replace"),
-            exec_ms=float(attrs.get("data-exec", 0) or 0),
-            visual_weight=float(attrs.get("data-vw", 0) or 0),
+            exec_ms=_annotation(attrs, "data-exec"),
+            visual_weight=_annotation(attrs, "data-vw"),
             is_async=_flag(raw_attrs, b"async"),
             is_defer=_flag(raw_attrs, b"defer"),
         )

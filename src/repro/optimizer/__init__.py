@@ -9,8 +9,8 @@ package searches that space per site × network condition:
   their neighbors, random restarts) mined from record databases;
 - :mod:`~repro.optimizer.racer` — CRN-paired successive halving (and a
   successive-elimination bandit) over an abstract arm evaluator;
-- :mod:`~repro.optimizer.evaluators` — the engine-backed evaluators
-  (run-granular CRN cells; the historical A/B lab cell geometry);
+- :mod:`~repro.optimizer.evaluators` — the engine-backed evaluator
+  (run-granular CRN cells);
 - :mod:`~repro.optimizer.table` — the content-addressed ``PolicyTable``
   artifact;
 - :mod:`~repro.optimizer.report` — the oracle-gap report;
@@ -26,7 +26,7 @@ from .candidates import (
     generate_candidates,
     resource_table,
 )
-from .evaluators import GridCellEvaluator, GridRunEvaluator
+from .evaluators import GridRunEvaluator
 from .optimize import OptimizeConfig, OptimizeResult, run_optimize
 from .racer import (
     ALLOCATORS,
@@ -50,7 +50,6 @@ __all__ = [
     "Candidate",
     "CandidateConfig",
     "CandidateSet",
-    "GridCellEvaluator",
     "GridRunEvaluator",
     "OptimizeConfig",
     "OptimizeResult",

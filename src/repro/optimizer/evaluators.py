@@ -1,35 +1,24 @@
-"""Engine-backed arm evaluators for the racer.
+"""The engine-backed arm evaluator for the racer.
 
-Two cell geometries, one :class:`~repro.optimizer.racer.ArmEvaluator`
-protocol:
-
-:class:`GridRunEvaluator` (the optimizer's mode)
-    Every (arm, run index) is its own single-run cell whose seed base
-    is :func:`repro.experiments.seeds.candidate_seed` — depending on
-    (site, run) only, never on the policy.  Consequences, in order of
-    importance: all arms of one run are CRN-paired with the baseline;
-    promoting a survivor to more runs only *adds* cells (earlier runs
-    stay cache-addressed under their existing keys, whatever the rung
-    geometry).  Cells are scheduled **run-major** with arms grouped by
-    site variant, so same-spec arms sit next to each other and the
-    executors' small site memo builds each variant once per run
-    instead of thrashing.
-
-:class:`GridCellEvaluator` (the A/B lab mode)
-    One multi-run cell per arm at a fixed seed base — exactly the grid
-    the §6 ``StrategySelector`` lab phase has always built, byte-
-    identical cache keys included.  Meant for single-rung races; a
-    rung promotion re-runs the whole cell (the engine key embeds
-    ``runs``), which is the historical cost model of that phase.
+:class:`GridRunEvaluator` implements the
+:class:`~repro.optimizer.racer.ArmEvaluator` protocol over the
+experiment engine.  Every (arm, run index) is its own single-run cell
+whose seed base is :func:`repro.experiments.seeds.candidate_seed` —
+depending on (site, run) only, never on the policy.  Consequences, in
+order of importance: all arms of one run are CRN-paired with the
+baseline; promoting a survivor to more runs only *adds* cells (earlier
+runs stay cache-addressed under their existing keys, whatever the rung
+geometry).  Cells are scheduled **run-major** with arms grouped by site
+variant, so same-spec arms sit next to each other and the executors'
+small site memo builds each variant once per run instead of thrashing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..experiments.engine import ExperimentEngine, Grid
 from ..experiments.engine.fingerprint import fingerprint
-from ..experiments.runner import CellResult
 from ..experiments.seeds import candidate_seed
 from ..html.spec import WebsiteSpec
 from ..netsim.conditions import ConditionSampler, FixedConditions, NetworkConditions
@@ -122,67 +111,3 @@ class GridRunEvaluator(ArmEvaluator):
 
     def pushed_bytes(self, name: str) -> int:
         return self._pushed.get(name, 0)
-
-
-class GridCellEvaluator(ArmEvaluator):
-    """One multi-run cell per arm (the historical A/B lab grid)."""
-
-    def __init__(
-        self,
-        engine: ExperimentEngine,
-        arms: Dict[str, Arm],
-        grid_name: str = "race",
-        label_for: Optional[Callable[[str], str]] = None,
-        seed_base: int = 0,
-        conditions: Optional[ConditionSampler] = None,
-    ):
-        self.engine = engine
-        self.arms = dict(arms)
-        self.grid_name = grid_name
-        self.label_for = label_for or (lambda name: name)
-        self.seed_base = seed_base
-        self.conditions = conditions
-        self._results: Dict[str, CellResult] = {}
-        self._runs: Dict[str, int] = {}
-        self._evaluations = 0
-
-    def ensure(self, requests: Dict[str, int]) -> None:
-        unknown = set(requests) - set(self.arms)
-        if unknown:
-            raise KeyError(f"unknown arms: {sorted(unknown)}")
-        grid = Grid(name=self.grid_name)
-        scheduled: List[Tuple[str, int]] = []
-        for name, runs in requests.items():
-            if self._runs.get(name, 0) >= runs:
-                continue
-            spec, strategy = self.arms[name]
-            grid.add(
-                spec,
-                strategy,
-                runs=runs,
-                seed_base=self.seed_base,
-                conditions=self.conditions,
-                label=self.label_for(name),
-            )
-            scheduled.append((name, runs))
-        if not scheduled:
-            return
-        for (name, runs), result in zip(scheduled, self.engine.run(grid)):
-            self._results[name] = result
-            self._runs[name] = runs
-            self._evaluations += runs
-
-    def points(self, name: str) -> List[RunPoint]:
-        result = self._results[name]
-        return [
-            RunPoint(si_ms=si, plt_ms=plt)
-            for si, plt in zip(result.si_values, result.plt_values)
-        ]
-
-    def result(self, name: str) -> CellResult:
-        """The arm's full cell result (lab rankings read aggregates)."""
-        return self._results[name]
-
-    @property
-    def evaluations(self) -> int:
-        return self._evaluations

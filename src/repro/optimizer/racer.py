@@ -3,20 +3,18 @@
 The racer answers "which of these K policies is best on this site ×
 condition" without paying K × max_runs page loads.  It is a pure
 control loop over an abstract :class:`ArmEvaluator` — the engine-backed
-evaluators live in :mod:`repro.optimizer.evaluators`, and the
+evaluator lives in :mod:`repro.optimizer.evaluators`, and the
 Hypothesis suite drives the same loop with synthetic tables — so every
 pruning decision is testable without a simulator.
 
-**Scoring.**  With a baseline arm, an arm's score is the mean of its
-*paired per-run differences*: ``(arm_si[r] - base_si[r]) / base_si[r]
-× 100`` for each shared run index ``r``.  Common random numbers make
-both loads of a pair draw identical network/jitter/loss streams
-(:func:`repro.experiments.seeds.candidate_seed`), so strategy-
+**Scoring.**  Every race has a baseline arm.  An arm's score is the
+mean of its *paired per-run differences*: ``(arm_si[r] - base_si[r]) /
+base_si[r] × 100`` for each shared run index ``r``.  Common random
+numbers make both loads of a pair draw identical network/jitter/loss
+streams (:func:`repro.experiments.seeds.candidate_seed`), so strategy-
 independent noise cancels in the difference and the paired CI
 (:func:`repro.metrics.stats.confidence_interval`) shrinks far faster
-than an unpaired one.  Without a baseline the score is the arm's
-median SpeedIndex — the historical A/B lab ranking, which makes the
-§6 selector a single-rung, no-pruning race.
+than an unpaired one.
 
 **Halving** (``allocator="halving"``).  Rung ``i`` measures every
 active arm at ``rungs[i]`` cumulative runs, prunes arms whose paired
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..metrics.stats import confidence_interval, median
+from ..metrics.stats import confidence_interval
 
 #: Allocator registry; ``RacerConfig.allocator`` names an entry.
 ALLOCATORS = ("halving", "bandit")
@@ -60,7 +58,7 @@ class RunPoint:
 
 class ArmEvaluator:
     """Measurement backend of a race (see the engine-backed
-    implementations in :mod:`repro.optimizer.evaluators`).
+    implementation in :mod:`repro.optimizer.evaluators`).
 
     ``ensure`` guarantees each named arm has measurements for run
     indices ``[0, runs)``; ``points`` returns them in run order.
@@ -150,7 +148,7 @@ class RaceOutcome:
     #: What exhaustive evaluation would schedule: every arm (baseline
     #: included) at the full per-arm budget.
     exhaustive_evaluations: int = 0
-    baseline: Optional[str] = None
+    baseline: str = ""
 
     @property
     def evaluations_saved(self) -> int:
@@ -177,7 +175,7 @@ class Racer:
         self.config = config or RacerConfig()
 
     # ------------------------------------------------------------------
-    def race(self, arms: Sequence[str], baseline: Optional[str] = None) -> RaceOutcome:
+    def race(self, arms: Sequence[str], baseline: str) -> RaceOutcome:
         names = list(arms)
         if len(set(names)) != len(names):
             raise ConfigError("arm names must be unique")
@@ -190,16 +188,12 @@ class Racer:
         return self._race_halving(names, baseline)
 
     # ------------------------------------------------------------------
-    def score(self, name: str, baseline: Optional[str], runs: int) -> ArmScore:
+    def score(self, name: str, baseline: str, runs: int) -> ArmScore:
         """An arm's paired score over its first ``runs`` measurements."""
         points = self.evaluator.points(name)[:runs]
         if len(points) < runs:
             raise ConfigError(
                 f"arm {name!r} has {len(points)} points, rung wants {runs}"
-            )
-        if baseline is None:
-            return ArmScore(
-                score=median([p.si_ms for p in points]), ci_half=0.0, runs=runs
             )
         base = self.evaluator.points(baseline)[:runs]
         deltas = [
@@ -209,11 +203,10 @@ class Racer:
         return ArmScore(score=center, ci_half=half, runs=runs)
 
     def _scores(
-        self, active: List[str], baseline: Optional[str], runs: int
+        self, active: List[str], baseline: str, runs: int
     ) -> Dict[str, ArmScore]:
         need = {name: runs for name in active}
-        if baseline is not None:
-            need[baseline] = runs
+        need[baseline] = runs
         self.evaluator.ensure(need)
         return {name: self.score(name, baseline, runs) for name in active}
 
@@ -249,13 +242,12 @@ class Racer:
         return survivors
 
     # ------------------------------------------------------------------
-    def _race_halving(self, names: List[str], baseline: Optional[str]) -> RaceOutcome:
+    def _race_halving(self, names: List[str], baseline: str) -> RaceOutcome:
         config = self.config
         outcome = RaceOutcome(
             winner="",
             baseline=baseline,
-            exhaustive_evaluations=(len(names) + (1 if baseline else 0))
-            * config.rungs[-1],
+            exhaustive_evaluations=(len(names) + 1) * config.rungs[-1],
         )
         active = list(names)
         scored: Dict[str, ArmScore] = {}
@@ -286,13 +278,13 @@ class Racer:
         return outcome
 
     # ------------------------------------------------------------------
-    def _race_bandit(self, names: List[str], baseline: Optional[str]) -> RaceOutcome:
+    def _race_bandit(self, names: List[str], baseline: str) -> RaceOutcome:
         config = self.config
         budget = config.rungs[-1]
         outcome = RaceOutcome(
             winner="",
             baseline=baseline,
-            exhaustive_evaluations=(len(names) + (1 if baseline else 0)) * budget,
+            exhaustive_evaluations=(len(names) + 1) * budget,
         )
         active = list(names)
         scored: Dict[str, ArmScore] = {}

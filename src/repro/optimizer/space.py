@@ -78,11 +78,24 @@ class PushPolicy:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PushPolicy":
+        """Inverse of :meth:`to_json`; a field of the wrong type raises
+        :class:`~repro.errors.ConfigError`."""
+        variant, urls = payload["variant"], payload["urls"]
+        critical_count = payload["critical_count"]
+        offset = payload["interleave_offset"]
+        if not (
+            type(variant) is str
+            and type(urls) is list
+            and all(type(url) is str for url in urls)
+            and type(critical_count) is int
+            and (offset is None or type(offset) is int)
+        ):
+            raise ConfigError(f"malformed push policy: {payload!r}")
         return cls(
-            variant=payload["variant"],
-            urls=tuple(payload["urls"]),
-            critical_count=payload["critical_count"],
-            interleave_offset=payload["interleave_offset"],
+            variant=variant,
+            urls=tuple(urls),
+            critical_count=critical_count,
+            interleave_offset=offset,
         )
 
     # ------------------------------------------------------------------

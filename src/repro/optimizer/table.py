@@ -73,20 +73,30 @@ class PolicyEntry:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PolicyEntry":
-        return cls(
-            site=payload["site"],
-            site_class=payload["site_class"],
-            condition=payload["condition"],
-            policy=PushPolicy.from_json(payload["policy"]),
-            source=payload["source"],
-            runs=payload["runs"],
-            baseline_median_si_ms=payload["baseline_median_si_ms"],
-            delta_si_pct=payload["delta_si_pct"],
-            ci_half_width=payload["ci_half_width"],
-            delta_p50_plt_pct=payload["delta_p50_plt_pct"],
-            pushed_bytes=payload["pushed_bytes"],
-            oracle_gap_pct=payload["oracle_gap_pct"],
-        )
+        """Inverse of :meth:`to_json`; a missing field raises
+        ``KeyError``, a field of the wrong type ``TypeError``."""
+        values = {name: payload[name] for name in _ENTRY_FIELDS}
+        for name, kinds in _ENTRY_FIELDS.items():
+            if type(values[name]) not in kinds:
+                raise TypeError(f"entry field {name!r} is not {kinds[0].__name__}")
+        return cls(policy=PushPolicy.from_json(payload["policy"]), **values)
+
+
+#: Every scalar field of a saved :class:`PolicyEntry` and the JSON types
+#: it may take (a float that happens to be integral is saved as one).
+_ENTRY_FIELDS = {
+    "site": (str,),
+    "site_class": (str,),
+    "condition": (str,),
+    "source": (str,),
+    "runs": (int,),
+    "baseline_median_si_ms": (float, int),
+    "delta_si_pct": (float, int),
+    "ci_half_width": (float, int),
+    "delta_p50_plt_pct": (float, int),
+    "pushed_bytes": (int,),
+    "oracle_gap_pct": (float, int),
+}
 
 
 @dataclass
@@ -145,19 +155,29 @@ class PolicyTable:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PolicyTable":
-        if payload.get("format") != TABLE_FORMAT:
-            raise ConfigError(
-                f"unsupported policy-table format {payload.get('format')!r}"
+        """Rebuild a saved table.  Anything that does not have the saved
+        shape — a missing key, a wrong container, a field of the wrong
+        type, content that does not match its ``table_sha`` — raises
+        :class:`~repro.errors.ConfigError`."""
+        try:
+            if payload.get("format") != TABLE_FORMAT:
+                raise ConfigError(
+                    f"unsupported policy-table format {payload.get('format')!r}"
+                )
+            meta = payload.get("meta", {})
+            if not isinstance(meta, dict):
+                raise TypeError("meta is not an object")
+            table = cls(
+                meta=dict(meta),
+                entries=[PolicyEntry.from_json(e) for e in payload.get("entries", [])],
             )
-        table = cls(
-            meta=dict(payload.get("meta", {})),
-            entries=[PolicyEntry.from_json(e) for e in payload.get("entries", [])],
-        )
-        recorded = payload.get("table_sha")
+            recorded = payload.get("table_sha")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed policy table: {exc!r}") from None
         if recorded is not None and recorded != table.sha():
             raise ConfigError(
                 "policy table content does not match its table_sha "
-                f"(recorded {recorded[:12]}, computed {table.sha()[:12]})"
+                f"(recorded {str(recorded)[:12]}, computed {table.sha()[:12]})"
             )
         return table
 
@@ -173,4 +193,9 @@ class PolicyTable:
 
     @classmethod
     def load(cls, path) -> "PolicyTable":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a saved table; see :meth:`from_json` for what raises."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"policy table {path} is not JSON: {exc}") from None
+        return cls.from_json(payload)

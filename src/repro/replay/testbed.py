@@ -91,8 +91,9 @@ class ReplayProbe:
         """
         total = 0
         for server in self.farm:
-            for conn in getattr(server, "connections", []):
-                total += conn.frames_sent + conn.frames_received
+            if server.protocol == "h2":
+                for conn in server.connections:
+                    total += conn.frames_sent + conn.frames_received
         return total
 
 

@@ -1,5 +1,14 @@
 """Tests for the incremental HTML tokenizer and content scanners."""
 
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigError
+from repro.html.builder import build_site
 from repro.html.tokenizer import (
     DocumentEndToken,
     FontToken,
@@ -13,6 +22,7 @@ from repro.html.tokenizer import (
     scan_exec_hint,
     scan_js,
 )
+from repro.sites.synthetic import s2_landing
 
 SAMPLE = b"""<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>t</title>
@@ -218,3 +228,46 @@ def test_document_tokens_are_shared_and_immutable():
     assert list(tokens) == tokenize()
     with pytest.raises(dataclasses.FrozenInstanceError):
         tokens[0].offset = 0
+
+
+# ----------------------------------------------------------------------
+# a real page, damaged
+# ----------------------------------------------------------------------
+_PAGE = build_site(s2_landing()).html
+_ATTR_VALUES = [m.span(1) for m in re.finditer(rb'="([^"]*)"', _PAGE)]
+_NUMBERISH = st.text(alphabet="0123456789.-+e_ nainf\"<>/x", max_size=8)
+
+
+@st.composite
+def damaged_pages(draw):
+    """The page with one attribute value replaced (numbers, non-numbers
+    and broken quoting alike) or one byte range overwritten."""
+    if draw(st.booleans()):
+        start, stop = draw(st.sampled_from(_ATTR_VALUES))
+        patch = draw(_NUMBERISH).encode()
+    else:
+        start = draw(st.integers(0, len(_PAGE)))
+        stop = draw(st.integers(start, min(len(_PAGE), start + 16)))
+        patch = draw(st.binary(max_size=16))
+    return _PAGE[:start] + patch + _PAGE[stop:]
+
+
+@given(damaged_pages(), st.sampled_from([None, 97]))
+@settings(max_examples=300, deadline=None)
+def test_damaged_page_tokenizes_or_raises_config_error(page, chunk):
+    try:
+        tokens = tokenize(page, chunk)
+    except ConfigError:
+        return
+    for token in tokens:
+        for name in ("visual_weight", "exec_ms"):
+            value = getattr(token, name, 0.0)
+            assert 0.0 <= value < math.inf, (token, name)
+
+
+@pytest.mark.parametrize("value", ["zz", "x", "nan", "inf", "-1", "1e999"])
+@pytest.mark.parametrize("attribute", ["data-vw", "data-exec"])
+def test_bad_annotation_raises_config_error(attribute, value):
+    page = f'<html><head></head><body><script src="https://x.example/a.js" {attribute}="{value}"></script></body></html>'
+    with pytest.raises(ConfigError, match=attribute):
+        tokenize(page.encode())

@@ -1,11 +1,19 @@
 """Integration tests for the HTTP/1.1 baseline."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.fig5_interleaving import make_test_site
+from repro.experiments.fig8_mechanisms import make_mechanism_site
 from repro.h1 import MAX_CONNECTIONS_PER_ORIGIN
 from repro.html import ResourceSpec, ResourceType, WebsiteSpec, build_site
+from repro.mechanisms import apply_mechanism
+from repro.netsim.conditions import DSL_TESTBED
 from repro.replay import ReplayTestbed
 from repro.strategies import NoPushStrategy
+from repro.trace import Tracer, qlog_json
 
 CSS = ResourceType.CSS
 IMG = ResourceType.IMAGE
@@ -76,3 +84,63 @@ def test_h1_deterministic():
     built = build_site(many_objects_spec())
     testbed = ReplayTestbed(built=built, protocol="h1")
     assert testbed.run(seed=3).plt_ms == testbed.run(seed=3).plt_ms
+
+
+def _mechanism_testbed(mechanism):
+    spec, strategy = apply_mechanism(mechanism, make_mechanism_site(html_kb=40))
+    return ReplayTestbed(
+        built=build_site(spec),
+        conditions=replace(DSL_TESTBED, server_delay_ms=30.0),
+        strategy=strategy,
+        protocol="h1",
+    )
+
+
+_PARITY = {
+    # case: (testbed, seed, plt, si, downlink, uplink, connections,
+    #        requests, first 16 hex digits of the qlog export's SHA-256)
+    "many_objects-0": (
+        lambda: ReplayTestbed(built=build_site(many_objects_spec()), protocol="h1"),
+        0, 506.7605000000001, 200.5569874067161, 416703, 10218, 6, 26, "4f0c6bf4e6dce982",
+    ),
+    "many_objects-3": (
+        lambda: ReplayTestbed(built=build_site(many_objects_spec()), protocol="h1"),
+        3, 506.7605000000001, 200.60465416447423, 416703, 10218, 6, 26, "77796716806786b3",
+    ),
+    "test_site_30kb": (
+        lambda: ReplayTestbed(built=build_site(make_test_site(30)), protocol="h1"),
+        2, 170.46921434779296, 170.46921434779296, 43598, 943, 2, 2, "8fddacfea88ddba8",
+    ),
+    "early_hints": (
+        lambda: _mechanism_testbed("early_hints"),
+        1, 330.65400000000005, 248.50464876517228, 161719, 3049, 6, 5, "bb4b3e576efc8035",
+    ),
+    "preload": (
+        lambda: _mechanism_testbed("preload"),
+        1, 331.259, 249.0616350902401, 161429, 3009, 6, 5, "d75bd880a03a0a6a",
+    ),
+    "none": (
+        lambda: _mechanism_testbed("none"),
+        1, 331.259, 249.10964876517227, 161429, 3009, 6, 5, "86978155ce8fc78a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARITY))
+def test_h1_numbers_and_qlog_are_pinned(case):
+    """The H1 request path's numbers and trace, pinned exactly: they
+    were measured while H1 exchanges still had a request path of their
+    own in the browser, before H1 origins took H2's client surface."""
+    make, seed, plt, si, down, up, conns, reqs, qlog = _PARITY[case]
+    tracer = Tracer()
+    result = make().run(seed=seed, tracer=tracer)
+    assert (
+        result.plt_ms,
+        result.speed_index_ms,
+        result.downlink_bytes,
+        result.uplink_bytes,
+        result.connections,
+        result.requests,
+    ) == (plt, si, down, up, conns, reqs)
+    digest = hashlib.sha256(qlog_json(tracer.trace()).encode()).hexdigest()
+    assert digest[:16] == qlog

@@ -56,7 +56,7 @@ class TableEvaluator(ArmEvaluator):
         return self._evaluations
 
 
-def _race(table, baseline=None, **config):
+def _race(table, baseline, **config):
     evaluator = TableEvaluator(table)
     racer = Racer(evaluator, RacerConfig(**config))
     arms = [name for name in table if name != baseline]
@@ -207,14 +207,6 @@ def test_single_run_rung_never_ci_prunes():
     assert set(outcome.rung_survivors[1]) == {"a", "b"}
 
 
-def test_no_baseline_scores_by_median_si():
-    table = {"a": [300.0, 320.0, 280.0], "b": [200.0, 210.0, 190.0]}
-    outcome = _race(table, rungs=(3,), eta=1)
-    assert outcome.winner == "b"
-    assert outcome.arms["b"].score == 200.0
-    assert outcome.arms["b"].ci_half == 0.0
-
-
 def test_min_survivors_floor_holds():
     table = {"none": [1000.0] * 4, "a": [1500.0] * 4, "b": [1490.0] * 4}
     outcome = _race(
@@ -252,8 +244,8 @@ def test_race_rejects_duplicate_and_baseline_arms():
     evaluator = TableEvaluator({"a": [1.0], "none": [1.0]})
     racer = Racer(evaluator, RacerConfig(rungs=(1,)))
     with pytest.raises(ConfigError):
-        racer.race(["a", "a"])
+        racer.race(["a", "a"], baseline="none")
     with pytest.raises(ConfigError):
         racer.race(["a", "none"], baseline="none")
     with pytest.raises(ConfigError):
-        racer.race([])
+        racer.race([], baseline="none")

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.optimizer import PolicyEntry, PolicyTable, PushPolicy
+from tests.support.damage import damaged_json
 
 
 def _entry(site="w3", condition="clean_dsl", delta=-10.0, site_class="small_static"):
@@ -84,3 +88,54 @@ def test_best_for_class_picks_strongest_measured_entry():
     best = table.best_for_class("small_static", "clean_dsl")
     assert best.site == "w5"
     assert table.best_for_class("many_objects", "clean_dsl") is None
+
+
+# ----------------------------------------------------------------------
+# a real table, damaged
+# ----------------------------------------------------------------------
+_GOLDEN_TABLE = json.loads(
+    (Path(__file__).parent / "golden_optimizer_cell.json").read_text()
+)["table"]
+#: Without its content address, damage to a field is parsed, not caught
+#: by the sha check.
+_UNSIGNED_TABLE = {k: v for k, v in _GOLDEN_TABLE.items() if k != "table_sha"}
+
+
+@given(
+    damaged_json(_GOLDEN_TABLE) | damaged_json(_UNSIGNED_TABLE),
+    st.sampled_from(["json", "truncated", "bytes"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_damaged_table_loads_or_raises_config_error(tmp_path_factory, damaged, form):
+    document, _path = damaged
+    text = json.dumps(document)
+    path = tmp_path_factory.getbasetemp() / "damaged-table.json"
+    if form == "bytes":
+        path.write_bytes(text.encode() + b"\xff")
+    else:
+        path.write_text(text if form == "json" else text[: len(text) // 2])
+    try:
+        table = PolicyTable.load(path)
+    except ConfigError:
+        return
+    # Anything that loaded is well typed: it saves and loads again.
+    assert PolicyTable.from_json(json.loads(json.dumps(table.to_json()))).sha() == table.sha()
+
+
+def test_load_rejects_each_malformed_shape(tmp_path):
+    """Each used to escape as a bare built-in exception."""
+    entry = dict(_GOLDEN_TABLE["entries"][0])
+    del entry["runs"]
+    for text in (
+        "[]",
+        "{not json",
+        json.dumps({**_GOLDEN_TABLE, "entries": [entry]}),
+        json.dumps({**_GOLDEN_TABLE, "entries": [3]}),
+        json.dumps({**_GOLDEN_TABLE, "entries": 3}),
+        json.dumps({**_GOLDEN_TABLE, "meta": [1, 2]}),
+        json.dumps({**_GOLDEN_TABLE, "table_sha": 7}),
+    ):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            PolicyTable.load(path)

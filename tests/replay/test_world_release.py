@@ -96,3 +96,13 @@ def test_probe_counters_survive_the_release(built):
     downlink = view.topology.downlink
     assert downlink.bytes_transmitted == result.downlink_bytes
     assert downlink.impairments.packets_seen > 0
+
+
+def test_probe_reads_zero_frames_on_an_h1_load(built):
+    """HTTP/1.1 has no frames: its servers add nothing to the count."""
+    seen = {}
+    result = ReplayTestbed(built=built, **CASES["h1"]).run(
+        seed=3, probe=lambda view: seen.update(frames=view.server_frames)
+    )
+    assert result.requests > 1
+    assert seen["frames"] == 0

@@ -17,6 +17,7 @@ from repro.replay.testbed import ReplayTestbed
 from repro.strategies.simple import PushAllStrategy
 from repro.trace import Trace, Tracer, parse_qlog_events, qlog_json
 from repro.trace.core import EVENT_BY_NAME
+from tests.support.damage import damaged_json
 
 _VALUE_STRATEGIES = {
     "float": st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -82,43 +83,8 @@ def _real_export() -> str:
 _EXPORT = _real_export()
 _EXPORT_EVENTS = parse_qlog_events(json.loads(_EXPORT)).events
 
-_json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**40), 2**40)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6,
-)
 
-
-@st.composite
-def damaged_exports(draw):
-    """The export with one node — chosen by a random walk from the root,
-    so the document's skeleton is hit as often as its leaves — replaced
-    by an arbitrary JSON value or deleted.  Returns (document, path)."""
-    root = {"root": json.loads(_EXPORT)}
-    parent, key, path = root, "root", []
-    while True:
-        node = parent[key]
-        if not isinstance(node, (dict, list)) or not node or draw(st.integers(0, 4)) == 0:
-            break
-        parent = node
-        if isinstance(node, dict):
-            key = draw(st.sampled_from(sorted(node)))
-        else:
-            key = draw(st.integers(0, len(node) - 1))
-        path.append(key)
-    if path and draw(st.booleans()):
-        del parent[key]
-    else:
-        parent[key] = draw(_json_values)
-    return root["root"], path
-
-
-@given(damaged_exports())
+@given(damaged_json(json.loads(_EXPORT)))
 @settings(max_examples=300, deadline=None)
 def test_damaged_export_parses_or_raises_config_error(damaged):
     document, path = damaged
