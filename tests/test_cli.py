@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import shlex
+
 import pytest
 
 from repro.cli import main
@@ -9,6 +12,77 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: Every command at its smallest flags: (argv, SHA-256 of stdout,
+#: {file the command writes: SHA-256 of its bytes}).  Each render is a
+#: pure function of its flags, so a refactor of the CLI or of anything
+#: under it that changes one byte of output fails here.
+CLI_PINS = [
+    ("sites", "8a3a2dac29ffca00b8d5241a2f7b87b4dc65e867bf2ff2d6dcc39d7644e4fcd8", {}),
+    ("replay s2 --runs 1", "cb6b3205e655b59f917f1e418ef9b937dbef3dee8218e35b5c33eaa0a48e3a4f", {}),
+    ("suite s2 --runs 1", "0798eb32f8304e729dee8e8dc2c1bec141c13224d58e8d840855cc6721670918", {}),
+    ("order s2 --runs 1", "5d58fb39187d9fc08512138c13cfe2cb3bee7201e576ba2a9da1378871778277", {}),
+    ("fig 1", "9fa65a157f19ca74acc7df6d56483c032dd03a277f2e5e56a8bbd395abea3bc1", {}),
+    ("fig 2 --sites 1 --runs 1", "5a33e3e7dc7061fa5e8d9cddaf2e60ff8bc20eb7eaa1c0c064a571744756dc37", {}),
+    ("fig 3 --sites 1 --runs 1", "ea92c672255a0734c40853003f6a3d499b650e3207bc3d9ac80ddc8c6cd16f24", {}),
+    ("fig 3a --sites 1 --runs 1", "b6477594994d8c5199d011aa0b5ac666547e20d6e6177f50cbacf5629d6ff08c", {}),
+    ("fig 3b --sites 1 --runs 1", "9a40694e6d6e4d7e3b8eb490f365c3df044c6263e92040011672b4db27194fd6", {}),
+    ("fig 4 --runs 1", "da74104f7e72d6dd10131dbb75186d7d53ac17a907e513a5bd5b1e13522e3db1", {}),
+    ("fig 5 --runs 1", "b5962c0fcbe585044e190a4433f53b6f9bd9787c79a1d54d8961cfa6025ad767", {}),
+    ("fig 6 --runs 1", "3820508d308b70219305420bb2407835d67471907dc5939416a3775c866591e6", {}),
+    ("fig7 --quick", "929133e70a7667710e4f064342b399d107e9db1898d9e44275963eba08040c42", {}),
+    ("fig7 --quick --burst", "a3962cd6bdfce9d881e9101a54025c4a7b3886cadcaa0377b6ace9a67bf086a8", {}),
+    (
+        "fig8 --quick --fingerprints fingerprints.json",
+        "6179a3bde3701b17ffca079d906e8fe6337fff27592d9482cd49b905d559962d",
+        {"fingerprints.json": "5753a8fbe086ec7f9fec854752654887f7879f1f12cf4c53f32cb7d40f2eaddc"},
+    ),
+    ("waterfall s2", "8383d4401dce7f4baf453930607cb435a86820729c00a2724cce841f4590843f", {}),
+    (
+        "trace s1 --strategy custom --vs no_push --seed 1 --qlog qlog",
+        "6c18a1180fd6bf9a0495148652fa953fca2e8b3aff3c2782bfc389f24ec1e086",
+        {
+            "qlog/s1.custom.qlog.json": "3ed9b28d3656160581ccc07ae6fb81433bfa0a5a3d59e8e3bc2c313c8088bd67",
+            "qlog/s1.no_push.qlog.json": "7668e15bfef94577190f6affa2a6da24a99877c2f0997059f6a1c81d6a90481a",
+        },
+    ),
+    (
+        "population --quick --loads 2 --batch 2 --json population.json",
+        "482dbff18ac2cdc7cc3e735cf61d6e2ea16baf5a076fd25c969ac0591d81c584",
+        {"population.json": "124e4af82e112daa9762a7856b09c9c67de88f9be71e46e657e92b66e7ce2b7d"},
+    ),
+    (
+        "optimize --quick --table table.json --json optimize.json",
+        "e38a2f8a1d605a8c3abe5c520b437b91d4fa7bb3916a44093404c2e9794887d7",
+        {
+            "optimize.json": "7addfe95ad6d8f2a678a2a6dc4a5b91ac093e930a8b1c4deef223f338478f2bf",
+            "table.json": "5d6fc43f2ac0451736f90f0ce000ef975fa3f7f4038236322e8e3bfff765912b",
+        },
+    ),
+    ("abtest s2 --runs 1 --rum-runs 1", "670e8cf7f8001afabd395d38b5a8d9e8cb7f26779bb2ebf64f9f8f8a47e49469", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, stdout_sha, file_shas", CLI_PINS, ids=[pin[0] for pin in CLI_PINS]
+)
+def test_command_output_is_pinned(
+    capsys, monkeypatch, tmp_path, command, stdout_sha, file_shas
+):
+    """Stdout and every written file are byte-identical to the pins.
+    Files are written relative to an empty working directory, so the
+    set of files a command leaves is pinned too."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert (hashlib.sha256(out.encode()).hexdigest(), written) == (stdout_sha, file_shas)
 
 
 def test_sites_lists_everything(capsys):
