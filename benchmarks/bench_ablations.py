@@ -20,7 +20,7 @@ from repro.strategies import NoPushStrategy, PushAllStrategy, PushListStrategy
 from repro.strategies.critical import build_strategy_suite, critical_urls
 
 
-def test_ablation_interleave_offset(benchmark):
+def test_ablation_interleave_offset():
     """Sweep the HTML pause offset for w1's critical pushes."""
     spec = w1_wikipedia()
 
@@ -39,7 +39,7 @@ def test_ablation_interleave_offset(benchmark):
             rows.append((offset, round(cell.median_si), round(baseline)))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     write_report(
         "ablation_interleave_offset",
         render_series(("offset B", "SI ms", "no-push SI ms"), rows,
@@ -50,7 +50,7 @@ def test_ablation_interleave_offset(benchmark):
     assert by_offset[4_000] < by_offset[200_000]
 
 
-def test_ablation_push_order(benchmark):
+def test_ablation_push_order():
     """§4.2.1: varying the push order changes the outcome."""
     spec = s1_loading_screen()
 
@@ -68,7 +68,7 @@ def test_ablation_push_order(benchmark):
         rows.append(("no_push", round(baseline.median_si)))
         return rows
 
-    rows = benchmark.pedantic(run_orders, rounds=1, iterations=1)
+    rows = run_orders()
     write_report(
         "ablation_push_order",
         render_series(("order", "median SI ms"), rows, title="Push-order ablation (s1)"),
@@ -98,7 +98,7 @@ def _coalescing_spec(coalesced: bool) -> WebsiteSpec:
     )
 
 
-def test_ablation_connection_coalescing(benchmark):
+def test_ablation_connection_coalescing():
     """Coalescing makes the CDN-hosted hero pushable and saves a handshake."""
 
     def run_both():
@@ -110,7 +110,7 @@ def test_ablation_connection_coalescing(benchmark):
             results[coalesced] = result
         return results
 
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results = run_both()
     write_report(
         "ablation_coalescing",
         render_series(
@@ -129,7 +129,7 @@ def test_ablation_connection_coalescing(benchmark):
     assert results[True].pushed_bytes > results[False].pushed_bytes
 
 
-def test_ablation_push_to_warm_cache(benchmark):
+def test_ablation_push_to_warm_cache():
     """§2.1: pushes of cached objects are cancelled, but late."""
     spec = WebsiteSpec(
         name="warm",
@@ -147,7 +147,7 @@ def test_ablation_push_to_warm_cache(benchmark):
         warm = testbed.run(cache=cache)
         return cold, warm
 
-    cold, warm = benchmark.pedantic(run_warm, rounds=1, iterations=1)
+    cold, warm = run_warm()
     write_report(
         "ablation_warm_cache",
         render_series(

@@ -21,7 +21,7 @@ from repro.strategies import NoPushStrategy, PushAllStrategy
 from repro.strategies.hints import HintAndPushStrategy, PreloadHintStrategy
 
 
-def test_cache_digest_eliminates_wasted_pushes(benchmark):
+def test_cache_digest_eliminates_wasted_pushes():
     spec = WebsiteSpec(
         name="digest-bench",
         primary_domain="db.example",
@@ -54,7 +54,7 @@ def test_cache_digest_eliminates_wasted_pushes(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    rows = run_matrix()
     write_report(
         "ext_cache_digest",
         render_series(
@@ -69,7 +69,7 @@ def test_cache_digest_eliminates_wasted_pushes(benchmark):
     assert with_digest[3] < without[3]           # fewer bytes on the wire
 
 
-def test_preload_hints_vs_push_for_third_party(benchmark):
+def test_preload_hints_vs_push_for_third_party():
     spec = WebsiteSpec(
         name="hints-bench",
         primary_domain="origin.example",
@@ -97,7 +97,7 @@ def test_preload_hints_vs_push_for_third_party(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    rows = run_matrix()
     write_report(
         "ext_preload_hints",
         render_series(("strategy", "SI ms", "pushed KB"), rows,
@@ -110,7 +110,7 @@ def test_preload_hints_vs_push_for_third_party(benchmark):
     assert by_name["hint_and_push"] <= by_name["preload_hints"] + 20
 
 
-def test_cdn_ab_selection(benchmark):
+def test_cdn_ab_selection():
     def run_selection():
         config = ABTestConfig(lab_runs=3, rum_runs=7)
         return {
@@ -118,7 +118,7 @@ def test_cdn_ab_selection(benchmark):
             "w17": StrategySelector(w17_cnn(), config).run(),
         }
 
-    results = benchmark.pedantic(run_selection, rounds=1, iterations=1)
+    results = run_selection()
     write_report(
         "ext_ab_selection",
         results["w1"].render() + "\n\n" + results["w17"].render(),

@@ -9,10 +9,8 @@ from conftest import write_report
 from repro.experiments import Fig1Config, run_fig1
 
 
-def test_fig1_adoption(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_fig1(Fig1Config()), rounds=1, iterations=1
-    )
+def test_fig1_adoption():
+    result = run_fig1(Fig1Config())
     write_report("fig1_adoption", result.render())
 
     assert 100_000 <= result.scans[0].h2_sites <= 140_000

@@ -15,9 +15,9 @@ from repro.experiments import Fig2Config, run_fig2
 from repro.metrics import median
 
 
-def test_fig2_testbed_vs_internet(benchmark):
+def test_fig2_testbed_vs_internet():
     config = Fig2Config(sites=15, runs=7)
-    result = benchmark.pedantic(lambda: run_fig2(config), rounds=1, iterations=1)
+    result = run_fig2(config)
     write_report("fig2_testbed", result.render())
 
     # (a) variability: testbed sigma << Internet sigma.

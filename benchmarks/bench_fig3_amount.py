@@ -10,9 +10,9 @@ from repro.experiments import Fig3Config, run_fig3b
 from repro.metrics import mean, percentile
 
 
-def test_fig3b_push_amount(benchmark):
+def test_fig3b_push_amount():
     config = Fig3Config(sites=12, runs=5, order_runs=3, amounts=(1, 5, 10, 15))
-    result = benchmark.pedantic(lambda: run_fig3b(config), rounds=1, iterations=1)
+    result = run_fig3b(config)
     write_report("fig3b_amount", result.render())
 
     # The worst-case (p95) detriment of push_1 is no worse than

@@ -10,9 +10,9 @@ from conftest import write_report
 from repro.experiments import Fig3Config, run_fig3a
 
 
-def test_fig3a_push_all(benchmark):
+def test_fig3a_push_all():
     config = Fig3Config(sites=12, runs=5, order_runs=3)
-    result = benchmark.pedantic(lambda: run_fig3a(config), rounds=1, iterations=1)
+    result = run_fig3a(config)
     write_report("fig3a_push_all", result.render())
 
     # Not everyone wins, not everyone loses.

@@ -13,9 +13,9 @@ from conftest import write_report
 from repro.experiments import Fig4Config, run_fig4
 
 
-def test_fig4_custom_strategies(benchmark):
+def test_fig4_custom_strategies():
     config = Fig4Config(runs=7)
-    result = benchmark.pedantic(lambda: run_fig4(config), rounds=1, iterations=1)
+    result = run_fig4(config)
     write_report("fig4_custom", result.render())
 
     for site in (f"s{i}" for i in range(1, 11)):

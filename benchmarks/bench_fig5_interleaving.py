@@ -11,9 +11,9 @@ from conftest import write_report
 from repro.experiments import Fig5Config, run_fig5
 
 
-def test_fig5_interleaving(benchmark):
+def test_fig5_interleaving():
     config = Fig5Config(html_sizes_kb=(10, 20, 30, 40, 50, 60, 70, 80, 90), runs=5)
-    result = benchmark.pedantic(lambda: run_fig5(config), rounds=1, iterations=1)
+    result = run_fig5(config)
     write_report("fig5_interleaving", result.render())
 
     first, last = result.rows[0], result.rows[-1]

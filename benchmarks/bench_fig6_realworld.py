@@ -18,9 +18,9 @@ from conftest import write_report
 from repro.experiments import Fig6Config, run_fig6
 
 
-def test_fig6_realworld(benchmark):
+def test_fig6_realworld():
     config = Fig6Config(runs=5)
-    result = benchmark.pedantic(lambda: run_fig6(config), rounds=1, iterations=1)
+    result = run_fig6(config)
     write_report("fig6_realworld", result.render())
 
     sites = {site.site: site for site in result.sites}

@@ -11,9 +11,9 @@ from conftest import write_report
 from repro.experiments import Fig7Config, run_fig7
 
 
-def test_fig7_lossy(benchmark):
+def test_fig7_lossy():
     config = Fig7Config(loss_rates=(0.0, 0.01, 0.02, 0.05), runs=3)
-    result = benchmark.pedantic(lambda: run_fig7(config), rounds=1, iterations=1)
+    result = run_fig7(config)
     write_report("fig7_lossy", result.render())
 
     for cc in config.congestion_controls:

@@ -18,7 +18,7 @@ from repro.strategies import NoPushStrategy
 from repro.strategies.critical import build_strategy_suite
 
 
-def test_h1_vs_h2(benchmark):
+def test_h1_vs_h2():
     def run_matrix():
         rows = []
         for name in ("s2", "s4", "s6", "s8"):
@@ -45,7 +45,7 @@ def test_h1_vs_h2(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    rows = run_matrix()
     write_report(
         "context_h1_vs_h2",
         render_series(

@@ -9,9 +9,9 @@ from conftest import write_report
 from repro.experiments import SweepConfig, run_network_sweep
 
 
-def test_network_sweep(benchmark):
+def test_network_sweep():
     config = SweepConfig(rtts_ms=(25, 50, 100, 200), bandwidths_mbit=(4, 16, 64), runs=3)
-    result = benchmark.pedantic(lambda: run_network_sweep(config), rounds=1, iterations=1)
+    result = run_network_sweep(config)
     write_report("context_network_sweep", result.render())
 
     for bandwidth in (4, 16, 64):

@@ -18,19 +18,17 @@ from repro.experiments import (
 )
 
 
-def test_pushable_share_table(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_pushable_share(sites=100), rounds=1, iterations=1
-    )
+def test_pushable_share_table():
+    result = run_pushable_share(sites=100)
     write_report("table_pushable_share", result.render())
     assert 0.35 <= result.top_below_20 <= 0.70      # paper: 52%
     assert 0.10 <= result.random_below_20 <= 0.40   # paper: 24%
     assert result.top_below_20 > result.random_below_20
 
 
-def test_type_analysis(benchmark):
+def test_type_analysis():
     config = TypeAnalysisConfig(sites=10, runs=3)
-    result = benchmark.pedantic(lambda: run_type_analysis(config), rounds=1, iterations=1)
+    result = run_type_analysis(config)
     write_report("table_type_analysis", result.render())
 
     # Images: mostly harmful (paper: 74% of sites worse).

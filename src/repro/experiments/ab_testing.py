@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..html.spec import WebsiteSpec
-from ..metrics.stats import confidence_interval
+from ..metrics.stats import paired_change, relative_change
 from ..netsim.conditions import FixedConditions, InternetConditions
 from ..strategies.critical import StrategyDeployment, build_strategy_suite
 from .engine import ExperimentEngine, Grid
@@ -155,12 +155,8 @@ class StrategySelector:
                 seed_base=1000 + run_index,
                 label=f"rum{run_index}/B",
             )
-        cells = self.engine.run(grid)
-        deltas: List[float] = []
-        for arm_a, arm_b in zip(cells[0::2], cells[1::2]):
-            base = arm_a.median_si
-            deltas.append((arm_b.median_si - base) / base * 100.0)
-        return confidence_interval(deltas, self.config.confidence)
+        si = [cell.median_si for cell in self.engine.run(grid)]
+        return paired_change(si[1::2], si[0::2], self.config.confidence)
 
     # ------------------------------------------------------------------
     def run(self) -> ABTestResult:
@@ -171,7 +167,7 @@ class StrategySelector:
         )
         best = result.lab_ranking[0]
         result.chosen = best.deployment
-        result.lab_delta_pct = (best.median_si - baseline_si) / baseline_si * 100.0
+        result.lab_delta_pct = relative_change(best.median_si, baseline_si)
         if best.deployment == "no_push":
             return result
 

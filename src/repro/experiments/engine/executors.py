@@ -32,12 +32,16 @@ reuse change *where* and *when* a run executes but never its result,
 and the assembler's run-ordered reduction reproduces the serial
 aggregation exactly.
 
-Fault tolerance: each worker owns a duplex pipe; the parent waits on
-pipes and process sentinels together, so a crashed or SIGKILLed worker
-is detected immediately, its in-flight chunk is requeued (bounded by
-``_MAX_RETRIES``), and a replacement worker is spawned.  Cells that fail
-permanently are reported via :class:`~repro.errors.ExecutorError` after
-the rest of the grid completes — never as a raw ``BrokenProcessPool``.
+Transport and policy are split.  :class:`WorkerTransport` owns the
+processes: each worker's duplex pipe, waiting on pipes and process
+sentinels together (so a crashed or SIGKILLed worker is seen at once),
+reaping and replacing the dead, and the post-run drain.
+:meth:`WarmPoolExecutor._run_pool` is the policy: it plans chunks,
+hands the heaviest pending one to an idle worker, requeues a crashed
+worker's chunk (bounded by ``_MAX_RETRIES``), assembles results, and
+reports cells that fail permanently via
+:class:`~repro.errors.ExecutorError` after the rest of the grid
+completes — never as a raw ``BrokenProcessPool``.
 
 Failures are as deterministic as results: a cell that raises a
 :class:`~repro.errors.ReproError` in a worker is not retried, and once
@@ -47,6 +51,7 @@ message — as :class:`SerialExecutor` would have.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -342,25 +347,131 @@ class _WorkerHandle:
         return self.process.sentinel
 
     def shutdown(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        self.process.join(timeout=2.0)
+        self.reap()
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=2.0)
 
     def reap(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self.conn.close()
-        except OSError:
-            pass
         self.process.join(timeout=2.0)
+
+
+#: What :meth:`WorkerTransport.wait` reports: a chunk and its reply
+#: (``("done", payloads, wall_ms)`` or ``("error", error)``), or a
+#: chunk and ``None`` when the worker holding it died.
+Event = Tuple[Optional[Chunk], Optional[tuple]]
+
+
+class WorkerTransport:
+    """The warm pool's processes and pipes, and none of its policy.
+
+    Chunk ids frame the messages, so each reply is checked against the
+    chunk it answers; a dead worker's in-flight chunk goes back to the
+    policy as a crash event.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self._workers: List[_WorkerHandle] = []
+        self._next_worker_id = 0
+        self._next_chunk_id = 0
+
+    def _spawn(self) -> None:
+        self._workers.append(_WorkerHandle(self._ctx, self._next_worker_id))
+        self._next_worker_id += 1
+
+    def start(self) -> None:
+        """Reap dead workers and top the pool up to ``size``."""
+        alive = []
+        for worker in self._workers:
+            if worker.process.is_alive():
+                worker.chunk = None
+                alive.append(worker)
+            else:
+                worker.reap()
+        self._workers = alive
+        while len(self._workers) < self.size:
+            self._spawn()
+
+    def idle(self) -> Optional[_WorkerHandle]:
+        return next((w for w in self._workers if w.chunk is None), None)
+
+    def busy(self) -> bool:
+        return any(worker.chunk is not None for worker in self._workers)
+
+    def send(self, worker: _WorkerHandle, chunk: Chunk, payload: tuple) -> bool:
+        """Hand ``chunk`` to an idle worker.  ``False``: the worker died
+        under us and has been replaced; the chunk is not in flight."""
+        chunk_id = self._next_chunk_id
+        self._next_chunk_id += 1
+        try:
+            worker.conn.send(("chunk", chunk_id) + payload)
+        except (BrokenPipeError, OSError):
+            self._replace(worker)
+            return False
+        worker.chunk = (chunk_id, chunk)
+        return True
+
+    def _replace(self, worker: _WorkerHandle) -> Optional[Chunk]:
+        """Reap a dead worker, spawn its replacement, and return the
+        chunk it had in flight."""
+        self._workers.remove(worker)
+        worker.reap()
+        self._spawn()
+        return worker.chunk[1] if worker.chunk else None
+
+    def _receive(self, worker: _WorkerHandle) -> Event:
+        msg = worker.conn.recv()
+        chunk_id, chunk = worker.chunk
+        worker.chunk = None
+        if msg[1] != chunk_id:
+            raise ExperimentError(f"worker answered chunk {msg[1]}, expected {chunk_id}")
+        return chunk, msg[:1] + msg[2:]
+
+    def wait(self) -> List[Event]:
+        """Block until a busy worker answers or dies; return the replies,
+        then one event per dead worker (already replaced) carrying its
+        in-flight chunk, or ``None`` if it answered before dying."""
+        busy = [worker for worker in self._workers if worker.chunk is not None]
+        conn_of = {worker.conn: worker for worker in busy}
+        sentinel_of = {worker.sentinel: worker for worker in busy}
+        events: List[Event] = []
+        crashed: List[_WorkerHandle] = []
+        for item in connection.wait(list(conn_of) + list(sentinel_of)):
+            worker = conn_of.get(item) or sentinel_of[item]
+            dead = item is not worker.conn and not worker.process.is_alive()
+            # A dying worker's pipe may still hold the result it sent
+            # first; read that before declaring the crash.
+            if worker.chunk is not None and (item is worker.conn or worker.conn.poll()):
+                try:
+                    events.append(self._receive(worker))
+                except (EOFError, OSError):
+                    dead = True
+            if dead and worker not in crashed:
+                crashed.append(worker)
+        return events + [(self._replace(worker), None) for worker in crashed]
+
+    def drain(self) -> None:
+        """Absorb replies for chunks still in flight after a run ends,
+        so they cannot be misread as answers in a later run.  A worker
+        that died instead is reaped by the next :meth:`start`."""
+        for worker in self._workers:
+            if worker.chunk is not None:
+                with contextlib.suppress(EOFError, OSError):
+                    worker.conn.recv()
+
+    def close(self) -> None:
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.shutdown()
 
 
 class WarmPoolExecutor(Executor):
@@ -380,17 +491,10 @@ class WarmPoolExecutor(Executor):
         auto-sizes per grid)."""
         self.workers = int(max_workers or os.cpu_count() or 1)
         self.chunk_runs = chunk_runs
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._workers: List[_WorkerHandle] = []
-        self._next_worker_id = 0
+        #: The processes and pipes; fault-injection tests substitute a
+        #: subclass that kills a worker as a chunk is sent to it.
+        self.transport = WorkerTransport(self.workers)
         self._closed = False
-        #: Test hook: called as ``hook(worker, chunk)`` right before a
-        #: chunk is dispatched — fault-injection tests SIGKILL the
-        #: worker here to exercise a deterministic crash point.
-        self._dispatch_hook: Optional[Callable[[_WorkerHandle, Chunk], None]] = None
         self.stats: Dict[str, int] = {
             "chunks_dispatched": 0,
             "retries": 0,
@@ -415,53 +519,16 @@ class WarmPoolExecutor(Executor):
         finally:
             # Late chunks of failed cells may still be computing; wait
             # for them so a later run() never reads a stale reply.
-            self._drain_in_flight()
+            self.transport.drain()
 
-    # ------------------------------------------------------------------
-    def _spawn_worker(self) -> _WorkerHandle:
-        worker = _WorkerHandle(self._ctx, self._next_worker_id)
-        self._next_worker_id += 1
-        self._workers.append(worker)
-        return worker
-
-    def _ensure_workers(self) -> None:
-        alive = []
-        for worker in self._workers:
-            if worker.process.is_alive():
-                worker.chunk = None
-                alive.append(worker)
-            else:
-                worker.reap()
-        self._workers = alive
-        while len(self._workers) < self.workers:
-            self._spawn_worker()
-
-    def _drain_in_flight(self) -> None:
-        """Absorb replies for chunks still in flight after a run ends.
-
-        Only chunks of permanently failed cells can be outstanding when
-        the scheduling loop exits; their replies are discarded here so
-        they cannot be misread as answers in a later ``run()``."""
-        for worker in list(self._workers):
-            if worker.chunk is None:
-                continue
-            try:
-                worker.conn.recv()
-                worker.chunk = None
-            except (EOFError, OSError):
-                if worker in self._workers:
-                    self._workers.remove(worker)
-                worker.reap()
-
-    # ------------------------------------------------------------------
     def _run_pool(
         self,
         cells: Sequence[Cell],
         on_result: Optional[ResultCallback],
     ) -> List[CellResult]:
-        chunks = plan_chunks(cells, self.workers, self.chunk_runs)
+        """The scheduling policy; :attr:`transport` moves the messages."""
+        queue: deque = deque(plan_chunks(cells, self.workers, self.chunk_runs))
         site_keys = [_site_key(cell) for cell in cells]
-        queue: deque = deque(chunks)
         assembler = _CellAssembler(cells)
         results: List[Optional[CellResult]] = [None] * len(cells)
         retries: Dict[Tuple[int, int, int], int] = {}
@@ -469,143 +536,69 @@ class WarmPoolExecutor(Executor):
         #: Failed cells whose worker sent a package error to re-raise.
         raised: Dict[int, ReproError] = {}
         unfinished = set(range(len(cells)))
-        next_chunk_id = 0
-
-        self._ensure_workers()
-
-        def fail_cell(cell_index: int, reason: str) -> None:
-            failed.setdefault(cell_index, reason)
-            unfinished.discard(cell_index)
-
-        def handle_crash(worker: _WorkerHandle) -> None:
-            """Requeue the dead worker's chunk and spawn a replacement."""
-            self.stats["respawns"] += 1
-            if worker in self._workers:
-                self._workers.remove(worker)
-            in_flight = worker.chunk
-            worker.reap()
-            if in_flight is not None:
-                _, chunk = in_flight
-                if chunk.cell_index not in failed and chunk.cell_index in unfinished:
-                    count = retries.get(chunk.key, 0) + 1
-                    retries[chunk.key] = count
-                    self.stats["retries"] += 1
-                    if count > _MAX_RETRIES:
-                        fail_cell(
-                            chunk.cell_index,
-                            f"worker crashed {count} times on runs "
-                            f"[{chunk.run_lo}, {chunk.run_hi})",
-                        )
-                    else:
-                        queue.appendleft(chunk)
-            self._spawn_worker()
-
-        def handle_message(worker: _WorkerHandle, msg: tuple) -> None:
-            nonlocal results
-            assert worker.chunk is not None
-            chunk_id, chunk = worker.chunk
-            worker.chunk = None
-            kind = msg[0]
-            if msg[1] != chunk_id:
-                raise ExperimentError(
-                    f"worker answered chunk {msg[1]}, expected {chunk_id}"
-                )
-            if kind == "done":
-                _, _, chunk_results, wall_ms = msg
-                if chunk.cell_index in failed:
-                    return  # late chunk of a cell that already failed
-                finished = assembler.add(
-                    chunk.cell_index, chunk.run_lo, chunk_results, wall_ms
-                )
-                if finished is not None:
-                    result, cell_wall_ms = finished
-                    results[chunk.cell_index] = result
-                    unfinished.discard(chunk.cell_index)
-                    if on_result is not None:
-                        on_result(chunk.cell_index, result, cell_wall_ms)
-            elif kind == "error":
-                error = msg[2]
-                if isinstance(error, BaseException):
-                    if isinstance(error, ReproError) and chunk.cell_index not in failed:
-                        raised[chunk.cell_index] = error
-                    error = _error_text(error)
-                fail_cell(chunk.cell_index, error)
-            else:
-                raise ExperimentError(f"unexpected worker message {kind!r}")
-
-        def next_chunk() -> Optional[Chunk]:
-            while queue:
-                chunk = queue.popleft()
-                if chunk.cell_index in failed:
-                    continue
-                return chunk
-            return None
+        transport = self.transport
+        transport.start()
 
         while unfinished:
             # Dispatch: idle workers pull the heaviest pending chunk —
             # parent-driven dispatch is work stealing by construction
-            # (no work is bound to a worker before it is free).  A
-            # ``while`` over a fresh idle lookup, not a ``for`` over
-            # ``self._workers``: crash handling mutates the pool.
-            while True:
-                worker = next((w for w in self._workers if w.chunk is None), None)
-                if worker is None:
-                    break
-                chunk = next_chunk()
-                if chunk is None:
-                    break
-                chunk_id = next_chunk_id
-                next_chunk_id += 1
-                if self._dispatch_hook is not None:
-                    self._dispatch_hook(worker, chunk)
-                try:
-                    index = chunk.cell_index
-                    worker.conn.send(
-                        ("chunk", chunk_id, cells[index], site_keys[index],
-                         chunk.run_lo, chunk.run_hi)
-                    )
-                except (BrokenPipeError, OSError):
-                    # The worker died under us; account the chunk as
-                    # its in-flight work so the retry budget applies.
-                    worker.chunk = (chunk_id, chunk)
-                    handle_crash(worker)
+            # (no work is bound to a worker before it is free).
+            events: List[Event] = []
+            worker = transport.idle()
+            while worker is not None and queue:
+                chunk = queue.popleft()
+                if chunk.cell_index in failed:
                     continue
-                worker.chunk = (chunk_id, chunk)
-                self.stats["chunks_dispatched"] += 1
-
-            busy = [worker for worker in self._workers if worker.chunk is not None]
-            if not busy:
-                # No in-flight work yet cells remain: every pending
-                # chunk belonged to failed cells (or the queue drained
-                # into permanently failed retries).
-                break
-            conn_of = {worker.conn: worker for worker in busy}
-            sentinel_of = {worker.sentinel: worker for worker in busy}
-            ready = connection.wait(list(conn_of) + list(sentinel_of))
-            crashed: List[_WorkerHandle] = []
-            for item in ready:
-                worker = conn_of.get(item)
-                if worker is not None:
-                    try:
-                        msg = worker.conn.recv()
-                    except (EOFError, OSError):
-                        if worker not in crashed:
-                            crashed.append(worker)
-                        continue
-                    handle_message(worker, msg)
+                index = chunk.cell_index
+                payload = (cells[index], site_keys[index], chunk.run_lo, chunk.run_hi)
+                if transport.send(worker, chunk, payload):
+                    self.stats["chunks_dispatched"] += 1
                 else:
-                    worker = sentinel_of[item]
-                    # The pipe may still hold a finished result the
-                    # worker sent before dying; drain it first.
-                    if worker.chunk is not None and worker.conn.poll():
-                        try:
-                            handle_message(worker, worker.conn.recv())
-                        except (EOFError, OSError):
-                            pass
-                    if worker not in crashed and not worker.process.is_alive():
-                        crashed.append(worker)
-            for worker in crashed:
-                handle_crash(worker)
+                    events.append((chunk, None))
+                worker = transport.idle()
+            if not events:
+                if not transport.busy():
+                    # No in-flight work yet cells remain: every pending
+                    # chunk belonged to failed cells (or the queue
+                    # drained into permanently failed retries).
+                    break
+                events = transport.wait()
+            for chunk, reply in events:
+                if reply is None:
+                    self.stats["respawns"] += 1
+                    if chunk is None or chunk.cell_index not in unfinished:
+                        continue
+                    # Requeue the dead worker's chunk within the budget.
+                    retries[chunk.key] = count = retries.get(chunk.key, 0) + 1
+                    self.stats["retries"] += 1
+                    if count <= _MAX_RETRIES:
+                        queue.appendleft(chunk)
+                        continue
+                    reason = (
+                        f"worker crashed {count} times on runs "
+                        f"[{chunk.run_lo}, {chunk.run_hi})"
+                    )
+                elif chunk.cell_index in failed:
+                    continue  # late chunk of a cell that already failed
+                elif reply[0] == "done":
+                    finished = assembler.add(chunk.cell_index, chunk.run_lo, *reply[1:])
+                    if finished is not None:
+                        result, cell_wall_ms = finished
+                        results[chunk.cell_index] = result
+                        unfinished.discard(chunk.cell_index)
+                        if on_result is not None:
+                            on_result(chunk.cell_index, result, cell_wall_ms)
+                    continue
+                elif reply[0] == "error":
+                    reason = reply[1]
+                    if isinstance(reason, BaseException):
+                        if isinstance(reason, ReproError):
+                            raised[chunk.cell_index] = reason
+                        reason = _error_text(reason)
+                else:
+                    raise ExperimentError(f"unexpected worker message {reply[0]!r}")
+                failed[chunk.cell_index] = reason
+                unfinished.discard(chunk.cell_index)
 
         if unfinished and not failed:
             raise ExperimentError(
@@ -635,9 +628,7 @@ class WarmPoolExecutor(Executor):
         if self._closed:
             return
         self._closed = True
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.shutdown()
+        self.transport.close()
 
     def __enter__(self) -> "WarmPoolExecutor":
         return self

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..metrics.stats import confidence_interval, relative_change
+from ..metrics.stats import paired_change
 from ..sites.synthetic import synthetic_sites
 from ..strategies.critical import critical_urls
 from ..strategies.simple import NoPushStrategy, PushAllStrategy, PushListStrategy
@@ -78,22 +78,17 @@ def run_fig4(
     for index, (name, _spec) in enumerate(sites):
         baseline = cells[index * 3]
         for repeated in cells[index * 3 + 1 : index * 3 + 3]:
-            deltas_si = [
-                relative_change(value, base)
-                for value, base in zip(repeated.si_values, baseline.si_values)
-            ]
-            deltas_plt = [
-                relative_change(value, base)
-                for value, base in zip(repeated.plt_values, baseline.plt_values)
-            ]
-            center, half_width = confidence_interval(deltas_si, level=0.95)
+            center, half_width = paired_change(
+                repeated.si_values, baseline.si_values, level=0.95
+            )
+            delta_plt, _ = paired_change(repeated.plt_values, baseline.plt_values)
             result.outcomes.append(
                 SiteStrategyOutcome(
                     site=name,
                     strategy=repeated.strategy,
                     mean_delta_si_pct=center,
                     ci_half_width=half_width,
-                    mean_delta_plt_pct=sum(deltas_plt) / len(deltas_plt),
+                    mean_delta_plt_pct=delta_plt,
                     pushed_bytes=repeated.pushed_bytes,
                 )
             )

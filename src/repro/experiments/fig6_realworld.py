@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..metrics.speedindex import first_visual_change
-from ..metrics.stats import confidence_interval, mean, relative_change
+from ..metrics.stats import mean, paired_change
 from ..sites.realworld import realworld_sites
 from ..strategies.critical import build_strategy_suite
 from .engine import ExperimentEngine, Grid
@@ -127,21 +127,16 @@ def run_fig6(
                     first_visual_change_ms=mean(fvc),
                 )
                 continue
-            deltas_si = [
-                relative_change(value, base)
-                for value, base in zip(repeated.si_values, baseline.si_values)
-            ]
-            deltas_plt = [
-                relative_change(value, base)
-                for value, base in zip(repeated.plt_values, baseline.plt_values)
-            ]
-            center, half_width = confidence_interval(deltas_si, level=0.995)
+            center, half_width = paired_change(
+                repeated.si_values, baseline.si_values, level=0.995
+            )
+            delta_plt, _ = paired_change(repeated.plt_values, baseline.plt_values)
             fvc = [first_visual_change(r.timeline) or 0.0 for r in repeated.results]
             site_outcome.outcomes[deployment.name] = StrategyOutcome(
                 strategy=deployment.name,
                 mean_delta_si_pct=center,
                 ci_half_width=half_width,
-                mean_delta_plt_pct=sum(deltas_plt) / len(deltas_plt),
+                mean_delta_plt_pct=delta_plt,
                 pushed_bytes=repeated.pushed_bytes,
                 first_visual_change_ms=mean(fvc),
             )

@@ -14,6 +14,7 @@ from .stats import (
     fraction_below,
     mean,
     median,
+    paired_change,
     percentile,
     percentiles,
     relative_change,
@@ -30,6 +31,7 @@ __all__ = [
     "fraction_below",
     "mean",
     "median",
+    "paired_change",
     "percentile",
     "percentiles",
     "relative_change",

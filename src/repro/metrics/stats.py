@@ -136,6 +136,16 @@ def relative_change(measured: float, baseline: float) -> float:
     return (measured - baseline) / baseline * 100.0
 
 
+def paired_change(
+    values: Sequence[float], baselines: Sequence[float], level: float = 0.95
+) -> Tuple[float, float]:
+    """Mean paired Δ% of ``values`` against ``baselines`` (one
+    :func:`relative_change` per pair), as the :func:`confidence_interval`
+    ``(center, half_width)`` of that series."""
+    deltas = [relative_change(value, base) for value, base in zip(values, baselines)]
+    return confidence_interval(deltas, level)
+
+
 # ----------------------------------------------------------------------
 # Streaming accumulators (population-scale, bounded memory)
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..metrics.stats import confidence_interval
+from ..metrics.stats import paired_change
 
 #: Allocator registry; ``RacerConfig.allocator`` names an entry.
 ALLOCATORS = ("halving", "bandit")
@@ -196,10 +196,9 @@ class Racer:
                 f"arm {name!r} has {len(points)} points, rung wants {runs}"
             )
         base = self.evaluator.points(baseline)[:runs]
-        deltas = [
-            (p.si_ms - b.si_ms) / b.si_ms * 100.0 for p, b in zip(points, base)
-        ]
-        center, half = confidence_interval(deltas, self.config.confidence)
+        center, half = paired_change(
+            [p.si_ms for p in points], [b.si_ms for b in base], self.config.confidence
+        )
         return ArmScore(score=center, ci_half=half, runs=runs)
 
     def _scores(

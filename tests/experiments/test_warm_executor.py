@@ -210,25 +210,40 @@ def test_consecutive_grids_build_a_site_once(monkeypatch):
 # ----------------------------------------------------------------------
 # fault tolerance
 # ----------------------------------------------------------------------
+class KillingTransport(executors.WorkerTransport):
+    """The real transport, except that it SIGKILLs the worker a chunk
+    is about to be sent to whenever ``kill(chunk)`` says so — a
+    deterministic crash point for a real worker process."""
+
+    def __init__(self, size, kill):
+        super().__init__(size)
+        self.kill = kill
+
+    def send(self, worker, chunk, payload):
+        if self.kill(chunk):
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=10)
+        return super().send(worker, chunk, payload)
+
+
 def test_sigkilled_worker_chunk_is_requeued_and_results_identical():
     cells = corpus_cells(runs=3)
     serial = SerialExecutor().run(cells)
     executor = WarmPoolExecutor(max_workers=3, chunk_runs=1)
-    killed = {"count": 0}
+    killed = []
 
-    def sigkill_once(worker, chunk):
-        if killed["count"] == 0 and chunk.cell_index == 1:
-            killed["count"] += 1
-            os.kill(worker.process.pid, signal.SIGKILL)
-            worker.process.join(timeout=10)
+    def kill_once(chunk):
+        if killed or chunk.cell_index != 1:
+            return False
+        killed.append(chunk)
+        return True
 
-    executor._dispatch_hook = sigkill_once
+    executor.transport = KillingTransport(executor.workers, kill_once)
     try:
         results = executor.run(cells)
     finally:
-        executor._dispatch_hook = None
         executor.close()
-    assert killed["count"] == 1
+    assert len(killed) == 1
     assert executor.stats["respawns"] >= 1
     assert results == serial
 
@@ -236,13 +251,10 @@ def test_sigkilled_worker_chunk_is_requeued_and_results_identical():
 def test_repeated_crashes_exhaust_retry_budget():
     cells = corpus_cells(runs=2)
     executor = WarmPoolExecutor(max_workers=2, chunk_runs=1)
-
-    def always_kill(worker, chunk):
-        if chunk.cell_index == 0 and chunk.run_lo == 0:
-            os.kill(worker.process.pid, signal.SIGKILL)
-            worker.process.join(timeout=10)
-
-    executor._dispatch_hook = always_kill
+    transport = KillingTransport(
+        executor.workers, lambda chunk: chunk.cell_index == 0 and chunk.run_lo == 0
+    )
+    executor.transport = transport
     try:
         with pytest.raises(ExecutorError) as excinfo:
             executor.run(cells)
@@ -251,10 +263,9 @@ def test_repeated_crashes_exhaust_retry_budget():
         assert "crashed" in error.failed_cells[0][2]
         # The pool recovers: the same executor completes the grid once
         # the fault injection stops.
-        executor._dispatch_hook = None
+        transport.kill = lambda chunk: False
         assert executor.run(cells) == SerialExecutor().run(cells)
     finally:
-        executor._dispatch_hook = None
         executor.close()
 
 

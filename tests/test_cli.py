@@ -184,6 +184,18 @@ def test_counts_below_one_are_usage_errors(capsys, argv):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_cache_and_no_cache_exclude_each_other(capsys):
+    """``--cache DIR --no-cache`` is a usage error, not a silent
+    ``--no-cache``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["replay", "s1", "--cache", "cache-dir", "--no-cache"])
+    assert excinfo.value.code == 2
+    assert (
+        "argument --no-cache: not allowed with argument --cache"
+        in capsys.readouterr().err
+    )
+
+
 def test_negative_optimizer_population_is_a_config_error(capsys):
     """``--population`` may be 0 (anchors only) but never negative: the
     candidate config raises ConfigError before any search runs."""
