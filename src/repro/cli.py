@@ -436,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         command = COMMANDS[args.command]
         engine = _engine_from_args(args) if command.engine else None
-        with engine or contextlib.nullcontext():
+        with contextlib.nullcontext() if engine is None else engine:
             text, files = command.run(args, engine)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
