@@ -21,6 +21,10 @@ Determinism contract: every random decision comes from the single
 ``random.Random`` handed to the pipeline, drawn in a **fixed order per
 packet** (loss-state transition, loss draw, jitter draw, reorder draw);
 bandwidth multipliers are drawn lazily, one per elapsed interval.  The
+fading draws a packet triggers come before its own, and a dropped packet
+draws no jitter or reorder.  ``SharedLink.transmit`` applies the stages
+in one pass per packet; a "uniform in ``[0, m]``" draw is
+``m * rng.random()``, which equals ``rng.uniform(0, m)`` bit for bit.  The
 RNG is seeded from the per-cell impairment seed
 (:func:`repro.experiments.seeds.impairment_seed`), so a re-run of the
 same cell replays the exact same impairment pattern bit for bit.  When
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..units import require_fraction, require_non_negative, require_positive
 
@@ -153,6 +157,12 @@ class ImpairmentConfig:
 class ImpairmentPipeline:
     """Runtime impairment state for one link (one direction).
 
+    :meth:`repro.netsim.link.SharedLink.transmit` decides each packet's
+    fate in the same pass that serializes it, so the per-packet logic
+    lives there; this object holds what that pass reads and advances:
+    the stage parameters, flattened once, the RNG, the Gilbert-Elliott
+    and fading state, and the counters.
+
     Both of a topology's pipelines share one RNG — the discrete-event
     order of ``transmit`` calls is itself deterministic, so a shared
     stream stays reproducible — but each keeps its own Gilbert-Elliott
@@ -161,67 +171,23 @@ class ImpairmentPipeline:
 
     def __init__(self, config: ImpairmentConfig, rng: random.Random, name: str = "impairment"):
         self.config = config
-        self._rng = rng
+        self.rng = rng
         self.name = name
         #: Optional event tracer (set by the topology when tracing is
         #: on); drops/reorders are reported read-only, after the RNG
         #: draws, so tracing never perturbs the impairment pattern.
         self.tracer = None
-        self._bad_state = False
-        self._bw_multiplier = 1.0
-        self._bw_next_update = 0.0
+        loss = config.loss
+        self.loss: Optional[LossModel] = loss
+        self.bursty = type(loss) is GilbertElliottLoss
+        self.jitter_ms = config.jitter.max_ms if config.jitter is not None else 0.0
+        self.reorder: Optional[ReorderSpec] = config.reorder
+        self.fading: Optional[BandwidthVariationSpec] = config.bandwidth
+        #: Gilbert-Elliott chain state (always good for IID loss).
+        self.bad_state = False
+        #: Fading: the current rate multiplier and when it is redrawn.
+        self.rate_multiplier = 1.0
+        self.next_fade_ms = 0.0
         self.packets_seen = 0
         self.packets_dropped = 0
         self.packets_reordered = 0
-
-    def rate_multiplier(self, now: float) -> float:
-        """Current bandwidth multiplier; advances the fading process
-        one draw per interval boundary elapsed since the last call."""
-        bandwidth = self.config.bandwidth
-        if bandwidth is None:
-            return 1.0
-        while self._bw_next_update <= now:
-            self._bw_multiplier = 1.0 + bandwidth.amplitude * (
-                2.0 * self._rng.random() - 1.0
-            )
-            self._bw_next_update += bandwidth.interval_ms
-        return self._bw_multiplier
-
-    def packet_fate(self, now: float) -> Tuple[bool, float]:
-        """Decide one packet's fate: ``(dropped, extra_delay_ms)``.
-
-        Draw order per packet is fixed (loss-state transition, loss,
-        jitter, reorder); a dropped packet consumes no jitter/reorder
-        draws.  Both facts are part of the determinism contract.
-        """
-        self.packets_seen += 1
-        config = self.config
-        rng = self._rng
-        loss = config.loss
-        if loss is not None:
-            if type(loss) is GilbertElliottLoss:
-                if self._bad_state:
-                    if rng.random() < loss.p_exit_bad:
-                        self._bad_state = False
-                elif rng.random() < loss.p_enter_bad:
-                    self._bad_state = True
-                probability = loss.bad_loss if self._bad_state else loss.good_loss
-            else:
-                probability = loss.rate
-            if probability > 0.0 and rng.random() < probability:
-                self.packets_dropped += 1
-                if self.tracer is not None:
-                    self.tracer.packet_dropped(self.name, self.packets_seen)
-                return True, 0.0
-        extra = 0.0
-        if config.jitter is not None and config.jitter.max_ms > 0.0:
-            extra += rng.uniform(0.0, config.jitter.max_ms)
-        reorder = config.reorder
-        if reorder is not None and reorder.rate > 0.0 and rng.random() < reorder.rate:
-            extra += reorder.extra_delay_ms
-            self.packets_reordered += 1
-            if self.tracer is not None:
-                self.tracer.packet_reordered(
-                    self.name, self.packets_seen, reorder.extra_delay_ms
-                )
-        return False, extra

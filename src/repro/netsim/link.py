@@ -13,6 +13,7 @@ import random
 from typing import Callable, Optional
 
 from ..sim import NO_ARG, Simulator
+from ..units import require_non_negative, require_positive
 from .impairment import ImpairmentPipeline
 
 
@@ -29,7 +30,8 @@ class SharedLink:
     reordering, and bandwidth fading onto the link: drops consume link
     time but are never delivered (egress loss, as netem applies it),
     and per-packet extra delay can make later packets overtake earlier
-    ones.  Without a pipeline the historical clean path runs unchanged.
+    ones.  ``transmit`` applies it in the same pass that serializes the
+    packet.  Without a pipeline the historical clean path runs unchanged.
     """
 
     def __init__(
@@ -42,10 +44,8 @@ class SharedLink:
         name: str = "link",
         impairments: Optional[ImpairmentPipeline] = None,
     ):
-        if rate_bytes_per_ms <= 0:
-            raise ValueError("link rate must be positive")
-        if propagation_ms < 0:
-            raise ValueError("propagation delay must be non-negative")
+        require_positive("link rate", rate_bytes_per_ms)
+        require_non_negative("link propagation delay", propagation_ms)
         self._sim = sim
         self._rate = rate_bytes_per_ms
         self._propagation = propagation_ms
@@ -85,31 +85,73 @@ class SharedLink:
         callback (``deliver(arg1, arg2)``), which lets per-segment hot
         paths avoid allocating a closure per packet.
 
-        Returns the absolute simulated arrival time.
+        Returns the absolute simulated arrival time (for a dropped
+        packet, when it would have arrived).
         """
         if size <= 0:
             raise ValueError("transmit size must be positive")
         now = self._sim.now
         busy = self._busy_until
         start = now if now > busy else busy
-        impairments = self._impairments
-        if impairments is None:
+        pipeline = self._impairments
+        if pipeline is None:
+            finish = start + size / self._rate
+            self._busy_until = finish
+            self.bytes_transmitted += size
+            delay = self._propagation
+            if self._jitter > 0:
+                delay += self._rng.uniform(0.0, self._jitter)
+            arrival = finish + delay
+            self._deliver_lane.schedule_abs(arrival, deliver, arg1, arg2)
+            return arrival
+        # The impaired path, one pass per packet, in the draw order of
+        # the impairment module's determinism contract: fading for the
+        # intervals elapsed, the link's own jitter (its own RNG), then
+        # Gilbert-Elliott transition, loss, jitter, reorder.
+        rng = pipeline.rng
+        fading = pipeline.fading
+        if fading is None:
             finish = start + size / self._rate
         else:
-            finish = start + size / (self._rate * impairments.rate_multiplier(now))
+            while pipeline.next_fade_ms <= now:
+                pipeline.rate_multiplier = 1.0 + fading.amplitude * (2.0 * rng.random() - 1.0)
+                pipeline.next_fade_ms += fading.interval_ms
+            finish = start + size / (self._rate * pipeline.rate_multiplier)
         self._busy_until = finish
         self.bytes_transmitted += size
         delay = self._propagation
         if self._jitter > 0:
-            delay += self._rng.uniform(0.0, self._jitter)
-        if impairments is not None:
-            dropped, extra = impairments.packet_fate(now)
-            if dropped:
+            delay += self._jitter * self._rng.random()
+        pipeline.packets_seen += 1
+        loss = pipeline.loss
+        if loss is not None:
+            if pipeline.bursty:
+                if pipeline.bad_state:
+                    if rng.random() < loss.p_exit_bad:
+                        pipeline.bad_state = False
+                elif rng.random() < loss.p_enter_bad:
+                    pipeline.bad_state = True
+                probability = loss.bad_loss if pipeline.bad_state else loss.good_loss
+            else:
+                probability = loss.rate
+            if probability > 0.0 and rng.random() < probability:
                 # The packet occupied the link but never arrives; the
                 # sender's loss recovery (RTO / dup ACKs) repairs it.
+                pipeline.packets_dropped += 1
+                if pipeline.tracer is not None:
+                    pipeline.tracer.packet_dropped(pipeline.name, pipeline.packets_seen)
                 return finish + delay
-            delay += extra
-        arrival = finish + delay
+        jitter = pipeline.jitter_ms
+        extra = jitter * rng.random() if jitter > 0.0 else 0.0
+        reorder = pipeline.reorder
+        if reorder is not None and reorder.rate > 0.0 and rng.random() < reorder.rate:
+            extra += reorder.extra_delay_ms
+            pipeline.packets_reordered += 1
+            if pipeline.tracer is not None:
+                pipeline.tracer.packet_reordered(
+                    pipeline.name, pipeline.packets_seen, reorder.extra_delay_ms
+                )
+        arrival = finish + (delay + extra)
         self._deliver_lane.schedule_abs(arrival, deliver, arg1, arg2)
         return arrival
 

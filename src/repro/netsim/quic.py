@@ -58,7 +58,6 @@ from .tcp import (
     DELAYED_ACK_SEGMENTS,
     DELAYED_ACK_TIMEOUT_MS,
     HEADER_OVERHEAD,
-    _HalfConnection,
 )
 
 #: Packets whose number trails the largest acknowledged by this many
@@ -186,8 +185,9 @@ class _QuicHalf:
         self._flight_bytes = 0
         self._rto_lane = sim.timer_lane()
         self.bytes_enqueued = 0
-        # RFC 6298 estimator, shared with the TCP model (_sample_rtt); with
-        # unique packet numbers every ACKed packet is a valid sample.
+        # RFC 6298 estimator, the TCP model's arithmetic (run inline in
+        # ``_on_ack_arrival``); with unique packet numbers every ACKed
+        # packet is a valid sample.
         self._srtt: float = 0.0
         self._rttvar: float = 0.0
         self._rto = 1_000.0
@@ -235,20 +235,43 @@ class _QuicHalf:
             self._buffer.append([stream_id, span, fin and accepted == size])
             self._buffered += accepted
             self.bytes_enqueued += accepted
-            self._pump()
+            # As over TCP, most writes come from ``on_writable`` with the
+            # window already full, and the ACK that opens it pumps.  A
+            # bare fin is sent whatever the window, so it always pumps.
+            if accepted == 0 or self._flight_bytes < self._cc.cwnd:
+                self._pump()
         return accepted
 
     def _pump(self) -> None:
-        """Packetize pending stream writes while the window allows."""
-        cc = self._cc
-        mss = self._mss
+        """Packetize pending stream writes while the window allows.
+
+        Each packet is cut and sent here, in one pass: nothing below
+        re-enters this half (arming a timer and queueing on the link
+        only schedule), so the sender state lives in locals for the
+        burst and is written back once."""
         buffer = self._buffer
+        if not buffer:
+            return
+        cwnd = self._cc.cwnd
+        mss = self._mss
+        flight_bytes = self._flight_bytes
+        buffered = self._buffered
+        next_pn = self._next_pn
+        send_offsets = self._send_offsets
+        in_flight = self._in_flight
+        now = self._sim.now
+        rto = self._rto
+        arm = self._rto_lane.schedule
+        on_timeout = self._on_timeout
+        loss_rate = self._conditions.loss_rate
+        link_transmit = self._data_link.transmit
+        on_arrival = self._on_packet_arrival
         while buffer:
             head = buffer[0]
             span = head[1]
             size = span.stop - span.start
-            if size > 0 and self._flight_bytes >= cc.cwnd:
-                return
+            if size > 0 and flight_bytes >= cwnd:
+                break
             if size > mss:
                 cut = span.start + mss
                 head[1] = Span(span.source, cut, span.stop)
@@ -259,33 +282,41 @@ class _QuicHalf:
                 buffer.popleft()
                 fin = head[2]
             stream_id = head[0]
-            offset = self._send_offsets.get(stream_id, 0)
-            self._send_offsets[stream_id] = offset + size
-            self._buffered -= size
-            self._transmit(stream_id, offset, span, fin, size)
+            offset = send_offsets.get(stream_id, 0)
+            send_offsets[stream_id] = offset + size
+            buffered -= size
+            pn = next_pn
+            next_pn = pn + 1
+            in_flight[pn] = [stream_id, offset, span, fin, arm(rto, on_timeout, pn), now, size]
+            flight_bytes += size
+            if loss_rate > 0 and self._rng.random() < loss_rate:
+                # Lost on the wire; the PTO (or packet-threshold detection
+                # triggered by later packets) recovers the frame.
+                continue
+            link_transmit(
+                size + HEADER_OVERHEAD, on_arrival, pn, (stream_id, offset, span, fin)
+            )
+        self._flight_bytes = flight_bytes
+        self._buffered = buffered
+        self._next_pn = next_pn
 
-    def _transmit(self, stream_id: int, offset: int, span: Span, fin: bool, size: int) -> None:
+    def _retransmit(self, entry: list, kind: str, lost_pn: int) -> None:
+        """Re-send one lost frame in a fresh packet (new packet number);
+        first sends are ``_pump``'s."""
+        stream_id, offset, span, fin, _timer, _sent_at, size = entry
+        if self._tracer is not None:
+            self._tracer.retransmit(self.name, lost_pn, kind)
         pn = self._next_pn
         self._next_pn = pn + 1
         timer = self._rto_lane.schedule(self._rto, self._on_timeout, pn)
         self._in_flight[pn] = [stream_id, offset, span, fin, timer, self._sim.now, size]
         self._flight_bytes += size
-        if self._conditions.loss_rate > 0 and self._rng.random() < self._conditions.loss_rate:
-            # Lost on the wire; the PTO (or packet-threshold detection
-            # triggered by later packets) recovers the frame.
-            return
+        loss_rate = self._conditions.loss_rate
+        if loss_rate > 0 and self._rng.random() < loss_rate:
+            return  # lost on the wire again; its PTO recovers it
         self._data_link.transmit(
             size + HEADER_OVERHEAD, self._on_packet_arrival, pn, (stream_id, offset, span, fin)
         )
-
-    _sample_rtt = _HalfConnection._sample_rtt
-
-    def _retransmit(self, entry: list, kind: str, pn: int) -> None:
-        """Re-send one lost frame in a fresh packet (new packet number)."""
-        stream_id, offset, span, fin, _timer, _sent_at, size = entry
-        if self._tracer is not None:
-            self._tracer.retransmit(self.name, pn, kind)
-        self._transmit(stream_id, offset, span, fin, size)
 
     def _on_timeout(self, pn: int) -> None:
         entry = self._in_flight.pop(pn, None)
@@ -313,14 +344,38 @@ class _QuicHalf:
             fresh = self._rcv_order[self._acked_count : count]
             self._acked_count = count
             fresh.sort()
+            # Unique packet numbers make every acknowledged packet a
+            # valid sample.  RFC 6298 runs on locals, in packet-number
+            # order, and the RTO, a function of the final (srtt,
+            # rttvar) alone, is derived once: nothing reads it between
+            # samples, and the retransmits below see the final value.
+            srtt = self._srtt
+            rttvar = self._rttvar
+            sampled = False
             for pn in fresh:
                 entry = in_flight.pop(pn, None)
                 if entry is None:
                     continue  # its PTO fired first; the frame went out again
+                sampled = True
                 entry[4][CANCELLED] = True
-                self._flight_bytes -= entry[6]
                 newly_acked += entry[6]
-                self._sample_rtt(now - entry[5])
+                rtt = now - entry[5]
+                if srtt == 0.0:
+                    srtt = rtt
+                    rttvar = rtt / 2.0
+                else:
+                    deviation = srtt - rtt
+                    if deviation < 0.0:
+                        deviation = -deviation
+                    rttvar = 0.75 * rttvar + 0.25 * deviation
+                    srtt = 0.875 * srtt + 0.125 * rtt
+            self._flight_bytes -= newly_acked
+            if sampled:
+                self._srtt = srtt
+                self._rttvar = rttvar
+                margin = 4.0 * rttvar
+                rto = srtt + (margin if margin > 10.0 else 10.0)
+                self._rto = 200.0 if rto < 200.0 else (rto if rto < 60_000.0 else 60_000.0)
         # Packet-threshold loss detection (RFC 9002): anything still in
         # flight that the ACK skipped by >= PACKET_THRESHOLD is lost.
         lost_pns = []
@@ -363,7 +418,25 @@ class _QuicHalf:
             self._rcv_order.append(pn)
             if pn > self._rcv_largest:
                 self._rcv_largest = pn
-            self._deliver_frame(frame)
+            stream_id, offset, span, fin = frame
+            state = self._streams.get(stream_id)
+            if state is None:
+                state = self._streams[stream_id] = [0, {}]
+            if state[0] == offset and not state[1]:
+                # In order on a stream with nothing parked, the common
+                # case: ``_deliver_frame`` + ``_deliver``, inline.
+                size = span.stop - span.start
+                state[0] = offset + size
+                self.bytes_delivered += size
+                receiver = self.receiver_endpoint
+                if receiver is not None:
+                    if stream_id == CONTROL_STREAM:
+                        if size and receiver.on_data is not None:
+                            receiver.on_data(span.tobytes())
+                    elif receiver.on_stream_data is not None:
+                        receiver.on_stream_data(stream_id, span, fin)
+            else:
+                self._deliver_frame(frame)
         if duplicate or len(received) <= self._rcv_largest:
             # A hole in the packet-number space (or a spurious
             # duplicate): ACK immediately so loss detection at the
@@ -373,7 +446,15 @@ class _QuicHalf:
             return
         self._packets_since_ack += 1
         if self._packets_since_ack >= DELAYED_ACK_SEGMENTS:
-            self._send_ack_now()
+            # ``_send_ack_now``, inline: every second packet ends here.
+            timer = self._ack_timer
+            if timer is not None:
+                timer[CANCELLED] = True
+                self._ack_timer = None
+            self._packets_since_ack = 0
+            self._ack_link.transmit(
+                ACK_SIZE, self._on_ack_arrival, len(self._rcv_order), self._rcv_largest
+            )
         elif self._ack_timer is None:
             self._ack_timer = self._ack_lane.schedule(
                 DELAYED_ACK_TIMEOUT_MS, self._send_ack_now

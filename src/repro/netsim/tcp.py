@@ -195,14 +195,16 @@ class _HalfConnection:
         # Congestion control policy (Reno reproduces the historical
         # inline window arithmetic bit for bit; see netsim.congestion).
         self._cc = make_congestion_control(conditions.congestion_control, conditions.mss)
-        #: seq -> (rto queue entry, send time, was retransmitted, end seq).
-        self._in_flight: Dict[int, Tuple[list, float, bool, int]] = {}
-        #: While no retransmission has occurred, ``_in_flight`` insertion
-        #: order equals sequence order, so the per-ACK scan can stop at
-        #: the first unacked entry instead of filtering the whole dict.
-        #: Any retransmission re-inserts out of order and permanently
-        #: drops back to the exhaustive (historical) scan.
-        self._ordered = True
+        #: First transmissions in flight, seq -> (rto queue entry, send
+        #: time, end seq).  ``_pump`` inserts in sequence order and an
+        #: entry only ever leaves, so the dict stays in sequence order
+        #: for the life of the connection: an ACK's entries are a
+        #: prefix, and all of them are valid RTT samples (Karn).
+        self._in_flight: Dict[int, Tuple[list, float, int]] = {}
+        #: Retransmitted segments in flight, seq -> (rto queue entry, end
+        #: seq): never sampled, and kept apart so ``_in_flight`` stays
+        #: in order.  A segment sits in at most one of the two.
+        self._retransmitted: Dict[int, Tuple[list, int]] = {}
         #: Dedicated timer lanes: RTO deadlines (now + rto) and delayed
         #: ACK deadlines (now + 5ms) are each near-monotone within their
         #: class, so arming is an append and cancelling a slot write.
@@ -244,7 +246,7 @@ class _HalfConnection:
 
     @property
     def fully_acked(self) -> bool:
-        return self._buffered == 0 and not self._in_flight
+        return self._buffered == 0 and not self._in_flight and not self._retransmitted
 
     def enqueue(self, data: bytes) -> int:
         size = len(data)
@@ -306,7 +308,7 @@ class _HalfConnection:
             buffered -= length
             seq = next_seq
             next_seq = seq + length
-            in_flight[seq] = (arm(rto, on_timeout, seq), now, False, next_seq)
+            in_flight[seq] = (arm(rto, on_timeout, seq), now, next_seq)
             if loss_rate > 0 and self._rng.random() < loss_rate:
                 # The segment is lost on the wire; the RTO timer recovers it.
                 continue
@@ -317,8 +319,7 @@ class _HalfConnection:
     def _retransmit(self, seq: int, length: int) -> None:
         """Send ``[seq, seq + length)`` again (first sends are ``_pump``'s)."""
         timer = self._rto_lane.schedule(self._rto, self._on_timeout, seq)
-        self._in_flight[seq] = (timer, self._sim.now, True, seq + length)
-        self._ordered = False
+        self._retransmitted[seq] = (timer, seq + length)
         loss_rate = self._conditions.loss_rate
         if loss_rate > 0 and self._rng.random() < loss_rate:
             return  # lost on the wire again; its new RTO timer recovers it
@@ -326,36 +327,27 @@ class _HalfConnection:
             length + HEADER_OVERHEAD, self._on_segment_arrival, seq, length
         )
 
-    def _sample_rtt(self, rtt: float) -> None:
-        """RFC 6298 smoothed RTT / RTO update (Karn's rule applied by
-        the caller: retransmitted segments are never sampled)."""
-        srtt = self._srtt
-        if srtt == 0.0:
-            srtt = rtt
-            rttvar = rtt / 2.0
-        else:
-            deviation = srtt - rtt
-            if deviation < 0.0:
-                deviation = -deviation
-            rttvar = 0.75 * self._rttvar + 0.25 * deviation
-            srtt = 0.875 * srtt + 0.125 * rtt
-        self._srtt = srtt
-        self._rttvar = rttvar
-        # min(max(srtt + max(4 * rttvar, 10), 200), 60 000), spelled as
-        # comparisons: this runs once per acknowledged segment.
-        margin = 4.0 * rttvar
-        rto = srtt + (margin if margin > 10.0 else 10.0)
-        self._rto = 200.0 if rto < 200.0 else (rto if rto < 60_000.0 else 60_000.0)
+    def _take_in_flight(self, seq: int) -> Optional[int]:
+        """Remove ``seq``'s flight entry, cancel its timer (a no-op when
+        it is the timer firing) and return its end sequence; None when
+        nothing for ``seq`` is in flight."""
+        entry = self._in_flight.pop(seq, None)
+        if entry is not None:
+            entry[0][CANCELLED] = True
+            return entry[2]
+        entry = self._retransmitted.pop(seq, None)
+        if entry is not None:
+            entry[0][CANCELLED] = True
+            return entry[1]
+        return None
 
     def _fast_retransmit(self) -> None:
         """Resend the segment at the left edge; shrink the window."""
-        entry = self._in_flight.pop(self._snd_una, None)
-        if entry is None:
+        end = self._take_in_flight(self._snd_una)
+        if end is None:
             # The hole was already repaired (an RTO fired first, or its
             # ACK is still in flight on a reordered return path).
             return
-        timer, _sent_at, _retx, end = entry
-        timer[CANCELLED] = True
         self._cc.on_fast_retransmit(self._sim.now)
         if self._tracer is not None:
             self._tracer.retransmit(self.name, self._snd_una, "fast")
@@ -365,9 +357,9 @@ class _HalfConnection:
         self._retransmit(self._snd_una, end - self._snd_una)
 
     def _on_timeout(self, seq: int) -> None:
-        if seq not in self._in_flight:
+        end = self._take_in_flight(seq)
+        if end is None:
             return
-        _old_timer, _sent_at, _retx, end = self._in_flight.pop(seq)
         self._cc.on_timeout(self._sim.now)
         self._rto = min(self._rto * 2.0, 60_000.0)  # exponential backoff
         if self._tracer is not None:
@@ -389,7 +381,7 @@ class _HalfConnection:
             # outstanding (RFC 5681: "an ACK that does not advance the
             # window while new data is in flight"); three in a row mark
             # the left-edge segment as lost.
-            if self._in_flight:
+            if self._in_flight or self._retransmitted:
                 self._dup_acks += 1
                 if self._dup_acks == 3:
                     self._fast_retransmit()
@@ -399,46 +391,42 @@ class _HalfConnection:
         self._snd_una = ack
         in_flight = self._in_flight
         now = self._sim.now
-        if self._ordered:
-            # Loss-free steady state: insertion order == seq order, so
-            # the acked entries are a prefix — stop at the first entry
-            # past the ACK instead of filtering the whole flight.  No
-            # retransmission has happened, so every entry is a valid
-            # sample (Karn); the RFC 6298 update of ``_sample_rtt`` runs
-            # here on locals, and the RTO, a function of the final
-            # (srtt, rttvar) alone, is derived once after the loop.
-            srtt = self._srtt
-            rttvar = self._rttvar
-            acked_seqs = []
-            for seq, entry in in_flight.items():
-                if entry[3] > ack:
-                    break
-                acked_seqs.append(seq)
-                entry[0][CANCELLED] = True
-                rtt = now - entry[1]
-                if srtt == 0.0:
-                    srtt = rtt
-                    rttvar = rtt / 2.0
-                else:
-                    deviation = srtt - rtt
-                    if deviation < 0.0:
-                        deviation = -deviation
-                    rttvar = 0.75 * rttvar + 0.25 * deviation
-                    srtt = 0.875 * srtt + 0.125 * rtt
-            if acked_seqs:
-                for seq in acked_seqs:
-                    del in_flight[seq]
-                self._srtt = srtt
-                self._rttvar = rttvar
-                margin = 4.0 * rttvar
-                rto = srtt + (margin if margin > 10.0 else 10.0)
-                self._rto = 200.0 if rto < 200.0 else (rto if rto < 60_000.0 else 60_000.0)
-        else:
-            for seq in [s for s, entry in in_flight.items() if entry[3] <= ack]:
-                timer, sent_at, retransmitted, _end = in_flight.pop(seq)
-                timer[CANCELLED] = True
-                if not retransmitted:
-                    self._sample_rtt(now - sent_at)
+        # ``_in_flight`` is in sequence order and holds first
+        # transmissions only, so the acked entries are a prefix — stop
+        # at the first entry past the ACK — and each is a valid sample
+        # (Karn).  The RFC 6298 update runs here on locals, and the
+        # RTO, a function of the final (srtt, rttvar) alone, is derived
+        # once after the loop.
+        srtt = self._srtt
+        rttvar = self._rttvar
+        acked_seqs = []
+        for seq, entry in in_flight.items():
+            if entry[2] > ack:
+                break
+            acked_seqs.append(seq)
+            entry[0][CANCELLED] = True
+            rtt = now - entry[1]
+            if srtt == 0.0:
+                srtt = rtt
+                rttvar = rtt / 2.0
+            else:
+                deviation = srtt - rtt
+                if deviation < 0.0:
+                    deviation = -deviation
+                rttvar = 0.75 * rttvar + 0.25 * deviation
+                srtt = 0.875 * srtt + 0.125 * rtt
+        if acked_seqs:
+            for seq in acked_seqs:
+                del in_flight[seq]
+            self._srtt = srtt
+            self._rttvar = rttvar
+            margin = 4.0 * rttvar
+            rto = srtt + (margin if margin > 10.0 else 10.0)
+            self._rto = 200.0 if rto < 200.0 else (rto if rto < 60_000.0 else 60_000.0)
+        retransmitted = self._retransmitted
+        if retransmitted:
+            for seq in [s for s, entry in retransmitted.items() if entry[1] <= ack]:
+                retransmitted.pop(seq)[0][CANCELLED] = True
         self._cc.on_ack(newly_acked, now)
         if self._tracer is not None:
             self._cc.trace_sample(

@@ -8,6 +8,8 @@ RTT") instead of carrying raw conversion factors around.
 
 from __future__ import annotations
 
+import math
+
 #: Number of bytes in a kilobyte / megabyte (SI, as used by the paper).
 KB = 1000
 MB = 1000 * 1000
@@ -53,22 +55,24 @@ def require_positive(name: str, value: float) -> float:
     """Validate that a configuration quantity is strictly positive.
 
     Raises :class:`repro.errors.ConfigError` so profile mistakes (zero
-    MSS, zero bandwidth) surface at construction time instead of as
-    divide-by-zero or silent stalls deep inside the simulator.
+    MSS, zero bandwidth, an infinite or NaN rate) surface at
+    construction time instead of as divide-by-zero or silent stalls deep
+    inside the simulator.
     """
     from .errors import ConfigError
 
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def require_non_negative(name: str, value: float) -> float:
-    """Validate that a quantity (delay, jitter) is zero or positive."""
+    """Validate that a quantity (delay, jitter) is zero or positive and
+    finite: an infinite delay would stall a load until its timeout."""
     from .errors import ConfigError
 
-    if not value >= 0:
-        raise ConfigError(f"{name} must be non-negative, got {value!r}")
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
     return value
 
 

@@ -107,6 +107,69 @@ def test_out_of_range_loss_rate_rejected():
         NetworkConditions(loss_rate=-0.1)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "rtt_ms",
+        "downlink_bytes_per_ms",
+        "uplink_bytes_per_ms",
+        "loss_rate",
+        "jitter_ms",
+        "server_delay_ms",
+        "mss",
+    ],
+)
+def test_non_finite_conditions_rejected(field, value):
+    # An infinite delay or rate used to construct and then stall the
+    # load until the simulator's timeout.
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=field):
+        NetworkConditions(**{field: value})
+
+
+def _impairment_specs():
+    from repro.netsim.impairment import (
+        BandwidthVariationSpec,
+        GilbertElliottLoss,
+        IIDLoss,
+        JitterSpec,
+        ReorderSpec,
+    )
+
+    ge = {"p_enter_bad": 0.1, "p_exit_bad": 0.3}
+    return [
+        (IIDLoss, {"rate": 0.1}, "rate"),
+        (GilbertElliottLoss, ge, "p_enter_bad"),
+        (GilbertElliottLoss, ge, "p_exit_bad"),
+        (GilbertElliottLoss, ge, "good_loss"),
+        (GilbertElliottLoss, ge, "bad_loss"),
+        (JitterSpec, {"max_ms": 2.0}, "max_ms"),
+        (ReorderSpec, {"rate": 0.1}, "rate"),
+        (ReorderSpec, {"rate": 0.1}, "extra_delay_ms"),
+        (BandwidthVariationSpec, {"amplitude": 0.2}, "amplitude"),
+        (BandwidthVariationSpec, {"amplitude": 0.2}, "interval_ms"),
+    ]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "spec, valid, field",
+    _impairment_specs(),
+    ids=[f"{spec.__name__}.{field}" for spec, _valid, field in _impairment_specs()],
+)
+def test_non_finite_impairment_fields_rejected(spec, valid, field, value):
+    from repro.errors import ConfigError
+
+    spec(**valid)  # the base arguments are valid
+    with pytest.raises(ConfigError, match=f"{spec.__name__}.{field}"):
+        spec(**{**valid, field: value})
+
+
 def test_unknown_congestion_control_rejected():
     from repro.errors import ConfigError
 

@@ -14,6 +14,8 @@ from repro.netsim.impairment import (
     JitterSpec,
     ReorderSpec,
 )
+from repro.netsim.link import SharedLink
+from repro.sim import Simulator
 
 
 def make_pipeline(config, seed=0):
@@ -63,11 +65,33 @@ def test_config_enabled_property():
 
 
 # -------------------------------------------------------------- pipeline
+# The pipeline holds state; ``SharedLink.transmit`` decides each
+# packet's fate, so every test below sends packets through a link.
+PROPAGATION = 25.0
+
+
+def make_link(config, seed=0):
+    sim = Simulator()
+    link = SharedLink(sim, 2000.0, PROPAGATION, impairments=make_pipeline(config, seed))
+    return sim, link
+
+
+def send(link, size=1000):
+    """Send one packet now: ``(dropped, arrival, serialization finish)``."""
+    dropped_before = link.impairments.packets_dropped
+    arrival = link.transmit(size, lambda: None)
+    return link.impairments.packets_dropped > dropped_before, arrival, link._busy_until
+
+
+def drops(config, seed, count):
+    _sim, link = make_link(config, seed)
+    return [send(link)[0] for _ in range(count)], link.impairments
+
+
 def test_iid_loss_rate_converges():
-    pipeline = make_pipeline(ImpairmentConfig(loss=IIDLoss(0.1)), seed=7)
-    drops = sum(1 for _ in range(20_000) if pipeline.packet_fate(0.0)[0])
-    assert drops / 20_000 == pytest.approx(0.1, abs=0.01)
-    assert pipeline.packets_dropped == drops
+    dropped, pipeline = drops(ImpairmentConfig(loss=IIDLoss(0.1)), 7, 20_000)
+    assert sum(dropped) / 20_000 == pytest.approx(0.1, abs=0.01)
+    assert pipeline.packets_dropped == sum(dropped)
     assert pipeline.packets_seen == 20_000
 
 
@@ -82,10 +106,9 @@ def test_gilbert_elliott_losses_are_bursty():
     iid_cfg = ImpairmentConfig(loss=IIDLoss(rate))
 
     def longest_run(config, seed):
-        pipeline = make_pipeline(config, seed)
         longest = current = 0
-        for _ in range(20_000):
-            if pipeline.packet_fate(0.0)[0]:
+        for dropped in drops(config, seed, 20_000)[0]:
+            if dropped:
                 current += 1
                 longest = max(longest, current)
             else:
@@ -101,19 +124,22 @@ def test_pipeline_is_deterministic_per_seed():
         jitter=JitterSpec(5.0),
         reorder=ReorderSpec(0.05),
     )
-    pipeline_a = make_pipeline(config, 11)
-    fates_a = [pipeline_a.packet_fate(float(t)) for t in range(500)]
+
+    def fates(seed):
+        _sim, link = make_link(config, seed)
+        return [send(link) for _ in range(500)]
+
     # Fresh pipeline, same seed: identical decisions and delays.
-    pipeline_b = make_pipeline(config, 11)
-    fates_b = [pipeline_b.packet_fate(float(t)) for t in range(500)]
-    assert fates_a == fates_b
+    assert fates(11) == fates(11)
 
 
 def test_different_seeds_differ():
     config = ImpairmentConfig(loss=IIDLoss(0.2), jitter=JitterSpec(5.0))
-    fates = lambda seed: [
-        make_pipeline(config, seed).packet_fate(float(t)) for t in range(200)
-    ]
+
+    def fates(seed):
+        _sim, link = make_link(config, seed)
+        return [send(link) for _ in range(200)]
+
     assert fates(1) != fates(2)
 
 
@@ -122,48 +148,68 @@ def test_dropped_packets_skip_jitter_and_reorder_draws():
     # surviving-packet jitter does not depend on how the drop would have
     # jittered.  Compare against a hand-rolled RNG replay.
     config = ImpairmentConfig(loss=IIDLoss(0.5), jitter=JitterSpec(10.0))
-    pipeline = make_pipeline(config, 5)
+    _sim, link = make_link(config, 5)
     shadow = random.Random(5)
     for _ in range(200):
-        dropped, extra = pipeline.packet_fate(0.0)
+        dropped, arrival, finish = send(link)
         assert dropped == (shadow.random() < 0.5)
         if not dropped:
-            assert extra == pytest.approx(shadow.random() * 10.0)
+            assert arrival == finish + (PROPAGATION + shadow.random() * 10.0)
 
 
 def test_jitter_bounded_by_max():
     config = ImpairmentConfig(jitter=JitterSpec(3.0))
-    pipeline = make_pipeline(config, 1)
+    _sim, link = make_link(config, 1)
     for _ in range(1000):
-        dropped, extra = pipeline.packet_fate(0.0)
+        dropped, arrival, finish = send(link)
         assert not dropped
-        assert 0.0 <= extra <= 3.0
+        assert 0.0 <= arrival - finish - PROPAGATION <= 3.0 + 1e-9
 
 
 def test_reorder_adds_extra_delay():
     config = ImpairmentConfig(reorder=ReorderSpec(rate=1.0, extra_delay_ms=25.0))
-    pipeline = make_pipeline(config, 1)
-    dropped, extra = pipeline.packet_fate(0.0)
+    _sim, link = make_link(config, 1)
+    dropped, arrival, finish = send(link)
     assert not dropped
-    assert extra == 25.0
-    assert pipeline.packets_reordered == 1
+    assert arrival == finish + (PROPAGATION + 25.0)
+    assert link.impairments.packets_reordered == 1
+
+
+def multipliers_at(config, times, seed=9):
+    """The fading multiplier each of packets sent at ``times`` got."""
+    sim, link = make_link(config, seed)
+    seen = []
+
+    def send_one():
+        send(link)
+        seen.append(link.impairments.rate_multiplier)
+
+    for when in times:
+        sim.schedule(when, send_one)
+    sim.run()
+    return seen
 
 
 def test_bandwidth_multiplier_piecewise_constant():
     config = ImpairmentConfig(
         bandwidth=BandwidthVariationSpec(amplitude=0.4, interval_ms=100.0)
     )
-    pipeline = make_pipeline(config, 9)
-    within = {pipeline.rate_multiplier(t) for t in (0.0, 10.0, 99.0)}
-    assert len(within) == 1  # constant within one interval
-    multiplier = within.pop()
-    assert 0.6 <= multiplier <= 1.4
-    later = pipeline.rate_multiplier(350.0)  # skips intervals lazily
-    assert 0.6 <= later <= 1.4
-    assert pipeline.rate_multiplier(351.0) == later
+    first, at_10, at_99, later, at_351 = multipliers_at(config, (0.0, 10.0, 99.0, 350.0, 351.0))
+    assert first == at_10 == at_99  # constant within one interval
+    assert 0.6 <= first <= 1.4
+    assert 0.6 <= later <= 1.4  # skips intervals lazily
+    assert at_351 == later
+
+
+def test_bandwidth_multiplier_scales_serialization():
+    config = ImpairmentConfig(
+        bandwidth=BandwidthVariationSpec(amplitude=0.4, interval_ms=100.0)
+    )
+    _sim, link = make_link(config, 9)
+    _dropped, _arrival, finish = send(link, size=2000)
+    assert finish == 2000 / (2000.0 * link.impairments.rate_multiplier)
+    assert finish != 1.0
 
 
 def test_bandwidth_multiplier_is_one_when_disabled():
-    pipeline = make_pipeline(ImpairmentConfig(loss=IIDLoss(0.01)), 1)
-    assert pipeline.rate_multiplier(0.0) == 1.0
-    assert pipeline.rate_multiplier(12345.0) == 1.0
+    assert multipliers_at(ImpairmentConfig(loss=IIDLoss(0.01)), (0.0, 12345.0), 1) == [1.0, 1.0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.netsim.link import SharedLink
 from repro.sim import Simulator
 
@@ -59,10 +60,10 @@ def test_byte_counter():
 
 def test_rejects_invalid_parameters():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        SharedLink(sim, 0, 10)
-    with pytest.raises(ValueError):
-        SharedLink(sim, 100, -1)
+    nan, inf = float("nan"), float("inf")
+    for rate, propagation in ((0, 10), (100, -1), (nan, 10), (inf, 10), (100, nan), (100, inf)):
+        with pytest.raises(ConfigError):
+            SharedLink(sim, rate, propagation)
     _sim, link = make_link()
     with pytest.raises(ValueError):
         link.transmit(0, lambda: None)

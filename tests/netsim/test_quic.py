@@ -7,9 +7,10 @@ import pytest
 from repro.errors import NetworkError
 from repro.netsim.conditions import DSL_TESTBED, NetworkConditions
 from repro.netsim.link import SharedLink
-from repro.netsim.quic import QuicConnection
+from repro.netsim.quic import QuicConnection, _QuicHalf
 from repro.netsim.tcp import DEFAULT_SEND_BUFFER, MSS, TcpConnection
 from repro.sim import Simulator
+from tests.support.rtt_reference import ReferenceEstimator
 
 
 def make_quic_connection(conditions=DSL_TESTBED, seed=0, tracer=None):
@@ -245,6 +246,54 @@ def test_impaired_transfer_is_seed_deterministic():
         return transfer(sim, conn, 150_000)
 
     assert run_once() == run_once()
+
+
+def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(monkeypatch):
+    """QUIC twin of the TCP test of the same name: ``_on_ack_arrival``
+    runs RFC 6298 inline and derives the RTO once per ACK.  After every
+    ACK of a ``LOSSY_DSL`` transfer ``(srtt, rttvar, rto)`` must be,
+    float for float, what the reference estimator reaches by being fed
+    each newly acknowledged packet, in packet-number order, one at a
+    time."""
+    from repro.netsim.conditions import LOSSY_DSL
+
+    sim, conn = make_impaired_quic_connection(LOSSY_DSL.impairment, seed=2, impairment_seed=11)
+    sender = conn._s2c
+    reference = ReferenceEstimator()
+    log = []
+    retransmissions = []
+    on_ack_arrival = _QuicHalf._on_ack_arrival
+    on_timeout = _QuicHalf._on_timeout
+    retransmit = _QuicHalf._retransmit
+
+    def checked_on_ack_arrival(half, count, largest):
+        if half is sender and count > half._acked_count:
+            now = sim.now
+            for pn in sorted(half._rcv_order[half._acked_count : count]):
+                if pn in half._in_flight:
+                    reference._sample_rtt(now - half._in_flight[pn][5])
+        on_ack_arrival(half, count, largest)
+        if half is sender:
+            log.append((half._srtt, half._rttvar, half._rto, bool(retransmissions)))
+            assert log[-1][:3] == reference.state()
+
+    def checked_on_timeout(half, pn):
+        if half is sender and pn in half._in_flight:
+            reference.back_off()
+        on_timeout(half, pn)
+
+    def noted_retransmit(half, entry, kind, pn):
+        if half is sender:
+            retransmissions.append(pn)
+        retransmit(half, entry, kind, pn)
+
+    monkeypatch.setattr(_QuicHalf, "_on_ack_arrival", checked_on_ack_arrival)
+    monkeypatch.setattr(_QuicHalf, "_on_timeout", checked_on_timeout)
+    monkeypatch.setattr(_QuicHalf, "_retransmit", noted_retransmit)
+    transfer(sim, conn, 600_000)
+    assert len(log) > 150
+    assert len({entry[:3] for entry in log}) > 100  # the estimator moved
+    assert len([entry for entry in log if entry[3]]) > 5  # ACKs after a loss
 
 
 def test_loss_recovery_emits_stream_recovered_trace():

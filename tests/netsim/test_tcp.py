@@ -14,6 +14,7 @@ from repro.netsim.tcp import (
     _HalfConnection,
 )
 from repro.sim import Simulator
+from tests.support.rtt_reference import ReferenceEstimator
 
 
 def make_connection(conditions=DSL_TESTBED, seed=0):
@@ -289,26 +290,14 @@ def test_impaired_transfer_is_seed_deterministic():
     assert run_once() == run_once()
 
 
-class _ReferenceEstimator:
-    """RFC 6298 state alone, moved only by ``_sample_rtt`` (and the
-    back-off line of ``_on_timeout``)."""
-
-    _sample_rtt = _HalfConnection._sample_rtt
-
-    def __init__(self):
-        self._srtt = 0.0
-        self._rttvar = 0.0
-        self._rto = 1_000.0
-
-
 @pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy_dsl"])
 def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(lossy, monkeypatch):
-    """``_on_ack``'s ordered loop carries the RFC 6298 arithmetic inline
-    and derives the RTO once per ACK.  After every ACK of a whole
-    transfer ``(srtt, rttvar, rto)`` must be, float for float, what a
-    reference reaches by feeding the same samples — every newly
-    acknowledged, never-retransmitted segment, in flight order —
-    through ``_sample_rtt`` one at a time."""
+    """``_on_ack`` carries the RFC 6298 arithmetic inline and derives
+    the RTO once per ACK.  After every ACK of a whole transfer ``(srtt,
+    rttvar, rto)`` must be, float for float, what the reference
+    estimator reaches by being fed the same samples — every newly
+    acknowledged, never-retransmitted segment, in sequence order — one
+    at a time."""
     from repro.netsim.conditions import LOSSY_DSL
 
     if lossy:
@@ -316,36 +305,48 @@ def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(lossy, monkeypatc
     else:
         sim, conn = make_connection()
     sender = conn._s2c
-    reference = _ReferenceEstimator()
+    reference = ReferenceEstimator()
     log = []
     on_ack = _HalfConnection._on_ack
     on_timeout = _HalfConnection._on_timeout
+    retransmit = _HalfConnection._retransmit
+    retransmissions = []
 
     def checked_on_ack(half, ack):
         if half is sender and ack > half._snd_una:
             now = sim.now
-            for _timer, sent_at, retransmitted, end in half._in_flight.values():
-                if end <= ack and not retransmitted:
+            for seq in sorted(half._in_flight):
+                _timer, sent_at, end = half._in_flight[seq]
+                if end <= ack:
                     reference._sample_rtt(now - sent_at)
         on_ack(half, ack)
         if half is sender:
-            log.append((half._srtt, half._rttvar, half._rto, half._ordered))
-            assert log[-1][:3] == (reference._srtt, reference._rttvar, reference._rto)
+            log.append((half._srtt, half._rttvar, half._rto, bool(retransmissions)))
+            assert log[-1][:3] == reference.state()
 
     def checked_on_timeout(half, seq):
-        if half is sender and seq in half._in_flight:
-            reference._rto = min(reference._rto * 2.0, 60_000.0)
+        if half is sender and (seq in half._in_flight or seq in half._retransmitted):
+            reference.back_off()
         on_timeout(half, seq)
+
+    def noted_retransmit(half, seq, length):
+        if half is sender:
+            retransmissions.append(seq)
+        retransmit(half, seq, length)
 
     monkeypatch.setattr(_HalfConnection, "_on_ack", checked_on_ack)
     monkeypatch.setattr(_HalfConnection, "_on_timeout", checked_on_timeout)
+    monkeypatch.setattr(_HalfConnection, "_retransmit", noted_retransmit)
     transfer(sim, conn, 600_000)
     assert len(log) > 150
     assert len({entry[:3] for entry in log}) > 100  # the estimator moved
-    # The clean transfer stays on the inlined loop to the end; the lossy
-    # one retransmits and finishes on the ``_sample_rtt`` branch.
-    assert [entry[3] for entry in log].count(True) > (150 if not lossy else 5)
-    assert log[-1][3] is (not lossy)
+    # The lossy transfer retransmits, and the ACKs after its first
+    # retransmission are checked on the same single loop.
+    after_loss = [entry for entry in log if entry[3]]
+    if lossy:
+        assert len(after_loss) > 5
+    else:
+        assert after_loss == []
 
 
 @pytest.mark.xfail(

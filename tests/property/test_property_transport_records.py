@@ -30,6 +30,7 @@ from repro.netsim.tcp import (
 )
 from repro.sim import CANCELLED, Simulator
 from repro.span import Span
+from tests.support.rtt_reference import sample_rtt
 
 SOURCE = random.Random(12).randbytes(420_000)
 
@@ -225,8 +226,11 @@ def test_quic_streams_reassemble_their_source(writes, rates, link_seed):
 class _RangesAckHalf(_QuicHalf):
     """Oracle: the ACK spelled out as RFC 9000 does — a cumulative floor
     plus every number received above it, matched against the whole
-    flight on arrival.  ``_QuicHalf`` sends how many packets the
-    receiver has instead and reads them off the arrival order."""
+    flight on arrival, each packet fed to the reference estimator.
+    ``_QuicHalf`` sends how many packets the receiver has instead and
+    reads them off the arrival order."""
+
+    _sample_rtt = sample_rtt
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
