@@ -168,6 +168,23 @@ def test_stream_plane_delivers_each_stream_exactly():
     assert delivered == payloads
 
 
+def test_bare_fin_is_sent_with_the_window_full():
+    # An empty frame carries only the stream-closing flag; it occupies no
+    # window, so it goes on the wire at once even when the flight fills
+    # the congestion window.
+    sim, conn = make_quic_connection()
+    out = conn.server._out
+    fins = []
+    conn.client.on_stream_data = lambda sid, span, fin: fin and fins.append((sid, sim.now))
+    conn.server.send_stream(1, b"x" * int(out._cc.cwnd))
+    assert out._flight_bytes == out._cc.cwnd and not out._buffer
+    packets = out._next_pn
+    assert conn.server.send_stream(3, b"", fin=True) == 0
+    assert out._next_pn == packets + 1
+    sim.run()
+    assert [sid for sid, _at in fins] == [3]
+
+
 def test_send_buffer_backpressure():
     _sim, conn = make_quic_connection()
     sent = conn.server.send(b"z" * (2 * DEFAULT_SEND_BUFFER))

@@ -238,6 +238,22 @@ def test_three_duplicate_acks_trigger_fast_retransmit():
     assert out._cc.cwnd < cwnd  # multiplicative decrease applied
 
 
+def test_duplicate_acks_count_while_only_retransmissions_are_in_flight():
+    # Retransmitted segments wait outside ``_in_flight``; they are still
+    # data in flight for RFC 5681's duplicate-ACK rule.
+    sim, conn = make_connection()
+    out = conn.server._out
+    conn.server.send(b"x" * 4000)
+    for seq in list(out._in_flight):
+        out._on_timeout(seq)  # every segment retransmitted once
+    assert not out._in_flight and len(out._retransmitted) == 3
+    timer = out._retransmitted[0][0]
+    for _ in range(3):
+        out._on_ack(out._snd_una)
+    assert out._dup_acks == 3
+    assert out._retransmitted[0][0] is not timer  # the third one resent it
+
+
 def test_cubic_transfer_completes_in_order():
     from dataclasses import replace
 
