@@ -1,8 +1,10 @@
 """A from-scratch HTTP/2 implementation (RFC 7540 + RFC 7541).
 
-Frames, HPACK, streams, flow control, the priority dependency tree, and
-connection logic — everything Server Push needs, running over the
-simulated TCP byte stream.
+Frames, HPACK, streams, the priority dependency tree, and connection
+logic — everything Server Push needs, running over the simulated TCP
+byte stream.  Flow-control windows are plain int fields on
+:class:`H2Stream` and :class:`H2Connection`; the connection enforces
+RFC 7540 §6.9 where WINDOW_UPDATE, SETTINGS and DATA arrive.
 """
 
 from .connection import H2Connection
@@ -17,7 +19,6 @@ from .constants import (
     SettingCode,
     StreamState,
 )
-from .flow_control import FlowControlWindow, ReceiveWindow
 from .frames import (
     ContinuationFrame,
     DataFrame,
@@ -47,7 +48,6 @@ __all__ = [
     "DataFrame",
     "ErrorCode",
     "Flag",
-    "FlowControlWindow",
     "Frame",
     "FrameReader",
     "FrameType",
@@ -60,7 +60,6 @@ __all__ = [
     "PriorityFrame",
     "PriorityTree",
     "PushPromiseFrame",
-    "ReceiveWindow",
     "RstStreamFrame",
     "SettingCode",
     "Settings",

@@ -21,16 +21,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import ProtocolError, StreamError
+from ..errors import FlowControlError, ProtocolError, StreamError
 from ..netsim.tcp import TcpEndpoint
 from .constants import (
     CONNECTION_PREFACE,
+    DEFAULT_INITIAL_WINDOW_SIZE,
     DEFAULT_WEIGHT,
+    MAX_WINDOW_SIZE,
     ErrorCode,
     Flag,
     StreamState,
 )
-from .flow_control import FlowControlWindow, ReceiveWindow
 from .frames import (
     ContinuationFrame,
     DataFrame,
@@ -132,8 +133,13 @@ class H2Connection:
         self._chunk_size = chunk_size
 
         self._next_stream_id = 1 if role == "client" else 2
-        self._conn_send_window = FlowControlWindow()
-        self._conn_recv_window = ReceiveWindow()
+        # Connection flow control (RFC 7540 §6.9): both windows start at
+        # 65 535 whatever the SETTINGS say (§6.9.2).  The receive side
+        # keeps the capacity this endpoint has advertised and the octets
+        # received since it last credited the peer.
+        self._conn_send_window = DEFAULT_INITIAL_WINDOW_SIZE
+        self._conn_recv_capacity = DEFAULT_INITIAL_WINDOW_SIZE
+        self._conn_recv_unacked = 0
         self._control_queue: Deque[bytes] = deque()
         #: Streams with body left to send: every stream handed body
         #: bytes (or a pending zero-length END_STREAM) that has not yet
@@ -177,8 +183,9 @@ class H2Connection:
         if self.role == "client":
             self._control_queue.append(CONNECTION_PREFACE)
         self._queue_wire("SETTINGS", 0, pack_settings(0, 0, self.local_settings.as_dict()))
-        grow = self._conn_recv_window.grow(_CONNECTION_RECV_WINDOW)
-        if grow > 0 and self.role == "client":
+        grow = _CONNECTION_RECV_WINDOW - self._conn_recv_capacity
+        self._conn_recv_capacity = _CONNECTION_RECV_WINDOW
+        if self.role == "client":
             # Chromium-style: immediately enlarge the connection window.
             self._queue_wire("WINDOW_UPDATE", 0, pack_window_update(0, 0, grow))
         self._pump()
@@ -428,7 +435,7 @@ class H2Connection:
         """
         streams = self.streams
         ready = self._ready
-        window_open = self._conn_send_window._window > 0
+        window_open = self._conn_send_window > 0
         for stream_id in stream_ids:
             stream = streams[stream_id]
             if (window_open or not stream._queued_bytes) and stream.wants_to_send():
@@ -455,7 +462,6 @@ class H2Connection:
         # a replay.
         half = self._endpoint._out
         streams = self.streams
-        conn_window = self._conn_send_window
         scheduler = self.scheduler
         tree_select = self.priority_tree.select
         charge = self.priority_tree.charge
@@ -490,7 +496,7 @@ class H2Connection:
                 budget = chunk_size
             if max_frame < budget:
                 budget = max_frame
-            available = conn_window._window
+            available = self._conn_send_window
             if available < budget:
                 budget = available if available > 0 else 0
             span, end, more = stream.take(budget)
@@ -499,9 +505,8 @@ class H2Connection:
                 # Stream was ready only for a pause boundary; try others.
                 return
             # ``take`` consumed the stream window; the connection's is
-            # ours (FlowControlWindow.consume, inlined: the budget was
-            # capped by it above).
-            conn_window._window = available = available - sent
+            # ours (the budget was capped by it above).
+            self._conn_send_window = available = available - sent
             emit(stream_id, span, end)
             self.frames_sent += 1
             if self._tracer is not None:
@@ -595,28 +600,25 @@ class H2Connection:
         if stream is not None and stream.state is not _CLOSED:
             end = raw_flags & _END_STREAM_RAW
             stream.bytes_received += size
-            # Inlined ReceiveWindow.on_data for the stream window: always
-            # account the bytes; emit credit once half the window is
-            # spent (suppressed when the stream just ended).
-            recv_window = stream.recv_window
-            consumed = recv_window._consumed_since_update + size
-            if consumed * 2 > recv_window._capacity:
-                recv_window._consumed_since_update = 0
+            # Count the octets against the stream's and the connection's
+            # receive windows; credit a window back to full once more
+            # than half of it is spent since the last credit (no stream
+            # credit when the stream just ended).
+            unacked = stream.recv_unacked + size
+            if unacked * 2 > self.local_settings._values[INITIAL_WINDOW_SIZE]:
+                stream.recv_unacked = 0
                 if not end:
                     self._queue_wire(
-                        "WINDOW_UPDATE", stream_id, pack_window_update(stream_id, 0, consumed)
+                        "WINDOW_UPDATE", stream_id, pack_window_update(stream_id, 0, unacked)
                     )
             else:
-                recv_window._consumed_since_update = consumed
-            conn_window = self._conn_recv_window
-            conn_consumed = conn_window._consumed_since_update + size
-            if conn_consumed * 2 > conn_window._capacity:
-                conn_window._consumed_since_update = 0
-                self._queue_wire(
-                    "WINDOW_UPDATE", 0, pack_window_update(0, 0, conn_consumed)
-                )
+                stream.recv_unacked = unacked
+            unacked = self._conn_recv_unacked + size
+            if unacked * 2 > self._conn_recv_capacity:
+                self._conn_recv_unacked = 0
+                self._queue_wire("WINDOW_UPDATE", 0, pack_window_update(0, 0, unacked))
             else:
-                conn_window._consumed_since_update = conn_consumed
+                self._conn_recv_unacked = unacked
             if size and self.on_data is not None:
                 self.on_data(stream_id, span)
             if end:
@@ -655,10 +657,18 @@ class H2Connection:
         self.remote_settings.apply(frame.settings)
         new_window = self.remote_settings.initial_window_size
         if new_window != old_window:
+            # §6.9.2: the change applies to every open stream's window;
+            # it may drive a window negative, never past 2^31-1.
             delta = new_window - old_window
             for stream in self.streams.values():
-                if not stream.closed:
-                    stream.send_window.adjust_initial(delta)
+                if stream.state is not _CLOSED:
+                    window = stream.send_window + delta
+                    if window > MAX_WINDOW_SIZE:
+                        raise FlowControlError(
+                            f"SETTINGS_INITIAL_WINDOW_SIZE {new_window} overflows "
+                            f"stream {stream.stream_id}'s window"
+                        )
+                    stream.send_window = window
             self._refresh_ready(self._send_candidates)
         if HEADER_TABLE_SIZE in frame.settings:
             self._encoder.set_max_table_size(frame.settings[HEADER_TABLE_SIZE])
@@ -758,17 +768,24 @@ class H2Connection:
         self._pump()
 
     def _handle_window_update(self, frame: WindowUpdateFrame) -> None:
+        # Frame parsing has refused a zero increment (§6.9); what is
+        # left is §6.9.1's ceiling on the window it grows.
         stream_id = frame.stream_id
         if stream_id == 0:
-            window = self._conn_send_window
-            was_closed = window._window <= 0
-            window.replenish(frame.increment)
-            if was_closed and window._window > 0:
+            was_closed = self._conn_send_window <= 0
+            window = self._conn_send_window + frame.increment
+            if window > MAX_WINDOW_SIZE:
+                raise FlowControlError("WINDOW_UPDATE overflows the connection window")
+            self._conn_send_window = window
+            if was_closed and window > 0:
                 self._refresh_ready(self._send_candidates)
         else:
             stream = self.streams.get(stream_id)
             if stream is not None and stream.state is not _CLOSED:
-                stream.send_window.replenish(frame.increment)
+                window = stream.send_window + frame.increment
+                if window > MAX_WINDOW_SIZE:
+                    raise FlowControlError(f"WINDOW_UPDATE overflows stream {stream_id}'s window")
+                stream.send_window = window
                 self._refresh_ready((stream_id,))
 
     def _handle_rst(self, frame: RstStreamFrame) -> None:
@@ -794,11 +811,7 @@ class H2Connection:
     def _get_or_create_stream(self, stream_id: int) -> H2Stream:
         stream = self.streams.get(stream_id)
         if stream is None:
-            stream = H2Stream(
-                stream_id,
-                self.remote_settings._values[INITIAL_WINDOW_SIZE],
-                self.local_settings._values[INITIAL_WINDOW_SIZE],
-            )
+            stream = H2Stream(stream_id, self.remote_settings._values[INITIAL_WINDOW_SIZE])
             if self._tracer is not None:
                 stream.tracer = self._tracer
                 stream.trace_conn = self._trace_name

@@ -3,10 +3,14 @@
 Each :class:`H2Stream` tracks the RFC lifecycle plus the send-side
 machinery the connection's pump needs: the body and a cursor into it,
 an optional *pause point* (used by the interleaving scheduler to stop
-the HTML stream at a byte offset), and flow-control windows.  The body
-is never cut up: :meth:`H2Stream.take` hands the pump a
-:class:`~repro.span.Span` of it, advances the cursor and consumes the
-stream's send window — one call per DATA frame.
+the HTML stream at a byte offset), and two flow-control counts as plain
+ints: ``send_window``, the octets the peer still admits (RFC 7540
+§6.9.1; a SETTINGS decrease can drive it negative, §6.9.2), and
+``recv_unacked``, the octets received since this endpoint last credited
+the stream.  The connection owns every window rule; the stream only
+stores the counts.  The body is never cut up: :meth:`H2Stream.take`
+hands the pump a :class:`~repro.span.Span` of it, advances the cursor
+and consumes the stream's send window — one call per DATA frame.
 
 Hot-path note: :meth:`wants_to_send` is the one definition of stream
 readiness — the connection re-evaluates it for a stream whenever one
@@ -24,7 +28,6 @@ from typing import List, Optional, Tuple
 from ..errors import StreamError
 from ..span import Span
 from .constants import ErrorCode, StreamState
-from .flow_control import FlowControlWindow, ReceiveWindow
 
 Header = Tuple[str, str]
 
@@ -44,7 +47,7 @@ class H2Stream:
         "stream_id",
         "state",
         "send_window",
-        "recv_window",
+        "recv_unacked",
         "request_headers",
         "response_headers",
         "_body",
@@ -60,11 +63,11 @@ class H2Stream:
         "trace_conn",
     )
 
-    def __init__(self, stream_id: int, initial_send_window: int, initial_recv_window: int):
+    def __init__(self, stream_id: int, initial_send_window: int):
         self.stream_id = stream_id
         self.state = _IDLE
-        self.send_window = FlowControlWindow(initial_send_window)
-        self.recv_window = ReceiveWindow(initial_recv_window)
+        self.send_window = initial_send_window
+        self.recv_unacked = 0
 
         #: Request/response headers seen on this stream.
         self.request_headers: Optional[List[Header]] = None
@@ -198,7 +201,7 @@ class H2Stream:
 
     def sendable_bytes(self) -> int:
         """Bytes the pump may emit now: queue, window, and pause cap."""
-        window = self.send_window._window
+        window = self.send_window
         limit = self._queued_bytes if self._queued_bytes < window else window
         if limit < 0:
             limit = 0
@@ -236,8 +239,7 @@ class H2Stream:
         not end the stream.
         """
         queued = self._queued_bytes
-        send_window = self.send_window
-        window = send_window._window
+        window = self.send_window
         size = queued if queued < window else window
         if budget < size:
             size = budget
@@ -251,7 +253,7 @@ class H2Stream:
         self._cursor = stop = cursor + size
         self._queued_bytes = queued = queued - size
         self.bytes_sent = sent = sent + size
-        send_window._window = window = window - size
+        self.send_window = window = window - size
         more = queued > 0 and window > 0 and (pause_at is None or pause_at > sent)
         end = self._end_after_queue and not queued
         return Span(self._body, cursor, stop), end, more

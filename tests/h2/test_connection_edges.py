@@ -83,7 +83,7 @@ def test_settings_shrink_adjusts_open_stream_windows():
     server.on_request = on_request
     client.request(REQUEST)
     sim.run()
-    before = server.streams[opened["sid"]].send_window.available
+    before = server.streams[opened["sid"]].send_window
     # Client shrinks its advertised window mid-connection.
     from repro.h2.frames import SettingsFrame
     from repro.h2.constants import SettingCode
@@ -91,7 +91,7 @@ def test_settings_shrink_adjusts_open_stream_windows():
     server._handle_settings(
         SettingsFrame(stream_id=0, settings={int(SettingCode.INITIAL_WINDOW_SIZE): 50_000})
     )
-    after = server.streams[opened["sid"]].send_window.available
+    after = server.streams[opened["sid"]].send_window
     assert after == before - 50_000
 
 

@@ -8,7 +8,7 @@ from repro.h2.stream import H2Stream
 
 
 def make_stream(stream_id=1):
-    return H2Stream(stream_id, initial_send_window=65_535, initial_recv_window=65_535)
+    return H2Stream(stream_id, initial_send_window=65_535)
 
 
 class TestLifecycle:
@@ -54,7 +54,7 @@ class TestSendQueue:
         assert span.source is body  # a window onto the body, not a copy
         assert span.tobytes() == b"hello"
         assert not end and more
-        assert stream.send_window.available == 65_535 - 5  # take consumes it
+        assert stream.send_window == 65_535 - 5  # take consumes it
         span, end, more = stream.take(100)
         assert (span.start, span.stop) == (5, 11)
         assert span.tobytes() == b" world"
@@ -67,7 +67,7 @@ class TestSendQueue:
             stream.queue_body(b"y", end_stream=False)
 
     def test_sendable_respects_flow_window(self):
-        stream = H2Stream(1, initial_send_window=100, initial_recv_window=65_535)
+        stream = H2Stream(1, initial_send_window=100)
         stream.open_local()
         stream.queue_body(b"z" * 500, end_stream=False)
         assert stream.sendable_bytes() == 100

@@ -35,7 +35,7 @@ from tests.property.test_property_priority import apply_operations, tree_operati
 # ----------------------------------------------------------------------
 def ready_by_rescan(conn):
     """The old ``_ready_streams`` filter over every stream of ``conn``."""
-    window_open = conn._conn_send_window.available > 0
+    window_open = conn._conn_send_window > 0
     ready = set()
     for stream_id, stream in conn.streams.items():
         if stream.closed:
@@ -204,7 +204,7 @@ def test_ready_set_matches_a_rescan_at_every_step(
     )
     # The client's start-up WINDOW_UPDATE opened the connection window
     # to 15 MiB; a window that hits zero mid-burst has to be set by hand.
-    server._conn_send_window._window = connection_window
+    server._conn_send_window = connection_window
     server.scheduler = CheckingScheduler()
     opened = []
 
