@@ -183,10 +183,11 @@ class H2Connection:
         if self.role == "client":
             self._control_queue.append(CONNECTION_PREFACE)
         self._queue_wire("SETTINGS", 0, pack_settings(0, 0, self.local_settings.as_dict()))
-        grow = _CONNECTION_RECV_WINDOW - self._conn_recv_capacity
-        self._conn_recv_capacity = _CONNECTION_RECV_WINDOW
         if self.role == "client":
             # Chromium-style: immediately enlarge the connection window.
+            # A server advertises nothing, so it keeps 65 535.
+            grow = _CONNECTION_RECV_WINDOW - self._conn_recv_capacity
+            self._conn_recv_capacity = _CONNECTION_RECV_WINDOW
             self._queue_wire("WINDOW_UPDATE", 0, pack_window_update(0, 0, grow))
         self._pump()
 
@@ -603,9 +604,16 @@ class H2Connection:
             # Count the octets against the stream's and the connection's
             # receive windows; credit a window back to full once more
             # than half of it is spent since the last credit (no stream
-            # credit when the stream just ended).
+            # credit when the stream just ended).  More than the whole
+            # window is DATA the peer was never offered (§6.9.1).
             unacked = stream.recv_unacked + size
-            if unacked * 2 > self.local_settings._values[INITIAL_WINDOW_SIZE]:
+            capacity = self.local_settings._values[INITIAL_WINDOW_SIZE]
+            if unacked * 2 > capacity:
+                if unacked > capacity:
+                    raise FlowControlError(
+                        f"{unacked} DATA octets on stream {stream_id} exceed its "
+                        f"{capacity}-octet window"
+                    )
                 stream.recv_unacked = 0
                 if not end:
                     self._queue_wire(
@@ -614,7 +622,12 @@ class H2Connection:
             else:
                 stream.recv_unacked = unacked
             unacked = self._conn_recv_unacked + size
-            if unacked * 2 > self._conn_recv_capacity:
+            capacity = self._conn_recv_capacity
+            if unacked * 2 > capacity:
+                if unacked > capacity:
+                    raise FlowControlError(
+                        f"{unacked} DATA octets exceed the {capacity}-octet connection window"
+                    )
                 self._conn_recv_unacked = 0
                 self._queue_wire("WINDOW_UPDATE", 0, pack_window_update(0, 0, unacked))
             else:

@@ -11,9 +11,10 @@ the ones the RFC allows as stream errors.
 import pytest
 
 from repro.errors import FlowControlError, ProtocolError
-from repro.h2 import Settings
+from repro.h2 import H2Connection, Settings
+from repro.mechanisms.h2quic import H2OverQuicConnection
+from repro.span import Span
 from tests.support.h2peer import (
-    DATA,
     FLOW_CONTROL_ERROR,
     MAX_WINDOW,
     PROTOCOL_ERROR,
@@ -50,9 +51,9 @@ def server_with_request(body: int = 0, local: Settings = None, end_stream: bool 
     return peer
 
 
-def client_with_response(local: Settings = None):
+def client_with_response(local: Settings = None, cls=H2Connection):
     """A client under test whose stream 1 has its response HEADERS."""
-    peer = H2Peer("client", settings=local)
+    peer = H2Peer("client", settings=local, cls=cls)
     peer.conn.request(REQUEST)
     peer.handshake()
     peer.send(peer.headers(1, fields=RESPONSE))
@@ -175,7 +176,6 @@ def test_data_filling_the_stream_window_is_accepted():
     assert [(f.stream_id, f.increment) for f in updates] == [(1, 1_000)]
 
 
-@pytest.mark.xfail(strict=True, reason="the receive windows are not checked yet")
 def test_data_beyond_the_stream_window_is_flow_control_error():
     # §6.9.1: a receiver MUST treat DATA beyond the window it advertised
     # as a FLOW_CONTROL_ERROR.
@@ -185,7 +185,18 @@ def test_data_beyond_the_stream_window_is_flow_control_error():
     assert excinfo.value.error_code == FLOW_CONTROL_ERROR
 
 
-@pytest.mark.xfail(strict=True, reason="the receive windows are not checked yet")
+def test_data_beyond_the_stream_window_over_quic_is_flow_control_error():
+    # §6.9.1 holds on either transport: over QUIC a body arrives as
+    # stream bytes, not DATA frames, and meets the same windows.
+    peer = client_with_response(Settings(initial_window_size=1_000), H2OverQuicConnection)
+    peer.endpoint.on_stream_data(1, Span(b"d" * 1_000), False)
+    updates = of_type(peer.receive(), WINDOW_UPDATE)
+    assert [(f.stream_id, f.increment) for f in updates] == [(1, 1_000)]
+    with pytest.raises(FlowControlError) as excinfo:
+        peer.endpoint.on_stream_data(1, Span(b"d" * 1_001), False)
+    assert excinfo.value.error_code == FLOW_CONTROL_ERROR
+
+
 def test_data_beyond_the_client_connection_window_is_flow_control_error():
     # §6.9.1: the client advertised 15 MiB on the connection (its
     # WINDOW_UPDATE at start-up); one octet more is an error even where
@@ -197,7 +208,6 @@ def test_data_beyond_the_client_connection_window_is_flow_control_error():
     assert excinfo.value.error_code == FLOW_CONTROL_ERROR
 
 
-@pytest.mark.xfail(strict=True, reason="a server's connection window is 15 MiB unadvertised")
 def test_data_beyond_the_server_connection_window_is_flow_control_error():
     # §6.9.1 with §6.9.2: a server advertises no connection credit at
     # start-up, so its connection window is the 65 535-octet default.
@@ -250,14 +260,14 @@ def test_client_credits_a_stream_once_half_its_window_is_spent():
 
 
 def test_no_stream_credit_for_the_final_data():
-    # A stream that ends needs no more credit: only the connection's.
+    # More than half the window is spent, but a stream that has ended
+    # needs no more credit.
     local = Settings(initial_window_size=1_000)
     peer = client_with_response(local)
     peer.send(data(1, 600, end_stream=True))
     assert of_type(peer.receive(), WINDOW_UPDATE) == []
 
 
-@pytest.mark.xfail(strict=True, reason="a server's connection window is 15 MiB unadvertised")
 def test_server_credits_the_connection_by_the_octets_consumed():
     # A server's connection window is the 65 535 it advertised, so it
     # credits once more than 32 767 octets are spent.
@@ -266,4 +276,3 @@ def test_server_credits_the_connection_by_the_octets_consumed():
     peer.send(data(1, 16_384), data(1, 16_384))
     updates = of_type(peer.receive(), WINDOW_UPDATE)
     assert [(f.stream_id, f.increment) for f in updates] == [(0, 32_768)]
-    assert of_type(peer.receive(), DATA) == []

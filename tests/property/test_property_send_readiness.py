@@ -29,6 +29,8 @@ from repro.server.scheduler import InterleavingScheduler
 from tests.h2.test_connection import REQUEST, make_pair
 from tests.property.test_property_priority import apply_operations, tree_operations
 
+INITIAL_WINDOW = int(SettingCode.INITIAL_WINDOW_SIZE)
+
 
 # ----------------------------------------------------------------------
 # oracles: the replaced code
@@ -254,14 +256,23 @@ def test_ready_set_matches_a_rescan_at_every_step(
             stream = server.streams[stream_id_at(op[1])]
             if not stream._end_after_queue:
                 server.send_body(stream.stream_id, b"b" * op[2], end_stream=op[3])
+        # The client's receive windows hold the server to what the client
+        # advertised (RFC 7540 §6.9.1), so credit sent by hand is booked
+        # as the client's own: it lowers the octets it has yet to credit.
         elif kind == "stream_update":
-            from_client(WindowUpdateFrame(stream_id=stream_id_at(op[1]), increment=op[2]))
+            stream = client.streams.get(stream_id_at(op[1]))
+            if stream is not None:  # its PUSH_PROMISE has arrived
+                stream.recv_unacked -= op[2]
+                from_client(WindowUpdateFrame(stream_id=stream.stream_id, increment=op[2]))
         elif kind == "connection_update":
+            client._conn_recv_unacked -= op[1]
             from_client(WindowUpdateFrame(stream_id=0, increment=op[1]))
         elif kind == "initial_window":
-            from_client(
-                SettingsFrame(stream_id=0, settings={int(SettingCode.INITIAL_WINDOW_SIZE): op[1]})
-            )
+            # The client's capacity only grows: DATA the server sent under
+            # a larger value may still be in flight when it shrinks.
+            local = client.local_settings._values
+            local[INITIAL_WINDOW] = max(local[INITIAL_WINDOW], op[1])
+            from_client(SettingsFrame(stream_id=0, settings={INITIAL_WINDOW: op[1]}))
         elif kind == "client_reset":
             if stream_id_at(op[1]) in client.streams:  # its PUSH_PROMISE has arrived
                 client.reset_stream_raw(stream_id_at(op[1]), ErrorCode.CANCEL)

@@ -150,6 +150,11 @@ class _PipeOut:
         self.wire += frame(DATA, flags, stream_id, span.source[span.start : span.stop])
         return True
 
+    def enqueue_stream(self, stream_id: int, span, fin: bool) -> int:
+        # A QUIC body stream's bytes, shown to the peer as DATA too.
+        self.enqueue_record(0, (stream_id, span, END_STREAM if fin else 0))
+        return span.stop - span.start
+
 
 class PipeEndpoint:
     """What ``H2Connection`` uses of a transport endpoint, over a byte pipe."""
@@ -157,6 +162,8 @@ class PipeEndpoint:
     def __init__(self, name: str):
         self.name = name
         self.on_data = self.on_record = self.on_writable = None
+        #: Installed by ``H2OverQuicConnection`` only: QUIC body bytes.
+        self.on_stream_data = None
         self._out = _PipeOut()
 
     def release(self) -> None:
@@ -166,9 +173,9 @@ class PipeEndpoint:
 class H2Peer:
     """The far end of one ``H2Connection`` whose ``role`` is given."""
 
-    def __init__(self, role: str, settings: Optional[Settings] = None):
+    def __init__(self, role: str, settings: Optional[Settings] = None, cls=H2Connection):
         self.endpoint = PipeEndpoint(f"{role}-under-test")
-        self.conn = H2Connection(self.endpoint, role, settings=settings)
+        self.conn = cls(self.endpoint, role, settings=settings)
         #: A client under test opens its output with the preface.
         self._expect_preface = role == "client"
         self._inbox = b""
