@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..errors import ProtocolError
+from ..errors import FlowControlError, ProtocolError
 from .constants import (
     DEFAULT_HEADER_TABLE_SIZE,
     DEFAULT_INITIAL_WINDOW_SIZE,
     DEFAULT_MAX_FRAME_SIZE,
     MAX_WINDOW_SIZE,
-    ErrorCode,
     SettingCode,
 )
 
@@ -47,10 +46,9 @@ class Settings:
     def _set(self, code: int, value: int) -> None:
         if code == ENABLE_PUSH and value not in (0, 1):
             raise ProtocolError("ENABLE_PUSH must be 0 or 1")
-        if code == INITIAL_WINDOW_SIZE and value > MAX_WINDOW_SIZE:
-            raise ProtocolError(
-                "INITIAL_WINDOW_SIZE too large", ErrorCode.FLOW_CONTROL_ERROR
-            )
+        if code == INITIAL_WINDOW_SIZE and not 0 <= value <= MAX_WINDOW_SIZE:
+            # §6.5.2; a negative value can only come from a config.
+            raise FlowControlError(f"INITIAL_WINDOW_SIZE {value} outside 0..2^31-1")
         if code == MAX_FRAME_SIZE and not (
             DEFAULT_MAX_FRAME_SIZE <= value <= 16_777_215
         ):

@@ -158,7 +158,7 @@ def test_initial_window_above_the_maximum_is_flow_control_error():
     # §6.5.2: SETTINGS_INITIAL_WINDOW_SIZE above 2^31-1 is a
     # FLOW_CONTROL_ERROR.
     peer = H2Peer("server")
-    with pytest.raises(ProtocolError) as excinfo:
+    with pytest.raises(FlowControlError) as excinfo:
         peer.handshake({SETTINGS_INITIAL_WINDOW_SIZE: MAX_WINDOW + 1})
     assert excinfo.value.error_code == FLOW_CONTROL_ERROR
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import FlowControlError, ProtocolError
 from repro.h2.constants import SettingCode
 from repro.h2.settings import Settings
 
@@ -45,8 +45,10 @@ def test_invalid_enable_push_rejected():
 
 
 def test_invalid_window_rejected():
-    with pytest.raises(ProtocolError):
-        Settings(initial_window_size=2**31)
+    # §6.5.2: 0..2^31-1; a negative window can only come from a config.
+    for value in (2**31, -1):
+        with pytest.raises(FlowControlError):
+            Settings(initial_window_size=value)
 
 
 def test_invalid_frame_size_rejected():
