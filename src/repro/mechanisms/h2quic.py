@@ -15,6 +15,11 @@ mapping onto the wire (an HTTP/3-flavored framing, simplified):
   header — with END_STREAM mapped to the QUIC fin.  A loss on one
   body stream therefore stalls only that resource, while TCP would
   hold every multiplexed byte behind the hole.
+* **The same windows.**  A body received on a QUIC stream enters
+  ``_on_data_record`` as a DATA frame would, so HTTP/2 flow control
+  (RFC 7540 §6.9, the int windows of the parent class) counts it,
+  credits it and refuses an overrun exactly as over TCP; QUIC's own
+  stream and connection limits are not modelled.
 
 Because control frames are ordered only among themselves, body bytes
 can arrive for a pushed stream before its PUSH_PROMISE; the adapter

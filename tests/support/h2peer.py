@@ -77,11 +77,6 @@ class Frame(NamedTuple):
         """§6.9: a WINDOW_UPDATE's Window Size Increment."""
         return struct.unpack(">I", self.payload)[0] & 0x7FFFFFFF
 
-    @property
-    def settings(self) -> Dict[int, int]:
-        """§6.5.1: a SETTINGS frame's parameters, six octets each."""
-        return dict(struct.iter_unpack(">HI", self.payload))
-
 
 def frame(type_: int, flags: int, stream_id: int, payload: bytes = b"") -> bytes:
     length = len(payload)
@@ -101,26 +96,17 @@ def data(stream_id: int, size: int, end_stream: bool = False) -> bytes:
     return frame(DATA, END_STREAM if end_stream else 0, stream_id, b"d" * size)
 
 
-def _hpack_int(value: int) -> bytes:
-    """RFC 7541 §5.1 with a 7-bit prefix (a string length, H = 0)."""
-    if value < 127:
-        return bytes([value])
-    out = bytearray([127])
-    value -= 127
-    while value >= 128:
-        out.append(value % 128 + 128)
-        value //= 128
-    out.append(value)
-    return bytes(out)
-
-
 def header_block(headers) -> bytes:
-    """Each field as a literal without indexing, new name (RFC 7541 §6.2.2)."""
+    """Each field as a literal without indexing, new name (RFC 7541
+    §6.2.2), its strings raw and under 127 octets, so that each length
+    fits the 7-bit prefix in one octet (§5.1)."""
     out = bytearray()
     for name, value in headers:
-        out += b"\x00"
+        out.append(0)
         for text in (name.encode(), value.encode()):
-            out += _hpack_int(len(text)) + text
+            assert len(text) < 127
+            out.append(len(text))
+            out += text
     return bytes(out)
 
 
@@ -135,10 +121,6 @@ class _PipeOut:
 
     def __init__(self):
         self.wire = bytearray()
-
-    @property
-    def buffer_space(self) -> int:
-        return self._max_buffer - self._buffered
 
     def enqueue(self, payload: bytes) -> int:
         self.wire += payload
@@ -165,9 +147,6 @@ class PipeEndpoint:
         #: Installed by ``H2OverQuicConnection`` only: QUIC body bytes.
         self.on_stream_data = None
         self._out = _PipeOut()
-
-    def release(self) -> None:
-        self.on_data = self.on_record = self.on_writable = None
 
 
 class H2Peer:

@@ -8,9 +8,10 @@ still send.  This is what it replaced, kept so
 independent to compare against — the ``sendable_bytes`` / ``take_body``
 / ``wants_to_send`` trio the connection's pump used to call one after
 the other, with the window arithmetic the pump did in between, over
-plain integers (no ``Span``, no ``FlowControlWindow``): same span
-bounds, same END_STREAM, same readiness, same ``bytes_sent`` and window
-after every step.
+plain integers (no ``Span``): same span bounds, same END_STREAM, same
+readiness, same ``bytes_sent`` and send window after every step.  The
+window is an int on both sides; the property test credits and shrinks
+it directly, as the connection's WINDOW_UPDATE and SETTINGS handlers do.
 """
 
 from repro.errors import StreamError
