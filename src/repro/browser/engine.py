@@ -118,7 +118,6 @@ class _Fetch:
         "finished_at",
         "pushed",
         "adopted",
-        "cancelled",
         "from_cache",
         "complete",
         "render_blocking",
@@ -149,7 +148,6 @@ class _Fetch:
         self.finished_at: Optional[float] = None
         self.pushed = False
         self.adopted = False
-        self.cancelled = False
         self.from_cache = False
         self.complete = False
         self.render_blocking = False
@@ -230,6 +228,10 @@ class PageLoad:
         self.main_thread.on_idle = self._check_onload
 
         self._fetches: Dict[str, _Fetch] = {}
+        #: How many of ``_fetches`` are not complete yet.  A parked push
+        #: (``_pushed_unclaimed``) is no fetch of the page's until it is
+        #: adopted, so it is not counted.
+        self._incomplete = 0
         self._pushed_unclaimed: Dict[str, _Fetch] = {}
         self._connections: Dict[str, _ConnectionEntry] = {}
 
@@ -298,6 +300,7 @@ class PageLoad:
         fetch = _Fetch(url, rtype)
         fetch.discovered_at = self.sim.now
         self._fetches[url] = fetch
+        self._incomplete += 1
         if self._tracer is not None:
             self._tracer.resource_discovered(url, rtype.name, initiator)
         return fetch
@@ -504,7 +507,7 @@ class PageLoad:
         behind critical ones — the server sends the entire HTML before
         the CSS, the CSS before scripts, scripts before images (§5)."""
         for stream_id, chain_weight, fetch in reversed(entry.chain):
-            if chain_weight >= weight and not fetch.complete and not fetch.cancelled:
+            if chain_weight >= weight and not fetch.complete:
                 return stream_id
         if entry.html_stream_id is not None and not self._html_complete:
             return entry.html_stream_id
@@ -549,7 +552,7 @@ class PageLoad:
 
     def _on_data(self, entry: _ConnectionEntry, stream_id: int, data: Span) -> None:
         fetch = entry.stream_fetch.get(stream_id)
-        if fetch is None or fetch.cancelled:
+        if fetch is None:
             return
         fetch.body.append(data)
         if fetch.pushed:
@@ -562,7 +565,7 @@ class PageLoad:
 
     def _on_stream_end(self, entry: _ConnectionEntry, stream_id: int) -> None:
         fetch = entry.stream_fetch.get(stream_id)
-        if fetch is None or fetch.cancelled:
+        if fetch is None:
             return
         if fetch.pushed and not fetch.adopted:
             fetch.complete = True  # parked; claimed later or wasted
@@ -638,6 +641,7 @@ class PageLoad:
     def _complete_fetch(self, fetch: _Fetch) -> None:
         if fetch.complete and fetch.finished_at is not None:
             return
+        self._incomplete -= 1
         fetch.complete = True
         fetch.finished_at = self.sim.now
         if self._tracer is not None:
@@ -902,7 +906,7 @@ class PageLoad:
     def _cssom_ready_for(self, offset: int) -> bool:
         """All non-print stylesheets referenced before ``offset`` ready."""
         for fetch in self._fetches.values():
-            if fetch.rtype != _CSS or fetch.cancelled:
+            if fetch.rtype != _CSS:
                 continue
             if fetch.token_offset and fetch.token_offset > offset:
                 continue
@@ -915,7 +919,7 @@ class PageLoad:
         return all(
             fetch.cssom_ready
             for fetch in self._fetches.values()
-            if fetch.render_blocking and not fetch.cancelled
+            if fetch.render_blocking
         )
 
     # ------------------------------------------------------------------
@@ -969,9 +973,8 @@ class PageLoad:
     def _check_onload(self) -> None:
         if self._onload_fired or not self._parser_done:
             return
-        for fetch in self._fetches.values():
-            if not fetch.complete and not fetch.cancelled:
-                return
+        if self._incomplete:
+            return
         for fetch in self._deferred_scripts:
             if not fetch.executed:
                 return

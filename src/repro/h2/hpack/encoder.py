@@ -24,10 +24,14 @@ from .static_table import STATIC_TABLE_SIZE, lookup_exact, lookup_name
 
 Header = Tuple[str, str]
 
-#: Indexed header field (pattern ``1xxxxxxx``) for indices that fit the
-#: 7-bit prefix — covers the whole static table and the near end of the
-#: dynamic table, i.e. virtually every indexed emission.
-_INDEXED_FIELD = tuple(bytes([0x80 | i]) for i in range(127))
+#: Indexed header field (pattern ``1xxxxxxx``) for indices up to 254:
+#: one octet below 127 (the whole static table and the near end of the
+#: dynamic one), ``0xFF`` and one continuation-free octet from 127 on —
+#: a default 4 096-octet table holds ~90 entries, so the far end of it
+#: passes 127.  Only 255 and above need ``encode_integer``.
+_INDEXED_FIELD = tuple(bytes([0x80 | i]) for i in range(127)) + tuple(
+    bytes([0xFF, i - 127]) for i in range(127, 255)
+)
 
 
 class _FieldPlan(NamedTuple):
@@ -141,7 +145,7 @@ class HpackEncoder:
             entry_id = exact_ids.get(entry)
             if entry_id is not None:
                 index = STATIC_TABLE_SIZE + table._next_id - entry_id
-                append(_INDEXED_FIELD[index] if index < 127 else encode_integer(index, 7, 0x80))
+                append(_INDEXED_FIELD[index] if index < 255 else encode_integer(index, 7, 0x80))
                 continue
             # Literal with incremental indexing (pattern 01, 6-bit
             # prefix).  A dynamic name index is read before the insert

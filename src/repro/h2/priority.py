@@ -86,8 +86,9 @@ class PriorityTree:
         node = PriorityNode(stream_id, parent, weight)
         if exclusive:
             self._adopt_children(node, parent)
+        # The node joins at the 0.0 it was built with, not at its
+        # siblings' floor: known deviation 6 (EXPERIMENTS.md).
         parent.children[stream_id] = node
-        node.virtual_time = self._min_sibling_vt(parent)
         self._nodes[stream_id] = node
 
     def reprioritize(

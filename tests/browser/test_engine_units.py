@@ -150,6 +150,34 @@ class TestPushInteraction:
         html = result.timeline.resources[built.html_url]
         assert css.finished_at < html.finished_at
 
+    def test_onload_waits_for_every_fetch_but_not_for_parked_pushes(self):
+        """Pushed ahead of a long HTML, every image finishes while still
+        parked and is adopted only when the parser reaches it; one push
+        is never referenced and stays parked.  onload follows every
+        resource the page fetched and does not wait for the parked one."""
+        images = [
+            ResourceSpec(f"p{n}.jpg", IMG, 3_000, body_fraction=0.9, visual_weight=1)
+            for n in range(6)
+        ]
+        spec = base_spec(name="onload", html_size=120_000, resources=images)
+        built = build_site(spec)
+        unused = "https://e.example/never-referenced.jpg"
+        built.bodies[unused] = b"\0" * 2_000
+        built.content_types[unused] = "image/jpeg"
+        pushed = [unused] + [spec.url_of(image.name) for image in images]
+        strategy = PushListStrategy(
+            pushed, critical_urls=pushed, interleave_offset=0, name="early"
+        )
+        timeline = ReplayTestbed(built=built, strategy=strategy).run().timeline
+        assert timeline.pushes_received == 7 and timeline.pushes_adopted == 6
+        assert unused not in timeline.resources
+        html = timeline.resources[built.html_url]
+        for url in pushed[1:]:
+            # Adopted, and so finished, while the HTML was still arriving.
+            assert timeline.resources[url].finished_at < html.finished_at
+        assert timeline.onload is not None
+        assert timeline.onload >= max(r.finished_at for r in timeline.resources.values())
+
 
 class TestConfig:
     def test_parse_rate_changes_timing(self):

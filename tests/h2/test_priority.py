@@ -181,10 +181,9 @@ class TestScheduling:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="known deviation 6 (EXPERIMENTS.md): insert() links the node into "
-        "parent.children before _min_sibling_vt(parent) scans them, so the scan "
-        "includes the newcomer's own 0.0 and a new stream always joins at virtual "
-        "time 0, below siblings that have been sending",
+        reason="known deviation 6 (EXPERIMENTS.md): insert() leaves a new node at "
+        "the virtual time 0.0 it was built with instead of its siblings' floor, so "
+        "a new stream always joins below siblings that have been sending",
     )
     def test_new_stream_joins_at_the_sibling_floor(self):
         """Start-time fairness on arrival, as ``remove`` applies it on

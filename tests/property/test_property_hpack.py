@@ -106,7 +106,13 @@ _POOL_VALUES = st.sampled_from(
     ["GET", "200", "/", "/index.html", "text/html", "", "1", "2", "secret=1",
      "v" * 70, "w" * 300]
 )
-_FIELD = st.tuples(_POOL_NAMES | _TOKEN, _POOL_VALUES | _VALUE)
+#: Fields a warm-up block inserts in order before the steps.  300 of
+#: them fit a 16 384-octet table, so the steps' own copies sit past 127
+#: and past 255 live entries: indices of one, two and three octets.  In
+#: the small tables they only churn.
+_FILLER = [("x-fill", str(index)) for index in range(300)]
+_FILL = st.integers(min_value=0, max_value=len(_FILLER))
+_FIELD = st.tuples(_POOL_NAMES | _TOKEN, _POOL_VALUES | _VALUE) | st.sampled_from(_FILLER)
 #: Pairs arrive as tuples or lists; the memo is keyed by the tuple.
 _PAIR = st.builds(lambda pair, as_list: list(pair) if as_list else pair, _FIELD, st.booleans())
 _BLOCK = st.tuples(
@@ -116,8 +122,9 @@ _BLOCK = st.tuples(
 )
 _RESIZE = st.tuples(st.just("resize"), st.sampled_from([0, 33, 64, 100, 256, 4096]))
 #: 0: nothing fits; 40/70: every insert evicts (or clears); 200: a few
-#: entries; the 300-octet value is larger than all but the default.
-_TABLE_SIZES = st.sampled_from([0, 40, 70, 200, 4096])
+#: entries; the 300-octet value is larger than all but the two largest;
+#: 16 384 holds the whole filler.
+_TABLE_SIZES = st.sampled_from([0, 40, 70, 200, 4096, 16_384])
 
 
 def table_state(table):
@@ -128,11 +135,17 @@ def table_state(table):
     return entries, lookups, table.size, table.max_size
 
 
-@given(table_size=_TABLE_SIZES, steps=st.lists(_BLOCK | _RESIZE, min_size=1, max_size=8))
+@given(
+    table_size=_TABLE_SIZES,
+    fill=_FILL,
+    steps=st.lists(_BLOCK | _RESIZE, min_size=1, max_size=8),
+)
 @settings(max_examples=300, deadline=None)
-def test_encoder_matches_reference_block_for_block(table_size, steps):
+def test_encoder_matches_reference_block_for_block(table_size, fill, steps):
     encoder, reference = HpackEncoder(table_size), ReferenceHpackEncoder(table_size)
     decoder = HpackDecoder(table_size)
+    if fill:
+        steps = [("block", _FILLER[:fill], [])] + steps
     for step in steps:
         if step[0] == "resize":
             encoder.set_max_table_size(step[1])
@@ -155,15 +168,18 @@ def _outcome(decoder, data):
 
 @given(
     table_size=_TABLE_SIZES,
+    fill=_FILL,
     warm_up=st.lists(st.lists(_FIELD, min_size=1, max_size=12), max_size=8),
     blocks=st.lists(st.binary(max_size=48), min_size=1, max_size=4),
 )
 @settings(max_examples=500, deadline=None)
-def test_decoder_fuzz_matches_reference(table_size, warm_up, blocks):
+def test_decoder_fuzz_matches_reference(table_size, fill, warm_up, blocks):
     """Arbitrary bytes yield a header list or ``HpackError`` — anything
     else propagates and fails — and exactly the reference's of either."""
     encoder = HpackEncoder(table_size)
     decoder, reference = HpackDecoder(table_size), ReferenceHpackDecoder(table_size)
+    if fill:
+        warm_up = [_FILLER[:fill]] + warm_up
     for headers in warm_up:  # give indices something to point at
         block = encoder.encode(headers)
         assert decoder.decode(block) == reference.decode(block)
