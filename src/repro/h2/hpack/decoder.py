@@ -12,14 +12,6 @@ from .static_table import STATIC_TABLE, STATIC_TABLE_SIZE
 
 Header = Tuple[str, str]
 
-#: Decoded strings by their Huffman-coded octets.  Paths, content types
-#: and dates repeat across the blocks of a page load and across loads,
-#: so one table walk per distinct string per process is enough.  Only
-#: successful decodes are kept, and only Huffman-flagged literals read
-#: it; bounded and cleared on overflow like the encoder's field plans.
-_HUFFMAN_STRINGS: dict = {}
-_HUFFMAN_STRINGS_MAX = 8192
-
 
 class HpackDecoder:
     """Stateful decoder; one per connection direction."""
@@ -38,19 +30,16 @@ class HpackDecoder:
     def decode(self, data: bytes) -> List[Header]:
         """Decode a complete header block into a header list.
 
-        Nearly every field on the wire is an index of one or two octets
-        (``1xxxxxxx`` up to 254, ``01xxxxxx`` between 1 and 62, the
-        latter with a value whose length fits one octet); those are
-        resolved right here.  Longer integers and lengths, new-name and
-        non-indexed literals, Huffman strings not decoded before and
-        every malformed field take the general ``_indexed`` /
-        ``_literal`` / ``_decode_string`` route.
+        Nearly every field on the wire is an index that fits its first
+        octet (``1xxxxxxx`` below 127, ``01xxxxxx`` between 1 and 62)
+        or ``0xFF`` and one more (127 to 254); those are resolved right
+        here.  Longer integers, new-name and non-indexed literals take
+        the general ``_indexed`` / ``_literal`` route.
         """
         headers: List[Header] = []
         append = headers.append
         table = self._table
         entries = table._entries
-        huffman_strings = _HUFFMAN_STRINGS
         offset = 0
         end = len(data)
         while offset < end:
@@ -93,24 +82,7 @@ class HpackDecoder:
                         name = entries[0][0]
                     else:
                         raise HpackError(f"dynamic table index {index} out of range")
-                    # A value with a one-octet length that ends inside
-                    # the block: raw ASCII, or a Huffman string seen
-                    # before.  Anything else is _decode_string's.
-                    value = None
-                    offset += 1
-                    if offset < end:
-                        first = data[offset]
-                        length = first & 0x7F
-                        stop = offset + 1 + length
-                        if length != 0x7F and stop <= end:
-                            raw = data[offset + 1 : stop]
-                            if first & 0x80:
-                                value = huffman_strings.get(raw)
-                            elif raw.isascii():
-                                value = raw.decode("ascii")
-                    if value is None:
-                        value, stop = self._decode_string(data, offset)
-                    offset = stop
+                    value, offset = self._decode_string(data, offset + 1)
                     header = (name, value)
                     # Decoded strings are ASCII: characters are octets.
                     table.add(header, len(name) + len(value) + ENTRY_OVERHEAD)
@@ -165,18 +137,8 @@ class HpackDecoder:
             raise HpackError("string literal longer than block")
         raw = data[offset:end]
         if first & 0x80:
-            text = _HUFFMAN_STRINGS.get(raw)
-            if text is None:
-                text = _decode_ascii(huffman_decode(raw))
-                if len(_HUFFMAN_STRINGS) >= _HUFFMAN_STRINGS_MAX:
-                    _HUFFMAN_STRINGS.clear()
-                _HUFFMAN_STRINGS[raw] = text
-            return text, end
-        return _decode_ascii(raw), end
-
-
-def _decode_ascii(raw: bytes) -> str:
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise HpackError("non-ASCII octet in string literal") from None
+            raw = huffman_decode(raw)
+        try:
+            return raw.decode("ascii"), end
+        except UnicodeDecodeError:
+            raise HpackError("non-ASCII octet in string literal") from None

@@ -75,33 +75,16 @@ class DynamicTable:
         is legal, not an error.
         """
         max_size = self._max_size
-        entries = self._entries
-        entry_id = self._next_id
-        total = self._size + size
-        if total > max_size:
-            # _evict_down_to(max_size - size), inline: one call per insert.
-            sizes = self._sizes
-            exact_ids = self._exact_ids
-            name_ids = self._name_ids
-            evicted_id = entry_id - len(entries)
-            while entries and total > max_size:
-                evicted = entries.pop()
-                total -= sizes.pop()
-                if exact_ids.get(evicted) == evicted_id:
-                    del exact_ids[evicted]
-                name = evicted[0]
-                if name_ids.get(name) == evicted_id:
-                    del name_ids[name]
-                evicted_id += 1
-            if size > max_size:  # everything went; the entry does not fit
-                self._size = total - size
-                return
-        self._next_id = entry_id + 1
-        entries.appendleft(entry)
-        self._sizes.appendleft(size)
-        self._size = total
-        self._exact_ids[entry] = entry_id
-        self._name_ids[entry[0]] = entry_id
+        if self._size + size > max_size:
+            self._evict_down_to(max_size - size)
+        if size <= max_size:
+            entry_id = self._next_id
+            self._next_id = entry_id + 1
+            self._entries.appendleft(entry)
+            self._sizes.appendleft(size)
+            self._size += size
+            self._exact_ids[entry] = entry_id
+            self._name_ids[entry[0]] = entry_id
 
     def get(self, index: int) -> Tuple[str, str]:
         """Fetch by *absolute* HPACK index (static indices excluded)."""

@@ -107,12 +107,14 @@ _POOL_VALUES = st.sampled_from(
      "v" * 70, "w" * 300]
 )
 #: Fields a warm-up block inserts in order before the steps.  300 of
-#: them fit a 16 384-octet table, so the steps' own copies sit past 127
-#: and past 255 live entries: indices of one, two and three octets.  In
-#: the small tables they only churn.
+#: them fit a 16 384-octet table, so the oldest sit past 127 and past
+#: 255 live entries, and a block that sends them again takes indices of
+#: one, two and three octets.  In the small tables they only churn.
 _FILLER = [("x-fill", str(index)) for index in range(300)]
-_FILL = st.integers(min_value=0, max_value=len(_FILLER))
-_FIELD = st.tuples(_POOL_NAMES | _TOKEN, _POOL_VALUES | _VALUE) | st.sampled_from(_FILLER)
+#: How many of them: none, or enough that the oldest pass 127 or 255.
+_FILL = st.sampled_from([0, 100, 200, len(_FILLER)])
+_RESEND = st.lists(st.sampled_from(_FILLER), max_size=6)
+_FIELD = st.tuples(_POOL_NAMES | _TOKEN, _POOL_VALUES | _VALUE)
 #: Pairs arrive as tuples or lists; the memo is keyed by the tuple.
 _PAIR = st.builds(lambda pair, as_list: list(pair) if as_list else pair, _FIELD, st.booleans())
 _BLOCK = st.tuples(
@@ -138,14 +140,15 @@ def table_state(table):
 @given(
     table_size=_TABLE_SIZES,
     fill=_FILL,
+    resend=_RESEND,
     steps=st.lists(_BLOCK | _RESIZE, min_size=1, max_size=8),
 )
 @settings(max_examples=300, deadline=None)
-def test_encoder_matches_reference_block_for_block(table_size, fill, steps):
+def test_encoder_matches_reference_block_for_block(table_size, fill, resend, steps):
     encoder, reference = HpackEncoder(table_size), ReferenceHpackEncoder(table_size)
     decoder = HpackDecoder(table_size)
     if fill:
-        steps = [("block", _FILLER[:fill], [])] + steps
+        steps = [("block", _FILLER[:fill], []), ("block", resend, [])] + steps
     for step in steps:
         if step[0] == "resize":
             encoder.set_max_table_size(step[1])

@@ -3,13 +3,12 @@
 ``repro.h2.hpack.HpackEncoder`` plans each distinct ``(name, value)``
 pair once, reads the dynamic table's maps directly and writes indices
 up to 254 from a table of ready octets; ``HpackDecoder`` resolves
-indices of one and two octets and one-octet-length values inside its
-loop and memoises decoded Huffman strings.  These are the per-field
+indices of one and two octets inside its loop.  These are the per-field
 codecs they replaced — lower-case, two static lookups,
 ``DynamicTable.find``, ``entry_size``, ``encode_integer`` and a fresh
-Huffman-or-raw literal per encoded field; ``decode_integer``,
-``DynamicTable.get`` and ``huffman_decode`` per decoded one — through
-public calls only, kept so the property suite
+Huffman-or-raw literal per encoded field; ``decode_integer`` and
+``DynamicTable.get`` per decoded one — through public calls only, kept
+so the property suite
 (``tests/property/test_property_hpack.py``) has something independent
 to compare against: same bytes, same headers, same errors, same table
 afterwards.
