@@ -4,7 +4,8 @@ Every other test of ``repro.h2`` has our own other half on the far
 end, so a rule both halves get wrong — window accounting, say — passes
 unseen.  This peer talks to one :class:`~repro.h2.H2Connection` the way
 h2spec does: it packs each frame with ``struct`` straight from the
-§4.1 layout and decodes what comes back the same way.  It imports
+§4.1 header and §6 payload layouts, and decodes what comes back the
+same way.  It imports
 nothing of ``repro.h2.frames`` or ``tests/support/frame_reference.py``,
 which would make the check circular; header blocks it sends are HPACK
 literals without indexing (RFC 7541 §6.2.2), and header blocks it
@@ -40,8 +41,14 @@ _HEADER = struct.Struct(">BHBBI")
 # §6: frame types.
 DATA = 0x0
 HEADERS = 0x1
+PRIORITY = 0x2
+RST_STREAM = 0x3
 SETTINGS = 0x4
+PUSH_PROMISE = 0x5
+PING = 0x6
+GOAWAY = 0x7
 WINDOW_UPDATE = 0x8
+CONTINUATION = 0x9
 
 # §6: flags.
 END_STREAM = 0x1
@@ -52,8 +59,11 @@ END_HEADERS = 0x4
 SETTINGS_INITIAL_WINDOW_SIZE = 0x4
 
 # §7: error codes.
+NO_ERROR = 0x0
 PROTOCOL_ERROR = 0x1
 FLOW_CONTROL_ERROR = 0x3
+STREAM_CLOSED = 0x5
+CANCEL = 0x8
 
 #: §6.9.1: the largest legal flow-control window.
 MAX_WINDOW = 2**31 - 1
@@ -94,6 +104,39 @@ def window_update(stream_id: int, increment: int) -> bytes:
 
 def data(stream_id: int, size: int, end_stream: bool = False) -> bytes:
     return frame(DATA, END_STREAM if end_stream else 0, stream_id, b"d" * size)
+
+
+def rst_stream(stream_id: int, error_code: int) -> bytes:
+    """§6.4: a 32-bit error code."""
+    return frame(RST_STREAM, 0, stream_id, struct.pack(">I", error_code))
+
+
+def priority(stream_id: int, depends_on: int = 0, weight: int = 16, exclusive: bool = False) -> bytes:
+    """§6.3: E bit and 31-bit dependency, then the weight less one."""
+    dependency = depends_on | (0x80000000 if exclusive else 0)
+    return frame(PRIORITY, 0, stream_id, struct.pack(">IB", dependency, weight - 1))
+
+
+def push_promise(stream_id: int, promised_id: int, fields=None, end_headers: bool = True) -> bytes:
+    """§6.6: R bit and 31-bit promised stream id, then a header block."""
+    block = header_block(fields if fields is not None else REQUEST)
+    payload = struct.pack(">I", promised_id) + block
+    return frame(PUSH_PROMISE, END_HEADERS if end_headers else 0, stream_id, payload)
+
+
+def ping(opaque: bytes = b"\x00" * 8, ack: bool = False) -> bytes:
+    """§6.7: eight opaque octets on stream 0."""
+    return frame(PING, ACK if ack else 0, 0, opaque)
+
+
+def goaway(last_stream_id: int, error_code: int = NO_ERROR) -> bytes:
+    """§6.8: R bit and Last-Stream-ID, then a 32-bit error code."""
+    return frame(GOAWAY, 0, 0, struct.pack(">II", last_stream_id, error_code))
+
+
+def continuation(stream_id: int, block: bytes, end_headers: bool = True) -> bytes:
+    """§6.10: a further fragment of a header block."""
+    return frame(CONTINUATION, END_HEADERS if end_headers else 0, stream_id, block)
 
 
 def header_block(headers) -> bytes:
@@ -189,9 +232,15 @@ class H2Peer:
         self.send(preface + settings(params))
         return self.receive()
 
-    def headers(self, stream_id: int, end_stream: bool = False, fields=None) -> bytes:
-        block = header_block(fields if fields is not None else REQUEST)
-        flags = END_HEADERS | (END_STREAM if end_stream else 0)
+    def headers(
+        self, stream_id: int, end_stream: bool = False, fields=None, block: bytes = None
+    ) -> bytes:
+        """HEADERS (§6.2) carrying ``fields``; given a raw ``block``
+        instead, a first fragment without END_HEADERS."""
+        flags = END_STREAM if end_stream else 0
+        if block is None:
+            block = header_block(fields if fields is not None else REQUEST)
+            flags |= END_HEADERS
         return frame(HEADERS, flags, stream_id, block)
 
 
