@@ -586,7 +586,7 @@ class PageLoad:
                 self._tracer.push_rejected(
                     entry.conn._trace_name, promised_id, url, reason
                 )
-            entry.conn.reset_stream_raw(promised_id, ErrorCode.CANCEL)
+            entry.conn.reset_stream(promised_id, ErrorCode.CANCEL)
             self.timeline.pushes_cancelled += 1
             return
         rtype = classify_url(url)

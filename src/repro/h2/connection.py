@@ -46,7 +46,6 @@ from .frames import (
     SettingsFrame,
     WindowUpdateFrame,
     pack_continuation,
-    pack_goaway,
     pack_headers,
     pack_ping,
     pack_priority,
@@ -65,7 +64,7 @@ from .settings import (
     Settings,
 )
 from ..span import Span
-from .stream import H2Stream
+from .stream import TRANSITIONS, H2Stream, Refusal, StreamEvent
 
 Header = Tuple[str, str]
 
@@ -75,14 +74,19 @@ _FRAME_HEADER = 9
 #: Connection receive window a client grows to at start-up (Chromium).
 _CONNECTION_RECV_WINDOW = 15 * 1024 * 1024
 
-# Module aliases for the states and flags the per-object paths test: a
-# module global loads in a quarter of the time of an enum attribute.
+# Module aliases for what the per-object paths read: a module global
+# loads in a quarter of the time of an enum attribute.
+_TRANSITIONS = TRANSITIONS
 _IDLE = StreamState.IDLE
 _CLOSED = StreamState.CLOSED
-_RESERVED_LOCAL = StreamState.RESERVED_LOCAL
-_RESERVED_REMOTE = StreamState.RESERVED_REMOTE
-_HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
-_HALF_CLOSED_REMOTE = StreamState.HALF_CLOSED_REMOTE
+_SEND_HEADERS = StreamEvent.SEND_HEADERS
+_RECV_HEADERS = StreamEvent.RECV_HEADERS
+_RESERVE_LOCAL = StreamEvent.RESERVE_LOCAL
+_RESERVE_REMOTE = StreamEvent.RESERVE_REMOTE
+_RECV_PUSH_PROMISE = StreamEvent.RECV_PUSH_PROMISE
+_SEND_END_STREAM = StreamEvent.SEND_END_STREAM
+_RECV_END_STREAM = StreamEvent.RECV_END_STREAM
+_RECV_DATA = StreamEvent.RECV_DATA
 
 _END_STREAM_RAW = Flag.END_STREAM._value_
 _END_HEADERS_RAW = Flag.END_HEADERS._value_
@@ -132,7 +136,10 @@ class H2Connection:
         self.scheduler = None
         self._chunk_size = chunk_size
 
-        self._next_stream_id = 1 if role == "client" else 2
+        #: The highest stream id opened or reserved so far, ``[even, odd]``:
+        #: a server's ids are even, a client's odd (§5.1.1).
+        self._highest_id = [0, -1]
+        self._own_parity = 1 if role == "client" else 0
         # Connection flow control (RFC 7540 §6.9): both windows start at
         # 65 535 whatever the SETTINGS say (§6.9.2).  The receive side
         # keeps the capacity this endpoint has advertised and the octets
@@ -155,7 +162,6 @@ class H2Connection:
         #: An open header block awaiting CONTINUATION frames:
         #: ``(stream id, END_STREAM set, fragments so far)``.
         self._header_fragments: Optional[Tuple[int, bool, bytearray]] = None
-        self._goaway_received = False
         self._pumping = False
 
         # --- event callbacks (set by server / browser layers) ---
@@ -171,8 +177,6 @@ class H2Connection:
         # --- wire statistics ---
         self.frames_sent = 0
         self.frames_received = 0
-        self.push_promises_sent = 0
-        self.pushes_cancelled = 0
 
         self._start()
 
@@ -203,13 +207,10 @@ class H2Connection:
         """Client: open a new stream carrying a request."""
         if self.role != "client":
             raise ProtocolError("only clients send requests")
-        stream_id = self._next_stream_id
-        self._next_stream_id += 2
-        stream = self._get_or_create_stream(stream_id)
-        stream.request_headers = list(headers)
-        stream.open_local()
+        stream_id = self._highest_id[1] + 2
+        stream = self._open_stream(stream_id, _SEND_HEADERS)
         if end_stream:
-            stream.close_local()
+            stream.state = _TRANSITIONS[stream.state, _SEND_END_STREAM]
         self.priority_tree.insert(
             stream_id,
             depends_on=priority.depends_on if priority else 0,
@@ -228,17 +229,20 @@ class H2Connection:
     def respond(self, stream_id: int, headers: List[Header], end_stream: bool = False) -> None:
         """Server: send response HEADERS on an existing stream."""
         stream = self._require_stream(stream_id)
-        if stream.state is _RESERVED_LOCAL:
-            # Sending headers on a reserved (pushed) stream opens it.
-            stream.state = _HALF_CLOSED_REMOTE
-        stream.response_headers = list(headers)
+        state = _TRANSITIONS[stream.state, _SEND_HEADERS]
+        if state < 0:
+            self._misuse(stream, _SEND_HEADERS)
+        stream.state = state
         self._queue_header_block(
             stream_id,
             _END_HEADERS_END_STREAM_RAW if end_stream else _END_HEADERS_RAW,
             self._encoder.encode(headers),
         )
         if end_stream:
-            stream.close_local()
+            # Open or half-closed (remote) now: either admits it.
+            stream.state = state = _TRANSITIONS[state, _SEND_END_STREAM]
+            if state is _CLOSED and self._tracer is not None:
+                self._tracer.stream_closed(self._trace_name, stream_id)
         self._pump()
 
     def respond_informational(self, stream_id: int, headers: List[Header]) -> None:
@@ -285,14 +289,10 @@ class H2Connection:
         if not self.remote_settings._values[ENABLE_PUSH]:
             raise ProtocolError("peer disabled Server Push (SETTINGS_ENABLE_PUSH=0)")
         parent = self._require_stream(parent_stream_id)
-        if parent.state is _CLOSED:
-            raise StreamError("cannot push on closed stream", parent_stream_id)
-        promised_id = self._next_stream_id
-        self._next_stream_id += 2
-        stream = self._get_or_create_stream(promised_id)
-        stream.reserve_local()
-        stream.is_pushed = True
-        stream.request_headers = list(request_headers)
+        if _TRANSITIONS[parent.state, StreamEvent.SEND_PUSH_PROMISE] < 0:
+            self._misuse(parent, StreamEvent.SEND_PUSH_PROMISE)
+        promised_id = self._highest_id[0] + 2
+        self._open_stream(promised_id, _RESERVE_LOCAL)
         self.priority_tree.insert(
             promised_id,
             depends_on=parent_stream_id if depends_on is None else depends_on,
@@ -304,7 +304,6 @@ class H2Connection:
             self._encoder.encode(request_headers),
             promised_id=promised_id,
         )
-        self.push_promises_sent += 1
         if self._tracer is not None:
             self._tracer.push_promised(self._trace_name, parent_stream_id, promised_id)
         self._pump()
@@ -313,8 +312,7 @@ class H2Connection:
     def reset_stream(self, stream_id: int, code: ErrorCode = ErrorCode.CANCEL) -> None:
         """Send RST_STREAM (e.g. a client cancelling an unwanted push)."""
         stream = self._require_stream(stream_id)
-        stream.reset(code)
-        self._forget_sender(stream_id)
+        self._reset(stream, StreamEvent.SEND_RST_STREAM, code)
         self.priority_tree.remove(stream_id)
         self._queue_wire("RST_STREAM", stream_id, pack_rst_stream(stream_id, 0, code))
         self._pump()
@@ -325,11 +323,6 @@ class H2Connection:
 
     def ping(self, opaque: bytes = b"\x00" * 8) -> None:
         self._queue_wire("PING", 0, pack_ping(0, 0, opaque))
-        self._pump()
-
-    def goaway(self, error_code: ErrorCode = ErrorCode.NO_ERROR) -> None:
-        last = max((sid for sid in self.streams), default=0)
-        self._queue_wire("GOAWAY", 0, pack_goaway(0, 0, last, error_code))
         self._pump()
 
     def release(self) -> None:
@@ -523,8 +516,13 @@ class H2Connection:
                 scheduler.on_data_sent(self, stream_id, sent, end)
             if end:
                 self._forget_sender(stream_id)
-                stream.close_local()
-                if stream.state is _CLOSED:
+                state = _TRANSITIONS[stream.state, _SEND_END_STREAM]
+                if state < 0:
+                    self._misuse(stream, _SEND_END_STREAM)
+                stream.state = state
+                if state is _CLOSED:
+                    if self._tracer is not None:
+                        self._tracer.stream_closed(self._trace_name, stream_id)
                     self.priority_tree.remove(stream_id)
             elif not stream._queued_bytes:
                 # Drained without END_STREAM: nothing to send until the
@@ -597,10 +595,10 @@ class H2Connection:
                 self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + size
             )
         stream = self.streams.get(stream_id)
-        # Data for a reset stream may already have been in flight.
-        if stream is not None and stream.state is not _CLOSED:
+        if stream is None or _TRANSITIONS[stream.state, _RECV_DATA] < 0:
+            self._admit(stream_id, _RECV_DATA)  # raises, or the frame is ignored
+        else:
             end = raw_flags & _END_STREAM_RAW
-            stream.bytes_received += size
             # Count the octets against the stream's and the connection's
             # receive windows; credit a window back to full once more
             # than half of it is spent since the last credit (no stream
@@ -661,7 +659,7 @@ class H2Connection:
             self._queue_wire("PING", 0, pack_ping(0, _ACK_RAW, frame.opaque))
 
     def _handle_goaway(self, frame: GoAwayFrame) -> None:
-        self._goaway_received = True
+        """GOAWAY (§6.8) needs no answer, and no endpoint here sends one."""
 
     def _handle_settings(self, frame: SettingsFrame) -> None:
         if frame.flags._value_ & _ACK_RAW:
@@ -674,7 +672,8 @@ class H2Connection:
             # it may drive a window negative, never past 2^31-1.
             delta = new_window - old_window
             for stream in self.streams.values():
-                if stream.state is not _CLOSED:
+                # A window is live where the table admits WINDOW_UPDATE.
+                if _TRANSITIONS[stream.state, StreamEvent.RECV_WINDOW_UPDATE] >= 0:
                     window = stream.send_window + delta
                     if window > MAX_WINDOW_SIZE:
                         raise FlowControlError(
@@ -712,18 +711,28 @@ class H2Connection:
             self._finish_header_block(stream_id, bytes(buffer), end_stream)
 
     def _finish_header_block(self, stream_id: int, block: bytes, end_stream: bool) -> None:
+        # Decoded whatever the stream's state: the block has changed the
+        # connection's HPACK context (§4.3).
         headers = self._decoder.decode(block)
-        stream = self.streams.get(stream_id)  # a response's stream exists
+        stream = self.streams.get(stream_id)
         if stream is None:
-            stream = self._get_or_create_stream(stream_id)
+            if self.role == "client":
+                raise ProtocolError(
+                    f"HEADERS on stream {stream_id}: a server opens streams only by "
+                    "PUSH_PROMISE (§8.2)"
+                )
+            stream = self._open_stream(stream_id, _RECV_HEADERS)
+            if stream_id not in self.priority_tree:
+                self.priority_tree.insert(stream_id)
+        else:
+            state = _TRANSITIONS[stream.state, _RECV_HEADERS]
+            if state < 0:
+                self._admit(stream_id, _RECV_HEADERS)
+                return
+            stream.state = state
         if self.role == "server":
-            if stream.state is _IDLE:
-                stream.open_remote()
-                if stream_id not in self.priority_tree:
-                    self.priority_tree.insert(stream_id)
-            stream.request_headers = headers
             if end_stream:
-                stream.close_remote()
+                self._end_remote(stream)
             if self.on_request is not None:
                 self.on_request(stream_id, headers, PriorityData())
         else:
@@ -732,14 +741,12 @@ class H2Connection:
                     continue
                 if value[:1] == "1":
                     # Interim response (e.g. 103 Early Hints): surface
-                    # it without touching stream state or the recorded
-                    # response headers — the final HEADERS follow.
+                    # it without recording it as the response — the
+                    # final HEADERS follow.
                     if self.on_informational is not None:
                         self.on_informational(stream_id, headers)
                     return
                 break
-            if stream.state is _RESERVED_REMOTE:
-                stream.state = _HALF_CLOSED_LOCAL
             stream.response_headers = headers
             if self.on_response is not None:
                 self.on_response(stream_id, headers)
@@ -747,8 +754,12 @@ class H2Connection:
                 self._end_remote(stream)
 
     def _end_remote(self, stream: H2Stream) -> None:
-        stream.close_remote()
-        if stream.state is _CLOSED:
+        """The peer's END_STREAM, on a HEADERS or DATA frame the table
+        admitted: every state that admits those admits it too."""
+        stream.state = state = _TRANSITIONS[stream.state, _RECV_END_STREAM]
+        if state is _CLOSED:
+            if self._tracer is not None:
+                self._tracer.stream_closed(self._trace_name, stream.stream_id)
             self.priority_tree.remove(stream.stream_id)
         if self.on_stream_end is not None:
             self.on_stream_end(stream.stream_id)
@@ -757,28 +768,17 @@ class H2Connection:
         if self.role != "client":
             raise ProtocolError("servers do not receive PUSH_PROMISE")
         if not self.local_settings._values[ENABLE_PUSH]:
-            # Peer violated our SETTINGS_ENABLE_PUSH=0; refuse the stream.
-            self.reset_stream_raw(frame.promised_stream_id, ErrorCode.REFUSED_STREAM)
-            return
+            raise ProtocolError("PUSH_PROMISE after SETTINGS_ENABLE_PUSH=0 (§8.2)")
         if not frame.flags._value_ & _END_HEADERS_RAW:
             raise ProtocolError("fragmented PUSH_PROMISE not supported by model")
         headers = self._decoder.decode(frame.header_block)
-        promised_id = frame.promised_stream_id
-        stream = self._get_or_create_stream(promised_id)
-        stream.reserve_remote()
-        stream.is_pushed = True
-        stream.request_headers = headers
+        parent = self.streams.get(frame.stream_id)
+        if parent is None or _TRANSITIONS[parent.state, _RECV_PUSH_PROMISE] < 0:
+            self._admit(frame.stream_id, _RECV_PUSH_PROMISE)
+            return
+        self._open_stream(frame.promised_stream_id, _RESERVE_REMOTE)
         if self.on_push_promise is not None:
-            self.on_push_promise(frame.stream_id, promised_id, headers)
-
-    def reset_stream_raw(self, stream_id: int, code: ErrorCode) -> None:
-        """Send RST_STREAM for a stream we may not have tracked yet."""
-        stream = self._get_or_create_stream(stream_id)
-        stream.reset(code)
-        self._forget_sender(stream_id)
-        self.pushes_cancelled += 1
-        self._queue_wire("RST_STREAM", stream_id, pack_rst_stream(stream_id, 0, code))
-        self._pump()
+            self.on_push_promise(frame.stream_id, frame.promised_stream_id, headers)
 
     def _handle_window_update(self, frame: WindowUpdateFrame) -> None:
         # Frame parsing has refused a zero increment (§6.9); what is
@@ -792,24 +792,25 @@ class H2Connection:
             self._conn_send_window = window
             if was_closed and window > 0:
                 self._refresh_ready(self._send_candidates)
-        else:
-            stream = self.streams.get(stream_id)
-            if stream is not None and stream.state is not _CLOSED:
-                window = stream.send_window + frame.increment
-                if window > MAX_WINDOW_SIZE:
-                    raise FlowControlError(f"WINDOW_UPDATE overflows stream {stream_id}'s window")
-                stream.send_window = window
-                self._refresh_ready((stream_id,))
-
-    def _handle_rst(self, frame: RstStreamFrame) -> None:
-        stream = self.streams.get(frame.stream_id)
+            return
+        stream = self._admit(stream_id, StreamEvent.RECV_WINDOW_UPDATE)
         if stream is None:
             return
-        stream.reset(frame.error_code)
-        self._forget_sender(frame.stream_id)
-        self.priority_tree.remove(frame.stream_id)
+        window = stream.send_window + frame.increment
+        if window > MAX_WINDOW_SIZE:
+            raise FlowControlError(f"WINDOW_UPDATE overflows stream {stream_id}'s window")
+        stream.send_window = window
+        self._refresh_ready((stream_id,))
+
+    def _handle_rst(self, frame: RstStreamFrame) -> None:
+        stream_id = frame.stream_id
+        stream = self._admit(stream_id, StreamEvent.RECV_RST_STREAM)
+        if stream is None:
+            return
+        self._reset(stream, StreamEvent.RECV_RST_STREAM, frame.error_code)
+        self.priority_tree.remove(stream_id)
         if self.scheduler is not None:
-            self.scheduler.on_stream_reset(self, frame.stream_id)
+            self.scheduler.on_stream_reset(self, stream_id)
 
     def _handle_priority(self, frame) -> None:
         """A PRIORITY frame, or the priority block of a HEADERS frame."""
@@ -821,15 +822,59 @@ class H2Connection:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _get_or_create_stream(self, stream_id: int) -> H2Stream:
-        stream = self.streams.get(stream_id)
-        if stream is None:
-            stream = H2Stream(stream_id, self.remote_settings._values[INITIAL_WINDOW_SIZE])
-            if self._tracer is not None:
-                stream.tracer = self._tracer
-                stream.trace_conn = self._trace_name
-            self.streams[stream_id] = stream
+    def _open_stream(self, stream_id: int, event: StreamEvent) -> H2Stream:
+        """Create ``stream_id`` out of idle by ``event``, under the one
+        stream-id rule (§5.1.1): ids of each parity increase, closing the
+        idle ids they skip, and a peer opens only ids of its own parity."""
+        parity = stream_id & 1
+        by_peer = event is _RECV_HEADERS or event is _RESERVE_REMOTE
+        if stream_id <= self._highest_id[parity] or (parity == self._own_parity) == by_peer:
+            raise ProtocolError(f"stream id {stream_id} breaks §5.1.1")
+        self._highest_id[parity] = stream_id
+        window = self.remote_settings._values[INITIAL_WINDOW_SIZE]
+        self.streams[stream_id] = stream = H2Stream(stream_id, window, _TRANSITIONS[_IDLE, event])
+        if self._tracer is not None:
+            pushed = event is _RESERVE_LOCAL or event is _RESERVE_REMOTE
+            self._tracer.stream_opened(self._trace_name, stream_id, pushed)
         return stream
+
+    def _admit(self, stream_id: int, event: StreamEvent) -> Optional[H2Stream]:
+        """The stream a received frame is for, if the table admits
+        ``event`` on it; ``None`` if §5.1 ignores the frame; else raise.
+        An id no stream was opened for is closed at or below the highest
+        id of its parity, idle above it (§5.1.1); stream 0 is idle."""
+        stream = self.streams.get(stream_id)
+        if stream is not None:
+            state = stream.state
+        else:
+            state = _CLOSED if 0 < stream_id <= self._highest_id[stream_id & 1] else _IDLE
+        outcome = _TRANSITIONS[state, event]
+        if outcome >= 0:
+            return stream
+        message = f"{event.name} on stream {stream_id} in state {state.name} (§5.1)"
+        if outcome == Refusal.STREAM_CLOSED:
+            raise StreamError(message, stream_id, ErrorCode.STREAM_CLOSED)
+        if outcome == Refusal.CONNECTION_STREAM_CLOSED:
+            raise ProtocolError(message, ErrorCode.STREAM_CLOSED)
+        if outcome == Refusal.IGNORE:
+            return None
+        raise ProtocolError(message, ErrorCode.PROTOCOL_ERROR)
+
+    def _reset(self, stream: H2Stream, event: StreamEvent, code: ErrorCode) -> None:
+        """RST_STREAM sent, or received and admitted (every state a stream
+        can be in admits it): close the stream and drop its body."""
+        state = _TRANSITIONS[stream.state, event]
+        if state is not stream.state and self._tracer is not None:  # it was open
+            self._tracer.stream_reset(self._trace_name, stream.stream_id, code.name)
+        stream.state = state
+        stream.reset_code = code
+        stream.drop_body()
+        self._forget_sender(stream.stream_id)
+
+    def _misuse(self, stream: H2Stream, event: StreamEvent) -> None:
+        """This endpoint was asked for a transition the table refuses."""
+        message = f"{event.name} on stream {stream.stream_id} in state {stream.state.name}"
+        raise StreamError(message, stream.stream_id)
 
     def _require_stream(self, stream_id: int) -> H2Stream:
         stream = self.streams.get(stream_id)

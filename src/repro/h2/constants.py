@@ -81,13 +81,17 @@ class SettingCode(enum.IntEnum):
     MAX_HEADER_LIST_SIZE = 0x6
 
 
-class StreamState(enum.Enum):
-    """Stream lifecycle states (RFC 7540 §5.1)."""
+class StreamState(enum.IntEnum):
+    """Stream lifecycle states (RFC 7540 §5.1).  The three closed ones,
+    ``>= CLOSED``, remember how: END_STREAM both ways, or a RST_STREAM
+    sent (local) or received (remote)."""
 
-    IDLE = "idle"
-    RESERVED_LOCAL = "reserved_local"
-    RESERVED_REMOTE = "reserved_remote"
-    OPEN = "open"
-    HALF_CLOSED_LOCAL = "half_closed_local"
-    HALF_CLOSED_REMOTE = "half_closed_remote"
-    CLOSED = "closed"
+    IDLE = 0
+    RESERVED_LOCAL = 1
+    RESERVED_REMOTE = 2
+    OPEN = 3
+    HALF_CLOSED_LOCAL = 4
+    HALF_CLOSED_REMOTE = 5
+    CLOSED = 6
+    RESET_LOCAL = 7
+    RESET_REMOTE = 8

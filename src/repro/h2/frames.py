@@ -12,7 +12,7 @@ would be on the wire.  :class:`DataFrame` remains the byte-exact DATA
 codec for peers that do send DATA as bytes.
 
 Each frame type's wire layout is written once, in its ``pack_*``
-function: :meth:`Frame.serialize` calls it, and so does the connection's
+function: each frame's ``serialize`` calls it, and so does the connection's
 send path, which packs control frames straight from their fields
 without building a frame object.  :class:`FrameReader` is the one
 receive-side parser.
@@ -193,14 +193,9 @@ class Frame:
     #: Frame type code; set by each concrete subclass.
     TYPE: ClassVar[FrameType]
 
-    def serialize(self) -> bytes:
-        """The frame's wire bytes, from its type's ``pack_*`` function."""
-        raise NotImplementedError
-
-    def payload_length(self) -> int:
-        """Length of the frame payload in octets, computed without
-        serializing (each subclass overrides with arithmetic)."""
-        raise NotImplementedError
+    # Every concrete frame defines ``serialize`` (its wire bytes, from
+    # its type's ``pack_*`` function) and ``payload_length`` (computed
+    # without serializing).
 
     @property
     def wire_size(self) -> int:
@@ -240,10 +235,6 @@ class DataFrame(Frame):
                 raise ProtocolError("padding exceeds frame payload")
             body = body[1 : len(body) - pad]
         return cls(stream_id=stream_id, flags=flags, data=body, pad_length=pad)
-
-    @property
-    def end_stream(self) -> bool:
-        return self.has_flag(Flag.END_STREAM)
 
 
 @dataclass
@@ -302,14 +293,6 @@ class HeadersFrame(Frame):
                 raise ProtocolError("padding exceeds frame payload")
             body = body[: len(body) - pad]
         return cls(stream_id=stream_id, flags=flags, header_block=body, priority=priority)
-
-    @property
-    def end_stream(self) -> bool:
-        return self.has_flag(Flag.END_STREAM)
-
-    @property
-    def end_headers(self) -> bool:
-        return self.has_flag(Flag.END_HEADERS)
 
 
 @dataclass
@@ -393,10 +376,6 @@ class SettingsFrame(Frame):
             settings[key] = value
         return cls(stream_id=stream_id, flags=flags, settings=settings)
 
-    @property
-    def is_ack(self) -> bool:
-        return self.has_flag(Flag.ACK)
-
 
 @dataclass
 class PushPromiseFrame(Frame):
@@ -441,10 +420,6 @@ class PushPromiseFrame(Frame):
             header_block=block,
         )
 
-    @property
-    def end_headers(self) -> bool:
-        return self.has_flag(Flag.END_HEADERS)
-
 
 @dataclass
 class PingFrame(Frame):
@@ -466,10 +441,6 @@ class PingFrame(Frame):
         if len(body) != 8:
             raise ProtocolError("PING frame must be 8 octets", ErrorCode.FRAME_SIZE_ERROR)
         return cls(stream_id=stream_id, flags=flags, opaque=body)
-
-    @property
-    def is_ack(self) -> bool:
-        return self.has_flag(Flag.ACK)
 
 
 @dataclass
@@ -551,10 +522,6 @@ class ContinuationFrame(Frame):
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "ContinuationFrame":
         return cls(stream_id=stream_id, flags=flags, header_block=body)
-
-    @property
-    def end_headers(self) -> bool:
-        return self.has_flag(Flag.END_HEADERS)
 
 
 _PARSERS: Dict[int, Type[Frame]] = {

@@ -1,16 +1,23 @@
-"""Per-stream state (RFC 7540 §5.1).
+"""Per-stream state and the one table of its transitions (RFC 7540 §5.1).
 
-Each :class:`H2Stream` tracks the RFC lifecycle plus the send-side
-machinery the connection's pump needs: the body and a cursor into it,
-an optional *pause point* (used by the interleaving scheduler to stop
-the HTML stream at a byte offset), and two flow-control counts as plain
-ints: ``send_window``, the octets the peer still admits (RFC 7540
-§6.9.1; a SETTINGS decrease can drive it negative, §6.9.2), and
-``recv_unacked``, the octets received since this endpoint last credited
-the stream.  The connection owns every window rule; the stream only
-stores the counts.  The body is never cut up: :meth:`H2Stream.take`
-hands the pump a :class:`~repro.span.Span` of it, advances the cursor
-and consumes the stream's send window — one call per DATA frame.
+:data:`TRANSITIONS` is all of §5.1: for every ``(state, event)`` pair,
+the next state or a :class:`Refusal` (a negative int).  States and
+events are small ints, so a lookup hashes in C and makes no
+Python-level call.  :class:`~repro.h2.connection.H2Connection` owns
+every transition — a table read and a field write — and the stream-id
+rule of §5.1.1; nothing here changes a stream's state.
+
+Each :class:`H2Stream` also carries the send-side machinery the
+connection's pump needs: the body and a cursor into it, an optional
+*pause point* (used by the interleaving scheduler to stop the HTML
+stream at a byte offset), and two flow-control counts as plain ints:
+``send_window``, the octets the peer still admits (RFC 7540 §6.9.1; a
+SETTINGS decrease can drive it negative, §6.9.2), and ``recv_unacked``,
+the octets received since this endpoint last credited the stream.  The
+connection owns every window rule; the stream only stores the counts.
+The body is never cut up: :meth:`H2Stream.take` hands the pump a
+:class:`~repro.span.Span` of it, advances the cursor and consumes the
+stream's send window — one call per DATA frame.
 
 Hot-path note: :meth:`wants_to_send` is the one definition of stream
 readiness — the connection re-evaluates it for a stream whenever one
@@ -23,7 +30,8 @@ free of property indirection.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import enum
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import StreamError
 from ..span import Span
@@ -31,13 +39,68 @@ from .constants import ErrorCode, StreamState
 
 Header = Tuple[str, str]
 
-_IDLE = StreamState.IDLE
-_OPEN = StreamState.OPEN
-_RESERVED_LOCAL = StreamState.RESERVED_LOCAL
-_RESERVED_REMOTE = StreamState.RESERVED_REMOTE
 _CLOSED = StreamState.CLOSED
 _HALF_CLOSED_LOCAL = StreamState.HALF_CLOSED_LOCAL
-_HALF_CLOSED_REMOTE = StreamState.HALF_CLOSED_REMOTE
+
+
+class StreamEvent(enum.IntEnum):
+    """A frame sent or received on a stream.  PUSH_PROMISE is two
+    events: one on the associated stream, one reserving the promised."""
+
+    SEND_HEADERS = 0
+    RECV_HEADERS = 1
+    SEND_PUSH_PROMISE = 2
+    RECV_PUSH_PROMISE = 3
+    RESERVE_LOCAL = 4
+    RESERVE_REMOTE = 5
+    SEND_END_STREAM = 6
+    RECV_END_STREAM = 7
+    SEND_RST_STREAM = 8
+    RECV_RST_STREAM = 9
+    RECV_DATA = 10
+    RECV_WINDOW_UPDATE = 11
+
+
+class Refusal(enum.IntEnum):
+    """A table entry that is not a next state (§5.1, §5.4).  For an
+    event this endpoint sends, any refusal is a misuse of the API."""
+
+    IGNORE = -1
+    PROTOCOL_ERROR = -2  # a connection error
+    STREAM_CLOSED = -3  # a stream error
+    CONNECTION_STREAM_CLOSED = -4  # after the peer's END_STREAM
+
+
+def _table() -> Dict[Tuple[StreamState, StreamEvent], int]:
+    ID, RL, RR, OP, HL, HR, C, XL, XR = StreamState
+    IG, PE, SC, CC = Refusal
+    # One row per state, one column per StreamEvent.  PE: connection
+    # error PROTOCOL_ERROR, §5.1's answer for most frames a state does
+    # not admit (§6.6's for PUSH_PROMISE).  SC: stream error
+    # STREAM_CLOSED; CC: connection error STREAM_CLOSED, after the
+    # peer's END_STREAM.  IG: ignored — WINDOW_UPDATE and RST_STREAM may
+    # trail our END_STREAM, and whatever the peer sent before our
+    # RST_STREAM reached it (a PUSH_PROMISE still reserves), but a
+    # RST_STREAM is never answered (§5.4.2).  END_STREAM rides on a
+    # HEADERS or DATA frame the table has admitted first.
+    #        HEADERS   PUSH_PROMISE  RESERVE   END_STREAM  RST_STREAM  DATA WINDOW_UPDATE
+    #        send recv send recv     loc rem   send recv   send recv   recv recv
+    rows = {
+        ID: (OP, OP,  PE, PE,        RL, RR,   PE, PE,     PE, PE,     PE,  PE),
+        RL: (HR, PE,  PE, PE,        PE, PE,   PE, PE,     XL, XR,     PE,  RL),
+        RR: (PE, HL,  PE, PE,        PE, PE,   PE, PE,     XL, XR,     PE,  PE),
+        OP: (OP, OP,  OP, OP,        PE, PE,   HL, HR,     XL, XR,     OP,  OP),
+        HL: (PE, HL,  PE, HL,        PE, PE,   PE, C,      XL, XR,     HL,  HL),
+        HR: (HR, SC,  HR, PE,        PE, PE,   C,  SC,     XL, XR,     SC,  HR),
+        C:  (PE, CC,  PE, PE,        PE, PE,   PE, CC,     C,  IG,     CC,  IG),
+        XL: (PE, IG,  PE, XL,        PE, PE,   PE, IG,     XL, IG,     IG,  IG),
+        XR: (PE, SC,  PE, PE,        PE, PE,   PE, SC,     XR, IG,     SC,  SC),
+    }
+    return {(state, event): row[event] for state, row in rows.items() for event in StreamEvent}
+
+
+#: ``(state, event) -> next state or Refusal``, for every pair.
+TRANSITIONS = _table()
 
 
 class H2Stream:
@@ -48,7 +111,6 @@ class H2Stream:
         "state",
         "send_window",
         "recv_unacked",
-        "request_headers",
         "response_headers",
         "_body",
         "_cursor",
@@ -56,21 +118,16 @@ class H2Stream:
         "_end_after_queue",
         "bytes_sent",
         "pause_at",
-        "bytes_received",
-        "is_pushed",
         "reset_code",
-        "tracer",
-        "trace_conn",
     )
 
-    def __init__(self, stream_id: int, initial_send_window: int):
+    def __init__(self, stream_id: int, initial_send_window: int, state=StreamState.IDLE):
         self.stream_id = stream_id
-        self.state = _IDLE
+        self.state = state
         self.send_window = initial_send_window
         self.recv_unacked = 0
 
-        #: Request/response headers seen on this stream.
-        self.request_headers: Optional[List[Header]] = None
+        #: The response headers a client received on this stream.
         self.response_headers: Optional[List[Header]] = None
 
         # --- send-side body: ``_body[_cursor:_cursor + _queued_bytes]``
@@ -86,96 +143,14 @@ class H2Stream:
         #: ``H2Connection.pause_stream_at``, which re-derives readiness.
         self.pause_at: Optional[int] = None
 
-        # --- receive side ---
-        self.bytes_received = 0
-        #: True when this stream was created by a PUSH_PROMISE.
-        self.is_pushed = False
         #: Error code if reset, else None.
         self.reset_code: Optional[ErrorCode] = None
 
-        #: Optional event tracer (set by the owning connection when
-        #: tracing is on) and its connection label for event payloads.
-        self.tracer = None
-        self.trace_conn = ""
-
-    # ------------------------------------------------------------------
-    # state transitions
-    # ------------------------------------------------------------------
-    # Every opening transition leaves IDLE: an identity test, where a
-    # set of allowed states would hash the enum (a Python-level call)
-    # once per stream.
-    def open_local(self) -> None:
-        if self.state is not _IDLE:
-            self._invalid_transition(_OPEN)
-        self.state = _OPEN
-        if self.tracer is not None:
-            self.tracer.stream_opened(self.trace_conn, self.stream_id, False)
-
-    def open_remote(self) -> None:
-        if self.state is not _IDLE:
-            self._invalid_transition(_OPEN)
-        self.state = _OPEN
-        if self.tracer is not None:
-            self.tracer.stream_opened(self.trace_conn, self.stream_id, False)
-
-    def reserve_local(self) -> None:
-        if self.state is not _IDLE:
-            self._invalid_transition(_RESERVED_LOCAL)
-        self.state = _RESERVED_LOCAL
-        if self.tracer is not None:
-            self.tracer.stream_opened(self.trace_conn, self.stream_id, True)
-
-    def reserve_remote(self) -> None:
-        if self.state is not _IDLE:
-            self._invalid_transition(_RESERVED_REMOTE)
-        self.state = _RESERVED_REMOTE
-        if self.tracer is not None:
-            self.tracer.stream_opened(self.trace_conn, self.stream_id, True)
-
-    def close_local(self) -> None:
-        """We sent END_STREAM."""
-        state = self.state
-        if state is _OPEN or state is _RESERVED_LOCAL:
-            self.state = _HALF_CLOSED_LOCAL
-        elif state is _HALF_CLOSED_REMOTE:
-            self.state = _CLOSED
-            if self.tracer is not None:
-                self.tracer.stream_closed(self.trace_conn, self.stream_id)
-        elif state is not _CLOSED:
-            raise StreamError(
-                f"cannot close local side from {self.state}", self.stream_id
-            )
-
-    def close_remote(self) -> None:
-        """Peer sent END_STREAM."""
-        state = self.state
-        if state is _OPEN or state is _RESERVED_REMOTE:
-            self.state = _HALF_CLOSED_REMOTE
-        elif state is _HALF_CLOSED_LOCAL:
-            self.state = _CLOSED
-            if self.tracer is not None:
-                self.tracer.stream_closed(self.trace_conn, self.stream_id)
-        elif state is not _CLOSED:
-            raise StreamError(
-                f"cannot close remote side from {self.state}", self.stream_id
-            )
-
-    def reset(self, code: ErrorCode) -> None:
-        was_closed = self.state is _CLOSED
-        self.state = _CLOSED
-        self.reset_code = code
+    def drop_body(self) -> None:
+        """Forget the unsent body: the stream was reset."""
         self._body = b""
         self._cursor = 0
         self._queued_bytes = 0
-        if self.tracer is not None and not was_closed:
-            self.tracer.stream_reset(self.trace_conn, self.stream_id, code.name)
-
-    @property
-    def closed(self) -> bool:
-        return self.state is _CLOSED
-
-    def _invalid_transition(self, target: StreamState) -> None:
-        raise StreamError(f"invalid transition {self.state} -> {target}", self.stream_id)
 
     # ------------------------------------------------------------------
     # send-side body
@@ -219,13 +194,11 @@ class H2Stream:
         wants one zero-length END_STREAM frame if nothing was sent yet.
         """
         state = self.state
-        if state is _CLOSED:
+        if state >= _CLOSED:
             return False
         if self._queued_bytes > 0:
             return self.sendable_bytes() > 0
-        return self._end_after_queue and not (
-            state is _HALF_CLOSED_LOCAL or state is _CLOSED
-        )
+        return self._end_after_queue and state is not _HALF_CLOSED_LOCAL
 
     def take(self, budget: int) -> Tuple[Span, bool, bool]:
         """Take the next DATA payload, at most ``budget`` bytes of it.

@@ -21,9 +21,12 @@ mapping onto the wire (an HTTP/3-flavored framing, simplified):
   credits it and refuses an overrun exactly as over TCP; QUIC's own
   stream and connection limits are not modelled.
 
-Because control frames are ordered only among themselves, body bytes
-can arrive for a pushed stream before its PUSH_PROMISE; the adapter
-parks such early frames and replays them once the stream exists.
+Control frames are ordered only among themselves, so a body can
+overtake the HEADERS before it; this adapter, not the §5.1 table,
+absorbs that.  A pushed body that outran its PUSH_PROMISE or response
+HEADERS is parked until those HEADERS arrive.  Response HEADERS behind
+their whole body and fin still reach ``on_response`` (EXPERIMENTS.md,
+known deviation 7).
 """
 
 from __future__ import annotations
@@ -35,17 +38,20 @@ from ..h2.connection import (
     H2Connection,
     _END_STREAM_RAW,
 )
+from ..h2.constants import StreamState
 from ..netsim.quic import QuicEndpoint
 from ..span import Span
+
+_CLOSED = StreamState.CLOSED
+_RESERVED_REMOTE = StreamState.RESERVED_REMOTE
 
 
 class H2OverQuicConnection(H2Connection):
     """One endpoint of an HTTP/2 connection mapped onto QUIC streams."""
 
     def __init__(self, endpoint: QuicEndpoint, role: str, **kwargs):
-        #: (data, fin) frames that arrived before their stream existed
-        #: (control-plane loss delaying a PUSH_PROMISE behind body
-        #: bytes of the promised stream).
+        #: (data, fin) frames of a pushed body parked until its
+        #: response HEADERS arrive.
         self._early_frames: Dict[int, List[Tuple[Span, bool]]] = {}
         super().__init__(endpoint, role, **kwargs)
         endpoint.on_stream_data = self._on_quic_stream_data
@@ -73,10 +79,9 @@ class H2OverQuicConnection(H2Connection):
     # receive path: per-stream payloads feed the DATA machinery
     # ------------------------------------------------------------------
     def _on_quic_stream_data(self, stream_id: int, data: Span, fin: bool) -> None:
-        if stream_id not in self.streams:
-            # Body bytes outran the control-plane frame that opens this
-            # stream (possible only when stream 0 suffered a loss);
-            # park them until the PUSH_PROMISE / HEADERS arrive.
+        stream = self.streams.get(stream_id)
+        if stream is None or stream.state is _RESERVED_REMOTE:
+            # Only a loss on stream 0 lets a body get here first.
             self._early_frames.setdefault(stream_id, []).append((data, fin))
             return
         self._on_data_record((stream_id, data, _END_STREAM_RAW if fin else 0))
@@ -88,12 +93,16 @@ class H2OverQuicConnection(H2Connection):
         for data, fin in frames:
             self._on_quic_stream_data(stream_id, data, fin)
 
-    def _handle_push_promise(self, frame) -> None:
-        super()._handle_push_promise(frame)
-        if self._early_frames:
-            self._drain_early_frames(frame.promised_stream_id)
-
     def _finish_header_block(self, stream_id: int, block: bytes, end_stream: bool) -> None:
+        stream = self.streams.get(stream_id) if self.role == "client" else None
+        if stream is not None and stream.state is _CLOSED and stream.response_headers is None:
+            # Known deviation 7: the body and its fin closed the stream
+            # before its response HEADERS arrived on the control stream.
+            headers = self._decoder.decode(block)
+            stream.response_headers = headers
+            if self.on_response is not None:
+                self.on_response(stream_id, headers)
+            return
         super()._finish_header_block(stream_id, block, end_stream)
         if self._early_frames:
             self._drain_early_frames(stream_id)

@@ -16,7 +16,7 @@ from ..browser.priorities import weight_for
 from ..errors import ProtocolError
 from ..h2.cache_digest import CacheDigest
 from ..h2.connection import H2Connection
-from ..h2.constants import ErrorCode
+from ..h2.constants import ErrorCode, StreamState
 from ..h2.frames import PriorityData
 from ..html.resources import ResourceType, split_url
 from .scheduler import InterleavingScheduler
@@ -239,7 +239,7 @@ class ReplayServer:
     def _send_pushed_bodies(self, conn: H2Connection, promised: Dict[str, int]) -> None:
         """Queue pushed response headers and bodies (after the parent's)."""
         for push_url, promised_id in promised.items():
-            if conn.streams[promised_id].closed:
+            if conn.streams[promised_id].state >= StreamState.CLOSED:
                 continue  # the client cancelled the push already
             record = self.matcher.match(push_url)
             conn.respond(promised_id, record.response_headers())

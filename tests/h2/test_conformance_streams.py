@@ -40,11 +40,6 @@ from tests.support.h2peer import (
 
 RESPONSE = [(":status", "200")]
 
-#: Cases the stream-state rules did not meet while they were spread
-#: over the stream's transition methods and the connection's guards.
-BEFORE_TABLE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: RFC 7540 §5.1 is not one transition table yet"
-)
 PUSHED = REQUEST[:-1] + [(":path", "/style.css")]
 
 
@@ -90,39 +85,33 @@ def silent(peer, *frames):
 # ---------------------------------------------------------------------------
 
 
-@BEFORE_TABLE
 def test_data_on_an_idle_stream_is_protocol_error():
     # §5.1 idle: any frame but HEADERS or PRIORITY is a connection error
     # of type PROTOCOL_ERROR.
     raises(server_under_test(), ProtocolError, PROTOCOL_ERROR, data(1, 10))
 
 
-@BEFORE_TABLE
 def test_data_on_stream_zero_is_protocol_error():
     # §6.1: DATA not associated with a stream is a PROTOCOL_ERROR.
     raises(server_under_test(), ProtocolError, PROTOCOL_ERROR, data(0, 10))
 
 
-@BEFORE_TABLE
 def test_rst_stream_on_an_idle_stream_is_protocol_error():
     # §6.4: RST_STREAM on an idle stream is a PROTOCOL_ERROR.
     raises(server_under_test(), ProtocolError, PROTOCOL_ERROR, rst_stream(7, CANCEL))
 
 
-@BEFORE_TABLE
 def test_window_update_on_an_idle_stream_is_protocol_error():
     # §5.1 idle.
     raises(server_under_test(), ProtocolError, PROTOCOL_ERROR, window_update(9, 100))
 
 
-@BEFORE_TABLE
 def test_headers_on_an_even_stream_from_a_client_is_protocol_error():
     # §5.1.1: streams a client opens have odd identifiers.
     peer = server_under_test()
     raises(peer, ProtocolError, PROTOCOL_ERROR, peer.headers(2, end_stream=True))
 
 
-@BEFORE_TABLE
 def test_headers_on_a_lower_stream_id_is_protocol_error():
     # §5.1.1: a new stream's identifier is greater than every stream the
     # peer has opened; opening 5 closed the idle stream 3.
@@ -149,7 +138,6 @@ def test_unknown_frame_type_is_ignored():
 # ---------------------------------------------------------------------------
 
 
-@BEFORE_TABLE
 def test_data_after_the_peers_end_stream_is_stream_closed():
     # §5.1 half-closed (remote): frames other than WINDOW_UPDATE,
     # PRIORITY and RST_STREAM are a stream error of type STREAM_CLOSED.
@@ -158,7 +146,6 @@ def test_data_after_the_peers_end_stream_is_stream_closed():
     raises(peer, StreamError, STREAM_CLOSED, data(1, 10))
 
 
-@BEFORE_TABLE
 def test_headers_after_the_peers_end_stream_is_stream_closed():
     # §5.1 half-closed (remote), as above, for a second HEADERS.
     peer = server_under_test()
@@ -230,6 +217,13 @@ def test_interleaved_frame_in_a_header_block_is_protocol_error():
     raises(peer, ProtocolError, PROTOCOL_ERROR, peer.headers(3, end_stream=True))
 
 
+def test_continuation_without_a_header_block_is_protocol_error():
+    # §6.10: CONTINUATION follows a HEADERS, PUSH_PROMISE or
+    # CONTINUATION without END_HEADERS, and nothing else.
+    peer = server_under_test()
+    raises(peer, ProtocolError, PROTOCOL_ERROR, continuation(1, header_block(REQUEST)))
+
+
 def test_continuation_on_another_stream_is_protocol_error():
     peer = server_under_test()
     block = header_block(REQUEST)
@@ -249,7 +243,21 @@ def test_push_promise_reserves_the_promised_stream():
     assert peer.responses == [2]
 
 
-@BEFORE_TABLE
+def test_push_promise_from_a_client_is_protocol_error():
+    # §8.2: a client cannot push; a server treats a PUSH_PROMISE as a
+    # connection error of type PROTOCOL_ERROR.
+    peer = server_under_test()
+    peer.send(peer.headers(1))
+    raises(peer, ProtocolError, PROTOCOL_ERROR, push_promise(1, 2, PUSHED))
+
+
+def test_headers_on_a_stream_never_promised_is_protocol_error():
+    # §8.2, §5.1 idle: a server opens a stream only by reserving it
+    # with PUSH_PROMISE, never by sending HEADERS on it.
+    peer = client_under_test()
+    raises(peer, ProtocolError, PROTOCOL_ERROR, peer.headers(2, fields=RESPONSE))
+
+
 def test_push_promise_with_push_disabled_is_protocol_error():
     # §8.2: a client that set SETTINGS_ENABLE_PUSH to 0 treats a
     # PUSH_PROMISE as a connection error of type PROTOCOL_ERROR.
@@ -257,7 +265,6 @@ def test_push_promise_with_push_disabled_is_protocol_error():
     raises(peer, ProtocolError, PROTOCOL_ERROR, push_promise(1, 2, PUSHED))
 
 
-@BEFORE_TABLE
 @pytest.mark.parametrize(
     "first, second",
     [(None, 3), (4, 2), (2, 2)],
@@ -272,7 +279,6 @@ def test_promised_ids_are_even_and_increasing(first, second):
     raises(peer, ProtocolError, PROTOCOL_ERROR, push_promise(1, second, PUSHED))
 
 
-@BEFORE_TABLE
 def test_push_promise_on_a_closed_parent_is_protocol_error():
     # §6.6: PUSH_PROMISE on a stream that is neither open nor half-closed
     # (local) is a connection error of type PROTOCOL_ERROR.
@@ -281,7 +287,6 @@ def test_push_promise_on_a_closed_parent_is_protocol_error():
     raises(peer, ProtocolError, PROTOCOL_ERROR, push_promise(1, 2, PUSHED))
 
 
-@BEFORE_TABLE
 def test_data_on_a_reserved_stream_is_protocol_error():
     # §5.1 reserved (remote): only HEADERS, RST_STREAM and PRIORITY.
     peer = client_under_test()
@@ -311,7 +316,6 @@ def test_data_after_our_rst_stream_is_ignored():
     assert peer.bodies == []
 
 
-@BEFORE_TABLE
 def test_headers_after_our_rst_stream_are_ignored():
     peer = cancelled_push()
     silent(peer, peer.headers(2, fields=RESPONSE))
@@ -335,7 +339,6 @@ def test_data_after_our_rst_stream_counts_against_the_connection_window():
     assert [(f.stream_id, f.increment) for f in updates] == [(0, 8 * 1024 * 1024)]
 
 
-@BEFORE_TABLE
 def test_headers_after_both_end_streams_is_stream_closed():
     # §5.1 closed: any frame after the peer's END_STREAM, but PRIORITY,
     # WINDOW_UPDATE and RST_STREAM, is a connection error of type
@@ -361,7 +364,6 @@ def test_quic_headers_after_their_body_still_reach_the_client():
     assert peer.responses == [1]
 
 
-@BEFORE_TABLE
 def test_quic_headers_of_a_cancelled_push_are_ignored():
     # §5.1 closed, after this endpoint's RST_STREAM, on either transport.
     peer = cancelled_push(cls=H2OverQuicConnection)
@@ -370,7 +372,6 @@ def test_quic_headers_of_a_cancelled_push_are_ignored():
     assert peer.responses == [] and peer.bodies == []
 
 
-@BEFORE_TABLE
 def test_quic_push_body_before_its_promise_waits_for_the_headers():
     # A pushed body that outran its PUSH_PROMISE waits until the
     # stream's response HEADERS make DATA legal (§5.1 reserved).

@@ -147,7 +147,7 @@ def test_client_cancels_push_with_rst():
         server.send_body(pid, b"c" * 50_000, end_stream=True)
 
     server.on_request = on_request
-    client.on_push_promise = lambda parent, pid, headers: client.reset_stream_raw(
+    client.on_push_promise = lambda parent, pid, headers: client.reset_stream(
         pid, ErrorCode.CANCEL
     )
     client.request(REQUEST)

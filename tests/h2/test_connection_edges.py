@@ -7,13 +7,6 @@ from repro.h2 import ErrorCode, H2Connection, PriorityData, Settings
 from tests.h2.test_connection import REQUEST, make_pair
 
 
-def test_goaway_received_flag():
-    sim, client, server = make_pair()
-    client.goaway()
-    sim.run()
-    assert server._goaway_received
-
-
 def test_respond_on_unknown_stream_rejected():
     sim, client, server = make_pair()
     with pytest.raises(StreamError):

@@ -34,11 +34,11 @@ class TestDataFrame:
         frame = round_trip(DataFrame(stream_id=5, data=b"payload"))
         assert frame.stream_id == 5
         assert frame.data == b"payload"
-        assert not frame.end_stream
+        assert not frame.has_flag(Flag.END_STREAM)
 
     def test_end_stream_flag(self):
         frame = round_trip(DataFrame(stream_id=1, flags=Flag.END_STREAM, data=b"x"))
-        assert frame.end_stream
+        assert frame.has_flag(Flag.END_STREAM)
 
     def test_padding_round_trip(self):
         frame = round_trip(DataFrame(stream_id=1, data=b"abc", pad_length=10))
@@ -68,7 +68,7 @@ class TestHeadersFrame:
             HeadersFrame(stream_id=3, flags=Flag.END_HEADERS, header_block=b"\x82\x87")
         )
         assert frame.header_block == b"\x82\x87"
-        assert frame.end_headers
+        assert frame.has_flag(Flag.END_HEADERS)
 
     def test_priority_block(self):
         frame = round_trip(
@@ -110,11 +110,11 @@ class TestControlFrames:
     def test_settings_round_trip(self):
         frame = round_trip(SettingsFrame(stream_id=0, settings={2: 0, 4: 1 << 20}))
         assert frame.settings == {2: 0, 4: 1 << 20}
-        assert not frame.is_ack
+        assert not frame.has_flag(Flag.ACK)
 
     def test_settings_ack(self):
         frame = round_trip(SettingsFrame(stream_id=0, flags=Flag.ACK))
-        assert frame.is_ack
+        assert frame.has_flag(Flag.ACK)
 
     def test_settings_on_stream_rejected(self):
         wire = SettingsFrame(stream_id=0, settings={1: 1}).serialize()
@@ -170,7 +170,7 @@ class TestControlFrames:
             ContinuationFrame(stream_id=3, flags=Flag.END_HEADERS, header_block=b"zz")
         )
         assert frame.header_block == b"zz"
-        assert frame.end_headers
+        assert frame.has_flag(Flag.END_HEADERS)
 
 
 class TestFrameReader:

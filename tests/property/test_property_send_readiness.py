@@ -40,7 +40,7 @@ def ready_by_rescan(conn):
     window_open = conn._conn_send_window > 0
     ready = set()
     for stream_id, stream in conn.streams.items():
-        if stream.closed:
+        if stream.state >= StreamState.CLOSED:
             continue
         wants_end = (
             stream._end_after_queue
@@ -261,7 +261,9 @@ def test_ready_set_matches_a_rescan_at_every_step(
         # as the client's own: it lowers the octets it has yet to credit.
         elif kind == "stream_update":
             stream = client.streams.get(stream_id_at(op[1]))
-            if stream is not None:  # its PUSH_PROMISE has arrived
+            # Its PUSH_PROMISE has arrived, and the client has not closed
+            # it: a closed stream takes no frame but PRIORITY (§5.1).
+            if stream is not None and stream.state < StreamState.CLOSED:
                 stream.recv_unacked -= op[2]
                 from_client(WindowUpdateFrame(stream_id=stream.stream_id, increment=op[2]))
         elif kind == "connection_update":
@@ -275,7 +277,7 @@ def test_ready_set_matches_a_rescan_at_every_step(
             from_client(SettingsFrame(stream_id=0, settings={INITIAL_WINDOW: op[1]}))
         elif kind == "client_reset":
             if stream_id_at(op[1]) in client.streams:  # its PUSH_PROMISE has arrived
-                client.reset_stream_raw(stream_id_at(op[1]), ErrorCode.CANCEL)
+                client.reset_stream(stream_id_at(op[1]), ErrorCode.CANCEL)
         elif kind == "server_reset":
             server.reset_stream(stream_id_at(op[1]))
         elif kind == "priority":

@@ -13,6 +13,7 @@ equal, and the spans taken must spell the bytes written.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.h2.constants import StreamState
 from repro.h2.stream import H2Stream
 from tests.support.stream_reference import ReferenceSendStream
 
@@ -49,8 +50,7 @@ def assert_same_state(stream, reference):
 @example(window=100, program=[("queue", 1_400, False), ("shrink", 1_000), ("take", 100), ("credit", 1_400), ("take", 100)])
 @settings(max_examples=300, deadline=None)
 def test_take_matches_the_three_calls_it_replaced(window, program):
-    stream = H2Stream(1, initial_send_window=window)
-    stream.open_local()
+    stream = H2Stream(1, initial_send_window=window, state=StreamState.OPEN)
     reference = ReferenceSendStream(window)
     written = bytearray()
     taken = bytearray()
@@ -81,7 +81,7 @@ def test_take_matches_the_three_calls_it_replaced(window, program):
             taken += span.tobytes()
             if end:
                 ended = True
-                stream.close_local()
+                stream.state = StreamState.HALF_CLOSED_LOCAL
                 reference.close_local()
             assert bool(more) == reference.wants_to_send()
         assert_same_state(stream, reference)

@@ -117,7 +117,7 @@ def test_cancelled_critical_push_does_not_deadlock():
 
     server.on_request = on_request
     # Cancel every push as soon as it is promised.
-    client.on_push_promise = lambda parent, pid, headers: client.reset_stream_raw(pid, 8)
+    client.on_push_promise = lambda parent, pid, headers: client.reset_stream(pid, 8)
     client.on_stream_end = lambda sid: finish.setdefault(sid, sim.now)
     client.request(REQUEST, priority=PriorityData(depends_on=0, weight=256))
     sim.run(until=30_000)
