@@ -16,15 +16,20 @@ receiver policy and holds the simulator to it within one segment time:
 
 The sizes stay within two flights: one segment, exactly IW10, one
 segment past it, and 40 000 octets (28 segments).
+
+Loss-free QUIC is then held to TCP's instant exactly, on those sizes and
+on two that need more flights (100 000 and 2 000 000 octets).
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.netsim.conditions import DSL_TESTBED
 from repro.netsim.congestion import INITIAL_SSTHRESH
 from repro.netsim.link import SharedLink
+from repro.netsim.quic import QuicConnection
 from repro.netsim.tcp import (
     ACK_SIZE,
     DELAYED_ACK_SEGMENTS,
@@ -131,3 +136,41 @@ def test_arithmetic_matches_the_hand_worked_cases():
     # 28 segments: 18 in the second flight, link-bound from 51.82 (each
     # ACK, 1.5 ms apart, releases four): 17 full and one of 580 octets.
     assert slow_start_arrival_ms(40_000) == pytest.approx(51.82 + 17 * 0.75 + 620 / 2000 + 25)
+
+
+def quic_arrival_ms(size, conditions=DSL_TESTBED):
+    """``simulated_arrival_ms`` over QUIC: the object goes as one
+    resource stream closed by its fin."""
+    conditions = replace(conditions, transport="quic")
+    sim = Simulator()
+    rng = random.Random(0)
+    down = SharedLink(sim, conditions.downlink_bytes_per_ms, conditions.one_way_ms, rng=rng)
+    up = SharedLink(sim, conditions.uplink_bytes_per_ms, conditions.one_way_ms, rng=rng)
+    conn = QuicConnection(sim, downlink=down, uplink=up, conditions=conditions, rng=rng)
+    conn.set_send_buffer(max(size, MSS))
+    done = []
+    conn.client.on_stream_data = lambda sid, span, fin: fin and done.append(sim.now)
+    assert conn.server.send_stream(1, bytes(size), fin=True) == size
+    sim.run()
+    assert len(done) == 1
+    return done[0]
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        MSS,
+        INITIAL_WINDOW_SEGMENTS * MSS,
+        INITIAL_WINDOW_SEGMENTS * MSS + MSS,
+        40_000,
+        100_000,
+        2_000_000,
+    ],
+    ids=["1-mss", "iw10", "iw10-plus-1-mss", "40000", "100000", "2000000"],
+)
+def test_loss_free_quic_lands_the_last_byte_when_tcp_does(size):
+    """Both transports share the controller, the estimator, delayed ACKs
+    and per-packet overhead, and a clean link has nothing for packet
+    numbers or per-stream reassembly to change: the last octet arrives
+    at the same simulated instant, float for float."""
+    assert quic_arrival_ms(size) == simulated_arrival_ms(size)
