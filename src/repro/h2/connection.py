@@ -241,8 +241,10 @@ class H2Connection:
         if end_stream:
             # Open or half-closed (remote) now: either admits it.
             stream.state = state = _TRANSITIONS[state, _SEND_END_STREAM]
-            if state is _CLOSED and self._tracer is not None:
-                self._tracer.stream_closed(self._trace_name, stream_id)
+            if state is _CLOSED:
+                if self._tracer is not None:
+                    self._tracer.stream_closed(self._trace_name, stream_id)
+                self.priority_tree.remove(stream_id)
         self._pump()
 
     def respond_informational(self, stream_id: int, headers: List[Header]) -> None:
@@ -251,11 +253,14 @@ class H2Connection:
         Informational responses — 103 Early Hints here — precede the
         final HEADERS, never carry END_STREAM, and leave the stream
         state untouched (RFC 9113 §8.1): the final ``respond`` call
-        still records the response headers and closes the stream.
+        still records the response headers and closes the stream.  The
+        table still decides whether HEADERS may be sent at all.
         """
         if self.role != "server":
             raise ProtocolError("only servers send interim responses")
-        self._require_stream(stream_id)
+        stream = self._require_stream(stream_id)
+        if _TRANSITIONS[stream.state, _SEND_HEADERS] < 0:
+            self._misuse(stream, _SEND_HEADERS)
         self._queue_header_block(stream_id, _END_HEADERS_RAW, self._encoder.encode(headers))
         self._pump()
 

@@ -12,11 +12,13 @@ raises nothing and writes nothing.
 import pytest
 
 from repro.errors import ProtocolError, StreamError
-from repro.h2 import H2Connection, Settings
+from repro.h2 import ErrorCode, H2Connection, Settings, StreamState
 from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.span import Span
 from tests.support.h2peer import (
     CANCEL,
+    END_STREAM,
+    HEADERS,
     PING,
     PROTOCOL_ERROR,
     REQUEST,
@@ -174,6 +176,41 @@ def test_priority_on_a_closed_stream_is_allowed():
     peer.send(peer.headers(1, end_stream=True))
     peer.receive()
     silent(peer, priority(1, depends_on=0, weight=1))
+
+
+EARLY_HINTS = [(":status", "103"), ("link", "</style.css>; rel=preload")]
+
+
+def test_early_hints_on_a_half_closed_remote_stream_are_sent():
+    # §5.1 half-closed (remote): this endpoint may send any frame, and an
+    # interim HEADERS leaves the stream as it is (RFC 9113 §8.1).
+    peer = server_under_test()
+    peer.send(peer.headers(1, end_stream=True))
+    peer.conn.respond_informational(1, EARLY_HINTS)
+    [hints] = peer.receive()
+    assert (hints.type, hints.stream_id, hints.flags & END_STREAM) == (HEADERS, 1, 0)
+    assert peer.conn.streams[1].state is StreamState.HALF_CLOSED_REMOTE
+
+
+def _respond_closed(conn, sid):
+    conn.respond(sid, RESPONSE, end_stream=True)
+
+
+def _reset(conn, sid):
+    conn.reset_stream(sid, ErrorCode.CANCEL)
+
+
+@pytest.mark.parametrize("close", [_respond_closed, _reset], ids=["end-stream", "rst-stream"])
+def test_early_hints_on_a_closed_stream_are_refused(close):
+    # §5.1 closed: an endpoint must not send frames other than PRIORITY
+    # on a closed stream, after either END_STREAM or RST_STREAM.
+    peer = server_under_test()
+    peer.send(peer.headers(1, end_stream=True))
+    close(peer.conn, 1)
+    peer.receive()
+    with pytest.raises(StreamError):
+        peer.conn.respond_informational(1, EARLY_HINTS)
+    assert peer.receive() == []
 
 
 # ---------------------------------------------------------------------------

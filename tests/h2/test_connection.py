@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ProtocolError
-from repro.h2 import ErrorCode, H2Connection, PriorityData, Settings
+from repro.h2 import ErrorCode, H2Connection, PriorityData, Settings, StreamState
 from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.netsim import DSL_TESTBED, Topology
 from repro.sim import Simulator
@@ -79,6 +79,17 @@ def test_client_stream_ids_are_odd_and_increasing():
     server.on_request = lambda sid, h, p: server.respond(sid, [(":status", "200")], end_stream=True)
     ids = [client.request(REQUEST) for _ in range(3)]
     assert ids == [1, 3, 5]
+
+
+def test_a_response_that_ends_the_stream_leaves_the_priority_tree():
+    """A 404 sent as HEADERS with END_STREAM closes its stream as a body
+    ending it does, and a closed stream is no parent for later ones."""
+    sim, client, server = make_pair()
+    server.on_request = lambda sid, h, p: server.respond(sid, [(":status", "404")], end_stream=True)
+    sid = client.request(REQUEST)
+    sim.run()
+    assert server.streams[sid].state is StreamState.CLOSED
+    assert sid not in server.priority_tree
 
 
 def test_push_stream_ids_are_even():
