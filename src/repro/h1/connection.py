@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import ProtocolError
-from ..netsim.tcp import TcpEndpoint
+from ..netsim.transport import Endpoint
 from ..span import Span
 
 Header = Tuple[str, str]
@@ -38,7 +38,7 @@ class H1ClientConnection:
     ``(stream_id, span)`` and ``on_stream_end`` ``(stream_id)``.
     """
 
-    def __init__(self, endpoint: TcpEndpoint):
+    def __init__(self, endpoint: Endpoint):
         self._endpoint = endpoint
         endpoint.on_data = self._on_data
         endpoint.on_writable = self._pump
@@ -139,7 +139,7 @@ class H1ServerConnection:
 
     def __init__(
         self,
-        endpoint: TcpEndpoint,
+        endpoint: Endpoint,
         handler: Callable[[str, str, List[Header]], Tuple[int, List[Header], bytes]],
         interim_handler: Optional[
             Callable[[str, str, List[Header]], List[Tuple[int, List[Header]]]]

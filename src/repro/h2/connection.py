@@ -22,7 +22,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import FlowControlError, ProtocolError, StreamError
-from ..netsim.tcp import TcpEndpoint
+from ..netsim.transport import Endpoint
 from .constants import (
     CONNECTION_PREFACE,
     DEFAULT_INITIAL_WINDOW_SIZE,
@@ -102,7 +102,7 @@ class H2Connection:
 
     def __init__(
         self,
-        endpoint: TcpEndpoint,
+        endpoint: Endpoint,
         role: str,
         settings: Optional[Settings] = None,
         chunk_size: int = 16_384,
@@ -410,7 +410,7 @@ class H2Connection:
 
     def _flush_control(self) -> None:
         queue = self._control_queue
-        # Direct half-connection access (TcpEndpoint.send_buffer_space /
+        # Direct half-connection access (Endpoint.send_buffer_space /
         # send are thin wrappers; this loop runs per flushed frame).
         half = self._endpoint._out
         while queue:
@@ -455,10 +455,9 @@ class H2Connection:
         ``_emit_data`` writes, the scheduler is told.
         """
         ready = self._ready
-        # Direct half-connection access: send_buffer_space /
-        # unsent_buffered / congestion_window are endpoint property
-        # chains re-read on every loop iteration of the hottest loop in
-        # a replay.
+        # Direct half-connection access (transport.Half's send-buffer
+        # fields): the endpoint's send_buffer_space is a property chain,
+        # and this is the hottest loop in a replay.
         half = self._endpoint._out
         streams = self.streams
         scheduler = self.scheduler

@@ -1,4 +1,4 @@
-"""Pluggable congestion control for the TCP model.
+"""Pluggable congestion control for the TCP and QUIC models.
 
 The original send path hard-coded Reno-style window arithmetic inside
 ``_HalfConnection``; the impairment work makes the controller a policy
@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..errors import ConfigError
 
 #: Initial congestion window, in segments (RFC 6928), shared by all
-#: controllers.  Mirrors ``repro.netsim.tcp.INITIAL_WINDOW_SEGMENTS``.
+#: controllers.
 INITIAL_WINDOW_SEGMENTS = 10
 
 #: Initial slow-start threshold (bytes), the historical constant.
@@ -64,9 +64,9 @@ class CongestionControl:
     def trace_sample(self, tracer, conn: str, trigger: str, rto_ms: float, in_flight: int) -> None:
         """Emit a cwnd evolution sample to a ``repro.trace`` tracer.
 
-        Called by the TCP sender after each controller decision (behind
-        its tracing guard); read-only, so traced and untraced runs stay
-        bit-identical.
+        Called by the TCP and QUIC senders after each controller
+        decision (behind their tracing guard); read-only, so traced and
+        untraced runs stay bit-identical.
         """
         tracer.cwnd_sample(conn, trigger, self.cwnd, self.ssthresh, rto_ms, in_flight)
 

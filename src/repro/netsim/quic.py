@@ -26,7 +26,9 @@ smoothed RTT estimator, delayed ACKs (every 2nd packet / 5 ms), the
 sender-side Bernoulli loss, and the shared-link impairment pipeline
 (loss/jitter/reorder/fading apply to QUIC packets exactly as they do
 to TCP segments).  Per-packet wire overhead is charged at the TCP
-figure so bandwidth-bound comparisons are apples to apples.
+figure so bandwidth-bound comparisons are apples to apples.  The
+endpoint facade, the half-connection state, the PTO/RTO expiry and the
+duplex wrapper are the same code as TCP's: :mod:`repro.netsim.transport`.
 
 Payloads travel by reference, as in the TCP model: every write is a
 :class:`~repro.span.Span`, a packet carries the sub-span it covers, and
@@ -42,22 +44,19 @@ connection object exists, exactly as for TCP.
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Union
 
-from ..errors import NetworkError
-from ..sim import CANCELLED, Simulator
+from ..sim import CANCELLED
 from ..span import Span
-from .conditions import NetworkConditions
-from .congestion import make_congestion_control
-from .link import SharedLink
-from .tcp import (
+from .transport import (
     ACK_SIZE,
-    DEFAULT_SEND_BUFFER,
     DELAYED_ACK_SEGMENTS,
     DELAYED_ACK_TIMEOUT_MS,
     HEADER_OVERHEAD,
+    Duplex,
+    Endpoint,
+    Half,
 )
 
 #: Packets whose number trails the largest acknowledged by this many
@@ -70,108 +69,28 @@ PACKET_THRESHOLD = 3
 CONTROL_STREAM = 0
 
 
-class QuicEndpoint:
-    """One side of an established QUIC connection.
-
-    Mirrors :class:`~repro.netsim.tcp.TcpEndpoint` — ``send`` writes
-    the ordered control stream (stream 0) and ``on_data`` receives it,
-    so byte-stream consumers work unchanged — and adds the stream
-    plane: ``send_stream`` writes one resource stream (``bytes`` or a
-    :class:`~repro.span.Span`) and ``on_stream_data`` receives
-    per-stream payloads, as spans, the moment they are contiguous
-    within their stream.
-    """
-
-    def __init__(self, half_out: "_QuicHalf", half_in: "_QuicHalf", name: str):
-        self._out = half_out
-        self._in = half_in
-        self.name = name
-        self.on_data: Optional[Callable[[bytes], None]] = None
-        self.on_stream_data: Optional[Callable[[int, Span, bool], None]] = None
-        self.on_writable: Optional[Callable[[], None]] = None
-        #: Never called: bodies arrive per stream.  The HTTP/2 layer
-        #: wires it on either transport.
-        self.on_record: Optional[Callable[[object], None]] = None
-        half_out.endpoint = self
-        half_in.receiver_endpoint = self
-
-    def release(self) -> None:
-        """As :meth:`repro.netsim.tcp.TcpEndpoint.release`."""
-        self.on_data = self.on_stream_data = self.on_writable = self.on_record = None
-        self._out.endpoint = None
-        self._in.receiver_endpoint = None
-
-    def send(self, data: bytes) -> int:
-        """Buffer control-stream bytes; returns the count accepted."""
-        return self._out.enqueue(data)
+class QuicEndpoint(Endpoint):
+    """One side of an established QUIC connection: ``send`` writes the
+    ordered control stream (stream 0), so byte-stream consumers work
+    unchanged, and ``send_stream`` writes one resource stream.
+    ``on_record`` is never called: bodies arrive per stream."""
 
     def send_stream(self, stream_id: int, data: Union[bytes, Span], fin: bool = False) -> int:
         """Buffer bytes for one resource stream (``fin`` closes it)."""
         return self._out.enqueue_stream(stream_id, data, fin)
 
-    @property
-    def send_buffer_space(self) -> int:
-        out = self._out
-        space = out._max_buffer - out._buffered
-        return space if space > 0 else 0
 
-    @property
-    def bytes_sent(self) -> int:
-        return self._out.bytes_enqueued
+class _QuicHalf(Half):
+    """One direction of a QUIC connection: packet numbers,
+    packet-threshold loss detection, and per-stream reassembly."""
 
-    @property
-    def bytes_received(self) -> int:
-        return self._in.bytes_delivered
-
-    @property
-    def congestion_window(self) -> float:
-        return self._out._cc.cwnd
-
-    @property
-    def unsent_buffered(self) -> int:
-        return self._out._buffered
-
-    @property
-    def in_flight_bytes(self) -> int:
-        return self._out._flight_bytes
-
-    @property
-    def all_sent_delivered(self) -> bool:
-        return self._out.fully_acked
-
-
-class _QuicHalf:
-    """Sender + receiver state for one direction of a connection."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        data_link: SharedLink,
-        ack_link: SharedLink,
-        conditions: NetworkConditions,
-        rng: random.Random,
-        name: str,
-        tracer=None,
-    ):
-        self._sim = sim
-        self._data_link = data_link
-        self._ack_link = ack_link
-        self._conditions = conditions
-        self._rng = rng
-        self.name = name
-        self._tracer = tracer
-        self.endpoint: Optional[QuicEndpoint] = None
-        self.receiver_endpoint: Optional[QuicEndpoint] = None
-
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # --- sender state ---
         #: FIFO of pending stream writes: [stream_id, span, fin].
         #: FIFO across streams keeps the HTTP/2 scheduler in charge of
         #: interleaving, exactly as it is over TCP's single stream.
         self._buffer: Deque[list] = deque()
-        self._buffered = 0
-        self._max_buffer = DEFAULT_SEND_BUFFER
-        self._mss = conditions.mss
-        self._cc = make_congestion_control(conditions.congestion_control, conditions.mss)
         self._next_pn = 0
         self._largest_acked = -1
         #: How much of the receiver's arrival order earlier ACKs covered.
@@ -183,14 +102,6 @@ class _QuicHalf:
         #: pn order.
         self._in_flight: Dict[int, list] = {}
         self._flight_bytes = 0
-        self._rto_lane = sim.timer_lane()
-        self.bytes_enqueued = 0
-        # RFC 6298 estimator, the TCP model's arithmetic (run inline in
-        # ``_on_ack_arrival``); with unique packet numbers every ACKed
-        # packet is a valid sample.
-        self._srtt: float = 0.0
-        self._rttvar: float = 0.0
-        self._rto = 1_000.0
 
         # --- receiver state ---
         #: Packet numbers received, and the same in arrival order: an ACK
@@ -200,20 +111,8 @@ class _QuicHalf:
         self._rcv_largest = -1
         #: stream_id -> [next_offset, {offset: (span, fin)}].
         self._streams: Dict[int, list] = {}
-        self.bytes_delivered = 0
-        self._packets_since_ack = 0
-        self._ack_lane = sim.timer_lane()
-        #: The pending delayed-ACK timer's queue entry; None = not armed.
-        self._ack_timer: Optional[list] = None
 
-    # ------------------------------------------------------------------
-    # sender side
-    # ------------------------------------------------------------------
-    @property
-    def buffer_space(self) -> int:
-        space = self._max_buffer - self._buffered
-        return space if space > 0 else 0
-
+    # --- sender side ---
     @property
     def fully_acked(self) -> bool:
         return self._buffered == 0 and not self._in_flight
@@ -300,11 +199,26 @@ class _QuicHalf:
         self._buffered = buffered
         self._next_pn = next_pn
 
-    def _retransmit(self, entry: list, kind: str, lost_pn: int) -> None:
-        """Re-send one lost frame in a fresh packet (new packet number);
+    def _take_in_flight(self, pn: int) -> Optional[list]:
+        """Remove packet ``pn``'s flight entry, cancel its timer (a no-op
+        when it is the timer firing), uncount its bytes and return it;
+        None when ``pn`` is no longer in flight."""
+        entry = self._in_flight.pop(pn, None)
+        if entry is not None:
+            entry[4][CANCELLED] = True
+            self._flight_bytes -= entry[6]
+        return entry
+
+    def _retransmit(self, lost_pn: int, entry: list, kind: str) -> None:
+        """Re-send the frame of lost packet ``lost_pn`` in a fresh packet
+        (new packet number), lost by ``kind`` (``"rto"`` or ``"fast"``);
         first sends are ``_pump``'s."""
         stream_id, offset, span, fin, _timer, _sent_at, size = entry
         if self._tracer is not None:
+            if kind == "rto":
+                self._cc.trace_sample(
+                    self._tracer, self.name, "timeout", self._rto, self._flight_bytes
+                )
             self._tracer.retransmit(self.name, lost_pn, kind)
         pn = self._next_pn
         self._next_pn = pn + 1
@@ -317,19 +231,6 @@ class _QuicHalf:
         self._data_link.transmit(
             size + HEADER_OVERHEAD, self._on_packet_arrival, pn, (stream_id, offset, span, fin)
         )
-
-    def _on_timeout(self, pn: int) -> None:
-        entry = self._in_flight.pop(pn, None)
-        if entry is None:
-            return
-        self._flight_bytes -= entry[6]
-        self._cc.on_timeout(self._sim.now)
-        self._rto = min(self._rto * 2.0, 60_000.0)  # exponential backoff
-        if self._tracer is not None:
-            self._cc.trace_sample(
-                self._tracer, self.name, "timeout", self._rto, self._flight_bytes
-            )
-        self._retransmit(entry, "rto", pn)
 
     def _on_ack_arrival(self, count: int, largest: int) -> None:
         """Process one ACK at the sender: the receiver had ``count``
@@ -397,7 +298,7 @@ class _QuicHalf:
                 entry = in_flight.pop(pn)
                 entry[4][CANCELLED] = True
                 self._flight_bytes -= entry[6]
-                self._retransmit(entry, "fast", pn)
+                self._retransmit(pn, entry, "fast")
         elif newly_acked > 0 and self._tracer is not None:
             self._cc.trace_sample(
                 self._tracer, self.name, "ack", self._rto, self._flight_bytes
@@ -407,9 +308,7 @@ class _QuicHalf:
             if self.endpoint is not None and self.endpoint.on_writable is not None:
                 self.endpoint.on_writable()
 
-    # ------------------------------------------------------------------
-    # receiver side (runs at the *other* host; links already added delay)
-    # ------------------------------------------------------------------
+    # --- receiver side (runs at the *other* host; links already added delay) ---
     def _on_packet_arrival(self, pn: int, frame: tuple) -> None:
         received = self._received
         duplicate = pn in received
@@ -512,42 +411,9 @@ class _QuicHalf:
         )
 
 
-class QuicConnection:
-    """A full-duplex QUIC connection between a client and a server.
-
-    Mirrors :class:`~repro.netsim.tcp.TcpConnection`: both directions
-    share the topology's access links, with ACKs riding the reverse
-    link.  The ``transport`` attribute lets protocol layers pick the
-    matching framing adapter.
-    """
+class QuicConnection(Duplex):
+    """A full-duplex QUIC connection between a client and a server."""
 
     transport = "quic"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        downlink: SharedLink,
-        uplink: SharedLink,
-        conditions: NetworkConditions,
-        rng: Optional[random.Random] = None,
-        name: str = "quic",
-        tracer=None,
-    ):
-        rng = rng or random.Random(0)
-        self.name = name
-        self._c2s = _QuicHalf(
-            sim, uplink, downlink, conditions, rng, f"{name}:c2s", tracer=tracer
-        )
-        self._s2c = _QuicHalf(
-            sim, downlink, uplink, conditions, rng, f"{name}:s2c", tracer=tracer
-        )
-        self.client = QuicEndpoint(self._c2s, self._s2c, f"{name}:client")
-        self.server = QuicEndpoint(self._s2c, self._c2s, f"{name}:server")
-
-    def set_send_buffer(self, size: int) -> None:
-        """Set the send-buffer size for both directions."""
-        mss = self._c2s._mss
-        if size < mss:
-            raise NetworkError(f"send buffer must hold at least one MSS ({mss})")
-        self._c2s._max_buffer = size
-        self._s2c._max_buffer = size
+    _half = _QuicHalf
+    _endpoint = QuicEndpoint

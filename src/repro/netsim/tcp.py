@@ -38,77 +38,35 @@ every segment had carried its slice of the stream.  A write is either
 an opaque object occupying ``size`` bytes of the stream, handed over
 once its last byte is in order — how HTTP/2 sends a DATA frame whose
 payload is a :class:`repro.span.Span` of a recorded body.
+
+What TCP shares with the QUIC model (endpoint, half-connection state,
+RTO expiry, duplex wrapper) is :mod:`repro.netsim.transport`.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from ..errors import NetworkError
-from ..sim import CANCELLED, Simulator
-from .conditions import NetworkConditions
-from .congestion import make_congestion_control
-from .link import SharedLink
+from ..sim import CANCELLED
+from .congestion import INITIAL_WINDOW_SEGMENTS  # noqa: F401 (IW10, re-exported)
+from .transport import (
+    ACK_SIZE,
+    DELAYED_ACK_SEGMENTS,
+    DELAYED_ACK_TIMEOUT_MS,
+    HEADER_OVERHEAD,
+    Duplex,
+    Endpoint,
+    Half,
+)
 
 #: Maximum segment size (Ethernet MTU minus IP/TCP headers).
 MSS = 1460
 
-#: Per-segment header overhead charged on the wire (IP + TCP).
-HEADER_OVERHEAD = 40
 
-#: Size charged for a pure ACK segment.
-ACK_SIZE = 40
-
-#: Initial congestion window, in segments (RFC 6928).
-INITIAL_WINDOW_SEGMENTS = 10
-
-#: Default socket send-buffer size; the backpressure horizon.
-DEFAULT_SEND_BUFFER = 16 * 1024
-
-#: Delayed-ACK: acknowledge every Nth segment or after the timer fires.
-DELAYED_ACK_SEGMENTS = 2
-DELAYED_ACK_TIMEOUT_MS = 5.0
-
-
-class TcpEndpoint:
-    """One side of an established TCP connection.
-
-    Attributes:
-        on_data: callback invoked with in-order received bytes.
-        on_record: callback invoked with each received record.
-        on_writable: callback invoked when send-buffer space frees after
-            having been full.  Consumers should write until ``send``
-            accepts less than offered.
-    """
-
-    def __init__(self, half_out: "_HalfConnection", half_in: "_HalfConnection", name: str):
-        self._out = half_out
-        self._in = half_in
-        self.name = name
-        self.on_data: Optional[Callable[[bytes], None]] = None
-        self.on_record: Optional[Callable[[object], None]] = None
-        self.on_writable: Optional[Callable[[], None]] = None
-        half_out.endpoint = self
-        half_in.receiver_endpoint = self
-
-    def release(self) -> None:
-        """Drop the application's callbacks and this side's links to
-        the half-connections, which point back here; the byte counters
-        of the halves stay readable through their own references."""
-        self.on_data = self.on_record = self.on_writable = None
-        self._out.endpoint = None
-        self._in.receiver_endpoint = None
-
-    def send(self, data: bytes) -> int:
-        """Buffer up to ``len(data)`` bytes for transmission.
-
-        Returns the number of bytes accepted (may be less than offered
-        when the send buffer is full — the caller must wait for
-        ``on_writable``).
-        """
-        return self._out.enqueue(data)
+class TcpEndpoint(Endpoint):
+    """One side of an established TCP connection; it also writes records."""
 
     def send_record(self, size: int, record: object) -> bool:
         """Buffer ``record`` as one atomic write of ``size`` wire bytes.
@@ -119,82 +77,16 @@ class TcpEndpoint:
         """
         return self._out.enqueue_record(size, record)
 
-    @property
-    def send_buffer_space(self) -> int:
-        """Bytes that a call to :meth:`send` would currently accept."""
-        out = self._out
-        space = out._max_buffer - out._buffered
-        return space if space > 0 else 0
 
-    @property
-    def bytes_sent(self) -> int:
-        return self._out.bytes_enqueued
+class _HalfConnection(Half):
+    """One direction of a TCP connection: byte sequence numbers,
+    dup-ACK fast retransmit, records, and in-order reassembly."""
 
-    @property
-    def bytes_received(self) -> int:
-        return self._in.bytes_delivered
-
-    @property
-    def congestion_window(self) -> float:
-        """Current congestion window of the outgoing direction, bytes."""
-        return self._out._cc.cwnd
-
-    @property
-    def unsent_buffered(self) -> int:
-        """Bytes accepted by :meth:`send` but not yet put on the wire.
-
-        The application-visible backlog: HTTP/2 pacing keeps this small
-        relative to the congestion window so scheduling decisions stay
-        responsive when loss collapses the window.
-        """
-        return self._out._buffered
-
-    @property
-    def in_flight_bytes(self) -> int:
-        """Bytes transmitted but not yet cumulatively acknowledged."""
-        return self._out._flight_size()
-
-    @property
-    def all_sent_delivered(self) -> bool:
-        """True when every byte ever accepted has been ACKed."""
-        return self._out.fully_acked
-
-
-class _HalfConnection:
-    """Sender + receiver state for one direction of a connection."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        data_link: SharedLink,
-        ack_link: SharedLink,
-        conditions: NetworkConditions,
-        rng: random.Random,
-        name: str,
-        tracer=None,
-    ):
-        self._sim = sim
-        self._data_link = data_link
-        self._ack_link = ack_link
-        self._conditions = conditions
-        self._rng = rng
-        self.name = name
-        #: Optional event tracer; read-only observer of cwnd/RTO/loss
-        #: recovery decisions (``None`` costs one check per cc event).
-        self._tracer = tracer
-        self.endpoint: Optional[TcpEndpoint] = None
-        self.receiver_endpoint: Optional[TcpEndpoint] = None
-
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # --- sender state ---
-        #: Bytes accepted by ``enqueue`` and not yet segmented.
-        self._buffered = 0
-        self._max_buffer = DEFAULT_SEND_BUFFER
         self._next_seq = 0            # next byte sequence to assign
         self._snd_una = 0             # lowest unacknowledged byte
-        self._mss = conditions.mss
-        # Congestion control policy (Reno reproduces the historical
-        # inline window arithmetic bit for bit; see netsim.congestion).
-        self._cc = make_congestion_control(conditions.congestion_control, conditions.mss)
         #: First transmissions in flight, seq -> (rto queue entry, send
         #: time, end seq).  ``_pump`` inserts in sequence order and an
         #: entry only ever leaves, so the dict stays in sequence order
@@ -205,18 +97,6 @@ class _HalfConnection:
         #: seq): never sampled, and kept apart so ``_in_flight`` stays
         #: in order.  A segment sits in at most one of the two.
         self._retransmitted: Dict[int, Tuple[list, int]] = {}
-        #: Dedicated timer lanes: RTO deadlines (now + rto) and delayed
-        #: ACK deadlines (now + 5ms) are each near-monotone within their
-        #: class, so arming is an append and cancelling a slot write.
-        self._rto_lane = sim.timer_lane()
-        self.bytes_enqueued = 0
-        # RFC 6298 adaptive retransmission timeout.  A fixed RTO melts
-        # down when many connections share the uplink: ACK queueing
-        # inflates the RTT past the timer and every segment is spuriously
-        # retransmitted.
-        self._srtt: float = 0.0
-        self._rttvar: float = 0.0
-        self._rto = 1_000.0  # conservative until the first RTT sample
         # Fast retransmit (RFC 5681): three duplicate ACKs signal a
         # hole; recover without waiting out the RTO.
         self._dup_acks = 0
@@ -230,20 +110,8 @@ class _HalfConnection:
         self._rcv_next = 0
         #: Out-of-order segments waiting for the hole to fill: seq -> length.
         self._reorder: Dict[int, int] = {}
-        self.bytes_delivered = 0
-        self._segments_since_ack = 0
-        self._ack_lane = sim.timer_lane()
-        #: The pending delayed-ACK timer's queue entry; None = not armed.
-        self._ack_timer: Optional[list] = None
 
-    # ------------------------------------------------------------------
-    # sender side
-    # ------------------------------------------------------------------
-    @property
-    def buffer_space(self) -> int:
-        space = self._max_buffer - self._buffered
-        return space if space > 0 else 0
-
+    # --- sender side ---
     @property
     def fully_acked(self) -> bool:
         return self._buffered == 0 and not self._in_flight and not self._retransmitted
@@ -316,15 +184,20 @@ class _HalfConnection:
         self._buffered = buffered
         self._next_seq = next_seq
 
-    def _retransmit(self, seq: int, length: int) -> None:
-        """Send ``[seq, seq + length)`` again (first sends are ``_pump``'s)."""
+    def _retransmit(self, seq: int, end: int, kind: str) -> None:
+        """Send ``[seq, end)`` again, lost by ``kind`` (``"rto"`` or
+        ``"fast"``); first sends are ``_pump``'s."""
+        if self._tracer is not None:
+            self._tracer.retransmit(self.name, seq, kind)
+            trigger = "timeout" if kind == "rto" else "fast_retransmit"
+            self._cc.trace_sample(self._tracer, self.name, trigger, self._rto, self._flight_size())
         timer = self._rto_lane.schedule(self._rto, self._on_timeout, seq)
-        self._retransmitted[seq] = (timer, seq + length)
+        self._retransmitted[seq] = (timer, end)
         loss_rate = self._conditions.loss_rate
         if loss_rate > 0 and self._rng.random() < loss_rate:
             return  # lost on the wire again; its new RTO timer recovers it
         self._data_link.transmit(
-            length + HEADER_OVERHEAD, self._on_segment_arrival, seq, length
+            end - seq + HEADER_OVERHEAD, self._on_segment_arrival, seq, end - seq
         )
 
     def _take_in_flight(self, seq: int) -> Optional[int]:
@@ -349,25 +222,7 @@ class _HalfConnection:
             # ACK is still in flight on a reordered return path).
             return
         self._cc.on_fast_retransmit(self._sim.now)
-        if self._tracer is not None:
-            self._tracer.retransmit(self.name, self._snd_una, "fast")
-            self._cc.trace_sample(
-                self._tracer, self.name, "fast_retransmit", self._rto, self._flight_size()
-            )
-        self._retransmit(self._snd_una, end - self._snd_una)
-
-    def _on_timeout(self, seq: int) -> None:
-        end = self._take_in_flight(seq)
-        if end is None:
-            return
-        self._cc.on_timeout(self._sim.now)
-        self._rto = min(self._rto * 2.0, 60_000.0)  # exponential backoff
-        if self._tracer is not None:
-            self._tracer.retransmit(self.name, seq, "rto")
-            self._cc.trace_sample(
-                self._tracer, self.name, "timeout", self._rto, self._flight_size()
-            )
-        self._retransmit(seq, end - seq)
+        self._retransmit(self._snd_una, end, "fast")
 
     def _on_ack(self, ack: int) -> None:
         if ack < self._snd_una:
@@ -439,9 +294,7 @@ class _HalfConnection:
             if self.endpoint is not None and self.endpoint.on_writable is not None:
                 self.endpoint.on_writable()
 
-    # ------------------------------------------------------------------
-    # receiver side (runs at the *other* host; links already added delay)
-    # ------------------------------------------------------------------
+    # --- receiver side (runs at the *other* host; links already added delay) ---
     def _on_segment_arrival(self, seq: int, length: int) -> None:
         old = self._rcv_next
         if seq == old:
@@ -489,16 +342,16 @@ class _HalfConnection:
             self._send_ack_now()
             return
         # else: duplicate of already-delivered data; just re-ACK.
-        if self._segments_since_ack + 1 >= DELAYED_ACK_SEGMENTS:
+        if self._packets_since_ack + 1 >= DELAYED_ACK_SEGMENTS:
             # ``_send_ack_now``, inline: every second segment ends here.
             timer = self._ack_timer
             if timer is not None:
                 timer[CANCELLED] = True
                 self._ack_timer = None
-            self._segments_since_ack = 0
+            self._packets_since_ack = 0
             self._ack_link.transmit(ACK_SIZE, self._on_ack, self._rcv_next)
         else:
-            self._segments_since_ack += 1
+            self._packets_since_ack += 1
             if self._ack_timer is None:
                 self._ack_timer = self._ack_lane.schedule(
                     DELAYED_ACK_TIMEOUT_MS, self._send_ack_now
@@ -509,47 +362,13 @@ class _HalfConnection:
         if timer is not None:
             timer[CANCELLED] = True  # a no-op when this is the timer firing
             self._ack_timer = None
-        self._segments_since_ack = 0
+        self._packets_since_ack = 0
         self._ack_link.transmit(ACK_SIZE, self._on_ack, self._rcv_next)
 
 
-class TcpConnection:
-    """A full-duplex TCP connection between a client and a server.
-
-    The two directions share the topology's access links: data from the
-    server rides the downlink while its ACKs ride the uplink, and vice
-    versa for requests.
-    """
+class TcpConnection(Duplex):
+    """A full-duplex TCP connection between a client and a server."""
 
     transport = "tcp"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        downlink: SharedLink,
-        uplink: SharedLink,
-        conditions: NetworkConditions,
-        rng: Optional[random.Random] = None,
-        name: str = "tcp",
-        tracer=None,
-    ):
-        rng = rng or random.Random(0)
-        self.name = name
-        # client -> server direction: data on uplink, ACKs on downlink.
-        self._c2s = _HalfConnection(
-            sim, uplink, downlink, conditions, rng, f"{name}:c2s", tracer=tracer
-        )
-        # server -> client direction: data on downlink, ACKs on uplink.
-        self._s2c = _HalfConnection(
-            sim, downlink, uplink, conditions, rng, f"{name}:s2c", tracer=tracer
-        )
-        self.client = TcpEndpoint(self._c2s, self._s2c, f"{name}:client")
-        self.server = TcpEndpoint(self._s2c, self._c2s, f"{name}:server")
-
-    def set_send_buffer(self, size: int) -> None:
-        """Set the socket send-buffer size for both directions."""
-        mss = self._c2s._mss
-        if size < mss:
-            raise NetworkError(f"send buffer must hold at least one MSS ({mss})")
-        self._c2s._max_buffer = size
-        self._s2c._max_buffer = size
+    _half = _HalfConnection
+    _endpoint = TcpEndpoint

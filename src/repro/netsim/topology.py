@@ -25,6 +25,7 @@ from .impairment import ImpairmentPipeline
 from .link import SharedLink
 from .quic import QuicConnection
 from .tcp import TcpConnection
+from .transport import Duplex
 
 
 class Host:
@@ -57,7 +58,7 @@ class Topology:
         self.conditions = conditions
         self.handshake = handshake
         self._rng = rng or random.Random(0)
-        #: Optional event tracer, threaded into every TCP connection and
+        #: Optional event tracer, threaded into every connection and
         #: impairment pipeline this topology creates.
         self._tracer = tracer
         # The impairment pipelines get a *separate* RNG stream (seeded
@@ -138,7 +139,7 @@ class Topology:
     def open_connection(
         self,
         domain: str,
-        on_established: Callable[[TcpConnection], None],
+        on_established: Callable[[Duplex], None],
     ) -> None:
         """Open a transport connection to the host serving ``domain``.
 
@@ -155,12 +156,17 @@ class Topology:
             resumable = self.conditions.quic_0rtt and ip in self._quic_sessions
             self._quic_sessions.add(ip)
             model = QUIC_0RTT_HANDSHAKE if resumable else QUIC_HANDSHAKE
-            delay = model.connect_ms(self.conditions, dns_cached)
-            self._connection_count += 1
-            name = f"quic-{self._connection_count}-{domain}"
+            connection = QuicConnection
+        else:
+            model = self.handshake
+            connection = TcpConnection
+        delay = model.connect_ms(self.conditions, dns_cached)
+        self._connection_count += 1
+        name = f"{connection.transport}-{self._connection_count}-{domain}"
 
-            def establish_quic() -> None:
-                conn = QuicConnection(
+        def establish() -> None:
+            on_established(
+                connection(
                     self.sim,
                     downlink=self.downlink,
                     uplink=self.uplink,
@@ -169,25 +175,7 @@ class Topology:
                     name=name,
                     tracer=self._tracer,
                 )
-                on_established(conn)
-
-            self.sim.schedule(delay, establish_quic)
-            return
-        delay = self.handshake.connect_ms(self.conditions, dns_cached)
-        self._connection_count += 1
-        name = f"tcp-{self._connection_count}-{domain}"
-
-        def establish() -> None:
-            conn = TcpConnection(
-                self.sim,
-                downlink=self.downlink,
-                uplink=self.uplink,
-                conditions=self.conditions,
-                rng=self._rng,
-                name=name,
-                tracer=self._tracer,
             )
-            on_established(conn)
 
         self.sim.schedule(delay, establish)
 

@@ -8,7 +8,8 @@ from repro.errors import NetworkError
 from repro.netsim.conditions import DSL_TESTBED, NetworkConditions
 from repro.netsim.link import SharedLink
 from repro.netsim.quic import QuicConnection, _QuicHalf
-from repro.netsim.tcp import DEFAULT_SEND_BUFFER, MSS, TcpConnection
+from repro.netsim.tcp import MSS, TcpConnection
+from repro.netsim.transport import DEFAULT_SEND_BUFFER
 from repro.sim import Simulator
 from tests.support.rtt_reference import ReferenceEstimator
 
@@ -299,10 +300,10 @@ def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(monkeypatch):
             reference.back_off()
         on_timeout(half, pn)
 
-    def noted_retransmit(half, entry, kind, pn):
+    def noted_retransmit(half, pn, entry, kind):
         if half is sender:
             retransmissions.append(pn)
-        retransmit(half, entry, kind, pn)
+        retransmit(half, pn, entry, kind)
 
     monkeypatch.setattr(_QuicHalf, "_on_ack_arrival", checked_on_ack_arrival)
     monkeypatch.setattr(_QuicHalf, "_on_timeout", checked_on_timeout)

@@ -6,13 +6,8 @@ import pytest
 
 from repro.netsim.conditions import DSL_TESTBED, NetworkConditions
 from repro.netsim.link import SharedLink
-from repro.netsim.tcp import (
-    DEFAULT_SEND_BUFFER,
-    INITIAL_WINDOW_SEGMENTS,
-    MSS,
-    TcpConnection,
-    _HalfConnection,
-)
+from repro.netsim.tcp import INITIAL_WINDOW_SEGMENTS, MSS, TcpConnection, _HalfConnection
+from repro.netsim.transport import DEFAULT_SEND_BUFFER
 from repro.sim import Simulator
 from tests.support.rtt_reference import ReferenceEstimator
 
@@ -345,10 +340,10 @@ def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(lossy, monkeypatc
             reference.back_off()
         on_timeout(half, seq)
 
-    def noted_retransmit(half, seq, length):
+    def noted_retransmit(half, seq, end, kind):
         if half is sender:
             retransmissions.append(seq)
-        retransmit(half, seq, length)
+        retransmit(half, seq, end, kind)
 
     monkeypatch.setattr(_HalfConnection, "_on_ack", checked_on_ack)
     monkeypatch.setattr(_HalfConnection, "_on_timeout", checked_on_timeout)
@@ -368,8 +363,8 @@ def test_ack_loop_estimator_is_sample_rtt_fed_the_same_samples(lossy, monkeypatc
 @pytest.mark.xfail(
     strict=True,
     reason="known deviation (EXPERIMENTS.md): every expired per-segment RTO "
-    "doubles the shared _rto, so a burst of n losses backs off 2^n, not once "
-    "(RFC 6298 5.5); _QuicHalf._on_timeout has the same line",
+    "doubles the shared _rto in transport.Half._on_timeout, TCP's and QUIC's "
+    "one RTO expiry, so a burst of n losses backs off 2^n, not once (RFC 6298 5.5)",
 )
 def test_one_loss_burst_backs_the_rto_off_once():
     """One burst, one back-off: a 10 ms outage mid-transfer loses a

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.conditions import DSL_TESTBED
-from repro.netsim.quic import PACKET_THRESHOLD, QuicConnection, QuicEndpoint, _QuicHalf
+from repro.netsim.quic import PACKET_THRESHOLD, QuicConnection, _QuicHalf
 from repro.netsim.tcp import (
     ACK_SIZE,
     DELAYED_ACK_SEGMENTS,
@@ -292,18 +292,14 @@ class _RangesAckHalf(_QuicHalf):
                 entry = in_flight.pop(pn)
                 entry[4][CANCELLED] = True
                 self._flight_bytes -= entry[6]
-                self._retransmit(entry, "fast", pn)
+                self._retransmit(pn, entry, "fast")
         self._pump()
         if self._buffered < self._max_buffer and self.endpoint.on_writable is not None:
             self.endpoint.on_writable()
 
 
 class _RangesAckConnection(QuicConnection):
-    def __init__(self, sim, downlink, uplink, conditions, rng):
-        self._c2s = _RangesAckHalf(sim, uplink, downlink, conditions, rng, "quic:c2s")
-        self._s2c = _RangesAckHalf(sim, downlink, uplink, conditions, rng, "quic:s2c")
-        self.client = QuicEndpoint(self._c2s, self._s2c, "quic:client")
-        self.server = QuicEndpoint(self._s2c, self._c2s, "quic:server")
+    _half = _RangesAckHalf
 
 
 @given(writes=quic_writes, rates=chaos, link_seed=st.integers(0, 2**20))
