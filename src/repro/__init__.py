@@ -33,7 +33,6 @@ from .errors import (
     ReplayError,
     ReproError,
     SimulationError,
-    StrategyError,
     StreamError,
 )
 from .html import BuiltSite, ResourceSpec, ResourceType, WebsiteSpec, build_site
@@ -80,7 +79,6 @@ __all__ = [
     "ResourceSpec",
     "ResourceType",
     "SimulationError",
-    "StrategyError",
     "StreamError",
     "WebsiteSpec",
     "build_site",

@@ -32,9 +32,9 @@ surface; every request and response takes the same path from there.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Union
 
 from ..errors import BrowserError
 from ..h2.cache_digest import CacheDigest
@@ -61,6 +61,21 @@ from ..html.tokenizer import (
 from ..netsim.topology import Topology
 from ..sim import Simulator
 from ..span import Span, SpanBuffer
+from ..trace.core import (
+    CacheHit,
+    EarlyHintsReceived,
+    Milestone,
+    Paint,
+    PreloadDiscovered,
+    PushAdopted,
+    PushData,
+    PushReceived,
+    PushRejected,
+    ResourceDiscovered,
+    ResourceFinished,
+    ResourceRequested,
+    ResourceResponse,
+)
 
 if TYPE_CHECKING:  # typing-only imports; avoids a cycle through repro.replay
     from ..h1.pool import H1OriginPool
@@ -261,7 +276,7 @@ class PageLoad:
         """Begin the navigation; run the simulator afterwards."""
         self.timeline.navigation_start = self.sim.now
         if self._tracer is not None:
-            self._tracer.milestone("navigation_start")
+            self._tracer.emit(Milestone, "navigation_start")
         main_domain = split_url(self.main_url)[0]
         # The navigation's own DNS lookup happens before connectEnd; the
         # paper's PLT starts at connectEnd, so pre-warm it.
@@ -277,7 +292,7 @@ class PageLoad:
             )
         )
         if self._tracer is not None:
-            self._tracer.resource_requested(self.main_url, False)
+            self._tracer.emit(ResourceRequested, self.main_url, False)
         self._issue_request(fetch)
 
     @property
@@ -302,7 +317,7 @@ class PageLoad:
         self._fetches[url] = fetch
         self._incomplete += 1
         if self._tracer is not None:
-            self._tracer.resource_discovered(url, rtype.name, initiator)
+            self._tracer.emit(ResourceDiscovered, url, rtype.name, initiator)
         return fetch
 
     def fetch(
@@ -328,8 +343,8 @@ class PageLoad:
             fetch.requested_at = self.sim.now
             fetch.body.append(Span(cached_body))
             if self._tracer is not None:
-                self._tracer.cache_hit(url, len(cached_body))
-                self._tracer.resource_requested(url, False)
+                self._tracer.emit(CacheHit, url, len(cached_body))
+                self._tracer.emit(ResourceRequested, url, False)
             self.sim.call_soon(lambda: self._complete_fetch(fetch))
             return fetch
 
@@ -349,7 +364,7 @@ class PageLoad:
             )
         )
         if self._tracer is not None:
-            self._tracer.resource_requested(url, False)
+            self._tracer.emit(ResourceRequested, url, False)
         if self._is_delayable(fetch):
             if self._delayable_in_flight >= self.config.max_delayable_in_flight:
                 self._delayable_queue.append(fetch)
@@ -466,7 +481,7 @@ class PageLoad:
         if self.timeline.connect_end is None:
             self.timeline.connect_end = self.sim.now
             if self._tracer is not None:
-                self._tracer.milestone("connect_end")
+                self._tracer.emit(Milestone, "connect_end")
 
     def _send_request(self, entry: _ConnectionEntry, fetch: _Fetch) -> None:
         domain, path = split_url(fetch.url)
@@ -521,7 +536,7 @@ class PageLoad:
         if fetch is not None and fetch.response_start is None:
             fetch.response_start = self.sim.now
             if self._tracer is not None:
-                self._tracer.resource_response(fetch.url)
+                self._tracer.emit(ResourceResponse, fetch.url)
         if fetch is not None and fetch.rtype == _HTML:
             for hint in _parse_link_preloads(headers):
                 self._preload_hint(hint, "link_header")
@@ -535,9 +550,7 @@ class PageLoad:
             return
         hints = _parse_link_preloads(headers)
         if self._tracer is not None:
-            self._tracer.early_hints_received(
-                entry.conn._trace_name, stream_id, len(hints)
-            )
+            self._tracer.emit(EarlyHintsReceived, entry.conn._trace_name, stream_id, len(hints))
         for hint in hints:
             self._preload_hint(hint, "early_hints")
 
@@ -545,7 +558,7 @@ class PageLoad:
         """Fetch a preload-announced resource (link header / 103 hint)."""
         rtype = classify_url(url)
         if self._tracer is not None and url not in self._fetches:
-            self._tracer.preload_discovered(url, rtype.name, source)
+            self._tracer.emit(PreloadDiscovered, url, rtype.name, source)
         # Link-header hints keep their historical initiator tag.
         initiator = "hint" if source == "link_header" else source
         self.fetch(url, rtype, initiator=initiator)
@@ -559,7 +572,7 @@ class PageLoad:
             size = data.stop - data.start
             self.timeline.pushed_bytes += size
             if self._tracer is not None:
-                self._tracer.push_data(fetch.url, size, not fetch.adopted)
+                self._tracer.emit(PushData, fetch.url, size, not fetch.adopted)
         if fetch.rtype == _HTML and fetch.url == self.main_url:
             self._on_html_bytes(data)
 
@@ -577,15 +590,13 @@ class PageLoad:
         url = f"{pseudo.get(':scheme', 'https')}://{pseudo.get(':authority', '')}{pseudo.get(':path', '/')}"
         self.timeline.pushes_received += 1
         if self._tracer is not None:
-            self._tracer.push_received(entry.conn._trace_name, promised_id, url)
+            self._tracer.emit(PushReceived, entry.conn._trace_name, promised_id, url)
         already_have = url in self.cache or url in self._fetches
         if already_have:
             # Cancel — though bytes may already be in flight (§2.1).
             if self._tracer is not None:
                 reason = "cached" if url in self.cache else "already_requested"
-                self._tracer.push_rejected(
-                    entry.conn._trace_name, promised_id, url, reason
-                )
+                self._tracer.emit(PushRejected, entry.conn._trace_name, promised_id, url, reason)
             entry.conn.reset_stream(promised_id, ErrorCode.CANCEL)
             self.timeline.pushes_cancelled += 1
             return
@@ -613,7 +624,7 @@ class PageLoad:
             )
         )
         if self._tracer is not None:
-            self._tracer.resource_requested(url, True)
+            self._tracer.emit(ResourceRequested, url, True)
 
     def _adopt_push(self, fetch: _Fetch, parked: _Fetch) -> None:
         """A discovered resource matches an in-flight pushed stream."""
@@ -627,7 +638,7 @@ class PageLoad:
         fetch.body = parked.body
         self.timeline.pushes_adopted += 1
         if self._tracer is not None:
-            self._tracer.push_adopted(fetch.url, parked.stream_id)
+            self._tracer.emit(PushAdopted, fetch.url, parked.stream_id)
         # Rebind the stream to the adopting fetch for future data: a
         # parked fetch is registered once, under its promised stream id
         # on the connection that carried the PUSH_PROMISE.
@@ -645,8 +656,8 @@ class PageLoad:
         fetch.complete = True
         fetch.finished_at = self.sim.now
         if self._tracer is not None:
-            self._tracer.resource_finished(
-                fetch.url, len(fetch.body), fetch.pushed, fetch.from_cache
+            self._tracer.emit(
+                ResourceFinished, fetch.url, len(fetch.body), fetch.pushed, fetch.from_cache
             )
         if not fetch.from_cache:
             self.cache.store(fetch.url, fetch.body.tobytes())
@@ -735,7 +746,7 @@ class PageLoad:
         elif isinstance(token, PreloadToken) and token.url:
             rtype = _PRELOAD_AS_TYPES.get(token.as_type) or classify_url(token.url)
             if self._tracer is not None and token.url not in self._fetches:
-                self._tracer.preload_discovered(token.url, rtype.name, "link_tag")
+                self._tracer.emit(PreloadDiscovered, token.url, rtype.name, "link_tag")
             fetch = self.fetch(token.url, rtype, initiator="preload_tag")
             if fetch.rtype == ResourceType.CSS and fetch.token_offset == 0:
                 # A preload is a fetch hint only: until the real
@@ -866,7 +877,7 @@ class PageLoad:
         self._parser_done = True
         self.timeline.dom_content_loaded = self.sim.now
         if self._tracer is not None:
-            self._tracer.milestone("dom_content_loaded")
+            self._tracer.emit(Milestone, "dom_content_loaded")
         for fetch in self._deferred_scripts:
             if fetch.complete and not fetch.executed:
                 self._execute_script(fetch)
@@ -963,8 +974,8 @@ class PageLoad:
         first_paint milestone on the first one)."""
         if self._tracer is not None:
             if self.timeline.first_paint is None:
-                self._tracer.milestone("first_paint")
-            self._tracer.paint(weight, source)
+                self._tracer.emit(Milestone, "first_paint")
+            self._tracer.emit(Paint, weight, source)
         self.timeline.record_paint(self.sim.now, weight, source)
 
     # ------------------------------------------------------------------
@@ -984,7 +995,7 @@ class PageLoad:
         self._onload_fired = True
         self.timeline.onload = self.sim.now
         if self._tracer is not None:
-            self._tracer.milestone("onload")
+            self._tracer.emit(Milestone, "onload")
         # Late render start for pages with no paintable content yet.
         self._maybe_start_render()
 

@@ -1,6 +1,6 @@
 """Critical-CSS extraction and deployment rewriting (penthouse role)."""
 
-from .css_model import CssRule, parse_stylesheet, serialize, stylesheet_size
+from .css_model import CssRule, parse_stylesheet, serialize
 from .extractor import CriticalSplit, critical_urls, extract_critical
 from .rewriter import CRITICAL_PREFIX, REST_PREFIX, optimize_spec, split_stylesheets
 
@@ -15,5 +15,4 @@ __all__ = [
     "parse_stylesheet",
     "serialize",
     "split_stylesheets",
-    "stylesheet_size",
 ]

@@ -58,9 +58,5 @@ def parse_stylesheet(text: str) -> List[CssRule]:
     return rules
 
 
-def stylesheet_size(rules: List[CssRule]) -> int:
-    return sum(rule.size + 1 for rule in rules)
-
-
 def serialize(rules: List[CssRule]) -> str:
     return "\n".join(rule.text for rule in rules)

@@ -72,10 +72,6 @@ class ReplayError(ReproError):
     """Record/replay failures: unknown request, malformed record DB."""
 
 
-class StrategyError(ReproError):
-    """A push strategy was configured inconsistently with the site."""
-
-
 class BrowserError(ReproError):
     """The browser model reached an inconsistent internal state."""
 

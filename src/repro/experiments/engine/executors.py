@@ -495,11 +495,8 @@ class WarmPoolExecutor(Executor):
         #: subclass that kills a worker as a chunk is sent to it.
         self.transport = WorkerTransport(self.workers)
         self._closed = False
-        self.stats: Dict[str, int] = {
-            "chunks_dispatched": 0,
-            "retries": 0,
-            "respawns": 0,
-        }
+        #: Crash accounting: workers respawned and chunks requeued.
+        self.stats: Dict[str, int] = {"retries": 0, "respawns": 0}
 
     # ------------------------------------------------------------------
     def run(
@@ -551,9 +548,7 @@ class WarmPoolExecutor(Executor):
                     continue
                 index = chunk.cell_index
                 payload = (cells[index], site_keys[index], chunk.run_lo, chunk.run_hi)
-                if transport.send(worker, chunk, payload):
-                    self.stats["chunks_dispatched"] += 1
-                else:
+                if not transport.send(worker, chunk, payload):
                     events.append((chunk, None))
                 worker = transport.idle()
             if not events:

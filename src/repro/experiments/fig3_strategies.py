@@ -78,9 +78,6 @@ class Fig3bResult:
     delta_plt: Dict[str, List[float]] = field(default_factory=dict)
     delta_si: Dict[str, List[float]] = field(default_factory=dict)
 
-    def benefit_share(self, name: str) -> float:
-        return fraction_below(self.delta_si[name], 0.0)
-
     def detriment_share(self, name: str, threshold_ms: float = 10.0) -> float:
         """Share of sites made noticeably worse by the strategy."""
         values = self.delta_si[name]

@@ -142,10 +142,6 @@ class CellSummary:
         return [stats.speed_index_ms for stats in self.run_stats]
 
     @property
-    def fvc_values(self) -> List[float]:
-        return [stats.first_visual_change_ms for stats in self.run_stats]
-
-    @property
     def median_plt(self) -> float:
         return median(self.plt_values)
 
@@ -170,14 +166,6 @@ class CellSummary:
         return _pushed_bytes_tally(
             self.site, self.strategy, self.pushed_bytes_per_run
         )
-
-    @property
-    def downlink_bytes_total(self) -> int:
-        return sum(stats.downlink_bytes for stats in self.run_stats)
-
-    @property
-    def uplink_bytes_total(self) -> int:
-        return sum(stats.uplink_bytes for stats in self.run_stats)
 
 
 class RunReducer:

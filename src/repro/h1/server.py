@@ -7,6 +7,7 @@ from typing import List, Tuple
 from ..html.resources import ResourceType
 from ..netsim.tcp import TcpConnection
 from ..replay.matcher import RequestMatcher
+from ..trace.core import EarlyHintsSent
 from .connection import H1ServerConnection
 
 Header = Tuple[str, str]
@@ -54,9 +55,7 @@ class H1ReplayServer:
         if not plan.early_hint_urls:
             return []
         if self.tracer is not None:
-            self.tracer.early_hints_sent(
-                f"h1-{self.ip}", 0, len(plan.early_hint_urls)
-            )
+            self.tracer.emit(EarlyHintsSent, f"h1-{self.ip}", 0, len(plan.early_hint_urls))
         return [
             (103, [("link", f"<{u}>; rel=preload") for u in plan.early_hint_urls])
         ]

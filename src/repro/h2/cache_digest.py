@@ -41,9 +41,6 @@ class _BitWriter:
     def __init__(self):
         self._bits: List[int] = []
 
-    def write_bit(self, bit: int) -> None:
-        self._bits.append(bit & 1)
-
     def write_unary(self, quotient: int) -> None:
         self._bits.extend([0] * quotient)
         self._bits.append(1)

@@ -65,6 +65,14 @@ from .settings import (
 )
 from ..span import Span
 from .stream import TRANSITIONS, H2Stream, Refusal, StreamEvent
+from ..trace.core import (
+    FrameReceived,
+    FrameSent,
+    PushPromised,
+    StreamClosed,
+    StreamOpened,
+    StreamReset,
+)
 
 Header = Tuple[str, str]
 
@@ -243,7 +251,7 @@ class H2Connection:
             stream.state = state = _TRANSITIONS[state, _SEND_END_STREAM]
             if state is _CLOSED:
                 if self._tracer is not None:
-                    self._tracer.stream_closed(self._trace_name, stream_id)
+                    self._tracer.emit(StreamClosed, self._trace_name, stream_id)
                 self.priority_tree.remove(stream_id)
         self._pump()
 
@@ -310,7 +318,7 @@ class H2Connection:
             promised_id=promised_id,
         )
         if self._tracer is not None:
-            self._tracer.push_promised(self._trace_name, parent_stream_id, promised_id)
+            self._tracer.emit(PushPromised, self._trace_name, parent_stream_id, promised_id)
         self._pump()
         return promised_id
 
@@ -352,7 +360,7 @@ class H2Connection:
         self._control_queue.append(wire)
         self.frames_sent += 1
         if self._tracer is not None:
-            self._tracer.frame_sent(self._trace_name, frame_name, stream_id, len(wire))
+            self._tracer.emit(FrameSent, self._trace_name, frame_name, stream_id, len(wire))
 
     def _queue_header_block(
         self,
@@ -386,7 +394,7 @@ class H2Connection:
         self._control_queue.append(wire)
         self.frames_sent += 1
         if self._tracer is not None:
-            self._tracer.frame_sent(self._trace_name, name, stream_id, len(wire))
+            self._tracer.emit(FrameSent, self._trace_name, name, stream_id, len(wire))
         while rest:
             chunk, rest = rest[:max_size], rest[max_size:]
             self._queue_wire(
@@ -508,9 +516,7 @@ class H2Connection:
             emit(stream_id, span, end)
             self.frames_sent += 1
             if self._tracer is not None:
-                self._tracer.frame_sent(
-                    self._trace_name, "DATA", stream_id, sent + overhead
-                )
+                self._tracer.emit(FrameSent, self._trace_name, "DATA", stream_id, sent + overhead)
             if scheduler is None:
                 charge(stream_id, sent)
             else:
@@ -526,7 +532,7 @@ class H2Connection:
                 stream.state = state
                 if state is _CLOSED:
                     if self._tracer is not None:
-                        self._tracer.stream_closed(self._trace_name, stream_id)
+                        self._tracer.emit(StreamClosed, self._trace_name, stream_id)
                     self.priority_tree.remove(stream_id)
             elif not stream._queued_bytes:
                 # Drained without END_STREAM: nothing to send until the
@@ -576,8 +582,9 @@ class H2Connection:
                 continue
             self.frames_received += 1
             if tracer is not None:
-                tracer.frame_received(
-                    self._trace_name, frame.TYPE.name, frame.stream_id, frame.wire_size
+                tracer.emit(
+                    FrameReceived, self._trace_name, frame.TYPE.name, frame.stream_id,
+                    frame.wire_size,
                 )
             if self._header_fragments is not None and cls is not ContinuationFrame:
                 raise ProtocolError("expected CONTINUATION frame")
@@ -595,8 +602,8 @@ class H2Connection:
         self.frames_received += 1
         size = span.stop - span.start
         if self._tracer is not None:
-            self._tracer.frame_received(
-                self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + size
+            self._tracer.emit(
+                FrameReceived, self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + size
             )
         stream = self.streams.get(stream_id)
         if stream is None or _TRANSITIONS[stream.state, _RECV_DATA] < 0:
@@ -763,7 +770,7 @@ class H2Connection:
         stream.state = state = _TRANSITIONS[stream.state, _RECV_END_STREAM]
         if state is _CLOSED:
             if self._tracer is not None:
-                self._tracer.stream_closed(self._trace_name, stream.stream_id)
+                self._tracer.emit(StreamClosed, self._trace_name, stream.stream_id)
             self.priority_tree.remove(stream.stream_id)
         if self.on_stream_end is not None:
             self.on_stream_end(stream.stream_id)
@@ -839,7 +846,7 @@ class H2Connection:
         self.streams[stream_id] = stream = H2Stream(stream_id, window, _TRANSITIONS[_IDLE, event])
         if self._tracer is not None:
             pushed = event is _RESERVE_LOCAL or event is _RESERVE_REMOTE
-            self._tracer.stream_opened(self._trace_name, stream_id, pushed)
+            self._tracer.emit(StreamOpened, self._trace_name, stream_id, pushed)
         return stream
 
     def _admit(self, stream_id: int, event: StreamEvent) -> Optional[H2Stream]:
@@ -869,7 +876,7 @@ class H2Connection:
         can be in admits it): close the stream and drop its body."""
         state = _TRANSITIONS[stream.state, event]
         if state is not stream.state and self._tracer is not None:  # it was open
-            self._tracer.stream_reset(self._trace_name, stream.stream_id, code.name)
+            self._tracer.emit(StreamReset, self._trace_name, stream.stream_id, code.name)
         stream.state = state
         stream.reset_code = code
         stream.drop_body()

@@ -82,15 +82,16 @@ def _unpack_header(data: bytes) -> Tuple[int, int, int, int]:
 # Fixed-size frames pack their header directly: their length cannot
 # exceed the maximum.
 # ----------------------------------------------------------------------
+def _pad(payload: bytes, pad_length: int) -> bytes:
+    """The Pad Length octet, ``payload`` and ``pad_length`` zero octets."""
+    return bytes((pad_length,)) + payload + b"\x00" * pad_length
+
+
 def pack_data(stream_id: int, flags: int, data: bytes, pad_length: int = 0) -> bytes:
     """DATA (§6.1), padded when ``pad_length`` is positive."""
     if pad_length > 0:
-        return (
-            _pack_header(1 + len(data) + pad_length, _DATA, flags | _RAW_PADDED, stream_id)
-            + bytes((pad_length,))
-            + data
-            + b"\x00" * pad_length
-        )
+        data = _pad(data, pad_length)
+        flags |= _RAW_PADDED
     return _pack_header(len(data), _DATA, flags, stream_id) + data
 
 
@@ -99,19 +100,24 @@ def pack_headers(
     flags: int,
     header_block: bytes,
     priority: Optional["PriorityData"] = None,
+    pad_length: int = 0,
 ) -> bytes:
     """HEADERS (§6.2); a ``priority`` adds the 5-octet block and the
-    PRIORITY flag."""
-    if priority is None:
-        return _pack_header(len(header_block), _HEADERS, flags, stream_id) + header_block
-    return (
-        _pack_header(5 + len(header_block), _HEADERS, flags | _RAW_PRIORITY, stream_id)
-        + _PRIORITY_STRUCT.pack(
-            priority.depends_on | (0x80000000 if priority.exclusive else 0),
-            priority.weight - 1,
+    PRIORITY flag, a positive ``pad_length`` the padding and the PADDED
+    flag."""
+    if priority is not None:
+        header_block = (
+            _PRIORITY_STRUCT.pack(
+                priority.depends_on | (0x80000000 if priority.exclusive else 0),
+                priority.weight - 1,
+            )
+            + header_block
         )
-        + header_block
-    )
+        flags |= _RAW_PRIORITY
+    if pad_length > 0:
+        header_block = _pad(header_block, pad_length)
+        flags |= _RAW_PADDED
+    return _pack_header(len(header_block), _HEADERS, flags, stream_id) + header_block
 
 
 def pack_priority(stream_id: int, flags: int, priority: "PriorityData") -> bytes:
@@ -139,14 +145,14 @@ def pack_settings(stream_id: int, flags: int, settings: Dict[int, int]) -> bytes
 
 
 def pack_push_promise(
-    stream_id: int, flags: int, promised_stream_id: int, header_block: bytes
+    stream_id: int, flags: int, promised_stream_id: int, header_block: bytes, pad_length: int = 0
 ) -> bytes:
-    """PUSH_PROMISE (§6.6)."""
-    return (
-        _pack_header(4 + len(header_block), _PUSH_PROMISE, flags, stream_id)
-        + _U32.pack(promised_stream_id & 0x7FFFFFFF)
-        + header_block
-    )
+    """PUSH_PROMISE (§6.6), padded when ``pad_length`` is positive."""
+    payload = _U32.pack(promised_stream_id & 0x7FFFFFFF) + header_block
+    if pad_length > 0:
+        payload = _pad(payload, pad_length)
+        flags |= _RAW_PADDED
+    return _pack_header(len(payload), _PUSH_PROMISE, flags, stream_id) + payload
 
 
 def pack_ping(stream_id: int, flags: int, opaque: bytes) -> bytes:
@@ -268,13 +274,17 @@ class HeadersFrame(Frame):
 
     header_block: bytes = b""
     priority: Optional[PriorityData] = None
+    pad_length: int = 0
     TYPE = FrameType.HEADERS
 
     def serialize(self) -> bytes:
-        return pack_headers(self.stream_id, int(self.flags), self.header_block, self.priority)
+        return pack_headers(
+            self.stream_id, int(self.flags), self.header_block, self.priority, self.pad_length
+        )
 
     def payload_length(self) -> int:
-        return (5 if self.priority is not None else 0) + len(self.header_block)
+        length = (5 if self.priority is not None else 0) + len(self.header_block)
+        return length + 1 + self.pad_length if self.pad_length > 0 else length
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "HeadersFrame":
@@ -292,7 +302,9 @@ class HeadersFrame(Frame):
             if pad > len(body):
                 raise ProtocolError("padding exceeds frame payload")
             body = body[: len(body) - pad]
-        return cls(stream_id=stream_id, flags=flags, header_block=body, priority=priority)
+        return cls(
+            stream_id=stream_id, flags=flags, header_block=body, priority=priority, pad_length=pad
+        )
 
 
 @dataclass
@@ -387,15 +399,21 @@ class PushPromiseFrame(Frame):
 
     promised_stream_id: int = 0
     header_block: bytes = b""
+    pad_length: int = 0
     TYPE = FrameType.PUSH_PROMISE
 
     def serialize(self) -> bytes:
         return pack_push_promise(
-            self.stream_id, int(self.flags), self.promised_stream_id, self.header_block
+            self.stream_id,
+            int(self.flags),
+            self.promised_stream_id,
+            self.header_block,
+            self.pad_length,
         )
 
     def payload_length(self) -> int:
-        return 4 + len(self.header_block)
+        length = 4 + len(self.header_block)
+        return length + 1 + self.pad_length if self.pad_length > 0 else length
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "PushPromiseFrame":
@@ -418,6 +436,7 @@ class PushPromiseFrame(Frame):
             flags=flags,
             promised_stream_id=promised & 0x7FFFFFFF,
             header_block=block,
+            pad_length=pad,
         )
 
 

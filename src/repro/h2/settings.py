@@ -79,10 +79,6 @@ class Settings:
         return bool(self._values[ENABLE_PUSH])
 
     @property
-    def max_concurrent_streams(self) -> int:
-        return self._values[MAX_CONCURRENT_STREAMS]
-
-    @property
     def initial_window_size(self) -> int:
         return self._values[INITIAL_WINDOW_SIZE]
 

@@ -46,9 +46,6 @@ class BuiltSite:
             raise ConfigError("built HTML lacks </head>")
         return index + len(b"</head>")
 
-    def url_for(self, name: str) -> str:
-        return self.spec.url_of(name)
-
 
 def build_site(spec: WebsiteSpec) -> BuiltSite:
     """Render the site; the HTML is padded to ``spec.html_size`` bytes.

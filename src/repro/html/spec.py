@@ -119,10 +119,6 @@ class WebsiteSpec:
             raise ConfigError(f"{self.name}: html_size {self.html_size} too small")
 
     # ------------------------------------------------------------------
-    @property
-    def base_url(self) -> str:
-        return make_url(self.primary_domain, "")
-
     def resource(self, name: str) -> ResourceSpec:
         for res in self.resources:
             if res.name == name:

@@ -61,15 +61,6 @@ class CongestionControl:
         """An RTO fired; the pipe is assumed drained."""
         raise NotImplementedError
 
-    def trace_sample(self, tracer, conn: str, trigger: str, rto_ms: float, in_flight: int) -> None:
-        """Emit a cwnd evolution sample to a ``repro.trace`` tracer.
-
-        Called by the TCP and QUIC senders after each controller
-        decision (behind their tracing guard); read-only, so traced and
-        untraced runs stay bit-identical.
-        """
-        tracer.cwnd_sample(conn, trigger, self.cwnd, self.ssthresh, rto_ms, in_flight)
-
 
 class RenoCC(CongestionControl):
     """NewReno-flavoured AIMD, bit-identical to the historical inline path."""

@@ -13,6 +13,7 @@ import random
 from typing import Callable, Optional
 
 from ..sim import NO_ARG, Simulator
+from ..trace.core import PacketDropped, PacketReordered
 from ..units import require_non_negative, require_positive
 from .impairment import ImpairmentPipeline
 
@@ -139,7 +140,7 @@ class SharedLink:
                 # sender's loss recovery (RTO / dup ACKs) repairs it.
                 pipeline.packets_dropped += 1
                 if pipeline.tracer is not None:
-                    pipeline.tracer.packet_dropped(pipeline.name, pipeline.packets_seen)
+                    pipeline.tracer.emit(PacketDropped, pipeline.name, pipeline.packets_seen)
                 return finish + delay
         jitter = pipeline.jitter_ms
         extra = jitter * rng.random() if jitter > 0.0 else 0.0
@@ -148,8 +149,8 @@ class SharedLink:
             extra += reorder.extra_delay_ms
             pipeline.packets_reordered += 1
             if pipeline.tracer is not None:
-                pipeline.tracer.packet_reordered(
-                    pipeline.name, pipeline.packets_seen, reorder.extra_delay_ms
+                pipeline.tracer.emit(
+                    PacketReordered, pipeline.name, pipeline.packets_seen, reorder.extra_delay_ms
                 )
         arrival = finish + (delay + extra)
         self._deliver_lane.schedule_abs(arrival, deliver, arg1, arg2)

@@ -49,6 +49,7 @@ from typing import Deque, Dict, List, Optional, Union
 
 from ..sim import CANCELLED
 from ..span import Span
+from ..trace.core import CwndSample, QuicStreamRecovered, Retransmit
 from .transport import (
     ACK_SIZE,
     DELAYED_ACK_SEGMENTS,
@@ -216,10 +217,12 @@ class _QuicHalf(Half):
         stream_id, offset, span, fin, _timer, _sent_at, size = entry
         if self._tracer is not None:
             if kind == "rto":
-                self._cc.trace_sample(
-                    self._tracer, self.name, "timeout", self._rto, self._flight_bytes
+                cc = self._cc
+                self._tracer.emit(
+                    CwndSample, self.name, "timeout", cc.cwnd, cc.ssthresh, self._rto,
+                    self._flight_bytes,
                 )
-            self._tracer.retransmit(self.name, lost_pn, kind)
+            self._tracer.emit(Retransmit, self.name, lost_pn, kind)
         pn = self._next_pn
         self._next_pn = pn + 1
         timer = self._rto_lane.schedule(self._rto, self._on_timeout, pn)
@@ -291,8 +294,10 @@ class _QuicHalf(Half):
             # mirroring TCP fast retransmit, not one per packet.
             self._cc.on_fast_retransmit(now)
             if self._tracer is not None:
-                self._cc.trace_sample(
-                    self._tracer, self.name, "fast_retransmit", self._rto, self._flight_bytes
+                cc = self._cc
+                self._tracer.emit(
+                    CwndSample, self.name, "fast_retransmit", cc.cwnd, cc.ssthresh,
+                    self._rto, self._flight_bytes,
                 )
             for pn in lost_pns:
                 entry = in_flight.pop(pn)
@@ -300,8 +305,9 @@ class _QuicHalf(Half):
                 self._flight_bytes -= entry[6]
                 self._retransmit(pn, entry, "fast")
         elif newly_acked > 0 and self._tracer is not None:
-            self._cc.trace_sample(
-                self._tracer, self.name, "ack", self._rto, self._flight_bytes
+            cc = self._cc
+            self._tracer.emit(
+                CwndSample, self.name, "ack", cc.cwnd, cc.ssthresh, self._rto, self._flight_bytes
             )
         self._pump()
         if self._buffered < self._max_buffer:
@@ -386,7 +392,7 @@ class _QuicHalf(Half):
         if recovered > 0 and self._tracer is not None:
             # This frame filled a gap that had later bytes parked
             # behind it: a stream-level loss recovery.
-            self._tracer.quic_stream_recovered(self.name, stream_id, recovered)
+            self._tracer.emit(QuicStreamRecovered, self.name, stream_id, recovered)
 
     def _deliver(self, stream_id: int, span: Span, fin: bool) -> None:
         size = span.stop - span.start

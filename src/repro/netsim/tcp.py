@@ -50,6 +50,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim import CANCELLED
+from ..trace.core import CwndSample, Retransmit
 from .congestion import INITIAL_WINDOW_SEGMENTS  # noqa: F401 (IW10, re-exported)
 from .transport import (
     ACK_SIZE,
@@ -188,9 +189,13 @@ class _HalfConnection(Half):
         """Send ``[seq, end)`` again, lost by ``kind`` (``"rto"`` or
         ``"fast"``); first sends are ``_pump``'s."""
         if self._tracer is not None:
-            self._tracer.retransmit(self.name, seq, kind)
+            self._tracer.emit(Retransmit, self.name, seq, kind)
             trigger = "timeout" if kind == "rto" else "fast_retransmit"
-            self._cc.trace_sample(self._tracer, self.name, trigger, self._rto, self._flight_size())
+            cc = self._cc
+            self._tracer.emit(
+                CwndSample, self.name, trigger, cc.cwnd, cc.ssthresh, self._rto,
+                self._flight_size(),
+            )
         timer = self._rto_lane.schedule(self._rto, self._on_timeout, seq)
         self._retransmitted[seq] = (timer, end)
         loss_rate = self._conditions.loss_rate
@@ -284,8 +289,9 @@ class _HalfConnection(Half):
                 retransmitted.pop(seq)[0][CANCELLED] = True
         self._cc.on_ack(newly_acked, now)
         if self._tracer is not None:
-            self._cc.trace_sample(
-                self._tracer, self.name, "ack", self._rto, self._flight_size()
+            cc = self._cc
+            self._tracer.emit(
+                CwndSample, self.name, "ack", cc.cwnd, cc.ssthresh, self._rto, self._flight_size()
             )
         self._pump()
         # Level-triggered writability (like EPOLLOUT): whenever an ACK

@@ -126,9 +126,6 @@ class Topology:
         except KeyError:
             raise NetworkError(f"no host serves domain {domain!r}") from None
 
-    def host_for_domain(self, domain: str) -> Host:
-        return self._hosts[self.resolve(domain)]
-
     @property
     def hosts(self) -> Dict[str, Host]:
         return dict(self._hosts)

@@ -16,8 +16,7 @@ from ..browser.priorities import weight_for
 from ..errors import ProtocolError
 from ..h2.cache_digest import CacheDigest
 from ..h2.connection import H2Connection
-from ..h2.constants import ErrorCode, StreamState
-from ..h2.frames import PriorityData
+from ..h2.constants import StreamState
 from ..html.resources import ResourceType, split_url
 from .scheduler import InterleavingScheduler
 from ..mechanisms.h2quic import h2_endpoint
@@ -27,6 +26,7 @@ from ..replay.matcher import RequestMatcher
 from ..replay.recorddb import ResponseRecord
 from ..sim import Simulator
 from ..strategies.base import PushPlan, PushStrategy
+from ..trace.core import EarlyHintsSent
 
 Header = Tuple[str, str]
 
@@ -118,8 +118,8 @@ class ReplayServer:
                     + [("link", f"<{u}>; rel=preload") for u in plan.early_hint_urls],
                 )
                 if self.tracer is not None:
-                    self.tracer.early_hints_sent(
-                        conn._trace_name, stream_id, len(plan.early_hint_urls)
+                    self.tracer.emit(
+                        EarlyHintsSent, conn._trace_name, stream_id, len(plan.early_hint_urls)
                     )
         if self.server_delay_ms > 0:
             self.sim.schedule(

@@ -9,9 +9,12 @@ cwnd/RTO evolution, impairment drops, cache hits, paint and onload
 milestones — all stamped with **simulated** time, never wall-clock, so
 tracing cannot perturb any experiment output.
 
-Tracing is off when the tracer is ``None``: instrumented objects hold
-a ``tracer`` attribute that defaults to ``None`` and hot paths pay
-exactly one attribute check.  Readers share :func:`load_view`.
+Each event is defined once, as a dataclass in :mod:`repro.trace.core`;
+hook sites build it with ``tracer.emit(EventClass, *payload)``, so an
+event's hook sites are greppable by its class name.  Tracing is off
+when the tracer is ``None``: instrumented objects hold a ``tracer``
+attribute that defaults to ``None`` and hot paths pay exactly one
+attribute check.  Readers share :func:`load_view`.
 """
 
 from .core import (

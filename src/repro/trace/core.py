@@ -15,12 +15,14 @@ Design contract (mirrors DESIGN §10):
 * **Typed events.**  Each event is a small dataclass with a ``t``
   field (simulated milliseconds) first; the remaining fields are the
   event payload.  ``qlog_name`` gives the qlog-style category:name.
+  The dataclass is the only place an event's schema is written: hook
+  sites build it through :meth:`Tracer.emit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional, Type
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +314,9 @@ class Tracer:
 
     One tracer covers one page load (one :meth:`ReplayTestbed.run`).
     The testbed calls :meth:`attach` with the run's simulator before
-    the load starts; all emitters then read ``sim.now`` and append to
-    the tracer's own event list.
+    the load starts.  Hook sites call :meth:`emit` with an event class
+    and its payload, so an event's schema is written once, in its
+    dataclass, and its hook sites are greppable by the class name.
     """
 
     def __init__(self, meta: Optional[Dict[str, Any]] = None):
@@ -328,94 +331,13 @@ class Tracer:
     def now(self) -> float:
         return self._sim.now if self._sim is not None else 0.0
 
+    def emit(self, event_cls: Type[TraceEvent], *payload: Any) -> None:
+        """Append ``event_cls(now, *payload)``; hot paths call this
+        behind their ``tracer is not None`` guard."""
+        self._events.append(event_cls(self.now, *payload))
+
     def events(self) -> List[TraceEvent]:
         return list(self._events)
 
     def trace(self) -> Trace:
         return Trace(meta=dict(self.meta), events=list(self._events))
-
-    # -- typed emitters (hot paths call these behind a None-check) -----
-    def stream_opened(self, conn: str, stream_id: int, pushed: bool) -> None:
-        self._events.append(StreamOpened(self.now, conn, stream_id, pushed))
-
-    def stream_closed(self, conn: str, stream_id: int) -> None:
-        self._events.append(StreamClosed(self.now, conn, stream_id))
-
-    def stream_reset(self, conn: str, stream_id: int, code: str) -> None:
-        self._events.append(StreamReset(self.now, conn, stream_id, code))
-
-    def frame_sent(self, conn: str, frame_type: str, stream_id: int, size: int) -> None:
-        self._events.append(FrameSent(self.now, conn, frame_type, stream_id, size))
-
-    def frame_received(self, conn: str, frame_type: str, stream_id: int, size: int) -> None:
-        self._events.append(FrameReceived(self.now, conn, frame_type, stream_id, size))
-
-    def push_promised(self, conn: str, parent_id: int, promised_id: int) -> None:
-        self._events.append(PushPromised(self.now, conn, parent_id, promised_id))
-
-    def push_received(self, conn: str, promised_id: int, url: str) -> None:
-        self._events.append(PushReceived(self.now, conn, promised_id, url))
-
-    def push_rejected(self, conn: str, promised_id: int, url: str, reason: str) -> None:
-        self._events.append(PushRejected(self.now, conn, promised_id, url, reason))
-
-    def push_adopted(self, url: str, stream_id: int) -> None:
-        self._events.append(PushAdopted(self.now, url, stream_id))
-
-    def push_data(self, url: str, size: int, before_demand: bool) -> None:
-        self._events.append(PushData(self.now, url, size, before_demand))
-
-    def cwnd_sample(
-        self,
-        conn: str,
-        trigger: str,
-        cwnd: float,
-        ssthresh: float,
-        rto_ms: float,
-        in_flight: int,
-    ) -> None:
-        self._events.append(
-            CwndSample(self.now, conn, trigger, cwnd, ssthresh, rto_ms, in_flight)
-        )
-
-    def retransmit(self, conn: str, seq: int, kind: str) -> None:
-        self._events.append(Retransmit(self.now, conn, seq, kind))
-
-    def packet_dropped(self, link: str, packet_index: int) -> None:
-        self._events.append(PacketDropped(self.now, link, packet_index))
-
-    def packet_reordered(self, link: str, packet_index: int, extra_delay_ms: float) -> None:
-        self._events.append(PacketReordered(self.now, link, packet_index, extra_delay_ms))
-
-    def cache_hit(self, url: str, size: int) -> None:
-        self._events.append(CacheHit(self.now, url, size))
-
-    def resource_discovered(self, url: str, rtype: str, initiator: str) -> None:
-        self._events.append(ResourceDiscovered(self.now, url, rtype, initiator))
-
-    def resource_requested(self, url: str, pushed: bool) -> None:
-        self._events.append(ResourceRequested(self.now, url, pushed))
-
-    def resource_response(self, url: str) -> None:
-        self._events.append(ResourceResponse(self.now, url))
-
-    def resource_finished(self, url: str, size: int, pushed: bool, from_cache: bool) -> None:
-        self._events.append(ResourceFinished(self.now, url, size, pushed, from_cache))
-
-    def milestone(self, name: str) -> None:
-        self._events.append(Milestone(self.now, name))
-
-    def paint(self, weight: float, source: str) -> None:
-        self._events.append(Paint(self.now, weight, source))
-
-    def early_hints_sent(self, conn: str, stream_id: int, url_count: int) -> None:
-        self._events.append(EarlyHintsSent(self.now, conn, stream_id, url_count))
-
-    def early_hints_received(self, conn: str, stream_id: int, url_count: int) -> None:
-        self._events.append(EarlyHintsReceived(self.now, conn, stream_id, url_count))
-
-    def preload_discovered(self, url: str, rtype: str, source: str) -> None:
-        self._events.append(PreloadDiscovered(self.now, url, rtype, source))
-
-    def quic_stream_recovered(self, conn: str, stream_id: int, recovered_bytes: int) -> None:
-        self._events.append(QuicStreamRecovered(self.now, conn, stream_id, recovered_bytes))

@@ -1,5 +1,7 @@
 """Tests for HTTP/2 frame serialization and parsing."""
 
+import struct
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -21,6 +23,7 @@ from repro.h2 import (
     WindowUpdateFrame,
     parse_frame,
 )
+from tests.support import frame_reference as ref
 
 
 def round_trip(frame):
@@ -208,6 +211,25 @@ class TestFrameReader:
         parsed = reader.feed(unknown + PingFrame(stream_id=0).serialize())
         assert len(parsed) == 1
         assert isinstance(parsed[0], PingFrame)
+
+    def test_padded_header_blocks_report_the_octets_received(self):
+        # RFC 7540 §6.2 / §6.6 bytes from the reference encoder: the
+        # Pad Length octet and the padding count toward the frame's
+        # wire size (and so toward a traced FrameReceived.size).
+        headers = ref.frame(
+            ref.HEADERS, ref.END_HEADERS | ref.PADDED, 3, b"\x06\x82\x87" + b"\x00" * 6
+        )
+        promise = ref.frame(
+            ref.PUSH_PROMISE,
+            ref.END_HEADERS | ref.PADDED,
+            1,
+            b"\x06" + struct.pack(">I", 4) + b"\x82\x87" + b"\x00" * 6,
+        )
+        parsed = FrameReader().feed(headers + promise)
+        assert [frame.wire_size for frame in parsed] == [len(headers), len(promise)] == [18, 22]
+        assert [frame.header_block for frame in parsed] == [b"\x82\x87", b"\x82\x87"]
+        assert [frame.pad_length for frame in parsed] == [6, 6]
+        assert [frame.serialize() for frame in parsed] == [headers, promise]
 
     def test_incomplete_frame_returns_nothing(self):
         reader = FrameReader()

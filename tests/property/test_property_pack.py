@@ -48,6 +48,7 @@ _FLAGS = st.integers(0, 255)
 _U31 = st.integers(0, 2**31 - 1)
 _PRIORITY = st.tuples(_U31, st.integers(1, 256), st.booleans())
 _BLOCK = st.binary(max_size=300)
+_PAD = st.integers(0, 255)
 
 
 def _priority_data(priority):
@@ -55,7 +56,7 @@ def _priority_data(priority):
     return PriorityData(depends_on=depends_on, weight=weight, exclusive=exclusive)
 
 
-@given(_STREAM_ID, _FLAGS, st.binary(max_size=300), st.integers(0, 255))
+@given(_STREAM_ID, _FLAGS, st.binary(max_size=300), _PAD)
 def test_data(stream_id, flags, data, pad):
     expected = ref.data(stream_id, flags, data, pad)
     assert pack_data(stream_id, flags, data, pad) == expected
@@ -64,12 +65,14 @@ def test_data(stream_id, flags, data, pad):
     assert frame.wire_size == len(expected)
 
 
-@given(_STREAM_ID, _FLAGS, _BLOCK, st.none() | _PRIORITY)
-def test_headers(stream_id, flags, block, priority):
-    expected = ref.headers(stream_id, flags, block, priority)
+@given(_STREAM_ID, _FLAGS, _BLOCK, st.none() | _PRIORITY, _PAD)
+def test_headers(stream_id, flags, block, priority, pad):
+    expected = ref.headers(stream_id, flags, block, priority, pad)
     data = None if priority is None else _priority_data(priority)
-    assert pack_headers(stream_id, flags, block, data) == expected
-    frame = HeadersFrame(stream_id=stream_id, flags=Flag(flags), header_block=block, priority=data)
+    assert pack_headers(stream_id, flags, block, data, pad) == expected
+    frame = HeadersFrame(
+        stream_id=stream_id, flags=Flag(flags), header_block=block, priority=data, pad_length=pad
+    )
     assert frame.serialize() == expected
     assert frame.wire_size == len(expected)
 
@@ -99,14 +102,19 @@ def test_settings(stream_id, flags, values):
     assert frame.serialize() == expected
 
 
-@given(_STREAM_ID, _FLAGS, _STREAM_ID, _BLOCK)
-def test_push_promise(stream_id, flags, promised, block):
-    expected = ref.push_promise(stream_id, flags, promised, block)
-    assert pack_push_promise(stream_id, flags, promised, block) == expected
+@given(_STREAM_ID, _FLAGS, _STREAM_ID, _BLOCK, _PAD)
+def test_push_promise(stream_id, flags, promised, block, pad):
+    expected = ref.push_promise(stream_id, flags, promised, block, pad)
+    assert pack_push_promise(stream_id, flags, promised, block, pad) == expected
     frame = PushPromiseFrame(
-        stream_id=stream_id, flags=Flag(flags), promised_stream_id=promised, header_block=block
+        stream_id=stream_id,
+        flags=Flag(flags),
+        promised_stream_id=promised,
+        header_block=block,
+        pad_length=pad,
     )
     assert frame.serialize() == expected
+    assert frame.wire_size == len(expected)
 
 
 @given(_STREAM_ID, _FLAGS, st.binary(min_size=8, max_size=8))

@@ -40,19 +40,30 @@ def priority_block(priority: Priority) -> bytes:
     return struct.pack(">IB", depends_on | (0x80000000 if exclusive else 0), weight - 1)
 
 
-def data(stream_id: int, flags: int, payload: bytes, pad_length: int = 0) -> bytes:
+def padded(frame_type: int, flags: int, stream_id: int, payload: bytes, pad_length: int) -> bytes:
+    """§6.1, §6.2, §6.6: a positive pad length wraps the payload in the
+    Pad Length octet and that many zero octets, and sets PADDED."""
     if pad_length > 0:
         body = bytes([pad_length]) + payload + b"\x00" * pad_length
-        return frame(DATA, flags | PADDED, stream_id, body)
-    return frame(DATA, flags, stream_id, payload)
+        return frame(frame_type, flags | PADDED, stream_id, body)
+    return frame(frame_type, flags, stream_id, payload)
+
+
+def data(stream_id: int, flags: int, payload: bytes, pad_length: int = 0) -> bytes:
+    return padded(DATA, flags, stream_id, payload, pad_length)
 
 
 def headers(
-    stream_id: int, flags: int, block: bytes, priority: Optional[Priority] = None
+    stream_id: int,
+    flags: int,
+    block: bytes,
+    priority: Optional[Priority] = None,
+    pad_length: int = 0,
 ) -> bytes:
-    if priority is None:
-        return frame(HEADERS, flags, stream_id, block)
-    return frame(HEADERS, flags | PRIORITY_FLAG, stream_id, priority_block(priority) + block)
+    if priority is not None:
+        flags |= PRIORITY_FLAG
+        block = priority_block(priority) + block
+    return padded(HEADERS, flags, stream_id, block, pad_length)
 
 
 def priority_frame(stream_id: int, flags: int, priority: Priority) -> bytes:
@@ -68,9 +79,11 @@ def settings(stream_id: int, flags: int, values: dict) -> bytes:
     return frame(SETTINGS, flags, stream_id, body)
 
 
-def push_promise(stream_id: int, flags: int, promised_stream_id: int, block: bytes) -> bytes:
+def push_promise(
+    stream_id: int, flags: int, promised_stream_id: int, block: bytes, pad_length: int = 0
+) -> bytes:
     body = struct.pack(">I", promised_stream_id & 0x7FFFFFFF) + block
-    return frame(PUSH_PROMISE, flags, stream_id, body)
+    return padded(PUSH_PROMISE, flags, stream_id, body, pad_length)
 
 
 def ping(stream_id: int, flags: int, opaque: bytes) -> bytes:

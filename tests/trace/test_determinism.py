@@ -14,10 +14,17 @@ from repro.experiments.engine.fingerprint import fingerprint
 from repro.experiments.fig5_interleaving import make_test_site
 from repro.html.builder import build_site
 from repro.netsim.conditions import DSL_TESTBED, FixedConditions
-from repro.netsim.impairment import GilbertElliottLoss, ImpairmentConfig, JitterSpec
+from repro.netsim.impairment import (
+    GilbertElliottLoss,
+    IIDLoss,
+    ImpairmentConfig,
+    JitterSpec,
+    ReorderSpec,
+)
 from repro.replay.testbed import ReplayTestbed
+from repro.sites.synthetic import synthetic_sites
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy, PushListStrategy
-from repro.trace import Tracer, qlog_json
+from repro.trace import PacketDropped, PacketReordered, Tracer, qlog_json
 from repro.trace.store import TraceSpec, TraceStore
 
 
@@ -64,6 +71,31 @@ def test_traced_lossy_run_is_bit_identical(built):
     tracer = Tracer()
     traced = testbed.run(seed=11, impairment_seed=99, tracer=tracer)
     assert fingerprint(plain) == fingerprint(traced)
+
+
+def test_impairment_events_conserve_the_link_counters():
+    """Every drop and reorder the impairment pipelines count is traced
+    once, on both links of a lossy, reordering replay of ``s1``."""
+    conditions = replace(
+        DSL_TESTBED,
+        impairment=ImpairmentConfig(loss=IIDLoss(0.02), reorder=ReorderSpec(0.05, 10.0)),
+    )
+    testbed = ReplayTestbed(built=build_site(synthetic_sites()["s1"]), conditions=conditions)
+    counted = {}
+
+    def probe(view):
+        pipelines = (view.topology.downlink.impairments, view.topology.uplink.impairments)
+        counted["dropped"] = sum(p.packets_dropped for p in pipelines)
+        counted["reordered"] = sum(p.packets_reordered for p in pipelines)
+
+    tracer = Tracer()
+    testbed.run(seed=1, tracer=tracer, probe=probe)
+    traced = {
+        "dropped": sum(type(e) is PacketDropped for e in tracer.events()),
+        "reordered": sum(type(e) is PacketReordered for e in tracer.events()),
+    }
+    assert traced == counted
+    assert counted["dropped"] > 0 and counted["reordered"] > 0
 
 
 def test_same_seed_produces_byte_identical_qlog(built):
