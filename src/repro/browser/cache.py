@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
+from ..span import Body
+
 
 class BrowserCache:
     """A URL-keyed cache storing complete response bodies."""
 
     def __init__(self):
-        self._entries: Dict[str, bytes] = {}
+        self._entries: Dict[str, Body] = {}
         self.hits = 0
         self.misses = 0
 
@@ -26,10 +28,10 @@ class BrowserCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def store(self, url: str, body: bytes) -> None:
+    def store(self, url: str, body: Body) -> None:
         self._entries[url] = body
 
-    def lookup(self, url: str) -> Optional[bytes]:
+    def lookup(self, url: str) -> Optional[Body]:
         """Return the cached body, counting hit/miss statistics."""
         body = self._entries.get(url)
         if body is None:

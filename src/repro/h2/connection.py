@@ -63,7 +63,7 @@ from .settings import (
     MAX_FRAME_SIZE,
     Settings,
 )
-from ..span import Span
+from ..span import Body, Span
 from .stream import TRANSITIONS, H2Stream, Refusal, StreamEvent
 from ..trace.core import (
     FrameReceived,
@@ -272,7 +272,7 @@ class H2Connection:
         self._queue_header_block(stream_id, _END_HEADERS_RAW, self._encoder.encode(headers))
         self._pump()
 
-    def send_body(self, stream_id: int, data: bytes, end_stream: bool = False) -> None:
+    def send_body(self, stream_id: int, data: Body, end_stream: bool = False) -> None:
         """Queue body bytes; the data scheduler decides emission order."""
         stream = self._require_stream(stream_id)
         stream.queue_body(data, end_stream)
@@ -576,8 +576,11 @@ class H2Connection:
             if cls is DataFrame and self._header_fragments is None:
                 # Only a foreign peer frames DATA as bytes; it joins the
                 # record path (which counts, traces and pumps itself).
+                # It may pad: the Pad Length octet and the padding count
+                # against the receive windows too (§6.1).
                 self._on_data_record(
-                    (frame.stream_id, Span(frame.data), frame.flags._value_)
+                    (frame.stream_id, Span(frame.data), frame.flags._value_),
+                    frame.payload_length() - len(frame.data),
                 )
                 continue
             self.frames_received += 1
@@ -594,16 +597,18 @@ class H2Connection:
         if self._control_queue or self._ready:
             self._pump()
 
-    def _on_data_record(self, record: Tuple[int, Span, int]) -> None:
+    def _on_data_record(self, record: Tuple[int, Span, int], padding: int = 0) -> None:
         """One DATA frame written by the peer's ``_emit_data`` arrived:
         account the payload against the receive windows and hand it to
-        the application; END_STREAM closes the remote side."""
+        the application; END_STREAM closes the remote side.  ``padding``
+        is the octets of a padded frame's payload that are not data."""
         stream_id, span, raw_flags = record
         self.frames_received += 1
         size = span.stop - span.start
+        counted = size + padding
         if self._tracer is not None:
             self._tracer.emit(
-                FrameReceived, self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + size
+                FrameReceived, self._trace_name, "DATA", stream_id, self._DATA_OVERHEAD + counted
             )
         stream = self.streams.get(stream_id)
         if stream is None or _TRANSITIONS[stream.state, _RECV_DATA] < 0:
@@ -615,7 +620,7 @@ class H2Connection:
             # than half of it is spent since the last credit (no stream
             # credit when the stream just ended).  More than the whole
             # window is DATA the peer was never offered (§6.9.1).
-            unacked = stream.recv_unacked + size
+            unacked = stream.recv_unacked + counted
             capacity = self.local_settings._values[INITIAL_WINDOW_SIZE]
             if unacked * 2 > capacity:
                 if unacked > capacity:
@@ -630,7 +635,7 @@ class H2Connection:
                     )
             else:
                 stream.recv_unacked = unacked
-            unacked = self._conn_recv_unacked + size
+            unacked = self._conn_recv_unacked + counted
             capacity = self._conn_recv_capacity
             if unacked * 2 > capacity:
                 if unacked > capacity:

@@ -79,17 +79,21 @@ def _unpack_header(data: bytes) -> Tuple[int, int, int, int]:
 # wire layouts, one function per frame type (RFC 7540 §6), each taking
 # ``(stream_id, flags, *payload fields)``.  ``flags`` is the raw flag
 # octet; a flag the payload implies (PADDED, PRIORITY) is added here.
-# Fixed-size frames pack their header directly: their length cannot
-# exceed the maximum.
+# Padding is present or absent apart from its length: a ``pad_length``
+# of ``None`` means no Pad Length octet, ``0`` the octet and no padding
+# (§6.1, §6.2, §6.6 allow both).  Fixed-size frames pack their header
+# directly: their length cannot exceed the maximum.
 # ----------------------------------------------------------------------
 def _pad(payload: bytes, pad_length: int) -> bytes:
     """The Pad Length octet, ``payload`` and ``pad_length`` zero octets."""
     return bytes((pad_length,)) + payload + b"\x00" * pad_length
 
 
-def pack_data(stream_id: int, flags: int, data: bytes, pad_length: int = 0) -> bytes:
-    """DATA (§6.1), padded when ``pad_length`` is positive."""
-    if pad_length > 0:
+def pack_data(
+    stream_id: int, flags: int, data: bytes, pad_length: Optional[int] = None
+) -> bytes:
+    """DATA (§6.1), padded unless ``pad_length`` is ``None``."""
+    if pad_length is not None:
         data = _pad(data, pad_length)
         flags |= _RAW_PADDED
     return _pack_header(len(data), _DATA, flags, stream_id) + data
@@ -100,11 +104,10 @@ def pack_headers(
     flags: int,
     header_block: bytes,
     priority: Optional["PriorityData"] = None,
-    pad_length: int = 0,
+    pad_length: Optional[int] = None,
 ) -> bytes:
     """HEADERS (§6.2); a ``priority`` adds the 5-octet block and the
-    PRIORITY flag, a positive ``pad_length`` the padding and the PADDED
-    flag."""
+    PRIORITY flag, a ``pad_length`` the padding and the PADDED flag."""
     if priority is not None:
         header_block = (
             _PRIORITY_STRUCT.pack(
@@ -114,7 +117,7 @@ def pack_headers(
             + header_block
         )
         flags |= _RAW_PRIORITY
-    if pad_length > 0:
+    if pad_length is not None:
         header_block = _pad(header_block, pad_length)
         flags |= _RAW_PADDED
     return _pack_header(len(header_block), _HEADERS, flags, stream_id) + header_block
@@ -145,11 +148,15 @@ def pack_settings(stream_id: int, flags: int, settings: Dict[int, int]) -> bytes
 
 
 def pack_push_promise(
-    stream_id: int, flags: int, promised_stream_id: int, header_block: bytes, pad_length: int = 0
+    stream_id: int,
+    flags: int,
+    promised_stream_id: int,
+    header_block: bytes,
+    pad_length: Optional[int] = None,
 ) -> bytes:
-    """PUSH_PROMISE (§6.6), padded when ``pad_length`` is positive."""
+    """PUSH_PROMISE (§6.6), padded unless ``pad_length`` is ``None``."""
     payload = _U32.pack(promised_stream_id & 0x7FFFFFFF) + header_block
-    if pad_length > 0:
+    if pad_length is not None:
         payload = _pad(payload, pad_length)
         flags |= _RAW_PADDED
     return _pack_header(len(payload), _PUSH_PROMISE, flags, stream_id) + payload
@@ -219,20 +226,21 @@ class DataFrame(Frame):
     """DATA (§6.1): application payload, optionally padded."""
 
     data: bytes = b""
-    pad_length: int = 0
+    #: ``None``: unpadded; else the padding octets after the Pad Length.
+    pad_length: Optional[int] = None
     TYPE = FrameType.DATA
 
     def serialize(self) -> bytes:
         return pack_data(self.stream_id, int(self.flags), self.data, self.pad_length)
 
     def payload_length(self) -> int:
-        if self.pad_length > 0:
+        if self.pad_length is not None:
             return 1 + len(self.data) + self.pad_length
         return len(self.data)
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "DataFrame":
-        pad = 0
+        pad = None
         if flags._value_ & _RAW_PADDED:
             if not body:
                 raise ProtocolError("PADDED DATA frame without pad length")
@@ -274,7 +282,8 @@ class HeadersFrame(Frame):
 
     header_block: bytes = b""
     priority: Optional[PriorityData] = None
-    pad_length: int = 0
+    #: ``None``: unpadded; else the padding octets after the Pad Length.
+    pad_length: Optional[int] = None
     TYPE = FrameType.HEADERS
 
     def serialize(self) -> bytes:
@@ -284,11 +293,11 @@ class HeadersFrame(Frame):
 
     def payload_length(self) -> int:
         length = (5 if self.priority is not None else 0) + len(self.header_block)
-        return length + 1 + self.pad_length if self.pad_length > 0 else length
+        return length if self.pad_length is None else length + 1 + self.pad_length
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "HeadersFrame":
-        pad = 0
+        pad = None
         if flags._value_ & _RAW_PADDED:
             if not body:
                 raise ProtocolError("PADDED HEADERS frame without pad length")
@@ -399,7 +408,8 @@ class PushPromiseFrame(Frame):
 
     promised_stream_id: int = 0
     header_block: bytes = b""
-    pad_length: int = 0
+    #: ``None``: unpadded; else the padding octets after the Pad Length.
+    pad_length: Optional[int] = None
     TYPE = FrameType.PUSH_PROMISE
 
     def serialize(self) -> bytes:
@@ -413,11 +423,11 @@ class PushPromiseFrame(Frame):
 
     def payload_length(self) -> int:
         length = 4 + len(self.header_block)
-        return length + 1 + self.pad_length if self.pad_length > 0 else length
+        return length if self.pad_length is None else length + 1 + self.pad_length
 
     @classmethod
     def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "PushPromiseFrame":
-        pad = 0
+        pad = None
         if flags._value_ & _RAW_PADDED:
             if not body:
                 raise ProtocolError("PADDED PUSH_PROMISE frame without pad length")

@@ -34,7 +34,7 @@ import enum
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import StreamError
-from ..span import Span
+from ..span import Body, Span
 from .constants import ErrorCode, StreamState
 
 Header = Tuple[str, str]
@@ -155,7 +155,7 @@ class H2Stream:
     # ------------------------------------------------------------------
     # send-side body
     # ------------------------------------------------------------------
-    def queue_body(self, data: bytes, end_stream: bool) -> None:
+    def queue_body(self, data: Body, end_stream: bool) -> None:
         if self._end_after_queue:
             raise StreamError("body already finished", self.stream_id)
         if data:
@@ -163,7 +163,7 @@ class H2Stream:
                 # A further write behind an undrained one: the only
                 # place body bytes are copied, and no server here does it.
                 cursor = self._cursor
-                data = self._body[cursor : cursor + self._queued_bytes] + data
+                data = b"".join((self._body[cursor : cursor + self._queued_bytes], data))
             self._body = data
             self._cursor = 0
             self._queued_bytes = len(data)

@@ -1,12 +1,17 @@
 """Render a :class:`~repro.html.spec.WebsiteSpec` to real bytes.
 
 The builder produces the base HTML document and the body of every
-sub-resource (stylesheets with ``url(...)`` references to their hidden
-children, scripts with ``loadResource(...)`` calls, opaque image/font
-bytes).  Everything the browser model later learns about the page, it
-learns by parsing these bytes — layout hints travel as ``data-*``
-attributes, the self-describing equivalent of the real browser's layout
-knowledge.
+sub-resource: stylesheets with ``url(...)`` references to their hidden
+children, scripts with ``loadResource(...)`` calls, and opaque
+image/font/other bodies.  Everything the browser model later learns
+about the page, it learns by parsing the HTML, CSS and JS bytes —
+layout hints travel as ``data-*`` attributes, the self-describing
+equivalent of the real browser's layout knowledge.
+
+Nothing reads an opaque body; only its size matters.  So it is not
+stored: each one is a read-only ``memoryview`` prefix of one shared,
+zero-filled buffer (:func:`_opaque_body`), and a built site holds only
+the bytes something parses.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import ConfigError
+from ..span import Body
 from .resources import CONTENT_TYPES, ResourceType
 from .spec import ResourceSpec, WebsiteSpec
 
@@ -34,7 +40,9 @@ class BuiltSite:
     spec: WebsiteSpec
     html: bytes
     html_url: str
-    bodies: Dict[str, bytes] = field(default_factory=dict)
+    #: HTML, CSS and JS bodies are ``bytes``; opaque bodies are views
+    #: (see :func:`_opaque_body`).
+    bodies: Dict[str, Body] = field(default_factory=dict)
     content_types: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -196,13 +204,13 @@ def _filler(size: int) -> str:
 # ----------------------------------------------------------------------
 # sub-resource bodies
 # ----------------------------------------------------------------------
-def _build_body(spec: WebsiteSpec, res: ResourceSpec) -> bytes:
+def _build_body(spec: WebsiteSpec, res: ResourceSpec) -> Body:
     children = [child for child in spec.resources if child.loaded_by == res.name]
     if res.rtype == ResourceType.CSS:
         return _build_css(spec, res, children)
     if res.rtype == ResourceType.JS:
         return _build_js(spec, res, children)
-    return _binary_body(res)
+    return _opaque_body(res.size)
 
 
 def _build_css(spec: WebsiteSpec, res: ResourceSpec, children: List[ResourceSpec]) -> bytes:
@@ -264,9 +272,20 @@ def _build_js(spec: WebsiteSpec, res: ResourceSpec, children: List[ResourceSpec]
     return _pad_text(body, res.size, "/*", "*/").encode("utf-8")
 
 
-def _binary_body(res: ResourceSpec) -> bytes:
-    seed = (res.name.encode("utf-8") + b"\x00\x01\x02\x03") * (res.size // 4 + 2)
-    return seed[: res.size]
+#: The buffer every opaque body is a prefix of.  Its content never
+#: changes, so sharing it across sites and callers is invisible.  A
+#: larger body replaces it with one at least twice as large, so it stays
+#: under twice the largest opaque body; a replaced buffer lives on only
+#: while a site still holds views of it.
+_opaque = memoryview(b"")
+
+
+def _opaque_body(size: int) -> memoryview:
+    """A read-only, zero-filled body of ``size`` bytes that stores none."""
+    global _opaque
+    if size > len(_opaque):
+        _opaque = memoryview(bytes(max(size, 2 * len(_opaque))))
+    return _opaque[:size]
 
 
 def _pad_text(body: str, size: int, open_comment: str, close_comment: str) -> str:

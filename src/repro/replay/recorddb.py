@@ -17,6 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ReplayError
 from ..html.resources import ResourceType, classify_content_type, split_url
+from ..span import Body
 
 Header = Tuple[str, str]
 
@@ -28,7 +29,8 @@ class ResponseRecord:
     url: str
     status: int = 200
     headers: List[Header] = field(default_factory=list)
-    body: bytes = b""
+    #: ``bytes``, or a view for a body nothing reads (``Body``).
+    body: Body = b""
     method: str = "GET"
 
     def __post_init__(self) -> None:

@@ -8,11 +8,20 @@ objects, ``(source, start, stop)`` windows onto the recorded ``bytes``:
 cutting a DATA frame, segmenting, retransmitting and reassembling are
 integer arithmetic, and the content is sliced out only by whoever reads
 it (the HTML tokenizer, the CSS and JS scanners).
+
+A recorded body is a :data:`Body`: ``bytes`` for what is read (HTML,
+CSS, JS), a read-only ``memoryview`` for what is not (images, fonts,
+other; ``repro.html.builder`` stores none of their bytes).  A span of
+either is the same integer arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
+
+#: A recorded response body: ``bytes``, or a read-only ``memoryview``
+#: for a body nothing reads.
+Body = Union[bytes, memoryview]
 
 
 class Span:
@@ -20,7 +29,7 @@ class Span:
 
     __slots__ = ("source", "start", "stop")
 
-    def __init__(self, source: bytes, start: int = 0, stop: Optional[int] = None):
+    def __init__(self, source: Body, start: int = 0, stop: Optional[int] = None):
         self.source = source
         self.start = start
         self.stop = len(source) if stop is None else stop
@@ -28,12 +37,15 @@ class Span:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def tobytes(self) -> bytes:
-        """The content; the source object itself when the window covers it."""
+    def tobytes(self) -> Body:
+        """The content, sliced from the source: the source object itself
+        when the window covers a ``bytes`` source, a view of the same
+        buffer when the source is a ``memoryview``."""
         return self.source[self.start : self.stop]
 
     #: ``bytes(span)`` keeps working for ``on_stream_data`` consumers
-    #: written when QUIC stream payloads were ``bytes``.
+    #: written when QUIC stream payloads were ``bytes`` (of a ``bytes``
+    #: source: ``__bytes__`` may not return a view).
     __bytes__ = tobytes
 
 
@@ -43,7 +55,8 @@ class SpanBuffer:
     A span that continues the previous one extends it in place, so a
     body that arrives whole *is* its source object again: nothing is
     copied on the way in, and :meth:`tobytes` of a fully received
-    recorded body returns the recorded ``bytes``.
+    recorded ``bytes`` body returns that object (of a ``memoryview``
+    body, a view of the same buffer).
     """
 
     __slots__ = ("size", "_runs")
@@ -67,7 +80,8 @@ class SpanBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def tobytes(self) -> bytes:
+    def tobytes(self) -> Body:
+        """The content; in several runs, joined into new ``bytes``."""
         runs = self._runs
         if len(runs) == 1:
             source, start, stop = runs[0]

@@ -14,6 +14,7 @@ from repro.errors import FlowControlError, ProtocolError
 from repro.h2 import H2Connection, Settings
 from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.span import Span
+from repro.trace import FrameReceived, Tracer
 from tests.support.h2peer import (
     FLOW_CONTROL_ERROR,
     MAX_WINDOW,
@@ -26,6 +27,7 @@ from tests.support.h2peer import (
     data,
     data_octets,
     of_type,
+    padded_data,
     settings,
     window_update,
 )
@@ -51,9 +53,9 @@ def server_with_request(body: int = 0, local: Settings = None, end_stream: bool 
     return peer
 
 
-def client_with_response(local: Settings = None, cls=H2Connection):
+def client_with_response(local: Settings = None, cls=H2Connection, tracer=None):
     """A client under test whose stream 1 has its response HEADERS."""
-    peer = H2Peer("client", settings=local, cls=cls)
+    peer = H2Peer("client", settings=local, cls=cls, tracer=tracer)
     peer.conn.request(REQUEST)
     peer.handshake()
     peer.send(peer.headers(1, fields=RESPONSE))
@@ -174,6 +176,32 @@ def test_data_beyond_the_stream_window_is_flow_control_error():
     peer = client_with_response(Settings(initial_window_size=1_000))
     with pytest.raises(FlowControlError) as excinfo:
         peer.send(data(1, 1_001))
+    assert excinfo.value.error_code == FLOW_CONTROL_ERROR
+
+
+def test_padded_data_filling_the_stream_window_is_accepted():
+    # §6.1, §6.9.1: the Pad Length octet and the padding are flow
+    # controlled; 1 + 799 + 200 octets fill a 1 000-octet window, and
+    # the traced frame size is the 9-octet header plus all of them.
+    tracer = Tracer()
+    peer = client_with_response(Settings(initial_window_size=1_000), tracer=tracer)
+    peer.send(padded_data(1, 799, 200))
+    updates = of_type(peer.receive(), WINDOW_UPDATE)
+    assert [(f.stream_id, f.increment) for f in updates] == [(1, 1_000)]
+    received = [
+        event.size
+        for event in tracer.events()
+        if isinstance(event, FrameReceived) and event.frame_type == "DATA"
+    ]
+    assert received == [1_009]
+
+
+def test_padding_beyond_the_stream_window_is_flow_control_error():
+    # §6.1, §6.9.1: 800 data octets fit the window, but with the Pad
+    # Length octet and 200 octets of padding the frame carries 1 001.
+    peer = client_with_response(Settings(initial_window_size=1_000))
+    with pytest.raises(FlowControlError) as excinfo:
+        peer.send(padded_data(1, 800, 200))
     assert excinfo.value.error_code == FLOW_CONTROL_ERROR
 
 

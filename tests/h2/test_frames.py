@@ -231,6 +231,26 @@ class TestFrameReader:
         assert [frame.pad_length for frame in parsed] == [6, 6]
         assert [frame.serialize() for frame in parsed] == [headers, promise]
 
+    def test_a_zero_pad_length_is_padding_present(self):
+        # RFC 7540 §6.1, §6.2, §6.6: PADDED with a Pad Length of 0 is
+        # legal; the Pad Length octet is on the wire and must stay there.
+        wires = [
+            ref.frame(ref.DATA, ref.PADDED, 1, b"\x00abc"),
+            ref.frame(ref.HEADERS, ref.END_HEADERS | ref.PADDED, 3, b"\x00\x82\x87"),
+            ref.frame(
+                ref.PUSH_PROMISE,
+                ref.END_HEADERS | ref.PADDED,
+                1,
+                b"\x00" + struct.pack(">I", 4) + b"\x82\x87",
+            ),
+        ]
+        parsed = FrameReader().feed(b"".join(wires))
+        assert [frame.wire_size for frame in parsed] == [len(wire) for wire in wires] == [13, 12, 16]
+        assert [frame.pad_length for frame in parsed] == [0, 0, 0]
+        assert [frame.serialize() for frame in parsed] == wires
+        assert parsed[0].data == b"abc"
+        assert [frame.header_block for frame in parsed[1:]] == [b"\x82\x87", b"\x82\x87"]
+
     def test_incomplete_frame_returns_nothing(self):
         reader = FrameReader()
         wire = DataFrame(stream_id=1, data=b"abcdef").serialize()

@@ -125,14 +125,16 @@ class TestSendQueue:
         assert len(span) == 0 and end and not more
 
     def test_second_write_queues_behind_the_cursor(self):
-        stream = make_stream()
-        stream.queue_body(b"abcdef", end_stream=False)
-        stream.take(2)
-        stream.queue_body(b"ghi", end_stream=True)
-        assert stream.queued_bytes == 7
-        span, end, _more = stream.take(100)
-        assert span.tobytes() == b"cdefghi" and end
-        assert stream.bytes_sent == 9
+        # A body is ``bytes`` or, for an opaque one, a read-only view.
+        for body in (bytes, memoryview):
+            stream = make_stream()
+            stream.queue_body(body(b"abcdef"), end_stream=False)
+            stream.take(2)
+            stream.queue_body(body(b"ghi"), end_stream=True)
+            assert stream.queued_bytes == 7
+            span, end, _more = stream.take(100)
+            assert span.tobytes() == b"cdefghi" and end
+            assert stream.bytes_sent == 9
 
     def test_bytes_sent_accounting(self):
         stream = make_stream()

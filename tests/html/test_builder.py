@@ -1,5 +1,8 @@
 """Tests for the HTML/CSS/JS site builder."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigError
@@ -14,6 +17,15 @@ from repro.html import (
     scan_js,
 )
 from repro.html.tokenizer import ImageToken, ScriptToken, StylesheetToken, TextToken
+from repro.sites import TOP_100_PROFILE, generate_corpus
+
+OPAQUE = (ResourceType.IMAGE, ResourceType.FONT, ResourceType.OTHER)
+TEXT = (ResourceType.CSS, ResourceType.JS)
+
+#: SHA-256 over the first TOP_100_PROFILE site's HTML, then its CSS and
+#: JS bodies in spec order, as built while opaque bodies were still
+#: stored as ``bytes`` of their own.
+TOP_SITE_TEXT_SHA256 = "e6befdb0a7fc89424178daaa905eaf648cf5300d36f4db8b5bfb4d2d36abb49e"
 
 
 def demo_spec(**kwargs):
@@ -152,3 +164,52 @@ def test_binary_bodies_deterministic():
     a = build_site(spec).bodies[spec.url_of("pic.jpg")]
     b = build_site(spec).bodies[spec.url_of("pic.jpg")]
     assert a == b
+
+
+def top_site_spec():
+    return generate_corpus(TOP_100_PROFILE, count=1, seed=2018)[0].spec
+
+
+def test_opaque_bodies_are_views_of_one_shared_buffer():
+    spec = top_site_spec()
+    build_site(spec)  # the shared buffer now covers every opaque body
+    built = build_site(spec)
+    buffers = set()
+    for res in spec.resources:
+        body = built.bodies[res.url(spec.primary_domain)]
+        if res.rtype in OPAQUE:
+            assert isinstance(body, memoryview) and body.readonly
+            assert len(body) == res.size
+            assert body == bytes(res.size)
+            buffers.add(id(body.obj))
+        else:
+            assert type(body) is bytes
+    assert len(buffers) == 1
+    assert type(built.bodies[built.html_url]) is bytes
+
+
+def test_a_rebuilt_site_allocates_only_its_text_bodies():
+    spec = top_site_spec()
+    first = build_site(spec)
+    text = sum(len(body) for body in first.bodies.values() if type(body) is bytes)
+    opaque = sum(len(body) for body in first.bodies.values() if type(body) is not bytes)
+    assert opaque > 500_000
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        second = build_site(spec)
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(second.bodies) == len(first.bodies)
+    assert after - before < text + 64 * 1024
+
+
+def test_text_bodies_are_unchanged():
+    spec = top_site_spec()
+    built = build_site(spec)
+    digest = hashlib.sha256(built.html)
+    for res in spec.resources:
+        if res.rtype in TEXT:
+            digest.update(built.bodies[res.url(spec.primary_domain)])
+    assert digest.hexdigest() == TOP_SITE_TEXT_SHA256

@@ -47,6 +47,21 @@ def test_h1_load_completes_with_all_resources():
     assert len(finished) == 26
 
 
+def test_h1_carries_opaque_views_as_their_bytes():
+    # Image bodies are views of the builder's shared buffer; the H1
+    # server writes them into its byte stream, and the load moves the
+    # same octets as when each image stored bytes of its own.
+    spec = many_objects_spec()
+    built = build_site(spec)
+    images = [res for res in spec.resources if res.rtype == IMG]
+    assert all(isinstance(built.bodies[spec.url_of(res.name)], memoryview) for res in images)
+    result = ReplayTestbed(built=built, protocol="h1").run(seed=0)
+    assert result.downlink_bytes == 416703
+    for res in images:
+        resource = result.timeline.resources[spec.url_of(res.name)]
+        assert resource.finished_at is not None and resource.size == res.size
+
+
 def test_h1_opens_parallel_connections():
     result = run("h1")
     # Up to six parallel connections per origin, definitely more than 1.

@@ -154,6 +154,30 @@ def test_cache_accelerates_repeat_view():
     assert warm.first_paint_ms < first.first_paint_ms
 
 
+def test_warm_reload_serves_an_image_view_from_the_cache():
+    spec = simple_spec(
+        name="cached-image",
+        resources=[
+            ResourceSpec("main.css", CSS, 15_000, in_head=True),
+            ResourceSpec("hero.jpg", IMG, 40_000, body_fraction=0.2, visual_weight=5),
+        ],
+    )
+    url = spec.url_of("hero.jpg")
+    cache = BrowserCache()
+    testbed = ReplayTestbed(built=build_site(spec))
+    first = testbed.run(cache=cache)
+    # The cache holds the received image as a view, not a copy.
+    assert isinstance(cache.lookup(url), memoryview)
+    assert cache.size_of(url) == 40_000
+    hits = cache.hits
+    warm = testbed.run(cache=cache)
+    resource = warm.timeline.resources[url]
+    assert resource.from_cache and not first.timeline.resources[url].from_cache
+    assert resource.size == 40_000
+    assert cache.hits > hits
+    assert warm.downlink_bytes < first.downlink_bytes - 40_000
+
+
 def test_onload_waits_for_all_statically_discovered_resources():
     spec = simple_spec(
         name="all",

@@ -48,7 +48,8 @@ _FLAGS = st.integers(0, 255)
 _U31 = st.integers(0, 2**31 - 1)
 _PRIORITY = st.tuples(_U31, st.integers(1, 256), st.booleans())
 _BLOCK = st.binary(max_size=300)
-_PAD = st.integers(0, 255)
+#: Unpadded (``None``) is drawn apart from padded with a zero Pad Length.
+_PAD = st.none() | st.integers(0, 255)
 
 
 def _priority_data(priority):

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ReplayError
+from repro.html import ResourceSpec, WebsiteSpec, build_site
 from repro.html.resources import ResourceType
 from repro.replay.recorddb import RecordDatabase, ResponseRecord
+from repro.replay.recorder import record_site
 
 
 def make_record(url="https://x.example/a.css", content_type="text/css", body=b"x{}"):
@@ -67,6 +69,31 @@ def test_save_and_load(tmp_path):
     loaded = RecordDatabase.load(tmp_path / "records")
     assert len(loaded) == 2
     assert loaded.get("https://x.example/b.js").body == b"var x;"
+
+
+def test_opaque_views_round_trip_through_json(tmp_path):
+    # An image body is a view of the builder's shared buffer; base64
+    # encodes it like bytes, and it reloads as bytes of equal content.
+    spec = WebsiteSpec(
+        name="views",
+        primary_domain="x.example",
+        html_size=5_000,
+        resources=[
+            ResourceSpec("main.css", ResourceType.CSS, 2_000, in_head=True),
+            ResourceSpec("pic.jpg", ResourceType.IMAGE, 9_000, body_fraction=0.5),
+            ResourceSpec("f.woff2", ResourceType.FONT, 3_000, loaded_by="main.css"),
+        ],
+    )
+    db = record_site(build_site(spec))
+    views = [record for record in db if isinstance(record.body, memoryview)]
+    assert {record.rtype for record in views} == {ResourceType.IMAGE, ResourceType.FONT}
+    db.save(tmp_path / "records")
+    loaded = RecordDatabase.load(tmp_path / "records")
+    for record in db:
+        restored = loaded.get(record.url)
+        assert type(restored.body) is bytes
+        assert restored.body == record.body
+        assert restored.size == record.size
 
 
 def test_load_missing_directory(tmp_path):

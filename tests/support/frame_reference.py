@@ -40,16 +40,19 @@ def priority_block(priority: Priority) -> bytes:
     return struct.pack(">IB", depends_on | (0x80000000 if exclusive else 0), weight - 1)
 
 
-def padded(frame_type: int, flags: int, stream_id: int, payload: bytes, pad_length: int) -> bytes:
-    """§6.1, §6.2, §6.6: a positive pad length wraps the payload in the
-    Pad Length octet and that many zero octets, and sets PADDED."""
-    if pad_length > 0:
+def padded(
+    frame_type: int, flags: int, stream_id: int, payload: bytes, pad_length: Optional[int]
+) -> bytes:
+    """§6.1, §6.2, §6.6: a pad length (``None``: unpadded; 0 is a legal
+    length) wraps the payload in the Pad Length octet and that many
+    zero octets, and sets PADDED."""
+    if pad_length is not None:
         body = bytes([pad_length]) + payload + b"\x00" * pad_length
         return frame(frame_type, flags | PADDED, stream_id, body)
     return frame(frame_type, flags, stream_id, payload)
 
 
-def data(stream_id: int, flags: int, payload: bytes, pad_length: int = 0) -> bytes:
+def data(stream_id: int, flags: int, payload: bytes, pad_length: Optional[int] = None) -> bytes:
     return padded(DATA, flags, stream_id, payload, pad_length)
 
 
@@ -58,7 +61,7 @@ def headers(
     flags: int,
     block: bytes,
     priority: Optional[Priority] = None,
-    pad_length: int = 0,
+    pad_length: Optional[int] = None,
 ) -> bytes:
     if priority is not None:
         flags |= PRIORITY_FLAG
@@ -80,7 +83,11 @@ def settings(stream_id: int, flags: int, values: dict) -> bytes:
 
 
 def push_promise(
-    stream_id: int, flags: int, promised_stream_id: int, block: bytes, pad_length: int = 0
+    stream_id: int,
+    flags: int,
+    promised_stream_id: int,
+    block: bytes,
+    pad_length: Optional[int] = None,
 ) -> bytes:
     body = struct.pack(">I", promised_stream_id & 0x7FFFFFFF) + block
     return padded(PUSH_PROMISE, flags, stream_id, body, pad_length)

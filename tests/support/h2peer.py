@@ -54,6 +54,7 @@ CONTINUATION = 0x9
 END_STREAM = 0x1
 ACK = 0x1
 END_HEADERS = 0x4
+PADDED = 0x8
 
 # §6.5.2: setting identifier.
 SETTINGS_INITIAL_WINDOW_SIZE = 0x4
@@ -104,6 +105,12 @@ def window_update(stream_id: int, increment: int) -> bytes:
 
 def data(stream_id: int, size: int, end_stream: bool = False) -> bytes:
     return frame(DATA, END_STREAM if end_stream else 0, stream_id, b"d" * size)
+
+
+def padded_data(stream_id: int, size: int, pad_length: int) -> bytes:
+    """§6.1: the Pad Length octet, ``size`` data octets, then padding."""
+    payload = bytes((pad_length,)) + b"d" * size + bytes(pad_length)
+    return frame(DATA, PADDED, stream_id, payload)
 
 
 def rst_stream(stream_id: int, error_code: int) -> bytes:
@@ -195,9 +202,11 @@ class PipeEndpoint:
 class H2Peer:
     """The far end of one ``H2Connection`` whose ``role`` is given."""
 
-    def __init__(self, role: str, settings: Optional[Settings] = None, cls=H2Connection):
+    def __init__(
+        self, role: str, settings: Optional[Settings] = None, cls=H2Connection, tracer=None
+    ):
         self.endpoint = PipeEndpoint(f"{role}-under-test")
-        self.conn = cls(self.endpoint, role, settings=settings)
+        self.conn = cls(self.endpoint, role, settings=settings, tracer=tracer)
         #: A client under test opens its output with the preface.
         self._expect_preface = role == "client"
         self._inbox = b""
