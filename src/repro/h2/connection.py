@@ -578,9 +578,10 @@ class H2Connection:
                 # record path (which counts, traces and pumps itself).
                 # It may pad: the Pad Length octet and the padding count
                 # against the receive windows too (§6.1).
+                pad = frame.pad_length
                 self._on_data_record(
-                    (frame.stream_id, Span(frame.data), frame.flags._value_),
-                    frame.payload_length() - len(frame.data),
+                    (frame.stream_id, Span(frame.data), frame.flags),
+                    0 if pad is None else 1 + pad,
                 )
                 continue
             self.frames_received += 1
@@ -671,14 +672,14 @@ class H2Connection:
     }
 
     def _handle_ping(self, frame: PingFrame) -> None:
-        if not frame.flags._value_ & _ACK_RAW:
+        if not frame.flags & _ACK_RAW:
             self._queue_wire("PING", 0, pack_ping(0, _ACK_RAW, frame.opaque))
 
     def _handle_goaway(self, frame: GoAwayFrame) -> None:
         """GOAWAY (§6.8) needs no answer, and no endpoint here sends one."""
 
     def _handle_settings(self, frame: SettingsFrame) -> None:
-        if frame.flags._value_ & _ACK_RAW:
+        if frame.flags & _ACK_RAW:
             return
         old_window = self.remote_settings.initial_window_size
         self.remote_settings.apply(frame.settings)
@@ -705,7 +706,7 @@ class H2Connection:
     def _handle_headers(self, frame: HeadersFrame) -> None:
         if frame.priority is not None and self.role == "server":
             self._handle_priority(frame)
-        raw = frame.flags._value_
+        raw = frame.flags
         if not raw & _END_HEADERS_RAW:
             self._header_fragments = (
                 frame.stream_id,
@@ -722,7 +723,7 @@ class H2Connection:
         if frame.stream_id != stream_id:
             raise ProtocolError("CONTINUATION on wrong stream")
         buffer.extend(frame.header_block)
-        if frame.flags._value_ & _END_HEADERS_RAW:
+        if frame.flags & _END_HEADERS_RAW:
             self._header_fragments = None
             self._finish_header_block(stream_id, bytes(buffer), end_stream)
 
@@ -785,7 +786,7 @@ class H2Connection:
             raise ProtocolError("servers do not receive PUSH_PROMISE")
         if not self.local_settings._values[ENABLE_PUSH]:
             raise ProtocolError("PUSH_PROMISE after SETTINGS_ENABLE_PUSH=0 (§8.2)")
-        if not frame.flags._value_ & _END_HEADERS_RAW:
+        if not frame.flags & _END_HEADERS_RAW:
             raise ProtocolError("fragmented PUSH_PROMISE not supported by model")
         headers = self._decoder.decode(frame.header_block)
         parent = self.streams.get(frame.stream_id)

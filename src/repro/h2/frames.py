@@ -11,18 +11,22 @@ frame overhead is charged against the simulated links exactly as it
 would be on the wire.  :class:`DataFrame` remains the byte-exact DATA
 codec for peers that do send DATA as bytes.
 
-Each frame type's wire layout is written once, in its ``pack_*``
-function: each frame's ``serialize`` calls it, and so does the connection's
-send path, which packs control frames straight from their fields
-without building a frame object.  :class:`FrameReader` is the one
-receive-side parser.
+Each frame type is declared once.  Its wire layout is written in its
+``pack_*`` function, ``(stream_id, flags, *payload fields)``, which the
+connection's send path calls straight from its fields without building
+a frame object.  Its frame class declares the same payload fields in
+the same order, plus the ``parse`` that reads them back:
+:meth:`Frame.serialize` is the packer applied to a frame's fields and
+:attr:`Frame.wire_size` is the packed length.  A frame's ``flags`` is
+the raw flag octet.  :class:`FrameReader` is the one receive-side
+parser.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..errors import ProtocolError
 from .constants import (
@@ -78,7 +82,8 @@ def _unpack_header(data: bytes) -> Tuple[int, int, int, int]:
 # ----------------------------------------------------------------------
 # wire layouts, one function per frame type (RFC 7540 §6), each taking
 # ``(stream_id, flags, *payload fields)``.  ``flags`` is the raw flag
-# octet; a flag the payload implies (PADDED, PRIORITY) is added here.
+# octet; a flag the payload implies (PADDED, PRIORITY) is set or
+# cleared here from the payload alone, whatever the caller passed.
 # Padding is present or absent apart from its length: a ``pad_length``
 # of ``None`` means no Pad Length octet, ``0`` the octet and no padding
 # (§6.1, §6.2, §6.6 allow both).  Fixed-size frames pack their header
@@ -93,7 +98,9 @@ def pack_data(
     stream_id: int, flags: int, data: bytes, pad_length: Optional[int] = None
 ) -> bytes:
     """DATA (§6.1), padded unless ``pad_length`` is ``None``."""
-    if pad_length is not None:
+    if pad_length is None:
+        flags &= ~_RAW_PADDED
+    else:
         data = _pad(data, pad_length)
         flags |= _RAW_PADDED
     return _pack_header(len(data), _DATA, flags, stream_id) + data
@@ -108,6 +115,7 @@ def pack_headers(
 ) -> bytes:
     """HEADERS (§6.2); a ``priority`` adds the 5-octet block and the
     PRIORITY flag, a ``pad_length`` the padding and the PADDED flag."""
+    flags &= ~(_RAW_PADDED | _RAW_PRIORITY)
     if priority is not None:
         header_block = (
             _PRIORITY_STRUCT.pack(
@@ -156,7 +164,9 @@ def pack_push_promise(
 ) -> bytes:
     """PUSH_PROMISE (§6.6), padded unless ``pad_length`` is ``None``."""
     payload = _U32.pack(promised_stream_id & 0x7FFFFFFF) + header_block
-    if pad_length is not None:
+    if pad_length is None:
+        flags &= ~_RAW_PADDED
+    else:
         payload = _pad(payload, pad_length)
         flags |= _RAW_PADDED
     return _pack_header(len(payload), _PUSH_PROMISE, flags, stream_id) + payload
@@ -198,27 +208,27 @@ def pack_continuation(stream_id: int, flags: int, header_block: bytes) -> bytes:
 # ----------------------------------------------------------------------
 @dataclass
 class Frame:
-    """Base class for all frames."""
+    """Base class for all frames.  A concrete frame's fields after
+    ``(stream_id, flags)`` are its ``pack`` function's payload
+    arguments, in order."""
 
     stream_id: int
-    flags: Flag = Flag.NONE
+    #: The raw flag octet (§4.1); test a flag with ``flags & Flag.X``.
+    flags: int = 0
 
     #: Frame type code; set by each concrete subclass.
     TYPE: ClassVar[FrameType]
+    #: The type's ``pack_*`` function; set by each concrete subclass.
+    pack: ClassVar[Callable[..., bytes]]
 
-    # Every concrete frame defines ``serialize`` (its wire bytes, from
-    # its type's ``pack_*`` function) and ``payload_length`` (computed
-    # without serializing).
+    def serialize(self) -> bytes:
+        """The frame's wire octets, from its type's ``pack_*`` function."""
+        return self.pack(*[getattr(self, each.name) for each in fields(self)])
 
     @property
     def wire_size(self) -> int:
         """Total size of the frame on the wire, header included."""
-        return FRAME_HEADER_SIZE + self.payload_length()
-
-    def has_flag(self, flag: Flag) -> bool:
-        # ``_value_`` reads skip IntFlag.__and__'s composite-member
-        # machinery.
-        return (self.flags._value_ & flag._value_) != 0
+        return len(self.serialize())
 
 
 @dataclass
@@ -229,19 +239,12 @@ class DataFrame(Frame):
     #: ``None``: unpadded; else the padding octets after the Pad Length.
     pad_length: Optional[int] = None
     TYPE = FrameType.DATA
-
-    def serialize(self) -> bytes:
-        return pack_data(self.stream_id, int(self.flags), self.data, self.pad_length)
-
-    def payload_length(self) -> int:
-        if self.pad_length is not None:
-            return 1 + len(self.data) + self.pad_length
-        return len(self.data)
+    pack = staticmethod(pack_data)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "DataFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "DataFrame":
         pad = None
-        if flags._value_ & _RAW_PADDED:
+        if flags & _RAW_PADDED:
             if not body:
                 raise ProtocolError("PADDED DATA frame without pad length")
             pad = body[0]
@@ -285,26 +288,18 @@ class HeadersFrame(Frame):
     #: ``None``: unpadded; else the padding octets after the Pad Length.
     pad_length: Optional[int] = None
     TYPE = FrameType.HEADERS
-
-    def serialize(self) -> bytes:
-        return pack_headers(
-            self.stream_id, int(self.flags), self.header_block, self.priority, self.pad_length
-        )
-
-    def payload_length(self) -> int:
-        length = (5 if self.priority is not None else 0) + len(self.header_block)
-        return length if self.pad_length is None else length + 1 + self.pad_length
+    pack = staticmethod(pack_headers)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "HeadersFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "HeadersFrame":
         pad = None
-        if flags._value_ & _RAW_PADDED:
+        if flags & _RAW_PADDED:
             if not body:
                 raise ProtocolError("PADDED HEADERS frame without pad length")
             pad = body[0]
             body = body[1:]
         priority = None
-        if flags._value_ & _RAW_PRIORITY:
+        if flags & _RAW_PRIORITY:
             priority = PriorityData.parse(body)
             body = body[5:]
         if pad:
@@ -322,15 +317,12 @@ class PriorityFrame(Frame):
 
     priority: PriorityData = field(default_factory=PriorityData)
     TYPE = FrameType.PRIORITY
-
-    def serialize(self) -> bytes:
-        return pack_priority(self.stream_id, int(self.flags), self.priority)
-
-    def payload_length(self) -> int:
-        return 5
+    pack = staticmethod(pack_priority)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "PriorityFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "PriorityFrame":
+        if stream_id == 0:
+            raise ProtocolError("PRIORITY frame on stream 0")
         if len(body) != 5:
             raise ProtocolError("PRIORITY frame must be 5 octets", ErrorCode.FRAME_SIZE_ERROR)
         return cls(stream_id=stream_id, flags=flags, priority=PriorityData.parse(body))
@@ -347,15 +339,10 @@ class RstStreamFrame(Frame):
 
     error_code: ErrorCode = ErrorCode.NO_ERROR
     TYPE = FrameType.RST_STREAM
-
-    def serialize(self) -> bytes:
-        return pack_rst_stream(self.stream_id, int(self.flags), int(self.error_code))
-
-    def payload_length(self) -> int:
-        return 4
+    pack = staticmethod(pack_rst_stream)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "RstStreamFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "RstStreamFrame":
         if len(body) != 4:
             raise ProtocolError("RST_STREAM frame must be 4 octets", ErrorCode.FRAME_SIZE_ERROR)
         (code,) = _U32.unpack(body)
@@ -376,25 +363,17 @@ class SettingsFrame(Frame):
 
     settings: Dict[int, int] = field(default_factory=dict)
     TYPE = FrameType.SETTINGS
-
-    def serialize(self) -> bytes:
-        return pack_settings(self.stream_id, int(self.flags), self.settings)
-
-    def payload_length(self) -> int:
-        return 6 * len(self.settings)
+    pack = staticmethod(pack_settings)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "SettingsFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "SettingsFrame":
         if stream_id != 0:
             raise ProtocolError("SETTINGS frame on non-zero stream")
         if len(body) % 6 != 0:
             raise ProtocolError("SETTINGS payload not a multiple of 6", ErrorCode.FRAME_SIZE_ERROR)
-        if flags._value_ & _RAW_ACK and body:
+        if flags & _RAW_ACK and body:
             raise ProtocolError("SETTINGS ACK with payload", ErrorCode.FRAME_SIZE_ERROR)
-        settings = {}
-        for offset in range(0, len(body), 6):
-            key, value = _SETTING_STRUCT.unpack_from(body, offset)
-            settings[key] = value
+        settings = dict(_SETTING_STRUCT.iter_unpack(body))
         return cls(stream_id=stream_id, flags=flags, settings=settings)
 
 
@@ -411,24 +390,12 @@ class PushPromiseFrame(Frame):
     #: ``None``: unpadded; else the padding octets after the Pad Length.
     pad_length: Optional[int] = None
     TYPE = FrameType.PUSH_PROMISE
-
-    def serialize(self) -> bytes:
-        return pack_push_promise(
-            self.stream_id,
-            int(self.flags),
-            self.promised_stream_id,
-            self.header_block,
-            self.pad_length,
-        )
-
-    def payload_length(self) -> int:
-        length = 4 + len(self.header_block)
-        return length if self.pad_length is None else length + 1 + self.pad_length
+    pack = staticmethod(pack_push_promise)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "PushPromiseFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "PushPromiseFrame":
         pad = None
-        if flags._value_ & _RAW_PADDED:
+        if flags & _RAW_PADDED:
             if not body:
                 raise ProtocolError("PADDED PUSH_PROMISE frame without pad length")
             pad = body[0]
@@ -456,15 +423,10 @@ class PingFrame(Frame):
 
     opaque: bytes = b"\x00" * 8
     TYPE = FrameType.PING
-
-    def serialize(self) -> bytes:
-        return pack_ping(self.stream_id, int(self.flags), self.opaque)
-
-    def payload_length(self) -> int:
-        return 8
+    pack = staticmethod(pack_ping)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "PingFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "PingFrame":
         if stream_id != 0:
             raise ProtocolError("PING frame on non-zero stream")
         if len(body) != 8:
@@ -480,21 +442,12 @@ class GoAwayFrame(Frame):
     error_code: ErrorCode = ErrorCode.NO_ERROR
     debug_data: bytes = b""
     TYPE = FrameType.GOAWAY
-
-    def serialize(self) -> bytes:
-        return pack_goaway(
-            self.stream_id,
-            int(self.flags),
-            self.last_stream_id,
-            int(self.error_code),
-            self.debug_data,
-        )
-
-    def payload_length(self) -> int:
-        return 8 + len(self.debug_data)
+    pack = staticmethod(pack_goaway)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "GoAwayFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "GoAwayFrame":
+        if stream_id != 0:
+            raise ProtocolError("GOAWAY frame on non-zero stream")
         if len(body) < 8:
             raise ProtocolError("truncated GOAWAY", ErrorCode.FRAME_SIZE_ERROR)
         last, code = _GOAWAY_STRUCT.unpack_from(body)
@@ -517,19 +470,13 @@ class WindowUpdateFrame(Frame):
 
     increment: int = 0
     TYPE = FrameType.WINDOW_UPDATE
-
-    def serialize(self) -> bytes:
-        return pack_window_update(self.stream_id, int(self.flags), self.increment)
-
-    def payload_length(self) -> int:
-        return 4
+    pack = staticmethod(pack_window_update)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "WindowUpdateFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "WindowUpdateFrame":
         if len(body) != 4:
             raise ProtocolError("WINDOW_UPDATE must be 4 octets", ErrorCode.FRAME_SIZE_ERROR)
-        (increment,) = _U32.unpack(body)
-        increment &= 0x7FFFFFFF
+        increment = _U32.unpack(body)[0] & 0x7FFFFFFF
         if increment == 0:
             raise ProtocolError("WINDOW_UPDATE with zero increment")
         return cls(stream_id=stream_id, flags=flags, increment=increment)
@@ -541,36 +488,15 @@ class ContinuationFrame(Frame):
 
     header_block: bytes = b""
     TYPE = FrameType.CONTINUATION
-
-    def serialize(self) -> bytes:
-        return pack_continuation(self.stream_id, int(self.flags), self.header_block)
-
-    def payload_length(self) -> int:
-        return len(self.header_block)
+    pack = staticmethod(pack_continuation)
 
     @classmethod
-    def parse(cls, flags: Flag, stream_id: int, body: bytes) -> "ContinuationFrame":
+    def parse(cls, flags: int, stream_id: int, body: bytes) -> "ContinuationFrame":
         return cls(stream_id=stream_id, flags=flags, header_block=body)
 
 
-_PARSERS: Dict[int, Type[Frame]] = {
-    int(FrameType.DATA): DataFrame,
-    int(FrameType.HEADERS): HeadersFrame,
-    int(FrameType.PRIORITY): PriorityFrame,
-    int(FrameType.RST_STREAM): RstStreamFrame,
-    int(FrameType.SETTINGS): SettingsFrame,
-    int(FrameType.PUSH_PROMISE): PushPromiseFrame,
-    int(FrameType.PING): PingFrame,
-    int(FrameType.GOAWAY): GoAwayFrame,
-    int(FrameType.WINDOW_UPDATE): WindowUpdateFrame,
-    int(FrameType.CONTINUATION): ContinuationFrame,
-}
-
-
-#: Cache of Flag objects by raw wire value — ``Flag(value)`` walks the
-#: enum machinery on every call, and only a handful of flag bytes ever
-#: occur on a connection.
-_FLAG_CACHE: Dict[int, Flag] = {}
+#: Type code -> frame class, for every frame class defined above.
+_PARSERS: Dict[int, Type[Frame]] = {cls.TYPE._value_: cls for cls in Frame.__subclasses__()}
 
 
 def parse_frame(data: bytes) -> Tuple[Optional[Frame], int]:
@@ -587,15 +513,10 @@ def parse_frame(data: bytes) -> Tuple[Optional[Frame], int]:
     total = FRAME_HEADER_SIZE + length
     if len(data) < total:
         return None, 0
-    body = data[FRAME_HEADER_SIZE:total]
     parser = _PARSERS.get(frame_type)
     if parser is None:
         return None, total  # §4.1: ignore and discard unknown types
-    flag = _FLAG_CACHE.get(flags)
-    if flag is None:
-        flag = _FLAG_CACHE[flags] = Flag(flags)
-    frame = parser.parse(flag, stream_id, body)
-    return frame, total
+    return parser.parse(flags, stream_id, data[FRAME_HEADER_SIZE:total]), total
 
 
 class FrameReader:
@@ -636,12 +557,9 @@ class FrameReader:
                 break
             parser = _PARSERS.get(length_type & 0xFF)
             if parser is not None:  # §4.1: skip unknown types
-                flag = _FLAG_CACHE.get(flags)
-                if flag is None:
-                    flag = _FLAG_CACHE[flags] = Flag(flags)
                 frames.append(
                     parser.parse(
-                        flag, stream_id & 0x7FFFFFFF, data[offset + FRAME_HEADER_SIZE : end]
+                        flags, stream_id & 0x7FFFFFFF, data[offset + FRAME_HEADER_SIZE : end]
                     )
                 )
             offset = end

@@ -5,7 +5,7 @@ byte-frequency profile of HTTP header text.  It is therefore prefix-free
 by construction and achieves compression ratios comparable to the RFC
 7541 table, but is **not bit-identical** to it — both endpoints of the
 testbed share this module, so self-consistency is what matters (see
-DESIGN.md §2 for this substitution).  Padding follows the RFC: the
+EXPERIMENTS.md known deviation 8 for this substitution).  Padding follows the RFC: the
 remainder of the final octet is filled with the most significant bits
 of the EOS symbol (all ones), and decoders reject padding longer than
 seven bits or not matching EOS.

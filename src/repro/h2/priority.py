@@ -105,6 +105,11 @@ class PriorityTree:
         if node is None:
             self.insert(stream_id, depends_on, weight, exclusive)
             return
+        if node is self._root:
+            # Stream 0 carries no priority (§6.3).  The parent written
+            # below could be the root itself, and ``select`` would then
+            # never return.
+            raise ProtocolError("stream 0 cannot carry priority")
         _check_weight(weight)
         new_parent = self._nodes.get(depends_on, self._root)
         # §5.3.3: if the new parent is a descendant of the moved node,

@@ -43,10 +43,11 @@ class Span:
         buffer when the source is a ``memoryview``."""
         return self.source[self.start : self.stop]
 
-    #: ``bytes(span)`` keeps working for ``on_stream_data`` consumers
-    #: written when QUIC stream payloads were ``bytes`` (of a ``bytes``
-    #: source: ``__bytes__`` may not return a view).
-    __bytes__ = tobytes
+    def __bytes__(self) -> bytes:
+        """``bytes(span)``, for ``on_stream_data`` consumers written when
+        QUIC stream payloads were ``bytes``: of a ``bytes`` source the
+        window covers, the source object itself; else a copy."""
+        return bytes(self.source[self.start : self.stop])
 
 
 class SpanBuffer:

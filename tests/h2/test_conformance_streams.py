@@ -9,6 +9,8 @@ with its RFC 7540 §7 ``error_code``.  A frame §5.1 says to ignore
 raises nothing and writes nothing.
 """
 
+import struct
+
 import pytest
 
 from repro.errors import ProtocolError, StreamError
@@ -18,6 +20,7 @@ from repro.span import Span
 from tests.support.h2peer import (
     CANCEL,
     END_STREAM,
+    GOAWAY,
     HEADERS,
     PING,
     PROTOCOL_ERROR,
@@ -130,6 +133,13 @@ def test_priority_on_an_idle_stream_is_allowed():
     assert 9 in peer.conn.priority_tree
 
 
+def test_priority_on_stream_zero_is_protocol_error():
+    # §6.3: PRIORITY on stream 0 is a connection error.  Sent before any
+    # request, it named no open stream: the root would become its own
+    # parent, and the next response would never finish sending.
+    raises(server_under_test(), ProtocolError, PROTOCOL_ERROR, priority(0, depends_on=3))
+
+
 def test_unknown_frame_type_is_ignored():
     # §4.1, §5.5: a frame of an unknown type is ignored and discarded.
     silent(server_under_test(), frame(0xEE, 0, 1, b"unknown"))
@@ -235,6 +245,14 @@ def test_ping_is_answered_with_its_payload():
 def test_goaway_is_accepted():
     # §6.8: a GOAWAY needs no answer.
     silent(server_under_test(), goaway(0))
+
+
+def test_goaway_on_a_stream_is_protocol_error():
+    # §6.8: GOAWAY applies to the connection, not to a stream.
+    raises(
+        server_under_test(), ProtocolError, PROTOCOL_ERROR,
+        frame(GOAWAY, 0, 1, struct.pack(">II", 0, 0)),
+    )
 
 
 def test_continuation_completes_a_header_block():

@@ -1,5 +1,7 @@
 """Tests for HTTP/2 frame serialization and parsing."""
 
+import dataclasses
+import inspect
 import struct
 
 import pytest
@@ -11,7 +13,9 @@ from repro.h2 import (
     DataFrame,
     ErrorCode,
     Flag,
+    Frame,
     FrameReader,
+    FrameType,
     GoAwayFrame,
     HeadersFrame,
     PingFrame,
@@ -23,6 +27,7 @@ from repro.h2 import (
     WindowUpdateFrame,
     parse_frame,
 )
+from repro.h2.frames import _PARSERS
 from tests.support import frame_reference as ref
 
 
@@ -37,11 +42,11 @@ class TestDataFrame:
         frame = round_trip(DataFrame(stream_id=5, data=b"payload"))
         assert frame.stream_id == 5
         assert frame.data == b"payload"
-        assert not frame.has_flag(Flag.END_STREAM)
+        assert not frame.flags & Flag.END_STREAM
 
     def test_end_stream_flag(self):
         frame = round_trip(DataFrame(stream_id=1, flags=Flag.END_STREAM, data=b"x"))
-        assert frame.has_flag(Flag.END_STREAM)
+        assert frame.flags & Flag.END_STREAM
 
     def test_padding_round_trip(self):
         frame = round_trip(DataFrame(stream_id=1, data=b"abc", pad_length=10))
@@ -64,6 +69,13 @@ class TestDataFrame:
         frame = DataFrame(stream_id=1, data=b"x" * 100)
         assert frame.wire_size == 109
 
+    def test_padded_flag_follows_the_payload(self):
+        # A PADDED flag with no Pad Length is dropped, not packed.
+        frame = round_trip(DataFrame(stream_id=1, flags=Flag.PADDED, data=b"abc"))
+        assert frame.data == b"abc"
+        assert frame.pad_length is None
+        assert not frame.flags & Flag.PADDED
+
 
 class TestHeadersFrame:
     def test_round_trip(self):
@@ -71,7 +83,7 @@ class TestHeadersFrame:
             HeadersFrame(stream_id=3, flags=Flag.END_HEADERS, header_block=b"\x82\x87")
         )
         assert frame.header_block == b"\x82\x87"
-        assert frame.has_flag(Flag.END_HEADERS)
+        assert frame.flags & Flag.END_HEADERS
 
     def test_priority_block(self):
         frame = round_trip(
@@ -85,6 +97,18 @@ class TestHeadersFrame:
         assert frame.priority.depends_on == 1
         assert frame.priority.weight == 220
         assert frame.priority.exclusive
+
+    def test_priority_flag_follows_the_payload(self):
+        # A PRIORITY flag with no priority block must not make the first
+        # five octets of the header block read as one.
+        frame = round_trip(
+            HeadersFrame(
+                stream_id=3, flags=Flag.PRIORITY | Flag.END_HEADERS, header_block=b"abcdefgh"
+            )
+        )
+        assert frame.header_block == b"abcdefgh"
+        assert frame.priority is None
+        assert frame.flags == Flag.END_HEADERS
 
 
 class TestPriorityData:
@@ -106,6 +130,13 @@ class TestControlFrames:
         )
         assert frame.priority.depends_on == 1
 
+    def test_priority_frame_on_stream_zero_rejected(self):
+        # §6.3: PRIORITY on stream 0 is a connection error.
+        wire = ref.priority_frame(0, 0, (3, 16, False))
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_frame(wire)
+        assert excinfo.value.error_code == ErrorCode.PROTOCOL_ERROR
+
     def test_rst_stream(self):
         frame = round_trip(RstStreamFrame(stream_id=2, error_code=ErrorCode.CANCEL))
         assert frame.error_code == ErrorCode.CANCEL
@@ -113,11 +144,11 @@ class TestControlFrames:
     def test_settings_round_trip(self):
         frame = round_trip(SettingsFrame(stream_id=0, settings={2: 0, 4: 1 << 20}))
         assert frame.settings == {2: 0, 4: 1 << 20}
-        assert not frame.has_flag(Flag.ACK)
+        assert not frame.flags & Flag.ACK
 
     def test_settings_ack(self):
         frame = round_trip(SettingsFrame(stream_id=0, flags=Flag.ACK))
-        assert frame.has_flag(Flag.ACK)
+        assert frame.flags & Flag.ACK
 
     def test_settings_on_stream_rejected(self):
         wire = SettingsFrame(stream_id=0, settings={1: 1}).serialize()
@@ -158,6 +189,13 @@ class TestControlFrames:
         assert frame.error_code == ErrorCode.ENHANCE_YOUR_CALM
         assert frame.debug_data == b"calm down"
 
+    def test_goaway_on_a_stream_rejected(self):
+        # §6.8: GOAWAY on a stream other than 0 is a connection error.
+        wire = ref.goaway(1, 0, 0, 0, b"")
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_frame(wire)
+        assert excinfo.value.error_code == ErrorCode.PROTOCOL_ERROR
+
     def test_window_update(self):
         frame = round_trip(WindowUpdateFrame(stream_id=0, increment=65_535))
         assert frame.increment == 65_535
@@ -173,7 +211,7 @@ class TestControlFrames:
             ContinuationFrame(stream_id=3, flags=Flag.END_HEADERS, header_block=b"zz")
         )
         assert frame.header_block == b"zz"
-        assert frame.has_flag(Flag.END_HEADERS)
+        assert frame.flags & Flag.END_HEADERS
 
 
 class TestFrameReader:
@@ -256,3 +294,20 @@ class TestFrameReader:
         wire = DataFrame(stream_id=1, data=b"abcdef").serialize()
         assert reader.feed(wire[:10]) == []
         assert reader.buffered_bytes == 10
+
+
+class TestDeclarations:
+    def test_fields_are_the_packers_arguments(self):
+        # Frame.serialize passes a frame's fields to its type's packer in
+        # order, so the two must list the same names.
+        for cls in Frame.__subclasses__():
+            names = list(inspect.signature(cls.pack).parameters)
+            assert names[:2] == ["stream_id", "flags"], cls
+            assert [each.name for each in dataclasses.fields(cls)] == names, cls
+            assert "serialize" not in vars(cls) and "payload_length" not in vars(cls)
+
+    def test_every_rfc_7540_frame_type_is_parsed(self):
+        assert len(FrameType) == 10
+        assert {code: cls.TYPE for code, cls in _PARSERS.items()} == {
+            int(frame_type): frame_type for frame_type in FrameType
+        }

@@ -27,6 +27,16 @@ def test_self_dependency_rejected():
         tree.insert(1, depends_on=1)
 
 
+def test_the_root_gets_no_parent():
+    # Stream 0 is the root: a dependency for it is refused, not written.
+    tree = PriorityTree()
+    with pytest.raises(ProtocolError):
+        tree.reprioritize(0, depends_on=3)
+    assert tree.parent_of(0) is None
+    tree.insert(1)
+    assert tree.select({1}) == 1
+
+
 def test_duplicate_insert_rejected():
     tree = PriorityTree()
     tree.insert(1)

@@ -2,7 +2,8 @@
 
 ``repro.h2.frames`` writes each frame type's layout once, in a
 ``pack_*`` function that both ``Frame.serialize`` and the connection's
-send path call.  This module is what those functions replaced, kept so
+send path call.  The flags a payload implies (PADDED, PRIORITY) follow
+the payload alone, here as there.  This module is what those functions replaced, kept so
 ``tests/property/test_property_pack.py`` has something independent to
 compare against: the frame objects' former ``payload()`` +
 ``_effective_flags()`` serialization, and the connection's former
@@ -45,11 +46,11 @@ def padded(
 ) -> bytes:
     """§6.1, §6.2, §6.6: a pad length (``None``: unpadded; 0 is a legal
     length) wraps the payload in the Pad Length octet and that many
-    zero octets, and sets PADDED."""
+    zero octets, and sets PADDED; without one, PADDED is cleared."""
     if pad_length is not None:
         body = bytes([pad_length]) + payload + b"\x00" * pad_length
         return frame(frame_type, flags | PADDED, stream_id, body)
-    return frame(frame_type, flags, stream_id, payload)
+    return frame(frame_type, flags & ~PADDED, stream_id, payload)
 
 
 def data(stream_id: int, flags: int, payload: bytes, pad_length: Optional[int] = None) -> bytes:
@@ -63,9 +64,12 @@ def headers(
     priority: Optional[Priority] = None,
     pad_length: Optional[int] = None,
 ) -> bytes:
+    """§6.2: a priority block sets PRIORITY; without one, it is cleared."""
     if priority is not None:
         flags |= PRIORITY_FLAG
         block = priority_block(priority) + block
+    else:
+        flags &= ~PRIORITY_FLAG
     return padded(HEADERS, flags, stream_id, block, pad_length)
 
 
