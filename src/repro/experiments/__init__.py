@@ -23,7 +23,7 @@ from .fig8_mechanisms import (
     run_fig8,
 )
 from .network_sweep import SweepCell, SweepConfig, SweepResult, run_network_sweep
-from .reducers import CellSummary, RunStats, reducer_for, summarize_results
+from .reducers import CellSummary, RunStats
 from .runner import (
     PAPER_RUNS,
     CellResult,
@@ -80,7 +80,6 @@ __all__ = [
     "TypeAnalysisResult",
     "make_mechanism_site",
     "make_test_site",
-    "reducer_for",
     "run_fig1",
     "run_fig2",
     "run_fig3a",
@@ -93,5 +92,4 @@ __all__ = [
     "run_pushable_share",
     "run_repeated",
     "run_type_analysis",
-    "summarize_results",
 ]

@@ -9,14 +9,17 @@ push-all cells that appear in both halves of Fig. 3 — execute once.
 Tier 2 — :class:`ResultCache`: the on-disk store.  Layout (under the
 cache root)::
 
-    cells/<key[:2]>/<key>.pkl     checksummed pickled cell result
-                                  (RepeatedResult or CellSummary)
+    cells/<key[:2]>/<key>.pkl     checksummed pickled cell result: a
+                                  RepeatedResult (collect) or a
+                                  CellSummary (summary); both pickle
+                                  as their three fields
     orders/<key>.json             memoized §4.2 push orders
     records.jsonl                 one JSON line per finished cell
 
 Keys come from :mod:`.fingerprint`: they cover the spec, strategy,
-conditions, runs, and seed base, so any configuration change yields a
-different key and the stale entry is simply never read again.
+conditions, runs, seed base, and the cell's reducer row when it is not
+``collect``, so any configuration change yields a different key and the
+stale entry is simply never read again.
 
 Durability: cell files are :mod:`repro.checksummed` files — magic
 header, SHA-256 of the payload, atomic write, and a quarantine
@@ -66,17 +69,12 @@ class MemoryResultCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[str, CellResult]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def get(self, key: str) -> Optional[CellResult]:
         try:
             self._entries.move_to_end(key)
         except KeyError:
-            self.misses += 1
             return None
-        self.hits += 1
         return self._entries[key]
 
     def put(self, key: str, result: CellResult) -> None:
@@ -84,16 +82,6 @@ class MemoryResultCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 #: What ``pickle.loads`` raises on a payload from another code version:
@@ -117,9 +105,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     def cell_path(self, key: str) -> Path:
         return self.root / "cells" / key[:2] / f"{key}.pkl"
-
-    def has(self, key: str) -> bool:
-        return self.cell_path(key).exists()
 
     def load(self, key: str) -> Optional[CellResult]:
         path = self.cell_path(key)

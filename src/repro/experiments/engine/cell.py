@@ -23,6 +23,7 @@ from ...html.spec import WebsiteSpec
 from ...netsim.conditions import ConditionSampler
 from ...strategies.base import PushStrategy
 from ...trace.store import TraceSpec
+from ..runner import REDUCERS
 from .fingerprint import fingerprint
 
 
@@ -46,17 +47,21 @@ class Cell:
     #: engine treats a traced cell as a cache miss until all of its
     #: per-run trace artifacts exist on disk.
     trace: Optional[TraceSpec] = None
-    #: Which result reducer executes this cell (see
-    #: :mod:`repro.experiments.reducers`): ``"collect"`` materializes a
-    #: :class:`~repro.experiments.runner.RepeatedResult` (the
-    #: historical default, required wherever timelines are consumed),
-    #: ``"summary"`` folds each run to bounded scalars for
-    #: population-scale grids.
+    #: The row of :data:`repro.experiments.runner.REDUCERS` this cell's
+    #: runs go through: ``"collect"`` keeps every run in a
+    #: :class:`~repro.experiments.runner.RepeatedResult` (the default,
+    #: required wherever timelines are consumed), ``"summary"`` folds
+    #: each run to bounded scalars for population-scale grids.
     reduce: str = "collect"
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigError(f"a cell needs at least one run, got runs={self.runs}")
+        if self.reduce not in REDUCERS:
+            raise ConfigError(
+                f"unknown result reducer {self.reduce!r} "
+                f"(available: {', '.join(sorted(REDUCERS))})"
+            )
 
     def key(self) -> str:
         """Content-addressed cache key; excludes the display label.

@@ -67,8 +67,7 @@ from ...html.builder import BuiltSite, build_site
 from ...netsim.conditions import DSL_TESTBED, FixedConditions
 from ...replay.recorder import record_site
 from ...sites.corpus import replay_weight
-from ..reducers import reducer_for
-from ..runner import CellResult, run_single
+from ..runner import REDUCERS, CellResult, run_single
 from .cell import Cell
 from .fingerprint import fingerprint
 
@@ -113,7 +112,7 @@ def replay_runs(
 ) -> list:
     """The §4.1 loop over runs ``[run_lo, run_hi)`` of one cell.
 
-    Returns the per-run payloads in run order.  The cell's reducer
+    Returns the per-run payloads in run order.  The cell's reducer row
     folds each run as it finishes — for ``summary`` cells only the
     bounded payload is kept (and, in a pool worker, crosses the pipe);
     no full :class:`PageLoadResult` outlives its own replay.
@@ -125,7 +124,7 @@ def replay_runs(
     # The trace key is a pure function of the cell, so every worker and
     # the parent agree on the trace artifact names.
     trace_key = cell.key() if cell.trace is not None else None
-    fold = reducer_for(cell.reduce).fold
+    fold, _ = REDUCERS[cell.reduce]
     return [
         fold(
             run_single(
@@ -144,9 +143,8 @@ def replay_runs(
 
 
 def _assemble(cell: Cell, payloads: list) -> CellResult:
-    return reducer_for(cell.reduce).assemble(
-        cell.spec.name, cell.strategy_name, payloads
-    )
+    _, result = REDUCERS[cell.reduce]
+    return result(cell.spec.name, cell.strategy_name, payloads)
 
 
 class Executor:

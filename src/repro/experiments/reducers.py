@@ -1,62 +1,41 @@
-"""Reducer-style result accumulation for experiment cells.
+"""Cell results: per-run payloads and the one aggregation over them.
 
-Historically every cell materialized a ``List[PageLoadResult]`` (full
-timelines, paint traces, request logs) and post-processed it.  That is
-the right shape for the paper's figures — 31 runs per cell, and Fig. 6
-and the §4.2 order pipeline genuinely need the timelines — but it puts
-a hard ceiling on scale: a population study pumping hundreds of
-thousands of loads through the engine cannot keep every run alive.
-
-This module turns the result path into a **reducer protocol**:
-
-* a reducer *folds* each finished :class:`PageLoadResult` into a
-  compact per-run payload the moment the run completes (worker-side in
-  the warm pool — the timeline never crosses the pipe, never reaches
-  the parent, and is garbage the instant the fold returns);
-* ordered payload segments *merge associatively* — a chunk covering
-  runs ``[lo, hi)`` is a segment, and concatenating adjacent segments
-  in ascending run order is an exact (bit-identical) monoid operation,
-  so any chunk geometry, any scheduling, and any executor reduce to
-  the same value as the serial loop by construction;
-* *assembly* finalizes the ordered payloads into the cell's result
-  object.
-
-Two reducers are registered:
+The paper replays each site 31 times per setting and reports medians
+(§4.1).  A cell's ``reduce`` names how its runs are kept — a row of
+:data:`repro.experiments.runner.REDUCERS`, which holds a *fold*, run
+on each finished :class:`PageLoadResult` where it ran (in a pool
+worker the timeline never crosses the pipe), and the *result*
+constructor that builds the cell result from the folded runs in run
+order.  Ordered runs merge by concatenation, an exact associative
+operation, so any chunk geometry and any executor reduce to the
+serial loop's value bit for bit.
 
 ``collect``
-    The identity reducer: payload = the full :class:`PageLoadResult`,
-    assembled into :class:`~repro.experiments.runner.RepeatedResult`.
-    Every historical experiment runs on it unchanged, which is what
-    keeps the fig3/fig6/fig7 golden records and the engine cache
-    fingerprints bit-identical.
+    Identity fold; the result is a
+    :class:`~repro.experiments.runner.RepeatedResult` holding every
+    run.  Fig. 6 and the §4.2 order pipeline read its timelines.
 
 ``summary``
-    Bounded-memory payloads: each run is folded to a
-    :class:`RunStats` — a dozen scalars, ``__slots__``, no timeline —
-    and assembled into a :class:`CellSummary` whose aggregates
-    (medians, standard errors, pushed-bytes tally) are computed from
-    the ordered scalar stream with the exact same
-    :mod:`repro.metrics.stats` reductions :class:`RepeatedResult`
-    uses.  The population layer runs exclusively on these.
+    Folds each run to a :class:`RunStats` — a dozen scalars, no
+    timeline — and builds a :class:`CellSummary`.  The population
+    layer and the optimizer run on these.
 
-:class:`RepeatedResult` itself is now a thin shim over this module:
-its aggregate properties build a :class:`CellSummary` from the
-retained runs and delegate, so there is exactly one aggregation code
-path regardless of which reducer a cell selected.
+Both result types inherit :class:`CellAggregates`, the one definition
+of the medians, standard errors and pushed-bytes tally; each supplies
+only its per-run lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from ..errors import ConfigError, ExperimentError
+from ..errors import ExperimentError
 from ..metrics.speedindex import first_visual_change
 from ..metrics.stats import median, std_error
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cycle
     from ..replay.testbed import PageLoadResult
-    from .runner import RepeatedResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,33 +92,17 @@ def _pushed_bytes_tally(
     return distinct.pop()
 
 
-@dataclass(frozen=True, slots=True)
-class CellSummary:
-    """Bounded-memory result of one cell: ordered per-run scalars.
+class CellAggregates:
+    """The aggregate API of a cell result, defined once.
 
-    Exposes the same aggregate API as
-    :class:`~repro.experiments.runner.RepeatedResult` (``median_plt``,
-    ``si_values``, ``pushed_bytes``...), computed with the identical
-    :mod:`repro.metrics.stats` reductions, so engine records, reports,
-    and cohort accumulators consume either type interchangeably.
+    A subclass supplies ``site``, ``strategy`` and three per-run lists
+    in run order — ``plt_values``, ``si_values`` and
+    ``pushed_bytes_per_run`` — and inherits every aggregate below.  No
+    slots and no fields of its own, so a subclass keeps its field list
+    (and with it every fingerprint and pickled cache entry).
     """
 
-    site: str
-    strategy: str
-    run_stats: Tuple[RunStats, ...]
-
-    # -- RepeatedResult-compatible aggregate API -----------------------
-    @property
-    def runs(self) -> int:
-        return len(self.run_stats)
-
-    @property
-    def plt_values(self) -> List[float]:
-        return [stats.plt_ms for stats in self.run_stats]
-
-    @property
-    def si_values(self) -> List[float]:
-        return [stats.speed_index_ms for stats in self.run_stats]
+    __slots__ = ()
 
     @property
     def median_plt(self) -> float:
@@ -158,101 +121,28 @@ class CellSummary:
         return std_error(self.si_values)
 
     @property
-    def pushed_bytes_per_run(self) -> List[int]:
-        return [stats.pushed_bytes for stats in self.run_stats]
-
-    @property
     def pushed_bytes(self) -> int:
         return _pushed_bytes_tally(
             self.site, self.strategy, self.pushed_bytes_per_run
         )
 
 
-class RunReducer:
-    """One cell-result reduction strategy (see module docstring).
+@dataclass(frozen=True, slots=True)
+class CellSummary(CellAggregates):
+    """Bounded-memory result of one cell: ordered per-run scalars."""
 
-    ``fold`` maps a finished run to its payload (executed where the
-    run executed, so heavy state dies young); ``assemble`` finalizes
-    the payloads of runs ``0..n`` *in run order* into the cell result.
-    Ordered segments of payloads merge by concatenation — exactly
-    associative — which is what makes every executor and chunk
-    geometry reduce to the serial answer bit for bit.
-    """
+    site: str
+    strategy: str
+    run_stats: Tuple[RunStats, ...]
 
-    #: Registry key; also recorded in cache keys for non-default reducers.
-    name = "reducer"
+    @property
+    def plt_values(self) -> List[float]:
+        return [stats.plt_ms for stats in self.run_stats]
 
-    def fold(self, result: "PageLoadResult"):
-        raise NotImplementedError
+    @property
+    def si_values(self) -> List[float]:
+        return [stats.speed_index_ms for stats in self.run_stats]
 
-    def assemble(self, site: str, strategy: str, ordered_payloads: list):
-        raise NotImplementedError
-
-
-class CollectRuns(RunReducer):
-    """The identity reducer: keep every run, the historical behaviour."""
-
-    name = "collect"
-
-    def fold(self, result: "PageLoadResult") -> "PageLoadResult":
-        return result
-
-    def assemble(
-        self, site: str, strategy: str, ordered_payloads: list
-    ) -> "RepeatedResult":
-        from .runner import RepeatedResult
-
-        return RepeatedResult(
-            site=site, strategy=strategy, results=ordered_payloads
-        )
-
-
-class SummarizeRuns(RunReducer):
-    """Bounded-memory reducer: scalar payloads, no timelines retained."""
-
-    name = "summary"
-
-    def fold(self, result: "PageLoadResult") -> RunStats:
-        return RunStats.from_result(result)
-
-    def assemble(
-        self, site: str, strategy: str, ordered_payloads: list
-    ) -> CellSummary:
-        return CellSummary(
-            site=site, strategy=strategy, run_stats=tuple(ordered_payloads)
-        )
-
-
-#: Reducer registry; ``Cell.reduce`` names an entry.
-REDUCERS: Dict[str, RunReducer] = {
-    reducer.name: reducer for reducer in (CollectRuns(), SummarizeRuns())
-}
-
-#: The default reducer — the historical collect-everything path.
-DEFAULT_REDUCER = CollectRuns.name
-
-
-def reducer_for(name: str) -> RunReducer:
-    """Look up a registered reducer; raises ``ConfigError``."""
-    try:
-        return REDUCERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown result reducer {name!r} "
-            f"(available: {', '.join(sorted(REDUCERS))})"
-        ) from None
-
-
-def summarize_results(
-    site: str, strategy: str, results: Sequence["PageLoadResult"]
-) -> CellSummary:
-    """Fold already-materialized runs through the summary reducer.
-
-    This is the :class:`RepeatedResult` shim path: aggregates of
-    collected cells are produced by the very same reducer the
-    population pipeline uses, so there is one aggregation code path.
-    """
-    reducer = REDUCERS[SummarizeRuns.name]
-    return reducer.assemble(
-        site, strategy, [reducer.fold(result) for result in results]
-    )
+    @property
+    def pushed_bytes_per_run(self) -> List[int]:
+        return [stats.pushed_bytes for stats in self.run_stats]

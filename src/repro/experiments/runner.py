@@ -8,21 +8,18 @@ the serial one.  Experiments default to fewer repetitions so the
 benchmark suite stays tractable, and every experiment config exposes
 ``runs`` to restore the paper's 31.
 
-Aggregation flows through the reducer protocol of
-:mod:`repro.experiments.reducers`: the loop folds each run into the
-cell's reducer as it finishes, and :class:`RepeatedResult` — the
-historical collect-everything result — is a thin shim whose aggregate
-properties delegate to the same :class:`CellSummary` reduction the
-population pipeline uses.  The shim keeps every figure, table, and
-golden record bit-identical while the engine, executors, and cache do
-not assume a materialized run list.
+:class:`RepeatedResult` is the ``collect`` cell result: it keeps every
+run, and its aggregates come from the one definition in
+:class:`~repro.experiments.reducers.CellAggregates`, which
+:class:`~repro.experiments.reducers.CellSummary` shares.
+:data:`REDUCERS` is the table a cell's ``reduce`` names a row of.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..html.builder import BuiltSite
 from ..html.spec import WebsiteSpec
@@ -30,7 +27,7 @@ from ..netsim.conditions import ConditionSampler
 from ..replay.testbed import PageLoadResult, ReplayTestbed
 from ..strategies.base import PushStrategy
 from ..trace import TraceStore, Tracer, qlog_json
-from .reducers import CellSummary, summarize_results
+from .reducers import CellAggregates, CellSummary, RunStats
 from .seeds import condition_seed, impairment_seed, load_seed
 
 #: The paper's repetition count per site and setting.
@@ -38,24 +35,17 @@ PAPER_RUNS = 31
 
 
 @dataclass
-class RepeatedResult:
+class RepeatedResult(CellAggregates):
     """All runs of one (site, strategy, environment) cell.
 
-    A thin shim over the reducer protocol: the run list is retained
-    (Fig. 6 and the §4.2 order pipeline consume timelines), but every
-    aggregate below is computed by folding the runs through the same
-    ``summary`` reducer that population cells use — one aggregation
-    code path, whichever way a cell was reduced.
+    The run list is kept because Fig. 6 and the §4.2 order pipeline
+    consume timelines; the aggregates are inherited from
+    :class:`CellAggregates`.
     """
 
     site: str
     strategy: str
     results: List[PageLoadResult]
-
-    @property
-    def summary(self) -> CellSummary:
-        """The runs folded through the ``summary`` reducer."""
-        return summarize_results(self.site, self.strategy, self.results)
 
     @property
     def plt_values(self) -> List[float]:
@@ -66,40 +56,26 @@ class RepeatedResult:
         return [result.speed_index_ms for result in self.results]
 
     @property
-    def median_plt(self) -> float:
-        return self.summary.median_plt
-
-    @property
-    def median_si(self) -> float:
-        return self.summary.median_si
-
-    @property
-    def plt_std_error(self) -> float:
-        return self.summary.plt_std_error
-
-    @property
-    def si_std_error(self) -> float:
-        return self.summary.si_std_error
-
-    @property
     def pushed_bytes_per_run(self) -> List[int]:
         return [result.pushed_bytes for result in self.results]
 
-    @property
-    def pushed_bytes(self) -> int:
-        """Bytes pushed per load; asserts the runs agree.
 
-        Flows through the reducer's pushed-bytes tally, which raises
-        when runs disagree (a mixed-configuration cell or model bug)
-        instead of silently reporting ``results[0]``.
-        """
-        return self.summary.pushed_bytes
-
-
-#: What an executed cell evaluates to: the collect reducer's
-#: :class:`RepeatedResult` or a bounded :class:`CellSummary`.  Both
-#: expose the same aggregate API (``median_plt``, ``pushed_bytes``...).
+#: What an executed cell evaluates to: a ``collect`` cell's
+#: :class:`RepeatedResult` or a ``summary`` cell's :class:`CellSummary`.
+#: Both inherit the aggregate API (``median_plt``, ``pushed_bytes``...)
+#: from :class:`CellAggregates`.
 CellResult = Union[RepeatedResult, CellSummary]
+
+#: The reducer table.  ``Cell.reduce`` names a row: the fold applied to
+#: each finished run where it ran, and the constructor that builds the
+#: cell result from ``(site, strategy, folded runs in run order)``.
+REDUCERS: Dict[str, Tuple[Callable, Callable[[str, str, list], CellResult]]] = {
+    "collect": (lambda result: result, RepeatedResult),
+    "summary": (
+        RunStats.from_result,
+        lambda site, strategy, runs: CellSummary(site, strategy, tuple(runs)),
+    ),
+}
 
 
 def run_single(

@@ -148,10 +148,17 @@ def pack_rst_stream(stream_id: int, flags: int, error_code: int) -> bytes:
     ) + _U32.pack(error_code)
 
 
-def pack_settings(stream_id: int, flags: int, settings: Dict[int, int]) -> bytes:
-    """SETTINGS (§6.5), parameters in identifier order."""
-    return _pack_header(6 * len(settings), _SETTINGS, flags, stream_id) + b"".join(
-        _SETTING_STRUCT.pack(key, value) for key, value in sorted(settings.items())
+def pack_settings(
+    stream_id: int,
+    flags: int,
+    settings: Dict[int, int],
+    superseded: Tuple[Tuple[int, int], ...] = (),
+) -> bytes:
+    """SETTINGS (§6.5): the ``superseded`` pairs, then ``settings`` in
+    identifier order."""
+    pairs = (*superseded, *sorted(settings.items()))
+    return _pack_header(6 * len(pairs), _SETTINGS, flags, stream_id) + b"".join(
+        _SETTING_STRUCT.pack(key, value) for key, value in pairs
     )
 
 
@@ -362,6 +369,9 @@ class SettingsFrame(Frame):
     """
 
     settings: Dict[int, int] = field(default_factory=dict)
+    #: Received pairs that a later value of the same identifier
+    #: overrides (§6.5.3 processes values in order), in received order.
+    superseded: Tuple[Tuple[int, int], ...] = ()
     TYPE = FrameType.SETTINGS
     pack = staticmethod(pack_settings)
 
@@ -373,8 +383,19 @@ class SettingsFrame(Frame):
             raise ProtocolError("SETTINGS payload not a multiple of 6", ErrorCode.FRAME_SIZE_ERROR)
         if flags & _RAW_ACK and body:
             raise ProtocolError("SETTINGS ACK with payload", ErrorCode.FRAME_SIZE_ERROR)
-        settings = dict(_SETTING_STRUCT.iter_unpack(body))
-        return cls(stream_id=stream_id, flags=flags, settings=settings)
+        pairs = list(_SETTING_STRUCT.iter_unpack(body))
+        settings = dict(pairs)
+        superseded = ()
+        if len(settings) < len(pairs):
+            # Only a repeat costs Python calls: the ledger gates h2's
+            # calls per load, and our own endpoints never repeat one.
+            last = {key: index for index, (key, _) in enumerate(pairs)}
+            superseded = tuple(
+                pair for index, pair in enumerate(pairs) if last[pair[0]] != index
+            )
+        return cls(
+            stream_id=stream_id, flags=flags, settings=settings, superseded=superseded
+        )
 
 
 @dataclass

@@ -190,7 +190,6 @@ def test_memory_cache_lru_eviction():
     assert lru.get("b") is None
     assert lru.get("a") == "ra"
     assert lru.get("c") == "rc"
-    assert lru.evictions == 1
 
 
 def test_corrupt_cache_entry_is_quarantined_and_recomputed(tmp_path, caplog):

@@ -1,9 +1,10 @@
-"""The reducer protocol: shim equivalence, engine identity, caching.
+"""The reducer table: one aggregation, engine identity, caching.
 
 Three contracts:
 
-* ``RepeatedResult`` is now a shim over the ``summary`` reducer — its
-  aggregates must equal a ``summary`` cell's, field for field;
+* a ``collect`` cell's ``RepeatedResult`` and a ``summary`` cell's
+  ``CellSummary`` of the same runs expose equal per-run lists and
+  aggregates, field for field;
 * a ``summary`` cell is bit-identical across serial and warm-pool
   execution under any chunk geometry;
 * summary cells round-trip through both cache tiers, and the ``reduce``
@@ -25,13 +26,8 @@ from repro.experiments.engine import (
     WarmPoolExecutor,
 )
 from repro.experiments.fig5_interleaving import make_test_site
-from repro.experiments.reducers import (
-    CellSummary,
-    RunStats,
-    reducer_for,
-    summarize_results,
-)
-from repro.experiments.runner import RepeatedResult, run_repeated
+from repro.experiments.reducers import CellSummary, RunStats
+from repro.experiments.runner import REDUCERS, RepeatedResult, run_repeated
 from repro.strategies.simple import NoPushStrategy, PushAllStrategy
 
 
@@ -47,29 +43,41 @@ def paired_grid(spec, reduce: str) -> Grid:
     return grid
 
 
-def test_reducer_registry():
-    assert reducer_for("collect").name == "collect"
-    assert reducer_for("summary").name == "summary"
+#: Everything a cell result exposes about its runs.
+AGGREGATES = (
+    "plt_values",
+    "si_values",
+    "pushed_bytes_per_run",
+    "median_plt",
+    "median_si",
+    "plt_std_error",
+    "si_std_error",
+    "pushed_bytes",
+)
+
+
+def aggregates(result):
+    return {name: getattr(result, name) for name in AGGREGATES}
+
+
+def test_reducer_registry(spec):
+    assert sorted(REDUCERS) == ["collect", "summary"]
+    with pytest.raises(ConfigError, match="unknown result reducer 'bogus'"):
+        Cell(spec=spec, strategy=PushAllStrategy(), runs=1, reduce="bogus")
     with pytest.raises(ConfigError):
-        reducer_for("bogus")
+        Grid().add(spec, PushAllStrategy(), runs=1, reduce="bogus")
 
 
-def test_summary_matches_collect_shim(spec):
+def test_summary_matches_collect_cell(spec):
     collected = run_repeated(spec, PushAllStrategy(), runs=5, seed_base=1)
     summary = SerialExecutor().run(
         [Cell(spec=spec, strategy=PushAllStrategy(), runs=5, seed_base=1, reduce="summary")]
     )[0]
     assert isinstance(collected, RepeatedResult)
     assert isinstance(summary, CellSummary)
-    assert collected.summary == summary
-    # Shim properties delegate to the very same reduction.
-    assert collected.median_plt == summary.median_plt
-    assert collected.median_si == summary.median_si
-    assert collected.plt_std_error == summary.plt_std_error
-    assert collected.si_std_error == summary.si_std_error
-    assert collected.pushed_bytes == summary.pushed_bytes
-    assert collected.plt_values == list(summary.plt_values)
-    assert collected.pushed_bytes_per_run == list(summary.pushed_bytes_per_run)
+    assert (summary.site, summary.strategy) == (collected.site, collected.strategy)
+    assert aggregates(collected) == aggregates(summary)
+    assert len(set(summary.plt_values)) > 1, "the runs must differ"
 
 
 def test_pushed_bytes_disagreement_raises():
@@ -85,7 +93,7 @@ def test_pushed_bytes_disagreement_raises():
             requests=1,
         )
 
-    summary = reducer_for("summary").assemble("s", "push", [stats(10), stats(20)])
+    summary = CellSummary("s", "push", (stats(10), stats(20)))
     with pytest.raises(ExperimentError, match="pushed_bytes disagree"):
         summary.pushed_bytes
 
@@ -112,7 +120,9 @@ def test_summary_equals_collect_summary_through_engine(spec):
     engine = ExperimentEngine(executor=SerialExecutor(), cache=None)
     collected = engine.run(paired_grid(spec, "collect"))
     summaries = engine.run(paired_grid(spec, "summary"))
-    assert [result.summary for result in collected] == summaries
+    assert [aggregates(result) for result in collected] == [
+        aggregates(summary) for summary in summaries
+    ]
 
 
 def test_reduce_field_gated_out_of_default_key(spec):
@@ -141,12 +151,14 @@ def test_summary_round_trips_both_cache_tiers(spec, tmp_path):
     assert tiers == ["disk", "disk"]
 
 
-def test_summarize_results_drops_timelines(spec):
-    """A CellSummary holds no timeline, resource, or paint references."""
-    collected = run_repeated(spec, NoPushStrategy(), runs=2, seed_base=0)
-    summary = summarize_results(
-        collected.site, collected.strategy, collected.results
-    )
-    for stats in summary.run_stats:
-        assert isinstance(stats, RunStats)
+def test_summary_payloads_hold_no_timelines(spec):
+    """A summary cell holds no timeline, resource, or paint references."""
+    summary = SerialExecutor().run(
+        [Cell(spec=spec, strategy=NoPushStrategy(), runs=2, reduce="summary")]
+    )[0]
+    assert len(summary.run_stats) == 2
+    for run in summary.run_stats:
+        assert type(run) is RunStats
+        assert not hasattr(run, "__dict__")
+        assert not hasattr(run, "timeline")
     assert not hasattr(summary, "results")

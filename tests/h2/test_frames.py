@@ -269,6 +269,16 @@ class TestFrameReader:
         assert [frame.pad_length for frame in parsed] == [6, 6]
         assert [frame.serialize() for frame in parsed] == [headers, promise]
 
+    def test_a_repeated_setting_reports_the_octets_received(self):
+        # RFC 7540 §6.5.3: values are processed in order, so the last
+        # value of a repeated identifier wins, but every pair was on the
+        # wire and counts toward the frame's (traced) wire size.
+        wire = ref.frame(ref.SETTINGS, 0, 0, struct.pack(">HIHI", 4, 100, 4, 200))
+        (frame,) = FrameReader().feed(wire)
+        assert frame.settings == {4: 200}
+        assert frame.wire_size == len(wire) == 21
+        assert frame.serialize() == wire
+
     def test_a_zero_pad_length_is_padding_present(self):
         # RFC 7540 §6.1, §6.2, §6.6: PADDED with a Pad Length of 0 is
         # legal; the Pad Length octet is on the wire and must stay there.

@@ -95,7 +95,7 @@ def test_population_seed_base_is_injective_locally():
 # Accumulators
 # ----------------------------------------------------------------------
 def _fake_summary(plt, pushed=0):
-    from repro.experiments.reducers import RunStats, reducer_for
+    from repro.experiments.reducers import CellSummary, RunStats
 
     stats = RunStats(
         plt_ms=plt,
@@ -107,7 +107,7 @@ def _fake_summary(plt, pushed=0):
         connections=1,
         requests=1,
     )
-    return reducer_for("summary").assemble("s", "x", [stats])
+    return CellSummary("s", "x", (stats,))
 
 
 def test_accumulator_merge_matches_streaming():

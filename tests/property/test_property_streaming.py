@@ -144,7 +144,8 @@ def test_tdigest_merge_stays_rank_bounded(values, cut, q):
 )
 def test_segment_concatenation_is_chunk_invariant(runs, chunk):
     """Assembling [fold(r) for r in runs] must not see chunk boundaries."""
-    from repro.experiments.reducers import RunStats, reducer_for
+    from repro.experiments.reducers import RunStats
+    from repro.experiments.runner import REDUCERS
 
     payloads = [
         RunStats(
@@ -159,9 +160,9 @@ def test_segment_concatenation_is_chunk_invariant(runs, chunk):
         )
         for plt, si in runs
     ]
-    reducer = reducer_for("summary")
-    whole = reducer.assemble("site", "s", payloads)
+    _, summary = REDUCERS["summary"]
+    whole = summary("site", "s", payloads)
     chunked: list = []
     for lo in range(0, len(payloads), chunk):
         chunked.extend(payloads[lo : lo + chunk])
-    assert reducer.assemble("site", "s", chunked) == whole
+    assert summary("site", "s", chunked) == whole
