@@ -1,12 +1,19 @@
 """HTTP/2 connection logic over the simulated TCP byte stream.
 
 One :class:`H2Connection` object implements one endpoint (client or
-server) of an HTTP/2 connection.  Control frames — HPACK-compressed
-headers, PUSH_PROMISEs, SETTINGS, WINDOW_UPDATEs — flow through the TCP
-model as real bytes; a DATA frame is written as one transport *record*
-of 9 + payload octets whose payload is a :class:`~repro.span.Span` of
-the response body, so every protocol overhead is charged against the
-simulated links while no body byte is copied on the way.
+server) of an HTTP/2 connection.  SETTINGS, WINDOW_UPDATE, RST_STREAM,
+PRIORITY and PING frames flow through the TCP model as real bytes.  A
+DATA frame is written as one transport *record* of 9 + payload octets
+whose payload is a :class:`~repro.span.Span` of the response body.  A
+header block — HEADERS or PUSH_PROMISE and any CONTINUATIONs — is one
+record too, a :class:`~repro.h2.frames.HeaderBlock` of its frames'
+octets: the sender still HPACK-encodes it, and the receiver takes the
+header list the encoder was handed instead of parsing and decoding the
+octets.  So every protocol overhead is charged against the simulated
+links while no body byte is copied and no header block is decoded on
+the way.  The bytes path (``_on_tcp_data``: ``FrameReader``, the frame
+handlers, ``HpackDecoder``) receives whatever a foreign peer, or the
+QUIC mapping, sends as bytes.
 
 Send-side design (mirrors h2o): control frames (HEADERS, PUSH_PROMISE,
 SETTINGS, WINDOW_UPDATE, RST_STREAM, PING, GOAWAY) are queued and
@@ -19,7 +26,7 @@ paper's Interleaving Push is implemented (see ``repro.server``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..errors import FlowControlError, ProtocolError, StreamError
 from ..netsim.transport import Endpoint
@@ -37,6 +44,7 @@ from .frames import (
     DataFrame,
     FrameReader,
     GoAwayFrame,
+    HeaderBlock,
     HeadersFrame,
     PingFrame,
     PriorityData,
@@ -45,11 +53,8 @@ from .frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    pack_continuation,
-    pack_headers,
     pack_ping,
     pack_priority,
-    pack_push_promise,
     pack_rst_stream,
     pack_settings,
     pack_window_update,
@@ -100,6 +105,11 @@ _END_STREAM_RAW = Flag.END_STREAM._value_
 _END_HEADERS_RAW = Flag.END_HEADERS._value_
 _ACK_RAW = Flag.ACK._value_
 _END_HEADERS_END_STREAM_RAW = _END_HEADERS_RAW | _END_STREAM_RAW
+
+#: Builds a :class:`HeaderBlock` from a tuple of its fields without the
+#: Python-level ``__new__`` a named tuple's constructor is: one call
+#: fewer per header block.
+_new_record = tuple.__new__
 
 
 class H2Connection:
@@ -155,7 +165,12 @@ class H2Connection:
         self._conn_send_window = DEFAULT_INITIAL_WINDOW_SIZE
         self._conn_recv_capacity = DEFAULT_INITIAL_WINDOW_SIZE
         self._conn_recv_unacked = 0
-        self._control_queue: Deque[bytes] = deque()
+        #: Control frames in send order: packed bytes, and header blocks
+        #: as records.
+        self._control_queue: Deque[Union[bytes, HeaderBlock]] = deque()
+        #: Octets of the queue's first record already written (a record
+        #: the send buffer could not take whole goes in as it fits).
+        self._control_head_written = 0
         #: Streams with body left to send: every stream handed body
         #: bytes (or a pending zero-length END_STREAM) that has not yet
         #: drained, finished, or been reset — including those blocked
@@ -225,10 +240,12 @@ class H2Connection:
             weight=priority.weight if priority else DEFAULT_WEIGHT,
             exclusive=priority.exclusive if priority else False,
         )
+        fields: List[Header] = []
         self._queue_header_block(
             stream_id,
             _END_HEADERS_END_STREAM_RAW if end_stream else _END_HEADERS_RAW,
-            self._encoder.encode(headers),
+            self._encoder.encode(headers, (), fields),
+            fields,
             priority,
         )
         self._pump()
@@ -241,10 +258,12 @@ class H2Connection:
         if state < 0:
             self._misuse(stream, _SEND_HEADERS)
         stream.state = state
+        fields: List[Header] = []
         self._queue_header_block(
             stream_id,
             _END_HEADERS_END_STREAM_RAW if end_stream else _END_HEADERS_RAW,
-            self._encoder.encode(headers),
+            self._encoder.encode(headers, (), fields),
+            fields,
         )
         if end_stream:
             # Open or half-closed (remote) now: either admits it.
@@ -269,7 +288,10 @@ class H2Connection:
         stream = self._require_stream(stream_id)
         if _TRANSITIONS[stream.state, _SEND_HEADERS] < 0:
             self._misuse(stream, _SEND_HEADERS)
-        self._queue_header_block(stream_id, _END_HEADERS_RAW, self._encoder.encode(headers))
+        fields: List[Header] = []
+        self._queue_header_block(
+            stream_id, _END_HEADERS_RAW, self._encoder.encode(headers, (), fields), fields
+        )
         self._pump()
 
     def send_body(self, stream_id: int, data: Body, end_stream: bool = False) -> None:
@@ -311,10 +333,12 @@ class H2Connection:
             depends_on=parent_stream_id if depends_on is None else depends_on,
             weight=weight,
         )
+        fields: List[Header] = []
         self._queue_header_block(
             parent_stream_id,
             _END_HEADERS_RAW,
-            self._encoder.encode(request_headers),
+            self._encoder.encode(request_headers, (), fields),
+            fields,
             promised_id=promised_id,
         )
         if self._tracer is not None:
@@ -367,41 +391,44 @@ class H2Connection:
         stream_id: int,
         flags: int,
         block: bytes,
+        headers: List[Header],
         priority: Optional[PriorityData] = None,
         promised_id: Optional[int] = None,
     ) -> None:
         """Queue a HEADERS frame — a PUSH_PROMISE for ``promised_id`` —
-        packed in one step.  A block the peer's SETTINGS_MAX_FRAME_SIZE
-        cannot hold goes out as its first fragment without END_HEADERS,
-        then CONTINUATION frames, the last one with END_HEADERS."""
+        as one :class:`HeaderBlock` record of the encoded ``block`` and
+        the header list the encoder gave for it.  A block the peer's
+        SETTINGS_MAX_FRAME_SIZE cannot hold is sized as its first
+        fragment without END_HEADERS, then CONTINUATION frames, the last
+        one with END_HEADERS.  Each frame is counted and traced here as
+        it would be if it were queued as bytes."""
         max_size = self.remote_settings._values[MAX_FRAME_SIZE]
         if promised_id is None:
-            # Room left in the first frame after the priority block.
-            first = max_size if priority is None else max_size - 5
-        else:
-            first = max_size - 4  # after the promised stream id
-        rest = b""
-        if len(block) > first:
-            block, rest = block[:first], block[first:]
-            flags &= ~_END_HEADERS_RAW
-        if promised_id is None:
             name = "HEADERS"
-            wire = pack_headers(stream_id, flags, block, priority)
+            # The first frame's payload: the priority block, if any,
+            # then the block.
+            length = len(block) if priority is None else 5 + len(block)
         else:
             name = "PUSH_PROMISE"
-            wire = pack_push_promise(stream_id, flags, promised_id, block)
-        # ``_queue_wire``, inline: this runs once per object.
-        self._control_queue.append(wire)
-        self.frames_sent += 1
-        if self._tracer is not None:
-            self._tracer.emit(FrameSent, self._trace_name, name, stream_id, len(wire))
-        while rest:
-            chunk, rest = rest[:max_size], rest[max_size:]
-            self._queue_wire(
-                "CONTINUATION",
-                stream_id,
-                pack_continuation(stream_id, 0 if rest else _END_HEADERS_RAW, chunk),
+            length = 4 + len(block)  # after the promised stream id
+        if length <= max_size:
+            sizes = (_FRAME_HEADER + length,)
+        else:
+            flags &= ~_END_HEADERS_RAW
+            full, last = divmod(length, max_size)
+            if not last:
+                full, last = full - 1, max_size
+            sizes = (_FRAME_HEADER + max_size,) * full + (_FRAME_HEADER + last,)
+        self._control_queue.append(
+            _new_record(
+                HeaderBlock, (stream_id, flags, priority, promised_id, block, headers, sizes)
             )
+        )
+        self.frames_sent += len(sizes)
+        if self._tracer is not None:
+            for size in sizes:
+                self._tracer.emit(FrameSent, self._trace_name, name, stream_id, size)
+                name = "CONTINUATION"
 
     def _pump(self) -> None:
         """Write as much as the socket buffer allows: control, then data."""
@@ -417,20 +444,37 @@ class H2Connection:
             self._pumping = False
 
     def _flush_control(self) -> None:
+        """Write queued control frames while the send buffer has room.
+
+        A control frame may exceed the room left: as much of it as fits
+        is written now, the rest on writable.  A header block record is
+        written the same way, so that its octets enter the stream at the
+        offsets and times its frames' bytes would: the part that fits
+        goes in as a record the receiver ignores (``None``), the rest as
+        the record itself.
+        """
         queue = self._control_queue
         # Direct half-connection access (Endpoint.send_buffer_space /
         # send are thin wrappers; this loop runs per flushed frame).
         half = self._endpoint._out
         while queue:
             payload = queue[0]
-            if half._buffered >= half._max_buffer:
+            space = half._max_buffer - half._buffered
+            if space <= 0:
                 return
-            # Control frames may exceed the socket buffer (e.g. a large
-            # header block); write whatever fits and resume on writable.
-            accepted = half.enqueue(payload)
-            if accepted < len(payload):
-                queue[0] = payload[accepted:]
-                return
+            if payload.__class__ is bytes:
+                accepted = half.enqueue(payload)
+                if accepted < len(payload):
+                    queue[0] = payload[accepted:]
+                    return
+            else:
+                size = sum(payload.sizes) - self._control_head_written
+                if size > space:
+                    half.enqueue_record(space, None)
+                    self._control_head_written += space
+                    return
+                half.enqueue_record(size, payload)
+                self._control_head_written = 0
             queue.popleft()
 
     def _refresh_ready(self, stream_ids: Iterable[int]) -> None:
@@ -598,11 +642,25 @@ class H2Connection:
         if self._control_queue or self._ready:
             self._pump()
 
-    def _on_data_record(self, record: Tuple[int, Span, int], padding: int = 0) -> None:
-        """One DATA frame written by the peer's ``_emit_data`` arrived:
-        account the payload against the receive windows and hand it to
-        the application; END_STREAM closes the remote side.  ``padding``
-        is the octets of a padded frame's payload that are not data."""
+    def _on_data_record(
+        self, record: Union[Tuple[int, Span, int], HeaderBlock, None], padding: int = 0
+    ) -> None:
+        """A record written by the peer arrived whole.
+
+        A DATA frame from its ``_emit_data`` — a plain tuple — is
+        accounted against the receive windows and handed to the
+        application; END_STREAM closes the remote side.  ``padding`` is
+        the octets of a padded frame's payload that are not data.  A
+        :class:`HeaderBlock` goes to ``_on_header_block``; ``None``, the
+        first part of a header block the peer's send buffer took in
+        parts, is ignored as the bytes it stands for would have been.
+        """
+        if record.__class__ is not tuple:
+            if record is not None:
+                self._on_header_block(record)
+            if self._control_queue or self._ready:
+                self._pump()
+            return
         stream_id, span, raw_flags = record
         self.frames_received += 1
         size = span.stop - span.start
@@ -654,6 +712,26 @@ class H2Connection:
         if self._control_queue or self._ready:
             self._pump()
 
+    def _on_header_block(self, record: HeaderBlock) -> None:
+        """A header block written by the peer's ``_queue_header_block``:
+        what the frame handlers do with its frames, given the header
+        list instead of a block to decode."""
+        stream_id, flags, priority, promised_id, _, headers, sizes = record
+        self.frames_received += len(sizes)
+        if self._tracer is not None:
+            name = "HEADERS" if promised_id is None else "PUSH_PROMISE"
+            for size in sizes:
+                self._tracer.emit(FrameReceived, self._trace_name, name, stream_id, size)
+                name = "CONTINUATION"
+        if self._header_fragments is not None:
+            raise ProtocolError("expected CONTINUATION frame")
+        if promised_id is not None:
+            self._finish_push_promise(stream_id, flags, promised_id, headers)
+            return
+        if priority is not None and self.role == "server":
+            self._handle_priority(record)
+        self._finish_header_block(stream_id, headers, flags & _END_STREAM_RAW != 0)
+
     #: Frame class -> the name of its handler: one lookup per frame
     #: received, and the handler is found on the instance, so a
     #: subclass's override is the one called.  DATA has no entry: it
@@ -682,6 +760,11 @@ class H2Connection:
         if frame.flags & _ACK_RAW:
             return
         old_window = self.remote_settings.initial_window_size
+        if frame.superseded:
+            # §6.5.3: values are processed in order, so an identifier's
+            # earlier values must be valid too; the last one stands.
+            for code, value in frame.superseded:
+                self.remote_settings.apply({code: value})
         self.remote_settings.apply(frame.settings)
         new_window = self.remote_settings.initial_window_size
         if new_window != old_window:
@@ -714,7 +797,9 @@ class H2Connection:
                 bytearray(frame.header_block),
             )
             return
-        self._finish_header_block(frame.stream_id, frame.header_block, raw & _END_STREAM_RAW != 0)
+        self._finish_header_block(
+            frame.stream_id, self._decoder.decode(frame.header_block), raw & _END_STREAM_RAW != 0
+        )
 
     def _handle_continuation(self, frame: ContinuationFrame) -> None:
         if self._header_fragments is None:
@@ -725,12 +810,13 @@ class H2Connection:
         buffer.extend(frame.header_block)
         if frame.flags & _END_HEADERS_RAW:
             self._header_fragments = None
-            self._finish_header_block(stream_id, bytes(buffer), end_stream)
+            self._finish_header_block(stream_id, self._decoder.decode(bytes(buffer)), end_stream)
 
-    def _finish_header_block(self, stream_id: int, block: bytes, end_stream: bool) -> None:
-        # Decoded whatever the stream's state: the block has changed the
-        # connection's HPACK context (§4.3).
-        headers = self._decoder.decode(block)
+    def _finish_header_block(self, stream_id: int, headers: List[Header], end_stream: bool) -> None:
+        """A HEADERS block is complete: ``headers`` is a record's header
+        list, or the block the frame handlers decoded whatever the
+        stream's state (the block has changed the connection's HPACK
+        context, §4.3)."""
         stream = self.streams.get(stream_id)
         if stream is None:
             if self.role == "client":
@@ -782,20 +868,35 @@ class H2Connection:
             self.on_stream_end(stream.stream_id)
 
     def _handle_push_promise(self, frame: PushPromiseFrame) -> None:
+        self._finish_push_promise(
+            frame.stream_id, frame.flags, frame.promised_stream_id, frame.header_block
+        )
+
+    def _finish_push_promise(
+        self,
+        stream_id: int,
+        flags: int,
+        promised_id: int,
+        headers: Union[List[Header], bytes],
+    ) -> None:
+        """A PUSH_PROMISE: ``headers`` is a record's header list, or the
+        received block, decoded here once the checks that refuse the
+        frame undecoded have passed."""
         if self.role != "client":
             raise ProtocolError("servers do not receive PUSH_PROMISE")
         if not self.local_settings._values[ENABLE_PUSH]:
             raise ProtocolError("PUSH_PROMISE after SETTINGS_ENABLE_PUSH=0 (§8.2)")
-        if not frame.flags & _END_HEADERS_RAW:
+        if not flags & _END_HEADERS_RAW:
             raise ProtocolError("fragmented PUSH_PROMISE not supported by model")
-        headers = self._decoder.decode(frame.header_block)
-        parent = self.streams.get(frame.stream_id)
+        if headers.__class__ is not list:
+            headers = self._decoder.decode(headers)
+        parent = self.streams.get(stream_id)
         if parent is None or _TRANSITIONS[parent.state, _RECV_PUSH_PROMISE] < 0:
-            self._admit(frame.stream_id, _RECV_PUSH_PROMISE)
+            self._admit(stream_id, _RECV_PUSH_PROMISE)
             return
-        self._open_stream(frame.promised_stream_id, _RESERVE_REMOTE)
+        self._open_stream(promised_id, _RESERVE_REMOTE)
         if self.on_push_promise is not None:
-            self.on_push_promise(frame.stream_id, frame.promised_stream_id, headers)
+            self.on_push_promise(stream_id, promised_id, headers)
 
     def _handle_window_update(self, frame: WindowUpdateFrame) -> None:
         # Frame parsing has refused a zero increment (§6.9); what is

@@ -4,12 +4,15 @@ Every frame type defined by the RFC is implemented with a wire-accurate
 binary layout: the 9-octet frame header (24-bit length, 8-bit type,
 8-bit flags, 31-bit stream id with reserved bit) followed by the
 type-specific payload.  The testbed ships real control-frame bytes
-(HEADERS, PUSH_PROMISE, SETTINGS, WINDOW_UPDATE, ...) through the TCP
-model, and charges a DATA frame its real 9 + payload octets while the
-payload itself travels by reference (``repro.h2.connection``), so every
-frame overhead is charged against the simulated links exactly as it
-would be on the wire.  :class:`DataFrame` remains the byte-exact DATA
-codec for peers that do send DATA as bytes.
+(SETTINGS, WINDOW_UPDATE, ...) through the TCP model.  It charges a
+DATA frame its real 9 + payload octets while the payload itself travels
+by reference, and a header block (:class:`HeaderBlock`) the octets of
+its HEADERS or PUSH_PROMISE and CONTINUATION frames while its header
+list travels by reference (``repro.h2.connection``).  So every frame
+overhead is charged against the simulated links exactly as it would be
+on the wire.  :class:`DataFrame` and :class:`HeadersFrame` remain the
+byte-exact codecs for peers that send those frames as bytes, and
+:func:`header_block_frames` gives a header block record's frames.
 
 Each frame type is declared once.  Its wire layout is written in its
 ``pack_*`` function, ``(stream_id, flags, *payload fields)``, which the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from ..errors import ProtocolError
 from .constants import (
@@ -48,6 +51,7 @@ _GOAWAY_STRUCT = struct.Struct(">II")  # last stream id, error code
 # Raw flag values for hot parse paths (IntFlag.__and__ is a Python-level
 # call; these tests run once or twice per frame received).
 _RAW_ACK = Flag.ACK._value_
+_RAW_END_HEADERS = Flag.END_HEADERS._value_
 _RAW_PADDED = Flag.PADDED._value_
 _RAW_PRIORITY = Flag.PRIORITY._value_
 
@@ -207,6 +211,50 @@ def pack_window_update(stream_id: int, flags: int, increment: int) -> bytes:
 def pack_continuation(stream_id: int, flags: int, header_block: bytes) -> bytes:
     """CONTINUATION (§6.10)."""
     return _pack_header(len(header_block), _CONTINUATION, flags, stream_id) + header_block
+
+
+class HeaderBlock(NamedTuple):
+    """One header block as a single transport record: a HEADERS frame —
+    a PUSH_PROMISE for ``promised_id`` — and the CONTINUATION frames
+    after it.  Between two :class:`~repro.h2.connection.H2Connection`
+    endpoints over TCP this is what travels: the receiver takes
+    ``headers`` as it is and parses no frame and decodes no HPACK.  It occupies the
+    octets of its frames, ``sum(sizes)``; :func:`header_block_frames`
+    gives the frames themselves."""
+
+    stream_id: int
+    #: The first frame's raw flag octet: END_HEADERS is clear when
+    #: CONTINUATION frames follow.  PRIORITY is implied by ``priority``.
+    flags: int
+    priority: Optional["PriorityData"]
+    promised_id: Optional[int]
+    #: The HPACK-encoded block, whole.
+    block: bytes
+    #: What ``HpackDecoder.decode(block)`` returns, in a list of its own.
+    headers: List[Tuple[str, str]]
+    #: Each frame's wire size, header included, in order.
+    sizes: Tuple[int, ...]
+
+
+def header_block_frames(record: HeaderBlock) -> List[bytes]:
+    """The wire frames of a header block record: the HEADERS or
+    PUSH_PROMISE frame, then one CONTINUATION per further entry of
+    ``record.sizes``, the last with END_HEADERS.  Each frame holds the
+    next octets of the block that its size leaves room for."""
+    stream_id, flags, priority, promised_id, block, _, sizes = record
+    if promised_id is None:
+        end = sizes[0] - FRAME_HEADER_SIZE - (0 if priority is None else 5)
+        frames = [pack_headers(stream_id, flags, block[:end], priority)]
+    else:
+        end = sizes[0] - FRAME_HEADER_SIZE - 4
+        frames = [pack_push_promise(stream_id, flags, promised_id, block[:end])]
+    last = len(sizes) - 1
+    for index in range(1, last + 1):
+        start, end = end, end + sizes[index] - FRAME_HEADER_SIZE
+        frames.append(
+            pack_continuation(stream_id, _RAW_END_HEADERS if index == last else 0, block[start:end])
+        )
+    return frames
 
 
 # ----------------------------------------------------------------------

@@ -114,11 +114,18 @@ class HpackEncoder:
         self,
         headers: Iterable[Header],
         sensitive: Iterable[str] = (),
+        fields: Optional[List[Header]] = None,
     ) -> bytes:
-        """Encode a complete header list into a header block."""
+        """Encode a complete header list into a header block.
+
+        A ``fields`` list receives what :meth:`HpackDecoder.decode`
+        returns for the block: each field as a ``(name, value)`` tuple,
+        its name lower-cased, in order.
+        """
         sensitive_names = {name.lower() for name in sensitive} if sensitive else ()
         parts: List[bytes] = []
         append = parts.append
+        add_field = (fields if fields is not None else []).append
         if self._pending_resize:
             for size in self._pending_resize:
                 append(encode_integer(size, 5, 0x20))
@@ -136,6 +143,7 @@ class HpackEncoder:
             if plan is None:
                 plan = _plan_field(field)
             name, entry, size, indexed, name_prefix, name_literal, value_literal = plan
+            add_field(entry)
             if sensitive_names and name in sensitive_names:
                 append(self._never_indexed(plan))
                 continue

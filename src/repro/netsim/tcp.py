@@ -37,7 +37,8 @@ every segment had carried its slice of the stream.  A write is either
 ``bytes`` (delivered as they arrive, segment by segment) or a *record*:
 an opaque object occupying ``size`` bytes of the stream, handed over
 once its last byte is in order — how HTTP/2 sends a DATA frame whose
-payload is a :class:`repro.span.Span` of a recorded body.
+payload is a :class:`repro.span.Span` of a recorded body, and a header
+block whose header list the receiver takes as it is.
 
 What TCP shares with the QUIC model (endpoint, half-connection state,
 RTO expiry, duplex wrapper) is :mod:`repro.netsim.transport`.

@@ -308,9 +308,9 @@ def test_received_frames_reach_a_subclass_override(monkeypatch):
     finish = H2OverQuicConnection._finish_header_block
     handle_push = H2OverQuicConnection._handle_push_promise
 
-    def spy_finish(self, stream_id, block, end_stream):
+    def spy_finish(self, stream_id, headers, end_stream):
         seen.append((self.role, "headers", stream_id))
-        finish(self, stream_id, block, end_stream)
+        finish(self, stream_id, headers, end_stream)
 
     def spy_push(self, frame):
         seen.append((self.role, "push_promise", frame.promised_stream_id))

@@ -1,0 +1,239 @@
+"""Header blocks as records, pinned to the bytes path.
+
+Between two ``H2Connection`` endpoints over TCP a header block — a
+HEADERS or PUSH_PROMISE frame and any CONTINUATIONs — travels as one
+transport record, a :class:`~repro.h2.frames.HeaderBlock`, and the
+receiver takes the header list from it instead of parsing and
+HPACK-decoding the block.  Each case holds that shortcut to what the
+bytes path gives: the same header list as a decoder of the record's
+block, the same octets at the same stream offsets and times when the
+send buffer takes a block in parts, and no decode on a page load.
+"""
+
+import string
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.h2 import H2Connection, Settings
+from repro.h2.frames import HeaderBlock, header_block_frames
+from repro.h2.hpack import HpackDecoder
+from repro.netsim import DSL_TESTBED, Topology
+from repro.sim import Simulator
+from repro.trace import Tracer
+
+REQUEST = [
+    (":method", "GET"),
+    (":scheme", "https"),
+    (":authority", "example.com"),
+    (":path", "/"),
+]
+
+
+class _BytesH2Connection(H2Connection):
+    """Our connection with header blocks sent as bytes, as the QUIC
+    mapping sends them: each record queued is replaced by its frames."""
+
+    def _queue_header_block(self, *args, **kwargs):
+        super()._queue_header_block(*args, **kwargs)
+        queue = self._control_queue
+        queue.extend(header_block_frames(queue.pop()))
+
+
+def _pair(cls=H2Connection, local=None, tracer=None):
+    """An established client/server pair of ``cls`` over TCP."""
+    sim = Simulator()
+    if tracer is not None:
+        tracer.attach(sim)
+    topo = Topology(sim, DSL_TESTBED)
+    topo.add_host("1.1.1.1", ["example.com"])
+    topo.prewarm_dns("example.com")
+    pair = {}
+
+    def on_conn(tcp):
+        pair["server"] = cls(tcp.server, "server", settings=local, tracer=tracer)
+        pair["client"] = cls(tcp.client, "client", settings=local, tracer=tracer)
+
+    topo.open_connection("example.com", on_conn)
+    sim.run()
+    return sim, pair["client"], pair["server"]
+
+
+# ---------------------------------------------------------------------------
+# the same header list
+# ---------------------------------------------------------------------------
+
+_NAME = st.sampled_from(
+    ["x-a", "X-A", "x-Mixed-Case", "X-MIXED-CASE", "accept", "Cache-Control", "content-type"]
+)
+_VALUE = st.text(string.ascii_letters + string.digits + "-/.=;", max_size=48)
+#: A field as a tuple or, as callers may pass one, a list.
+_FIELD = st.builds(
+    lambda name, value, as_list: [name, value] if as_list else (name, value),
+    _NAME,
+    _VALUE,
+    st.booleans(),
+)
+_FIELDS = st.lists(_FIELD, max_size=8)
+
+
+def _tap(conn, decoder, decoded):
+    """Feed each header block record ``conn`` receives to ``decoder``."""
+    endpoint = conn._endpoint
+    on_record = endpoint.on_record
+
+    def tapped(record):
+        if record.__class__ is HeaderBlock:
+            decoded.append(decoder.decode(record.block))
+        on_record(record)
+
+    endpoint.on_record = tapped
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exchanges=st.lists(st.tuples(_FIELDS, _FIELDS, _FIELDS), min_size=1, max_size=6),
+    table_size=st.sampled_from([128, 4_096]),
+)
+def test_each_receiver_gets_what_a_decoder_of_the_block_returns(exchanges, table_size):
+    """Requests one way; a PUSH_PROMISE and two responses the other.
+    Mixed-case names and repeats make the dynamic table index, and a
+    128-octet table evicts.  Each list handed to ``on_request`` /
+    ``on_response`` / ``on_push_promise`` equals what a decoder of the
+    record's block returns, and is a list of its own."""
+    local = Settings(header_table_size=table_size)
+    sim, client, server = _pair(local=local)
+    decoded = {"client": [], "server": []}
+    for conn in (client, server):
+        _tap(conn, HpackDecoder(table_size), decoded[conn.role])
+    received = {"client": [], "server": []}
+    sent = []
+
+    def on_request(stream_id, headers, priority):
+        received["server"].append(headers)
+        index = stream_id // 2
+        pushed, response = exchanges[index][1], exchanges[index][2]
+        promise = REQUEST[:3] + [(":path", f"/pushed/{index}")] + pushed
+        response = [(":status", "200")] + response
+        sent.extend((promise, response))
+        promised = server.push(stream_id, promise)
+        server.respond(stream_id, response, end_stream=True)
+        server.respond(promised, [(":status", "200")], end_stream=True)
+
+    server.on_request = on_request
+    client.on_response = lambda stream_id, headers: received["client"].append(headers)
+    client.on_push_promise = lambda parent, promised, headers: received["client"].append(headers)
+    for index, (request, _, _) in enumerate(exchanges):
+        request = REQUEST[:3] + [(":path", f"/{index}")] + request
+        sent.append(request)
+        client.request(request)
+    sim.run()
+
+    assert len(received["server"]) == len(exchanges)
+    assert len(received["client"]) == 3 * len(exchanges)
+    for role in ("client", "server"):
+        assert received[role] == decoded[role]
+        for headers in received[role]:
+            assert headers.__class__ is list
+            assert all(field.__class__ is tuple for field in headers)
+            assert not any(headers is mine for mine in sent)
+    # The receivers' own decoders never ran: their tables are empty.
+    assert len(client._decoder.table) == len(server._decoder.table) == 0
+
+
+# ---------------------------------------------------------------------------
+# the same octets at the same offsets and times
+# ---------------------------------------------------------------------------
+
+#: A response header block of about 4 kB, written while the send buffer
+#: is nearly full of the first stream's DATA.
+_BIG_RESPONSE = [(":status", "200"), ("x-fill", "v" * 5_000)]
+
+
+def _short_buffer_load(cls):
+    """Stream 1 fills the server's send buffer with DATA; stream 3's
+    large response HEADERS is then queued with few octets free.  The
+    server's writes as ``(time, stream offset after)``, how many wrote
+    part of a header block, and the whole trace."""
+    tracer = Tracer()
+    sim, client, server = _pair(cls, tracer=tracer)
+    half = server._endpoint._out
+    writes, partial = [], [0]
+    enqueue, enqueue_record = half.enqueue, half.enqueue_record
+
+    def logged_enqueue(data):
+        accepted = enqueue(data)
+        writes.append((sim.now, half.bytes_enqueued))
+        return accepted
+
+    def logged_enqueue_record(size, record):
+        if record is None:
+            partial[0] += 1
+        accepted = enqueue_record(size, record)
+        writes.append((sim.now, half.bytes_enqueued))
+        return accepted
+
+    half.enqueue, half.enqueue_record = logged_enqueue, logged_enqueue_record
+
+    def on_request(stream_id, headers, priority):
+        if stream_id == 1:
+            server.respond(stream_id, [(":status", "200")])
+            server.send_body(stream_id, b"b" * 60_000, end_stream=True)
+        else:
+            server.respond(stream_id, _BIG_RESPONSE)
+            server.send_body(stream_id, b"c" * 500, end_stream=True)
+
+    responses = []
+    server.on_request = on_request
+    client.on_response = lambda stream_id, headers: responses.append((sim.now, stream_id, headers))
+    client.request(REQUEST)
+    client.request(REQUEST[:3] + [(":path", "/big")])
+    sim.run()
+    return writes, partial[0], responses, tracer.events()
+
+
+def test_a_block_the_send_buffer_takes_in_parts_lands_as_its_bytes_would():
+    record_writes, record_partial, record_responses, record_trace = _short_buffer_load(H2Connection)
+    byte_writes, byte_partial, byte_responses, byte_trace = _short_buffer_load(_BytesH2Connection)
+    assert record_partial >= 1  # the block did go in parts
+    assert byte_partial == 0
+    assert record_writes == byte_writes
+    assert record_responses == byte_responses
+    assert [headers for _, _, headers in record_responses][1] == _BIG_RESPONSE
+    assert record_trace == byte_trace
+
+
+# ---------------------------------------------------------------------------
+# no decode between our own endpoints
+# ---------------------------------------------------------------------------
+
+
+def test_a_page_load_between_our_own_endpoints_decodes_no_header_block(monkeypatch):
+    """A pushing page load over TCP calls ``HpackDecoder.decode`` for no
+    block; the same load over QUIC, whose control stream is bytes,
+    decodes every block it receives."""
+    from repro.html import ResourceSpec, ResourceType, WebsiteSpec
+    from repro.replay import replay_site
+    from repro.strategies.simple import PushAllStrategy
+
+    spec = WebsiteSpec(
+        name="few-images",
+        primary_domain="images.example",
+        html_size=3_000,
+        html_visual_weight=10,
+        resources=[ResourceSpec(f"i{index}.jpg", ResourceType.IMAGE, 900) for index in range(6)],
+    )
+    blocks = []
+    decode = HpackDecoder.decode
+
+    def counting_decode(self, data):
+        blocks.append(len(data))
+        return decode(self, data)
+
+    monkeypatch.setattr(HpackDecoder, "decode", counting_decode)
+    result = replay_site(spec, strategy=PushAllStrategy())
+    assert result.timeline.onload is not None
+    assert blocks == []
+    replay_site(spec, strategy=PushAllStrategy(), conditions=replace(DSL_TESTBED, transport="quic"))
+    assert len(blocks) >= 2 * 6  # a PUSH_PROMISE and a response per image

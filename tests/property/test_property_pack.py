@@ -4,8 +4,10 @@ an RFC-layout reference (``tests/support/frame_reference.py``).
 Each pack function, and ``Frame.serialize`` built on it, gives the same
 bytes as the reference over random fields.  The connection's
 header-block path — HEADERS with or without a priority block, and
-PUSH_PROMISE — is checked the same way frame by frame, including blocks
-too large for one frame, which continue in CONTINUATION frames.
+PUSH_PROMISE — is checked the same way frame by frame, through
+``header_block_frames``, the one function that turns the record the
+connection queues into frames, including blocks too large for one
+frame, which continue in CONTINUATION frames.
 """
 
 from functools import lru_cache
@@ -19,6 +21,7 @@ from repro.h2.frames import (
     ContinuationFrame,
     DataFrame,
     GoAwayFrame,
+    HeaderBlock,
     HeadersFrame,
     PingFrame,
     PriorityData,
@@ -27,6 +30,7 @@ from repro.h2.frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
+    header_block_frames,
     pack_continuation,
     pack_data,
     pack_goaway,
@@ -154,7 +158,7 @@ def test_continuation(stream_id, flags, block):
 
 @lru_cache(maxsize=None)
 def _server_connection() -> H2Connection:
-    """One established server endpoint, used only for what
+    """One established server endpoint, used only for the record
     ``_queue_header_block`` appends to its control queue."""
     sim = Simulator()
     topo = Topology(sim, DSL_TESTBED)
@@ -185,9 +189,10 @@ def _server_connection() -> H2Connection:
 def test_header_block_frames(
     stream_id, end_stream, length, salt, max_frame_size, kind, priority, promised
 ):
-    """Frame for frame, what the connection queues for one header block
-    equals the reference split — one frame when the block fits, else a
-    first fragment without END_HEADERS and CONTINUATIONs after it."""
+    """Frame for frame, the wire form of the record the connection
+    queues for one header block equals the reference split — one frame
+    when the block fits, else a first fragment without END_HEADERS and
+    CONTINUATIONs after it — and the record's sizes are those frames'."""
     conn = _server_connection()
     conn.remote_settings.apply({MAX_FRAME_SIZE: max_frame_size})
     block = bytes((index * 7 + salt) & 0xFF for index in range(length))
@@ -195,29 +200,54 @@ def test_header_block_frames(
     if kind == "push_promise":
         expected = ref.header_block(stream_id, flags, block, max_frame_size,
                                     promised_stream_id=promised)
-        call = dict(promised_id=promised)
+        call = dict(headers=[], promised_id=promised)
     elif kind == "priority":
         expected = ref.header_block(stream_id, flags, block, max_frame_size, priority=priority)
-        call = dict(priority=_priority_data(priority))
+        call = dict(headers=[], priority=_priority_data(priority))
     else:
         expected = ref.header_block(stream_id, flags, block, max_frame_size)
-        call = {}
+        call = dict(headers=[])
+    record = _queued_record(conn, stream_id, flags, block, **call)
+    assert header_block_frames(record) == expected
+    assert list(record.sizes) == [len(wire) for wire in expected]
+
+
+def _queued_record(conn, *args, **kwargs):
+    """The one record ``_queue_header_block`` queues, taken back off the
+    queue; it counts each of the record's frames as sent."""
     queue = conn._control_queue
     queued_before, sent_before = len(queue), conn.frames_sent
-    conn._queue_header_block(stream_id, flags, block, **call)
-    queued = [queue.pop() for _ in range(len(queue) - queued_before)][::-1]
+    conn._queue_header_block(*args, **kwargs)
+    assert len(queue) == queued_before + 1
+    record = queue.pop()
+    assert record.__class__ is HeaderBlock
+    assert conn.frames_sent - sent_before == len(record.sizes)
+    return record
+
+
+def _check_oversize_split(length, payloads):
+    """A ``length``-octet block with a priority block, under a
+    16 384-octet max frame size, goes out as frames of ``payloads``
+    octets: HEADERS, then CONTINUATIONs, the last with END_HEADERS."""
+    conn = _server_connection()
+    conn.remote_settings.apply({MAX_FRAME_SIZE: 16_384})
+    block = (bytes(range(256)) * 160)[:length]
+    record = _queued_record(conn, 3, ref.END_HEADERS | 1, block, [], PriorityData(weight=32))
+    queued = header_block_frames(record)
+    expected = ref.header_block(3, ref.END_HEADERS | 1, block, 16_384, priority=(0, 32, False))
     assert queued == expected
-    assert conn.frames_sent - sent_before == len(expected)
+    assert list(record.sizes) == [len(wire) for wire in queued]
+    assert [len(wire) - 9 for wire in queued] == payloads
+    continuations = len(payloads) - 1
+    assert [wire[3] for wire in queued] == [ref.HEADERS] + [ref.CONTINUATION] * continuations
+    assert [wire[4] for wire in queued] == (
+        [ref.PRIORITY_FLAG | 1] + [0] * (continuations - 1) + [ref.END_HEADERS]
+    )
 
 
 def test_an_oversize_block_continues_in_continuation_frames():
-    conn = _server_connection()
-    conn.remote_settings.apply({MAX_FRAME_SIZE: 16_384})
-    block = bytes(range(256)) * 160  # 40 960 octets: 16 379 + 16 384 + 8 197
-    queue = conn._control_queue
-    queued_before = len(queue)
-    conn._queue_header_block(3, ref.END_HEADERS | 1, block, priority=PriorityData(weight=32))
-    queued = [queue.pop() for _ in range(len(queue) - queued_before)][::-1]
-    assert [len(wire) - 9 for wire in queued] == [16_384, 16_384, 8_197]
-    assert [wire[3] for wire in queued] == [ref.HEADERS, ref.CONTINUATION, ref.CONTINUATION]
-    assert [wire[4] for wire in queued] == [ref.PRIORITY_FLAG | 1, 0, ref.END_HEADERS]
+    _check_oversize_split(40_960, [16_384, 16_384, 8_197])  # 16 379 + 16 384 + 8 197 octets
+
+
+def test_a_block_can_fill_its_last_continuation_frame_exactly():
+    _check_oversize_split(32_763, [16_384, 16_384])  # 16 379 + 16 384 octets

@@ -6,10 +6,11 @@ unseen.  This peer talks to one :class:`~repro.h2.H2Connection` the way
 h2spec does: it packs each frame with ``struct`` straight from the
 §4.1 header and §6 payload layouts, and decodes what comes back the
 same way.  It imports
-nothing of ``repro.h2.frames`` or ``tests/support/frame_reference.py``,
-which would make the check circular; header blocks it sends are HPACK
-literals without indexing (RFC 7541 §6.2.2), and header blocks it
-receives it does not decode.
+nothing of ``tests/support/frame_reference.py`` and, of
+``repro.h2.frames``, only what turns a header block record back into
+bytes (below); anything more would make the check circular.  Header
+blocks it sends are HPACK literals without indexing (RFC 7541 §6.2.2),
+and header blocks it receives it does not decode.
 
 The connection under test runs over a :class:`PipeEndpoint`, the part
 of a transport endpoint that ``H2Connection`` uses: the ``on_data`` /
@@ -17,7 +18,11 @@ of a transport endpoint that ``H2Connection`` uses: the ``on_data`` /
 half its flush paths write to.  There is no network and no simulator:
 bytes the peer sends reach the connection's ``on_data`` at once, and
 whatever the connection writes is queued as wire bytes for
-:meth:`H2Peer.receive` (a DATA record becomes a DATA frame).
+:meth:`H2Peer.receive`.  A DATA record becomes a DATA frame, and a
+header block record its HEADERS or PUSH_PROMISE and CONTINUATION
+frames, by ``header_block_frames`` — the function the QUIC mapping
+writes its control stream with — so the peer parses every frame our
+connection sends from bytes, as it would from a foreign endpoint.
 
 Usage::
 
@@ -31,6 +36,7 @@ import struct
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.h2 import H2Connection, Settings
+from repro.h2.frames import HeaderBlock, header_block_frames
 
 #: §3.5: the client connection preface.
 PREFACE = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
@@ -56,7 +62,8 @@ ACK = 0x1
 END_HEADERS = 0x4
 PADDED = 0x8
 
-# §6.5.2: setting identifier.
+# §6.5.2: setting identifiers.
+SETTINGS_ENABLE_PUSH = 0x2
 SETTINGS_INITIAL_WINDOW_SIZE = 0x4
 
 # §7: error codes.
@@ -97,6 +104,12 @@ def frame(type_: int, flags: int, stream_id: int, payload: bytes = b"") -> bytes
 def settings(params: Optional[Dict[int, int]] = None, ack: bool = False) -> bytes:
     payload = b"".join(struct.pack(">HI", k, v) for k, v in (params or {}).items())
     return frame(SETTINGS, ACK if ack else 0, 0, payload)
+
+
+def settings_pairs(*pairs) -> bytes:
+    """§6.5.1: ``(identifier, value)`` pairs in the order given, an
+    identifier repeated as often as it is given."""
+    return frame(SETTINGS, 0, 0, b"".join(struct.pack(">HI", k, v) for k, v in pairs))
 
 
 def window_update(stream_id: int, increment: int) -> bytes:
@@ -177,6 +190,11 @@ class _PipeOut:
         return len(payload)
 
     def enqueue_record(self, size: int, record) -> bool:
+        if record.__class__ is HeaderBlock:
+            # A header block: its frames as the bytes path would write
+            # them, HPACK block included, for the peer to parse.
+            self.wire += b"".join(header_block_frames(record))
+            return True
         # ``(stream id, span, flags)``: the payload is a window onto a body.
         stream_id, span, flags = record
         self.wire += frame(DATA, flags, stream_id, span.source[span.start : span.stop])
