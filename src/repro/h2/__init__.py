@@ -33,7 +33,6 @@ from .frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    parse_frame,
 )
 from .priority import PriorityTree
 from .settings import Settings
@@ -66,5 +65,4 @@ __all__ = [
     "SettingsFrame",
     "StreamState",
     "WindowUpdateFrame",
-    "parse_frame",
 ]

@@ -11,9 +11,12 @@ octets: the sender still HPACK-encodes it, and the receiver takes the
 header list the encoder was handed instead of parsing and decoding the
 octets.  So every protocol overhead is charged against the simulated
 links while no body byte is copied and no header block is decoded on
-the way.  The bytes path (``_on_tcp_data``: ``FrameReader``, the frame
-handlers, ``HpackDecoder``) receives whatever a foreign peer, or the
-QUIC mapping, sends as bytes.
+the way.  The bytes path (``_on_tcp_data``: ``FrameReader`` and the
+frame handlers) receives whatever a foreign peer, or the QUIC mapping,
+sends as bytes, and adapts it onto the records: a DATA frame becomes
+the tuple ``_on_data_record`` takes, and ``_handle_header_frame``
+gathers a HEADERS or PUSH_PROMISE frame and its CONTINUATIONs into the
+record ``_on_header_block`` finishes, where ``HpackDecoder`` decodes it.
 
 Send-side design (mirrors h2o): control frames (HEADERS, PUSH_PROMISE,
 SETTINGS, WINDOW_UPDATE, RST_STREAM, PING, GOAWAY) are queued and
@@ -106,6 +109,40 @@ _END_HEADERS_RAW = Flag.END_HEADERS._value_
 _ACK_RAW = Flag.ACK._value_
 _END_HEADERS_END_STREAM_RAW = _END_HEADERS_RAW | _END_STREAM_RAW
 
+#: The pseudo-header fields of a request (RFC 7540 §8.1.2.3), and those
+#: it must carry.
+_REQUEST_PSEUDO = frozenset((":method", ":scheme", ":authority", ":path"))
+_REQUIRED_PSEUDO = frozenset((":method", ":scheme", ":path"))
+#: Connection-specific fields (§8.1.2.2).
+_CONNECTION_FIELDS = frozenset(
+    ("connection", "keep-alive", "proxy-connection", "transfer-encoding", "upgrade")
+)
+
+
+def _malformed_request(headers: List[Header]) -> Optional[str]:
+    """Why a request's header list is malformed (§8.1.2), or ``None``.
+    A CONNECT request (§8.3) is held to the same rule: the model has no
+    tunnels."""
+    pseudo: Set[str] = set()
+    regular = False
+    for name, value in headers:
+        if name != name.lower():
+            return f"uppercase field name {name!r} (§8.1.2)"
+        if name[:1] != ":":
+            regular = True
+            if name in _CONNECTION_FIELDS or (name == "te" and value != "trailers"):
+                return f"connection-specific field {name!r} (§8.1.2.2)"
+        elif regular:
+            return f"pseudo-header {name!r} after a regular field (§8.1.2.1)"
+        elif name not in _REQUEST_PSEUDO or name in pseudo:
+            return f"pseudo-header {name!r} unknown or repeated (§8.1.2.1, §8.1.2.3)"
+        else:
+            pseudo.add(name)
+    if not _REQUIRED_PSEUDO <= pseudo:
+        return f"request without {', '.join(sorted(_REQUIRED_PSEUDO - pseudo))} (§8.1.2.3)"
+    return None
+
+
 #: Builds a :class:`HeaderBlock` from a tuple of its fields without the
 #: Python-level ``__new__`` a named tuple's constructor is: one call
 #: fewer per header block.
@@ -142,7 +179,10 @@ class H2Connection:
 
         self.local_settings = settings or Settings()
         self.remote_settings = Settings()
-        self._reader = FrameReader(expect_preface=(role == "server"))
+        self._reader = FrameReader(
+            expect_preface=(role == "server"),
+            max_frame_size=self.local_settings._values[MAX_FRAME_SIZE],
+        )
         self._encoder = HpackEncoder(self.local_settings.header_table_size)
         self._decoder = HpackDecoder(self.local_settings.header_table_size)
 
@@ -182,9 +222,10 @@ class H2Connection:
         #: connection window crossing zero, a new initial window size —
         #: re-derives every candidate.  The scheduler picks from this.
         self._ready: Set[int] = set()
-        #: An open header block awaiting CONTINUATION frames:
-        #: ``(stream id, END_STREAM set, fragments so far)``.
-        self._header_fragments: Optional[Tuple[int, bool, bytearray]] = None
+        #: A header block received as bytes and awaiting CONTINUATION
+        #: frames: ``((stream id, flags, priority, promised id), block so
+        #: far)``, the first four fields of its :class:`HeaderBlock`.
+        self._header_fragments: Optional[Tuple[tuple, bytearray]] = None
         self._pumping = False
 
         # --- event callbacks (set by server / browser layers) ---
@@ -713,24 +754,74 @@ class H2Connection:
             self._pump()
 
     def _on_header_block(self, record: HeaderBlock) -> None:
-        """A header block written by the peer's ``_queue_header_block``:
-        what the frame handlers do with its frames, given the header
-        list instead of a block to decode."""
-        stream_id, flags, priority, promised_id, _, headers, sizes = record
+        """A header block is complete: a record the peer's
+        ``_queue_header_block`` wrote, or one ``_handle_header_frame``
+        gathered from bytes, whose frames ``_on_tcp_data`` has counted
+        (``sizes`` is empty) and whose block is decoded here (``headers``
+        is ``None``).  A HEADERS block is decoded whatever its stream's
+        state, since it has changed the connection's HPACK context
+        (§4.3); a PUSH_PROMISE only once the checks that refuse the
+        frame undecoded have passed."""
+        stream_id, flags, priority, promised_id, block, headers, sizes = record
         self.frames_received += len(sizes)
         if self._tracer is not None:
             name = "HEADERS" if promised_id is None else "PUSH_PROMISE"
             for size in sizes:
                 self._tracer.emit(FrameReceived, self._trace_name, name, stream_id, size)
                 name = "CONTINUATION"
-        if self._header_fragments is not None:
-            raise ProtocolError("expected CONTINUATION frame")
-        if promised_id is not None:
-            self._finish_push_promise(stream_id, flags, promised_id, headers)
+        if promised_id is None:
+            if priority is not None and self.role == "server":
+                self._handle_priority(record)
+            if headers is None:
+                headers = self._decoder.decode(block)
+                # Our own peer's requests are well formed: only a block
+                # received as bytes, and one that opens a stream (not
+                # trailers), is checked.
+                if self.role == "server" and stream_id not in self.streams:
+                    malformed = _malformed_request(headers)
+                    if malformed is not None:
+                        raise StreamError(malformed, stream_id, ErrorCode.PROTOCOL_ERROR)
+            self._finish_header_block(stream_id, headers, flags & _END_STREAM_RAW != 0)
             return
-        if priority is not None and self.role == "server":
-            self._handle_priority(record)
-        self._finish_header_block(stream_id, headers, flags & _END_STREAM_RAW != 0)
+        if self.role != "client":
+            raise ProtocolError("servers do not receive PUSH_PROMISE")
+        if not self.local_settings._values[ENABLE_PUSH]:
+            raise ProtocolError("PUSH_PROMISE after SETTINGS_ENABLE_PUSH=0 (§8.2)")
+        if headers is None:
+            headers = self._decoder.decode(block)
+        parent = self.streams.get(stream_id)
+        if parent is None or _TRANSITIONS[parent.state, _RECV_PUSH_PROMISE] < 0:
+            self._admit(stream_id, _RECV_PUSH_PROMISE)
+            return
+        self._open_stream(promised_id, _RESERVE_REMOTE)
+        if self.on_push_promise is not None:
+            self.on_push_promise(stream_id, promised_id, headers)
+
+    def _handle_header_frame(self, frame) -> None:
+        """A HEADERS, PUSH_PROMISE or CONTINUATION frame received as
+        bytes: the block is gathered until END_HEADERS, then finished
+        as a record is, by ``_on_header_block``."""
+        if frame.__class__ is ContinuationFrame:
+            if self._header_fragments is None:
+                raise ProtocolError("CONTINUATION without open header block")
+            head, buffer = self._header_fragments
+            if frame.stream_id != head[0]:
+                raise ProtocolError("CONTINUATION on wrong stream")
+            buffer += frame.header_block
+            if not frame.flags & _END_HEADERS_RAW:
+                return
+            self._header_fragments = None
+            block = bytes(buffer)
+        else:
+            if frame.__class__ is HeadersFrame:
+                head = (frame.stream_id, frame.flags, frame.priority, None)
+            else:
+                head = (frame.stream_id, frame.flags, None, frame.promised_stream_id)
+            block = frame.header_block
+            if not frame.flags & _END_HEADERS_RAW:
+                self._header_fragments = (head, bytearray(block))
+                return
+        self._on_header_block(_new_record(HeaderBlock, (*head, block, None, ())))
 
     #: Frame class -> the name of its handler: one lookup per frame
     #: received, and the handler is found on the instance, so a
@@ -739,10 +830,10 @@ class H2Connection:
     #: before it has already refused it.
     _HANDLERS = {
         WindowUpdateFrame: "_handle_window_update",
-        HeadersFrame: "_handle_headers",
-        ContinuationFrame: "_handle_continuation",
+        HeadersFrame: "_handle_header_frame",
+        PushPromiseFrame: "_handle_header_frame",
+        ContinuationFrame: "_handle_header_frame",
         SettingsFrame: "_handle_settings",
-        PushPromiseFrame: "_handle_push_promise",
         RstStreamFrame: "_handle_rst",
         PriorityFrame: "_handle_priority",
         PingFrame: "_handle_ping",
@@ -765,6 +856,9 @@ class H2Connection:
             # earlier values must be valid too; the last one stands.
             for code, value in frame.superseded:
                 self.remote_settings.apply({code: value})
+                if code == HEADER_TABLE_SIZE:
+                    # RFC 7541 §4.2: the encoder signals the smallest.
+                    self._encoder.set_max_table_size(value)
         self.remote_settings.apply(frame.settings)
         new_window = self.remote_settings.initial_window_size
         if new_window != old_window:
@@ -786,37 +880,8 @@ class H2Connection:
             self._encoder.set_max_table_size(frame.settings[HEADER_TABLE_SIZE])
         self._queue_wire("SETTINGS", 0, pack_settings(0, _ACK_RAW, {}))
 
-    def _handle_headers(self, frame: HeadersFrame) -> None:
-        if frame.priority is not None and self.role == "server":
-            self._handle_priority(frame)
-        raw = frame.flags
-        if not raw & _END_HEADERS_RAW:
-            self._header_fragments = (
-                frame.stream_id,
-                raw & _END_STREAM_RAW != 0,
-                bytearray(frame.header_block),
-            )
-            return
-        self._finish_header_block(
-            frame.stream_id, self._decoder.decode(frame.header_block), raw & _END_STREAM_RAW != 0
-        )
-
-    def _handle_continuation(self, frame: ContinuationFrame) -> None:
-        if self._header_fragments is None:
-            raise ProtocolError("CONTINUATION without open header block")
-        stream_id, end_stream, buffer = self._header_fragments
-        if frame.stream_id != stream_id:
-            raise ProtocolError("CONTINUATION on wrong stream")
-        buffer.extend(frame.header_block)
-        if frame.flags & _END_HEADERS_RAW:
-            self._header_fragments = None
-            self._finish_header_block(stream_id, self._decoder.decode(bytes(buffer)), end_stream)
-
     def _finish_header_block(self, stream_id: int, headers: List[Header], end_stream: bool) -> None:
-        """A HEADERS block is complete: ``headers`` is a record's header
-        list, or the block the frame handlers decoded whatever the
-        stream's state (the block has changed the connection's HPACK
-        context, §4.3)."""
+        """A HEADERS block is complete and ``headers`` is its list."""
         stream = self.streams.get(stream_id)
         if stream is None:
             if self.role == "client":
@@ -866,37 +931,6 @@ class H2Connection:
             self.priority_tree.remove(stream.stream_id)
         if self.on_stream_end is not None:
             self.on_stream_end(stream.stream_id)
-
-    def _handle_push_promise(self, frame: PushPromiseFrame) -> None:
-        self._finish_push_promise(
-            frame.stream_id, frame.flags, frame.promised_stream_id, frame.header_block
-        )
-
-    def _finish_push_promise(
-        self,
-        stream_id: int,
-        flags: int,
-        promised_id: int,
-        headers: Union[List[Header], bytes],
-    ) -> None:
-        """A PUSH_PROMISE: ``headers`` is a record's header list, or the
-        received block, decoded here once the checks that refuse the
-        frame undecoded have passed."""
-        if self.role != "client":
-            raise ProtocolError("servers do not receive PUSH_PROMISE")
-        if not self.local_settings._values[ENABLE_PUSH]:
-            raise ProtocolError("PUSH_PROMISE after SETTINGS_ENABLE_PUSH=0 (§8.2)")
-        if not flags & _END_HEADERS_RAW:
-            raise ProtocolError("fragmented PUSH_PROMISE not supported by model")
-        if headers.__class__ is not list:
-            headers = self._decoder.decode(headers)
-        parent = self.streams.get(stream_id)
-        if parent is None or _TRANSITIONS[parent.state, _RECV_PUSH_PROMISE] < 0:
-            self._admit(stream_id, _RECV_PUSH_PROMISE)
-            return
-        self._open_stream(promised_id, _RESERVE_REMOTE)
-        if self.on_push_promise is not None:
-            self.on_push_promise(stream_id, promised_id, headers)
 
     def _handle_window_update(self, frame: WindowUpdateFrame) -> None:
         # Frame parsing has refused a zero increment (§6.9); what is

@@ -35,6 +35,7 @@ from ..errors import ProtocolError
 from .constants import (
     ABSOLUTE_MAX_FRAME_SIZE,
     CONNECTION_PREFACE,
+    DEFAULT_MAX_FRAME_SIZE,
     DEFAULT_WEIGHT,
     FRAME_HEADER_SIZE,
     ErrorCode,
@@ -74,13 +75,6 @@ def _pack_header(length: int, frame_type: int, flags: int, stream_id: int) -> by
             f"frame payload of {length} exceeds maximum", ErrorCode.FRAME_SIZE_ERROR
         )
     return _HEADER_STRUCT.pack((length << 8) | frame_type, flags, stream_id & 0x7FFFFFFF)
-
-
-def _unpack_header(data: bytes) -> Tuple[int, int, int, int]:
-    if len(data) < FRAME_HEADER_SIZE:
-        raise ProtocolError("truncated frame header", ErrorCode.FRAME_SIZE_ERROR)
-    length_type, flags, stream_id = _HEADER_STRUCT.unpack_from(data)
-    return length_type >> 8, length_type & 0xFF, flags, stream_id & 0x7FFFFFFF
 
 
 # ----------------------------------------------------------------------
@@ -568,41 +562,30 @@ class ContinuationFrame(Frame):
 _PARSERS: Dict[int, Type[Frame]] = {cls.TYPE._value_: cls for cls in Frame.__subclasses__()}
 
 
-def parse_frame(data: bytes) -> Tuple[Optional[Frame], int]:
-    """Parse one frame from the head of ``data``.
-
-    Returns ``(frame, bytes_consumed)``.  When ``data`` does not yet
-    hold a complete frame, returns ``(None, 0)`` so stream parsers can
-    wait for more bytes.  Unknown frame types are skipped per §4.1 by
-    returning ``(None, consumed)`` with a positive consumed count.
-    """
-    if len(data) < FRAME_HEADER_SIZE:
-        return None, 0
-    length, frame_type, flags, stream_id = _unpack_header(data)
-    total = FRAME_HEADER_SIZE + length
-    if len(data) < total:
-        return None, 0
-    parser = _PARSERS.get(frame_type)
-    if parser is None:
-        return None, total  # §4.1: ignore and discard unknown types
-    return parser.parse(flags, stream_id, data[FRAME_HEADER_SIZE:total]), total
-
-
 class FrameReader:
-    """Incremental frame parser fed by a TCP byte stream."""
+    """Incremental frame parser fed by a TCP byte stream.
 
-    def __init__(self, expect_preface: bool = False):
+    ``max_frame_size`` is this endpoint's SETTINGS_MAX_FRAME_SIZE: a
+    longer frame is a connection error FRAME_SIZE_ERROR (§4.2, which
+    §5.4.1 allows in place of a stream error), raised once its header
+    has arrived."""
+
+    def __init__(
+        self, expect_preface: bool = False, max_frame_size: int = DEFAULT_MAX_FRAME_SIZE
+    ):
         #: The incomplete tail of the stream; empty between frames.
         self._buffer = b""
         self._expect_preface = expect_preface
+        self._max_frame_size = max_frame_size
 
     def feed(self, data: bytes) -> List[Frame]:
         """Append bytes; return every complete frame now available.
 
         Frames are parsed in place at increasing offsets and only the
-        unconsumed tail (if any) is kept — the obvious loop over
-        ``parse_frame`` re-copies the whole buffer per frame, which is
-        quadratic when a TCP segment completes several frames at once.
+        unconsumed tail (if any) is kept — re-slicing the buffer after
+        each frame would re-copy it per frame, which is quadratic when a
+        TCP segment completes several frames at once.  Frames of an
+        unknown type are skipped (§4.1).
         """
         frames: List[Frame] = []
         if self._buffer:
@@ -619,9 +602,16 @@ class FrameReader:
             self._expect_preface = False
         n = len(data)
         unpack_from = _HEADER_STRUCT.unpack_from
+        max_frame_size = self._max_frame_size
         while n - offset >= FRAME_HEADER_SIZE:
             length_type, flags, stream_id = unpack_from(data, offset)
-            end = offset + FRAME_HEADER_SIZE + (length_type >> 8)
+            length = length_type >> 8
+            if length > max_frame_size:
+                raise ProtocolError(
+                    f"{length}-octet frame exceeds SETTINGS_MAX_FRAME_SIZE {max_frame_size}",
+                    ErrorCode.FRAME_SIZE_ERROR,
+                )
+            end = offset + FRAME_HEADER_SIZE + length
             if end > n:
                 break
             parser = _PARSERS.get(length_type & 0xFF)

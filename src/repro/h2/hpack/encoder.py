@@ -98,6 +98,10 @@ class HpackEncoder:
 
     def __init__(self, max_table_size: int = 4096):
         self._table = DynamicTable(max_table_size)
+        #: The size this encoder uses where the peer allows it.
+        self._wanted_size = max_table_size
+        #: Table size updates for the next block: the smallest size
+        #: since the last block, then the size now if it is larger.
         self._pending_resize: List[int] = []
 
     @property
@@ -105,10 +109,17 @@ class HpackEncoder:
         return self._table
 
     def set_max_table_size(self, size: int) -> None:
-        """Schedule a table size update to emit in the next block."""
-        self._table.set_protocol_max(size)
-        self._table.resize(min(size, self._table.max_size))
-        self._pending_resize.append(self._table.max_size)
+        """The peer's SETTINGS_HEADER_TABLE_SIZE is now ``size``: the
+        table takes the smaller of it and the wanted size at once, and
+        the next block signals the smallest size the table had since
+        the last block, then its final size (RFC 7541 §4.2)."""
+        table = self._table
+        table.set_protocol_max(size)
+        table.resize(min(size, self._wanted_size))
+        size = table.max_size
+        pending = self._pending_resize
+        smallest = min(pending[0], size) if pending else size
+        self._pending_resize = [smallest] if smallest == size else [smallest, size]
 
     def encode(
         self,

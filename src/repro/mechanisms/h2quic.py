@@ -9,11 +9,14 @@ mapping onto the wire (an HTTP/3-flavored framing, simplified):
 * **Control plane on QUIC stream 0, as bytes.**  The connection preface
   and every non-DATA frame (SETTINGS, HEADERS, PUSH_PROMISE,
   WINDOW_UPDATE, RST_STREAM, ...) ride the ordered control stream,
-  parsed by the unchanged :class:`~repro.h2.frames.FrameReader` and
-  decoded by the unchanged HPACK decoder.  Over TCP a header block
-  travels as one :class:`~repro.h2.frames.HeaderBlock` record that the
-  receiver neither parses nor decodes; here ``_queue_header_block``
-  turns the record back into its frames (``header_block_frames``).  A
+  parsed by the unchanged :class:`~repro.h2.frames.FrameReader`.  Over
+  TCP a header block travels as one
+  :class:`~repro.h2.frames.HeaderBlock` record that the receiver
+  neither parses nor decodes; here ``_queue_header_block`` turns the
+  record back into its frames (``header_block_frames``), and the
+  receiver's one bytes-path handler, ``_handle_header_frame``, gathers
+  them back into a record that the same ``_on_header_block`` finishes,
+  decoding its block with the unchanged HPACK decoder.  A
   QUIC half carries stream bytes cut at packet boundaries, not records,
   and the QUIC loads were measured on bytes: on ``replay_lossy`` (seed
   2018), where a third of the loads run over QUIC, ``h2`` calls per

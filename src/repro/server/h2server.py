@@ -124,10 +124,10 @@ class ReplayServer:
         if self.server_delay_ms > 0:
             self.sim.schedule(
                 self.server_delay_ms,
-                lambda: self._serve(conn, stream_id, url, record, digest, plan),
+                lambda: self._serve(conn, stream_id, record, digest, plan),
             )
         else:
-            self._serve(conn, stream_id, url, record, digest, plan)
+            self._serve(conn, stream_id, record, digest, plan)
 
     @staticmethod
     def _parse_cache_digest(headers: List[Header]):
@@ -149,18 +149,15 @@ class ReplayServer:
         self,
         conn: H2Connection,
         stream_id: int,
-        url: str,
         record: Optional[ResponseRecord],
-        digest=None,
-        plan: Optional[PushPlan] = None,
+        digest: Optional[CacheDigest],
+        plan: Optional[PushPlan],
     ) -> None:
         self.requests_served += 1
         if record is None:
             conn.respond(stream_id, [(":status", "404")], end_stream=True)
             return
         is_document = record.rtype == _HTML and self.strategy is not None
-        if is_document and plan is None:
-            plan = self.strategy.plan(url, self.matcher._db, self.is_authoritative)
         response_headers = record.response_headers()
         if plan is not None and plan.hint_urls:
             # Server-aided discovery (MetaPush [20] / Vroom [32]): the

@@ -3,20 +3,29 @@ from the RFC.
 
 Each case drives one ``H2Connection`` with frames packed by
 ``tests/support/h2peer.py`` and reads back what it raises.  The model
-raises every violation as a connection error (§5.4.1), with its RFC
-7540 §7 ``error_code``.
+raises every violation (§5.4), with its RFC 7540 §7 ``error_code``: a
+connection error as :class:`ProtocolError`, a stream error as
+:class:`StreamError`.
 """
 
 import pytest
 
-from repro.errors import FlowControlError, ProtocolError
+from repro.errors import FlowControlError, ProtocolError, StreamError
 from tests.support.h2peer import (
+    END_HEADERS,
+    END_STREAM,
     FLOW_CONTROL_ERROR,
+    FRAME_SIZE_ERROR,
+    HEADERS,
     PROTOCOL_ERROR,
+    REQUEST,
     SETTINGS,
     SETTINGS_ENABLE_PUSH,
+    SETTINGS_HEADER_TABLE_SIZE,
     SETTINGS_INITIAL_WINDOW_SIZE,
     H2Peer,
+    frame,
+    header_block,
     of_type,
     settings_pairs,
 )
@@ -72,3 +81,88 @@ def test_valid_repeats_are_accepted_and_the_last_value_stands():
     )
     assert peer.conn.remote_settings.initial_window_size == 100
     assert len(of_type(peer.receive(), SETTINGS)) == 1
+
+
+def test_every_header_table_size_of_a_frame_reaches_the_encoder():
+    # RFC 7541 §4.2: when the table size limit changes more than once
+    # between two header blocks, the next block signals the smallest
+    # size in that interval first (0: `20`), then the final one (4 096:
+    # `3fe11f`).  A response to the request follows (`88`, :status 200).
+    peer = H2Peer("server")
+    peer.conn.on_request = lambda sid, headers, prio: peer.conn.respond(
+        sid, [(":status", "200")], end_stream=True
+    )
+    peer.handshake()
+    peer.send(settings_pairs((SETTINGS_HEADER_TABLE_SIZE, 0), (SETTINGS_HEADER_TABLE_SIZE, 4096)))
+    peer.send(frame(HEADERS, END_HEADERS | END_STREAM, 1, header_block(REQUEST)))
+    (response,) = of_type(peer.receive(), HEADERS)
+    assert response.payload.hex() == "203fe11f88"
+
+
+# ---------------------------------------------------------------------------
+# §4.2: a frame longer than the receiver's SETTINGS_MAX_FRAME_SIZE
+# ---------------------------------------------------------------------------
+
+
+def request_of(size: int) -> bytes:
+    """A HEADERS frame of ``size`` payload octets: the request, then
+    ``x-pad`` fields of 108 octets each and one that takes the rest."""
+    fields = list(REQUEST)
+    rest = size - len(header_block(fields))
+    while rest > 0:
+        value = min(rest - 8, 100)  # a field is 8 octets plus its value
+        fields.append(("x-pad", "p" * value))
+        rest -= 8 + value
+    block = header_block(fields)
+    assert len(block) == size
+    return frame(HEADERS, END_HEADERS | END_STREAM, 1, block)
+
+
+def test_a_frame_over_max_frame_size_is_frame_size_error():
+    # §4.2: a frame longer than SETTINGS_MAX_FRAME_SIZE (16 384 here,
+    # the initial value) is FRAME_SIZE_ERROR; one that carries a header
+    # block is a connection error, since it changes the HPACK context.
+    peer = H2Peer("server")
+    peer.handshake()
+    raises(peer, ProtocolError, FRAME_SIZE_ERROR, request_of(20_000))
+
+
+def test_a_frame_of_exactly_max_frame_size_is_accepted():
+    peer = H2Peer("server")
+    requests = []
+    peer.conn.on_request = lambda sid, headers, prio: requests.append(sid)
+    peer.handshake()
+    peer.send(request_of(16_384))
+    assert requests == [1]
+
+
+# ---------------------------------------------------------------------------
+# §8.1.2: a malformed request is a stream error PROTOCOL_ERROR (§8.1.2.6)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # §8.1.2: field names are lower case.
+        REQUEST + [("User-Agent", "peer")],
+        # §8.1.2.2: no connection-specific field.
+        REQUEST + [("connection", "keep-alive")],
+        # §8.1.2.3: a request carries :method, :scheme and :path.
+        REQUEST[:3],
+        # §8.1.2.1: every pseudo-header precedes every regular field.
+        REQUEST[:3] + [("user-agent", "peer"), (":path", "/")],
+        # §8.1.2.1: a request carries only the pseudo-headers it defines.
+        REQUEST + [(":foo", "bar")],
+    ],
+    ids=["uppercase-name", "connection-field", "no-path", "pseudo-after-regular", "unknown-pseudo"],
+)
+def test_a_malformed_request_is_a_stream_error(fields):
+    peer = H2Peer("server")
+    requests = []
+    peer.conn.on_request = lambda sid, headers, prio: requests.append(sid)
+    peer.handshake()
+    with pytest.raises(StreamError) as excinfo:
+        peer.send(frame(HEADERS, END_HEADERS | END_STREAM, 1, header_block(fields)))
+    assert (excinfo.value.stream_id, excinfo.value.error_code) == (1, PROTOCOL_ERROR)
+    assert requests == []

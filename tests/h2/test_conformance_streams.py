@@ -24,6 +24,7 @@ from tests.support.h2peer import (
     HEADERS,
     PING,
     PROTOCOL_ERROR,
+    PUSH_PROMISE,
     REQUEST,
     RST_STREAM,
     STREAM_CLOSED,
@@ -261,6 +262,19 @@ def test_continuation_completes_a_header_block():
     block = header_block(REQUEST)
     peer.send(peer.headers(1, end_stream=True, block=block[:5]), continuation(1, block[5:]))
     assert peer.requests == [1]
+
+
+def test_continuation_completes_a_push_promise():
+    # §6.6, §6.10: a PUSH_PROMISE without END_HEADERS, then CONTINUATION
+    # with it; the promise carries the whole block's header list.
+    peer = client_under_test()
+    promises = []
+    peer.conn.on_push_promise = lambda parent, pid, headers: promises.append((parent, pid, headers))
+    block = header_block(PUSHED)
+    peer.send(
+        frame(PUSH_PROMISE, 0, 1, struct.pack(">I", 2) + block[:5]), continuation(1, block[5:])
+    )
+    assert promises == [(1, 2, PUSHED)]
 
 
 def test_interleaved_frame_in_a_header_block_is_protocol_error():

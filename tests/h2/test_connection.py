@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ProtocolError
-from repro.h2 import ErrorCode, H2Connection, PriorityData, Settings, StreamState
+from repro.h2 import ErrorCode, H2Connection, PriorityData, PushPromiseFrame, Settings, StreamState
+from repro.h2.hpack import HpackEncoder
 from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.netsim import DSL_TESTBED, Topology
 from repro.sim import Simulator
@@ -129,6 +130,31 @@ def test_push_promise_delivered_before_pushed_data():
     promise_index = events.index(("promise", 2))
     first_pushed_data = events.index(("data", 2))
     assert promise_index < first_pushed_data
+
+
+@pytest.mark.parametrize("transport", ["tcp", "quic"])
+def test_a_push_promise_continued_in_continuation_frames_is_received(transport):
+    """RFC 7540 §6.6: a PUSH_PROMISE whose block the peer's
+    SETTINGS_MAX_FRAME_SIZE cannot hold continues in CONTINUATION
+    frames, as a HEADERS block does; the client takes the block whole.
+    Over TCP it arrives as one record, over QUIC as frames."""
+    sim, client, server = make_pair(conditions=replace(DSL_TESTBED, transport=transport))
+    pushed = REQUEST[:3] + [(":path", "/" + "p" * 60_000)]
+    assert len(HpackEncoder().encode(pushed)) > client.local_settings.max_frame_size
+    promises, responses = [], []
+    client.on_push_promise = lambda parent, pid, headers: promises.append((parent, pid, headers))
+    client.on_response = lambda sid, headers: responses.append(sid)
+
+    def on_request(sid, headers, prio):
+        pid = server.push(sid, pushed)
+        server.respond(sid, [(":status", "200")], end_stream=True)
+        server.respond(pid, [(":status", "200")], end_stream=True)
+
+    server.on_request = on_request
+    client.request(REQUEST)
+    sim.run()
+    assert promises == [(1, 2, pushed)]
+    assert responses == [1, 2]
 
 
 def test_push_disabled_by_settings():
@@ -306,18 +332,19 @@ def test_received_frames_reach_a_subclass_override(monkeypatch):
     that run, on both sides."""
     seen = []
     finish = H2OverQuicConnection._finish_header_block
-    handle_push = H2OverQuicConnection._handle_push_promise
+    handle_header_frame = H2OverQuicConnection._handle_header_frame
 
     def spy_finish(self, stream_id, headers, end_stream):
         seen.append((self.role, "headers", stream_id))
         finish(self, stream_id, headers, end_stream)
 
-    def spy_push(self, frame):
-        seen.append((self.role, "push_promise", frame.promised_stream_id))
-        handle_push(self, frame)
+    def spy_header_frame(self, frame):
+        if frame.__class__ is PushPromiseFrame:
+            seen.append((self.role, "push_promise", frame.promised_stream_id))
+        handle_header_frame(self, frame)
 
     monkeypatch.setattr(H2OverQuicConnection, "_finish_header_block", spy_finish)
-    monkeypatch.setattr(H2OverQuicConnection, "_handle_push_promise", spy_push)
+    monkeypatch.setattr(H2OverQuicConnection, "_handle_header_frame", spy_header_frame)
     sim, client, server = make_pair(conditions=replace(DSL_TESTBED, transport="quic"))
 
     def on_request(sid, headers, prio):

@@ -25,15 +25,17 @@ from repro.h2 import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    parse_frame,
 )
 from repro.h2.frames import _PARSERS
 from tests.support import frame_reference as ref
 
 
 def round_trip(frame):
-    parsed, consumed = parse_frame(frame.serialize())
-    assert consumed == len(frame.serialize())
+    """The one frame a fresh reader parses from ``frame``'s octets,
+    which it consumes whole."""
+    reader = FrameReader()
+    (parsed,) = reader.feed(frame.serialize())
+    assert reader.buffered_bytes == 0
     return parsed
 
 
@@ -63,7 +65,7 @@ class TestDataFrame:
         wire = bytearray(DataFrame(stream_id=1, data=b"ab", pad_length=1).serialize())
         wire[9] = 200  # corrupt the pad-length octet
         with pytest.raises(ProtocolError):
-            parse_frame(bytes(wire))
+            FrameReader().feed(bytes(wire))
 
     def test_wire_size(self):
         frame = DataFrame(stream_id=1, data=b"x" * 100)
@@ -134,7 +136,7 @@ class TestControlFrames:
         # §6.3: PRIORITY on stream 0 is a connection error.
         wire = ref.priority_frame(0, 0, (3, 16, False))
         with pytest.raises(ProtocolError) as excinfo:
-            parse_frame(wire)
+            FrameReader().feed(wire)
         assert excinfo.value.error_code == ErrorCode.PROTOCOL_ERROR
 
     def test_rst_stream(self):
@@ -154,7 +156,7 @@ class TestControlFrames:
         wire = SettingsFrame(stream_id=0, settings={1: 1}).serialize()
         corrupted = wire[:5] + b"\x00\x00\x00\x03" + wire[9:]
         with pytest.raises(ProtocolError):
-            parse_frame(corrupted)
+            FrameReader().feed(corrupted)
 
     def test_push_promise(self):
         frame = round_trip(
@@ -193,7 +195,7 @@ class TestControlFrames:
         # §6.8: GOAWAY on a stream other than 0 is a connection error.
         wire = ref.goaway(1, 0, 0, 0, b"")
         with pytest.raises(ProtocolError) as excinfo:
-            parse_frame(wire)
+            FrameReader().feed(wire)
         assert excinfo.value.error_code == ErrorCode.PROTOCOL_ERROR
 
     def test_window_update(self):
@@ -204,7 +206,7 @@ class TestControlFrames:
         wire = WindowUpdateFrame(stream_id=0, increment=1).serialize()
         corrupted = wire[:9] + b"\x00\x00\x00\x00"
         with pytest.raises(ProtocolError):
-            parse_frame(corrupted)
+            FrameReader().feed(corrupted)
 
     def test_continuation(self):
         frame = round_trip(

@@ -18,7 +18,6 @@ from repro.h2.frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    parse_frame,
 )
 
 _STREAM_ID = st.integers(min_value=1, max_value=2**31 - 1)
@@ -27,10 +26,11 @@ _STREAM_ID = st.integers(min_value=1, max_value=2**31 - 1)
 @given(stream_id=_STREAM_ID, data=st.binary(max_size=2000), pad=st.integers(0, 255))
 def test_data_frame_round_trip(stream_id, data, pad):
     frame = DataFrame(stream_id=stream_id, data=data, pad_length=pad)
-    parsed, consumed = parse_frame(frame.serialize())
+    reader = FrameReader()
+    (parsed,) = reader.feed(frame.serialize())
     assert parsed.stream_id == stream_id
     assert parsed.data == data
-    assert consumed == frame.wire_size
+    assert reader.buffered_bytes == 0
 
 
 @given(
@@ -47,14 +47,14 @@ def test_priority_data_round_trip(stream_id, depends_on, weight, exclusive):
 @given(settings_map=st.dictionaries(st.integers(1, 6), st.integers(0, 2**31 - 1), max_size=6))
 def test_settings_round_trip(settings_map):
     frame = SettingsFrame(stream_id=0, settings=settings_map)
-    parsed, _ = parse_frame(frame.serialize())
+    (parsed,) = FrameReader().feed(frame.serialize())
     assert parsed.settings == settings_map
 
 
 @given(increment=st.integers(1, 2**31 - 1))
 def test_window_update_round_trip(increment):
     frame = WindowUpdateFrame(stream_id=0, increment=increment)
-    parsed, _ = parse_frame(frame.serialize())
+    (parsed,) = FrameReader().feed(frame.serialize())
     assert parsed.increment == increment
 
 
@@ -79,7 +79,7 @@ def test_reader_reassembles_any_chunking(frames_spec, chunk):
 
 @given(opaque=st.binary(min_size=8, max_size=8))
 def test_ping_round_trip(opaque):
-    parsed, _ = parse_frame(PingFrame(stream_id=0, opaque=opaque).serialize())
+    (parsed,) = FrameReader().feed(PingFrame(stream_id=0, opaque=opaque).serialize())
     assert parsed.opaque == opaque
 
 
@@ -88,7 +88,7 @@ def test_goaway_round_trip(last, debug):
     frame = GoAwayFrame(
         stream_id=0, last_stream_id=last, error_code=ErrorCode.NO_ERROR, debug_data=debug
     )
-    parsed, _ = parse_frame(frame.serialize())
+    (parsed,) = FrameReader().feed(frame.serialize())
     assert parsed.last_stream_id == last
     assert parsed.debug_data == debug
 

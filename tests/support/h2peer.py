@@ -63,6 +63,7 @@ END_HEADERS = 0x4
 PADDED = 0x8
 
 # §6.5.2: setting identifiers.
+SETTINGS_HEADER_TABLE_SIZE = 0x1
 SETTINGS_ENABLE_PUSH = 0x2
 SETTINGS_INITIAL_WINDOW_SIZE = 0x4
 
@@ -71,6 +72,7 @@ NO_ERROR = 0x0
 PROTOCOL_ERROR = 0x1
 FLOW_CONTROL_ERROR = 0x3
 STREAM_CLOSED = 0x5
+FRAME_SIZE_ERROR = 0x6
 CANCEL = 0x8
 
 #: §6.9.1: the largest legal flow-control window.

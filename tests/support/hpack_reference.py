@@ -43,19 +43,26 @@ class ReferenceHpackEncoder:
 
     def __init__(self, max_table_size: int = 4096):
         self.table = DynamicTable(max_table_size)
-        self._pending_resize = []
+        self._initial_size = max_table_size
+        #: Every size the table took since the last block, in order.
+        self._sizes_since_block = []
 
     def set_max_table_size(self, size: int) -> None:
         self.table.set_protocol_max(size)
-        self.table.resize(min(size, self.table.max_size))
-        self._pending_resize.append(self.table.max_size)
+        self.table.resize(min(size, self._initial_size))
+        self._sizes_since_block.append(self.table.max_size)
 
     def encode(self, headers, sensitive=()) -> bytes:
         sensitive_names = {name.lower() for name in sensitive}
         out = bytearray()
-        for size in self._pending_resize:
-            out.extend(encode_integer(size, 5, 0x20))
-        self._pending_resize.clear()
+        if self._sizes_since_block:
+            # RFC 7541 §4.2: the smallest size in the interval, then the
+            # final size if the table grew back from it.
+            smallest, final = min(self._sizes_since_block), self._sizes_since_block[-1]
+            out.extend(encode_integer(smallest, 5, 0x20))
+            if final != smallest:
+                out.extend(encode_integer(final, 5, 0x20))
+        self._sizes_since_block = []
         for name, value in headers:
             name = name.lower()
             entry_size(name, value)  # the one rule: non-ASCII is an HpackError
