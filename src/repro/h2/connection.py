@@ -11,12 +11,13 @@ octets: the sender still HPACK-encodes it, and the receiver takes the
 header list the encoder was handed instead of parsing and decoding the
 octets.  So every protocol overhead is charged against the simulated
 links while no body byte is copied and no header block is decoded on
-the way.  The bytes path (``_on_tcp_data``: ``FrameReader`` and the
-frame handlers) receives whatever a foreign peer, or the QUIC mapping,
-sends as bytes, and adapts it onto the records: a DATA frame becomes
-the tuple ``_on_data_record`` takes, and ``_handle_header_frame``
-gathers a HEADERS or PUSH_PROMISE frame and its CONTINUATIONs into the
-record ``_on_header_block`` finishes, where ``HpackDecoder`` decodes it.
+the way, over TCP and on QUIC's control stream alike.  The bytes path
+(``_on_tcp_data``: ``FrameReader`` and the frame handlers) receives
+what a foreign peer sends as bytes, and adapts it onto the records: a
+DATA frame becomes the tuple ``_on_data_record`` takes, and
+``_handle_header_frame`` gathers a HEADERS or PUSH_PROMISE frame and
+its CONTINUATIONs into the record ``_on_header_block`` finishes, where
+``HpackDecoder`` decodes it.
 
 Send-side design (mirrors h2o): control frames (HEADERS, PUSH_PROMISE,
 SETTINGS, WINDOW_UPDATE, RST_STREAM, PING, GOAWAY) are queued and
@@ -109,20 +110,28 @@ _END_HEADERS_RAW = Flag.END_HEADERS._value_
 _ACK_RAW = Flag.ACK._value_
 _END_HEADERS_END_STREAM_RAW = _END_HEADERS_RAW | _END_STREAM_RAW
 
-#: The pseudo-header fields of a request (RFC 7540 §8.1.2.3), and those
-#: it must carry.
-_REQUEST_PSEUDO = frozenset((":method", ":scheme", ":authority", ":path"))
-_REQUIRED_PSEUDO = frozenset((":method", ":scheme", ":path"))
+#: By the role that receives it, what a header list is, the
+#: pseudo-header fields it may carry and those it must: a server's
+#: requests (RFC 7540 §8.1.2.3), a client's responses (§8.1.2.4).
+_PSEUDO = {
+    "server": (
+        "request",
+        frozenset((":method", ":scheme", ":authority", ":path")),
+        frozenset((":method", ":scheme", ":path")),
+    ),
+    "client": ("response", frozenset((":status",)), frozenset((":status",))),
+}
 #: Connection-specific fields (§8.1.2.2).
 _CONNECTION_FIELDS = frozenset(
     ("connection", "keep-alive", "proxy-connection", "transfer-encoding", "upgrade")
 )
 
 
-def _malformed_request(headers: List[Header]) -> Optional[str]:
-    """Why a request's header list is malformed (§8.1.2), or ``None``.
-    A CONNECT request (§8.3) is held to the same rule: the model has no
-    tunnels."""
+def _malformed(headers: List[Header], role: str) -> Optional[str]:
+    """Why a request (``role`` "server") or a response (``role``
+    "client") is malformed (§8.1.2), or ``None``.  A CONNECT request
+    (§8.3) is held to the same rule: the model has no tunnels."""
+    kind, allowed, required = _PSEUDO[role]
     pseudo: Set[str] = set()
     regular = False
     for name, value in headers:
@@ -134,12 +143,12 @@ def _malformed_request(headers: List[Header]) -> Optional[str]:
                 return f"connection-specific field {name!r} (§8.1.2.2)"
         elif regular:
             return f"pseudo-header {name!r} after a regular field (§8.1.2.1)"
-        elif name not in _REQUEST_PSEUDO or name in pseudo:
-            return f"pseudo-header {name!r} unknown or repeated (§8.1.2.1, §8.1.2.3)"
+        elif name not in allowed or name in pseudo:
+            return f"pseudo-header {name!r} unknown, repeated or misplaced (§8.1.2.1)"
         else:
             pseudo.add(name)
-    if not _REQUIRED_PSEUDO <= pseudo:
-        return f"request without {', '.join(sorted(_REQUIRED_PSEUDO - pseudo))} (§8.1.2.3)"
+    if not required <= pseudo:
+        return f"{kind} without {', '.join(sorted(required - pseudo))} (§8.1.2.3, §8.1.2.4)"
     return None
 
 
@@ -183,7 +192,9 @@ class H2Connection:
             expect_preface=(role == "server"),
             max_frame_size=self.local_settings._values[MAX_FRAME_SIZE],
         )
-        self._encoder = HpackEncoder(self.local_settings.header_table_size)
+        # The encoder works within the peer's table, 4 096 octets until
+        # its SETTINGS say otherwise (§6.5.2); the decoder within ours.
+        self._encoder = HpackEncoder(self.remote_settings.header_table_size)
         self._decoder = HpackDecoder(self.local_settings.header_table_size)
 
         self.streams: Dict[int, H2Stream] = {}
@@ -774,11 +785,16 @@ class H2Connection:
                 self._handle_priority(record)
             if headers is None:
                 headers = self._decoder.decode(block)
-                # Our own peer's requests are well formed: only a block
-                # received as bytes, and one that opens a stream (not
-                # trailers), is checked.
-                if self.role == "server" and stream_id not in self.streams:
-                    malformed = _malformed_request(headers)
+                # Our own peer's header lists are well formed: only a
+                # block received as bytes is checked, one that opens a
+                # request or carries a response (not trailers).
+                stream = self.streams.get(stream_id)
+                if (
+                    stream is None
+                    if self.role == "server"
+                    else stream is not None and stream.response_headers is None
+                ):
+                    malformed = _malformed(headers, self.role)
                     if malformed is not None:
                         raise StreamError(malformed, stream_id, ErrorCode.PROTOCOL_ERROR)
             self._finish_header_block(stream_id, headers, flags & _END_STREAM_RAW != 0)
@@ -896,6 +912,18 @@ class H2Connection:
             state = _TRANSITIONS[stream.state, _RECV_HEADERS]
             if state < 0:
                 self._admit(stream_id, _RECV_HEADERS)
+                return
+            if self.role == "server":
+                # A second block on an open request stream is its
+                # trailers, which must end the stream (§8.1).
+                if not end_stream:
+                    raise StreamError(
+                        f"trailers without END_STREAM on stream {stream_id} (§8.1)",
+                        stream_id,
+                        ErrorCode.PROTOCOL_ERROR,
+                    )
+                stream.state = state
+                self._end_remote(stream)
                 return
             stream.state = state
         if self.role == "server":

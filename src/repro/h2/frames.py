@@ -211,8 +211,8 @@ class HeaderBlock(NamedTuple):
     """One header block as a single transport record: a HEADERS frame —
     a PUSH_PROMISE for ``promised_id`` — and the CONTINUATION frames
     after it.  Between two :class:`~repro.h2.connection.H2Connection`
-    endpoints over TCP this is what travels: the receiver takes
-    ``headers`` as it is and parses no frame and decodes no HPACK.  It occupies the
+    endpoints, over either transport, this is what travels: the receiver
+    takes ``headers`` as it is, parsing and decoding nothing.  It occupies the
     octets of its frames, ``sum(sizes)``; :func:`header_block_frames`
     gives the frames themselves."""
 

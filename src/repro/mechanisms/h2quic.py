@@ -6,23 +6,15 @@ same HPACK encoder, priority tree, flow-control windows, push state
 machine, and data scheduler drive both stacks.  What changes is the
 mapping onto the wire (an HTTP/3-flavored framing, simplified):
 
-* **Control plane on QUIC stream 0, as bytes.**  The connection preface
-  and every non-DATA frame (SETTINGS, HEADERS, PUSH_PROMISE,
-  WINDOW_UPDATE, RST_STREAM, ...) ride the ordered control stream,
-  parsed by the unchanged :class:`~repro.h2.frames.FrameReader`.  Over
-  TCP a header block travels as one
-  :class:`~repro.h2.frames.HeaderBlock` record that the receiver
-  neither parses nor decodes; here ``_queue_header_block`` turns the
-  record back into its frames (``header_block_frames``), and the
-  receiver's one bytes-path handler, ``_handle_header_frame``, gathers
-  them back into a record that the same ``_on_header_block`` finishes,
-  decoding its block with the unchanged HPACK decoder.  A
-  QUIC half carries stream bytes cut at packet boundaries, not records,
-  and the QUIC loads were measured on bytes: on ``replay_lossy`` (seed
-  2018), where a third of the loads run over QUIC, ``h2`` calls per
-  load fell only 14 401.69 → 13 717.12 with the TCP loads on records,
-  against 16 237.88 → 12 310.62 on ``small_objects``, which is all TCP.
-  Records on stream 0 are left for a change that measures them.
+* **Control plane on QUIC stream 0.**  The connection preface and
+  every non-DATA frame (SETTINGS, HEADERS, PUSH_PROMISE, WINDOW_UPDATE,
+  RST_STREAM, ...) ride the ordered control stream exactly as they
+  ride TCP's one stream: control frames as bytes, and each header
+  block as one :class:`~repro.h2.frames.HeaderBlock` record that the
+  receiver neither parses nor decodes.  The QUIC half gives stream 0
+  TCP's write-log contract, so the inherited ``_flush_control`` and
+  ``_on_data_record`` are the whole header-block exchange on both
+  transports.
 * **Bodies on per-resource QUIC streams.**  DATA payloads are written
   raw to the QUIC stream matching their H2 stream id — no 9-byte frame
   header — with END_STREAM mapped to the QUIC fin.  A loss on one
@@ -44,7 +36,7 @@ known deviation 7).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ProtocolError
 from ..h2.connection import (
@@ -53,7 +45,6 @@ from ..h2.connection import (
     _END_STREAM_RAW,
 )
 from ..h2.constants import StreamState
-from ..h2.frames import PriorityData, header_block_frames
 from ..netsim.quic import QuicEndpoint
 from ..span import Span
 
@@ -89,21 +80,6 @@ class H2OverQuicConnection(H2Connection):
             raise ProtocolError(
                 f"transport accepted {accepted} of {size} DATA octets on stream {stream_id}"
             )
-
-    def _queue_header_block(
-        self,
-        stream_id: int,
-        flags: int,
-        block: bytes,
-        headers: List[Header],
-        priority: Optional[PriorityData] = None,
-        promised_id: Optional[int] = None,
-    ) -> None:
-        """The control stream carries bytes: the queued record becomes
-        its frames, each queued as the bytes path queues a frame."""
-        super()._queue_header_block(stream_id, flags, block, headers, priority, promised_id)
-        queue = self._control_queue
-        queue.extend(header_block_frames(queue.pop()))
 
     # ------------------------------------------------------------------
     # receive path: per-stream payloads feed the DATA machinery

@@ -31,7 +31,7 @@ from .impairment import (
     ReorderSpec,
 )
 from .link import SharedLink
-from .tcp import MSS, TcpConnection, TcpEndpoint
+from .tcp import MSS, TcpConnection
 from .topology import Host, Topology
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "TLS12_HANDSHAKE",
     "TLS13_HANDSHAKE",
     "TcpConnection",
-    "TcpEndpoint",
     "Topology",
     "make_congestion_control",
     "profile",

@@ -33,8 +33,9 @@ duplex wrapper are the same code as TCP's: :mod:`repro.netsim.transport`.
 Payloads travel by reference, as in the TCP model: every write is a
 :class:`~repro.span.Span`, a packet carries the sub-span it covers, and
 packetization, retransmission and per-stream reassembly are arithmetic
-on offsets.  The control stream's spans are read back into ``bytes``
-on delivery; resource streams hand their spans to the application.
+on offsets.  The control stream keeps TCP's write-log contract: its
+``bytes`` are read back in order, and a record once its last octet is
+in order; resource streams hand their spans to the application.
 An ACK names a prefix of the receiver's arrival order (DESIGN §8).
 
 Handshake accounting (1-RTT, or 0-RTT resumption) lives in
@@ -65,16 +66,15 @@ from .transport import (
 #: of TCP's three duplicate ACKs).
 PACKET_THRESHOLD = 3
 
-#: The control stream: HTTP/2 framing (preface, SETTINGS, HEADERS,
-#: PUSH_PROMISE, WINDOW_UPDATE...) rides it as an ordered byte stream.
+#: The control stream: HTTP/2 framing (preface, SETTINGS, WINDOW_UPDATE
+#: ... as bytes, each header block as a record) rides it in order.
 CONTROL_STREAM = 0
 
 
 class QuicEndpoint(Endpoint):
-    """One side of an established QUIC connection: ``send`` writes the
-    ordered control stream (stream 0), so byte-stream consumers work
-    unchanged, and ``send_stream`` writes one resource stream.
-    ``on_record`` is never called: bodies arrive per stream."""
+    """One side of an established QUIC connection: ``send`` and
+    ``send_record`` write the ordered control stream (stream 0), as
+    over TCP, and ``send_stream`` writes one resource stream."""
 
     def send_stream(self, stream_id: int, data: Union[bytes, Span], fin: bool = False) -> int:
         """Buffer bytes for one resource stream (``fin`` closes it)."""
@@ -119,8 +119,18 @@ class _QuicHalf(Half):
         return self._buffered == 0 and not self._in_flight
 
     def enqueue(self, data: bytes) -> int:
-        """Write control-stream bytes (partial accept on a full buffer)."""
+        """Write control-stream bytes (partial accept on a full buffer);
+        a span of any other source on stream 0 is a record's."""
+        data = data if data.__class__ is bytes else bytes(data)
         return self.enqueue_stream(CONTROL_STREAM, data, False)
+
+    def enqueue_record(self, size: int, record: object) -> bool:
+        """All or nothing, a control-stream write of ``size`` octets whose
+        source is ``record``; the fin marks the packet of its last octet."""
+        if size > self._max_buffer - self._buffered:
+            return False
+        self.enqueue_stream(CONTROL_STREAM, Span(record, 0, size), True)
+        return True
 
     def enqueue_stream(self, stream_id: int, data: Union[bytes, Span], fin: bool) -> int:
         span = Span(data) if data.__class__ is not Span else data
@@ -336,8 +346,11 @@ class _QuicHalf(Half):
                 receiver = self.receiver_endpoint
                 if receiver is not None:
                     if stream_id == CONTROL_STREAM:
-                        if size and receiver.on_data is not None:
-                            receiver.on_data(span.tobytes())
+                        if span.source.__class__ is bytes:
+                            if receiver.on_data is not None:
+                                receiver.on_data(span.tobytes())
+                        elif fin and receiver.on_record is not None:
+                            receiver.on_record(span.source)
                     elif receiver.on_stream_data is not None:
                         receiver.on_stream_data(stream_id, span, fin)
             else:
@@ -401,8 +414,11 @@ class _QuicHalf(Half):
         if receiver is None:
             return
         if stream_id == CONTROL_STREAM:
-            if size and receiver.on_data is not None:
-                receiver.on_data(span.tobytes())
+            if span.source.__class__ is bytes:
+                if receiver.on_data is not None:
+                    receiver.on_data(span.tobytes())
+            elif fin and receiver.on_record is not None:
+                receiver.on_record(span.source)
         elif receiver.on_stream_data is not None:
             receiver.on_stream_data(stream_id, span, fin)
 

@@ -67,19 +67,6 @@ from .transport import (
 MSS = 1460
 
 
-class TcpEndpoint(Endpoint):
-    """One side of an established TCP connection; it also writes records."""
-
-    def send_record(self, size: int, record: object) -> bool:
-        """Buffer ``record`` as one atomic write of ``size`` wire bytes.
-
-        All or nothing: returns False (wait for ``on_writable``) unless
-        the whole record fits the send buffer.  The peer's ``on_record``
-        receives the object once all ``size`` bytes are in order.
-        """
-        return self._out.enqueue_record(size, record)
-
-
 class _HalfConnection(Half):
     """One direction of a TCP connection: byte sequence numbers,
     dup-ACK fast retransmit, records, and in-order reassembly."""
@@ -378,4 +365,4 @@ class TcpConnection(Duplex):
 
     transport = "tcp"
     _half = _HalfConnection
-    _endpoint = TcpEndpoint
+    _endpoint = Endpoint

@@ -41,11 +41,11 @@ class Endpoint:
     """One side of an established connection.
 
     The application sets the callbacks: ``on_data`` receives in-order
-    bytes (over QUIC, the control stream's), ``on_record`` each record
-    (TCP), ``on_stream_data`` ``(stream_id, span, fin)`` as a resource
-    stream's payload becomes contiguous (QUIC), and ``on_writable`` runs
-    when send-buffer space frees after having been full: write until
-    ``send`` accepts less than offered.
+    bytes and ``on_record`` each record (over QUIC, the control
+    stream's), ``on_stream_data`` ``(stream_id, span, fin)`` as a
+    resource stream's payload becomes contiguous (QUIC), and
+    ``on_writable`` runs when send-buffer space frees after having been
+    full: write until ``send`` accepts less than offered.
     """
 
     def __init__(self, half_out: "Half", half_in: "Half", name: str):
@@ -73,6 +73,15 @@ class Endpoint:
         ``on_writable``)."""
         return self._out.enqueue(data)
 
+    def send_record(self, size: int, record: object) -> bool:
+        """Buffer ``record`` as one atomic write of ``size`` wire bytes.
+
+        All or nothing: returns False (wait for ``on_writable``) unless
+        the whole record fits the send buffer.  The peer's ``on_record``
+        receives the object once all ``size`` bytes are in order.
+        """
+        return self._out.enqueue_record(size, record)
+
     @property
     def send_buffer_space(self) -> int:
         """Bytes that a call to :meth:`send` would currently accept."""
@@ -96,10 +105,11 @@ class Half:
     """Sender + receiver state for one direction of a connection.
 
     A subclass adds its sequence space and receive path, ``enqueue``,
-    ``fully_acked`` and the two hooks of recovery: ``_take_in_flight(key)``
-    removes what is in flight under ``key``, cancelling its timer, and
-    returns it (None when nothing is), and ``_retransmit(key, lost,
-    kind)`` sends it again and emits the transport's trace events.
+    ``enqueue_record``, ``fully_acked`` and the two hooks of recovery:
+    ``_take_in_flight(key)`` removes what is in flight under ``key``,
+    cancelling its timer, and returns it (None when nothing is), and
+    ``_retransmit(key, lost, kind)`` sends it again and emits the
+    transport's trace events.
     """
 
     def __init__(

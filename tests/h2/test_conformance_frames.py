@@ -11,6 +11,7 @@ connection error as :class:`ProtocolError`, a stream error as
 import pytest
 
 from repro.errors import FlowControlError, ProtocolError, StreamError
+from repro.h2 import Settings, StreamState
 from tests.support.h2peer import (
     END_HEADERS,
     END_STREAM,
@@ -166,3 +167,92 @@ def test_a_malformed_request_is_a_stream_error(fields):
         peer.send(frame(HEADERS, END_HEADERS | END_STREAM, 1, header_block(fields)))
     assert (excinfo.value.stream_id, excinfo.value.error_code) == (1, PROTOCOL_ERROR)
     assert requests == []
+
+
+# ---------------------------------------------------------------------------
+# §8.1.2: a malformed response is a stream error PROTOCOL_ERROR (§8.1.2.6)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # §8.1.2: field names are lower case.
+        [(":status", "200"), ("Content-Type", "text/html")],
+        # §8.1.2.2: no connection-specific field.
+        [(":status", "200"), ("connection", "keep-alive")],
+        # §8.1.2.1: every pseudo-header precedes every regular field.
+        [("content-type", "text/html"), (":status", "200")],
+        # §8.1.2.1: a response carries only the pseudo-header it defines,
+        # once, and none of a request's.
+        [(":status", "200"), (":foo", "bar")],
+        [(":status", "200"), (":status", "204")],
+        [(":status", "200"), (":path", "/")],
+        # §8.1.2.4: a response carries :status.
+        [("content-type", "text/html")],
+    ],
+    ids=[
+        "uppercase-name",
+        "connection-field",
+        "pseudo-after-regular",
+        "unknown-pseudo",
+        "repeated-pseudo",
+        "request-pseudo",
+        "no-status",
+    ],
+)
+def test_a_malformed_response_is_a_stream_error(fields):
+    peer = H2Peer("client")
+    responses = []
+    peer.conn.on_response = lambda sid, headers: responses.append(sid)
+    peer.conn.request(REQUEST)
+    peer.handshake()
+    with pytest.raises(StreamError) as excinfo:
+        peer.send(frame(HEADERS, END_HEADERS | END_STREAM, 1, header_block(fields)))
+    assert (excinfo.value.stream_id, excinfo.value.error_code) == (1, PROTOCOL_ERROR)
+    assert responses == []
+
+
+# ---------------------------------------------------------------------------
+# §8.1: a second HEADERS block on an open request stream is its trailers
+# ---------------------------------------------------------------------------
+
+
+def test_request_trailers_end_the_stream_and_are_not_a_second_request():
+    peer = H2Peer("server")
+    requests, ended = [], []
+    peer.conn.on_request = lambda sid, headers, prio: requests.append((sid, headers))
+    peer.conn.on_stream_end = ended.append
+    peer.handshake()
+    peer.send(frame(HEADERS, END_HEADERS, 1, header_block(REQUEST)))
+    peer.send(frame(HEADERS, END_HEADERS | END_STREAM, 1, header_block([("x-trailer", "1")])))
+    assert requests == [(1, REQUEST)]
+    assert ended == [1]
+    assert peer.conn.streams[1].state is StreamState.HALF_CLOSED_REMOTE
+
+
+def test_request_trailers_without_end_stream_are_a_stream_error():
+    peer = H2Peer("server")
+    requests = []
+    peer.conn.on_request = lambda sid, headers, prio: requests.append(sid)
+    peer.handshake()
+    peer.send(frame(HEADERS, END_HEADERS, 1, header_block(REQUEST)))
+    with pytest.raises(StreamError) as excinfo:
+        peer.send(frame(HEADERS, END_HEADERS, 1, header_block([("x-trailer", "1")])))
+    assert (excinfo.value.stream_id, excinfo.value.error_code) == (1, PROTOCOL_ERROR)
+    assert requests == [1]
+
+
+# ---------------------------------------------------------------------------
+# §6.5.2: the encoder works within the peer's header table
+# ---------------------------------------------------------------------------
+
+
+def test_the_encoder_is_sized_from_the_peers_header_table_size():
+    # SETTINGS_HEADER_TABLE_SIZE bounds the table the *peer* decodes
+    # with; its initial value is 4 096, whatever this endpoint's own
+    # decoder advertises.
+    peer = H2Peer("client", settings=Settings(header_table_size=8192))
+    peer.handshake()
+    assert peer.conn.remote_settings.header_table_size == 4096
+    assert peer.conn._encoder.table.max_size == 4096

@@ -11,6 +11,7 @@ from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.netsim import DSL_TESTBED, Topology
 from repro.sim import Simulator
 from repro.span import Span
+from tests.support.h2peer import H2Peer, push_promise
 
 
 def make_pair(client_settings=None, server_chunk=1400, conditions=DSL_TESTBED):
@@ -326,10 +327,11 @@ def test_a_transport_that_refuses_sized_data_is_a_protocol_error(transport):
 
 
 def test_received_frames_reach_a_subclass_override(monkeypatch):
-    """Frames are dispatched by a lookup keyed on the frame class, and the
-    handler is found on the connection: ``H2OverQuicConnection``'s
-    overrides — patched here after the class was built — are the ones
-    that run, on both sides."""
+    """Frames received as bytes are dispatched by a lookup keyed on the
+    frame class, and the handler is found on the connection:
+    ``H2OverQuicConnection``'s overrides — patched here after the class
+    was built — are the ones that run, in both roles.  Only a foreign
+    peer sends frames as bytes, so the frames come from ``H2Peer``."""
     seen = []
     finish = H2OverQuicConnection._finish_header_block
     handle_header_frame = H2OverQuicConnection._handle_header_frame
@@ -345,16 +347,17 @@ def test_received_frames_reach_a_subclass_override(monkeypatch):
 
     monkeypatch.setattr(H2OverQuicConnection, "_finish_header_block", spy_finish)
     monkeypatch.setattr(H2OverQuicConnection, "_handle_header_frame", spy_header_frame)
-    sim, client, server = make_pair(conditions=replace(DSL_TESTBED, transport="quic"))
-
-    def on_request(sid, headers, prio):
-        promised = server.push(sid, REQUEST[:3] + [(":path", "/pushed")])
-        server.respond(sid, [(":status", "200")], end_stream=True)
-        server.respond(promised, [(":status", "200")], end_stream=True)
-
-    server.on_request = on_request
-    client.request(REQUEST)
-    sim.run()
+    server = H2Peer("server", cls=H2OverQuicConnection)
+    server.handshake()
+    server.send(server.headers(1, end_stream=True))
+    client = H2Peer("client", cls=H2OverQuicConnection)
+    client.conn.request(REQUEST)
+    client.handshake()
+    client.send(
+        push_promise(1, 2, REQUEST[:3] + [(":path", "/pushed")]),
+        client.headers(1, end_stream=True, fields=[(":status", "200")]),
+        client.headers(2, end_stream=True, fields=[(":status", "200")]),
+    )
     assert seen == [
         ("server", "headers", 1),
         ("client", "push_promise", 2),

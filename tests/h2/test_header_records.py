@@ -1,13 +1,14 @@
 """Header blocks as records, pinned to the bytes path.
 
-Between two ``H2Connection`` endpoints over TCP a header block — a
-HEADERS or PUSH_PROMISE frame and any CONTINUATIONs — travels as one
-transport record, a :class:`~repro.h2.frames.HeaderBlock`, and the
-receiver takes the header list from it instead of parsing and
+Between two of our endpoints, over TCP or on QUIC's control stream, a
+header block — a HEADERS or PUSH_PROMISE frame and any CONTINUATIONs —
+travels as one transport record, a :class:`~repro.h2.frames.HeaderBlock`,
+and the receiver takes the header list from it instead of parsing and
 HPACK-decoding the block.  Each case holds that shortcut to what the
 bytes path gives: the same header list as a decoder of the record's
-block, the same octets at the same stream offsets and times when the
-send buffer takes a block in parts, and no decode on a page load.
+block, the same octets at the same stream offsets and times (and, over
+QUIC, the same packets) when the send buffer takes a block in parts,
+and no decode on a page load.
 """
 
 import string
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.h2 import H2Connection, Settings
 from repro.h2.frames import HeaderBlock, header_block_frames
 from repro.h2.hpack import HpackDecoder
+from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.netsim import DSL_TESTBED, Topology
 from repro.sim import Simulator
 from repro.trace import Tracer
@@ -31,9 +33,9 @@ REQUEST = [
 ]
 
 
-class _BytesH2Connection(H2Connection):
-    """Our connection with header blocks sent as bytes, as the QUIC
-    mapping sends them: each record queued is replaced by its frames."""
+class _BytesHeaderBlocks:
+    """Header blocks sent as bytes, as a foreign peer sends them: each
+    record queued is replaced by its frames."""
 
     def _queue_header_block(self, *args, **kwargs):
         super()._queue_header_block(*args, **kwargs)
@@ -41,12 +43,27 @@ class _BytesH2Connection(H2Connection):
         queue.extend(header_block_frames(queue.pop()))
 
 
-def _pair(cls=H2Connection, local=None, tracer=None):
-    """An established client/server pair of ``cls`` over TCP."""
+class _BytesH2Connection(_BytesHeaderBlocks, H2Connection):
+    pass
+
+
+class _BytesH2OverQuicConnection(_BytesHeaderBlocks, H2OverQuicConnection):
+    pass
+
+
+#: Per transport: our connection, and the same with header blocks as bytes.
+_CLASSES = {
+    "tcp": (H2Connection, _BytesH2Connection),
+    "quic": (H2OverQuicConnection, _BytesH2OverQuicConnection),
+}
+
+
+def _pair(cls=H2Connection, local=None, tracer=None, transport="tcp"):
+    """An established client/server pair of ``cls`` over ``transport``."""
     sim = Simulator()
     if tracer is not None:
         tracer.attach(sim)
-    topo = Topology(sim, DSL_TESTBED)
+    topo = Topology(sim, replace(DSL_TESTBED, transport=transport))
     topo.add_host("1.1.1.1", ["example.com"])
     topo.prewarm_dns("example.com")
     pair = {}
@@ -151,15 +168,17 @@ def test_each_receiver_gets_what_a_decoder_of_the_block_returns(exchanges, table
 _BIG_RESPONSE = [(":status", "200"), ("x-fill", "v" * 5_000)]
 
 
-def _short_buffer_load(cls):
+def _short_buffer_load(cls, transport):
     """Stream 1 fills the server's send buffer with DATA; stream 3's
     large response HEADERS is then queued with few octets free.  The
     server's writes as ``(time, stream offset after)``, how many wrote
-    part of a header block, and the whole trace."""
+    part of a header block, every packet either link carries as
+    ``(time, size, receiver, packet number / sequence / ACK)``, the
+    responses and the whole trace."""
     tracer = Tracer()
-    sim, client, server = _pair(cls, tracer=tracer)
+    sim, client, server = _pair(cls, tracer=tracer, transport=transport)
     half = server._endpoint._out
-    writes, partial = [], [0]
+    writes, partial, packets = [], [0], []
     enqueue, enqueue_record = half.enqueue, half.enqueue_record
 
     def logged_enqueue(data):
@@ -175,6 +194,13 @@ def _short_buffer_load(cls):
         return accepted
 
     half.enqueue, half.enqueue_record = logged_enqueue, logged_enqueue_record
+    for link in (half._data_link, half._ack_link):
+
+        def logged_transmit(size, deliver, *args, transmit=link.transmit):
+            packets.append((sim.now, size, deliver.__name__, args[0]))
+            return transmit(size, deliver, *args)
+
+        link.transmit = logged_transmit
 
     def on_request(stream_id, headers, priority):
         if stream_id == 1:
@@ -190,18 +216,24 @@ def _short_buffer_load(cls):
     client.request(REQUEST)
     client.request(REQUEST[:3] + [(":path", "/big")])
     sim.run()
-    return writes, partial[0], responses, tracer.events()
+    return writes, partial[0], packets, responses, tracer.events()
 
 
 def test_a_block_the_send_buffer_takes_in_parts_lands_as_its_bytes_would():
-    record_writes, record_partial, record_responses, record_trace = _short_buffer_load(H2Connection)
-    byte_writes, byte_partial, byte_responses, byte_trace = _short_buffer_load(_BytesH2Connection)
-    assert record_partial >= 1  # the block did go in parts
-    assert byte_partial == 0
-    assert record_writes == byte_writes
-    assert record_responses == byte_responses
-    assert [headers for _, _, headers in record_responses][1] == _BIG_RESPONSE
-    assert record_trace == byte_trace
+    for transport, (records, as_bytes) in _CLASSES.items():
+        record_writes, record_partial, record_packets, record_responses, record_trace = (
+            _short_buffer_load(records, transport)
+        )
+        byte_writes, byte_partial, byte_packets, byte_responses, byte_trace = (
+            _short_buffer_load(as_bytes, transport)
+        )
+        assert record_partial >= 1, transport  # the block did go in parts
+        assert byte_partial == 0
+        assert record_writes == byte_writes, transport
+        assert record_packets == byte_packets, transport
+        assert record_responses == byte_responses, transport
+        assert [headers for _, _, headers in record_responses][1] == _BIG_RESPONSE
+        assert record_trace == byte_trace, transport
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +242,8 @@ def test_a_block_the_send_buffer_takes_in_parts_lands_as_its_bytes_would():
 
 
 def test_a_page_load_between_our_own_endpoints_decodes_no_header_block(monkeypatch):
-    """A pushing page load over TCP calls ``HpackDecoder.decode`` for no
-    block; the same load over QUIC, whose control stream is bytes,
-    decodes every block it receives."""
+    """A pushing page load calls ``HpackDecoder.decode`` for no block
+    and receives no header frame as bytes, over either transport."""
     from repro.html import ResourceSpec, ResourceType, WebsiteSpec
     from repro.replay import replay_site
     from repro.strategies.simple import PushAllStrategy
@@ -224,16 +255,26 @@ def test_a_page_load_between_our_own_endpoints_decodes_no_header_block(monkeypat
         html_visual_weight=10,
         resources=[ResourceSpec(f"i{index}.jpg", ResourceType.IMAGE, 900) for index in range(6)],
     )
-    blocks = []
+    blocks, frames = [], []
     decode = HpackDecoder.decode
+    handle_header_frame = H2Connection._handle_header_frame
 
     def counting_decode(self, data):
         blocks.append(len(data))
         return decode(self, data)
 
+    def counting_header_frame(self, frame):
+        frames.append(frame)
+        handle_header_frame(self, frame)
+
     monkeypatch.setattr(HpackDecoder, "decode", counting_decode)
-    result = replay_site(spec, strategy=PushAllStrategy())
-    assert result.timeline.onload is not None
-    assert blocks == []
-    replay_site(spec, strategy=PushAllStrategy(), conditions=replace(DSL_TESTBED, transport="quic"))
-    assert len(blocks) >= 2 * 6  # a PUSH_PROMISE and a response per image
+    monkeypatch.setattr(H2Connection, "_handle_header_frame", counting_header_frame)
+    for transport in ("tcp", "quic"):
+        result = replay_site(
+            spec,
+            strategy=PushAllStrategy(),
+            conditions=replace(DSL_TESTBED, transport=transport),
+        )
+        assert result.timeline.onload is not None
+        assert result.pushed_bytes >= 6 * 900
+        assert (blocks, frames) == ([], []), transport

@@ -8,8 +8,10 @@ ones, deliver twice — and however a full send buffer chops the writes:
 * TCP hands the receiver exactly the sender's items, in stream order:
   the bytes of ``send`` writes and the very objects given to
   ``send_record``, each record once, when its last byte is in order;
-* QUIC delivers the control stream's bytes in order and, per resource
-  stream, spans whose content concatenates to the source, fin once;
+* QUIC delivers the control stream's bytes in order and the very
+  objects given to ``send_record`` there, each once, when its last
+  octet is in order, and, per resource stream, spans whose content
+  concatenates to the source, fin once;
 * ``bytes_delivered`` equals the bytes enqueued;
 * a QUIC ACK that names a prefix of the receiver's arrival order acts
   exactly as one that spells out floor and ranges.
@@ -147,27 +149,43 @@ def test_tcp_delivers_the_senders_items_in_order(writes, rates, link_seed):
     assert conn.server.all_sent_delivered
 
 
+#: ``(stream id, size)``: stream 0 is the control stream's bytes, 1-3
+#: carry spans, and ``"record"`` is one atomic control-stream record of
+#: that wire size (at most the 16 KiB send buffer).
 quic_writes = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(1, 20_000)), min_size=1, max_size=20
+    st.tuples(st.sampled_from([0, 1, 2, 3, "record"]), st.integers(1, 20_000)),
+    min_size=1,
+    max_size=20,
 )
 
 
 def _drive_quic(conn_cls, writes, rates, link_seed):
-    """Write ``writes`` (stream 0 is the control stream, 1-3 carry
-    spans) through chaos links; check the delivery contract and return
-    every delivery with its simulated time, the finish time, the event
-    count and where the sender's RTT estimator and window ended up."""
+    """Write ``writes`` through chaos links; check the delivery contract
+    and return every delivery with its simulated time, the finish time,
+    the event count and where the sender's RTT estimator and window
+    ended up."""
     sim, conn = _connect(conn_cls, link_seed, rates)
     cursors = {}
     plan = []
+    #: Each record's end offset in the control stream, bytes included.
+    ends = {}
+    control_octets = 0
     for sid, size in writes:
+        if sid == "record":
+            record = Span(SOURCE, 0, min(size, 16_384))  # opaque to the transport
+            control_octets += len(record)
+            ends[record] = control_octets
+            plan.append((sid, record, None))
+            continue
         start = cursors.get(sid, 0)
         size = min(size, len(SOURCE) - start)
         if size:
             plan.append((sid, start, start + size))
             cursors[sid] = start + size
+            control_octets += size if sid == 0 else 0
     last_for = {sid: index for index, (sid, _a, _b) in enumerate(plan)}
     control = []
+    records = []
     streams = {}
     fins = {}
     deliveries = []
@@ -176,6 +194,15 @@ def _drive_quic(conn_cls, writes, rates, link_seed):
         control.append(data)
         deliveries.append((sim.now, 0, len(data)))
 
+    def on_record(record):
+        # Handed over when the control stream's in-order point reaches
+        # its last octet: what the receiver has, less the resource
+        # streams' share.
+        stream_octets = sum(len(piece) for pieces in streams.values() for piece in pieces)
+        assert conn.client.bytes_received - stream_octets == ends[record]
+        records.append(record)
+        deliveries.append((sim.now, "record", ends[record]))
+
     def on_stream_data(sid, span, fin):
         assert span.source is SOURCE
         streams.setdefault(sid, []).append(span.tobytes())
@@ -183,12 +210,19 @@ def _drive_quic(conn_cls, writes, rates, link_seed):
         deliveries.append((sim.now, sid, span.start, span.stop, fin))
 
     conn.client.on_data = on_data
+    conn.client.on_record = on_record
     conn.client.on_stream_data = on_stream_data
     state = {"index": 0, "offset": 0}
 
     def write():
         while state["index"] < len(plan):
             sid, start, stop = plan[state["index"]]
+            if sid == "record":
+                record = start
+                if not conn.server.send_record(len(record), record):
+                    return
+                state["index"] += 1
+                continue
             begin = start + state["offset"]
             if sid == 0:
                 accepted = conn.server.send(SOURCE[begin:stop])
@@ -207,10 +241,14 @@ def _drive_quic(conn_cls, writes, rates, link_seed):
 
     assert state["index"] == len(plan)
     assert b"".join(control) == SOURCE[: cursors.get(0, 0)]
+    # Each record once, in stream order: the very objects written.
+    assert len(records) == len(ends)
+    assert all(mine is theirs for mine, theirs in zip(records, ends))
     for sid in (1, 2, 3):
         assert b"".join(streams.get(sid, [])) == SOURCE[: cursors.get(sid, 0)]
         assert fins.get(sid, 0) == (1 if sid in cursors else 0)
-    assert conn.server.bytes_sent == conn.client.bytes_received == sum(cursors.values())
+    total = sum(cursors.values()) + sum(len(record) for record in ends)
+    assert conn.server.bytes_sent == conn.client.bytes_received == total
     assert conn.server.all_sent_delivered
     sender = conn._s2c
     estimator = (sender._srtt, sender._rttvar, sender._rto, sender._cc.cwnd)

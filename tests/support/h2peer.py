@@ -20,9 +20,8 @@ bytes the peer sends reach the connection's ``on_data`` at once, and
 whatever the connection writes is queued as wire bytes for
 :meth:`H2Peer.receive`.  A DATA record becomes a DATA frame, and a
 header block record its HEADERS or PUSH_PROMISE and CONTINUATION
-frames, by ``header_block_frames`` — the function the QUIC mapping
-writes its control stream with — so the peer parses every frame our
-connection sends from bytes, as it would from a foreign endpoint.
+frames, by ``header_block_frames``, so the peer parses every frame
+our connection sends from bytes, as it would from a foreign endpoint.
 
 Usage::
 
