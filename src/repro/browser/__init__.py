@@ -2,7 +2,6 @@
 
 from .cache import BrowserCache
 from .engine import BrowserConfig, PageLoad
-from .har import save_har, to_har
 from .waterfall import render_waterfall
 from .main_thread import MainThread
 from .priorities import (
@@ -33,7 +32,5 @@ __all__ = [
     "WEIGHT_OTHER",
     "WEIGHT_SYNC_JS",
     "render_waterfall",
-    "save_har",
-    "to_har",
     "weight_for",
 ]

@@ -521,11 +521,19 @@ class H2Connection:
                     return
             else:
                 size = sum(payload.sizes) - self._control_head_written
+                record = payload
                 if size > space:
-                    half.enqueue_record(space, None)
-                    self._control_head_written += space
+                    size, record = space, None
+                if not half.enqueue_record(size, record):
+                    # Sized to the free space just read, like a DATA
+                    # record: a refusal would lose the block silently.
+                    raise ProtocolError(
+                        f"transport refused a {size}-octet header block record on stream "
+                        f"{payload.stream_id} ({half.buffer_space} octets of send-buffer space)"
+                    )
+                if record is None:
+                    self._control_head_written += size
                     return
-                half.enqueue_record(size, payload)
                 self._control_head_written = 0
             queue.popleft()
 
@@ -913,9 +921,11 @@ class H2Connection:
             if state < 0:
                 self._admit(stream_id, _RECV_HEADERS)
                 return
-            if self.role == "server":
-                # A second block on an open request stream is its
-                # trailers, which must end the stream (§8.1).
+            if self.role == "server" or stream.response_headers is not None:
+                # A second block on an open request stream, or one after
+                # the final response, is trailers, which must end the
+                # stream (§8.1).  An interim response (1xx) sets no
+                # ``response_headers``, so the final one still gets here.
                 if not end_stream:
                     raise StreamError(
                         f"trailers without END_STREAM on stream {stream_id} (§8.1)",

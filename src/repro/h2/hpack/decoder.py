@@ -28,74 +28,25 @@ class HpackDecoder:
         self._table.set_protocol_max(size)
 
     def decode(self, data: bytes) -> List[Header]:
-        """Decode a complete header block into a header list.
-
-        Nearly every field on the wire is an index that fits its first
-        octet (``1xxxxxxx`` below 127, ``01xxxxxx`` between 1 and 62)
-        or ``0xFF`` and one more (127 to 254); those are resolved right
-        here.  Longer integers, new-name and non-indexed literals take
-        the general ``_indexed`` / ``_literal`` route.
-        """
+        """Decode a complete header block into a header list."""
         headers: List[Header] = []
-        append = headers.append
-        table = self._table
-        entries = table._entries
         offset = 0
-        end = len(data)
-        while offset < end:
+        while offset < len(data):
             octet = data[offset]
             if octet & 0x80:
-                index = octet & 0x7F
-                if index == 0x7F:
-                    # 0xFF and a final octet (continuation bit clear) is
-                    # 127..254: always the dynamic table.
-                    if offset + 1 < end and data[offset + 1] < 0x80:
-                        index = 0x7F + data[offset + 1]
-                        position = index - STATIC_TABLE_SIZE - 1
-                        if position >= len(entries):
-                            raise HpackError(f"dynamic table index {index} out of range")
-                        header = entries[position]
-                        offset += 2
-                    else:
-                        header, offset = self._indexed(data, offset)
-                elif index > STATIC_TABLE_SIZE:
-                    position = index - STATIC_TABLE_SIZE - 1
-                    if position >= len(entries):
-                        raise HpackError(f"dynamic table index {index} out of range")
-                    header = entries[position]
-                    offset += 1
-                elif index:
-                    header = STATIC_TABLE[index]
-                    offset += 1
-                else:
-                    raise HpackError("indexed representation with index 0")
+                header, offset = self._indexed(data, offset)
             elif octet & 0x40:
-                index = octet & 0x3F
-                if index == 0 or index == 0x3F:
-                    header, offset = self._literal(data, offset, prefix=6, add_to_table=True)
-                else:
-                    if index <= STATIC_TABLE_SIZE:
-                        name = STATIC_TABLE[index][0]
-                    elif entries:
-                        # 62 is all a one-octet name index can reach
-                        # into the dynamic table: its newest entry.
-                        name = entries[0][0]
-                    else:
-                        raise HpackError(f"dynamic table index {index} out of range")
-                    value, offset = self._decode_string(data, offset + 1)
-                    header = (name, value)
-                    # Decoded strings are ASCII: characters are octets.
-                    table.add(header, len(name) + len(value) + ENTRY_OVERHEAD)
+                header, offset = self._literal(data, offset, prefix=6, add_to_table=True)
             elif octet & 0x20:
                 if headers:
                     raise HpackError("table size update after header fields")
                 new_size, offset = decode_integer(data, offset, 5)
-                table.resize(new_size)
+                self._table.resize(new_size)
                 continue
             else:
                 # 0000 (without indexing) and 0001 (never indexed) share layout.
                 header, offset = self._literal(data, offset, prefix=4, add_to_table=False)
-            append(header)
+            headers.append(header)
         return headers
 
     def _indexed(self, data: bytes, offset: int) -> Tuple[Header, int]:

@@ -13,9 +13,9 @@ two dicts map ``(name, value)`` / ``name`` to the *newest* id carrying
 them.  An entry's position is ``newest_id - id``, and eviction drops a
 mapping together with the entry it points at, so the maps hold live ids
 only and a lookup is one probe instead of a scan over the table (which
-dominated the encode profile at ~100 live entries).  The codec's two
-per-field loops read ``_entries`` and the maps directly under exactly
-these rules; everything else goes through the methods.
+dominated the encode profile at ~100 live entries).  The encoder's
+per-field loop reads the maps directly under exactly these rules;
+everything else goes through the methods.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ EXPERIMENTS.md known deviation 8 for this substitution).  Padding follows the RF
 remainder of the final octet is filled with the most significant bits
 of the EOS symbol (all ones), and decoders reject padding longer than
 seven bits or not matching EOS.
+
+The encoder runs on every header block our endpoints send, so it packs
+two bytes per step through a pair table.  The decoder is the plain
+canonical-code loop, one bit at a time: only a foreign peer's header
+block is decoded, and no page load between our own endpoints does.
 """
 
 from __future__ import annotations
@@ -87,82 +92,11 @@ _ENC_CODE = [code for code, _length in _CODES]
 _ENC_LEN = [length for _code, length in _CODES]
 
 
-# ----------------------------------------------------------------------
-# byte-wise decoding state machine
-# ----------------------------------------------------------------------
-# The decoder walks a binary trie of the canonical code, one input BYTE
-# at a time: for every (trie node, byte) pair a precomputed row entry
-# gives the node reached after those eight bits plus every symbol
-# emitted along the way.  Rows are built lazily (most of the trie's
-# interior is never parked on at a byte boundary), giving amortized
-# O(1) dict-free work per input byte instead of per input *bit*.
-
-
-def _build_trie() -> List[List[int]]:
-    """Binary trie of ``_CODES``: ``children[node][bit]`` is the next
-    node index, or ``-(symbol + 1)`` at a leaf.  Node 0 is the root."""
-    children: List[List[int]] = [[0, 0]]
-    for sym, (code, length) in enumerate(_CODES):
-        node = 0
-        for i in range(length - 1, 0, -1):
-            bit = (code >> i) & 1
-            nxt = children[node][bit]
-            if nxt == 0:
-                children.append([0, 0])
-                nxt = len(children) - 1
-                children[node][bit] = nxt
-            node = nxt
-        children[node][code & 1] = -(sym + 1)
-    return children
-
-
-_CHILDREN = _build_trie()
-
-
-def _node_paths() -> Tuple[List[int], List[bool]]:
-    """Per-node bit depth from the root and whether that path is all
-    one-bits — the two facts EOS-padding validation needs."""
-    depth = [0] * len(_CHILDREN)
-    all_ones = [False] * len(_CHILDREN)
-    all_ones[0] = True
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for bit in (0, 1):
-            nxt = _CHILDREN[node][bit]
-            if nxt > 0:
-                depth[nxt] = depth[node] + 1
-                all_ones[nxt] = all_ones[node] and bit == 1
-                stack.append(nxt)
-    return depth, all_ones
-
-
-_DEPTH, _ALL_ONES = _node_paths()
-
-#: Lazily built transition rows: _ROWS[node][byte] = (next_node,
-#: emitted_bytes), or None when the byte decodes the EOS symbol.
-_ROWS: List[Optional[List[Optional[Tuple[int, bytes]]]]] = [None] * len(_CHILDREN)
-
-
-def _build_row(state: int) -> List[Optional[Tuple[int, bytes]]]:
-    children = _CHILDREN
-    row: List[Optional[Tuple[int, bytes]]] = []
-    for byte in range(256):
-        node = state
-        emitted = bytearray()
-        valid = True
-        for i in range(7, -1, -1):
-            node = children[node][(byte >> i) & 1]
-            if node < 0:
-                sym = -node - 1
-                if sym == EOS:
-                    valid = False
-                    break
-                emitted.append(sym)
-                node = 0
-        row.append((node, bytes(emitted)) if valid else None)
-    _ROWS[state] = row
-    return row
+#: The decoder's two tables: every symbol in canonical code order
+#: (by code length, then by symbol), and how many codes each length has.
+#: Codes of one length are consecutive integers, so these two suffice.
+_SYMBOLS = sorted(range(len(_CODES)), key=lambda s: (_ENC_LEN[s], s))
+_COUNTS = [_ENC_LEN.count(length) for length in range(max(_ENC_LEN) + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -239,29 +173,33 @@ def huffman_encode(data: bytes) -> bytes:
 def huffman_decode(data: bytes) -> bytes:
     """Decode a Huffman-coded string, validating EOS padding.
 
-    Byte-wise table decoder; produces exactly the same output and
-    errors as the bit-at-a-time implementation it replaced (the
-    property-test oracle, ``tests/support/huffman_reference.py``).
+    A canonical-code decoder that reads one bit at a time.  ``code`` is
+    the bits read since the last symbol, ``first`` the first code of
+    their length and ``index`` that code's place in ``_SYMBOLS``.  The
+    code is complete, so every bit string is a symbol or a prefix of
+    one, and what is left at the end is padding.
     """
-    state = 0
-    rows = _ROWS
-    chunks: List[bytes] = []
+    out = bytearray()
+    code = first = index = length = 0
     for byte in data:
-        row = rows[state]
-        if row is None:
-            row = _build_row(state)
-        entry = row[byte]
-        if entry is None:
-            raise HpackError("EOS symbol decoded inside Huffman string")
-        state, emitted = entry
-        if emitted:
-            chunks.append(emitted)
-    depth = _DEPTH[state]
-    if depth >= 8:
+        for shift in range(7, -1, -1):
+            code = (code << 1) | ((byte >> shift) & 1)
+            length += 1
+            count = _COUNTS[length]
+            if code - first < count:
+                symbol = _SYMBOLS[index + code - first]
+                if symbol == EOS:
+                    raise HpackError("EOS symbol decoded inside Huffman string")
+                out.append(symbol)
+                code = first = index = length = 0
+            else:
+                index += count
+                first = (first + count) << 1
+    if length >= 8:
         raise HpackError("Huffman padding longer than 7 bits")
-    if depth > 0 and not _ALL_ONES[state]:
+    if length > 0 and code != (1 << length) - 1:
         raise HpackError("Huffman padding is not all-one bits")
-    return b"".join(chunks)
+    return bytes(out)
 
 
 def huffman_encoded_length(data: bytes) -> int:

@@ -11,7 +11,8 @@ connection error as :class:`ProtocolError`, a stream error as
 import pytest
 
 from repro.errors import FlowControlError, ProtocolError, StreamError
-from repro.h2 import Settings, StreamState
+from repro.h2 import H2Connection, Settings, StreamState
+from repro.mechanisms.h2quic import H2OverQuicConnection
 from tests.support.h2peer import (
     END_HEADERS,
     END_STREAM,
@@ -214,7 +215,8 @@ def test_a_malformed_response_is_a_stream_error(fields):
 
 
 # ---------------------------------------------------------------------------
-# §8.1: a second HEADERS block on an open request stream is its trailers
+# §8.1: a second HEADERS block on an open request stream, or one after the
+# final response, is trailers
 # ---------------------------------------------------------------------------
 
 
@@ -241,6 +243,40 @@ def test_request_trailers_without_end_stream_are_a_stream_error():
         peer.send(frame(HEADERS, END_HEADERS, 1, header_block([("x-trailer", "1")])))
     assert (excinfo.value.stream_id, excinfo.value.error_code) == (1, PROTOCOL_ERROR)
     assert requests == [1]
+
+
+@pytest.mark.parametrize("cls", [H2Connection, H2OverQuicConnection], ids=["tcp", "quic"])
+def test_response_trailers_end_the_stream_and_are_not_a_second_response(cls):
+    # An interim response (103) comes before the final one and is not
+    # the response: the block after it still is.
+    peer = H2Peer("client", cls=cls)
+    informational, responses, ended = [], [], []
+    peer.conn.on_informational = lambda sid, headers: informational.append(sid)
+    peer.conn.on_response = lambda sid, headers: responses.append((sid, headers))
+    peer.conn.on_stream_end = ended.append
+    peer.conn.request(REQUEST)
+    peer.handshake()
+    peer.send(frame(HEADERS, END_HEADERS, 1, header_block([(":status", "103")])))
+    peer.send(frame(HEADERS, END_HEADERS, 1, header_block([(":status", "200")])))
+    peer.send(frame(HEADERS, END_HEADERS | END_STREAM, 1, header_block([("x-trailer", "1")])))
+    assert informational == [1]
+    assert responses == [(1, [(":status", "200")])]
+    assert ended == [1]
+    assert peer.conn.streams[1].response_headers == [(":status", "200")]
+
+
+@pytest.mark.parametrize("cls", [H2Connection, H2OverQuicConnection], ids=["tcp", "quic"])
+def test_response_trailers_without_end_stream_are_a_stream_error(cls):
+    peer = H2Peer("client", cls=cls)
+    responses = []
+    peer.conn.on_response = lambda sid, headers: responses.append(sid)
+    peer.conn.request(REQUEST)
+    peer.handshake()
+    peer.send(frame(HEADERS, END_HEADERS, 1, header_block([(":status", "200")])))
+    with pytest.raises(StreamError) as excinfo:
+        peer.send(frame(HEADERS, END_HEADERS, 1, header_block([("x-trailer", "1")])))
+    assert (excinfo.value.stream_id, excinfo.value.error_code) == (1, PROTOCOL_ERROR)
+    assert responses == [1]
 
 
 # ---------------------------------------------------------------------------

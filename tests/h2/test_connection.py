@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.h2 import ErrorCode, H2Connection, PriorityData, PushPromiseFrame, Settings, StreamState
+from repro.h2.frames import HeaderBlock
 from repro.h2.hpack import HpackEncoder
 from repro.mechanisms.h2quic import H2OverQuicConnection
 from repro.netsim import DSL_TESTBED, Topology
@@ -287,17 +288,21 @@ def test_wire_bytes_include_frame_overhead():
 class _RefusingHalf:
     """The server's sending half with a transport that goes back on its
     word: it reports the room it has and takes control bytes, but
-    refuses a DATA record (TCP) or accepts all but the last octet of a
-    body write (QUIC)."""
+    refuses every record of one class — ``tuple``, a DATA record (TCP),
+    or ``HeaderBlock`` (either transport) — and accepts all but the last
+    octet of a body write (QUIC)."""
 
-    def __init__(self, half):
+    def __init__(self, half, refuse):
         self._half = half
+        self._refuse = refuse
 
     def __getattr__(self, name):
         return getattr(self._half, name)
 
     def enqueue_record(self, size, record):
-        return False
+        if record.__class__ is self._refuse:
+            return False
+        return self._half.enqueue_record(size, record)
 
     def enqueue_stream(self, stream_id, span, fin):
         return self._half.enqueue_stream(
@@ -305,13 +310,14 @@ class _RefusingHalf:
         )
 
 
-@pytest.mark.parametrize("transport", ["tcp", "quic"])
-def test_a_transport_that_refuses_sized_data_is_a_protocol_error(transport):
-    """``_flush_data`` sizes each frame to the socket space it read, and
-    by the time it writes, the windows and the body cursor have moved:
-    a refusal must not pass silently as lost DATA."""
+def _refused_response(transport, refuse):
+    """The ``ProtocolError`` message a response of 1 000 body octets
+    meets when the server's transport refuses ``refuse`` records, and
+    the request's stream id."""
     sim, client, server = make_pair(conditions=replace(DSL_TESTBED, transport=transport))
-    server._endpoint._out = _RefusingHalf(server._endpoint._out)
+    server._endpoint._out = _RefusingHalf(server._endpoint._out, refuse)
+    responses = []
+    client.on_response = lambda sid, headers: responses.append(sid)
 
     def on_request(sid, headers, prio):
         server.respond(sid, [(":status", "200")])
@@ -321,9 +327,28 @@ def test_a_transport_that_refuses_sized_data_is_a_protocol_error(transport):
     stream_id = client.request(REQUEST)
     with pytest.raises(ProtocolError) as raised:
         sim.run()
-    message = str(raised.value)
+    return str(raised.value), stream_id, responses
+
+
+@pytest.mark.parametrize("transport", ["tcp", "quic"])
+def test_a_transport_that_refuses_sized_data_is_a_protocol_error(transport):
+    """``_flush_data`` sizes each frame to the socket space it read, and
+    by the time it writes, the windows and the body cursor have moved:
+    a refusal must not pass silently as lost DATA."""
+    message, stream_id, _ = _refused_response(transport, tuple)
     assert f"stream {stream_id}" in message
     assert ("1009-octet" in message) if transport == "tcp" else ("999 of 1000" in message)
+
+
+@pytest.mark.parametrize("transport", ["tcp", "quic"])
+def test_a_transport_that_refuses_a_header_block_is_a_protocol_error(transport):
+    """``_flush_control`` sizes a header block record to the free space
+    it read, as ``_flush_data`` does a DATA record: a refused block is
+    an error naming its stream, not a response that never arrives."""
+    message, stream_id, responses = _refused_response(transport, HeaderBlock)
+    assert message.startswith("transport refused a ")
+    assert f"header block record on stream {stream_id}" in message
+    assert responses == []
 
 
 def test_received_frames_reach_a_subclass_override(monkeypatch):

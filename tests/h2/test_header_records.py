@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from repro.h2 import H2Connection, Settings
 from repro.h2.frames import HeaderBlock, header_block_frames
 from repro.h2.hpack import HpackDecoder
+from repro.h2.hpack import decoder as hpack_decoder
 from repro.mechanisms.h2quic import H2OverQuicConnection
-from repro.netsim import DSL_TESTBED, Topology
+from repro.netsim import DSL_TESTBED, LOSSY_DSL, Topology
 from repro.sim import Simulator
 from repro.trace import Tracer
 
@@ -242,9 +243,12 @@ def test_a_block_the_send_buffer_takes_in_parts_lands_as_its_bytes_would():
 
 
 def test_a_page_load_between_our_own_endpoints_decodes_no_header_block(monkeypatch):
-    """A pushing page load calls ``HpackDecoder.decode`` for no block
-    and receives no header frame as bytes, over either transport."""
+    """A pushing page load calls ``HpackDecoder.decode`` and
+    ``huffman_decode`` for no block and receives no header frame as
+    bytes, over either transport, loss-free and on a lossy link whose
+    recovery resends packets."""
     from repro.html import ResourceSpec, ResourceType, WebsiteSpec
+    from repro.netsim import quic, tcp
     from repro.replay import replay_site
     from repro.strategies.simple import PushAllStrategy
 
@@ -255,26 +259,32 @@ def test_a_page_load_between_our_own_endpoints_decodes_no_header_block(monkeypat
         html_visual_weight=10,
         resources=[ResourceSpec(f"i{index}.jpg", ResourceType.IMAGE, 900) for index in range(6)],
     )
-    blocks, frames = [], []
-    decode = HpackDecoder.decode
-    handle_header_frame = H2Connection._handle_header_frame
+    calls = []
 
-    def counting_decode(self, data):
-        blocks.append(len(data))
-        return decode(self, data)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    def counting_header_frame(self, frame):
-        frames.append(frame)
-        handle_header_frame(self, frame)
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(HpackDecoder, "decode", counting_decode)
-    monkeypatch.setattr(H2Connection, "_handle_header_frame", counting_header_frame)
-    for transport in ("tcp", "quic"):
-        result = replay_site(
-            spec,
-            strategy=PushAllStrategy(),
-            conditions=replace(DSL_TESTBED, transport=transport),
-        )
-        assert result.timeline.onload is not None
-        assert result.pushed_bytes >= 6 * 900
-        assert (blocks, frames) == ([], []), transport
+        monkeypatch.setattr(owner, name, spy)
+
+    counting(HpackDecoder, "decode")
+    counting(hpack_decoder, "huffman_decode")
+    counting(H2Connection, "_handle_header_frame")
+    counting(tcp._HalfConnection, "_retransmit")
+    counting(quic._QuicHalf, "_retransmit")
+    for conditions in (DSL_TESTBED, LOSSY_DSL):
+        for transport in ("tcp", "quic"):
+            calls.clear()
+            result = replay_site(
+                spec,
+                strategy=PushAllStrategy(),
+                conditions=replace(conditions, transport=transport),
+            )
+            assert result.timeline.onload is not None
+            assert result.pushed_bytes >= 6 * 900
+            resent = calls.count("_retransmit")
+            assert (resent > 0) == (conditions is LOSSY_DSL), transport
+            assert len(calls) == resent, (transport, calls)

@@ -1,9 +1,14 @@
-"""Property-based tests for the byte-wise Huffman decoder.
+"""Property-based tests for the Huffman coder.
 
-The optimized state-machine decoder (``huffman_decode``) must be
-observationally identical to the bit-at-a-time reference decoder it
-replaced (``huffman_decode_reference``): same output on valid input,
-same acceptance/rejection on arbitrary input, same error messages.
+The pair-table encoder (``huffman_encode``) must produce the bytes of
+the symbol-at-a-time reference encoder, and the canonical-code decoder
+(``huffman_decode``) must be observationally identical to the
+bit-at-a-time reference decoder (``huffman_decode_reference``): same
+output on valid input, same acceptance/rejection on arbitrary input,
+same error messages.  Both decoders read one bit at a time, one by
+counting codes per length and one by a (code, length) lookup, so the
+decoder's independent checks are also RFC 7541 Appendix C, the encode →
+decode round trip, the conformance peer and the fuzz gate.
 """
 
 import pytest

@@ -2,16 +2,15 @@
 
 ``repro.h2.hpack.HpackEncoder`` plans each distinct ``(name, value)``
 pair once, reads the dynamic table's maps directly and writes indices
-up to 254 from a table of ready octets; ``HpackDecoder`` resolves
-indices of one and two octets inside its loop.  These are the per-field
-codecs they replaced — lower-case, two static lookups,
-``DynamicTable.find``, ``entry_size``, ``encode_integer`` and a fresh
-Huffman-or-raw literal per encoded field; ``decode_integer`` and
-``DynamicTable.get`` per decoded one — through public calls only, kept
-so the property suite
-(``tests/property/test_property_hpack.py``) has something independent
-to compare against: same bytes, same headers, same errors, same table
-afterwards.
+up to 254 from a table of ready octets.  This is the per-field encoder
+it replaced — lower-case, two static lookups, ``DynamicTable.find``,
+``entry_size``, ``encode_integer`` and a fresh Huffman-or-raw literal
+per encoded field — and a decoder that takes ``decode_integer`` and
+``DynamicTable.get`` per field, as ``HpackDecoder`` does again now that
+it has no in-loop fast paths.  Both work through public calls only, so
+the property suite (``tests/property/test_property_hpack.py``) has
+something independent to compare against: same bytes, same headers,
+same errors, same table afterwards.
 """
 
 from repro.errors import HpackError

@@ -1,8 +1,9 @@
 """Reference Huffman coders: one symbol, one bit at a time.
 
 ``repro.h2.hpack.huffman`` encodes through a pair table and decodes
-through a byte-wise state machine; these are the implementations those
-replaced, kept as small as the code table allows so the property suite
+with the canonical-code loop (codes counted per length); these look a
+code up by ``(code, length)`` instead, kept as small as the code table
+allows so the property suite
 (``tests/property/test_property_huffman.py``) has something independent
 to compare against: same bytes, same acceptance, same error messages.
 """
